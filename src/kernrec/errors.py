@@ -2,8 +2,9 @@
 
 Three top-level families map onto the CLI exit codes: usage problems
 (bad flags, malformed config) exit 1, numerical failures (singular
-update, solver divergence, non-finite values) exit 2, and validation
-failures (step-size threshold, floor violations) exit 3.
+update, non-finite values) exit 2, and validation failures (step-size
+threshold, floor violations) exit 3.  The solver errors are raised only
+by the reference solvers of ``solver``, which runs do not call.
 """
 
 

@@ -16,6 +16,10 @@ satisfies the measurement identity
 
 up to solver roundoff, with M_i = (u_i, 1).  The relative size of that
 residual is recorded per step.
+
+The elliptic system ((1/tau) W + A) u_i = b is solved directly, in 1D
+and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
+``TimeStepper`` builds once per grid and step size.
 """
 
 from __future__ import annotations
@@ -26,15 +30,9 @@ import numpy as np
 
 from . import expr
 from .errors import NonFiniteError, ValidationError
-from .grid import (
-    GridFunction,
-    SpatialGrid,
-    nodal_gradient,
-    stiffness_diagonal,
-    stiffness_matvec,
-)
+from .grid import GridFunction, SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
-from .solver import SpdOperator, solve_cg, solve_tridiagonal
+from .solver import SpectralSolver
 
 
 @dataclass(frozen=True)
@@ -128,37 +126,14 @@ def _convolution_values(
 class TimeStepper:
     """Cached assembly for repeated backward-Euler steps on one grid."""
 
-    def __init__(
-        self,
-        spec: ProblemSpec,
-        grid: SpatialGrid,
-        timegrid: TimeGrid,
-        cg_tol: float = 1e-10,
-        cg_max_iter: int = 5000,
-    ):
+    def __init__(self, spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid):
         self.spec = spec
         self.grid = grid
         self.timegrid = timegrid
-        self.cg_tol = cg_tol
-        self.cg_max_iter = cg_max_iter
         self.coords = grid.coordinate_fields()
         self.weights = grid.weights
         self.bweights = grid.boundary_weights
-        tau = timegrid.tau
-        if grid.ndim == 1:
-            dx = grid.spacing[0]
-            diag = self.weights / tau + stiffness_diagonal(grid)
-            off = np.full(grid.cells[0], -1.0 / dx)
-            self._banded = (diag, off, off)
-            self._operator = None
-        else:
-            self._banded = None
-            self._operator = SpdOperator(
-                shift=1.0 / tau,
-                mass_weights=self.weights,
-                stiffness_matvec=lambda v: stiffness_matvec(grid, v),
-                stiffness_diag=stiffness_diagonal(grid),
-            )
+        self._solver = SpectralSolver(grid, timegrid.tau)
         self._f_vars = expr.variables(spec.f)
         self._h_static = self._static_field(spec.h)
         self._g_static = self._static_field(spec.g)
@@ -215,10 +190,7 @@ class TimeStepper:
         f_prev = self.f_field(t_prev, u_prev)
         load = f_prev + u_prev / tau - kernel_values[i] * self.h_field(t_i) - conv
         rhs = self.weights * load - self.bweights * self.g_field(t_i)
-        if self._banded is not None:
-            diag, lower, upper = self._banded
-            return solve_tridiagonal(diag, lower, upper, rhs)
-        return solve_cg(self._operator, rhs, tol=self.cg_tol, max_iter=self.cg_max_iter)
+        return self._solver.solve(rhs)
 
     def compat_residual(
         self,

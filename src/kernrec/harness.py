@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise UsageError(f"mode '{self.mode}' takes a single --n value")
         if self.mx < 1:
             raise UsageError("--mx must be a positive cell count")
+        if self.my is not None and self.my < 1:
+            raise UsageError("--my must be a positive cell count")
         if self.fine_factor < 1:
             raise UsageError("--fine-factor must be >= 1")
         if self.derivative not in ("analytic", "discrete"):
@@ -261,6 +263,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if spec.ndim == 1 and my is not None:
         raise UsageError("--my given for a 1D problem")
 
+    fine_factor = pick(args.fine_factor, experiment, "fine_factor", int)
     noise_text = pick(args.noise, experiment, "noise")
     sign_text = pick(args.denominator_sign, experiment, "kernel_denominator_sign") or "plus"
     cfg = ExperimentConfig(
@@ -270,7 +273,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         mx=int(mx),
         my=int(my) if my is not None else None,
         derivative=pick(args.derivative, experiment, "derivative") or "analytic",
-        fine_factor=int(pick(args.fine_factor, experiment, "fine_factor", int) or 4),
+        fine_factor=4 if fine_factor is None else fine_factor,
         out=pick(args.out, experiment, "out"),
         json_path=pick(args.json_path, experiment, "json"),
         noise_sigmas=_parse_float_list(str(noise_text), "--noise") if noise_text else None,

@@ -446,7 +446,7 @@ def load_problem(text: str) -> LoadedProblem:
     if "n" in disc and "mx" in disc:
         n = int(_get_float(disc, "n"))
         mx = int(_get_float(disc, "mx"))
-        my = int(_get_float(disc, "my", 0)) or None
+        my = int(_get_float(disc, "my")) if "my" in disc else None
         timegrid = TimeGrid(spec.T, n)
         grid = spec.make_grid(mx, my)
         validate_floor(spec, grid, timegrid)

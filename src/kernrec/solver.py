@@ -1,10 +1,16 @@
 """Linear solvers for the backward-Euler elliptic step.
 
-The operator is (1/tau) M + A with M the diagonal lumped mass and A the
+The operator is (1/tau) W + A with W the diagonal lumped mass and A the
 stiffness matrix: symmetric and strictly positive definite for tau > 0.
-The 1D path solves the tridiagonal system directly (Thomas algorithm);
-the 2D path runs Jacobi-preconditioned conjugate gradients against the
-matrix-free operator.
+On the uniform Neumann grids of ``grid`` the scaled operator W^-1 A is
+diagonalised exactly by the DCT-I along each axis, so every step is
+solved directly in O(N log N) by ``SpectralSolver`` (the classical fast
+Poisson solver; Swarztrauber, SIAM Rev. 19, 1977).
+
+``solve_tridiagonal`` (Thomas algorithm) and ``solve_cg``
+(Jacobi-preconditioned conjugate gradients on an ``SpdOperator``) are
+reference implementations that the tests compare the spectral solve
+against; the time steppers do not call them.
 """
 
 from __future__ import annotations
@@ -15,6 +21,57 @@ from typing import Callable
 import numpy as np
 
 from .errors import IterationLimitError, SingularMatrixError
+from .grid import SpatialGrid
+
+
+def _axis_eigenvalues(length: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the lumped-scaled stiffness and mass along one axis.
+
+    For the DCT-I mode cos(pi k j / M), k = 0..M, the Neumann second
+    difference W^-1 K has lambda_k = (2 - 2 cos(pi k / M)) / dx^2 and
+    W^-1 times the consistent P1 mass has nu_k = (2 + cos(pi k / M)) / 3.
+    """
+    dx = length / cells
+    cos = np.cos(np.pi * np.arange(cells + 1) / cells)
+    return (2.0 - 2.0 * cos) / dx**2, (2.0 + cos) / 3.0
+
+
+class SpectralSolver:
+    """Direct solve of ((1/tau) W + A) u = b on a uniform grid.
+
+    Built once per grid and step size.  ``solve`` scales b by 1/W, takes
+    the DCT-I along each axis, divides by the eigenvalues of
+    (1/tau) I + W^-1 A (1/tau + lambda in 1D, 1/tau + lambda_x nu_y +
+    nu_x lambda_y for the Q1 form Kx(x)My + Mx(x)Ky in 2D) and takes the
+    same DCT-I again.  The unnormalised DCT-I is its own inverse up to the
+    factor 2M per axis, which is folded into the divisor.
+    """
+
+    def __init__(self, grid: SpatialGrid, tau: float):
+        self._inv_weights = 1.0 / grid.weights
+        # even extension v_0..v_M, v_{M-1}..v_1 of each axis, whose real
+        # FFT is the DCT-I
+        self._extension = tuple(np.r_[0 : m + 1, m - 1 : 0 : -1] for m in grid.cells)
+        eig = [_axis_eigenvalues(length, m) for length, m in zip(grid.extents, grid.cells)]
+        if grid.ndim == 1:
+            lam, _ = eig[0]
+            divisor = (1.0 / tau + lam) * (2 * grid.cells[0])
+        else:
+            (lam_x, nu_x), (lam_y, nu_y) = eig
+            divisor = (
+                1.0 / tau + np.outer(lam_x, nu_y) + np.outer(nu_x, lam_y)
+            ) * (4 * grid.cells[0] * grid.cells[1])
+        self._inv_divisor = 1.0 / divisor
+
+    def _dct1(self, v: np.ndarray) -> np.ndarray:
+        # np.fft loads on first use; importing numpy.fft at module level
+        # would add its import time to every start-up
+        for axis, index in enumerate(self._extension):
+            v = np.fft.rfft(np.take(v, index, axis=axis), axis=axis).real
+        return v
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._dct1(self._dct1(rhs * self._inv_weights) * self._inv_divisor)
 
 
 def solve_tridiagonal(

@@ -24,7 +24,7 @@ from kernrec.problem import (
     preset_manufactured_1d,
     preset_zero_1d,
 )
-from kernrec.solver import SpdOperator, solve_cg, solve_tridiagonal
+from kernrec.solver import SpdOperator, SpectralSolver, solve_cg, solve_tridiagonal
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
@@ -258,6 +258,10 @@ def test_criterion_8_unit_properties():
     iterative = solve_cg(op, rhs, tol=1e-12)
     cg_gap = float(np.abs(iterative - direct).max())
 
+    # and so does the spectral solve the time steppers use
+    spectral = SpectralSolver(grid, tau).solve(rhs)
+    spectral_gap = float(np.abs(spectral - direct).max())
+
     # the stiffness operator annihilates constants without roundoff
     exact_zero = True
     for g in (grid, SpatialGrid.rectangle(1.0, 2.0, 9, 7)):
@@ -276,14 +280,16 @@ def test_criterion_8_unit_properties():
         except Exception:  # noqa: BLE001 - the point is to catch anything else
             crashes += 1
 
-    ok = cg_gap <= 1e-8 and exact_zero and crashes == 0
+    ok = cg_gap <= 1e-8 and spectral_gap <= 1e-10 and exact_zero and crashes == 0
     _verdict(
         8,
         "solver/parser unit properties",
         ok,
-        f"CG-vs-Thomas gap {cg_gap:.2e} (tol 1e-8), constants annihilated={exact_zero}, "
+        f"CG-vs-Thomas gap {cg_gap:.2e} (tol 1e-8), spectral-vs-Thomas gap "
+        f"{spectral_gap:.2e} (tol 1e-10), constants annihilated={exact_zero}, "
         f"fuzz crashes={crashes}/10000",
     )
     assert cg_gap <= 1e-8
+    assert spectral_gap <= 1e-10
     assert exact_zero
     assert crashes == 0

@@ -144,6 +144,25 @@ class TestReconstructCommand:
         )
         assert code == 1
 
+    def test_zero_fine_factor_is_usage_error(self, capsys):
+        code = run_cli(
+            ["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "10",
+             "--fine-factor", "0"]
+        )
+        assert code == 1
+        assert "--fine-factor" in capsys.readouterr().err
+
+    def test_zero_my_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "square.cfg"
+        cfg.write_text(
+            THRESHOLD_CONFIG.replace("lx = 1.0", "lx = 1.0\nly = 1.0")
+            + "\n[discretization]\nn = 10\nmx = 4\nmy = 0\n",
+            encoding="utf-8",
+        )
+        code = run_cli(["reconstruct", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
+        assert code == 1
+        assert "--my" in capsys.readouterr().err
+
 
 class TestThresholdGuard:
     def test_violation_exits_3(self, tmp_path, capsys):

@@ -190,6 +190,33 @@ class TestReconstruct:
         assert result.compat_residuals.max() <= 1e-9
         assert result.diagnostics.max_compat_residual <= 1e-9
 
+    def test_measurement_identity_on_fine_mesh(self):
+        spec = preset_manufactured_1d()
+        tg = TimeGrid(1.0, 5)
+        grid = spec.make_grid(8000)
+        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        result = reconstruct(spec, grid, tg, series)
+        assert result.diagnostics.max_compat_residual <= 1e-9
+
+    def test_manufactured_2d_analytic_data(self):
+        # state (1+t)(1+cos(pi x)cos(pi y)), kernel exp(-t), m = 1+t
+        spec = ProblemSpec(
+            name="manufactured2d", extents=(1.0, 1.0), T=1.0, omega_floor=1.0,
+            f=expr.parse(
+                "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
+                " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))"
+            ),
+            h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("1+cos(pi*x)*cos(pi*y)"),
+            kernel_exact=expr.parse("exp(-t)"),
+            m_exact=expr.parse("1+t"), mprime_exact=expr.parse("1"),
+        )
+        tg = TimeGrid(1.0, 10)
+        grid = spec.make_grid(16, 16)
+        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        result = reconstruct(spec, grid, tg, series)
+        assert result.diagnostics.max_compat_residual <= 1e-9
+        assert np.abs(result.kernel.values - np.exp(-tg.nodes)).max() <= 3e-2
+
     def test_determinism(self):
         spec = preset_manufactured_1d()
         tg = TimeGrid(1.0, 40)

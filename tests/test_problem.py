@@ -238,6 +238,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             load_problem(CONFIG.replace("T = 2.0", "T = -1"))
 
+    @pytest.mark.parametrize("cells", ["mx = 0", "mx = 10\nmy = 0"])
+    def test_zero_cell_count_rejected(self, cells):
+        square = CONFIG.replace("lx = 1.0", "lx = 1.0\nly = 1.0")
+        with pytest.raises(ValueError):
+            load_problem(square.replace("mx = 10", cells))
+
     def test_floor_violation_on_load(self):
         with pytest.raises(FloorViolationError):
             load_problem(CONFIG.replace('h = "1"', 'h = "0"'))

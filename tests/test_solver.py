@@ -3,7 +3,7 @@ import pytest
 
 from kernrec.errors import IterationLimitError, SingularMatrixError
 from kernrec.grid import SpatialGrid, stiffness_diagonal, stiffness_matvec
-from kernrec.solver import SpdOperator, solve_cg, solve_tridiagonal
+from kernrec.solver import SpdOperator, SpectralSolver, solve_cg, solve_tridiagonal
 
 
 def _dense_from_bands(diag, lower, upper):
@@ -145,3 +145,39 @@ class TestConjugateGradient:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             solve_cg(_diag_operator(np.ones(3)), np.ones(3), tol=0.0)
+
+
+class TestSpectralSolver:
+    @pytest.mark.parametrize("cells", [1, 2, 80, 2000])
+    def test_agrees_with_thomas(self, cells):
+        grid = SpatialGrid.interval(1.0, cells)
+        tau = 0.01
+        b = np.random.default_rng(cells).normal(size=grid.shape)
+        dx = grid.spacing[0]
+        diag = grid.weights / tau + stiffness_diagonal(grid)
+        off = np.full(cells, -1.0 / dx)
+        x_direct = solve_tridiagonal(diag, off, off, b)
+        x = SpectralSolver(grid, tau).solve(b)
+        assert np.abs(x - x_direct).max() <= 1e-10 * np.abs(x_direct).max()
+
+    @pytest.mark.parametrize("extents,cells", [((1.0, 2.0), (9, 7)), ((1.0, 1.0), (64, 70))])
+    def test_agrees_with_cg_on_rectangles(self, extents, cells):
+        grid = SpatialGrid.rectangle(*extents, *cells)
+        tau = 0.02
+        b = np.random.default_rng(cells[0]).normal(size=grid.shape)
+        x_cg = solve_cg(_backward_euler_operator(grid, tau), b, tol=1e-12)
+        x = SpectralSolver(grid, tau).solve(b)
+        assert np.abs(x - x_cg).max() <= 1e-8
+
+    @pytest.mark.parametrize(
+        "grid",
+        [SpatialGrid.interval(1.0, 1), SpatialGrid.interval(2.0, 80),
+         SpatialGrid.rectangle(1.0, 2.0, 9, 7), SpatialGrid.rectangle(1.0, 1.0, 64, 70)],
+    )
+    def test_residual_against_stencils(self, grid):
+        # pins the eigenvalues to the assembled stiffness of grid.py
+        tau = 0.05
+        b = np.random.default_rng(3).normal(size=grid.shape)
+        x = SpectralSolver(grid, tau).solve(b)
+        residual = grid.weights / tau * x + stiffness_matvec(grid, x) - b
+        assert np.linalg.norm(residual.ravel()) <= 1e-13 * np.linalg.norm(b.ravel())
