@@ -16,8 +16,6 @@ from .forward import (
     ForwardRun,
     KernelSeries,
     Trajectory,
-    convolution_quadrature,
-    forward_step,
     generate_measurement,
     run_forward,
 )
@@ -35,7 +33,6 @@ from .inverse import (
     ReconstructionResult,
     check_step_threshold,
     kernel_difference_energy,
-    kernel_update,
     reconstruct,
 )
 from .problem import (
@@ -65,13 +62,10 @@ __all__ = [
     "Trajectory",
     "boundary_inner",
     "check_step_threshold",
-    "convolution_quadrature",
-    "forward_step",
     "generate_measurement",
     "grad_seminorm_sq",
     "inner",
     "kernel_difference_energy",
-    "kernel_update",
     "load_problem",
     "make_preset",
     "nodal_gradient",

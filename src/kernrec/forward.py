@@ -17,6 +17,11 @@ satisfies the measurement identity
 up to solver roundoff, with M_i = (u_i, 1).  The relative size of that
 residual is recorded per step.
 
+``run_forward`` and ``inverse.reconstruct`` share one stepping loop,
+``_march``: per step it evaluates f_{i-1} and its mean once, lets the
+reconstruction read K_i off that mean, forms conv_i once (it includes
+K_i), and feeds both values to the load and to the identity residual.
+
 The elliptic system ((1/tau) W + A) u_i = b is solved directly, in 1D
 and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
 ``TimeStepper`` builds once per grid and step size.
@@ -25,6 +30,7 @@ and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,19 +83,6 @@ class Trajectory:
     def state(self, i: int) -> GridFunction:
         return GridFunction(self.grid, self.values[i])
 
-    @property
-    def states(self) -> list[GridFunction]:
-        return [self.state(i) for i in range(self.timegrid.n + 1)]
-
-    def decimate(self, stride: int) -> "Trajectory":
-        """Keep every stride-th state (for storage; stride must divide n)."""
-        if stride < 1 or self.timegrid.n % stride != 0:
-            raise ValidationError(
-                f"stride {stride} does not divide the step count {self.timegrid.n}"
-            )
-        coarse = TimeGrid(self.timegrid.T, self.timegrid.n // stride)
-        return Trajectory(self.grid, coarse, self.values[::stride].copy())
-
 
 def interpolate(tree: expr.Expression, grid: SpatialGrid, t: float | None = None) -> np.ndarray:
     """Evaluate an expression at the grid nodes (optionally at time t)."""
@@ -100,24 +93,10 @@ def interpolate(tree: expr.Expression, grid: SpatialGrid, t: float | None = None
     return np.broadcast_to(out, grid.shape).copy()
 
 
-def convolution_quadrature(kernel: KernelSeries, states, i: int) -> GridFunction:
-    """Rectangle-rule memory term sum_{k=1..i} K_k u_{i-k} tau at step i."""
-    if isinstance(states, Trajectory):
-        grid = states.grid
-        values = states.values
-    else:
-        raise TypeError("states must be a Trajectory")
-    if not 1 <= i <= kernel.timegrid.n:
-        raise IndexError(f"step index {i} out of range 1..{kernel.timegrid.n}")
-    if values.shape[0] < i:
-        raise IndexError(f"need states u_0..u_{i-1}, trajectory holds {values.shape[0]}")
-    conv = _convolution_values(kernel.values, values, i, kernel.timegrid.tau)
-    return GridFunction(grid, conv)
-
-
 def _convolution_values(
     kernel_values: np.ndarray, state_values: np.ndarray, i: int, tau: float
 ) -> np.ndarray:
+    """Rectangle-rule memory term sum_{k=1..i} K_k u_{i-k} tau at step i."""
     # pairs (K_1, u_{i-1}) ... (K_i, u_0)
     history = state_values[i - 1 :: -1]
     return np.tensordot(kernel_values[1 : i + 1], history, axes=([0], [0])) * tau
@@ -130,6 +109,7 @@ class TimeStepper:
         self.spec = spec
         self.grid = grid
         self.timegrid = timegrid
+        self.nodes = timegrid.nodes  # TimeGrid.nodes builds a new array per access
         self.coords = grid.coordinate_fields()
         self.weights = grid.weights
         self.bweights = grid.boundary_weights
@@ -179,37 +159,41 @@ class TimeStepper:
         return interpolate(self.spec.u0, self.grid)
 
     def step(
-        self, i: int, kernel_values: np.ndarray, state_values: np.ndarray
+        self,
+        i: int,
+        k_i: float,
+        u_prev: np.ndarray,
+        f_prev: np.ndarray,
+        conv: np.ndarray,
     ) -> np.ndarray:
-        """Solve for u_i given K_1..K_i and u_0..u_{i-1}."""
+        """Solve for u_i given K_i, u_{i-1}, f_{i-1} and conv_i."""
         tau = self.timegrid.tau
-        t_prev = self.timegrid.nodes[i - 1]
-        t_i = self.timegrid.nodes[i]
-        u_prev = state_values[i - 1]
-        conv = _convolution_values(kernel_values, state_values, i, tau)
-        f_prev = self.f_field(t_prev, u_prev)
-        load = f_prev + u_prev / tau - kernel_values[i] * self.h_field(t_i) - conv
+        t_i = self.nodes[i]
+        load = f_prev + u_prev / tau - k_i * self.h_field(t_i) - conv
         rhs = self.weights * load - self.bweights * self.g_field(t_i)
         return self._solver.solve(rhs)
 
     def compat_residual(
         self,
         i: int,
-        kernel_values: np.ndarray,
-        state_values: np.ndarray,
+        k_i: float,
+        f_mean: float,
+        conv: np.ndarray,
         measured: np.ndarray,
     ) -> float:
-        """Relative size of the per-step measurement identity residual."""
+        """Relative size of the per-step measurement identity residual.
+
+        ``f_mean`` is (f_{i-1},1) and ``conv`` is conv_i, both as the step
+        used them.
+        """
         tau = self.timegrid.tau
-        t_prev = self.timegrid.nodes[i - 1]
-        t_i = self.timegrid.nodes[i]
-        conv = _convolution_values(kernel_values, state_values, i, tau)
+        t_i = self.nodes[i]
         terms = (
             (measured[i] - measured[i - 1]) / tau,
             self.boundary_mean(self.g_field(t_i)),
-            kernel_values[i] * self.mean(self.h_field(t_i)),
+            k_i * self.mean(self.h_field(t_i)),
             self.mean(conv),
-            -self.mean(self.f_field(t_prev, state_values[i - 1])),
+            -f_mean,
         )
         residual = abs(sum(terms))
         scale = max(abs(term) for term in terms)
@@ -226,24 +210,45 @@ class ForwardRun:
     compat_residuals: np.ndarray  # relative, one per step i = 1..n
 
 
-def forward_step(
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    kernel: KernelSeries,
-    i: int,
-    states,
-) -> GridFunction:
-    """One elliptic step of the scheme; states supplies u_0..u_{i-1}."""
-    if isinstance(states, Trajectory):
-        state_values = states.values
-    else:
-        state_values = np.asarray(states, dtype=float)
-    if not 1 <= i <= kernel.timegrid.n:
-        raise IndexError(f"step index {i} out of range 1..{kernel.timegrid.n}")
-    if state_values.shape[0] < i or state_values.shape[1:] != grid.shape:
-        raise ValidationError("state history does not cover u_0..u_{i-1} on this grid")
-    stepper = TimeStepper(spec, grid, kernel.timegrid)
-    return GridFunction(grid, stepper.step(i, kernel.values, state_values))
+def _march(
+    stepper: TimeStepper,
+    kernel_values: np.ndarray,
+    kernel_update: Callable[[int, float], float] | None = None,
+    on_step: Callable[[int, float], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance u_0..u_n; return the states, M_i = (u_i,1) and the residuals.
+
+    Without ``kernel_update`` the kernel values K_1..K_n are given.  With
+    it, ``kernel_update(i, (f_{i-1},1))`` supplies K_i before step i and
+    the loop stores it in ``kernel_values``.  ``on_step(i, residual)``
+    runs after each step.
+    """
+    timegrid = stepper.timegrid
+    n = timegrid.n
+    tau = timegrid.tau
+    states = np.empty((n + 1, *stepper.grid.shape))
+    states[0] = stepper.initial_state()
+    measured = np.empty(n + 1)
+    measured[0] = stepper.mean(states[0])
+    residuals = np.empty(n)
+    for i in range(1, n + 1):
+        u_prev = states[i - 1]
+        f_prev = stepper.f_field(stepper.nodes[i - 1], u_prev)
+        f_mean = stepper.mean(f_prev)
+        if kernel_update is not None:
+            kernel_values[i] = kernel_update(i, f_mean)
+        # conv_i includes K_i, so it is formed after the update
+        conv = _convolution_values(kernel_values, states, i, tau)
+        states[i] = stepper.step(i, kernel_values[i], u_prev, f_prev, conv)
+        if not np.all(np.isfinite(states[i])):
+            raise NonFiniteError("state is not finite", step=i)
+        measured[i] = stepper.mean(states[i])
+        residuals[i - 1] = stepper.compat_residual(
+            i, kernel_values[i], f_mean, conv, measured
+        )
+        if on_step is not None:
+            on_step(i, residuals[i - 1])
+    return states, measured, residuals
 
 
 def run_forward(
@@ -256,18 +261,7 @@ def run_forward(
     if kernel.timegrid != timegrid:
         raise ValidationError("kernel series is not aligned with the time grid")
     stepper = TimeStepper(spec, grid, timegrid)
-    n = timegrid.n
-    states = np.empty((n + 1, *grid.shape))
-    states[0] = stepper.initial_state()
-    measured = np.empty(n + 1)
-    measured[0] = stepper.mean(states[0])
-    residuals = np.empty(n)
-    for i in range(1, n + 1):
-        states[i] = stepper.step(i, kernel.values, states)
-        if not np.all(np.isfinite(states[i])):
-            raise NonFiniteError("state blew up during forward run", step=i)
-        measured[i] = stepper.mean(states[i])
-        residuals[i - 1] = stepper.compat_residual(i, kernel.values, states, measured)
+    states, measured, residuals = _march(stepper, kernel.values)
     trajectory = Trajectory(grid, timegrid, states)
     return ForwardRun(trajectory, kernel, measured, residuals)
 

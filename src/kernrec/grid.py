@@ -239,12 +239,16 @@ def _mass_1d(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
 
 
 def stiffness_matvec(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """Assembled stiffness matrix applied to nodal values (load form A u)."""
+    """Assembled stiffness matrix applied to nodal values (load form A u).
+
+    The grid's axes are the trailing ``grid.ndim`` axes of ``values``, so
+    one call applies A to every state of a stack.
+    """
     if grid.ndim == 1:
-        return _stiff_1d(values, grid.spacing[0])
+        return _stiff_1d(values, grid.spacing[0], axis=-1)
     dx, dy = grid.spacing
-    term_x = _mass_1d(_stiff_1d(values, dx, axis=0), dy, axis=1)
-    term_y = _mass_1d(_stiff_1d(values, dy, axis=1), dx, axis=0)
+    term_x = _mass_1d(_stiff_1d(values, dx, axis=-2), dy, axis=-1)
+    term_y = _mass_1d(_stiff_1d(values, dy, axis=-1), dx, axis=-2)
     return term_x + term_y
 
 

@@ -247,7 +247,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if cli_value is not None:
             return cli_value
         if key in section:
-            return cast(section[key])
+            try:
+                return cast(section[key])
+            except ValueError as exc:
+                raise UsageError(f"cannot parse {key} = {section[key]!r}: {exc}") from None
         return None
 
     n_text = pick(args.n, disc, "n")
@@ -265,7 +268,13 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
     fine_factor = pick(args.fine_factor, experiment, "fine_factor", int)
     noise_text = pick(args.noise, experiment, "noise")
-    sign_text = pick(args.denominator_sign, experiment, "kernel_denominator_sign") or "plus"
+    sign_text = pick(args.denominator_sign, experiment, "kernel_denominator_sign")
+    if sign_text is None:
+        sign_text = "plus"
+    if sign_text not in ("plus", "minus"):
+        raise UsageError(
+            f"kernel_denominator_sign must be plus or minus, got {sign_text!r}"
+        )
     cfg = ExperimentConfig(
         mode=args.mode,
         spec=spec,
@@ -287,8 +296,17 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+_BOOL_WORDS = {
+    "true": True, "yes": True, "on": True, "1": True,
+    "false": False, "no": False, "off": False, "0": False,
+}
+
+
 def _as_bool(text: str) -> bool:
-    return text.strip().lower() in ("true", "yes", "1", "on")
+    try:
+        return _BOOL_WORDS[text.strip().lower()]
+    except KeyError:
+        raise ValueError("expected true/false, yes/no, on/off or 1/0") from None
 
 
 # -- data acquisition --------------------------------------------------

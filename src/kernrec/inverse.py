@@ -6,11 +6,13 @@ off the discrete measurement identity,
     K_i = [ (f_{i-1},1) - m'_i - (g_i,1)_Gamma
             - sum_{k=1..i-1} K_k m_{i-k} tau ] / [ (h_i,1) + m_0 tau ],
 
-then the elliptic field problem is solved with the now-known K_i
-(reusing the forward stepper).  The denominator carries the plus sign
-that falls out of splitting the k = i term from the convolution sum;
-a debug switch flips it to minus for comparison runs.  The update is
-well defined for tau below
+then the elliptic field problem is solved with the now-known K_i.
+Both happen inside the stepping loop that ``forward.run_forward`` also
+uses, so (f_{i-1},1) and conv_i are computed once per step and serve
+the update, the load and the identity residual alike.  The denominator
+carries the plus sign that falls out of splitting the k = i term from
+the convolution sum; a debug switch flips it to minus for comparison
+runs.  The update is well defined for tau below
 
     tau0 = min(1, omega / (2 |m_0|)),
 
@@ -21,6 +23,9 @@ K_0 = [ (f_0,1) - m'(0) - (g_0,1)_Gamma ] / (h_0,1), using the supplied
 initial derivative when the series carries one and the first forward
 difference otherwise.  K_0 never enters the time stepping; it only
 completes the reported kernel.
+
+The stability functionals of ``Diagnostics`` are computed from the
+finished trajectory after the loop, in row blocks of fixed size.
 """
 
 from __future__ import annotations
@@ -38,11 +43,14 @@ from .errors import (
     StepThresholdError,
     ValidationError,
 )
-from .forward import KernelSeries, TimeStepper, Trajectory, _convolution_values
-from .grid import GridFunction, SpatialGrid, grad_seminorm_sq, stiffness_matvec
+from .forward import KernelSeries, TimeStepper, Trajectory, _march
+from .grid import SpatialGrid, stiffness_matvec
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid, validate_floor
 
 DENOMINATOR_GUARD = 1e-12
+# trajectory values per block of the post-loop diagnostics; bounds their
+# temporaries whatever the step count
+DIAGNOSTICS_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -117,65 +125,6 @@ def kernel_difference_energy(kernel, tau: float) -> float:
     return float(np.sum(np.diff(values) ** 2)) / tau
 
 
-def _update_parts(
-    stepper: TimeStepper,
-    measurement: MeasurementSeries,
-    kernel_values: np.ndarray,
-    u_prev: np.ndarray,
-    i: int,
-    denominator_sign: float,
-) -> tuple[float, float]:
-    """Numerator and denominator of the kernel update at step i."""
-    tg = stepper.timegrid
-    tau = tg.tau
-    t_prev = tg.nodes[i - 1]
-    t_i = tg.nodes[i]
-    f_mean = stepper.mean(stepper.f_field(t_prev, u_prev))
-    g_mean = stepper.boundary_mean(stepper.g_field(t_i))
-    h_mean = stepper.mean(stepper.h_field(t_i))
-    m = measurement.values
-    history = float(np.dot(kernel_values[1:i], m[i - 1 : 0 : -1])) * tau
-    numerator = f_mean - measurement.derivative_at(i) - g_mean - history
-    denominator = h_mean + denominator_sign * measurement.m0 * tau
-    return numerator, denominator
-
-
-def kernel_update(
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    measurement: MeasurementSeries,
-    kernel_prefix: np.ndarray,
-    u_prev: GridFunction | np.ndarray,
-    i: int,
-    denominator_sign: float = 1.0,
-    stepper: TimeStepper | None = None,
-) -> float:
-    """Solve the scalar measurement identity for K_i (1 <= i <= n).
-
-    ``kernel_prefix`` holds K_0..K_{i-1}; earlier values enter through
-    the measurement convolution only, so the update never looks at
-    states beyond u_{i-1}.
-    """
-    if stepper is None:
-        stepper = TimeStepper(spec, grid, measurement.timegrid)
-    if not 1 <= i <= measurement.timegrid.n:
-        raise IndexError(f"step index {i} out of range 1..{measurement.timegrid.n}")
-    kernel_values = np.asarray(kernel_prefix, dtype=float)
-    if kernel_values.size < i:
-        raise ValidationError(f"kernel prefix must hold K_0..K_{i-1}")
-    u_values = u_prev.values if isinstance(u_prev, GridFunction) else np.asarray(u_prev)
-    numerator, denominator = _update_parts(
-        stepper, measurement, kernel_values, u_values, i, denominator_sign
-    )
-    if abs(denominator) < DENOMINATOR_GUARD:
-        raise SingularUpdateError(
-            f"kernel-update denominator {denominator:.3e} below "
-            f"{DENOMINATOR_GUARD:g} at step {i}",
-            step=i,
-        )
-    return numerator / denominator
-
-
 def initial_kernel_value(
     stepper: TimeStepper, measurement: MeasurementSeries
 ) -> float:
@@ -195,6 +144,55 @@ def initial_kernel_value(
             step=0,
         )
     return (f_mean - mprime0 - g_mean) / h_mean
+
+
+def _diagnostics(
+    grid: SpatialGrid,
+    tau: float,
+    states: np.ndarray,
+    kernel_values: np.ndarray,
+    denominators: np.ndarray,
+    residuals: np.ndarray,
+) -> Diagnostics:
+    """Stability functionals of a finished reconstruction.
+
+    The trajectory is walked in blocks of DIAGNOSTICS_BLOCK_VALUES values
+    that overlap by one state for the increments; one stiffness product
+    per block gives A u_i, and A (u_i - u_{i-1}) = A u_i - A u_{i-1}.
+    """
+    n = states.shape[0] - 1
+    w = grid.weights
+    axes = tuple(range(1, grid.ndim + 1))
+    state_sq = np.empty(n + 1)  # ||u_i||^2
+    grad_sq = np.empty(n + 1)  # ||grad u_i||^2 = (A u_i, u_i)
+    lap_sq = np.empty(n + 1)  # ||lumped stiffness residual of u_i||^2
+    inc_sq = np.empty(n)  # ||u_i - u_{i-1}||^2
+    grad_inc_sq = np.empty(n)  # ||grad(u_i - u_{i-1})||^2
+    rows = max(1, DIAGNOSTICS_BLOCK_VALUES // w.size)
+    for start in range(0, n + 1, rows):
+        lo, hi = max(start - 1, 0), min(start + rows, n + 1)
+        u = states[lo:hi]
+        au = stiffness_matvec(grid, u)
+        state_sq[lo:hi] = np.sum(w * u**2, axis=axes)
+        grad_sq[lo:hi] = np.sum(au * u, axis=axes)
+        lap_sq[lo:hi] = np.sum(w * (au / w) ** 2, axis=axes)
+        du = np.diff(u, axis=0)
+        inc_sq[lo : hi - 1] = np.sum(w * du**2, axis=axes)
+        grad_inc_sq[lo : hi - 1] = np.sum(np.diff(au, axis=0) * du, axis=axes)
+    state_increment = float(np.sum(inc_sq))
+    return Diagnostics(
+        max_abs_kernel=float(np.max(np.abs(kernel_values))),
+        max_state_norm_sq=float(np.max(state_sq)),
+        grad_energy=float(np.sum(grad_sq[1:])) * tau,
+        state_increment_sum_sq=state_increment,
+        max_grad_norm_sq=float(np.max(grad_sq)),
+        time_derivative_energy=state_increment / tau,
+        grad_increment_sum_sq=float(np.sum(grad_inc_sq)),
+        laplacian_energy=float(np.sum(lap_sq[1:])) * tau,
+        kernel_derivative_energy=kernel_difference_energy(kernel_values, tau),
+        min_denominator_magnitude=float(np.min(np.abs(denominators))),
+        max_compat_residual=float(np.max(residuals)),
+    )
 
 
 def reconstruct(
@@ -246,26 +244,16 @@ def reconstruct(
                 stacklevel=2,
             )
 
-    states = np.empty((n + 1, *grid.shape))
-    states[0] = stepper.initial_state()
-    measured = np.empty(n + 1)
-    measured[0] = stepper.mean(states[0])
+    m = measurement.values
     denominators = np.empty(n)
-    residuals = np.empty(n)
 
-    u0_fun = GridFunction(grid, states[0])
-    max_state_norm_sq = stepper.mean(states[0] ** 2)
-    max_grad_norm_sq = grad_seminorm_sq(u0_fun)
-    grad_energy = 0.0
-    state_increment = 0.0
-    dudt_energy = 0.0
-    grad_increment = 0.0
-    laplacian_energy = 0.0
-
-    for i in range(1, n + 1):
-        numerator, denominator = _update_parts(
-            stepper, measurement, kernel_values, states[i - 1], i, denominator_sign
-        )
+    def update(i: int, f_mean: float) -> float:
+        t_i = stepper.nodes[i]
+        g_mean = stepper.boundary_mean(stepper.g_field(t_i))
+        h_mean = stepper.mean(stepper.h_field(t_i))
+        history = float(np.dot(kernel_values[1:i], m[i - 1 : 0 : -1])) * tau
+        numerator = f_mean - measurement.derivative_at(i) - g_mean - history
+        denominator = h_mean + denominator_sign * measurement.m0 * tau
         if abs(denominator) < DENOMINATOR_GUARD:
             raise SingularUpdateError(
                 f"kernel-update denominator {denominator:.3e} below "
@@ -275,44 +263,17 @@ def reconstruct(
         k_i = numerator / denominator
         if not np.isfinite(k_i):
             raise NonFiniteError("kernel value is not finite", step=i)
-        kernel_values[i] = k_i
         denominators[i - 1] = denominator
+        return k_i
 
-        states[i] = stepper.step(i, kernel_values, states)
-        if not np.all(np.isfinite(states[i])):
-            raise NonFiniteError("state is not finite", step=i)
-        measured[i] = stepper.mean(states[i])
-        residuals[i - 1] = stepper.compat_residual(i, kernel_values, states, measured)
+    on_step = None
+    if trace is not None:
 
-        u_i = states[i]
-        diff = u_i - states[i - 1]
-        max_state_norm_sq = max(max_state_norm_sq, stepper.mean(u_i**2))
-        g_sq = float(np.sum(stiffness_matvec(grid, u_i) * u_i))
-        max_grad_norm_sq = max(max_grad_norm_sq, g_sq)
-        grad_energy += g_sq * tau
-        inc_sq = stepper.mean(diff**2)
-        state_increment += inc_sq
-        dudt_energy += inc_sq / tau
-        grad_increment += float(np.sum(stiffness_matvec(grid, diff) * diff))
-        lumped_lap = stiffness_matvec(grid, u_i) / grid.weights
-        laplacian_energy += stepper.mean(lumped_lap**2) * tau
+        def on_step(i: int, residual: float) -> None:
+            trace(i, stepper.nodes[i], kernel_values[i], denominators[i - 1], residual)
 
-        if trace is not None:
-            trace(i, timegrid.nodes[i], k_i, denominator, residuals[i - 1])
-
-    diagnostics = Diagnostics(
-        max_abs_kernel=float(np.max(np.abs(kernel_values))),
-        max_state_norm_sq=max_state_norm_sq,
-        grad_energy=grad_energy,
-        state_increment_sum_sq=state_increment,
-        max_grad_norm_sq=max_grad_norm_sq,
-        time_derivative_energy=dudt_energy,
-        grad_increment_sum_sq=grad_increment,
-        laplacian_energy=laplacian_energy,
-        kernel_derivative_energy=kernel_difference_energy(kernel_values, tau),
-        min_denominator_magnitude=float(np.min(np.abs(denominators))) if n else 0.0,
-        max_compat_residual=float(np.max(residuals)) if n else 0.0,
-    )
+    states, measured, residuals = _march(stepper, kernel_values, update, on_step)
+    diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
     return ReconstructionResult(
         kernel=KernelSeries(timegrid, kernel_values),
         trajectory=Trajectory(grid, timegrid, states),

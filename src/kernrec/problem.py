@@ -290,7 +290,7 @@ def _is_number(token: str) -> bool:
 # -- floor validation ------------------------------------------------
 
 
-def boundary_mean_of_h(
+def volume_mean_of_h(
     spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid
 ) -> np.ndarray:
     """(h(t_i), 1) for every time node, via the lumped quadrature."""
@@ -316,7 +316,7 @@ def validate_floor(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid) -> 
     A relative slack of 1e-12 absorbs quadrature roundoff so that
     problems sitting exactly on the floor pass.
     """
-    means = boundary_mean_of_h(spec, grid, timegrid)
+    means = volume_mean_of_h(spec, grid, timegrid)
     worst = int(np.argmin(np.abs(means)))
     slack = 1e-12 * max(1.0, spec.omega_floor)
     if abs(means[worst]) < spec.omega_floor - slack:

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from kernrec import expr
+from kernrec import expr, forward
 from kernrec.errors import ValidationError
 from kernrec.forward import (
     KernelSeries,
-    Trajectory,
-    convolution_quadrature,
-    forward_step,
+    TimeStepper,
+    _convolution_values,
     generate_measurement,
     measurement_from_run,
     run_forward,
 )
-from kernrec.grid import GridFunction, SpatialGrid
-from kernrec.problem import ProblemSpec, TimeGrid, preset_manufactured_1d
+from kernrec.grid import SpatialGrid
+from kernrec.inverse import reconstruct
+from kernrec.problem import MeasurementSeries, ProblemSpec, TimeGrid, preset_manufactured_1d
 
 
 def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, **extra):
@@ -24,48 +24,36 @@ def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, **extra):
     )
 
 
-def _trajectory(grid, timegrid, arrays):
+def _history(grid, timegrid, arrays):
     values = np.zeros((timegrid.n + 1, *grid.shape))
     for i, a in enumerate(arrays):
         values[i] = a
-    return Trajectory(grid, timegrid, values)
+    return values
 
 
 class TestConvolutionQuadrature:
     def test_single_term(self):
         grid = SpatialGrid.interval(1.0, 4)
         tg = TimeGrid(1.0, 10)
-        kernel = KernelSeries(tg, np.full(11, 2.0))
+        kernel = np.full(11, 2.0)
         u0 = np.full(grid.shape, 3.0)
-        traj = _trajectory(grid, tg, [u0])
-        out = convolution_quadrature(kernel, traj, 1)
-        np.testing.assert_allclose(out.values, 2.0 * 3.0 * tg.tau, rtol=1e-15)
+        out = _convolution_values(kernel, _history(grid, tg, [u0]), 1, tg.tau)
+        np.testing.assert_allclose(out, 2.0 * 3.0 * tg.tau, rtol=1e-15)
 
     def test_three_terms_of_ones(self):
         grid = SpatialGrid.interval(1.0, 4)
         tg = TimeGrid(1.0, 10)  # tau = 0.1
-        kernel = KernelSeries(tg, np.ones(11))
-        traj = _trajectory(grid, tg, [np.ones(grid.shape)] * 3)
-        out = convolution_quadrature(kernel, traj, 3)
-        np.testing.assert_allclose(out.values, 0.3, rtol=1e-14)
+        states = _history(grid, tg, [np.ones(grid.shape)] * 3)
+        out = _convolution_values(np.ones(11), states, 3, tg.tau)
+        np.testing.assert_allclose(out, 0.3, rtol=1e-14)
 
     def test_alternating_kernel_cancels(self):
         grid = SpatialGrid.interval(1.0, 2)
         tg = TimeGrid(1.0, 2)  # tau = 0.5
-        kernel = KernelSeries(tg, np.array([1.0, -1.0, 1.0]))
-        traj = _trajectory(grid, tg, [np.ones(grid.shape)] * 2)
-        out = convolution_quadrature(kernel, traj, 2)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-16)
-
-    def test_index_out_of_range(self):
-        grid = SpatialGrid.interval(1.0, 2)
-        tg = TimeGrid(1.0, 2)
-        kernel = KernelSeries(tg, np.ones(3))
-        traj = _trajectory(grid, tg, [np.ones(grid.shape)])
-        with pytest.raises(IndexError):
-            convolution_quadrature(kernel, traj, 0)
-        with pytest.raises(IndexError):
-            convolution_quadrature(kernel, traj, 3)
+        kernel = np.array([1.0, -1.0, 1.0])
+        states = _history(grid, tg, [np.ones(grid.shape)] * 2)
+        out = _convolution_values(kernel, states, 2, tg.tau)
+        np.testing.assert_allclose(out, 0.0, atol=1e-16)
 
 
 class TestForwardStep:
@@ -83,20 +71,16 @@ class TestForwardStep:
         grid = spec.make_grid(20)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
         run = run_forward(spec, grid, tg, kernel)
-        u1 = forward_step(spec, grid, kernel, 1, run.trajectory)
-        np.testing.assert_array_equal(u1.values, run.trajectory.values[1])
+        states = run.trajectory.values
+        stepper = TimeStepper(spec, grid, tg)
+        f0 = stepper.f_field(0.0, states[0])
+        conv = _convolution_values(kernel.values, states, 1, tg.tau)
+        u1 = stepper.step(1, kernel.values[1], states[0], f0, conv)
+        np.testing.assert_array_equal(u1, states[1])
 
     def test_too_small_grid_rejected(self):
         with pytest.raises(ValueError):
             SpatialGrid.interval(1.0, 0)  # a single node cannot carry the scheme
-
-    def test_short_history_rejected(self):
-        spec = preset_manufactured_1d()
-        tg = TimeGrid(1.0, 10)
-        grid = spec.make_grid(8)
-        kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-        with pytest.raises(ValidationError):
-            forward_step(spec, grid, kernel, 3, np.zeros((2, *grid.shape)))
 
     def test_first_order_in_time(self):
         spec = preset_manufactured_1d()
@@ -156,17 +140,46 @@ class TestForwardStep:
         with pytest.raises(ValidationError):
             run_forward(spec, spec.make_grid(8), TimeGrid(1.0, 20), kernel)
 
-    def test_trajectory_decimation(self):
+
+class TestOncePerStep:
+    """f_{i-1} and conv_i are computed once per step and shared."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"f_field": 0, "conv": 0}
+        f_field = TimeStepper.f_field
+        conv = forward._convolution_values
+
+        def counted_f_field(self, t, u_values):
+            calls["f_field"] += 1
+            return f_field(self, t, u_values)
+
+        def counted_conv(*args):
+            calls["conv"] += 1
+            return conv(*args)
+
+        monkeypatch.setattr(TimeStepper, "f_field", counted_f_field)
+        monkeypatch.setattr(forward, "_convolution_values", counted_conv)
+        return calls
+
+    def test_run_forward(self, monkeypatch):
         spec = preset_manufactured_1d()
-        tg = TimeGrid(1.0, 20)
-        grid = spec.make_grid(10)
+        n = 20
+        tg = TimeGrid(1.0, n)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-        run = run_forward(spec, grid, tg, kernel)
-        thin = run.trajectory.decimate(4)
-        assert thin.timegrid.n == 5
-        np.testing.assert_array_equal(thin.values, run.trajectory.values[::4])
-        with pytest.raises(ValidationError):
-            run.trajectory.decimate(3)
+        calls = self._spy(monkeypatch)
+        run_forward(spec, spec.make_grid(20), tg, kernel)
+        assert calls == {"f_field": n, "conv": n}
+
+    def test_reconstruct(self, monkeypatch):
+        spec = preset_manufactured_1d()
+        n = 20
+        tg = TimeGrid(1.0, n)
+        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        calls = self._spy(monkeypatch)
+        reconstruct(spec, spec.make_grid(20), tg, series)
+        # one more f for K_0
+        assert calls == {"f_field": n + 1, "conv": n}
 
 
 class TestGenerateMeasurement:

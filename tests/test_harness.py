@@ -367,6 +367,44 @@ class TestConfigHandling:
         assert run_cli([]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_bad_denominator_sign_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            "[problem]\npreset = manufactured1d\n\n"
+            "[experiment]\nkernel_denominator_sign = plsu\n",
+            encoding="utf-8",
+        )
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
+        assert code == 1
+        assert "plsu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["force", "trace"])
+    def test_bad_boolean_is_usage_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"[problem]\npreset = manufactured1d\n\n[experiment]\n{key} = ture\n",
+            encoding="utf-8",
+        )
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
+        assert code == 1
+        assert "ture" in capsys.readouterr().err
+
+    def test_unparsable_number_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            "[problem]\npreset = manufactured1d\n\n[discretization]\nn = 10\nmx = abc\n",
+            encoding="utf-8",
+        )
+        assert run_cli(["reconstruct", "--config", str(cfg)]) == 1
+        assert "mx = 'abc'" in capsys.readouterr().err
+
+    def test_force_from_config(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(THRESHOLD_CONFIG + "\n[experiment]\nforce = On\n", encoding="utf-8")
+        with pytest.warns(RuntimeWarning):
+            code = run_cli(["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"])
+        assert code == 0
+
 
 def test_eoc_value_edge_cases():
     assert eoc_value(0.0, 0.0, 0.1, 0.05) is None

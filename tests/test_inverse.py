@@ -4,12 +4,12 @@ import pytest
 from kernrec import expr
 from kernrec.errors import SingularUpdateError, StepThresholdError, ValidationError
 from kernrec.forward import KernelSeries, measurement_from_run, run_forward
-from kernrec.grid import GridFunction
+from kernrec.grid import GridFunction, grad_seminorm_sq, stiffness_matvec
 from kernrec.inverse import (
+    DIAGNOSTICS_BLOCK_VALUES,
     check_step_threshold,
     initial_kernel_value,
     kernel_difference_energy,
-    kernel_update,
     reconstruct,
 )
 from kernrec.problem import (
@@ -27,6 +27,55 @@ def _spec(f="0", h="1", g="0", u0="0", T=1.0, omega=1.0, **extra):
         f=expr.parse(f), h=expr.parse(h), g=expr.parse(g), u0=expr.parse(u0),
         **{k: (expr.parse(v) if isinstance(v, str) else v) for k, v in extra.items()},
     )
+
+
+def _manufactured_2d():
+    # state (1+t)(1+cos(pi x)cos(pi y)), kernel exp(-t), m = 1+t
+    return ProblemSpec(
+        name="manufactured2d", extents=(1.0, 1.0), T=1.0, omega_floor=1.0,
+        f=expr.parse(
+            "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
+            " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))"
+        ),
+        h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("1+cos(pi*x)*cos(pi*y)"),
+        kernel_exact=expr.parse("exp(-t)"),
+        m_exact=expr.parse("1+t"), mprime_exact=expr.parse("1"),
+    )
+
+
+def _running_diagnostics(result, grid, tau):
+    """Reference: the functionals accumulated state by state, in step order."""
+    states = result.trajectory.values
+    w = grid.weights
+    max_state_norm_sq = float(np.sum(w * states[0] ** 2))
+    max_grad_norm_sq = grad_seminorm_sq(GridFunction(grid, states[0]))
+    grad_energy = state_increment = dudt_energy = grad_increment = laplacian_energy = 0.0
+    for i in range(1, states.shape[0]):
+        u_i = states[i]
+        diff = u_i - states[i - 1]
+        max_state_norm_sq = max(max_state_norm_sq, float(np.sum(w * u_i**2)))
+        g_sq = float(np.sum(stiffness_matvec(grid, u_i) * u_i))
+        max_grad_norm_sq = max(max_grad_norm_sq, g_sq)
+        grad_energy += g_sq * tau
+        inc_sq = float(np.sum(w * diff**2))
+        state_increment += inc_sq
+        dudt_energy += inc_sq / tau
+        grad_increment += float(np.sum(stiffness_matvec(grid, diff) * diff))
+        lumped_lap = stiffness_matvec(grid, u_i) / w
+        laplacian_energy += float(np.sum(w * lumped_lap**2)) * tau
+    return {
+        "max_abs_kernel": float(np.max(np.abs(result.kernel.values))),
+        "max_state_norm_sq": max_state_norm_sq,
+        "grad_energy": grad_energy,
+        "state_increment_sum_sq": state_increment,
+        "max_grad_norm_sq": max_grad_norm_sq,
+        "time_derivative_energy": dudt_energy,
+        "grad_increment_sum_sq": grad_increment,
+        "laplacian_energy": laplacian_energy,
+        "kernel_derivative_energy": kernel_difference_energy(result.kernel, tau),
+        "min_denominator_magnitude": float(np.min(np.abs(result.denominators))),
+        "max_compat_residual": float(np.max(result.compat_residuals)),
+    }
 
 
 class TestStepThreshold:
@@ -62,6 +111,8 @@ class TestStepThreshold:
 
 
 class TestKernelUpdate:
+    # the scalar update K_i, asserted through the reconstruction loop
+
     def test_zero_numerator_by_induction(self):
         # f = 0, g = 0, m' = 0 forces every K_i to vanish
         spec = _spec()
@@ -70,10 +121,8 @@ class TestKernelUpdate:
         series = MeasurementSeries(
             tg, np.full(9, 2.0), np.zeros(8), "analytic", initial_derivative=0.0
         )
-        kernel = np.zeros(9)
-        u_prev = GridFunction.constant(grid, 0.0)
+        kernel = reconstruct(spec, grid, tg, series).kernel.values
         for i in range(1, 9):
-            kernel[i] = kernel_update(spec, grid, series, kernel[:i], u_prev, i)
             assert kernel[i] == 0.0
 
     def test_direct_substitution(self):
@@ -84,43 +133,33 @@ class TestKernelUpdate:
         series = MeasurementSeries(
             tg, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0]), "analytic"
         )
-        value = kernel_update(spec, grid, series, np.array([0.0]), GridFunction.constant(grid, 0.0), 1)
+        value = reconstruct(spec, grid, tg, series).kernel.values[1]
         assert abs(value - 1.0) < 1e-14
 
     def test_denominator_sign_flag(self):
+        # m_0 = 2 with tau = 0.125 stays below tau0 = 0.25
         spec = _spec(f="2")
-        tg = TimeGrid(1.0, 4)
+        tg = TimeGrid(1.0, 8)
         grid = spec.make_grid(10)
-        series = MeasurementSeries(
-            tg, np.full(5, 2.0), np.array([1.0, 0.0, 0.0, 0.0]), "analytic"
-        )
-        plus = kernel_update(spec, grid, series, np.array([0.0]), GridFunction.constant(grid, 0.0), 1)
-        minus = kernel_update(
-            spec, grid, series, np.array([0.0]), GridFunction.constant(grid, 0.0), 1,
-            denominator_sign=-1.0,
-        )
+        derivs = np.zeros(8)
+        derivs[0] = 1.0
+        series = MeasurementSeries(tg, np.full(9, 2.0), derivs, "analytic")
+        plus = reconstruct(spec, grid, tg, series).kernel.values[1]
+        minus = reconstruct(spec, grid, tg, series, denominator_sign=-1.0).kernel.values[1]
         tau = tg.tau
         assert abs(plus - 1.0 / (1.0 + 2.0 * tau)) < 1e-14
         assert abs(minus - 1.0 / (1.0 - 2.0 * tau)) < 1e-14
 
     def test_singular_denominator(self):
-        # h = -1 while m0 tau = 1 cancels the denominator exactly
+        # h = -1 while m0 tau = 1 cancels the denominator exactly; tau = 0.1
+        # exceeds tau0 = 0.05, so the run is forced past the threshold
         spec = _spec(h="-1", u0="10")
         tg = TimeGrid(1.0, 10)  # tau = 0.1, m0 = 10
         grid = spec.make_grid(10)
         series = MeasurementSeries.from_samples(tg, np.full(11, 10.0))
-        with pytest.raises(SingularUpdateError) as err:
-            kernel_update(spec, grid, series, np.array([0.0]),
-                          GridFunction.constant(grid, 10.0), 1)
+        with pytest.warns(RuntimeWarning), pytest.raises(SingularUpdateError) as err:
+            reconstruct(spec, grid, tg, series, force=True)
         assert err.value.step == 1
-
-    def test_prefix_too_short(self):
-        spec = _spec()
-        tg = TimeGrid(1.0, 4)
-        grid = spec.make_grid(4)
-        series = MeasurementSeries.from_samples(tg, np.zeros(5))
-        with pytest.raises(ValidationError):
-            kernel_update(spec, grid, series, np.array([]), GridFunction.constant(grid, 0.0), 1)
 
 
 class TestInitialKernelValue:
@@ -199,17 +238,7 @@ class TestReconstruct:
         assert result.diagnostics.max_compat_residual <= 1e-9
 
     def test_manufactured_2d_analytic_data(self):
-        # state (1+t)(1+cos(pi x)cos(pi y)), kernel exp(-t), m = 1+t
-        spec = ProblemSpec(
-            name="manufactured2d", extents=(1.0, 1.0), T=1.0, omega_floor=1.0,
-            f=expr.parse(
-                "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
-                " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))"
-            ),
-            h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("1+cos(pi*x)*cos(pi*y)"),
-            kernel_exact=expr.parse("exp(-t)"),
-            m_exact=expr.parse("1+t"), mprime_exact=expr.parse("1"),
-        )
+        spec = _manufactured_2d()
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(16, 16)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -309,6 +338,24 @@ class TestReconstruct:
         series = MeasurementSeries(tg, np.zeros(11), np.zeros(10), "analytic", 0.0)
         result = reconstruct(spec, grid, tg, series)
         np.testing.assert_allclose(result.kernel.values, 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, n, cells",
+        [(preset_manufactured_1d(), 200, (2000,)), (_manufactured_2d(), 100, (40, 40))],
+        ids=["1d", "2d"],
+    )
+    def test_diagnostics_match_running_sums(self, spec, n, cells):
+        tg = TimeGrid(1.0, n)
+        grid = spec.make_grid(*cells)
+        # the post-loop diagnostics walk this trajectory in several blocks
+        assert (n + 1) * grid.num_nodes > DIAGNOSTICS_BLOCK_VALUES
+        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        result = reconstruct(spec, grid, tg, series)
+        reference = _running_diagnostics(result, grid, tg.tau)
+        got = result.diagnostics.as_dict()
+        assert got.keys() == reference.keys()
+        for key, value in reference.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
     def test_diagnostics_nonnegative(self):
         spec = preset_manufactured_1d()
