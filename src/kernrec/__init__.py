@@ -39,7 +39,6 @@ from .problem import (
     MeasurementSeries,
     ProblemSpec,
     TimeGrid,
-    load_problem,
     make_preset,
     preset_contaminant,
     preset_manufactured_1d,
@@ -66,7 +65,6 @@ __all__ = [
     "grad_seminorm_sq",
     "inner",
     "kernel_difference_energy",
-    "load_problem",
     "make_preset",
     "nodal_gradient",
     "preset_contaminant",

@@ -52,6 +52,12 @@ FUNCTIONS = {
 }
 CONSTANTS = {"pi": np.pi}
 
+# Deepest nesting the parser accepts, counted both ways: factors open on
+# its own stack (parentheses, call arguments, exponents) and the height
+# of the tree it builds (operator chains such as 1+1+...+1 are left-deep).
+# Tree walks recurse, so a bound keeps them clear of the recursion limit.
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Num:
@@ -140,6 +146,22 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
+        self.depth = 0  # factors open on the call stack
+        self.heights: dict[int, int] = {}  # id(node) -> height, for inner nodes
+
+    def bounded(self, level: int, tok: _Token) -> int:
+        if level > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels",
+                _byte_offset(self.source, tok.pos),
+            )
+        return level
+
+    def node(self, tok: _Token, node: Expression, *children: Expression) -> Expression:
+        """Record the height of a new inner node; ``tok`` locates an error."""
+        height = 1 + max(self.heights.get(id(c), 1) for c in children)
+        self.heights[id(node)] = self.bounded(height, tok)
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -171,28 +193,37 @@ class _Parser:
     def expr(self) -> Expression:
         node = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
+            op = self.advance()
+            right = self.term()
+            node = self.node(op, BinOp(op.kind, node, right), node, right)
         return node
 
     def term(self) -> Expression:
         node = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.factor())
+            op = self.advance()
+            right = self.factor()
+            node = self.node(op, BinOp(op.kind, node, right), node, right)
         return node
 
     def factor(self) -> Expression:
-        if self.peek().kind == "-":
+        tok = self.peek()
+        self.depth = self.bounded(self.depth + 1, tok)
+        if tok.kind == "-":
             self.advance()
-            return Neg(self.power())
-        return self.power()
+            operand = self.power()
+            node = self.node(tok, Neg(operand), operand)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expression:
         base = self.atom()
         if self.peek().kind == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
+            op = self.advance()
+            exponent = self.factor()
+            return self.node(op, BinOp("^", base, exponent), base, exponent)
         return base
 
     def atom(self) -> Expression:
@@ -232,7 +263,7 @@ class _Parser:
         arity = FUNCTIONS[name]
         if len(args) != arity:
             raise ArityError(name, arity, len(args), _byte_offset(self.source, close.pos))
-        return Call(name, tuple(args))
+        return self.node(tok, Call(name, tuple(args)), *args)
 
 
 def parse(source: str) -> Expression:
@@ -240,6 +271,7 @@ def parse(source: str) -> Expression:
 
     Raises :class:`ExprSyntaxError`, :class:`UnknownIdentifierError` or
     :class:`ArityError`, each carrying the byte offset of the problem.
+    Nesting beyond ``MAX_DEPTH`` levels is a syntax error.
     """
     return _Parser(source).parse()
 

@@ -18,9 +18,10 @@ up to solver roundoff, with M_i = (u_i, 1).  The relative size of that
 residual is recorded per step.
 
 ``run_forward`` and ``inverse.reconstruct`` share one stepping loop,
-``_march``: per step it evaluates f_{i-1} and its mean once, lets the
-reconstruction read K_i off that mean, forms conv_i once (it includes
-K_i), and feeds both values to the load and to the identity residual.
+``_march``: per step it evaluates f_{i-1}, h_i and g_i and their means
+once, lets the reconstruction read K_i off those means, forms conv_i
+once (it includes K_i), and feeds the same values to the load and to
+the identity residual.
 
 The elliptic system ((1/tau) W + A) u_i = b is solved directly, in 1D
 and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
@@ -160,17 +161,16 @@ class TimeStepper:
 
     def step(
         self,
-        i: int,
         k_i: float,
         u_prev: np.ndarray,
         f_prev: np.ndarray,
         conv: np.ndarray,
+        h_i: np.ndarray,
+        g_i: np.ndarray,
     ) -> np.ndarray:
-        """Solve for u_i given K_i, u_{i-1}, f_{i-1} and conv_i."""
-        tau = self.timegrid.tau
-        t_i = self.nodes[i]
-        load = f_prev + u_prev / tau - k_i * self.h_field(t_i) - conv
-        rhs = self.weights * load - self.bweights * self.g_field(t_i)
+        """Solve for u_i given K_i, u_{i-1}, f_{i-1}, conv_i, h_i and g_i."""
+        load = f_prev + u_prev / self.timegrid.tau - k_i * h_i - conv
+        rhs = self.weights * load - self.bweights * g_i
         return self._solver.solve(rhs)
 
     def compat_residual(
@@ -178,20 +178,20 @@ class TimeStepper:
         i: int,
         k_i: float,
         f_mean: float,
+        h_mean: float,
+        g_mean: float,
         conv: np.ndarray,
         measured: np.ndarray,
     ) -> float:
         """Relative size of the per-step measurement identity residual.
 
-        ``f_mean`` is (f_{i-1},1) and ``conv`` is conv_i, both as the step
-        used them.
+        ``f_mean``, ``h_mean`` and ``g_mean`` are (f_{i-1},1), (h_i,1) and
+        (g_i,1)_Gamma, and ``conv`` is conv_i, all as the step used them.
         """
-        tau = self.timegrid.tau
-        t_i = self.nodes[i]
         terms = (
-            (measured[i] - measured[i - 1]) / tau,
-            self.boundary_mean(self.g_field(t_i)),
-            k_i * self.mean(self.h_field(t_i)),
+            (measured[i] - measured[i - 1]) / self.timegrid.tau,
+            g_mean,
+            k_i * h_mean,
             self.mean(conv),
             -f_mean,
         )
@@ -213,15 +213,15 @@ class ForwardRun:
 def _march(
     stepper: TimeStepper,
     kernel_values: np.ndarray,
-    kernel_update: Callable[[int, float], float] | None = None,
+    kernel_update: Callable[[int, float, float, float], float] | None = None,
     on_step: Callable[[int, float], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance u_0..u_n; return the states, M_i = (u_i,1) and the residuals.
 
     Without ``kernel_update`` the kernel values K_1..K_n are given.  With
-    it, ``kernel_update(i, (f_{i-1},1))`` supplies K_i before step i and
-    the loop stores it in ``kernel_values``.  ``on_step(i, residual)``
-    runs after each step.
+    it, ``kernel_update(i, (f_{i-1},1), (h_i,1), (g_i,1)_Gamma)`` supplies
+    K_i before step i and the loop stores it in ``kernel_values``.
+    ``on_step(i, residual)`` runs after each step.
     """
     timegrid = stepper.timegrid
     n = timegrid.n
@@ -235,16 +235,20 @@ def _march(
         u_prev = states[i - 1]
         f_prev = stepper.f_field(stepper.nodes[i - 1], u_prev)
         f_mean = stepper.mean(f_prev)
+        h_i = stepper.h_field(stepper.nodes[i])
+        g_i = stepper.g_field(stepper.nodes[i])
+        h_mean = stepper.mean(h_i)
+        g_mean = stepper.boundary_mean(g_i)
         if kernel_update is not None:
-            kernel_values[i] = kernel_update(i, f_mean)
+            kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
         # conv_i includes K_i, so it is formed after the update
         conv = _convolution_values(kernel_values, states, i, tau)
-        states[i] = stepper.step(i, kernel_values[i], u_prev, f_prev, conv)
+        states[i] = stepper.step(kernel_values[i], u_prev, f_prev, conv, h_i, g_i)
         if not np.all(np.isfinite(states[i])):
             raise NonFiniteError("state is not finite", step=i)
         measured[i] = stepper.mean(states[i])
         residuals[i - 1] = stepper.compat_residual(
-            i, kernel_values[i], f_mean, conv, measured
+            i, kernel_values[i], f_mean, h_mean, g_mean, conv, measured
         )
         if on_step is not None:
             on_step(i, residuals[i - 1])

@@ -6,10 +6,11 @@ and ``noise-sweep``.  Problems come from ``--preset NAME`` or from a
 ``[problem]``, ``[discretization]``, ``[experiment]``); command line
 flags override config values.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (singular
-update, solver divergence, I/O), 3 validation failure (step threshold,
-floor violation).  Set ``KERNREC_LOG`` to a logging level name for
-extra output.  All CSV output uses 17 significant digits so identical
+Exit codes: 0 success, 1 usage error (including a config key that its
+section does not accept), 2 numerical failure (singular update,
+non-finite state, I/O), 3 validation failure (step threshold, floor
+violation, non-finite or non-positive problem numbers).  Set
+``KERNREC_LOG`` to a logging level name for extra output.  All CSV output uses 17 significant digits so identical
 configurations produce byte-identical files.
 """
 
@@ -200,16 +201,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, cast, what: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"cannot parse {what} list from {text!r}") from None
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"cannot parse {what} list from {text!r}") from None
 
@@ -256,7 +250,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     n_text = pick(args.n, disc, "n")
     if n_text is None:
         raise UsageError("no time resolution given (use --n or [discretization] n)")
-    n_list = _parse_int_list(str(n_text), "--n")
+    n_list = _parse_list(str(n_text), int, "--n")
     mx = pick(args.mx, disc, "mx", int)
     if mx is None:
         raise UsageError("no spatial resolution given (use --mx or [discretization] mx)")
@@ -285,7 +279,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         fine_factor=4 if fine_factor is None else fine_factor,
         out=pick(args.out, experiment, "out"),
         json_path=pick(args.json_path, experiment, "json"),
-        noise_sigmas=_parse_float_list(str(noise_text), "--noise") if noise_text else None,
+        noise_sigmas=_parse_list(str(noise_text), float, "--noise") if noise_text else None,
         seed=pick(args.seed, experiment, "seed", int),
         force=bool(pick(args.force, experiment, "force", _as_bool) or False),
         trace=bool(pick(args.trace, experiment, "trace", _as_bool) or False),
@@ -454,7 +448,6 @@ def _base_report(cfg: ExperimentConfig, started: float) -> dict:
     return {
         "mode": cfg.mode,
         "config": cfg.echo(),
-        "assume_f_bounded": cfg.spec.assume_f_bounded,
         "timings": {"total_seconds": time.perf_counter() - started},
     }
 

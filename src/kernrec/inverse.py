@@ -8,11 +8,11 @@ off the discrete measurement identity,
 
 then the elliptic field problem is solved with the now-known K_i.
 Both happen inside the stepping loop that ``forward.run_forward`` also
-uses, so (f_{i-1},1) and conv_i are computed once per step and serve
-the update, the load and the identity residual alike.  The denominator
-carries the plus sign that falls out of splitting the k = i term from
-the convolution sum; a debug switch flips it to minus for comparison
-runs.  The update is well defined for tau below
+uses, so (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and conv_i are computed
+once per step and serve the update, the load and the identity residual
+alike.  The denominator carries the plus sign that falls out of
+splitting the k = i term from the convolution sum; a debug switch flips
+it to minus for comparison runs.  The update is well defined for tau below
 
     tau0 = min(1, omega / (2 |m_0|)),
 
@@ -247,10 +247,7 @@ def reconstruct(
     m = measurement.values
     denominators = np.empty(n)
 
-    def update(i: int, f_mean: float) -> float:
-        t_i = stepper.nodes[i]
-        g_mean = stepper.boundary_mean(stepper.g_field(t_i))
-        h_mean = stepper.mean(stepper.h_field(t_i))
+    def update(i: int, f_mean: float, h_mean: float, g_mean: float) -> float:
         history = float(np.dot(kernel_values[1:i], m[i - 1 : 0 : -1])) * tau
         numerator = f_mean - measurement.derivative_at(i) - g_mean - history
         denominator = h_mean + denominator_sign * measurement.m0 * tau

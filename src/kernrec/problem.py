@@ -10,14 +10,16 @@ omega <= min_t |(h(t), 1)|.  Expressions are written in the language of
 
 Configs are flat ``key = value`` files with ``#`` comments and the three
 section headers ``[problem]``, ``[discretization]``, ``[experiment]``;
-expressions are quoted strings.
+expressions are quoted strings.  Each section accepts a fixed set of
+keys, and any other key is a ConfigError, so no key is silently ignored.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -46,8 +48,8 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValidationError(f"time horizon must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValidationError(f"time horizon must be positive and finite, got {self.T}")
         if self.n < 1:
             raise ValidationError(f"need at least one time step, got n={self.n}")
 
@@ -76,15 +78,16 @@ class ProblemSpec:
     m_exact: expr.Expression | None = None
     mprime_exact: expr.Expression | None = None
     u_exact: expr.Expression | None = None
-    assume_f_bounded: bool = False
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValidationError(f"time horizon must be positive, got T={self.T}")
-        if self.omega_floor <= 0:
-            raise ValidationError(f"floor must be positive, got omega={self.omega_floor}")
-        if len(self.extents) not in (1, 2) or any(L <= 0 for L in self.extents):
+        # the chained comparisons are false for NaN as well
+        if not 0.0 < self.T < math.inf:
+            raise ValidationError(f"time horizon must be positive and finite, got T={self.T}")
+        if not 0.0 < self.omega_floor < math.inf:
+            raise ValidationError(
+                f"floor must be positive and finite, got omega={self.omega_floor}"
+            )
+        if len(self.extents) not in (1, 2) or not all(0.0 < L < math.inf for L in self.extents):
             raise ValidationError(f"bad domain extents {self.extents}")
         for key in ("f", "h", "g", "u0", "kernel", "m", "mprime", "u_exact"):
             tree = getattr(self, _FIELD_BY_KEY[key])
@@ -110,35 +113,6 @@ class ProblemSpec:
         if cells_y is None:
             cells_y = cells_x
         return SpatialGrid.rectangle(self.extents[0], self.extents[1], cells_x, cells_y)
-
-    def to_config(self, discretization: Mapping | None = None) -> str:
-        """Render an equivalent [problem] config (round-trips through load)."""
-        lines = ["[problem]"]
-        lines.append(f'f = "{expr.pretty(self.f)}"')
-        lines.append(f'h = "{expr.pretty(self.h)}"')
-        lines.append(f'g = "{expr.pretty(self.g)}"')
-        lines.append(f'u0 = "{expr.pretty(self.u0)}"')
-        lines.append(f"lx = {self.extents[0]!r}")
-        if self.ndim == 2:
-            lines.append(f"ly = {self.extents[1]!r}")
-        lines.append(f"T = {self.T!r}")
-        lines.append(f"omega = {self.omega_floor!r}")
-        for key, tree in (
-            ("kernel", self.kernel_exact),
-            ("m", self.m_exact),
-            ("mprime", self.mprime_exact),
-            ("u_exact", self.u_exact),
-        ):
-            if tree is not None:
-                lines.append(f'{key} = "{expr.pretty(tree)}"')
-        if self.assume_f_bounded:
-            lines.append("assume_f_bounded = true")
-        if discretization:
-            lines.append("")
-            lines.append("[discretization]")
-            for key, value in discretization.items():
-                lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
 
 
 _FIELD_BY_KEY = {
@@ -330,13 +304,23 @@ def validate_floor(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid) -> 
 
 _SECTIONS = ("problem", "discretization", "experiment")
 
+# keys each section accepts; [problem] depends on whether it names a preset
+_DISCRETIZATION_KEYS = frozenset({"n", "mx", "my"})
+_EXPERIMENT_KEYS = frozenset({
+    "mode", "out", "json", "derivative", "fine_factor", "noise", "seed",
+    "force", "trace", "kernel_denominator_sign",
+})
+_INLINE_KEYS = frozenset({"name", "lx", "ly", "T", "omega", "measurement_file", *_FIELD_BY_KEY})
+_PRESET_KEYS = frozenset({"preset", "T", "omega", "measurement_file"})
+
 
 def parse_config(text: str) -> dict[str, dict[str, str]]:
     """Parse the flat key = value format into per-section dicts.
 
     Values keep their raw text except that surrounding double quotes
-    are stripped.  Unknown sections and malformed lines raise
-    ConfigError.
+    are stripped.  Unknown sections, malformed lines, repeated keys and
+    keys that [discretization] or [experiment] do not accept raise
+    ConfigError; the [problem] keys are checked by spec_from_mapping.
     """
     sections: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     current: str | None = None
@@ -359,8 +343,23 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
         value = value.strip()
         if len(value) >= 2 and value[0] == '"' and value[-1] == '"':
             value = value[1:-1]
+        if key in sections[current]:
+            raise ConfigError(f"key '{key}' repeated in [{current}] on line {lineno}")
         sections[current][key] = value
+    _check_keys("discretization", sections["discretization"], _DISCRETIZATION_KEYS)
+    _check_keys("experiment", sections["experiment"], _EXPERIMENT_KEYS)
     return sections
+
+
+def _check_keys(
+    section: str, given: Mapping[str, str], accepted: frozenset, context: str = ""
+) -> None:
+    for key in given:
+        if key not in accepted:
+            raise ConfigError(
+                f"unknown key '{key}' in [{section}]{context}; "
+                f"accepted: {', '.join(sorted(accepted))}"
+            )
 
 
 def _get_expr(section: Mapping[str, str], key: str, required: bool = False):
@@ -385,27 +384,26 @@ def _get_float(section: Mapping[str, str], key: str, default=None):
         raise ConfigError(f"expected a number, got {section[key]!r}", key=key) from None
 
 
-def _get_bool(section: Mapping[str, str], key: str, default: bool = False) -> bool:
-    if key not in section:
-        return default
-    value = section[key].lower()
-    if value in ("true", "yes", "1", "on"):
-        return True
-    if value in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {section[key]!r}", key=key)
-
-
 def spec_from_mapping(problem: Mapping[str, str]) -> ProblemSpec:
-    """Build a ProblemSpec from a [problem] section (preset or inline)."""
+    """Build a ProblemSpec from a [problem] section (preset or inline).
+
+    A preset accepts T, omega and measurement_file, plus its own
+    parameters (contaminant only); an inline problem accepts the
+    expression, extent and floor keys.  Any other key is a ConfigError.
+    """
     preset = problem.get("preset")
     if preset is not None:
         spec = make_preset(preset, problem)
+        _check_keys(
+            "problem", problem, _PRESET_KEYS | _PRESET_OPTIONS.get(preset, frozenset()),
+            f" with preset '{preset}'",
+        )
         if "T" in problem:
             spec = replace(spec, T=_get_float(problem, "T"))
         if "omega" in problem:
             spec = replace(spec, omega_floor=_get_float(problem, "omega"))
         return spec
+    _check_keys("problem", problem, _INLINE_KEYS)
     lx = _get_float(problem, "lx")
     extents: tuple[float, ...] = (lx,)
     if "ly" in problem:
@@ -423,34 +421,7 @@ def spec_from_mapping(problem: Mapping[str, str]) -> ProblemSpec:
         m_exact=_get_expr(problem, "m"),
         mprime_exact=_get_expr(problem, "mprime"),
         u_exact=_get_expr(problem, "u_exact"),
-        assume_f_bounded=_get_bool(problem, "assume_f_bounded"),
     )
-
-
-@dataclass(frozen=True)
-class LoadedProblem:
-    spec: ProblemSpec
-    discretization: dict[str, str]
-    experiment: dict[str, str]
-
-
-def load_problem(text: str) -> LoadedProblem:
-    """Parse a config, build the spec, and run the validation sweep.
-
-    The floor sweep |(h(t_i),1)| >= omega runs whenever the config
-    carries enough discretization data (n and mx) to define the grids.
-    """
-    sections = parse_config(text)
-    spec = spec_from_mapping(sections["problem"])
-    disc = sections["discretization"]
-    if "n" in disc and "mx" in disc:
-        n = int(_get_float(disc, "n"))
-        mx = int(_get_float(disc, "mx"))
-        my = int(_get_float(disc, "my")) if "my" in disc else None
-        timegrid = TimeGrid(spec.T, n)
-        grid = spec.make_grid(mx, my)
-        validate_floor(spec, grid, timegrid)
-    return LoadedProblem(spec, dict(disc), dict(sections["experiment"]))
 
 
 # -- presets ---------------------------------------------------------
@@ -497,6 +468,10 @@ def preset_contaminant(
     factor h = -s0/(kr kd) and the reaction/advection term
     f = -(rho_b/porosity) kr kd u - v . grad u.
     """
+    for key, value in {"rho_b": rho_b, "porosity": porosity, "kr": kr,
+                       "kd": kd, "s0": s0, "v": v}.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"contaminant parameter {key} must be finite, got {value}")
     if kr <= 0:
         raise ValidationError(f"desorption rate must be positive, got kr={kr}")
     if kd == 0:
@@ -519,14 +494,6 @@ def preset_contaminant(
         g=expr.parse("0"),
         u0=expr.parse("1+cos(pi*x)"),
         kernel_exact=expr.parse(f"{(-kernel_coeff)!r}*exp(-{kr!r}*t)"),
-        params={
-            "rho_b": rho_b,
-            "porosity": porosity,
-            "kr": kr,
-            "kd": kd,
-            "s0": s0,
-            "v": v,
-        },
     )
 
 
@@ -554,17 +521,14 @@ PRESETS = {
     "zero1d": preset_zero_1d,
 }
 
-_CONTAMINANT_KEYS = ("rho_b", "porosity", "kr", "kd", "s0", "v")
+# parameters a preset takes as config keys, beyond _PRESET_KEYS
+_PRESET_OPTIONS = {"contaminant": frozenset({"rho_b", "porosity", "kr", "kd", "s0", "v"})}
 
 
 def make_preset(name: str, options: Mapping[str, str] | None = None) -> ProblemSpec:
     """Instantiate a preset by name, honoring parameter overrides."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    if name == "contaminant" and options:
-        kwargs = {
-            key: _get_float(options, key, default=(0.0 if key == "v" else 1.0))
-            for key in _CONTAMINANT_KEYS
-        }
-        return preset_contaminant(**kwargs)
-    return PRESETS[name]()
+    accepted = _PRESET_OPTIONS.get(name, frozenset())
+    kwargs = {key: _get_float(options, key) for key in options or {} if key in accepted}
+    return PRESETS[name](**kwargs)

@@ -77,6 +77,32 @@ class TestParse:
             parse("1 + $")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize(
+        "source,offset",
+        [
+            ("(" * 3000 + "x" + ")" * 3000, 100),
+            ("sin(" * 3000 + "x" + ")" * 3000, 400),
+            ("x^" * 3000 + "x", 200),
+            ("+".join(["x"] * 3000), 199),
+            ("-(" * 3000 + "x" + ")" * 3000, 200),
+        ],
+        ids=["parentheses", "calls", "powers", "sum-chain", "negations"],
+    )
+    def test_nesting_bounded(self, source, offset):
+        # past MAX_DEPTH levels the parser stops with a located error
+        # instead of exhausting the interpreter's recursion limit
+        with pytest.raises(ExprSyntaxError, match="nested deeper") as err:
+            parse(source)
+        assert err.value.offset == offset
+
+    def test_nesting_up_to_the_bound(self):
+        depth = expr.MAX_DEPTH - 1
+        tree = parse("(" * depth + "x" + ")" * depth)
+        assert tree == Var("x")
+        chain = parse("+".join(["1"] * expr.MAX_DEPTH))
+        assert evaluate(chain, {}) == expr.MAX_DEPTH
+        assert parse(pretty(chain)) == chain
+
     def test_variables(self):
         assert variables(parse("x*t + min(p, q)")) == {"x", "t", "p", "q"}
 

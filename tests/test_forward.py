@@ -75,7 +75,10 @@ class TestForwardStep:
         stepper = TimeStepper(spec, grid, tg)
         f0 = stepper.f_field(0.0, states[0])
         conv = _convolution_values(kernel.values, states, 1, tg.tau)
-        u1 = stepper.step(1, kernel.values[1], states[0], f0, conv)
+        t1 = tg.nodes[1]
+        u1 = stepper.step(
+            kernel.values[1], states[0], f0, conv, stepper.h_field(t1), stepper.g_field(t1)
+        )
         np.testing.assert_array_equal(u1, states[1])
 
     def test_too_small_grid_rejected(self):
@@ -142,24 +145,24 @@ class TestForwardStep:
 
 
 class TestOncePerStep:
-    """f_{i-1} and conv_i are computed once per step and shared."""
+    """f_{i-1}, h_i, g_i and conv_i are computed once per step and shared."""
 
     @staticmethod
     def _spy(monkeypatch):
-        calls = {"f_field": 0, "conv": 0}
-        f_field = TimeStepper.f_field
-        conv = forward._convolution_values
+        calls = {"f_field": 0, "h_field": 0, "g_field": 0, "conv": 0}
 
-        def counted_f_field(self, t, u_values):
-            calls["f_field"] += 1
-            return f_field(self, t, u_values)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        def counted_conv(*args):
-            calls["conv"] += 1
-            return conv(*args)
+            return wrapper
 
-        monkeypatch.setattr(TimeStepper, "f_field", counted_f_field)
-        monkeypatch.setattr(forward, "_convolution_values", counted_conv)
+        for name in ("f_field", "h_field", "g_field"):
+            monkeypatch.setattr(TimeStepper, name, counted(name, getattr(TimeStepper, name)))
+        monkeypatch.setattr(
+            forward, "_convolution_values", counted("conv", forward._convolution_values)
+        )
         return calls
 
     def test_run_forward(self, monkeypatch):
@@ -169,7 +172,7 @@ class TestOncePerStep:
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
         calls = self._spy(monkeypatch)
         run_forward(spec, spec.make_grid(20), tg, kernel)
-        assert calls == {"f_field": n, "conv": n}
+        assert calls == {"f_field": n, "h_field": n, "g_field": n, "conv": n}
 
     def test_reconstruct(self, monkeypatch):
         spec = preset_manufactured_1d()
@@ -178,8 +181,8 @@ class TestOncePerStep:
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         calls = self._spy(monkeypatch)
         reconstruct(spec, spec.make_grid(20), tg, series)
-        # one more f for K_0
-        assert calls == {"f_field": n + 1, "conv": n}
+        # one more f, h and g for K_0
+        assert calls == {"f_field": n + 1, "h_field": n + 1, "g_field": n + 1, "conv": n}
 
 
 class TestGenerateMeasurement:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import kernrec
+from kernrec import errors, harness
 from kernrec.harness import (
     EOC_UNDEFINED,
     KERNEL_CSV_HEADER,
@@ -30,6 +32,19 @@ T = 1.0
 omega = 0.2
 m = "10*exp(-t)"
 mprime = "-10*exp(-t)"
+"""
+
+MANUFACTURED_CONFIG = """
+[problem]
+f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"
+h = "1"
+g = "0"
+u0 = "1+cos(pi*x)"
+lx = 1.0
+T = 1.0
+omega = 1.0
+m = "1+t"
+mprime = "1"
 """
 
 
@@ -398,6 +413,77 @@ class TestConfigHandling:
         assert run_cli(["reconstruct", "--config", str(cfg)]) == 1
         assert "mx = 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,section,key",
+        [
+            (MANUFACTURED_CONFIG + "assume_f_bounded = true\n", "problem", "assume_f_bounded"),
+            (MANUFACTURED_CONFIG + "lxx = 2\n", "problem", "lxx"),
+            ("[problem]\npreset = manufactured1d\nh = \"2\"\n", "problem", "h"),
+            ("[problem]\npreset = manufactured1d\nkr = 2\n", "problem", "kr"),
+            ("[problem]\npreset = zero1d\n\n[discretization]\nnn = 10\n",
+             "discretization", "nn"),
+            ("[problem]\npreset = contaminant\n\n[experiment]\nfine_facter = 1\n",
+             "experiment", "fine_facter"),
+        ],
+        ids=["inline-removed", "inline-typo", "preset-inline-key", "preset-other-param",
+             "discretization", "experiment"],
+    )
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, text, section, key):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10",
+                        "--out", str(tmp_path / "k.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and f"[{section}]" in err
+
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[problem]\npreset = manufactured1d\nT = 1\nT = 2\n", encoding="utf-8")
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
+        assert code == 1
+        assert "'T' repeated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,flags",
+        [
+            (MANUFACTURED_CONFIG.replace("omega = 1.0", "omega = nan"), []),
+            (MANUFACTURED_CONFIG.replace("omega = 1.0", "omega = inf"), []),
+            (MANUFACTURED_CONFIG.replace("T = 1.0", "T = inf"), []),
+            (MANUFACTURED_CONFIG.replace("lx = 1.0", "lx = nan"), []),
+            (MANUFACTURED_CONFIG.replace("lx = 1.0", "lx = 1.0\nly = inf"), []),
+            ("[problem]\npreset = manufactured1d\nomega = nan\n", []),
+            ("[problem]\npreset = contaminant\nkr = nan\n", []),
+            ("[problem]\npreset = contaminant\ns0 = inf\n", []),
+            (MANUFACTURED_CONFIG, ["--T", "nan"]),
+            (MANUFACTURED_CONFIG, ["--T", "inf"]),
+        ],
+        ids=["omega-nan", "omega-inf", "T-inf", "lx-nan", "ly-inf", "preset-omega-nan",
+             "kr-nan", "s0-inf", "cli-T-nan", "cli-T-inf"],
+    )
+    def test_non_finite_problem_number_exits_3(self, tmp_path, capsys, text, flags):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10",
+                        "--out", str(tmp_path / "k.csv"), *flags])
+        assert code == 3
+        assert "validation failure" in capsys.readouterr().err
+
+    def test_deep_nesting_is_usage_error(self, tmp_path):
+        deep = "(" * 3000 + "0" + ")" * 3000
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(MANUFACTURED_CONFIG.replace('g = "0"', f'g = "{deep}"'), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "kernrec.harness", "reconstruct", "--config", str(cfg),
+             "--n", "10", "--mx", "10"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 1
+        assert "usage error: [g] cannot parse expression" in proc.stderr
+        assert "nested deeper" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_force_from_config(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text(THRESHOLD_CONFIG + "\n[experiment]\nforce = On\n", encoding="utf-8")
@@ -421,6 +507,61 @@ def test_table_csv_renders_dash_for_zero_errors():
     line = text.strip().split("\n")[1]
     assert line.endswith(EOC_UNDEFINED)
     assert line.split(",")[4] == ""
+
+
+# every exception class of kernrec.errors, plus OSError, and its exit code
+_EXIT_CODES = [
+    (errors.UsageError("bad flag"), 1),
+    (errors.ConfigError("bad key", key="k"), 1),
+    (errors.NumericalError("broke"), 2),
+    (errors.SingularMatrixError("zero pivot"), 2),
+    (errors.IterationLimitError("stalled", residual=1.0, iterations=3), 2),
+    (errors.SingularUpdateError("tiny denominator", step=1), 2),
+    (errors.NonFiniteError("nan", step=1), 2),
+    (errors.ExprError("bad expression"), 2),
+    (errors.ExprSyntaxError("bad token", 0), 2),
+    (errors.UnknownIdentifierError("zz", 0), 2),
+    (errors.ArityError("sin", 1, 2, 0), 2),
+    (errors.UnboundVariableError("x"), 2),
+    (errors.DomainFaultError("log of non-positive value", "log(0)"), 2),
+    (OSError("disk full"), 2),
+    (errors.ValidationError("bad data"), 3),
+    (errors.FloorViolationError("below floor"), 3),
+    (errors.StepThresholdError("tau too large"), 3),
+    (errors.GridMismatchError("other grid"), 2),
+    (errors.KernrecError("other"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "exc,code", _EXIT_CODES, ids=[type(exc).__name__ for exc, _ in _EXIT_CODES]
+)
+def test_exit_code_table(monkeypatch, capsys, exc, code):
+    def runner(cfg):
+        raise exc
+
+    monkeypatch.setitem(harness._MODE_RUNNERS, "reconstruct", runner)
+    assert run_cli(["reconstruct", "--preset", "zero1d", "--n", "10", "--mx", "10"]) == code
+    assert str(exc) in capsys.readouterr().err
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    assert classes == {type(exc) for exc, _ in _EXIT_CODES} - {OSError}
+
+
+def test_readme_config_block_runs(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(blocks[0], encoding="utf-8")
+    code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10",
+                    "--out", str(tmp_path / "k.csv"), "--json", str(tmp_path / "r.json")])
+    assert code == 0
 
 
 def test_unwritable_output_exits_2(tmp_path):
