@@ -19,15 +19,7 @@ from .forward import (
     generate_measurement,
     run_forward,
 )
-from .grid import (
-    GridFunction,
-    SpatialGrid,
-    boundary_inner,
-    grad_seminorm_sq,
-    inner,
-    nodal_gradient,
-    stiffness_apply,
-)
+from .grid import SpatialGrid, nodal_gradient
 from .inverse import (
     Diagnostics,
     ReconstructionResult,
@@ -50,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Diagnostics",
     "ForwardRun",
-    "GridFunction",
     "KernelSeries",
     "KernrecError",
     "MeasurementSeries",
@@ -59,11 +50,8 @@ __all__ = [
     "SpatialGrid",
     "TimeGrid",
     "Trajectory",
-    "boundary_inner",
     "check_step_threshold",
     "generate_measurement",
-    "grad_seminorm_sq",
-    "inner",
     "kernel_difference_energy",
     "make_preset",
     "nodal_gradient",
@@ -72,5 +60,4 @@ __all__ = [
     "preset_zero_1d",
     "reconstruct",
     "run_forward",
-    "stiffness_apply",
 ]

@@ -69,10 +69,6 @@ class StepThresholdError(ValidationError):
     """Time step exceeds the admissible threshold for the kernel update."""
 
 
-class GridMismatchError(KernrecError):
-    """Operands live on different spatial grids."""
-
-
 class ExprError(KernrecError):
     """Base class for expression parsing/evaluation errors."""
 

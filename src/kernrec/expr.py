@@ -13,7 +13,8 @@ and ``^``)::
 Identifiers are the variables ``x y t u p q`` (``p``/``q`` are the two
 gradient components), the constant ``pi``, the unary functions
 ``sin cos exp log sqrt abs tanh`` and the binary ``min max``.  Numbers
-are plain decimals with an optional exponent.
+are plain decimals with an optional exponent; one that overflows to
+infinity (``1e999``) is a syntax error.
 
 Trees are immutable; :func:`evaluate` is side-effect free and accepts
 scalar or numpy-array bindings (arrays must share a common broadcast
@@ -230,7 +231,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not np.isfinite(value):
+                raise ExprSyntaxError(
+                    f"number {tok.text!r} is out of range",
+                    _byte_offset(self.source, tok.pos),
+                )
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             name = tok.text

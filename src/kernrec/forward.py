@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr
 from .errors import NonFiniteError, ValidationError
-from .grid import GridFunction, SpatialGrid, nodal_gradient
+from .grid import SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
 from .solver import SpectralSolver
 
@@ -80,9 +80,6 @@ class Trajectory:
         if values.shape != expected:
             raise ValidationError(f"trajectory shape {values.shape} != {expected}")
         object.__setattr__(self, "values", values)
-
-    def state(self, i: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[i])
 
 
 def interpolate(tree: expr.Expression, grid: SpatialGrid, t: float | None = None) -> np.ndarray:
@@ -139,9 +136,9 @@ class TimeStepper:
         env["t"] = t
         env["u"] = u_values
         if "p" in self._f_vars or "q" in self._f_vars:
-            grads = nodal_gradient(GridFunction(self.grid, u_values))
-            env["p"] = grads[0].values
-            env["q"] = grads[1].values if self.grid.ndim == 2 else 0.0
+            grads = nodal_gradient(self.grid, u_values)
+            env["p"] = grads[0]
+            env["q"] = grads[1] if self.grid.ndim == 2 else 0.0
         else:
             env["p"] = 0.0
             env["q"] = 0.0

@@ -7,16 +7,17 @@ piecewise-(bi)linear stiffness form for the gradient term.  Constants
 lie in the discrete test space, so applying the stiffness operator to
 a constant field gives exactly zero; that is what lets the per-step
 measurement identity of the time steppers hold to machine precision.
+
+A nodal field is a numpy array of shape ``grid.shape``; the volume and
+boundary quadratures are ``sum(grid.weights * u)`` and
+``sum(grid.boundary_weights * u)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
 
 import numpy as np
-
-from .errors import GridMismatchError
 
 
 def _axis_weights(length: float, cells: int) -> np.ndarray:
@@ -87,29 +88,8 @@ class SpatialGrid:
         return tuple(m + 1 for m in self.cells)
 
     @property
-    def num_nodes(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
     def spacing(self) -> tuple[float, ...]:
         return tuple(length / m for length, m in zip(self.extents, self.cells))
-
-    @property
-    def measure(self) -> float:
-        """|Omega|"""
-        return float(np.prod(self.extents))
-
-    @property
-    def boundary_measure(self) -> float:
-        """|Gamma|: 2 for an interval, the perimeter for a rectangle."""
-        if self.ndim == 1:
-            return 2.0
-        return 2.0 * (self.extents[0] + self.extents[1])
-
-    @property
-    def boundary_indices(self) -> np.ndarray:
-        """Flat (C-order) indices of the boundary nodes, ascending."""
-        return np.flatnonzero(self.boundary_weights.ravel() > 0)
 
     def coordinate_fields(self) -> dict[str, np.ndarray]:
         """Node coordinates as full arrays keyed by variable name (x[, y])."""
@@ -117,97 +97,6 @@ class SpatialGrid:
             return {"x": self.axes[0].copy()}
         xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
         return {"x": xx, "y": yy}
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """One real value per grid node."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape:
-            raise ValueError(
-                f"value shape {values.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid function contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def constant(cls, grid: SpatialGrid, c: float) -> "GridFunction":
-        return cls(grid, np.full(grid.shape, float(c)))
-
-
-ArrayLikeField = Union[GridFunction, np.ndarray]
-
-
-def _values_on(grid: SpatialGrid, u: ArrayLikeField) -> np.ndarray:
-    if isinstance(u, GridFunction):
-        if u.grid != grid:
-            raise GridMismatchError("grid functions live on different grids")
-        return u.values
-    u = np.asarray(u, dtype=float)
-    if u.shape != grid.shape:
-        raise GridMismatchError(f"array shape {u.shape} does not match grid {grid.shape}")
-    return u
-
-
-def inner(u: ArrayLikeField, v: ArrayLikeField, grid: SpatialGrid | None = None) -> float:
-    """Lumped-mass L2 product sum_j w_j u_j v_j."""
-    if grid is None:
-        if isinstance(u, GridFunction):
-            grid = u.grid
-        elif isinstance(v, GridFunction):
-            grid = v.grid
-        else:
-            raise TypeError("pass a grid when both operands are bare arrays")
-    uu = _values_on(grid, u)
-    vv = _values_on(grid, v)
-    return float(np.sum(grid.weights * uu * vv))
-
-
-def norm_sq(u: ArrayLikeField, grid: SpatialGrid | None = None) -> float:
-    return inner(u, u, grid)
-
-
-def boundary_inner(
-    g_values: Union[Mapping[int, float], Sequence[float], ArrayLikeField],
-    v: ArrayLikeField,
-    grid: SpatialGrid | None = None,
-) -> float:
-    """Boundary functional sum over boundary nodes of b_j g_j v_j.
-
-    ``g_values`` may be a full nodal field, an array over
-    ``grid.boundary_indices`` order, or a mapping from flat node index
-    to value covering every boundary node.
-    """
-    if grid is None:
-        if isinstance(v, GridFunction):
-            grid = v.grid
-        else:
-            raise TypeError("pass a grid when v is a bare array")
-    vv = _values_on(grid, v)
-    bidx = grid.boundary_indices
-    bw = grid.boundary_weights.ravel()[bidx]
-    if isinstance(g_values, Mapping):
-        try:
-            g = np.array([g_values[int(j)] for j in bidx], dtype=float)
-        except KeyError as exc:
-            raise GridMismatchError(f"missing boundary node {exc.args[0]}") from None
-    elif isinstance(g_values, GridFunction) or (
-        isinstance(g_values, np.ndarray) and g_values.shape == grid.shape
-    ):
-        g = _values_on(grid, g_values).ravel()[bidx]
-    else:
-        g = np.asarray(g_values, dtype=float)
-        if g.shape != bidx.shape:
-            raise GridMismatchError(
-                f"expected {bidx.size} boundary values, got shape {g.shape}"
-            )
-    return float(np.sum(bw * g * vv.ravel()[bidx]))
 
 
 # -- stiffness -------------------------------------------------------
@@ -276,22 +165,6 @@ def stiffness_diagonal(grid: SpatialGrid) -> np.ndarray:
     return np.outer(kx, my) + np.outer(mx, ky)
 
 
-def stiffness_apply(u: GridFunction) -> GridFunction:
-    """Nodal field r with inner(r, v) equal to the stiffness form a(u, v).
-
-    In the 1D interior this is the second difference
-    -(u_{j-1} - 2 u_j + u_{j+1}) / dx^2; the end rows encode the natural
-    boundary condition with zero data.
-    """
-    r = stiffness_matvec(u.grid, u.values) / u.grid.weights
-    return GridFunction(u.grid, r)
-
-
-def grad_seminorm_sq(u: GridFunction) -> float:
-    """Energy of the piecewise-(bi)linear interpolant: a(u, u) >= 0."""
-    return float(np.sum(stiffness_matvec(u.grid, u.values) * u.values))
-
-
 def _gradient_1d(u: np.ndarray, dx: float, axis: int) -> np.ndarray:
     v = np.moveaxis(u, axis, 0)
     out = np.empty_like(v)
@@ -305,14 +178,13 @@ def _gradient_1d(u: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def nodal_gradient(u: GridFunction) -> tuple[GridFunction, ...]:
-    """Central differences inside, second-order one-sided at the ends.
+def nodal_gradient(grid: SpatialGrid, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One partial derivative per axis of nodal values.
 
+    Central differences inside, second-order one-sided at the ends.
     With only two nodes along an axis the one-sided first-order formula
     is used; it is still exact for linears.
     """
-    grid = u.grid
     return tuple(
-        GridFunction(grid, _gradient_1d(u.values, grid.spacing[axis], axis))
-        for axis in range(grid.ndim)
+        _gradient_1d(values, grid.spacing[axis], axis) for axis in range(grid.ndim)
     )

@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 usage error (including a config key that its
 section does not accept), 2 numerical failure (singular update,
 non-finite state, I/O), 3 validation failure (step threshold, floor
 violation, non-finite or non-positive problem numbers).  Set
-``KERNREC_LOG`` to a logging level name for extra output.  All CSV output uses 17 significant digits so identical
-configurations produce byte-identical files.
+``KERNREC_LOG`` to a logging level name for extra output.  All CSV
+output uses 17 significant digits so identical configurations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .forward import (
     measurement_from_run,
     run_forward,
 )
-from .inverse import ReconstructionResult, check_step_threshold, reconstruct
+from .inverse import ReconstructionResult, reconstruct
 from .problem import (
     MeasurementSeries,
     ProblemSpec,
@@ -112,13 +113,25 @@ class ExperimentConfig:
                 raise UsageError("noise-sweep requires --noise SIGMA[,SIGMA...]")
             if self.seed is None:
                 raise UsageError("noise-sweep requires --seed")
-            if any(s <= 0 for s in self.noise_sigmas):
-                raise UsageError("noise levels must be positive")
+            bad = [s for s in self.noise_sigmas if not 0.0 < s < math.inf]
+            if bad:
+                raise UsageError(f"--noise levels must be positive and finite, got {bad[0]}")
         else:
             if self.noise_sigmas:
                 raise UsageError("--noise is only valid in noise-sweep mode")
             if self.seed is not None:
                 raise UsageError("--seed is only valid in noise-sweep mode")
+        if self.measurement_file is not None:
+            if self.spec.m_exact is not None:
+                raise ConfigError(
+                    "conflicts with the problem's exact measurement m; give one source",
+                    key="measurement_file",
+                )
+            if self.mode in ("forward", "roundtrip"):
+                raise ConfigError(
+                    f"{self.mode} mode generates its own measurement and reads no file",
+                    key="measurement_file",
+                )
 
     @property
     def n(self) -> int:
@@ -309,17 +322,18 @@ def _as_bool(text: str) -> bool:
 def acquire_measurement(cfg: ExperimentConfig, timegrid: TimeGrid) -> MeasurementSeries:
     """Measurement for a reconstruction at (cfg.mx, timegrid).
 
-    Priority: exact expressions, then a sampled file, then synthetic
-    generation from the exact kernel on a finer grid (time factor
-    ``fine_factor``, space factor 2 unless the factor is 1, which keeps
-    the identical grid for deliberate inverse-crime runs).
+    Exact expressions or a sampled file (``validate`` rejects both at
+    once), else synthetic generation from the exact kernel on a finer
+    grid (time factor ``fine_factor``, space factor 2 unless the factor
+    is 1, which keeps the identical grid for deliberate inverse-crime
+    runs).
     """
     spec = cfg.spec
     if spec.m_exact is not None:
         if cfg.derivative == "analytic" and spec.mprime_exact is not None:
             return MeasurementSeries.from_expressions(timegrid, spec.m_exact, spec.mprime_exact)
         return MeasurementSeries.from_expressions(timegrid, spec.m_exact)
-    if cfg.measurement_file:
+    if cfg.measurement_file is not None:
         try:
             with open(cfg.measurement_file, "r", encoding="utf-8") as fh:
                 return measurement_from_csv(fh.read(), timegrid)

@@ -117,9 +117,8 @@ class ReconstructionResult:
     config: dict
 
 
-def kernel_difference_energy(kernel, tau: float) -> float:
-    """sum_i ((K_i - K_{i-1}) / tau)^2 tau over the whole series."""
-    values = kernel.values if isinstance(kernel, KernelSeries) else np.asarray(kernel)
+def kernel_difference_energy(values: np.ndarray, tau: float) -> float:
+    """sum_i ((K_i - K_{i-1}) / tau)^2 tau over the kernel samples K_0..K_n."""
     if values.size < 2:
         return 0.0
     return float(np.sum(np.diff(values) ** 2)) / tau

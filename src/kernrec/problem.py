@@ -478,9 +478,18 @@ def preset_contaminant(
         raise ValidationError("distribution coefficient kd must be nonzero")
     if porosity <= 0:
         raise ValidationError(f"porosity must be positive, got {porosity}")
-    kernel_coeff = rho_b / porosity * kr**2 * kd
-    h_value = -s0 / (kr * kd)
+    try:
+        kr_sq = kr**2
+    except OverflowError:  # float ** raises where float * gives inf
+        kr_sq = math.inf
+    kernel_coeff = rho_b / porosity * kr_sq * kd
+    h_value = -s0 / (kr * kd) if kr * kd != 0.0 else math.inf  # kr kd underflowed
     reaction = rho_b / porosity * kr * kd
+    for name, value in {"kernel coefficient (rho_b/porosity) kr^2 kd": kernel_coeff,
+                        "h = -s0/(kr kd)": h_value,
+                        "reaction coefficient (rho_b/porosity) kr kd": reaction}.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"contaminant {name} is not finite ({value})")
     f_src = f"{(-reaction)!r}*u"
     if v != 0.0:
         f_src += f" + {(-v)!r}*p"

@@ -78,6 +78,15 @@ class TestParse:
         assert err.value.offset == 4
 
     @pytest.mark.parametrize(
+        "source,offset", [("1e999", 0), ("2*1e309", 2), ("x + 1.8e308*t", 4)]
+    )
+    def test_out_of_range_literal(self, source, offset):
+        # a literal that overflows to infinity is located, not parsed as Num(inf)
+        with pytest.raises(ExprSyntaxError, match="out of range") as err:
+            parse(source)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
         "source,offset",
         [
             ("(" * 3000 + "x" + ")" * 3000, 100),

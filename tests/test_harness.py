@@ -457,9 +457,14 @@ class TestConfigHandling:
             ("[problem]\npreset = contaminant\ns0 = inf\n", []),
             (MANUFACTURED_CONFIG, ["--T", "nan"]),
             (MANUFACTURED_CONFIG, ["--T", "inf"]),
+            # finite parameters whose derived coefficients overflow
+            ("[problem]\npreset = contaminant\ns0 = 1e308\nkr = 1e-10\n", []),
+            ("[problem]\npreset = contaminant\nrho_b = 1e300\nporosity = 1e-300\n", []),
+            ("[problem]\npreset = contaminant\nkr = 1e200\n", []),
         ],
         ids=["omega-nan", "omega-inf", "T-inf", "lx-nan", "ly-inf", "preset-omega-nan",
-             "kr-nan", "s0-inf", "cli-T-nan", "cli-T-inf"],
+             "kr-nan", "s0-inf", "cli-T-nan", "cli-T-inf", "contaminant-h-overflow",
+             "contaminant-rho_b-over-porosity-overflow", "contaminant-kr-squared-overflow"],
     )
     def test_non_finite_problem_number_exits_3(self, tmp_path, capsys, text, flags):
         cfg = tmp_path / "p.cfg"
@@ -483,6 +488,56 @@ class TestConfigHandling:
         assert proc.returncode == 1
         assert "usage error: [g] cannot parse expression" in proc.stderr
         assert "nested deeper" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "mode,preset",
+        [("reconstruct", "manufactured1d"), ("forward", "contaminant"),
+         ("roundtrip", "contaminant")],
+        ids=["exact-m", "forward", "roundtrip"],
+    )
+    def test_unread_measurement_file_is_usage_error(self, tmp_path, capsys, mode, preset):
+        # the file would be ignored: exact m wins, and these modes make their own data
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f'[problem]\npreset = {preset}\nmeasurement_file = "{tmp_path / "none.csv"}"\n',
+            encoding="utf-8",
+        )
+        code = run_cli([mode, "--config", str(cfg), "--n", "10", "--mx", "10",
+                        "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "usage error: [measurement_file]" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags,experiment",
+        [(["--noise", "nan"], ""), (["--noise", "1e-3,inf"], ""), ([], "noise = inf\n")],
+        ids=["cli-nan", "cli-inf", "config-inf"],
+    )
+    def test_non_finite_noise_is_usage_error(self, tmp_path, capsys, flags, experiment):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"[problem]\npreset = manufactured1d\n\n[experiment]\nseed = 1\n{experiment}",
+            encoding="utf-8",
+        )
+        code = run_cli(["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "10",
+                        *flags])
+        assert code == 1
+        assert "usage error: --noise" in capsys.readouterr().err
+
+    def test_out_of_range_literal_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(MANUFACTURED_CONFIG + 'kernel = "2e308*t"\n', encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "kernrec.harness", "reconstruct", "--config", str(cfg),
+             "--n", "10", "--mx", "10"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 1
+        assert "usage error: [kernel] cannot parse expression" in proc.stderr
+        assert "'2e308' is out of range (byte offset 0)" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_force_from_config(self, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -528,7 +583,6 @@ _EXIT_CODES = [
     (errors.ValidationError("bad data"), 3),
     (errors.FloorViolationError("below floor"), 3),
     (errors.StepThresholdError("tau too large"), 3),
-    (errors.GridMismatchError("other grid"), 2),
     (errors.KernrecError("other"), 2),
 ]
 
@@ -546,9 +600,11 @@ def test_exit_code_table(monkeypatch, capsys, exc, code):
 
 
 def test_exit_code_table_covers_every_error_class():
+    # the table lists exactly the KernrecError classes that errors.py defines
     classes = {
         obj for obj in vars(errors).values()
-        if isinstance(obj, type) and obj.__module__ == errors.__name__
+        if isinstance(obj, type) and issubclass(obj, errors.KernrecError)
+        and obj.__module__ == errors.__name__
     }
     assert classes == {type(exc) for exc, _ in _EXIT_CODES} - {OSError}
 

@@ -6,7 +6,6 @@ import pytest
 
 from kernrec import expr
 from kernrec.errors import ConfigError, FloorViolationError, ValidationError
-from kernrec.grid import GridFunction, SpatialGrid, inner
 from kernrec.harness import run_cli
 from kernrec.problem import (
     MeasurementSeries,
@@ -55,8 +54,8 @@ class TestManufacturedPreset:
         assert expr.evaluate(spec.m_exact, {"t": 0.0}) == 1.0
         # quadrature of the initial state agrees: integral of 1+cos(pi x) is 1
         grid = spec.make_grid(64)
-        u0 = GridFunction(grid, expr.evaluate(spec.u0, {"x": grid.axes[0]}))
-        assert abs(inner(u0, GridFunction.constant(grid, 1.0)) - 1.0) < 1e-12
+        u0 = expr.evaluate(spec.u0, {"x": grid.axes[0]})
+        assert abs(np.sum(grid.weights * u0) - 1.0) < 1e-12
 
     def test_floor_satisfied(self):
         spec = preset_manufactured_1d()
@@ -120,12 +119,7 @@ class TestContaminantPreset:
 
     def test_floor_with_defaults(self):
         spec = preset_contaminant()
-        means = abs(
-            inner(
-                GridFunction.constant(spec.make_grid(32), expr.evaluate(spec.h, {})),
-                GridFunction.constant(spec.make_grid(32), 1.0),
-            )
-        )
+        means = abs(np.sum(spec.make_grid(32).weights * expr.evaluate(spec.h, {})))
         assert means >= spec.omega_floor - 1e-12
 
     @pytest.mark.parametrize(
@@ -155,6 +149,20 @@ class TestContaminantPreset:
     def test_rejects_non_finite_parameters(self, key, value):
         with pytest.raises(ValidationError, match=key):
             preset_contaminant(**{key: value})
+
+    @pytest.mark.parametrize(
+        "params,coefficient",
+        [
+            ({"s0": 1e308, "kr": 1e-10}, "h"),
+            ({"rho_b": 1e300, "porosity": 1e-300}, "kernel coefficient"),
+            ({"kr": 1e200}, "kernel coefficient"),
+            ({"kr": 1e-200, "kd": 1e-200}, "h"),  # kr kd underflows to zero
+        ],
+        ids=["h", "rho_b-over-porosity", "kr-squared", "kr-kd-underflow"],
+    )
+    def test_rejects_overflowing_coefficients(self, params, coefficient):
+        with pytest.raises(ValidationError, match=f"contaminant {coefficient}.* not finite"):
+            preset_contaminant(**params)
 
 
 class TestSpecValidation:
