@@ -21,10 +21,19 @@ scalar or numpy-array bindings (arrays must share a common broadcast
 shape).  Any NaN or infinity produced during evaluation raises
 :class:`~kernrec.errors.DomainFaultError` naming the offending
 sub-expression instead of propagating silently.
+
+A tree evaluated many times goes through :func:`compile` first: it
+becomes nested numpy closures, with constants and the sub-trees over
+the bound variables evaluated once.  A compiled evaluation runs with
+numpy's overflow, divide-by-zero and invalid-value flags raising and
+checks that its result is finite; on a flag or a non-finite result it
+re-runs the interpreter, which checks every node and names the fault.
+Values and errors are the interpreter's, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -299,7 +308,7 @@ def variables(e: Expression) -> frozenset[str]:
     return frozenset()
 
 
-# numpy ufuncs backing each function name
+# numpy ufuncs backing each function name and binary operator
 _UFUNCS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -311,6 +320,13 @@ _UFUNCS = {
     "min": np.minimum,
     "max": np.maximum,
 }
+
+
+def _power(left, right):
+    return np.power(left, right, dtype=float)
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": _power}
 
 
 def _check_finite(out, node: Expression, what: str):
@@ -329,19 +345,11 @@ def _eval(e: Expression, env: Mapping[str, object]):
     if isinstance(e, BinOp):
         left = _eval(e.left, env)
         right = _eval(e.right, env)
+        if e.op == "/" and np.any(right == 0):
+            raise DomainFaultError("division by zero", pretty(e))
+        what = "invalid power" if e.op == "^" else "overflow"
         with np.errstate(all="ignore"):
-            if e.op == "+":
-                return _check_finite(np.add(left, right), e, "overflow")
-            if e.op == "-":
-                return _check_finite(np.subtract(left, right), e, "overflow")
-            if e.op == "*":
-                return _check_finite(np.multiply(left, right), e, "overflow")
-            if e.op == "/":
-                if np.any(right == 0):
-                    raise DomainFaultError("division by zero", pretty(e))
-                return _check_finite(np.divide(left, right), e, "overflow")
-            # right-associative power
-            return _check_finite(np.power(left, right, dtype=float), e, "invalid power")
+            return _check_finite(_BINARY[e.op](left, right), e, what)
     if isinstance(e, Call):
         args = [_eval(a, env) for a in e.args]
         if e.func == "log" and np.any(np.asarray(args[0]) <= 0):
@@ -353,17 +361,112 @@ def _eval(e: Expression, env: Mapping[str, object]):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate(e: Expression, env: Mapping[str, object]):
+def _finite(value) -> bool:
+    if isinstance(value, float):  # numpy float64 scalars included
+        return math.isfinite(value)
+    return bool(np.isfinite(value).all())
+
+
+class Compiled:
+    """An expression turned into numpy closures once, some variables bound.
+
+    Made by :func:`compile` and evaluated by :func:`evaluate`, which
+    then needs bindings for the ``free`` variables only.
+    """
+
+    __slots__ = ("tree", "fixed", "free", "_closure")
+
+    def __init__(self, tree: Expression, fixed: Mapping[str, object]):
+        self.tree = tree
+        self.fixed = dict(fixed)
+        self.free = variables(tree) - self.fixed.keys()
+        self._closure = _closure(tree, self.fixed)
+
+    def value(self, env: Mapping[str, object]):
+        for name in self.free:
+            if name not in env:
+                raise UnboundVariableError(name)
+        # From finite inputs every operation either yields a finite value
+        # or raises an IEEE flag, so a run without flags and with a finite
+        # result is exactly what the interpreter returns.  Anything else is
+        # left to the interpreter, which names the faulting sub-expression.
+        if self._closure is not None and all(_finite(env[name]) for name in self.free):
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                    out = self._closure(env)
+            except FloatingPointError:
+                pass
+            else:
+                if _finite(out):
+                    return out
+        return _eval(self.tree, {**env, **self.fixed})
+
+
+def _closure(e: Expression, fixed: Mapping[str, object]):
+    """``env -> value`` for ``e``; None when a bound sub-tree is not finite.
+
+    Sub-trees over bound variables and constants only are evaluated here,
+    once, by the interpreter itself, so each folded value is the one an
+    evaluation would compute.  The others apply the interpreter's numpy
+    operations in the interpreter's order.
+    """
+    if variables(e) <= fixed.keys():
+        try:
+            value = _eval(e, fixed)
+        except DomainFaultError:
+            return None  # every evaluation faults here; the interpreter says where
+        if not _finite(value):
+            return None
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        return lambda env: value
+    if isinstance(e, Var):
+        name = e.name
+        return lambda env: env[name]
+    if isinstance(e, Neg):
+        operand = _closure(e.operand, fixed)
+        return None if operand is None else lambda env: -operand(env)
+    if isinstance(e, BinOp):
+        fn, children = _BINARY[e.op], (e.left, e.right)
+    else:
+        fn, children = _UFUNCS[e.func], e.args
+    args = [_closure(c, fixed) for c in children]
+    if any(a is None for a in args):
+        return None
+    if len(args) == 1:
+        (a,) = args
+        return lambda env: fn(a(env))
+    a, b = args
+    return lambda env: fn(a(env), b(env))
+
+
+def compile(tree: Expression, fixed: Mapping[str, object] | None = None) -> Compiled:
+    """Prepare ``tree`` for repeated evaluation with ``fixed`` bound.
+
+    Constants and the sub-trees that depend only on ``fixed`` (such as
+    ``cos(pi*x)`` with the node coordinates bound) are evaluated once
+    here.  Evaluating the result gives the interpreter's values bit for
+    bit and raises the interpreter's :class:`DomainFaultError`.
+    """
+    return Compiled(tree, fixed or {})
+
+
+def evaluate(e: Expression | Compiled, env: Mapping[str, object]):
     """Evaluate the tree in IEEE double precision.
 
-    ``env`` must bind every variable occurring in ``e``; values may be
-    floats or numpy arrays.  Returns a float for scalar bindings, else
+    ``env`` must bind every variable occurring in ``e``, or for a
+    :class:`Compiled` expression every variable it left free; values may
+    be floats or numpy arrays.  Returns a float for scalar bindings, else
     an array.  Domain faults raise instead of returning NaN/inf.
     """
-    for name in variables(e):
-        if name not in env:
-            raise UnboundVariableError(name)
-    out = _eval(e, env)
+    if isinstance(e, Compiled):
+        out = e.value(env)
+    else:
+        for name in variables(e):
+            if name not in env:
+                raise UnboundVariableError(name)
+        out = _eval(e, env)
     if np.ndim(out) == 0:
         return float(out)
     return np.asarray(out, dtype=float)

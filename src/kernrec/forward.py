@@ -21,7 +21,16 @@ residual is recorded per step.
 ``_march``: per step it evaluates f_{i-1}, h_i and g_i and their means
 once, lets the reconstruction read K_i off those means, forms conv_i
 once (it includes K_i), and feeds the same values to the load and to
-the identity residual.
+the identity residual.  f, and h and g when they depend on t, are
+compiled once per run with the node coordinates bound
+(``expr.compile``).
+
+The states are stored newest-first: the loop allocates its
+(n+1, *grid.shape) buffer and works on the reversed view, so
+``states[i]`` is u_i while step i's history u_{i-1}, ..., u_0 is the
+contiguous slice ``states[i-1::-1]``.  ``np.tensordot`` takes that
+block as it is instead of copying i x N values every step, and the
+trajectory the loop returns is the same view, in forward order.
 
 The elliptic system ((1/tau) W + A) u_i = b is solved directly, in 1D
 and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
@@ -82,12 +91,9 @@ class Trajectory:
         object.__setattr__(self, "values", values)
 
 
-def interpolate(tree: expr.Expression, grid: SpatialGrid, t: float | None = None) -> np.ndarray:
-    """Evaluate an expression at the grid nodes (optionally at time t)."""
-    env: dict[str, object] = dict(grid.coordinate_fields())
-    if t is not None:
-        env["t"] = t
-    out = np.asarray(expr.evaluate(tree, env), dtype=float)
+def interpolate(tree: expr.Expression, grid: SpatialGrid) -> np.ndarray:
+    """Evaluate a time-independent expression at the grid nodes."""
+    out = np.asarray(expr.evaluate(tree, grid.coordinate_fields()), dtype=float)
     return np.broadcast_to(out, grid.shape).copy()
 
 
@@ -95,7 +101,7 @@ def _convolution_values(
     kernel_values: np.ndarray, state_values: np.ndarray, i: int, tau: float
 ) -> np.ndarray:
     """Rectangle-rule memory term sum_{k=1..i} K_k u_{i-k} tau at step i."""
-    # pairs (K_1, u_{i-1}) ... (K_i, u_0)
+    # pairs (K_1, u_{i-1}) ... (K_i, u_0); contiguous for newest-first storage
     history = state_values[i - 1 :: -1]
     return np.tensordot(kernel_values[1 : i + 1], history, axes=([0], [0])) * tau
 
@@ -108,42 +114,44 @@ class TimeStepper:
         self.grid = grid
         self.timegrid = timegrid
         self.nodes = timegrid.nodes  # TimeGrid.nodes builds a new array per access
-        self.coords = grid.coordinate_fields()
         self.weights = grid.weights
         self.bweights = grid.boundary_weights
         self._solver = SpectralSolver(grid, timegrid.tau)
-        self._f_vars = expr.variables(spec.f)
-        self._h_static = self._static_field(spec.h)
-        self._g_static = self._static_field(spec.g)
+        # compiled once with the node coordinates bound, so the sub-trees
+        # over x and y alone are evaluated once per run, not once per step
+        coords = grid.coordinate_fields()
+        self._f = expr.compile(spec.f, coords)
+        self._f_grad = not self._f.free.isdisjoint({"p", "q"})
+        self._h = self._field_source(spec.h, coords)
+        self._g = self._field_source(spec.g, coords)
 
-    def _static_field(self, tree: expr.Expression) -> np.ndarray | None:
+    def _field_source(self, tree: expr.Expression, coords) -> np.ndarray | expr.Compiled:
+        """The nodal field of a time-independent tree, else the tree compiled."""
         if "t" in expr.variables(tree):
-            return None
+            return expr.compile(tree, coords)
         return interpolate(tree, self.grid)
 
+    def _field(self, source: np.ndarray | expr.Compiled, env: dict[str, object]) -> np.ndarray:
+        if isinstance(source, np.ndarray):
+            return source
+        out = np.asarray(expr.evaluate(source, env), dtype=float)
+        if out.shape == self.grid.shape:
+            return out
+        return np.broadcast_to(out, self.grid.shape)
+
     def h_field(self, t: float) -> np.ndarray:
-        if self._h_static is not None:
-            return self._h_static
-        return interpolate(self.spec.h, self.grid, t)
+        return self._field(self._h, {"t": t})
 
     def g_field(self, t: float) -> np.ndarray:
-        if self._g_static is not None:
-            return self._g_static
-        return interpolate(self.spec.g, self.grid, t)
+        return self._field(self._g, {"t": t})
 
     def f_field(self, t: float, u_values: np.ndarray) -> np.ndarray:
-        env: dict[str, object] = dict(self.coords)
-        env["t"] = t
-        env["u"] = u_values
-        if "p" in self._f_vars or "q" in self._f_vars:
+        env: dict[str, object] = {"t": t, "u": u_values}
+        if self._f_grad:
             grads = nodal_gradient(self.grid, u_values)
             env["p"] = grads[0]
             env["q"] = grads[1] if self.grid.ndim == 2 else 0.0
-        else:
-            env["p"] = 0.0
-            env["q"] = 0.0
-        out = np.asarray(expr.evaluate(self.spec.f, env), dtype=float)
-        return np.broadcast_to(out, self.grid.shape)
+        return self._field(self._f, env)
 
     def mean(self, field: np.ndarray) -> float:
         """(field, 1) with the lumped quadrature."""
@@ -223,7 +231,8 @@ def _march(
     timegrid = stepper.timegrid
     n = timegrid.n
     tau = timegrid.tau
-    states = np.empty((n + 1, *stepper.grid.shape))
+    # newest-first storage (see the module docstring)
+    states = np.empty((n + 1, *stepper.grid.shape))[::-1]
     states[0] = stepper.initial_state()
     measured = np.empty(n + 1)
     measured[0] = stepper.mean(states[0])

@@ -239,16 +239,32 @@ def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:
         raise ValidationError(
             f"measurement file has {len(rows)} rows, expected {timegrid.n + 1}"
         )
-    t = np.array([float(r[0]) for r in rows])
+
+    def number(k: int, column: int) -> float:
+        """Column ``column`` of data row k (0-based), named 1-based in errors."""
+        row = rows[k]
+        if len(row) <= column:
+            raise ValidationError(
+                f"measurement file data row {k + 1} has {len(row)} column(s), "
+                f"expected at least {column + 1}"
+            )
+        try:
+            return float(row[column])
+        except ValueError:
+            raise ValidationError(
+                f"measurement file data row {k + 1}: {row[column]!r} is not a number"
+            ) from None
+
+    t = np.array([number(k, 0) for k in range(len(rows))])
     if not np.allclose(t, timegrid.nodes, rtol=0.0, atol=1e-9 * max(1.0, timegrid.T)):
         raise ValidationError("measurement file times do not match the time grid")
-    values = np.array([float(r[1]) for r in rows])
+    values = np.array([number(k, 1) for k in range(len(rows))])
     has_deriv = all(len(r) >= 3 and r[2].strip() != "" for r in rows[1:])
     if has_deriv:
-        derivs = np.array([float(r[2]) for r in rows[1:]])
+        derivs = np.array([number(k, 2) for k in range(1, len(rows))])
         initial = None
         if len(rows[0]) >= 3 and rows[0][2].strip() != "":
-            initial = float(rows[0][2])
+            initial = number(0, 2)
         return MeasurementSeries(timegrid, values, derivs, "analytic", initial)
     return MeasurementSeries.from_samples(timegrid, values)
 

@@ -210,3 +210,93 @@ def test_fuzz_never_crashes():
             parse(source)
         except ExprError:
             pass  # located errors are the contract; anything else is a bug
+
+
+# -- compiled evaluation ------------------------------------------------
+
+# values that reach every fault: zeros, negatives, and magnitudes that
+# overflow a product or an exponential
+_SAMPLES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e300, -1e300]
+_scalars = st.sampled_from(_SAMPLES)
+_arrays = st.lists(_scalars, min_size=4, max_size=4).map(np.array)
+_trees = st.recursive(_leaves, _compound, max_leaves=25)
+
+
+def _outcome(fn):
+    """('value', type, shape, bytes) or ('fault', text) for a call of ``fn``."""
+    try:
+        out = fn()
+    except DomainFaultError as err:
+        return ("fault", str(err))
+    return ("value", type(out), np.asarray(out).shape, np.asarray(out).tobytes())
+
+
+def _assert_same_evaluation(tree, env, bound):
+    fixed = {k: v for k, v in env.items() if k in bound}
+    free = {k: v for k, v in env.items() if k not in bound}
+    interpreted = _outcome(lambda: evaluate(tree, env))
+    compiled = _outcome(lambda: evaluate(expr.compile(tree, fixed), free))
+    assert compiled == interpreted
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    _trees,
+    st.fixed_dictionaries({v: st.one_of(_scalars, _arrays) for v in sorted(expr.VARIABLES)}),
+    st.sets(st.sampled_from(sorted(expr.VARIABLES))),
+)
+def test_compiled_matches_interpreter(tree, env, bound):
+    # same bits, or the same DomainFaultError text, whichever variables are bound
+    _assert_same_evaluation(tree, env, bound)
+
+
+_MASKED_FAULTS = [
+    ("min(1, 1/x)", 0.0, "division by zero in '1.0/x'"),
+    ("exp(-1/x^2)", 0.0, "division by zero in '-1.0/x^2.0'"),
+    ("tanh(exp(x))", 1000.0, "domain fault in 'exp(x)'"),
+    ("exp(log(x))", 0.0, "log of non-positive value in 'log(x)'"),
+    ("max(0, sqrt(x))", -1.0, "sqrt of negative value in 'sqrt(x)'"),
+]
+
+
+class TestCompiled:
+    @pytest.mark.parametrize("source,x,message", _MASKED_FAULTS)
+    @pytest.mark.parametrize("where", ["free", "bound", "array"])
+    def test_masked_fault_raises_as_interpreted(self, source, x, message, where):
+        # the root is finite here, so only a per-operation check finds the fault
+        tree = parse(source)
+        if where == "free":
+            compiled, env = expr.compile(tree), {"x": x}
+        elif where == "bound":
+            compiled, env = expr.compile(tree, {"x": x}), {}
+        else:
+            compiled, env = expr.compile(tree), {"x": np.array([0.5, x, 2.0])}
+        with pytest.raises(DomainFaultError) as err:
+            evaluate(compiled, env)
+        assert str(err.value) == message
+
+    def test_bound_subtrees_are_folded(self):
+        x = np.linspace(0.0, 1.0, 5)
+        compiled = expr.compile(parse("cos(pi*x) + t"), {"x": x})
+        assert compiled.free == {"t"}
+        assert np.array_equal(evaluate(compiled, {"t": 1.0}), np.cos(np.pi * x) + 1.0)
+
+    def test_fully_bound_value_is_read_only(self):
+        compiled = expr.compile(parse("2*x"), {"x": np.ones(3)})
+        out = evaluate(compiled, {})
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+        assert np.array_equal(evaluate(compiled, {}), np.full(3, 2.0))
+
+    def test_unbound_free_variable(self):
+        with pytest.raises(UnboundVariableError):
+            evaluate(expr.compile(parse("x + t"), {"x": 1.0}), {})
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_binding_behaves_as_interpreted(self, value):
+        # no operation raises a flag on these; the interpreter's checks still apply
+        for source in ("exp(-(u+t))", "min(t, u)", "u", "exp(-u)*t"):
+            tree = parse(source)
+            env = {"u": np.array([1.0, value]), "t": 1.0}
+            _assert_same_evaluation(tree, env, ())
+            _assert_same_evaluation(tree, env, ("u",))

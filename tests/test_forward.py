@@ -264,3 +264,48 @@ class TestTwoDimensional:
         assert run.compat_residuals.max() <= 1e-9
         exact = expr.evaluate(spec.u_exact, {**grid.coordinate_fields(), "t": 1.0})
         assert np.abs(run.trajectory.values[-1] - exact).max() < 0.1
+
+
+class TestHistoryLayout:
+    """States are stored newest-first, so each step's history is one block."""
+
+    def test_history_contiguous_and_trajectory_in_forward_order(self, monkeypatch):
+        spec = preset_manufactured_1d()
+        n = 20
+        tg = TimeGrid(1.0, n)
+        grid = spec.make_grid(20)
+        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        seen = []
+
+        def spy(kernel_values, state_values, i, tau):
+            seen.append((i, state_values[i - 1 :: -1].flags.c_contiguous))
+            return convolution(kernel_values, state_values, i, tau)
+
+        convolution = forward._convolution_values
+        monkeypatch.setattr(forward, "_convolution_values", spy)
+        result = reconstruct(spec, grid, tg, series)
+        assert seen == [(i, True) for i in range(1, n + 1)]
+
+        values = result.trajectory.values
+        assert np.array_equal(values[0], forward.interpolate(spec.u0, grid))
+        coords = grid.coordinate_fields()
+        for i, t in enumerate(tg.nodes):
+            exact = expr.evaluate(spec.u_exact, {**coords, "t": t})
+            assert np.abs(values[i] - exact).max() < 0.1
+
+
+class TestCompiledFields:
+    def test_fields_match_interpreter(self):
+        # h and g depending on t are compiled once; each value is the
+        # interpreter's bit for bit
+        spec = _spec(f="u*exp(-t) + p*cos(pi*x)", h="1 + t*cos(pi*x)", g="t^2 - x")
+        tg = TimeGrid(1.0, 4)
+        grid = spec.make_grid(8)
+        stepper = TimeStepper(spec, grid, tg)
+        u = np.linspace(-1.0, 2.0, grid.shape[0])
+        p = forward.nodal_gradient(grid, u)[0]
+        for t in tg.nodes:
+            env = {**grid.coordinate_fields(), "t": t, "u": u, "p": p}
+            assert np.array_equal(stepper.h_field(t), expr.evaluate(spec.h, env))
+            assert np.array_equal(stepper.g_field(t), expr.evaluate(spec.g, env))
+            assert np.array_equal(stepper.f_field(t, u), expr.evaluate(spec.f, env))

@@ -20,6 +20,7 @@ from kernrec.harness import (
     run_cli,
     table_csv_text,
 )
+from kernrec.problem import preset_contaminant
 
 THRESHOLD_CONFIG = """
 [problem]
@@ -506,6 +507,30 @@ class TestConfigHandling:
                         "--out", str(tmp_path / "out.csv")])
         assert code == 1
         assert "usage error: [measurement_file]" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad_row,message",
+        [("{t},abc", "data row 2: 'abc' is not a number"),
+         ("{t}", "data row 2 has 1 column(s), expected at least 2")],
+        ids=["not-a-number", "missing-column"],
+    )
+    def test_malformed_measurement_row_is_validation_failure(
+        self, tmp_path, capsys, bad_row, message
+    ):
+        T = preset_contaminant().T
+        data = tmp_path / "m.csv"
+        rows = ["t,m", "0,1", bad_row.format(t=repr(T / 2)), f"{T!r},1"]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n',
+            encoding="utf-8",
+        )
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "2", "--mx", "4",
+                        "--out", str(tmp_path / "out.csv")])
+        assert code == 3
+        assert f"validation failure: measurement file {message}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(

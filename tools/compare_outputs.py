@@ -1,0 +1,117 @@
+"""Check that two source trees give the same CLI outputs.
+
+    python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
+
+Runs a fixed set of ``kernrec`` commands (reconstruct, roundtrip,
+convergence, forward and noise-sweep on the presets and on the
+benchmark's 2D config) with each tree's ``src/`` on ``PYTHONPATH``.
+HEAD_DIR defaults to the checkout that holds this script.  Every CSV
+must be byte-identical and every JSON report equal once its
+``timings`` are dropped.  Prints one line per command and exits 0 when
+all agree, 1 on any difference and 2 when a command fails in either
+tree.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import CONFIG_2D, MANUFACTURED_2D  # noqa: E402  the benchmark's 2D config
+
+M1 = ["--preset", "manufactured1d"]
+CT = ["--preset", "contaminant"]
+COMMANDS = {
+    "reconstruct-manufactured1d": ["reconstruct", *M1, "--n", "200", "--mx", "50"],
+    "reconstruct-manufactured1d-discrete": [
+        "reconstruct", *M1, "--n", "200", "--mx", "50", "--derivative", "discrete",
+    ],
+    "reconstruct-contaminant": ["reconstruct", *CT, "--n", "200", "--mx", "50"],
+    "reconstruct-zero1d": ["reconstruct", "--preset", "zero1d", "--n", "50", "--mx", "20"],
+    "reconstruct-2d": ["reconstruct", "--config", CONFIG_2D, "--n", "20", "--mx", "24"],
+    "roundtrip-manufactured1d": ["roundtrip", *M1, "--n", "100", "--mx", "50"],
+    "roundtrip-contaminant": ["roundtrip", *CT, "--n", "100", "--mx", "50"],
+    "convergence-manufactured1d": ["convergence", *M1, "--n", "50,100,200", "--mx", "50"],
+    "convergence-contaminant": ["convergence", *CT, "--n", "50,100,200", "--mx", "50"],
+    "forward-contaminant": ["forward", *CT, "--n", "200", "--mx", "50"],
+    "noise-sweep-manufactured1d": [
+        "noise-sweep", *M1, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
+    ],
+    "noise-sweep-contaminant": [
+        "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
+    ],
+}
+
+
+def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
+    """Run every command with ``tree``'s sources; outputs go to work/NAME.*"""
+    work.mkdir(parents=True)
+    (work / CONFIG_2D).write_text(MANUFACTURED_2D, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = {}
+    for name, argv in COMMANDS.items():
+        argv = [*argv, "--out", f"{name}.csv", "--json", f"{name}.json"]
+        done[name] = subprocess.run(
+            [sys.executable, "-m", "kernrec.harness", *argv],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+    return done
+
+
+def without_timings(value):
+    if isinstance(value, dict):
+        return {k: without_timings(v) for k, v in value.items() if k != "timings"}
+    if isinstance(value, list):
+        return [without_timings(v) for v in value]
+    return value
+
+
+def report(path: Path):
+    return without_timings(json.loads(path.read_text(encoding="utf-8")))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print("usage: python tools/compare_outputs.py BASE_DIR [HEAD_DIR]", file=sys.stderr)
+        return 2
+    base = Path(argv[0]).resolve()
+    head = Path(argv[1]).resolve() if len(argv) == 2 else ROOT
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {side: run_tree(tree, Path(tmp) / side)
+                for side, tree in (("base", base), ("head", head))}
+        for name in COMMANDS:
+            failed = [f"{side} exit {runs[side][name].returncode}: "
+                      f"{runs[side][name].stderr.strip()}"
+                      for side in ("base", "head") if runs[side][name].returncode != 0]
+            if failed:
+                print(f"FAILED   {name}: {'; '.join(failed)}")
+                status = 2
+                continue
+            paths = {side: Path(tmp) / side / name for side in ("base", "head")}
+            differs = []
+            if not filecmp.cmp(paths["base"].with_suffix(".csv"),
+                               paths["head"].with_suffix(".csv"), shallow=False):
+                differs.append("csv")
+            if report(paths["base"].with_suffix(".json")) != report(
+                paths["head"].with_suffix(".json")
+            ):
+                differs.append("json")
+            if differs:
+                print(f"DIFFERS  {name}: {' and '.join(differs)}")
+                status = max(status, 1)
+            else:
+                print(f"same     {name}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
