@@ -12,13 +12,7 @@ problem for u_i.
 """
 
 from .errors import KernrecError
-from .forward import (
-    ForwardRun,
-    KernelSeries,
-    Trajectory,
-    generate_measurement,
-    run_forward,
-)
+from .forward import ForwardRun, KernelSeries, Trajectory, run_forward
 from .grid import SpatialGrid, nodal_gradient
 from .inverse import (
     Diagnostics,
@@ -51,7 +45,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "check_step_threshold",
-    "generate_measurement",
     "kernel_difference_energy",
     "make_preset",
     "nodal_gradient",

@@ -17,6 +17,12 @@ satisfies the measurement identity
 up to solver roundoff, with M_i = (u_i, 1).  The relative size of that
 residual is recorded per step.
 
+``run_forward`` is the one way to synthetic data: its ``ForwardRun``
+carries M_i as a ``MeasurementSeries``, with the spec's exact m' or the
+backward difference, whose m'(0) comes from the identity at t = 0
+through the run's own ``TimeStepper.initial_means`` (the same means
+``inverse.reconstruct`` uses for K_0).
+
 ``run_forward`` and ``inverse.reconstruct`` share one stepping loop,
 ``_march``: per step it evaluates f_{i-1}, h_i and g_i and their means
 once, lets the reconstruction read K_i off those means, forms conv_i
@@ -110,7 +116,6 @@ class TimeStepper:
     """Cached assembly for repeated backward-Euler steps on one grid."""
 
     def __init__(self, spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid):
-        self.spec = spec
         self.grid = grid
         self.timegrid = timegrid
         self.nodes = timegrid.nodes  # TimeGrid.nodes builds a new array per access
@@ -124,6 +129,7 @@ class TimeStepper:
         self._f_grad = not self._f.free.isdisjoint({"p", "q"})
         self._h = self._field_source(spec.h, coords)
         self._g = self._field_source(spec.g, coords)
+        self.u0 = interpolate(spec.u0, grid)
 
     def _field_source(self, tree: expr.Expression, coords) -> np.ndarray | expr.Compiled:
         """The nodal field of a time-independent tree, else the tree compiled."""
@@ -161,8 +167,13 @@ class TimeStepper:
         """(field, 1)_Gamma with the edge-trapezoid quadrature."""
         return float(np.sum(self.bweights * field))
 
-    def initial_state(self) -> np.ndarray:
-        return interpolate(self.spec.u0, self.grid)
+    def initial_means(self) -> tuple[float, float, float]:
+        """(f_0,1), (g_0,1)_Gamma and (h_0,1) of the identity at t = 0."""
+        return (
+            self.mean(self.f_field(0.0, self.u0)),
+            self.boundary_mean(self.g_field(0.0)),
+            self.mean(self.h_field(0.0)),
+        )
 
     def step(
         self,
@@ -211,7 +222,7 @@ class ForwardRun:
 
     trajectory: Trajectory
     kernel: KernelSeries
-    measured: np.ndarray  # M_i = (u_i, 1)
+    measurement: MeasurementSeries  # M_i = (u_i, 1)
     compat_residuals: np.ndarray  # relative, one per step i = 1..n
 
 
@@ -233,7 +244,7 @@ def _march(
     tau = timegrid.tau
     # newest-first storage (see the module docstring)
     states = np.empty((n + 1, *stepper.grid.shape))[::-1]
-    states[0] = stepper.initial_state()
+    states[0] = stepper.u0
     measured = np.empty(n + 1)
     measured[0] = stepper.mean(states[0])
     residuals = np.empty(n)
@@ -265,67 +276,35 @@ def run_forward(
     spec: ProblemSpec,
     grid: SpatialGrid,
     timegrid: TimeGrid,
-    kernel: KernelSeries,
+    kernel: KernelSeries | None = None,
+    derivative: str = "analytic",
 ) -> ForwardRun:
-    """Advance the full trajectory with a prescribed kernel."""
-    if kernel.timegrid != timegrid:
-        raise ValidationError("kernel series is not aligned with the time grid")
-    stepper = TimeStepper(spec, grid, timegrid)
-    states, measured, residuals = _march(stepper, kernel.values)
-    trajectory = Trajectory(grid, timegrid, states)
-    return ForwardRun(trajectory, kernel, measured, residuals)
+    """Advance the full trajectory with a prescribed kernel.
 
-
-def measurement_from_run(
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    timegrid: TimeGrid,
-    run: ForwardRun,
-    derivative: str = "analytic",
-) -> MeasurementSeries:
-    """Wrap a forward run's M_i = (u_i, 1) as a measurement series.
-
-    ``derivative="analytic"`` uses the spec's exact derivative
-    expression when present; otherwise the backward difference of the
-    computed measurement is substituted.  In the discrete case the
-    value at t = 0 is pinned through the initial-time identity
-    m'(0) = (f_0,1) - (g_0,1)_Gamma - K_0 (h_0,1), which the generator
-    can evaluate because it knows K_0.
-    """
-    if derivative == "analytic" and spec.mprime_exact is not None:
-        nodes = timegrid.nodes
-        derivs = np.asarray(expr.evaluate(spec.mprime_exact, {"t": nodes[1:]}), dtype=float)
-        derivs = np.broadcast_to(derivs, (timegrid.n,)).copy()
-        initial = float(expr.evaluate(spec.mprime_exact, {"t": 0.0}))
-        return MeasurementSeries(timegrid, run.measured, derivs, "analytic", initial)
-    stepper = TimeStepper(spec, grid, timegrid)
-    u0 = run.trajectory.values[0]
-    initial = (
-        stepper.mean(stepper.f_field(0.0, u0))
-        - stepper.boundary_mean(stepper.g_field(0.0))
-        - run.kernel.values[0] * stepper.mean(stepper.h_field(0.0))
-    )
-    return MeasurementSeries.from_samples(timegrid, run.measured, initial)
-
-
-def generate_measurement(
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    timegrid: TimeGrid,
-    kernel: KernelSeries | expr.Expression | None = None,
-    derivative: str = "analytic",
-) -> MeasurementSeries:
-    """Synthetic measurement from a forward run with a known kernel.
-
-    Restriction onto a coarser reconstruction grid is done by the
-    returned series' ``restrict`` (fine n must be a multiple of the
-    coarse n).
+    ``kernel`` defaults to the spec's exact kernel sampled on
+    ``timegrid``.  The run's measurement M_i = (u_i, 1) carries the
+    spec's exact m' when ``derivative="analytic"`` and the spec has one;
+    otherwise the backward difference of M, with m'(0) pinned by the
+    identity at t = 0, m'(0) = (f_0,1) - (g_0,1)_Gamma - K_0 (h_0,1).
+    Restriction onto a coarser time grid is the measurement's
+    ``restrict``.
     """
     if kernel is None:
         if spec.kernel_exact is None:
             raise ValidationError("no kernel available to generate data")
-        kernel = spec.kernel_exact
-    if not isinstance(kernel, KernelSeries):
-        kernel = KernelSeries.from_expression(kernel, timegrid)
-    run = run_forward(spec, grid, timegrid, kernel)
-    return measurement_from_run(spec, grid, timegrid, run, derivative)
+        kernel = KernelSeries.from_expression(spec.kernel_exact, timegrid)
+    if kernel.timegrid != timegrid:
+        raise ValidationError("kernel series is not aligned with the time grid")
+    stepper = TimeStepper(spec, grid, timegrid)
+    states, measured, residuals = _march(stepper, kernel.values)
+    if derivative == "analytic" and spec.mprime_exact is not None:
+        derivs = expr.evaluate(spec.mprime_exact, {"t": stepper.nodes[1:]})
+        derivs = np.broadcast_to(np.asarray(derivs, dtype=float), (timegrid.n,)).copy()
+        initial = float(expr.evaluate(spec.mprime_exact, {"t": 0.0}))
+        measurement = MeasurementSeries(timegrid, measured, derivs, "analytic", initial)
+    else:
+        f_mean, g_mean, h_mean = stepper.initial_means()
+        initial = f_mean - g_mean - kernel.values[0] * h_mean
+        measurement = MeasurementSeries.from_samples(timegrid, measured, initial)
+    trajectory = Trajectory(grid, timegrid, states)
+    return ForwardRun(trajectory, kernel, measurement, residuals)

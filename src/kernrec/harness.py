@@ -4,7 +4,12 @@ Subcommands: ``forward``, ``reconstruct``, ``roundtrip``, ``convergence``
 and ``noise-sweep``.  Problems come from ``--preset NAME`` or from a
 ``--config PATH`` file in the flat ``key = value`` format (sections
 ``[problem]``, ``[discretization]``, ``[experiment]``); command line
-flags override config values.
+flags override config values.  An ``ExperimentConfig`` validates every
+option when it is built, including the exact kernel that all modes but
+``reconstruct`` need.  Each mode runner builds its grids once, writes
+its CSV when ``--out`` is given and returns its own part of the JSON
+report; ``run_cli`` adds the mode, the configuration echo and the
+timings.  Synthetic data always comes from ``forward.run_forward``.
 
 Exit codes: 0 success, 1 usage error (including a config key that its
 section does not accept), 2 numerical failure (singular update,
@@ -37,12 +42,8 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .forward import (
-    KernelSeries,
-    generate_measurement,
-    measurement_from_run,
-    run_forward,
-)
+from .forward import KernelSeries, run_forward
+from .grid import SpatialGrid
 from .inverse import ReconstructionResult, reconstruct
 from .problem import (
     MeasurementSeries,
@@ -92,9 +93,14 @@ class ExperimentConfig:
     denominator_sign: float = 1.0
     measurement_file: str | None = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not self.n_list:
             raise UsageError("no time resolution given (use --n)")
+        if any(n < 1 for n in self.n_list):
+            raise UsageError("--n must be a positive step count")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise UsageError("resolution list must be strictly increasing")
         if self.mode != "convergence" and len(self.n_list) != 1:
@@ -113,6 +119,8 @@ class ExperimentConfig:
                 raise UsageError("noise-sweep requires --noise SIGMA[,SIGMA...]")
             if self.seed is None:
                 raise UsageError("noise-sweep requires --seed")
+            if self.seed < 0:
+                raise UsageError(f"--seed must be a non-negative integer, got {self.seed}")
             bad = [s for s in self.noise_sigmas if not 0.0 < s < math.inf]
             if bad:
                 raise UsageError(f"--noise levels must be positive and finite, got {bad[0]}")
@@ -132,13 +140,15 @@ class ExperimentConfig:
                     f"{self.mode} mode generates its own measurement and reads no file",
                     key="measurement_file",
                 )
+        if self.mode != "reconstruct" and self.spec.kernel_exact is None:
+            raise UsageError(f"{self.mode} mode needs an exact kernel in the problem")
 
     @property
     def n(self) -> int:
         return self.n_list[0]
 
-    def grids(self, n: int | None = None):
-        timegrid = TimeGrid(self.spec.T, self.n if n is None else n)
+    def grids(self):
+        timegrid = TimeGrid(self.spec.T, self.n)
         grid = self.spec.make_grid(self.mx, self.my)
         return grid, timegrid
 
@@ -282,7 +292,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError(
             f"kernel_denominator_sign must be plus or minus, got {sign_text!r}"
         )
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         mode=args.mode,
         spec=spec,
         n_list=n_list,
@@ -299,8 +309,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         denominator_sign=1.0 if sign_text == "plus" else -1.0,
         measurement_file=problem_section.get("measurement_file"),
     )
-    cfg.validate()
-    return cfg
 
 
 _BOOL_WORDS = {
@@ -348,10 +356,8 @@ def acquire_measurement(cfg: ExperimentConfig, timegrid: TimeGrid) -> Measuremen
             cfg.mx * space_factor,
             cfg.my * space_factor if cfg.my is not None else None,
         )
-        series = generate_measurement(
-            spec, fine_grid, fine_tg, derivative=cfg.derivative
-        )
-        return series.restrict(timegrid)
+        fwd = run_forward(spec, fine_grid, fine_tg, derivative=cfg.derivative)
+        return fwd.measurement.restrict(timegrid)
     raise UsageError(
         "problem has no measurement source (exact m, measurement_file, or exact kernel)"
     )
@@ -365,9 +371,11 @@ def _trace_printer(i, t, k, den, resid):
 
 
 def _run_reconstruction(
-    cfg: ExperimentConfig, timegrid: TimeGrid, measurement: MeasurementSeries
+    cfg: ExperimentConfig,
+    grid: SpatialGrid,
+    timegrid: TimeGrid,
+    measurement: MeasurementSeries,
 ) -> ReconstructionResult:
-    grid, _ = cfg.grids()
     return reconstruct(
         cfg.spec,
         grid,
@@ -458,18 +466,9 @@ def emit_json(report: dict, path: str) -> None:
     log.info("wrote %s", path)
 
 
-def _base_report(cfg: ExperimentConfig, started: float) -> dict:
-    return {
-        "mode": cfg.mode,
-        "config": cfg.echo(),
-        "timings": {"total_seconds": time.perf_counter() - started},
-    }
-
-
 def _reconstruction_report(
-    cfg: ExperimentConfig, timegrid: TimeGrid, result: ReconstructionResult
+    timegrid: TimeGrid, result: ReconstructionResult, ref: np.ndarray | None
 ) -> dict:
-    ref = kernel_reference(cfg.spec, timegrid)
     err_inf, err_l2 = kernel_errors(result.kernel.values, ref, timegrid.tau)
     report = {
         "time": {"T": timegrid.T, "n": timegrid.n, "tau": timegrid.tau},
@@ -486,61 +485,43 @@ def _reconstruction_report(
 
 
 def run_forward_mode(cfg: ExperimentConfig) -> dict:
-    started = time.perf_counter()
-    spec = cfg.spec
-    if spec.kernel_exact is None:
-        raise UsageError("forward mode needs an exact kernel in the problem")
     grid, timegrid = cfg.grids()
-    kernel = KernelSeries.from_expression(spec.kernel_exact, timegrid)
-    run = run_forward(spec, grid, timegrid, kernel)
-    series = measurement_from_run(spec, grid, timegrid, run, cfg.derivative)
+    fwd = run_forward(cfg.spec, grid, timegrid, derivative=cfg.derivative)
     if cfg.out:
-        emit_csv(measurement_csv_text(series), cfg.out)
-    report = _base_report(cfg, started)
-    report["measurement"] = {
-        "rows": timegrid.n + 1,
-        "max_compat_residual": float(np.max(run.compat_residuals)),
-        "derivative_source": series.provenance,
+        emit_csv(measurement_csv_text(fwd.measurement), cfg.out)
+    return {
+        "measurement": {
+            "rows": timegrid.n + 1,
+            "max_compat_residual": float(np.max(fwd.compat_residuals)),
+            "derivative_source": fwd.measurement.provenance,
+        }
     }
-    return report
 
 
 def run_reconstruct_mode(cfg: ExperimentConfig) -> dict:
-    started = time.perf_counter()
     grid, timegrid = cfg.grids()
     series = acquire_measurement(cfg, timegrid)
-    result = _run_reconstruction(cfg, timegrid, series)
+    result = _run_reconstruction(cfg, grid, timegrid, series)
+    ref = kernel_reference(cfg.spec, timegrid)
     if cfg.out:
-        ref = kernel_reference(cfg.spec, timegrid)
         emit_csv(kernel_csv_text(timegrid.nodes, result.kernel.values, ref), cfg.out)
-    report = _base_report(cfg, started)
-    report.update(_reconstruction_report(cfg, timegrid, result))
-    return report
+    return _reconstruction_report(timegrid, result, ref)
 
 
 def run_roundtrip_mode(cfg: ExperimentConfig) -> dict:
     """Forward data and reconstruction on the identical grid and step."""
-    started = time.perf_counter()
-    spec = cfg.spec
-    if spec.kernel_exact is None:
-        raise UsageError("roundtrip mode needs an exact kernel in the problem")
     grid, timegrid = cfg.grids()
-    kernel_in = KernelSeries.from_expression(spec.kernel_exact, timegrid)
-    fwd = run_forward(spec, grid, timegrid, kernel_in)
-    series = measurement_from_run(spec, grid, timegrid, fwd, derivative="discrete")
-    result = _run_reconstruction(cfg, timegrid, series)
-    kernel_err = float(np.max(np.abs(result.kernel.values - kernel_in.values)))
-    state_err = float(np.max(np.abs(result.trajectory.values - fwd.trajectory.values)))
+    fwd = run_forward(cfg.spec, grid, timegrid, derivative="discrete")
+    result = _run_reconstruction(cfg, grid, timegrid, fwd.measurement)
+    ref = fwd.kernel.values
     if cfg.out:
-        emit_csv(
-            kernel_csv_text(timegrid.nodes, result.kernel.values, kernel_in.values),
-            cfg.out,
-        )
-    report = _base_report(cfg, started)
-    report.update(_reconstruction_report(cfg, timegrid, result))
+        emit_csv(kernel_csv_text(timegrid.nodes, result.kernel.values, ref), cfg.out)
+    report = _reconstruction_report(timegrid, result, ref)
     report["roundtrip"] = {
-        "kernel_max_error": kernel_err,
-        "state_max_error": state_err,
+        "kernel_max_error": float(np.max(np.abs(result.kernel.values - ref))),
+        "state_max_error": float(
+            np.max(np.abs(result.trajectory.values - fwd.trajectory.values))
+        ),
         "forward_max_compat_residual": float(np.max(fwd.compat_residuals)),
     }
     return report
@@ -562,22 +543,12 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
     isolates the first-order time discretization.
     """
     spec = cfg.spec
-    if spec.kernel_exact is None:
-        raise UsageError("convergence mode needs an exact kernel as reference")
-    grid = spec.make_grid(cfg.mx, cfg.my)
+    grid, _ = cfg.grids()
     rows: list[dict] = []
     for n in cfg.n_list:
         timegrid = TimeGrid(spec.T, n)
         series = acquire_measurement(cfg, timegrid)
-        result = reconstruct(
-            spec,
-            grid,
-            timegrid,
-            series,
-            force=cfg.force,
-            denominator_sign=cfg.denominator_sign,
-            trace=_trace_printer if cfg.trace else None,
-        )
+        result = _run_reconstruction(cfg, grid, timegrid, series)
         ref = kernel_reference(spec, timegrid)
         err_inf, err_l2 = kernel_errors(result.kernel.values, ref, timegrid.tau)
         err_u = None
@@ -603,39 +574,28 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_convergence_mode(cfg: ExperimentConfig) -> dict:
-    started = time.perf_counter()
     rows = convergence_study(cfg)
     if cfg.out:
         emit_csv(table_csv_text(rows), cfg.out)
-    report = _base_report(cfg, started)
-    report["rows"] = rows
-    return report
+    return {"rows": rows}
 
 
 def run_noise_mode(cfg: ExperimentConfig) -> dict:
     """Reconstruct under measurement noise and report the amplification."""
-    started = time.perf_counter()
-    spec = cfg.spec
-    if spec.kernel_exact is None:
-        raise UsageError("noise-sweep mode needs an exact kernel as reference")
     grid, timegrid = cfg.grids()
     base = acquire_measurement(cfg, timegrid)
-    ref = kernel_reference(spec, timegrid)
+    ref = kernel_reference(cfg.spec, timegrid)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for sigma in cfg.noise_sigmas:
-        noisy = base.with_noise(sigma, rng)
-        result = _run_reconstruction(cfg, timegrid, noisy)
+        result = _run_reconstruction(cfg, grid, timegrid, base.with_noise(sigma, rng))
         err_inf, _ = kernel_errors(result.kernel.values, ref, timegrid.tau)
         rows.append(
             {"sigma": sigma, "err_inf": err_inf, "amplification": err_inf / sigma}
         )
     if cfg.out:
         emit_csv(noise_csv_text(rows), cfg.out)
-    report = _base_report(cfg, started)
-    report["rows"] = rows
-    report["seed"] = cfg.seed
-    return report
+    return {"rows": rows, "seed": cfg.seed}
 
 
 _MODE_RUNNERS = {
@@ -655,8 +615,14 @@ def run_cli(argv: list[str]) -> int:
         if args.mode is None:
             raise UsageError("no subcommand given; see kernrec --help")
         cfg = resolve_config(args)
+        started = time.perf_counter()
         report = _MODE_RUNNERS[cfg.mode](cfg)
         if cfg.json_path:
+            report.update(
+                mode=cfg.mode,
+                config=cfg.echo(),
+                timings={"total_seconds": time.perf_counter() - started},
+            )
             emit_json(report, cfg.json_path)
         return EXIT_OK
     except UsageError as exc:

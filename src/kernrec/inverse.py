@@ -111,7 +111,6 @@ class ReconstructionResult:
     diagnostics: Diagnostics
     denominators: np.ndarray  # per step i = 1..n
     compat_residuals: np.ndarray  # relative, per step i = 1..n
-    measured: np.ndarray  # (u_i, 1) of the reconstructed trajectory
     derivative_source: str
     threshold: ThresholdReport
     config: dict
@@ -133,10 +132,7 @@ def initial_kernel_value(
     else:
         # first forward difference as the stand-in for m'(0)
         mprime0 = measurement.derivative_at(1)
-    u0 = stepper.initial_state()
-    f_mean = stepper.mean(stepper.f_field(0.0, u0))
-    g_mean = stepper.boundary_mean(stepper.g_field(0.0))
-    h_mean = stepper.mean(stepper.h_field(0.0))
+    f_mean, g_mean, h_mean = stepper.initial_means()
     if abs(h_mean) < DENOMINATOR_GUARD:
         raise SingularUpdateError(
             f"(h(0),1) = {h_mean:.3e} too small to define the initial kernel value",
@@ -268,7 +264,7 @@ def reconstruct(
         def on_step(i: int, residual: float) -> None:
             trace(i, stepper.nodes[i], kernel_values[i], denominators[i - 1], residual)
 
-    states, measured, residuals = _march(stepper, kernel_values, update, on_step)
+    states, _, residuals = _march(stepper, kernel_values, update, on_step)
     diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
     return ReconstructionResult(
         kernel=KernelSeries(timegrid, kernel_values),
@@ -276,7 +272,6 @@ def reconstruct(
         diagnostics=diagnostics,
         denominators=denominators,
         compat_residuals=residuals,
-        measured=measured,
         derivative_source=measurement.provenance,
         threshold=threshold,
         config={

@@ -14,7 +14,7 @@ import pytest
 
 from kernrec import expr
 from kernrec.errors import ExprError
-from kernrec.forward import KernelSeries, measurement_from_run, run_forward
+from kernrec.forward import KernelSeries, run_forward
 from kernrec.grid import SpatialGrid, stiffness_diagonal, stiffness_matvec
 from kernrec.harness import ExperimentConfig, convergence_study, run_cli
 from kernrec.inverse import reconstruct
@@ -55,8 +55,8 @@ def roundtrip_run():
     grid = spec.make_grid(100)
     start = time.perf_counter()
     kernel_in = KernelSeries.from_expression(spec.kernel_exact, tg)
-    fwd = run_forward(spec, grid, tg, kernel_in)
-    series = measurement_from_run(spec, grid, tg, fwd, derivative="discrete")
+    fwd = run_forward(spec, grid, tg, kernel_in, derivative="discrete")
+    series = fwd.measurement
     result = reconstruct(spec, grid, tg, series)
     duration = time.perf_counter() - start
     return _TimedRun(duration, (kernel_in, fwd, result))

@@ -7,8 +7,6 @@ from kernrec.forward import (
     KernelSeries,
     TimeStepper,
     _convolution_values,
-    generate_measurement,
-    measurement_from_run,
     run_forward,
 )
 from kernrec.grid import SpatialGrid
@@ -191,7 +189,8 @@ class TestGenerateMeasurement:
         errs = {}
         for n, cells in ((100, 100), (200, 200)):
             tg = TimeGrid(1.0, n)
-            series = generate_measurement(spec, spec.make_grid(cells), tg, derivative="discrete")
+            run = run_forward(spec, spec.make_grid(cells), tg, derivative="discrete")
+            series = run.measurement
             errs[n] = np.abs(series.values - (1.0 + tg.nodes)).max()
         assert errs[100] < 5e-3
         assert errs[100] / errs[200] > 1.5  # first-order decay
@@ -199,15 +198,15 @@ class TestGenerateMeasurement:
     def test_zero_data_gives_zero_exactly(self):
         spec = _spec()
         tg = TimeGrid(1.0, 30)
-        series = generate_measurement(
-            spec, spec.make_grid(10), tg, kernel=expr.parse("0"), derivative="discrete"
-        )
+        kernel = KernelSeries.from_expression(expr.parse("0"), tg)
+        run = run_forward(spec, spec.make_grid(10), tg, kernel, derivative="discrete")
+        series = run.measurement
         assert np.all(series.values == 0.0)
 
     def test_analytic_derivative_source(self):
         spec = preset_manufactured_1d()
         tg = TimeGrid(1.0, 20)
-        series = generate_measurement(spec, spec.make_grid(20), tg, derivative="analytic")
+        series = run_forward(spec, spec.make_grid(20), tg, derivative="analytic").measurement
         assert series.provenance == "analytic"
         np.testing.assert_allclose(series.derivatives, 1.0)
         assert series.initial_derivative == 1.0
@@ -218,8 +217,7 @@ class TestGenerateMeasurement:
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(20)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-        run = run_forward(spec, grid, tg, kernel)
-        series = measurement_from_run(spec, grid, tg, run, derivative="discrete")
+        series = run_forward(spec, grid, tg, kernel, derivative="discrete").measurement
         assert series.provenance == "discrete-difference"
         # (f_0,1) - (g_0,1) - K_0 (h_0,1) with f three equals 2 - 0 - 1 here
         assert abs(series.initial_derivative - 1.0) < 1e-12
@@ -227,14 +225,41 @@ class TestGenerateMeasurement:
     def test_restriction_requires_divisible_counts(self):
         spec = preset_manufactured_1d()
         tg = TimeGrid(1.0, 100)
-        series = generate_measurement(spec, spec.make_grid(20), tg, derivative="discrete")
+        series = run_forward(spec, spec.make_grid(20), tg, derivative="discrete").measurement
         with pytest.raises(ValidationError):
             series.restrict(TimeGrid(1.0, 33))
 
     def test_requires_a_kernel(self):
         spec = _spec()
         with pytest.raises(ValidationError):
-            generate_measurement(spec, spec.make_grid(4), TimeGrid(1.0, 4))
+            run_forward(spec, spec.make_grid(4), TimeGrid(1.0, 4))
+
+    @pytest.mark.parametrize("derivative", ["analytic", "discrete"])
+    def test_builds_one_stepper(self, monkeypatch, derivative):
+        # the t = 0 identity of the discrete m'(0) reuses the run's stepper
+        built = []
+        init = TimeStepper.__init__
+
+        def spy(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(TimeStepper, "__init__", spy)
+        spec = preset_manufactured_1d()
+        run = run_forward(spec, spec.make_grid(20), TimeGrid(1.0, 20), derivative=derivative)
+        assert len(built) == 1
+        expected = "analytic" if derivative == "analytic" else "discrete-difference"
+        assert run.measurement.provenance == expected
+
+    def test_discrete_initial_derivative_is_the_identity(self):
+        spec = _spec(f="1 + x*u", h="2 + cos(pi*x)", g="x", u0="1 + x^2",
+                     kernel_exact="exp(-t)")
+        tg = TimeGrid(1.0, 10)
+        grid = spec.make_grid(12)
+        run = run_forward(spec, grid, tg, derivative="discrete")
+        f_mean, g_mean, h_mean = TimeStepper(spec, grid, tg).initial_means()
+        expected = f_mean - g_mean - run.kernel.values[0] * h_mean
+        assert run.measurement.initial_derivative == expected
 
 
 class TestTwoDimensional:

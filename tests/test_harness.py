@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,20 @@ class TestNoiseSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags,experiment", [(["--seed", "-1"], ""), ([], "seed = -3\n")], ids=["cli", "config"]
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, flags, experiment):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
+            encoding="utf-8",
+        )
+        code = run_cli(["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "10",
+                        "--noise", "1e-3", *flags])
+        assert code == 1
+        assert "usage error: --seed" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_mode_mismatch(self, tmp_path):
@@ -563,6 +578,45 @@ class TestConfigHandling:
         assert "usage error: [kernel] cannot parse expression" in proc.stderr
         assert "'2e308' is out of range (byte offset 0)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "mode,flags,discretization",
+        [("reconstruct", ["--n", "0"], ""),
+         ("reconstruct", ["--n", "-5"], ""),
+         ("convergence", ["--n", "0,10"], ""),
+         ("reconstruct", [], "n = 0\n")],
+        ids=["cli-zero", "cli-negative", "convergence-list", "config-zero"],
+    )
+    def test_non_positive_n_is_usage_error(self, tmp_path, capsys, mode, flags, discretization):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"[problem]\npreset = manufactured1d\n\n[discretization]\n{discretization}",
+            encoding="utf-8",
+        )
+        code = run_cli([mode, "--config", str(cfg), "--mx", "10", *flags])
+        assert code == 1
+        assert "usage error: --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode,flags",
+        [("forward", []), ("roundtrip", []), ("convergence", []),
+         ("noise-sweep", ["--noise", "1e-3", "--seed", "1"])],
+    )
+    def test_mode_without_exact_kernel_is_usage_error(self, tmp_path, capsys, mode, flags):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(MANUFACTURED_CONFIG, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code = run_cli([mode, "--config", str(cfg), "--n", "10", "--mx", "10",
+                        "--out", str(out), *flags])
+        assert code == 1
+        assert f"usage error: {mode} mode needs an exact kernel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_is_validated_on_construction(self):
+        # convergence_study and the mode runners rely on a validated config
+        spec = replace(preset_contaminant(), kernel_exact=None)
+        with pytest.raises(errors.UsageError, match="needs an exact kernel"):
+            harness.ExperimentConfig(mode="convergence", spec=spec, n_list=[10, 20], mx=10)
 
     def test_force_from_config(self, tmp_path):
         cfg = tmp_path / "p.cfg"

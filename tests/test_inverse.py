@@ -3,7 +3,7 @@ import pytest
 
 from kernrec import expr
 from kernrec.errors import SingularUpdateError, StepThresholdError, ValidationError
-from kernrec.forward import KernelSeries, measurement_from_run, run_forward
+from kernrec.forward import KernelSeries, run_forward
 from kernrec.grid import stiffness_matvec
 from kernrec.inverse import (
     DIAGNOSTICS_BLOCK_VALUES,
@@ -189,8 +189,8 @@ class TestReconstruct:
         tg = TimeGrid(1.0, 60)
         grid = spec.make_grid(60)
         kernel_in = KernelSeries.from_expression(spec.kernel_exact, tg)
-        fwd = run_forward(spec, grid, tg, kernel_in)
-        series = measurement_from_run(spec, grid, tg, fwd, derivative="discrete")
+        fwd = run_forward(spec, grid, tg, kernel_in, derivative="discrete")
+        series = fwd.measurement
         result = reconstruct(spec, grid, tg, series)
         assert np.abs(result.kernel.values - kernel_in.values).max() <= 1e-8
         assert np.abs(result.trajectory.values - fwd.trajectory.values).max() <= 1e-8
@@ -205,8 +205,8 @@ class TestReconstruct:
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(10, 10)
         kernel_in = KernelSeries.from_expression(spec.kernel_exact, tg)
-        fwd = run_forward(spec, grid, tg, kernel_in)
-        series = measurement_from_run(spec, grid, tg, fwd, derivative="discrete")
+        fwd = run_forward(spec, grid, tg, kernel_in, derivative="discrete")
+        series = fwd.measurement
         result = reconstruct(spec, grid, tg, series)
         assert np.abs(result.kernel.values - kernel_in.values).max() <= 1e-8
         assert np.abs(result.trajectory.values - fwd.trajectory.values).max() <= 1e-8
@@ -300,8 +300,8 @@ class TestReconstruct:
         tg = TimeGrid(1.0, 50)
         grid = spec.make_grid(50)
         kernel_in = KernelSeries.from_expression(spec.kernel_exact, tg)
-        fwd = run_forward(spec, grid, tg, kernel_in)
-        series = measurement_from_run(spec, grid, tg, fwd, derivative="discrete")
+        fwd = run_forward(spec, grid, tg, kernel_in, derivative="discrete")
+        series = fwd.measurement
         plus = reconstruct(spec, grid, tg, series)
         minus = reconstruct(spec, grid, tg, series, denominator_sign=-1.0)
         assert np.abs(plus.kernel.values - kernel_in.values).max() <= 1e-8

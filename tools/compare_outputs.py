@@ -40,7 +40,15 @@ COMMANDS = {
     "roundtrip-contaminant": ["roundtrip", *CT, "--n", "100", "--mx", "50"],
     "convergence-manufactured1d": ["convergence", *M1, "--n", "50,100,200", "--mx", "50"],
     "convergence-contaminant": ["convergence", *CT, "--n", "50,100,200", "--mx", "50"],
+    "reconstruct-contaminant-same-grid": [
+        "reconstruct", *CT, "--n", "200", "--mx", "50", "--fine-factor", "1",
+    ],
     "forward-contaminant": ["forward", *CT, "--n", "200", "--mx", "50"],
+    "forward-manufactured1d": ["forward", *M1, "--n", "200", "--mx", "50"],
+    "forward-manufactured1d-discrete": [
+        "forward", *M1, "--n", "200", "--mx", "50", "--derivative", "discrete",
+    ],
+    "forward-2d": ["forward", "--config", CONFIG_2D, "--n", "20", "--mx", "24"],
     "noise-sweep-manufactured1d": [
         "noise-sweep", *M1, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
     ],
