@@ -24,18 +24,22 @@ through the run's own ``TimeStepper.initial_means`` (the same means
 ``inverse.reconstruct`` uses for K_0).
 
 ``run_forward`` and ``inverse.reconstruct`` share one stepping loop,
-``_march``: per step it evaluates f_{i-1}, h_i and g_i and their means
-once, lets the reconstruction read K_i off those means, forms conv_i
-once (it includes K_i), and feeds the same values to the load and to
-the identity residual.  f, and h and g when they depend on t, are
-compiled once per run with the node coordinates bound
-(``expr.compile``).
+``_march``, and each step does only the work that varies with the step.
+Once per run, in ``TimeStepper.__init__``: f is compiled with the node
+coordinates bound (``expr.compile``), and so are h and g when they
+depend on t; a time-independent h or g is interpolated to one nodal
+array, and its mean, (h,1) or (g,1)_Gamma, and the boundary load
+``bweights * g`` are formed there too.  Once per step: f_{i-1} and
+(f_{i-1},1), a t-dependent h_i or g_i and its mean, K_i (read off those
+means by the reconstruction), conv_i (formed after K_i, which it
+includes), the elliptic solve and M_i = (u_i,1).  The same values feed
+the load and the identity residual.
 
 The states are stored newest-first: the loop allocates its
 (n+1, *grid.shape) buffer and works on the reversed view, so
 ``states[i]`` is u_i while step i's history u_{i-1}, ..., u_0 is the
-contiguous slice ``states[i-1::-1]``.  ``np.tensordot`` takes that
-block as it is instead of copying i x N values every step, and the
+contiguous slice ``states[i-1::-1]``.  One matrix-vector product takes
+that block as it is instead of copying i x N values every step, and the
 trajectory the loop returns is the same view, in forward order.
 
 The elliptic system ((1/tau) W + A) u_i = b is solved directly, in 1D
@@ -109,7 +113,9 @@ def _convolution_values(
     """Rectangle-rule memory term sum_{k=1..i} K_k u_{i-k} tau at step i."""
     # pairs (K_1, u_{i-1}) ... (K_i, u_0); contiguous for newest-first storage
     history = state_values[i - 1 :: -1]
-    return np.tensordot(kernel_values[1 : i + 1], history, axes=([0], [0])) * tau
+    # the gemv that np.tensordot makes, without its per-call shape handling
+    conv = kernel_values[1 : i + 1] @ history.reshape(i, -1) * tau
+    return conv.reshape(history.shape[1:])
 
 
 class TimeStepper:
@@ -119,6 +125,7 @@ class TimeStepper:
         self.grid = grid
         self.timegrid = timegrid
         self.nodes = timegrid.nodes  # TimeGrid.nodes builds a new array per access
+        self.tau = timegrid.tau
         self.weights = grid.weights
         self.bweights = grid.boundary_weights
         self._solver = SpectralSolver(grid, timegrid.tau)
@@ -130,6 +137,14 @@ class TimeStepper:
         self._h = self._field_source(spec.h, coords)
         self._g = self._field_source(spec.g, coords)
         self.u0 = interpolate(spec.u0, grid)
+        # a static h or g with its mean, and the boundary load of a static
+        # g, are formed here once instead of once per step
+        self._h_static = self._g_static = self._g_load = None
+        if isinstance(self._h, np.ndarray):
+            self._h_static = (self._h, self.mean(self._h))
+        if isinstance(self._g, np.ndarray):
+            self._g_static = (self._g, self.boundary_mean(self._g))
+            self._g_load = self.bweights * self._g
 
     def _field_source(self, tree: expr.Expression, coords) -> np.ndarray | expr.Compiled:
         """The nodal field of a time-independent tree, else the tree compiled."""
@@ -159,13 +174,29 @@ class TimeStepper:
             env["q"] = grads[1] if self.grid.ndim == 2 else 0.0
         return self._field(self._f, env)
 
+    def h_with_mean(self, t: float) -> tuple[np.ndarray, float]:
+        """h at time t and (h,1)."""
+        if self._h_static is not None:
+            return self._h_static
+        h = self.h_field(t)
+        return h, self.mean(h)
+
+    def g_with_mean(self, t: float) -> tuple[np.ndarray, float]:
+        """g at time t and (g,1)_Gamma."""
+        if self._g_static is not None:
+            return self._g_static
+        g = self.g_field(t)
+        return g, self.boundary_mean(g)
+
+    # np.add.reduce over all axes is np.sum's pairwise summation without
+    # its Python wrapper; np.dot would sum in a different order
     def mean(self, field: np.ndarray) -> float:
         """(field, 1) with the lumped quadrature."""
-        return float(np.sum(self.weights * field))
+        return float(np.add.reduce(self.weights * field, axis=None))
 
     def boundary_mean(self, field: np.ndarray) -> float:
         """(field, 1)_Gamma with the edge-trapezoid quadrature."""
-        return float(np.sum(self.bweights * field))
+        return float(np.add.reduce(self.bweights * field, axis=None))
 
     def initial_means(self) -> tuple[float, float, float]:
         """(f_0,1), (g_0,1)_Gamma and (h_0,1) of the identity at t = 0."""
@@ -185,9 +216,9 @@ class TimeStepper:
         g_i: np.ndarray,
     ) -> np.ndarray:
         """Solve for u_i given K_i, u_{i-1}, f_{i-1}, conv_i, h_i and g_i."""
-        load = f_prev + u_prev / self.timegrid.tau - k_i * h_i - conv
-        rhs = self.weights * load - self.bweights * g_i
-        return self._solver.solve(rhs)
+        load = f_prev + u_prev / self.tau - k_i * h_i - conv
+        boundary_load = self._g_load if g_i is self._g else self.bweights * g_i
+        return self._solver.solve(self.weights * load - boundary_load)
 
     def compat_residual(
         self,
@@ -205,7 +236,7 @@ class TimeStepper:
         (g_i,1)_Gamma, and ``conv`` is conv_i, all as the step used them.
         """
         terms = (
-            (measured[i] - measured[i - 1]) / self.timegrid.tau,
+            (measured[i] - measured[i - 1]) / self.tau,
             g_mean,
             k_i * h_mean,
             self.mean(conv),
@@ -239,36 +270,38 @@ def _march(
     K_i before step i and the loop stores it in ``kernel_values``.
     ``on_step(i, residual)`` runs after each step.
     """
-    timegrid = stepper.timegrid
-    n = timegrid.n
-    tau = timegrid.tau
+    n = stepper.timegrid.n
+    tau = stepper.tau
+    nodes = stepper.nodes
     # newest-first storage (see the module docstring)
     states = np.empty((n + 1, *stepper.grid.shape))[::-1]
     states[0] = stepper.u0
+    u_prev = states[0]
+    t_prev = nodes[0]
     measured = np.empty(n + 1)
-    measured[0] = stepper.mean(states[0])
+    measured[0] = stepper.mean(u_prev)
     residuals = np.empty(n)
     for i in range(1, n + 1):
-        u_prev = states[i - 1]
-        f_prev = stepper.f_field(stepper.nodes[i - 1], u_prev)
+        t_i = nodes[i]
+        f_prev = stepper.f_field(t_prev, u_prev)
         f_mean = stepper.mean(f_prev)
-        h_i = stepper.h_field(stepper.nodes[i])
-        g_i = stepper.g_field(stepper.nodes[i])
-        h_mean = stepper.mean(h_i)
-        g_mean = stepper.boundary_mean(g_i)
+        h_i, h_mean = stepper.h_with_mean(t_i)
+        g_i, g_mean = stepper.g_with_mean(t_i)
         if kernel_update is not None:
             kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
+        k_i = kernel_values[i]
         # conv_i includes K_i, so it is formed after the update
         conv = _convolution_values(kernel_values, states, i, tau)
-        states[i] = stepper.step(kernel_values[i], u_prev, f_prev, conv, h_i, g_i)
-        if not np.all(np.isfinite(states[i])):
+        states[i] = stepper.step(k_i, u_prev, f_prev, conv, h_i, g_i)
+        u_prev = states[i]
+        t_prev = t_i
+        if not np.isfinite(u_prev).all():
             raise NonFiniteError("state is not finite", step=i)
-        measured[i] = stepper.mean(states[i])
-        residuals[i - 1] = stepper.compat_residual(
-            i, kernel_values[i], f_mean, h_mean, g_mean, conv, measured
-        )
+        measured[i] = stepper.mean(u_prev)
+        residual = stepper.compat_residual(i, k_i, f_mean, h_mean, g_mean, conv, measured)
+        residuals[i - 1] = residual
         if on_step is not None:
-            on_step(i, residuals[i - 1])
+            on_step(i, residual)
     return states, measured, residuals
 
 
@@ -289,6 +322,10 @@ def run_forward(
     Restriction onto a coarser time grid is the measurement's
     ``restrict``.
     """
+    if derivative not in ("analytic", "discrete"):
+        raise ValidationError(
+            f"derivative must be 'analytic' or 'discrete', got {derivative!r}"
+        )
     if kernel is None:
         if spec.kernel_exact is None:
             raise ValidationError("no kernel available to generate data")

@@ -407,29 +407,34 @@ def kernel_errors(
 # -- CSV / JSON emission ----------------------------------------------
 
 
+# The per-row writers format .tolist() columns with the same .17g spec as
+# _fmt: np.float64 subclasses float, so the text is the same.
+
+
 def kernel_csv_text(nodes: np.ndarray, k_rec: np.ndarray, k_ref: np.ndarray | None) -> str:
-    lines = [KERNEL_CSV_HEADER]
-    for i, t in enumerate(nodes):
-        if k_ref is None:
-            lines.append(f"{_fmt(t)},{_fmt(k_rec[i])},,")
-        else:
-            err = abs(k_rec[i] - k_ref[i])
-            lines.append(f"{_fmt(t)},{_fmt(k_rec[i])},{_fmt(k_ref[i])},{_fmt(err)}")
-    return "\n".join(lines) + "\n"
+    t, k = nodes.tolist(), k_rec.tolist()
+    if k_ref is None:
+        rows = [f"{a:.17g},{b:.17g},," for a, b in zip(t, k)]
+    else:
+        err = np.abs(k_rec - k_ref).tolist()
+        rows = [
+            f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}"
+            for a, b, c, d in zip(t, k, k_ref.tolist(), err)
+        ]
+    return "\n".join([KERNEL_CSV_HEADER, *rows]) + "\n"
 
 
 def measurement_csv_text(series: MeasurementSeries) -> str:
-    lines = [MEASUREMENT_CSV_HEADER]
-    nodes = series.timegrid.nodes
+    t, m = series.timegrid.nodes.tolist(), series.values.tolist()
     first_deriv = (
         _fmt(series.initial_derivative) if series.initial_derivative is not None else ""
     )
-    lines.append(f"{_fmt(nodes[0])},{_fmt(series.values[0])},{first_deriv}")
-    for i in range(1, series.timegrid.n + 1):
-        lines.append(
-            f"{_fmt(nodes[i])},{_fmt(series.values[i])},{_fmt(series.derivative_at(i))}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [f"{t[0]:.17g},{m[0]:.17g},{first_deriv}"]
+    rows += [
+        f"{a:.17g},{b:.17g},{c:.17g}"
+        for a, b, c in zip(t[1:], m[1:], series.derivatives.tolist())
+    ]
+    return "\n".join([MEASUREMENT_CSV_HEADER, *rows]) + "\n"
 
 
 def table_csv_text(rows: list[dict]) -> str:

@@ -30,6 +30,7 @@ finished trajectory after the loop, in row blocks of fixed size.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -240,12 +241,14 @@ def reconstruct(
             )
 
     m = measurement.values
+    mprime = measurement.derivatives.tolist()  # m'_1..m'_n
+    m0_term = denominator_sign * measurement.m0 * tau
     denominators = np.empty(n)
 
     def update(i: int, f_mean: float, h_mean: float, g_mean: float) -> float:
         history = float(np.dot(kernel_values[1:i], m[i - 1 : 0 : -1])) * tau
-        numerator = f_mean - measurement.derivative_at(i) - g_mean - history
-        denominator = h_mean + denominator_sign * measurement.m0 * tau
+        numerator = f_mean - mprime[i - 1] - g_mean - history
+        denominator = h_mean + m0_term
         if abs(denominator) < DENOMINATOR_GUARD:
             raise SingularUpdateError(
                 f"kernel-update denominator {denominator:.3e} below "
@@ -253,7 +256,7 @@ def reconstruct(
                 step=i,
             )
         k_i = numerator / denominator
-        if not np.isfinite(k_i):
+        if not math.isfinite(k_i):
             raise NonFiniteError("kernel value is not finite", step=i)
         denominators[i - 1] = denominator
         return k_i

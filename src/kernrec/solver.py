@@ -67,7 +67,7 @@ class SpectralSolver:
         # np.fft loads on first use; importing numpy.fft at module level
         # would add its import time to every start-up
         for axis, index in enumerate(self._extension):
-            v = np.fft.rfft(np.take(v, index, axis=axis), axis=axis).real
+            v = np.fft.rfft(v.take(index, axis=axis), axis=axis).real
         return v
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

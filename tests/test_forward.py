@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,11 @@ def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, **extra):
         f=expr.parse(f), h=expr.parse(h), g=expr.parse(g), u0=expr.parse(u0),
         **{k: (expr.parse(v) if isinstance(v, str) else v) for k, v in extra.items()},
     )
+
+
+def _manufactured_time_dependent():
+    """manufactured1d with h and g that depend on t."""
+    return replace(preset_manufactured_1d(), h=expr.parse("1 + t"), g=expr.parse("t*x"))
 
 
 def _history(grid, timegrid, arrays):
@@ -54,6 +61,35 @@ class TestConvolutionQuadrature:
         np.testing.assert_allclose(out, 0.0, atol=1e-16)
 
 
+class TestFastPathsAreBitIdentical:
+    """The per-step reductions and the convolution equal their plain numpy forms."""
+
+    @pytest.mark.parametrize("extents, cells", [((1.0,), (50,)), ((1.0, 2.0), (37, 23))])
+    def test_means_equal_np_sum(self, extents, cells):
+        spec = ProblemSpec(
+            name="inline", extents=extents, T=1.0, omega_floor=1.0,
+            f=expr.parse("0"), h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("0"),
+        )
+        grid = spec.make_grid(*cells)
+        stepper = TimeStepper(spec, grid, TimeGrid(1.0, 4))
+        field = np.random.default_rng(3).standard_normal(grid.shape) * 1e3
+        assert stepper.mean(field) == float(np.sum(grid.weights * field))
+        assert stepper.boundary_mean(field) == float(np.sum(grid.boundary_weights * field))
+
+    @pytest.mark.parametrize("shape", [(51,), (8001,), (17, 12)])
+    def test_convolution_equals_tensordot(self, shape):
+        rng = np.random.default_rng(5)
+        n, tau = 30, 0.01
+        kernel = rng.standard_normal(n + 1)
+        states = rng.standard_normal((n + 1, *shape))[::-1]  # newest-first, as in _march
+        for i in (1, 2, 9, n):
+            history = states[i - 1 :: -1]
+            expected = np.tensordot(kernel[1 : i + 1], history, axes=([0], [0])) * tau
+            out = _convolution_values(kernel, states, i, tau)
+            assert out.shape == shape
+            np.testing.assert_array_equal(out, expected)
+
+
 class TestForwardStep:
     def test_constants_are_steady_states(self):
         spec = _spec(u0="5")
@@ -64,7 +100,13 @@ class TestForwardStep:
         np.testing.assert_allclose(run.trajectory.values, 5.0, atol=1e-12)
 
     def test_single_step_matches_run(self):
-        spec = preset_manufactured_1d()
+        self._check_single_step(preset_manufactured_1d())
+
+    def test_single_step_matches_run_time_dependent(self):
+        self._check_single_step(_manufactured_time_dependent())
+
+    @staticmethod
+    def _check_single_step(spec):
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(20)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
@@ -143,7 +185,11 @@ class TestForwardStep:
 
 
 class TestOncePerStep:
-    """f_{i-1}, h_i, g_i and conv_i are computed once per step and shared."""
+    """f_{i-1}, h_i, g_i and conv_i are computed once per step and shared.
+
+    A static h or g is formed once per run, in ``TimeStepper.__init__``,
+    without going through ``h_field``/``g_field``.
+    """
 
     @staticmethod
     def _spy(monkeypatch):
@@ -163,22 +209,41 @@ class TestOncePerStep:
         )
         return calls
 
-    def test_run_forward(self, monkeypatch):
-        spec = preset_manufactured_1d()
-        n = 20
+    def _forward_calls(self, monkeypatch, spec, n):
         tg = TimeGrid(1.0, n)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
         calls = self._spy(monkeypatch)
         run_forward(spec, spec.make_grid(20), tg, kernel)
-        assert calls == {"f_field": n, "h_field": n, "g_field": n, "conv": n}
+        return calls
+
+    def _reconstruct_calls(self, monkeypatch, spec, n):
+        tg = TimeGrid(1.0, n)
+        grid = spec.make_grid(20)
+        series = run_forward(spec, grid, tg, derivative="discrete").measurement
+        calls = self._spy(monkeypatch)
+        reconstruct(spec, grid, tg, series)
+        return calls
+
+    def test_run_forward(self, monkeypatch):
+        n = 20
+        calls = self._forward_calls(monkeypatch, preset_manufactured_1d(), n)
+        # static h and g: formed in TimeStepper.__init__, not per step
+        assert calls == {"f_field": n, "h_field": 0, "g_field": 0, "conv": n}
 
     def test_reconstruct(self, monkeypatch):
-        spec = preset_manufactured_1d()
         n = 20
-        tg = TimeGrid(1.0, n)
-        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
-        calls = self._spy(monkeypatch)
-        reconstruct(spec, spec.make_grid(20), tg, series)
+        calls = self._reconstruct_calls(monkeypatch, preset_manufactured_1d(), n)
+        # one more f, and the only h and g, for K_0
+        assert calls == {"f_field": n + 1, "h_field": 1, "g_field": 1, "conv": n}
+
+    def test_run_forward_time_dependent(self, monkeypatch):
+        n = 20
+        calls = self._forward_calls(monkeypatch, _manufactured_time_dependent(), n)
+        assert calls == {"f_field": n, "h_field": n, "g_field": n, "conv": n}
+
+    def test_reconstruct_time_dependent(self, monkeypatch):
+        n = 20
+        calls = self._reconstruct_calls(monkeypatch, _manufactured_time_dependent(), n)
         # one more f, h and g for K_0
         assert calls == {"f_field": n + 1, "h_field": n + 1, "g_field": n + 1, "conv": n}
 
@@ -228,6 +293,12 @@ class TestGenerateMeasurement:
         series = run_forward(spec, spec.make_grid(20), tg, derivative="discrete").measurement
         with pytest.raises(ValidationError):
             series.restrict(TimeGrid(1.0, 33))
+
+    def test_unknown_derivative_rejected(self):
+        spec = preset_manufactured_1d()
+        tg = TimeGrid(1.0, 10)
+        with pytest.raises(ValidationError, match="analytc"):
+            run_forward(spec, spec.make_grid(10), tg, derivative="analytc")
 
     def test_requires_a_kernel(self):
         spec = _spec()

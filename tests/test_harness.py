@@ -21,7 +21,7 @@ from kernrec.harness import (
     run_cli,
     table_csv_text,
 )
-from kernrec.problem import preset_contaminant
+from kernrec.problem import MeasurementSeries, TimeGrid, preset_contaminant
 
 THRESHOLD_CONFIG = """
 [problem]
@@ -641,6 +641,46 @@ def test_table_csv_renders_dash_for_zero_errors():
     line = text.strip().split("\n")[1]
     assert line.endswith(EOC_UNDEFINED)
     assert line.split(",")[4] == ""
+
+
+def _row_by_row_kernel_csv(nodes, k_rec, k_ref):
+    # the per-element _fmt writer that kernel_csv_text replaced
+    fmt = harness._fmt
+    lines = [KERNEL_CSV_HEADER]
+    for i, t in enumerate(nodes):
+        if k_ref is None:
+            lines.append(f"{fmt(t)},{fmt(k_rec[i])},,")
+        else:
+            err = abs(k_rec[i] - k_ref[i])
+            lines.append(f"{fmt(t)},{fmt(k_rec[i])},{fmt(k_ref[i])},{fmt(err)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_ref", [True, False])
+def test_kernel_csv_equals_row_by_row_formatting(with_ref):
+    rng = np.random.default_rng(11)
+    nodes = np.linspace(0.0, 1.0, 201)
+    k_rec = np.exp(-nodes) + rng.standard_normal(nodes.size) * 1e-5
+    k_rec[3] = 0.0
+    k_rec[4] = -1e-300
+    k_ref = np.exp(-nodes) if with_ref else None
+    assert harness.kernel_csv_text(nodes, k_rec, k_ref) == _row_by_row_kernel_csv(
+        nodes, k_rec, k_ref
+    )
+
+
+@pytest.mark.parametrize("initial", [0.25, None])
+def test_measurement_csv_equals_row_by_row_formatting(initial):
+    tg = TimeGrid(1.0, 100)
+    values = 1.0 + tg.nodes + np.random.default_rng(12).standard_normal(101) * 1e-6
+    series = MeasurementSeries.from_samples(tg, values, initial)
+    fmt = harness._fmt
+    nodes = tg.nodes
+    first = fmt(initial) if initial is not None else ""
+    lines = [MEASUREMENT_CSV_HEADER, f"{fmt(nodes[0])},{fmt(values[0])},{first}"]
+    for i in range(1, 101):
+        lines.append(f"{fmt(nodes[i])},{fmt(values[i])},{fmt(series.derivative_at(i))}")
+    assert harness.measurement_csv_text(series) == "\n".join(lines) + "\n"
 
 
 # every exception class of kernrec.errors, plus OSError, and its exit code

@@ -3,8 +3,9 @@
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
 Runs a fixed set of ``kernrec`` commands (reconstruct, roundtrip,
-convergence, forward and noise-sweep on the presets and on the
-benchmark's 2D config) with each tree's ``src/`` on ``PYTHONPATH``.
+convergence, forward and noise-sweep on the presets, on the
+benchmark's 2D config and on a 1D config whose h and g depend on t)
+with each tree's ``src/`` on ``PYTHONPATH``.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report equal once its
 ``timings`` are dropped.  Prints one line per command and exits 0 when
@@ -25,6 +26,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import CONFIG_2D, MANUFACTURED_2D  # noqa: E402  the benchmark's 2D config
+
+# every preset and the 2D config have a static h and g; this one takes
+# the per-step h and g branch of the stepping loop
+TIME_DEPENDENT_1D = """\
+[problem]
+name = "timedependent1d"
+f = "u*exp(-t) + cos(pi*x)"
+h = "1 + t"
+g = "t*x"
+u0 = "1 + cos(pi*x)"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+"""
+CONFIG_T1D = "timedependent1d.ini"
 
 M1 = ["--preset", "manufactured1d"]
 CT = ["--preset", "contaminant"]
@@ -49,6 +66,10 @@ COMMANDS = {
         "forward", *M1, "--n", "200", "--mx", "50", "--derivative", "discrete",
     ],
     "forward-2d": ["forward", "--config", CONFIG_2D, "--n", "20", "--mx", "24"],
+    "forward-time-dependent-1d": ["forward", "--config", CONFIG_T1D, "--n", "100", "--mx", "50"],
+    "roundtrip-time-dependent-1d": [
+        "roundtrip", "--config", CONFIG_T1D, "--n", "100", "--mx", "50",
+    ],
     "noise-sweep-manufactured1d": [
         "noise-sweep", *M1, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
     ],
@@ -62,6 +83,7 @@ def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
     """Run every command with ``tree``'s sources; outputs go to work/NAME.*"""
     work.mkdir(parents=True)
     (work / CONFIG_2D).write_text(MANUFACTURED_2D, encoding="utf-8")
+    (work / CONFIG_T1D).write_text(TIME_DEPENDENT_1D, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = {}
