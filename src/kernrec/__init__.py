@@ -12,7 +12,7 @@ problem for u_i.
 """
 
 from .errors import KernrecError
-from .forward import ForwardRun, KernelSeries, Trajectory, run_forward
+from .forward import ForwardRun, KernelSeries, run_forward
 from .grid import SpatialGrid, nodal_gradient
 from .inverse import (
     Diagnostics,
@@ -43,7 +43,6 @@ __all__ = [
     "ReconstructionResult",
     "SpatialGrid",
     "TimeGrid",
-    "Trajectory",
     "check_step_threshold",
     "kernel_difference_energy",
     "make_preset",

@@ -26,21 +26,24 @@ through the run's own ``TimeStepper.initial_means`` (the same means
 ``run_forward`` and ``inverse.reconstruct`` share one stepping loop,
 ``_march``, and each step does only the work that varies with the step.
 Once per run, in ``TimeStepper.__init__``: f is compiled with the node
-coordinates bound (``expr.compile``), and so are h and g when they
-depend on t; a time-independent h or g is interpolated to one nodal
-array, and its mean, (h,1) or (g,1)_Gamma, and the boundary load
-``bweights * g`` are formed there too.  Once per step: f_{i-1} and
-(f_{i-1},1), a t-dependent h_i or g_i and its mean, K_i (read off those
-means by the reconstruction), conv_i (formed after K_i, which it
-includes), the elliptic solve and M_i = (u_i,1).  The same values feed
-the load and the identity residual.
+coordinates bound (``expr.compile``), and so is h or g when it depends
+on t.  The stepper serves h and g as coefficient pairs,
+``h_at(t) = (h(t), (h(t),1))`` and ``g_at(t) = (w_Gamma g(t),
+(g(t),1)_Gamma)``, where w_Gamma g is the boundary load and
+(g,1)_Gamma the sum of that same product.  A pair of a tree without t
+is formed once, in ``__init__``; otherwise each call evaluates the
+compiled tree and forms the pair.  Once per step: f_{i-1} and
+(f_{i-1},1), the pairs of h_i and g_i, K_i (read off those means by the
+reconstruction), conv_i (formed after K_i, which it includes), the
+elliptic solve and M_i = (u_i,1).  The same values feed the load and
+the identity residual.
 
 The states are stored newest-first: the loop allocates its
 (n+1, *grid.shape) buffer and works on the reversed view, so
 ``states[i]`` is u_i while step i's history u_{i-1}, ..., u_0 is the
 contiguous slice ``states[i-1::-1]``.  One matrix-vector product takes
 that block as it is instead of copying i x N values every step, and the
-trajectory the loop returns is the same view, in forward order.
+states the loop returns are the same view, in forward order.
 
 The elliptic system ((1/tau) W + A) u_i = b is solved directly, in 1D
 and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
@@ -85,26 +88,23 @@ class KernelSeries:
         return cls(timegrid, values)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States u_0..u_n; u_0 is the interpolated initial expression."""
-
-    grid: SpatialGrid
-    timegrid: TimeGrid
-    values: np.ndarray  # shape (n+1, *grid.shape)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        expected = (self.timegrid.n + 1, *self.grid.shape)
-        if values.shape != expected:
-            raise ValidationError(f"trajectory shape {values.shape} != {expected}")
-        object.__setattr__(self, "values", values)
-
-
 def interpolate(tree: expr.Expression, grid: SpatialGrid) -> np.ndarray:
     """Evaluate a time-independent expression at the grid nodes."""
     out = np.asarray(expr.evaluate(tree, grid.coordinate_fields()), dtype=float)
     return np.broadcast_to(out, grid.shape).copy()
+
+
+# a coefficient at one time: (h, (h,1)) or (w_Gamma g, (g,1)_Gamma)
+Pair = tuple[np.ndarray, float]
+
+
+def _summed(values: np.ndarray) -> Pair:
+    """``values`` and their sum.
+
+    np.add.reduce over all axes is np.sum's pairwise summation without
+    its Python wrapper; np.dot would sum in a different order.
+    """
+    return values, float(np.add.reduce(values, axis=None))
 
 
 def _convolution_values(
@@ -134,37 +134,25 @@ class TimeStepper:
         coords = grid.coordinate_fields()
         self._f = expr.compile(spec.f, coords)
         self._f_grad = not self._f.free.isdisjoint({"p", "q"})
-        self._h = self._field_source(spec.h, coords)
-        self._g = self._field_source(spec.g, coords)
         self.u0 = interpolate(spec.u0, grid)
-        # a static h or g with its mean, and the boundary load of a static
-        # g, are formed here once instead of once per step
-        self._h_static = self._g_static = self._g_load = None
-        if isinstance(self._h, np.ndarray):
-            self._h_static = (self._h, self.mean(self._h))
-        if isinstance(self._g, np.ndarray):
-            self._g_static = (self._g, self.boundary_mean(self._g))
-            self._g_load = self.bweights * self._g
+        self.h_at = self._coefficient(spec.h, coords, lambda h: (h, self.mean(h)))
+        self.g_at = self._coefficient(spec.g, coords, lambda g: _summed(self.bweights * g))
 
-    def _field_source(self, tree: expr.Expression, coords) -> np.ndarray | expr.Compiled:
-        """The nodal field of a time-independent tree, else the tree compiled."""
-        if "t" in expr.variables(tree):
-            return expr.compile(tree, coords)
-        return interpolate(tree, self.grid)
+    def _coefficient(
+        self, tree: expr.Expression, coords, pair: Callable[[np.ndarray], Pair]
+    ) -> Callable[[float], Pair]:
+        """``t -> pair(field at t)``; formed here once for a tree without t."""
+        if "t" not in expr.variables(tree):
+            fixed = pair(interpolate(tree, self.grid))
+            return lambda t: fixed
+        compiled = expr.compile(tree, coords)
+        return lambda t: pair(self._evaluate(compiled, {"t": t}))
 
-    def _field(self, source: np.ndarray | expr.Compiled, env: dict[str, object]) -> np.ndarray:
-        if isinstance(source, np.ndarray):
-            return source
-        out = np.asarray(expr.evaluate(source, env), dtype=float)
+    def _evaluate(self, compiled: expr.Compiled, env: dict[str, object]) -> np.ndarray:
+        out = np.asarray(expr.evaluate(compiled, env), dtype=float)
         if out.shape == self.grid.shape:
             return out
         return np.broadcast_to(out, self.grid.shape)
-
-    def h_field(self, t: float) -> np.ndarray:
-        return self._field(self._h, {"t": t})
-
-    def g_field(self, t: float) -> np.ndarray:
-        return self._field(self._g, {"t": t})
 
     def f_field(self, t: float, u_values: np.ndarray) -> np.ndarray:
         env: dict[str, object] = {"t": t, "u": u_values}
@@ -172,38 +160,18 @@ class TimeStepper:
             grads = nodal_gradient(self.grid, u_values)
             env["p"] = grads[0]
             env["q"] = grads[1] if self.grid.ndim == 2 else 0.0
-        return self._field(self._f, env)
+        return self._evaluate(self._f, env)
 
-    def h_with_mean(self, t: float) -> tuple[np.ndarray, float]:
-        """h at time t and (h,1)."""
-        if self._h_static is not None:
-            return self._h_static
-        h = self.h_field(t)
-        return h, self.mean(h)
-
-    def g_with_mean(self, t: float) -> tuple[np.ndarray, float]:
-        """g at time t and (g,1)_Gamma."""
-        if self._g_static is not None:
-            return self._g_static
-        g = self.g_field(t)
-        return g, self.boundary_mean(g)
-
-    # np.add.reduce over all axes is np.sum's pairwise summation without
-    # its Python wrapper; np.dot would sum in a different order
     def mean(self, field: np.ndarray) -> float:
         """(field, 1) with the lumped quadrature."""
-        return float(np.add.reduce(self.weights * field, axis=None))
-
-    def boundary_mean(self, field: np.ndarray) -> float:
-        """(field, 1)_Gamma with the edge-trapezoid quadrature."""
-        return float(np.add.reduce(self.bweights * field, axis=None))
+        return _summed(self.weights * field)[1]
 
     def initial_means(self) -> tuple[float, float, float]:
         """(f_0,1), (g_0,1)_Gamma and (h_0,1) of the identity at t = 0."""
         return (
             self.mean(self.f_field(0.0, self.u0)),
-            self.boundary_mean(self.g_field(0.0)),
-            self.mean(self.h_field(0.0)),
+            self.g_at(0.0)[1],
+            self.h_at(0.0)[1],
         )
 
     def step(
@@ -213,12 +181,11 @@ class TimeStepper:
         f_prev: np.ndarray,
         conv: np.ndarray,
         h_i: np.ndarray,
-        g_i: np.ndarray,
+        g_load: np.ndarray,
     ) -> np.ndarray:
-        """Solve for u_i given K_i, u_{i-1}, f_{i-1}, conv_i, h_i and g_i."""
+        """Solve for u_i given K_i, u_{i-1}, f_{i-1}, conv_i, h_i and w_Gamma g_i."""
         load = f_prev + u_prev / self.tau - k_i * h_i - conv
-        boundary_load = self._g_load if g_i is self._g else self.bweights * g_i
-        return self._solver.solve(self.weights * load - boundary_load)
+        return self._solver.solve(self.weights * load - g_load)
 
     def compat_residual(
         self,
@@ -249,9 +216,9 @@ class TimeStepper:
 
 @dataclass(frozen=True)
 class ForwardRun:
-    """Trajectory plus the discrete measurement it induces."""
+    """States u_0..u_n plus the discrete measurement they induce."""
 
-    trajectory: Trajectory
+    states: np.ndarray  # shape (n+1, *grid.shape); u_0 is the interpolated u0
     kernel: KernelSeries
     measurement: MeasurementSeries  # M_i = (u_i, 1)
     compat_residuals: np.ndarray  # relative, one per step i = 1..n
@@ -285,14 +252,14 @@ def _march(
         t_i = nodes[i]
         f_prev = stepper.f_field(t_prev, u_prev)
         f_mean = stepper.mean(f_prev)
-        h_i, h_mean = stepper.h_with_mean(t_i)
-        g_i, g_mean = stepper.g_with_mean(t_i)
+        h_i, h_mean = stepper.h_at(t_i)
+        g_load, g_mean = stepper.g_at(t_i)
         if kernel_update is not None:
             kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
         k_i = kernel_values[i]
         # conv_i includes K_i, so it is formed after the update
         conv = _convolution_values(kernel_values, states, i, tau)
-        states[i] = stepper.step(k_i, u_prev, f_prev, conv, h_i, g_i)
+        states[i] = stepper.step(k_i, u_prev, f_prev, conv, h_i, g_load)
         u_prev = states[i]
         t_prev = t_i
         if not np.isfinite(u_prev).all():
@@ -312,7 +279,7 @@ def run_forward(
     kernel: KernelSeries | None = None,
     derivative: str = "analytic",
 ) -> ForwardRun:
-    """Advance the full trajectory with a prescribed kernel.
+    """Advance u_0..u_n with a prescribed kernel.
 
     ``kernel`` defaults to the spec's exact kernel sampled on
     ``timegrid``.  The run's measurement M_i = (u_i, 1) carries the
@@ -343,5 +310,4 @@ def run_forward(
         f_mean, g_mean, h_mean = stepper.initial_means()
         initial = f_mean - g_mean - kernel.values[0] * h_mean
         measurement = MeasurementSeries.from_samples(timegrid, measured, initial)
-    trajectory = Trajectory(grid, timegrid, states)
-    return ForwardRun(trajectory, kernel, measurement, residuals)
+    return ForwardRun(states, kernel, measurement, residuals)

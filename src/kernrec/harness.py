@@ -4,19 +4,23 @@ Subcommands: ``forward``, ``reconstruct``, ``roundtrip``, ``convergence``
 and ``noise-sweep``.  Problems come from ``--preset NAME`` or from a
 ``--config PATH`` file in the flat ``key = value`` format (sections
 ``[problem]``, ``[discretization]``, ``[experiment]``); command line
-flags override config values.  An ``ExperimentConfig`` validates every
-option when it is built, including the exact kernel that all modes but
-``reconstruct`` need.  Each mode runner builds its grids once, writes
-its CSV when ``--out`` is given and returns its own part of the JSON
-report; ``run_cli`` adds the mode, the configuration echo and the
-timings.  Synthetic data always comes from ``forward.run_forward``.
+flags override config values.  An option that the mode would not use
+is rejected (``_IGNORED_BY_MODE``, and ``--fine-factor`` when the
+problem gives its measurement), and an ``ExperimentConfig`` validates
+every option when it is built, including the exact kernel that all
+modes but ``reconstruct`` need.  Each mode runner builds its grids
+once, writes its CSV when ``--out`` is given and returns its own part
+of the JSON report; ``run_cli`` adds the mode, the configuration echo
+and the timings.  Synthetic data always comes from
+``forward.run_forward``.
 
 Exit codes: 0 success, 1 usage error (including a config key that its
-section does not accept), 2 numerical failure (singular update,
-non-finite state, I/O), 3 validation failure (step threshold, floor
-violation, non-finite or non-positive problem numbers).  Set
-``KERNREC_LOG`` to a logging level name for extra output.  All CSV
-output uses 17 significant digits so identical configurations produce
+section does not accept and an option the mode ignores), 2 numerical
+failure (singular update, non-finite state, I/O), 3 validation failure
+(step threshold, floor violation, non-finite or non-positive problem
+numbers, a malformed measurement file).  Set ``KERNREC_LOG`` to a
+logging level name for extra output.  All CSV output uses 17
+significant digits so identical configurations produce
 byte-identical files.
 """
 
@@ -283,9 +287,28 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if spec.ndim == 1 and my is not None:
         raise UsageError("--my given for a 1D problem")
 
-    fine_factor = pick(args.fine_factor, experiment, "fine_factor", int)
+    # the options some modes ignore, as given (None when not given)
+    given = {
+        "derivative": pick(args.derivative, experiment, "derivative"),
+        "fine_factor": pick(args.fine_factor, experiment, "fine_factor", int),
+        "force": pick(args.force, experiment, "force", _as_bool),
+        "trace": pick(args.trace, experiment, "trace", _as_bool),
+        "kernel_denominator_sign": pick(
+            args.denominator_sign, experiment, "kernel_denominator_sign"
+        ),
+    }
+    measurement_file = problem_section.get("measurement_file")
+    for key in _IGNORED_BY_MODE.get(args.mode, ()):
+        if given[key] is not None:
+            raise UsageError(f"{_option(key)} has no effect in {args.mode} mode")
+    given_data = spec.m_exact is not None or measurement_file is not None
+    if given_data and given["fine_factor"] is not None:
+        raise UsageError(
+            f"{_option('fine_factor')} has no effect: the problem gives its "
+            "measurement (exact m or measurement_file), so no data is generated"
+        )
     noise_text = pick(args.noise, experiment, "noise")
-    sign_text = pick(args.denominator_sign, experiment, "kernel_denominator_sign")
+    sign_text = given["kernel_denominator_sign"]
     if sign_text is None:
         sign_text = "plus"
     if sign_text not in ("plus", "minus"):
@@ -298,17 +321,30 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         n_list=n_list,
         mx=int(mx),
         my=int(my) if my is not None else None,
-        derivative=pick(args.derivative, experiment, "derivative") or "analytic",
-        fine_factor=4 if fine_factor is None else fine_factor,
+        derivative=given["derivative"] or "analytic",
+        fine_factor=4 if given["fine_factor"] is None else given["fine_factor"],
         out=pick(args.out, experiment, "out"),
         json_path=pick(args.json_path, experiment, "json"),
         noise_sigmas=_parse_list(str(noise_text), float, "--noise") if noise_text else None,
         seed=pick(args.seed, experiment, "seed", int),
-        force=bool(pick(args.force, experiment, "force", _as_bool) or False),
-        trace=bool(pick(args.trace, experiment, "trace", _as_bool) or False),
+        force=bool(given["force"]),
+        trace=bool(given["trace"]),
         denominator_sign=1.0 if sign_text == "plus" else -1.0,
-        measurement_file=problem_section.get("measurement_file"),
+        measurement_file=measurement_file,
     )
+
+
+# options a mode would accept and then not use: roundtrip always
+# differentiates its own same-grid data, forward runs no reconstruction
+_IGNORED_BY_MODE = {
+    "roundtrip": ("derivative", "fine_factor"),
+    "forward": ("fine_factor", "force", "trace", "kernel_denominator_sign"),
+}
+
+
+def _option(key: str) -> str:
+    """The flag and the [experiment] key that set one option."""
+    return f"--{key.replace('_', '-')} ([experiment] {key})"
 
 
 _BOOL_WORDS = {
@@ -524,9 +560,7 @@ def run_roundtrip_mode(cfg: ExperimentConfig) -> dict:
     report = _reconstruction_report(timegrid, result, ref)
     report["roundtrip"] = {
         "kernel_max_error": float(np.max(np.abs(result.kernel.values - ref))),
-        "state_max_error": float(
-            np.max(np.abs(result.trajectory.values - fwd.trajectory.values))
-        ),
+        "state_max_error": float(np.max(np.abs(result.states - fwd.states))),
         "forward_max_compat_residual": float(np.max(fwd.compat_residuals)),
     }
     return report
@@ -561,7 +595,7 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
             exact_T = expr.evaluate(
                 spec.u_exact, {**grid.coordinate_fields(), "t": timegrid.T}
             )
-            err_u = float(np.max(np.abs(result.trajectory.values[-1] - exact_T)))
+            err_u = float(np.max(np.abs(result.states[-1] - exact_T)))
         rows.append(
             {
                 "n": n,

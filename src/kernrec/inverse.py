@@ -44,7 +44,7 @@ from .errors import (
     StepThresholdError,
     ValidationError,
 )
-from .forward import KernelSeries, TimeStepper, Trajectory, _march
+from .forward import KernelSeries, TimeStepper, _march
 from .grid import SpatialGrid, stiffness_matvec
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid, validate_floor
 
@@ -105,16 +105,15 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Recovered kernel/trajectory pair with run metadata."""
+    """Recovered kernel and states u_0..u_n with run metadata."""
 
     kernel: KernelSeries
-    trajectory: Trajectory
+    states: np.ndarray  # shape (n+1, *grid.shape)
     diagnostics: Diagnostics
     denominators: np.ndarray  # per step i = 1..n
     compat_residuals: np.ndarray  # relative, per step i = 1..n
     derivative_source: str
     threshold: ThresholdReport
-    config: dict
 
 
 def kernel_difference_energy(values: np.ndarray, tau: float) -> float:
@@ -132,7 +131,7 @@ def initial_kernel_value(
         mprime0 = measurement.initial_derivative
     else:
         # first forward difference as the stand-in for m'(0)
-        mprime0 = measurement.derivative_at(1)
+        mprime0 = float(measurement.derivatives[0])
     f_mean, g_mean, h_mean = stepper.initial_means()
     if abs(h_mean) < DENOMINATOR_GUARD:
         raise SingularUpdateError(
@@ -271,21 +270,10 @@ def reconstruct(
     diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
     return ReconstructionResult(
         kernel=KernelSeries(timegrid, kernel_values),
-        trajectory=Trajectory(grid, timegrid, states),
+        states=states,
         diagnostics=diagnostics,
         denominators=denominators,
         compat_residuals=residuals,
         derivative_source=measurement.provenance,
         threshold=threshold,
-        config={
-            "problem": spec.name,
-            "extents": list(spec.extents),
-            "cells": list(grid.cells),
-            "n": timegrid.n,
-            "T": timegrid.T,
-            "omega": spec.omega_floor,
-            "denominator_sign": denominator_sign,
-            "forced": bool(force and not threshold.passed),
-            "derivative_source": measurement.provenance,
-        },
     )

@@ -165,12 +165,6 @@ class MeasurementSeries:
     def m0(self) -> float:
         return float(self.values[0])
 
-    def derivative_at(self, i: int) -> float:
-        """m'_i for 1 <= i <= n."""
-        if not 1 <= i <= self.timegrid.n:
-            raise IndexError(f"derivative index {i} out of range 1..{self.timegrid.n}")
-        return float(self.derivatives[i - 1])
-
     @classmethod
     def from_samples(
         cls,
@@ -259,8 +253,14 @@ def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:
     if not np.allclose(t, timegrid.nodes, rtol=0.0, atol=1e-9 * max(1.0, timegrid.T)):
         raise ValidationError("measurement file times do not match the time grid")
     values = np.array([number(k, 1) for k in range(len(rows))])
-    has_deriv = all(len(r) >= 3 and r[2].strip() != "" for r in rows[1:])
-    if has_deriv:
+    # m'(0) is optional; m'_1..m'_n are given in every row or in none
+    has_deriv = [len(r) >= 3 and r[2].strip() != "" for r in rows[1:]]
+    if any(has_deriv):
+        if not all(has_deriv):
+            raise ValidationError(
+                f"measurement file data row {has_deriv.index(False) + 2} has no m' "
+                "although other rows after the first carry one"
+            )
         derivs = np.array([number(k, 2) for k in range(1, len(rows))])
         initial = None
         if len(rows[0]) >= 3 and rows[0][2].strip() != "":

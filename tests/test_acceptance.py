@@ -88,7 +88,7 @@ def refinement_study():
 def test_criterion_1_zero_problem_exactness(zero_run):
     result = zero_run.payload
     kernel_max = float(np.abs(result.kernel.values).max())
-    state_max = float(np.abs(result.trajectory.values).max())
+    state_max = float(np.abs(result.states).max())
     ok = kernel_max <= 1e-12 and state_max <= 1e-12 and zero_run.duration < 1.0
     _verdict(
         1,
@@ -105,7 +105,7 @@ def test_criterion_1_zero_problem_exactness(zero_run):
 def test_criterion_2_same_grid_roundtrip(roundtrip_run):
     kernel_in, fwd, result = roundtrip_run.payload
     kernel_err = float(np.abs(result.kernel.values - kernel_in.values).max())
-    state_err = float(np.abs(result.trajectory.values - fwd.trajectory.values).max())
+    state_err = float(np.abs(result.states - fwd.states).max())
     ok = kernel_err <= 1e-8 and state_err <= 1e-8 and roundtrip_run.duration < 5.0
     _verdict(
         2,

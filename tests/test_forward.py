@@ -68,13 +68,15 @@ class TestFastPathsAreBitIdentical:
     def test_means_equal_np_sum(self, extents, cells):
         spec = ProblemSpec(
             name="inline", extents=extents, T=1.0, omega_floor=1.0,
-            f=expr.parse("0"), h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("0"),
+            f=expr.parse("0"), h=expr.parse("1"), g=expr.parse("1e3*sin(37*x) + x^3"),
+            u0=expr.parse("0"),
         )
         grid = spec.make_grid(*cells)
         stepper = TimeStepper(spec, grid, TimeGrid(1.0, 4))
         field = np.random.default_rng(3).standard_normal(grid.shape) * 1e3
         assert stepper.mean(field) == float(np.sum(grid.weights * field))
-        assert stepper.boundary_mean(field) == float(np.sum(grid.boundary_weights * field))
+        g = forward.interpolate(spec.g, grid)
+        assert stepper.g_at(0.0)[1] == float(np.sum(grid.boundary_weights * g))
 
     @pytest.mark.parametrize("shape", [(51,), (8001,), (17, 12)])
     def test_convolution_equals_tensordot(self, shape):
@@ -97,7 +99,7 @@ class TestForwardStep:
         grid = spec.make_grid(16)
         kernel = KernelSeries(tg, np.zeros(21))
         run = run_forward(spec, grid, tg, kernel)
-        np.testing.assert_allclose(run.trajectory.values, 5.0, atol=1e-12)
+        np.testing.assert_allclose(run.states, 5.0, atol=1e-12)
 
     def test_single_step_matches_run(self):
         self._check_single_step(preset_manufactured_1d())
@@ -111,13 +113,13 @@ class TestForwardStep:
         grid = spec.make_grid(20)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
         run = run_forward(spec, grid, tg, kernel)
-        states = run.trajectory.values
+        states = run.states
         stepper = TimeStepper(spec, grid, tg)
         f0 = stepper.f_field(0.0, states[0])
         conv = _convolution_values(kernel.values, states, 1, tg.tau)
         t1 = tg.nodes[1]
         u1 = stepper.step(
-            kernel.values[1], states[0], f0, conv, stepper.h_field(t1), stepper.g_field(t1)
+            kernel.values[1], states[0], f0, conv, stepper.h_at(t1)[0], stepper.g_at(t1)[0]
         )
         np.testing.assert_array_equal(u1, states[1])
 
@@ -134,7 +136,7 @@ class TestForwardStep:
             kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
             run = run_forward(spec, grid, tg, kernel)
             exact = expr.evaluate(spec.u_exact, {**grid.coordinate_fields(), "t": 1.0})
-            errors[n] = np.abs(run.trajectory.values[-1] - exact).max()
+            errors[n] = np.abs(run.states[-1] - exact).max()
         rate = np.log(errors[50] / errors[100]) / np.log(2.0)
         assert 0.7 <= rate <= 1.3
 
@@ -147,7 +149,7 @@ class TestForwardStep:
             kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
             run = run_forward(spec, grid, tg, kernel)
             exact = expr.evaluate(spec.u_exact, {**grid.coordinate_fields(), "t": 1.0})
-            errors[cells] = np.abs(run.trajectory.values[-1] - exact).max()
+            errors[cells] = np.abs(run.states[-1] - exact).max()
         rate = np.log(errors[8] / errors[16]) / np.log(2.0)
         assert 1.6 <= rate <= 2.5
 
@@ -170,7 +172,7 @@ class TestForwardStep:
             kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
             run = run_forward(spec, grid, tg, kernel)
             w = grid.weights
-            return max(float(np.sum(w * u * u)) for u in run.trajectory.values) ** 0.5
+            return max(float(np.sum(w * u * u)) for u in run.states) ** 0.5
 
         limit = 2.0 * np.sqrt(1.5)
         coarse, fine = max_norm(50), max_norm(100)
@@ -187,13 +189,13 @@ class TestForwardStep:
 class TestOncePerStep:
     """f_{i-1}, h_i, g_i and conv_i are computed once per step and shared.
 
-    A static h or g is formed once per run, in ``TimeStepper.__init__``,
-    without going through ``h_field``/``g_field``.
+    A static h or g is evaluated once per run, in ``TimeStepper.__init__``,
+    and never at a time t; a t-dependent one once per step.
     """
 
     @staticmethod
-    def _spy(monkeypatch):
-        calls = {"f_field": 0, "h_field": 0, "g_field": 0, "conv": 0}
+    def _spy(monkeypatch, spec):
+        calls = {"f_field": 0, "h": 0, "g": 0, "conv": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -202,17 +204,28 @@ class TestOncePerStep:
 
             return wrapper
 
-        for name in ("f_field", "h_field", "g_field"):
-            monkeypatch.setattr(TimeStepper, name, counted(name, getattr(TimeStepper, name)))
+        monkeypatch.setattr(TimeStepper, "f_field", counted("f_field", TimeStepper.f_field))
         monkeypatch.setattr(
             forward, "_convolution_values", counted("conv", forward._convolution_values)
         )
+        evaluate = expr.evaluate
+
+        def evaluate_at_t(tree, env):
+            # h or g evaluated at one time t, compiled or interpreted (the
+            # floor check evaluates h at all time nodes at once)
+            source = tree.tree if isinstance(tree, expr.Compiled) else tree
+            for name in ("h", "g"):
+                if source is getattr(spec, name) and "t" in env and np.ndim(env["t"]) == 0:
+                    calls[name] += 1
+            return evaluate(tree, env)
+
+        monkeypatch.setattr(expr, "evaluate", evaluate_at_t)
         return calls
 
     def _forward_calls(self, monkeypatch, spec, n):
         tg = TimeGrid(1.0, n)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-        calls = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch, spec)
         run_forward(spec, spec.make_grid(20), tg, kernel)
         return calls
 
@@ -220,32 +233,32 @@ class TestOncePerStep:
         tg = TimeGrid(1.0, n)
         grid = spec.make_grid(20)
         series = run_forward(spec, grid, tg, derivative="discrete").measurement
-        calls = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch, spec)
         reconstruct(spec, grid, tg, series)
         return calls
 
     def test_run_forward(self, monkeypatch):
         n = 20
         calls = self._forward_calls(monkeypatch, preset_manufactured_1d(), n)
-        # static h and g: formed in TimeStepper.__init__, not per step
-        assert calls == {"f_field": n, "h_field": 0, "g_field": 0, "conv": n}
+        # static h and g: their pairs are formed in TimeStepper.__init__
+        assert calls == {"f_field": n, "h": 0, "g": 0, "conv": n}
 
     def test_reconstruct(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, preset_manufactured_1d(), n)
-        # one more f, and the only h and g, for K_0
-        assert calls == {"f_field": n + 1, "h_field": 1, "g_field": 1, "conv": n}
+        # one more f for K_0, which reads the static pairs too
+        assert calls == {"f_field": n + 1, "h": 0, "g": 0, "conv": n}
 
     def test_run_forward_time_dependent(self, monkeypatch):
         n = 20
         calls = self._forward_calls(monkeypatch, _manufactured_time_dependent(), n)
-        assert calls == {"f_field": n, "h_field": n, "g_field": n, "conv": n}
+        assert calls == {"f_field": n, "h": n, "g": n, "conv": n}
 
     def test_reconstruct_time_dependent(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, _manufactured_time_dependent(), n)
         # one more f, h and g for K_0
-        assert calls == {"f_field": n + 1, "h_field": n + 1, "g_field": n + 1, "conv": n}
+        assert calls == {"f_field": n + 1, "h": n + 1, "g": n + 1, "conv": n}
 
 
 class TestGenerateMeasurement:
@@ -342,7 +355,7 @@ class TestTwoDimensional:
         tg = TimeGrid(1.0, 5)
         grid = spec.make_grid(8, 8)
         run = run_forward(spec, grid, tg, KernelSeries(tg, np.zeros(6)))
-        np.testing.assert_allclose(run.trajectory.values, 2.0, atol=1e-10)
+        np.testing.assert_allclose(run.states, 2.0, atol=1e-10)
 
     def test_manufactured_2d_compat(self):
         # x-only exact state carried over to the unit square
@@ -359,7 +372,7 @@ class TestTwoDimensional:
         run = run_forward(spec, grid, tg, kernel)
         assert run.compat_residuals.max() <= 1e-9
         exact = expr.evaluate(spec.u_exact, {**grid.coordinate_fields(), "t": 1.0})
-        assert np.abs(run.trajectory.values[-1] - exact).max() < 0.1
+        assert np.abs(run.states[-1] - exact).max() < 0.1
 
 
 class TestHistoryLayout:
@@ -382,7 +395,7 @@ class TestHistoryLayout:
         result = reconstruct(spec, grid, tg, series)
         assert seen == [(i, True) for i in range(1, n + 1)]
 
-        values = result.trajectory.values
+        values = result.states
         assert np.array_equal(values[0], forward.interpolate(spec.u0, grid))
         coords = grid.coordinate_fields()
         for i, t in enumerate(tg.nodes):
@@ -402,6 +415,29 @@ class TestCompiledFields:
         p = forward.nodal_gradient(grid, u)[0]
         for t in tg.nodes:
             env = {**grid.coordinate_fields(), "t": t, "u": u, "p": p}
-            assert np.array_equal(stepper.h_field(t), expr.evaluate(spec.h, env))
-            assert np.array_equal(stepper.g_field(t), expr.evaluate(spec.g, env))
+            h = expr.evaluate(spec.h, env)
+            g_load = grid.boundary_weights * expr.evaluate(spec.g, env)
+            assert np.array_equal(stepper.h_at(t)[0], h)
+            assert stepper.h_at(t)[1] == float(np.sum(grid.weights * h))
+            assert np.array_equal(stepper.g_at(t)[0], g_load)
             assert np.array_equal(stepper.f_field(t, u), expr.evaluate(spec.f, env))
+
+    @pytest.mark.parametrize("g", ["1 + x*y^2 - cos(pi*y)", "t*x + (1 - t)*y^2"],
+                             ids=["static", "time-dependent"])
+    def test_boundary_pair_2d(self, g):
+        # the load and (g,1)_Gamma are one product w_Gamma g and its sum,
+        # with the edge-trapezoid corner weights of a rectangle
+        spec = ProblemSpec(
+            name="inline", extents=(1.0, 2.0), T=1.0, omega_floor=1.0,
+            f=expr.parse("0"), h=expr.parse("1"), g=expr.parse(g), u0=expr.parse("0"),
+        )
+        grid = spec.make_grid(13, 7)
+        stepper = TimeStepper(spec, grid, TimeGrid(1.0, 4))
+        for t in (0.0, 0.25, 1.0):
+            env = {**grid.coordinate_fields(), "t": t}
+            load = grid.boundary_weights * np.broadcast_to(
+                expr.evaluate(spec.g, env), grid.shape
+            )
+            g_load, g_mean = stepper.g_at(t)
+            assert np.array_equal(g_load, load)
+            assert g_mean == np.add.reduce(load, axis=None)

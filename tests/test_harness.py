@@ -524,11 +524,49 @@ class TestConfigHandling:
         assert "usage error: [measurement_file]" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("source", ["cli", "config"])
+    @pytest.mark.parametrize(
+        "mode,preset,flags,option",
+        [("roundtrip", "manufactured1d", ["--derivative", "analytic"], "derivative = analytic"),
+         ("roundtrip", "contaminant", ["--fine-factor", "3"], "fine_factor = 3"),
+         ("forward", "contaminant", ["--fine-factor", "7"], "fine_factor = 7"),
+         ("forward", "contaminant", ["--force"], "force = true"),
+         ("forward", "contaminant", ["--trace"], "trace = true"),
+         ("forward", "contaminant", ["--kernel-denominator-sign", "minus"],
+          "kernel_denominator_sign = minus"),
+         ("reconstruct", "manufactured1d", ["--fine-factor", "3"], "fine_factor = 3"),
+         ("reconstruct", "file", ["--fine-factor", "3"], "fine_factor = 3")],
+        ids=["roundtrip-derivative", "roundtrip-fine-factor", "forward-fine-factor",
+             "forward-force", "forward-trace", "forward-denominator-sign",
+             "exact-m-fine-factor", "measurement-file-fine-factor"],
+    )
+    def test_option_the_mode_ignores_is_usage_error(
+        self, tmp_path, capsys, mode, preset, flags, option, source
+    ):
+        # the run would not use the option, so it must not be echoed as applied
+        problem = f"preset = {preset}\n"
+        if preset == "file":
+            data = tmp_path / "m.csv"
+            assert run_cli(["forward", "--preset", "contaminant", "--n", "10", "--mx", "10",
+                            "--out", str(data)]) == 0
+            problem = f'preset = contaminant\nmeasurement_file = "{data}"\n'
+        experiment = option + "\n" if source == "config" else ""
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"[problem]\n{problem}\n[experiment]\n{experiment}", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = [mode, "--config", str(cfg), "--n", "10", "--mx", "10", "--out", str(out)]
+        code = run_cli(argv + (flags if source == "cli" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {flags[0]} ([experiment] {option.split()[0]}) has no effect" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bad_row,message",
         [("{t},abc", "data row 2: 'abc' is not a number"),
-         ("{t}", "data row 2 has 1 column(s), expected at least 2")],
-        ids=["not-a-number", "missing-column"],
+         ("{t}", "data row 2 has 1 column(s), expected at least 2"),
+         ("{t},1,7", "data row 3 has no m'")],
+        ids=["not-a-number", "missing-column", "partial-mprime"],
     )
     def test_malformed_measurement_row_is_validation_failure(
         self, tmp_path, capsys, bad_row, message
@@ -679,7 +717,7 @@ def test_measurement_csv_equals_row_by_row_formatting(initial):
     first = fmt(initial) if initial is not None else ""
     lines = [MEASUREMENT_CSV_HEADER, f"{fmt(nodes[0])},{fmt(values[0])},{first}"]
     for i in range(1, 101):
-        lines.append(f"{fmt(nodes[i])},{fmt(values[i])},{fmt(series.derivative_at(i))}")
+        lines.append(f"{fmt(nodes[i])},{fmt(values[i])},{fmt(series.derivatives[i - 1])}")
     assert harness.measurement_csv_text(series) == "\n".join(lines) + "\n"
 
 

@@ -45,7 +45,7 @@ def _manufactured_2d():
 
 def _running_diagnostics(result, grid, tau):
     """Reference: the functionals accumulated state by state, in step order."""
-    states = result.trajectory.values
+    states = result.states
     w = grid.weights
     max_state_norm_sq = float(np.sum(w * states[0] ** 2))
     max_grad_norm_sq = float(np.sum(stiffness_matvec(grid, states[0]) * states[0]))
@@ -107,7 +107,7 @@ class TestStepThreshold:
             reconstruct(spec, grid, tg, series)
         with pytest.warns(RuntimeWarning):
             result = reconstruct(spec, grid, tg, series, force=True)
-        assert result.config["forced"] is True
+        assert not result.threshold.passed
 
 
 class TestKernelUpdate:
@@ -182,7 +182,7 @@ class TestReconstruct:
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         result = reconstruct(spec, grid, tg, series)
         assert np.all(result.kernel.values == 0.0)
-        assert np.all(result.trajectory.values == 0.0)
+        assert np.all(result.states == 0.0)
 
     def test_same_grid_roundtrip(self):
         spec = preset_manufactured_1d()
@@ -193,7 +193,7 @@ class TestReconstruct:
         series = fwd.measurement
         result = reconstruct(spec, grid, tg, series)
         assert np.abs(result.kernel.values - kernel_in.values).max() <= 1e-8
-        assert np.abs(result.trajectory.values - fwd.trajectory.values).max() <= 1e-8
+        assert np.abs(result.states - fwd.states).max() <= 1e-8
 
     def test_same_grid_roundtrip_2d(self):
         spec = ProblemSpec(
@@ -209,7 +209,7 @@ class TestReconstruct:
         series = fwd.measurement
         result = reconstruct(spec, grid, tg, series)
         assert np.abs(result.kernel.values - kernel_in.values).max() <= 1e-8
-        assert np.abs(result.trajectory.values - fwd.trajectory.values).max() <= 1e-8
+        assert np.abs(result.states - fwd.states).max() <= 1e-8
 
     def test_analytic_data_accuracy(self):
         spec = preset_manufactured_1d()
@@ -254,7 +254,7 @@ class TestReconstruct:
         a = reconstruct(spec, grid, tg, series)
         b = reconstruct(spec, grid, tg, series)
         np.testing.assert_array_equal(a.kernel.values, b.kernel.values)
-        np.testing.assert_array_equal(a.trajectory.values, b.trajectory.values)
+        np.testing.assert_array_equal(a.states, b.states)
 
     def test_decoupling_from_later_data(self):
         # corrupting the measurement beyond step i0 must not touch K_1..K_i0
@@ -272,7 +272,7 @@ class TestReconstruct:
         b = reconstruct(spec, grid, tg, corrupted)
         np.testing.assert_array_equal(a.kernel.values[: i0 + 1], b.kernel.values[: i0 + 1])
         np.testing.assert_array_equal(
-            a.trajectory.values[: i0 + 1], b.trajectory.values[: i0 + 1]
+            a.states[: i0 + 1], b.states[: i0 + 1]
         )
         assert np.any(a.kernel.values[i0 + 1 :] != b.kernel.values[i0 + 1 :])
 

@@ -335,14 +335,6 @@ class TestMeasurementSeries:
         np.testing.assert_allclose(series.values, 1.0 + tg.nodes)
         np.testing.assert_allclose(series.derivatives, 1.0)
 
-    def test_derivative_index_bounds(self):
-        tg = TimeGrid(1.0, 3)
-        series = MeasurementSeries.from_samples(tg, np.arange(4.0))
-        with pytest.raises(IndexError):
-            series.derivative_at(0)
-        with pytest.raises(IndexError):
-            series.derivative_at(4)
-
     def test_restrict_subsamples(self):
         fine = TimeGrid(1.0, 100)
         series = MeasurementSeries.from_samples(fine, np.sin(fine.nodes))

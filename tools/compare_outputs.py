@@ -4,8 +4,8 @@
 
 Runs a fixed set of ``kernrec`` commands (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
-benchmark's 2D config and on a 1D config whose h and g depend on t)
-with each tree's ``src/`` on ``PYTHONPATH``.
+benchmark's 2D config and on a 1D and a 2D config whose h and g depend
+on t) with each tree's ``src/`` on ``PYTHONPATH``.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report equal once its
 ``timings`` are dropped.  Prints one line per command and exits 0 when
@@ -27,8 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import CONFIG_2D, MANUFACTURED_2D  # noqa: E402  the benchmark's 2D config
 
-# every preset and the 2D config have a static h and g; this one takes
-# the per-step h and g branch of the stepping loop
+# every preset and the 2D config have a static h and g, formed once per
+# run; in this one h and g are evaluated at every step
 TIME_DEPENDENT_1D = """\
 [problem]
 name = "timedependent1d"
@@ -42,6 +42,23 @@ omega = 1.0
 kernel = "exp(-t)"
 """
 CONFIG_T1D = "timedependent1d.ini"
+
+# the same in 2D, on a rectangle: the boundary load and (g,1)_Gamma use
+# the edge-trapezoid weights, corners included, not two point weights
+TIME_DEPENDENT_2D = """\
+[problem]
+name = "timedependent2d"
+f = "u*exp(-t) + cos(pi*x)*cos(pi*y)"
+h = "1 + t + x*y"
+g = "t*x - (1 - t)*y^2"
+u0 = "1 + cos(pi*x)*cos(pi*y)"
+lx = 1.0
+ly = 2.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+"""
+CONFIG_T2D = "timedependent2d.ini"
 
 M1 = ["--preset", "manufactured1d"]
 CT = ["--preset", "contaminant"]
@@ -70,6 +87,10 @@ COMMANDS = {
     "roundtrip-time-dependent-1d": [
         "roundtrip", "--config", CONFIG_T1D, "--n", "100", "--mx", "50",
     ],
+    "forward-time-dependent-2d": ["forward", "--config", CONFIG_T2D, "--n", "20", "--mx", "24"],
+    "roundtrip-time-dependent-2d": [
+        "roundtrip", "--config", CONFIG_T2D, "--n", "20", "--mx", "24",
+    ],
     "noise-sweep-manufactured1d": [
         "noise-sweep", *M1, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
     ],
@@ -84,6 +105,7 @@ def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
     work.mkdir(parents=True)
     (work / CONFIG_2D).write_text(MANUFACTURED_2D, encoding="utf-8")
     (work / CONFIG_T1D).write_text(TIME_DEPENDENT_1D, encoding="utf-8")
+    (work / CONFIG_T2D).write_text(TIME_DEPENDENT_2D, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = {}
