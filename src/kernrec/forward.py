@@ -25,15 +25,23 @@ through the run's own ``TimeStepper.initial_means`` (the same means
 
 ``run_forward`` and ``inverse.reconstruct`` share one stepping loop,
 ``_march``, and each step does only the work that varies with the step.
-Once per run, in ``TimeStepper.__init__``: f is compiled with the node
-coordinates bound (``expr.compile``), and so is h or g when it depends
-on t.  The stepper serves h and g as coefficient pairs,
-``h_at(t) = (h(t), (h(t),1))`` and ``g_at(t) = (w_Gamma g(t),
-(g(t),1)_Gamma)``, where w_Gamma g is the boundary load and
-(g,1)_Gamma the sum of that same product.  A pair of a tree without t
-is formed once, in ``__init__``; otherwise each call evaluates the
-compiled tree and forms the pair.  Once per step: f_{i-1} and
-(f_{i-1},1), the pairs of h_i and g_i, K_i (read off those means by the
+Once per run, in ``TimeStepper.__init__``: f, h and g are compiled with
+the node coordinates bound (``expr.compile``).  The stepper serves h
+and g as coefficient pairs per time node, ``h_pair(j) = (h(t_j),
+(h(t_j),1))`` and ``g_pair(j) = (w_Gamma g(t_j), (g(t_j),1)_Gamma)``,
+where w_Gamma g is the boundary load and (g,1)_Gamma the sum of that
+same product, and f as ``f_pair(j, u) = (f_j, (f_j,1))``.  A pair of a
+tree without t is formed once, in ``__init__``.  A tree of t, x and y
+alone (h, g, and an f that reads no u, p or q) is evaluated for a block
+of time nodes at once: t is bound as a column, so one call of the
+compiled tree gives the fields at up to BLOCK_VALUES / N nodes and one
+``np.add.reduce`` over the trailing axes their sums, each bit for bit
+the value a single node would give.  A block is computed when the
+march first reaches one of its nodes, and a block that faults is
+evaluated again node by node, so a ``DomainFaultError`` surfaces at the
+step where it occurs, after the steps before it.  Only an f that reads
+the state is evaluated per step (``f_field``).  Once per step: the
+pairs of f_{i-1}, h_i and g_i, K_i (read off those means by the
 reconstruction), conv_i (formed after K_i, which it includes), the
 elliptic solve and M_i = (u_i,1).  The same values feed the load and
 the identity residual.
@@ -58,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr
-from .errors import NonFiniteError, ValidationError
+from .errors import DomainFaultError, NonFiniteError, ValidationError
 from .grid import SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
 from .solver import SpectralSolver
@@ -94,17 +102,85 @@ def interpolate(tree: expr.Expression, grid: SpatialGrid) -> np.ndarray:
     return np.broadcast_to(out, grid.shape).copy()
 
 
-# a coefficient at one time: (h, (h,1)) or (w_Gamma g, (g,1)_Gamma)
+# a coefficient at one time node: (h, (h,1)), (w_Gamma g, (g,1)_Gamma) or (f, (f,1))
 Pair = tuple[np.ndarray, float]
 
+# Values per block of a coefficient of t: one call of the compiled tree
+# for many time nodes saves its per-call cost, but a block that leaves
+# the cache is slower than node by node.  200 values of manufactured1d's
+# f on 8001 nodes took 8-10 ms node by node, 7-9 ms with 2**14 values per
+# block, 7-12 ms with 2**17 and 11-13 ms in one block (best of 60, on
+# 2 vCPU with numpy 2.4).
+BLOCK_VALUES = 1 << 14
 
-def _summed(values: np.ndarray) -> Pair:
-    """``values`` and their sum.
 
-    np.add.reduce over all axes is np.sum's pairwise summation without
-    its Python wrapper; np.dot would sum in a different order.
+def _pairs(
+    compiled: expr.Compiled, t: np.ndarray | None, weights: np.ndarray, load: bool
+) -> tuple[np.ndarray, list[float]]:
+    """Fields of ``compiled`` at the times of the column ``t``, and their weighted sums.
+
+    Without ``t`` there is one row.  The fields are served as they are,
+    or as ``weights * field`` (the boundary load of g) when ``load`` is
+    set.  np.add.reduce over the trailing axes is np.sum's pairwise
+    summation without its Python wrapper, row by row; np.dot would sum
+    in a different order.
     """
-    return values, float(np.add.reduce(values, axis=None))
+    shape = (1 if t is None else len(t), *weights.shape)
+    out = np.asarray(expr.evaluate(compiled, {} if t is None else {"t": t}), dtype=float)
+    values = out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    weighted = weights * values
+    sums = np.add.reduce(weighted, axis=tuple(range(1, values.ndim)))
+    return (weighted if load else values), sums.tolist()
+
+
+class _Blocks:
+    """Pairs of a coefficient of t at ``nodes[j]``, evaluated in blocks."""
+
+    def __init__(
+        self, compiled: expr.Compiled, weights: np.ndarray, load: bool, nodes: np.ndarray
+    ):
+        self._compiled = compiled
+        self._weights = weights
+        self._load = load
+        self._nodes = nodes
+        self._rows = max(1, BLOCK_VALUES // weights.size)
+        self._column = (-1,) + (1,) * weights.ndim
+        self._start = self._stop = 0  # the block held covers nodes start..stop-1
+        self._stepwise_stop = 0  # nodes before it are evaluated one at a time
+
+    def __call__(self, j: int) -> Pair:
+        if not self._start <= j < self._stop:
+            self._fill(j)
+        k = j - self._start
+        return self._values[k], self._sums[k]
+
+    def _fill(self, j: int) -> None:
+        stop = min(j + self._rows, len(self._nodes))
+        if j >= self._stepwise_stop:
+            try:
+                self._hold(j, stop)
+                return
+            except DomainFaultError:
+                # the fault belongs to one node of the block; going node by
+                # node lets the march reach it, and fail there, in order
+                self._stepwise_stop = stop
+        self._hold(j, j + 1)
+
+    def _hold(self, start: int, stop: int) -> None:
+        t = self._nodes[start:stop].reshape(self._column)
+        self._values, self._sums = _pairs(self._compiled, t, self._weights, self._load)
+        self._start, self._stop = start, stop
+
+
+def _coefficient(
+    compiled: expr.Compiled, weights: np.ndarray, load: bool, nodes: np.ndarray
+) -> Callable[[int], Pair]:
+    """``j -> pair at nodes[j]``; formed here once for a tree without t."""
+    if "t" in compiled.free:
+        return _Blocks(compiled, weights, load, nodes)
+    values, sums = _pairs(compiled, None, weights, load)
+    fixed = values[0], sums[0]
+    return lambda j: fixed
 
 
 def _convolution_values(
@@ -135,24 +211,12 @@ class TimeStepper:
         self._f = expr.compile(spec.f, coords)
         self._f_grad = not self._f.free.isdisjoint({"p", "q"})
         self.u0 = interpolate(spec.u0, grid)
-        self.h_at = self._coefficient(spec.h, coords, lambda h: (h, self.mean(h)))
-        self.g_at = self._coefficient(spec.g, coords, lambda g: _summed(self.bweights * g))
-
-    def _coefficient(
-        self, tree: expr.Expression, coords, pair: Callable[[np.ndarray], Pair]
-    ) -> Callable[[float], Pair]:
-        """``t -> pair(field at t)``; formed here once for a tree without t."""
-        if "t" not in expr.variables(tree):
-            fixed = pair(interpolate(tree, self.grid))
-            return lambda t: fixed
-        compiled = expr.compile(tree, coords)
-        return lambda t: pair(self._evaluate(compiled, {"t": t}))
-
-    def _evaluate(self, compiled: expr.Compiled, env: dict[str, object]) -> np.ndarray:
-        out = np.asarray(expr.evaluate(compiled, env), dtype=float)
-        if out.shape == self.grid.shape:
-            return out
-        return np.broadcast_to(out, self.grid.shape)
+        # f is needed at t_0..t_{n-1}, h and g at t_1..t_n (and t_0 for K_0)
+        self._f_pairs = None
+        if self._f.free.isdisjoint({"u", "p", "q"}):
+            self._f_pairs = _coefficient(self._f, self.weights, False, self.nodes[:-1])
+        self.h_pair = _coefficient(expr.compile(spec.h, coords), self.weights, False, self.nodes)
+        self.g_pair = _coefficient(expr.compile(spec.g, coords), self.bweights, True, self.nodes)
 
     def f_field(self, t: float, u_values: np.ndarray) -> np.ndarray:
         env: dict[str, object] = {"t": t, "u": u_values}
@@ -160,19 +224,25 @@ class TimeStepper:
             grads = nodal_gradient(self.grid, u_values)
             env["p"] = grads[0]
             env["q"] = grads[1] if self.grid.ndim == 2 else 0.0
-        return self._evaluate(self._f, env)
+        out = np.asarray(expr.evaluate(self._f, env), dtype=float)
+        if out.shape == self.grid.shape:
+            return out
+        return np.broadcast_to(out, self.grid.shape)
+
+    def f_pair(self, j: int, u_values: np.ndarray) -> Pair:
+        """(f_j, (f_j,1)) at t_j and state u; from blocks when f reads no state."""
+        if self._f_pairs is not None:
+            return self._f_pairs(j)
+        f = self.f_field(self.nodes[j], u_values)
+        return f, self.mean(f)
 
     def mean(self, field: np.ndarray) -> float:
         """(field, 1) with the lumped quadrature."""
-        return _summed(self.weights * field)[1]
+        return float(np.add.reduce(self.weights * field, axis=None))
 
     def initial_means(self) -> tuple[float, float, float]:
         """(f_0,1), (g_0,1)_Gamma and (h_0,1) of the identity at t = 0."""
-        return (
-            self.mean(self.f_field(0.0, self.u0)),
-            self.g_at(0.0)[1],
-            self.h_at(0.0)[1],
-        )
+        return self.f_pair(0, self.u0)[1], self.g_pair(0)[1], self.h_pair(0)[1]
 
     def step(
         self,
@@ -239,21 +309,17 @@ def _march(
     """
     n = stepper.timegrid.n
     tau = stepper.tau
-    nodes = stepper.nodes
     # newest-first storage (see the module docstring)
     states = np.empty((n + 1, *stepper.grid.shape))[::-1]
     states[0] = stepper.u0
     u_prev = states[0]
-    t_prev = nodes[0]
     measured = np.empty(n + 1)
     measured[0] = stepper.mean(u_prev)
     residuals = np.empty(n)
     for i in range(1, n + 1):
-        t_i = nodes[i]
-        f_prev = stepper.f_field(t_prev, u_prev)
-        f_mean = stepper.mean(f_prev)
-        h_i, h_mean = stepper.h_at(t_i)
-        g_load, g_mean = stepper.g_at(t_i)
+        f_prev, f_mean = stepper.f_pair(i - 1, u_prev)
+        h_i, h_mean = stepper.h_pair(i)
+        g_load, g_mean = stepper.g_pair(i)
         if kernel_update is not None:
             kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
         k_i = kernel_values[i]
@@ -261,7 +327,6 @@ def _march(
         conv = _convolution_values(kernel_values, states, i, tau)
         states[i] = stepper.step(k_i, u_prev, f_prev, conv, h_i, g_load)
         u_prev = states[i]
-        t_prev = t_i
         if not np.isfinite(u_prev).all():
             raise NonFiniteError("state is not finite", step=i)
         measured[i] = stepper.mean(u_prev)

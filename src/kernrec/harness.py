@@ -5,8 +5,10 @@ and ``noise-sweep``.  Problems come from ``--preset NAME`` or from a
 ``--config PATH`` file in the flat ``key = value`` format (sections
 ``[problem]``, ``[discretization]``, ``[experiment]``); command line
 flags override config values.  An option that the mode would not use
-is rejected (``_IGNORED_BY_MODE``, and ``--fine-factor`` when the
-problem gives its measurement), and an ``ExperimentConfig`` validates
+is rejected (``_IGNORED_BY_MODE``, ``--fine-factor`` when the problem
+gives its measurement, ``--derivative`` with a ``measurement_file``),
+and so is an explicit ``--derivative analytic`` on a problem without an
+exact m'.  An ``ExperimentConfig`` validates
 every option when it is built, including the exact kernel that all
 modes but ``reconstruct`` need.  Each mode runner builds its grids
 once, writes its CSV when ``--out`` is given and returns its own part
@@ -307,6 +309,17 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             f"{_option('fine_factor')} has no effect: the problem gives its "
             "measurement (exact m or measurement_file), so no data is generated"
         )
+    if measurement_file is not None and given["derivative"] is not None:
+        raise UsageError(
+            f"{_option('derivative')} has no effect: m' is read from the "
+            "measurement_file, or differenced from its samples"
+        )
+    if given["derivative"] == "analytic" and spec.mprime_exact is None:
+        # without one the run would fall back to the backward difference
+        raise UsageError(
+            f"{_option('derivative')} analytic needs an exact m' (mprime), "
+            f"and problem {spec.name!r} has none"
+        )
     noise_text = pick(args.noise, experiment, "noise")
     sign_text = given["kernel_denominator_sign"]
     if sign_text is None:
@@ -335,10 +348,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 # options a mode would accept and then not use: roundtrip always
-# differentiates its own same-grid data, forward runs no reconstruction
+# differentiates its own same-grid data, forward runs no reconstruction,
+# noise-sweep differences its noisy samples whatever m' the data had
 _IGNORED_BY_MODE = {
     "roundtrip": ("derivative", "fine_factor"),
     "forward": ("fine_factor", "force", "trace", "kernel_denominator_sign"),
+    "noise-sweep": ("derivative",),
 }
 
 

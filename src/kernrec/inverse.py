@@ -262,11 +262,15 @@ def reconstruct(
 
     on_step = None
     if trace is not None:
+        nodes = stepper.nodes
 
         def on_step(i: int, residual: float) -> None:
-            trace(i, stepper.nodes[i], kernel_values[i], denominators[i - 1], residual)
+            trace(i, nodes[i], kernel_values[i], denominators[i - 1], residual)
 
     states, _, residuals = _march(stepper, kernel_values, update, on_step)
+    # the solver's arrays and the last blocks of f, h and g are not needed
+    # any more; freed here, they do not add to the diagnostics' peak memory
+    del stepper
     diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
     return ReconstructionResult(
         kernel=KernelSeries(timegrid, kernel_values),

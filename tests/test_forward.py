@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernrec import expr, forward
-from kernrec.errors import ValidationError
+from kernrec.errors import DomainFaultError, ValidationError
 from kernrec.forward import (
     KernelSeries,
     TimeStepper,
@@ -27,6 +29,11 @@ def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, **extra):
 def _manufactured_time_dependent():
     """manufactured1d with h and g that depend on t."""
     return replace(preset_manufactured_1d(), h=expr.parse("1 + t"), g=expr.parse("t*x"))
+
+
+def _time_dependent_with_state():
+    """h and g of t as above, with an f that reads the state u."""
+    return replace(_manufactured_time_dependent(), f=expr.parse("u*exp(-t) + cos(pi*x)"))
 
 
 def _history(grid, timegrid, arrays):
@@ -76,7 +83,7 @@ class TestFastPathsAreBitIdentical:
         field = np.random.default_rng(3).standard_normal(grid.shape) * 1e3
         assert stepper.mean(field) == float(np.sum(grid.weights * field))
         g = forward.interpolate(spec.g, grid)
-        assert stepper.g_at(0.0)[1] == float(np.sum(grid.boundary_weights * g))
+        assert stepper.g_pair(0)[1] == float(np.sum(grid.boundary_weights * g))
 
     @pytest.mark.parametrize("shape", [(51,), (8001,), (17, 12)])
     def test_convolution_equals_tensordot(self, shape):
@@ -117,9 +124,8 @@ class TestForwardStep:
         stepper = TimeStepper(spec, grid, tg)
         f0 = stepper.f_field(0.0, states[0])
         conv = _convolution_values(kernel.values, states, 1, tg.tau)
-        t1 = tg.nodes[1]
         u1 = stepper.step(
-            kernel.values[1], states[0], f0, conv, stepper.h_at(t1)[0], stepper.g_at(t1)[0]
+            kernel.values[1], states[0], f0, conv, stepper.h_pair(1)[0], stepper.g_pair(1)[0]
         )
         np.testing.assert_array_equal(u1, states[1])
 
@@ -190,12 +196,20 @@ class TestOncePerStep:
     """f_{i-1}, h_i, g_i and conv_i are computed once per step and shared.
 
     A static h or g is evaluated once per run, in ``TimeStepper.__init__``,
-    and never at a time t; a t-dependent one once per step.
+    and never at a time t.  A coefficient of t alone (h, g, and an f that
+    reads no state) is evaluated once per block of time nodes; only an f
+    that reads the state is evaluated at every step.
     """
 
-    @staticmethod
-    def _spy(monkeypatch, spec):
-        calls = {"f_field": 0, "h": 0, "g": 0, "conv": 0}
+    # 6 nodes per block on the 21 nodes of make_grid(20); n = 20 steps make
+    # four blocks, the last one partial
+    BLOCK_NODES = 6
+    BLOCKS = 4
+
+    @classmethod
+    def _spy(cls, monkeypatch, spec):
+        monkeypatch.setattr(forward, "BLOCK_VALUES", cls.BLOCK_NODES * 21)
+        calls = {"f_field": 0, "f": 0, "h": 0, "g": 0, "conv": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -211,12 +225,12 @@ class TestOncePerStep:
         evaluate = expr.evaluate
 
         def evaluate_at_t(tree, env):
-            # h or g evaluated at one time t, compiled or interpreted (the
-            # floor check evaluates h at all time nodes at once)
-            source = tree.tree if isinstance(tree, expr.Compiled) else tree
-            for name in ("h", "g"):
-                if source is getattr(spec, name) and "t" in env and np.ndim(env["t"]) == 0:
-                    calls[name] += 1
+            # a compiled f, h or g evaluated at one t or a block of them (the
+            # floor check evaluates the bare tree of h, not a compiled one)
+            if isinstance(tree, expr.Compiled) and "t" in env:
+                for name in ("f", "h", "g"):
+                    if tree.tree is getattr(spec, name):
+                        calls[name] += 1
             return evaluate(tree, env)
 
         monkeypatch.setattr(expr, "evaluate", evaluate_at_t)
@@ -240,25 +254,118 @@ class TestOncePerStep:
     def test_run_forward(self, monkeypatch):
         n = 20
         calls = self._forward_calls(monkeypatch, preset_manufactured_1d(), n)
-        # static h and g: their pairs are formed in TimeStepper.__init__
-        assert calls == {"f_field": n, "h": 0, "g": 0, "conv": n}
+        # f reads t and x only; static h and g are formed in TimeStepper.__init__
+        assert calls == {"f_field": 0, "f": self.BLOCKS, "h": 0, "g": 0, "conv": n}
 
     def test_reconstruct(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, preset_manufactured_1d(), n)
-        # one more f for K_0, which reads the static pairs too
-        assert calls == {"f_field": n + 1, "h": 0, "g": 0, "conv": n}
+        # f_0 for K_0 comes from the first block, which the march then reads
+        assert calls == {"f_field": 0, "f": self.BLOCKS, "h": 0, "g": 0, "conv": n}
 
     def test_run_forward_time_dependent(self, monkeypatch):
         n = 20
         calls = self._forward_calls(monkeypatch, _manufactured_time_dependent(), n)
-        assert calls == {"f_field": n, "h": n, "g": n, "conv": n}
+        blocks = self.BLOCKS
+        assert calls == {"f_field": 0, "f": blocks, "h": blocks, "g": blocks, "conv": n}
 
     def test_reconstruct_time_dependent(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, _manufactured_time_dependent(), n)
-        # one more f, h and g for K_0
-        assert calls == {"f_field": n + 1, "h": n + 1, "g": n + 1, "conv": n}
+        # h_0 and g_0 for K_0 open the first blocks of h and g
+        blocks = self.BLOCKS
+        assert calls == {"f_field": 0, "f": blocks, "h": blocks, "g": blocks, "conv": n}
+
+    def test_run_forward_state_dependent(self, monkeypatch):
+        n = 20
+        calls = self._forward_calls(monkeypatch, _time_dependent_with_state(), n)
+        blocks = self.BLOCKS
+        assert calls == {"f_field": n, "f": n, "h": blocks, "g": blocks, "conv": n}
+
+    def test_reconstruct_state_dependent(self, monkeypatch):
+        n = 20
+        calls = self._reconstruct_calls(monkeypatch, _time_dependent_with_state(), n)
+        # one more f for K_0
+        blocks = self.BLOCKS
+        assert calls == {"f_field": n + 1, "f": n + 1, "h": blocks, "g": blocks, "conv": n}
+
+
+class TestBlockFaults:
+    """A block that faults is evaluated node by node, so the fault surfaces
+    at its own step, after the steps before it have run."""
+
+    @pytest.mark.parametrize("name, steps", [("f", 5), ("h", 4), ("g", 4)])
+    def test_fault_after_earlier_steps(self, name, steps):
+        # t = 0.5 is node 5; f is read at t_{i-1}, h and g at t_i
+        trees = {"f": "1", "h": "1", "g": "0", name: "2 + 1/(t - 0.5)"}
+        spec = _spec(**trees, u0="0", kernel_exact="0")
+        tg = TimeGrid(1.0, 10)
+        stepper = TimeStepper(spec, spec.make_grid(8), tg)
+        seen = []
+        with pytest.raises(DomainFaultError, match="division by zero"):
+            forward._march(stepper, np.zeros(tg.n + 1), on_step=lambda i, r: seen.append(i))
+        assert seen == list(range(1, steps + 1))
+
+    def test_fault_in_f_traced_by_reconstruct(self):
+        spec = _spec(f="1/(t - 0.5)", h="1", u0="0")
+        tg = TimeGrid(1.0, 10)
+        series = MeasurementSeries.from_expressions(tg, expr.parse("0"), expr.parse("0"))
+        traced = []
+        with pytest.raises(DomainFaultError, match=r"division by zero in .1.0/\(t - 0.5\)."):
+            reconstruct(spec, spec.make_grid(8), tg, series,
+                        trace=lambda i, *rest: traced.append(i))
+        assert traced == [1, 2, 3, 4, 5]
+
+
+_BLOCK_TREES = {
+    1: {"f": "sin(3*t)*cos(pi*x) + exp(-t)*x^2", "h": "1 + t*cos(pi*x)",
+        "g": "t^2 - x + sqrt(1 + t)"},
+    2: {"f": "exp(-t)*cos(pi*x)*cos(pi*y) + t*y", "h": "1 + t*x*y",
+        "g": "t*x - (1 - t)*y^2"},
+}
+
+
+class TestBlockPairs:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ndim=st.sampled_from([1, 2]),
+        n=st.integers(1, 40),
+        mx=st.integers(1, 30),
+        my=st.integers(1, 12),
+        rows=st.integers(1, 7),
+        T=st.sampled_from([1.0, 0.3, 2.5]),
+    )
+    def test_blocks_equal_per_node_values(self, ndim, n, mx, my, rows, T):
+        # several blocks of `rows` nodes each, the last one usually partial;
+        # each pair equals the per-step f_field/mean and the interpreter's
+        # h and w_Gamma g at that node, with np.sum's means, bit for bit
+        trees = _BLOCK_TREES[ndim]
+        spec = ProblemSpec(
+            name="inline", extents=(1.0, 2.0)[:ndim], T=T, omega_floor=1.0,
+            f=expr.parse(trees["f"]), h=expr.parse(trees["h"]), g=expr.parse(trees["g"]),
+            u0=expr.parse("0"),
+        )
+        grid = spec.make_grid(mx, my if ndim == 2 else None)
+        w, bw = grid.weights, grid.boundary_weights
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forward, "BLOCK_VALUES", rows * w.size)
+            stepper = TimeStepper(spec, grid, TimeGrid(T, n))
+        u = np.zeros(grid.shape)
+        for j, t in enumerate(stepper.nodes):
+            env = {**grid.coordinate_fields(), "t": t}
+            if j < n:  # f is read at t_0..t_{n-1}
+                f = stepper.f_field(t, u)
+                f_block, f_mean = stepper.f_pair(j, u)
+                assert np.array_equal(f_block, f)
+                assert f_mean == stepper.mean(f)
+            h = np.broadcast_to(expr.evaluate(spec.h, env), grid.shape)
+            h_block, h_mean = stepper.h_pair(j)
+            assert np.array_equal(h_block, h)
+            assert h_mean == float(np.sum(w * h))
+            g_load = bw * expr.evaluate(spec.g, env)
+            g_block, g_mean = stepper.g_pair(j)
+            assert np.array_equal(g_block, g_load)
+            assert g_mean == float(np.sum(g_load))
 
 
 class TestGenerateMeasurement:
@@ -413,13 +520,13 @@ class TestCompiledFields:
         stepper = TimeStepper(spec, grid, tg)
         u = np.linspace(-1.0, 2.0, grid.shape[0])
         p = forward.nodal_gradient(grid, u)[0]
-        for t in tg.nodes:
+        for j, t in enumerate(tg.nodes):
             env = {**grid.coordinate_fields(), "t": t, "u": u, "p": p}
             h = expr.evaluate(spec.h, env)
             g_load = grid.boundary_weights * expr.evaluate(spec.g, env)
-            assert np.array_equal(stepper.h_at(t)[0], h)
-            assert stepper.h_at(t)[1] == float(np.sum(grid.weights * h))
-            assert np.array_equal(stepper.g_at(t)[0], g_load)
+            assert np.array_equal(stepper.h_pair(j)[0], h)
+            assert stepper.h_pair(j)[1] == float(np.sum(grid.weights * h))
+            assert np.array_equal(stepper.g_pair(j)[0], g_load)
             assert np.array_equal(stepper.f_field(t, u), expr.evaluate(spec.f, env))
 
     @pytest.mark.parametrize("g", ["1 + x*y^2 - cos(pi*y)", "t*x + (1 - t)*y^2"],
@@ -433,11 +540,11 @@ class TestCompiledFields:
         )
         grid = spec.make_grid(13, 7)
         stepper = TimeStepper(spec, grid, TimeGrid(1.0, 4))
-        for t in (0.0, 0.25, 1.0):
-            env = {**grid.coordinate_fields(), "t": t}
+        for j in (0, 1, 4):
+            env = {**grid.coordinate_fields(), "t": stepper.nodes[j]}
             load = grid.boundary_weights * np.broadcast_to(
                 expr.evaluate(spec.g, env), grid.shape
             )
-            g_load, g_mean = stepper.g_at(t)
+            g_load, g_mean = stepper.g_pair(j)
             assert np.array_equal(g_load, load)
             assert g_mean == np.add.reduce(load, axis=None)

@@ -371,6 +371,13 @@ class TestNoiseSweep:
         assert "usage error: --seed" in capsys.readouterr().err
 
 
+# manufactured1d's exact m without its m'
+_M_WITHOUT_MPRIME = (
+    'f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"\n'
+    'h = "1"\ng = "0"\nu0 = "1+cos(pi*x)"\nlx = 1.0\nT = 1.0\nomega = 1.0\nm = "1+t"\n'
+)
+
+
 class TestConfigHandling:
     def test_mode_mismatch(self, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -535,10 +542,17 @@ class TestConfigHandling:
          ("forward", "contaminant", ["--kernel-denominator-sign", "minus"],
           "kernel_denominator_sign = minus"),
          ("reconstruct", "manufactured1d", ["--fine-factor", "3"], "fine_factor = 3"),
-         ("reconstruct", "file", ["--fine-factor", "3"], "fine_factor = 3")],
+         ("reconstruct", "file", ["--fine-factor", "3"], "fine_factor = 3"),
+         ("noise-sweep", "manufactured1d", ["--derivative", "analytic"],
+          "derivative = analytic"),
+         ("noise-sweep", "contaminant", ["--derivative", "discrete"], "derivative = discrete"),
+         ("reconstruct", "file", ["--derivative", "discrete"], "derivative = discrete"),
+         ("convergence", "file", ["--derivative", "discrete"], "derivative = discrete")],
         ids=["roundtrip-derivative", "roundtrip-fine-factor", "forward-fine-factor",
              "forward-force", "forward-trace", "forward-denominator-sign",
-             "exact-m-fine-factor", "measurement-file-fine-factor"],
+             "exact-m-fine-factor", "measurement-file-fine-factor", "noise-sweep-derivative",
+             "noise-sweep-derivative-discrete", "measurement-file-derivative",
+             "measurement-file-derivative-convergence"],
     )
     def test_option_the_mode_ignores_is_usage_error(
         self, tmp_path, capsys, mode, preset, flags, option, source
@@ -560,6 +574,36 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"usage error: {flags[0]} ([experiment] {option.split()[0]}) has no effect" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["cli", "config"])
+    @pytest.mark.parametrize(
+        "mode,problem",
+        [("reconstruct", "preset = contaminant"), ("forward", "preset = contaminant"),
+         ("convergence", "preset = contaminant"), ("reconstruct", _M_WITHOUT_MPRIME)],
+        ids=["generated-data", "forward", "convergence", "exact-m"],
+    )
+    def test_analytic_derivative_without_exact_mprime_is_usage_error(
+        self, tmp_path, capsys, mode, problem, source
+    ):
+        # the run would difference M instead, while the echo said analytic
+        experiment = "derivative = analytic\n" if source == "config" else ""
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"[problem]\n{problem}\n[experiment]\n{experiment}", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = [mode, "--config", str(cfg), "--n", "10", "--mx", "10", "--out", str(out)]
+        code = run_cli(argv + (["--derivative", "analytic"] if source == "cli" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--derivative ([experiment] derivative) analytic needs an exact m'" in err
+        assert not out.exists()
+        # left to its default, the same run differences M and says so
+        cfg.write_text(f"[problem]\n{problem}\n", encoding="utf-8")
+        assert run_cli([*argv, "--json", str(tmp_path / "r.json")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert report["config"]["derivative"] == "analytic"
+        if mode != "convergence":
+            source_of = report.get("measurement", report).get("derivative_source")
+            assert source_of == "discrete-difference"
 
     @pytest.mark.parametrize(
         "bad_row,message",

@@ -4,8 +4,11 @@
 
 Runs a fixed set of ``kernrec`` commands (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
-benchmark's 2D config and on a 1D and a 2D config whose h and g depend
-on t) with each tree's ``src/`` on ``PYTHONPATH``.
+benchmark's 2D config and on 1D and 2D configs whose h and g depend on
+t, with an f that reads the state or one of t, x and y alone) with each
+tree's ``src/`` on ``PYTHONPATH``.  Some runs are sized so that the
+stepper's blocks of time nodes come out several to a run with a
+partial last one, or one node wide.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report equal once its
 ``timings`` are dropped.  Prints one line per command and exits 0 when
@@ -28,7 +31,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import CONFIG_2D, MANUFACTURED_2D  # noqa: E402  the benchmark's 2D config
 
 # every preset and the 2D config have a static h and g, formed once per
-# run; in this one h and g are evaluated at every step
+# run; in this one h and g depend on t, and f reads the state u
 TIME_DEPENDENT_1D = """\
 [problem]
 name = "timedependent1d"
@@ -59,6 +62,44 @@ omega = 1.0
 kernel = "exp(-t)"
 """
 CONFIG_T2D = "timedependent2d.ini"
+
+# f of t and x (y) alone, with h and g of t: all three are evaluated in
+# blocks of time nodes, not per step
+TIME_ONLY_1D = """\
+[problem]
+name = "timeonly1d"
+f = "exp(-t)*(1 + cos(pi*x)) + sin(2*t)*x"
+h = "1 + t"
+g = "t*x"
+u0 = "1 + cos(pi*x)"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+"""
+CONFIG_O1D = "timeonly1d.ini"
+
+TIME_ONLY_2D = """\
+[problem]
+name = "timeonly2d"
+f = "exp(-t)*cos(pi*x)*cos(pi*y) + t*y"
+h = "1 + t + x*y"
+g = "t*x - (1 - t)*y^2"
+u0 = "1 + cos(pi*x)*cos(pi*y)"
+lx = 1.0
+ly = 2.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+"""
+CONFIG_O2D = "timeonly2d.ini"
+CONFIGS = {
+    CONFIG_2D: MANUFACTURED_2D,
+    CONFIG_T1D: TIME_DEPENDENT_1D,
+    CONFIG_T2D: TIME_DEPENDENT_2D,
+    CONFIG_O1D: TIME_ONLY_1D,
+    CONFIG_O2D: TIME_ONLY_2D,
+}
 
 M1 = ["--preset", "manufactured1d"]
 CT = ["--preset", "contaminant"]
@@ -94,6 +135,14 @@ COMMANDS = {
     "noise-sweep-manufactured1d": [
         "noise-sweep", *M1, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
     ],
+    # 2000 nodes of f in blocks of 321 (51 nodes each), the last one partial
+    "reconstruct-manufactured1d-blocks": ["reconstruct", *M1, "--n", "2000", "--mx", "50"],
+    # 20001 nodes: each block is one time node
+    "reconstruct-manufactured1d-wide": ["reconstruct", *M1, "--n", "10", "--mx", "20000"],
+    "reconstruct-time-only-1d": ["reconstruct", "--config", CONFIG_O1D, "--n", "200", "--mx", "50"],
+    "roundtrip-time-only-1d": ["roundtrip", "--config", CONFIG_O1D, "--n", "1000", "--mx", "50"],
+    "reconstruct-time-only-2d": ["reconstruct", "--config", CONFIG_O2D, "--n", "20", "--mx", "24"],
+    "roundtrip-time-only-2d": ["roundtrip", "--config", CONFIG_O2D, "--n", "100", "--mx", "24"],
     "noise-sweep-contaminant": [
         "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
     ],
@@ -103,9 +152,8 @@ COMMANDS = {
 def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
     """Run every command with ``tree``'s sources; outputs go to work/NAME.*"""
     work.mkdir(parents=True)
-    (work / CONFIG_2D).write_text(MANUFACTURED_2D, encoding="utf-8")
-    (work / CONFIG_T1D).write_text(TIME_DEPENDENT_1D, encoding="utf-8")
-    (work / CONFIG_T2D).write_text(TIME_DEPENDENT_2D, encoding="utf-8")
+    for name, text in CONFIGS.items():
+        (work / name).write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = {}
