@@ -39,12 +39,19 @@ compiled tree gives the fields at up to BLOCK_VALUES / N nodes and one
 the value a single node would give.  A block is computed when the
 march first reaches one of its nodes, and a block that faults is
 evaluated again node by node, so a ``DomainFaultError`` surfaces at the
-step where it occurs, after the steps before it.  Only an f that reads
-the state is evaluated per step (``f_field``).  Once per step: the
-pairs of f_{i-1}, h_i and g_i, K_i (read off those means by the
-reconstruction), conv_i (formed after K_i, which it includes), the
-elliptic solve and M_i = (u_i,1).  The same values feed the load and
-the identity residual.
+step where it occurs, after the steps before it.  A node behind the
+block held (t_0, read for m'(0) after the march) is evaluated alone.
+Only an f that reads the state is evaluated per step (``f_field``).
+Once per step: the pairs of f_{i-1}, h_i and g_i, K_i (read off those
+means by the reconstruction), conv_i (formed after K_i, which it
+includes), the elliptic solve, the finiteness check of u_i and
+(conv_i,1), the only mean the loop forms.  The step records
+(f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) as it used them.
+Once per run, after the loop: M_i = (u_i,1) for all states, in blocks
+of at most BLOCK_VALUES values, and from them and the recorded sums
+the identity residuals of all steps (``TimeStepper.compat_residual``);
+a traced step gets its residual from the same function, applied to
+that step alone, as soon as the step is done.
 
 The states are stored newest-first: the loop allocates its
 (n+1, *grid.shape) buffer and works on the reversed view, so
@@ -156,7 +163,8 @@ class _Blocks:
 
     def _fill(self, j: int) -> None:
         stop = min(j + self._rows, len(self._nodes))
-        if j >= self._stepwise_stop:
+        # a node behind the block held is a lone read, not the march moving on
+        if j >= self._start and j >= self._stepwise_stop:
             try:
                 self._hold(j, stop)
                 return
@@ -259,29 +267,39 @@ class TimeStepper:
 
     def compat_residual(
         self,
-        i: int,
-        k_i: float,
-        f_mean: float,
-        h_mean: float,
-        g_mean: float,
-        conv: np.ndarray,
-        measured: np.ndarray,
-    ) -> float:
-        """Relative size of the per-step measurement identity residual.
+        states: np.ndarray,
+        kernel_values: np.ndarray,
+        sums: list[tuple[float, float, float, float]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """M = (u,1) of consecutive states, and the relative measurement
+        identity residual of each step between them.
 
-        ``f_mean``, ``h_mean`` and ``g_mean`` are (f_{i-1},1), (h_i,1) and
-        (g_i,1)_Gamma, and ``conv`` is conv_i, all as the step used them.
+        ``states`` holds u_{i-1}..u_{i+m}, ``kernel_values`` K_{i-1}..K_{i+m},
+        and row k of ``sums`` the (f_{j-1},1), (h_j,1), (g_j,1)_Gamma and
+        (conv_j,1) that step j = i+k used.  The means are formed in blocks
+        of at most BLOCK_VALUES values, each as ``mean`` forms it, and each
+        residual |dM_j + (g_j,1)_Gamma + K_j (h_j,1) + (conv_j,1) - (f_{j-1},1)|,
+        summed in that order, is divided by the largest of its terms.
         """
-        terms = (
-            (measured[i] - measured[i - 1]) / self.tau,
+        measured = np.empty(states.shape[0])
+        rows = max(1, BLOCK_VALUES // self.weights.size)
+        axes = tuple(range(1, states.ndim))
+        for lo in range(0, states.shape[0], rows):
+            block = self.weights * states[lo : lo + rows]
+            measured[lo : lo + rows] = np.add.reduce(block, axis=axes)
+        f_mean, h_mean, g_mean, conv_mean = np.asarray(sums, dtype=float).T
+        terms = np.stack((
+            (measured[1:] - measured[:-1]) / self.tau,
             g_mean,
-            k_i * h_mean,
-            self.mean(conv),
+            kernel_values[1:] * h_mean,
+            conv_mean,
             -f_mean,
-        )
-        residual = abs(sum(terms))
-        scale = max(abs(term) for term in terms)
-        return residual / scale if scale > 0 else 0.0
+        ))
+        residual = np.abs(terms[0] + terms[1] + terms[2] + terms[3] + terms[4])
+        scale = np.max(np.abs(terms), axis=0)
+        # a step whose terms are all zero has residual 0; a NaN stays NaN
+        out = np.zeros_like(residual)
+        return measured, np.divide(residual, scale, out=out, where=scale != 0)
 
 
 @dataclass(frozen=True)
@@ -313,27 +331,25 @@ def _march(
     states = np.empty((n + 1, *stepper.grid.shape))[::-1]
     states[0] = stepper.u0
     u_prev = states[0]
-    measured = np.empty(n + 1)
-    measured[0] = stepper.mean(u_prev)
-    residuals = np.empty(n)
+    sums = []  # (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) per step
     for i in range(1, n + 1):
         f_prev, f_mean = stepper.f_pair(i - 1, u_prev)
         h_i, h_mean = stepper.h_pair(i)
         g_load, g_mean = stepper.g_pair(i)
         if kernel_update is not None:
             kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
-        k_i = kernel_values[i]
         # conv_i includes K_i, so it is formed after the update
         conv = _convolution_values(kernel_values, states, i, tau)
-        states[i] = stepper.step(k_i, u_prev, f_prev, conv, h_i, g_load)
+        states[i] = stepper.step(kernel_values[i], u_prev, f_prev, conv, h_i, g_load)
         u_prev = states[i]
         if not np.isfinite(u_prev).all():
             raise NonFiniteError("state is not finite", step=i)
-        measured[i] = stepper.mean(u_prev)
-        residual = stepper.compat_residual(i, k_i, f_mean, h_mean, g_mean, conv, measured)
-        residuals[i - 1] = residual
+        sums.append((f_mean, h_mean, g_mean, stepper.mean(conv)))
         if on_step is not None:
-            on_step(i, residual)
+            window = slice(i - 1, i + 1)
+            _, residual = stepper.compat_residual(states[window], kernel_values[window], sums[-1:])
+            on_step(i, residual[0])
+    measured, residuals = stepper.compat_residual(states, kernel_values, sums)
     return states, measured, residuals
 
 

@@ -9,10 +9,11 @@ off the discrete measurement identity,
 then the elliptic field problem is solved with the now-known K_i.
 Both happen inside the stepping loop that ``forward.run_forward`` also
 uses, so (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and conv_i are computed
-once per step and serve the update, the load and the identity residual
-alike.  The denominator carries the plus sign that falls out of
-splitting the k = i term from the convolution sum; a debug switch flips
-it to minus for comparison runs.  The update is well defined for tau below
+once per step and serve the update, the load and, recorded by the
+loop, the identity residual formed after it.  The denominator carries
+the plus sign that falls out of splitting the k = i term from the
+convolution sum; a debug switch flips it to minus for comparison
+runs.  The update is well defined for tau below
 
     tau0 = min(1, omega / (2 |m_0|)),
 
@@ -25,7 +26,12 @@ difference otherwise.  K_0 never enters the time stepping; it only
 completes the reported kernel.
 
 The stability functionals of ``Diagnostics`` are computed from the
-finished trajectory after the loop, in row blocks of fixed size.
+finished trajectory after the loop.  The walk takes blocks of
+DIAGNOSTICS_BLOCK_VALUES = 2**15 values (one state of a 161 x 161
+grid), small enough to stay in cache, with one stiffness product per
+block; the last state of a block and its A u are carried into the next
+for the increments, so no state is multiplied by A twice.  Each value
+is formed row by row, so it does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -50,8 +56,10 @@ from .problem import MeasurementSeries, ProblemSpec, TimeGrid, validate_floor
 
 DENOMINATOR_GUARD = 1e-12
 # trajectory values per block of the post-loop diagnostics; bounds their
-# temporaries whatever the step count
-DIAGNOSTICS_BLOCK_VALUES = 1 << 17
+# temporaries whatever the step count.  A block of 2**15 values (256 KiB)
+# and the few temporaries formed from it stay in a core's cache; with
+# 2**17 they set the process's peak memory on a 161 x 161 grid.
+DIAGNOSTICS_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -151,9 +159,9 @@ def _diagnostics(
 ) -> Diagnostics:
     """Stability functionals of a finished reconstruction.
 
-    The trajectory is walked in blocks of DIAGNOSTICS_BLOCK_VALUES values
-    that overlap by one state for the increments; one stiffness product
-    per block gives A u_i, and A (u_i - u_{i-1}) = A u_i - A u_{i-1}.
+    One stiffness product per block gives A u_i, and A (u_i - u_{i-1}) =
+    A u_i - A u_{i-1}; the increment into a block's first state takes
+    A u_{i-1} carried from the block before.
     """
     n = states.shape[0] - 1
     w = grid.weights
@@ -164,16 +172,23 @@ def _diagnostics(
     inc_sq = np.empty(n)  # ||u_i - u_{i-1}||^2
     grad_inc_sq = np.empty(n)  # ||grad(u_i - u_{i-1})||^2
     rows = max(1, DIAGNOSTICS_BLOCK_VALUES // w.size)
-    for start in range(0, n + 1, rows):
-        lo, hi = max(start - 1, 0), min(start + rows, n + 1)
+    for lo in range(0, n + 1, rows):
+        hi = min(lo + rows, n + 1)
         u = states[lo:hi]
         au = stiffness_matvec(grid, u)
         state_sq[lo:hi] = np.sum(w * u**2, axis=axes)
         grad_sq[lo:hi] = np.sum(au * u, axis=axes)
         lap_sq[lo:hi] = np.sum(w * (au / w) ** 2, axis=axes)
-        du = np.diff(u, axis=0)
-        inc_sq[lo : hi - 1] = np.sum(w * du**2, axis=axes)
-        grad_inc_sq[lo : hi - 1] = np.sum(np.diff(au, axis=0) * du, axis=axes)
+        # increments i = first..hi-1, from the previous block's last state on
+        first = max(lo, 1)
+        du = u[first - lo :] - states[first - 1 : hi - 1]
+        dau = np.empty_like(du)
+        if lo:
+            np.subtract(au[0], au_last, out=dau[0])
+        np.subtract(au[1:], au[:-1], out=dau[1 if lo else 0 :])
+        inc_sq[first - 1 : hi - 1] = np.sum(w * du**2, axis=axes)
+        grad_inc_sq[first - 1 : hi - 1] = np.sum(dau * du, axis=axes)
+        au_last = au[-1].copy()
     state_increment = float(np.sum(inc_sq))
     return Diagnostics(
         max_abs_kernel=float(np.max(np.abs(kernel_values))),

@@ -283,21 +283,18 @@ def _is_number(token: str) -> bool:
 def volume_mean_of_h(
     spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid
 ) -> np.ndarray:
-    """(h(t_i), 1) for every time node, via the lumped quadrature."""
-    coords = grid.coordinate_fields()
-    w = grid.weights.ravel()
-    nodes = timegrid.nodes
-    if "t" not in expr.variables(spec.h):
-        env = dict(coords)
-        hv = np.broadcast_to(
-            np.asarray(expr.evaluate(spec.h, env), dtype=float), grid.shape
-        )
-        return np.full(nodes.size, float(np.sum(w * hv.ravel())))
-    env = {k: v.reshape(-1, 1) for k, v in coords.items()}
-    env["t"] = nodes.reshape(1, -1)
-    hv = np.asarray(expr.evaluate(spec.h, env), dtype=float)
-    hv = np.broadcast_to(hv, (w.size, nodes.size))
-    return w @ hv
+    """(h(t_i), 1) for every time node, exactly as ``TimeStepper.h_pair`` forms it.
+
+    A t-dependent h is evaluated in the stepper's blocks of time nodes, so
+    the check holds one block of values at a time, not all (n+1) x N.
+    """
+    from .forward import _coefficient  # forward imports this module
+
+    compiled = expr.compile(spec.h, grid.coordinate_fields())
+    h_pair = _coefficient(compiled, grid.weights, False, timegrid.nodes)
+    if "t" not in compiled.free:
+        return np.full(timegrid.n + 1, h_pair(0)[1])
+    return np.array([h_pair(j)[1] for j in range(timegrid.n + 1)])
 
 
 def validate_floor(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid) -> None:

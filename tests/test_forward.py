@@ -225,8 +225,7 @@ class TestOncePerStep:
         evaluate = expr.evaluate
 
         def evaluate_at_t(tree, env):
-            # a compiled f, h or g evaluated at one t or a block of them (the
-            # floor check evaluates the bare tree of h, not a compiled one)
+            # a compiled f, h or g evaluated at one t or a block of them
             if isinstance(tree, expr.Compiled) and "t" in env:
                 for name in ("f", "h", "g"):
                     if tree.tree is getattr(spec, name):
@@ -272,9 +271,10 @@ class TestOncePerStep:
     def test_reconstruct_time_dependent(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, _manufactured_time_dependent(), n)
-        # h_0 and g_0 for K_0 open the first blocks of h and g
+        # h_0 and g_0 for K_0 open the first blocks of h and g; the floor
+        # check walks the same blocks of h once before the march
         blocks = self.BLOCKS
-        assert calls == {"f_field": 0, "f": blocks, "h": blocks, "g": blocks, "conv": n}
+        assert calls == {"f_field": 0, "f": blocks, "h": 2 * blocks, "g": blocks, "conv": n}
 
     def test_run_forward_state_dependent(self, monkeypatch):
         n = 20
@@ -285,9 +285,9 @@ class TestOncePerStep:
     def test_reconstruct_state_dependent(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, _time_dependent_with_state(), n)
-        # one more f for K_0
+        # one more f for K_0, and the floor check's blocks of h
         blocks = self.BLOCKS
-        assert calls == {"f_field": n + 1, "f": n + 1, "h": blocks, "g": blocks, "conv": n}
+        assert calls == {"f_field": n + 1, "f": n + 1, "h": 2 * blocks, "g": blocks, "conv": n}
 
 
 class TestBlockFaults:
@@ -441,6 +441,33 @@ class TestGenerateMeasurement:
         assert len(built) == 1
         expected = "analytic" if derivative == "analytic" else "discrete-difference"
         assert run.measurement.provenance == expected
+
+    def test_initial_means_after_the_march_evaluate_one_node(self, monkeypatch):
+        # f, h and g of t: the march evaluates f at t_0..t_3999 and h and g at
+        # t_1..t_4000; m'(0) then reads t_0 of each, one node apiece, not a
+        # fresh block of each
+        spec = _manufactured_time_dependent()
+        grid, tg = spec.make_grid(50), TimeGrid(spec.T, 4000)
+        pairs = forward._pairs
+        nodes = [0]
+
+        def counting(compiled, t, weights, load):
+            nodes[0] += len(t)
+            return pairs(compiled, t, weights, load)
+
+        monkeypatch.setattr(forward, "_pairs", counting)
+        runs, evaluated = {}, {}
+        for derivative in ("analytic", "discrete"):
+            nodes[0] = 0
+            runs[derivative] = run_forward(spec, grid, tg, derivative=derivative)
+            evaluated[derivative] = nodes[0]
+        assert evaluated == {"analytic": 12000, "discrete": 12003}
+        # the lone nodes give the values the first blocks would
+        f_mean, g_mean, h_mean = TimeStepper(spec, grid, tg).initial_means()
+        run = runs["discrete"]
+        expected = f_mean - g_mean - run.kernel.values[0] * h_mean
+        assert run.measurement.initial_derivative == expected
+        assert np.array_equal(run.measurement.values, runs["analytic"].measurement.values)
 
     def test_discrete_initial_derivative_is_the_identity(self):
         spec = _spec(f="1 + x*u", h="2 + cos(pi*x)", g="x", u0="1 + x^2",

@@ -133,6 +133,24 @@ class TestReconstructCommand:
         assert err.count("step=") == 10
         assert "den=" in err and "resid=" in err
 
+    def test_trace_rows_before_a_fault(self, tmp_path, capsys):
+        # f is read at t_{i-1}: step 6 meets t = 0.5 and fails; steps 1..5
+        # have printed their rows, residual included, by then
+        config = tmp_path / "fault.ini"
+        config.write_text(
+            '[problem]\nf = "1/(t - 0.5)"\nh = "1"\ng = "0"\nu0 = "0"\n'
+            'm = "0"\nmprime = "0"\nlx = 1.0\nT = 1.0\nomega = 1.0\n',
+            encoding="utf-8",
+        )
+        code = run_cli(["reconstruct", "--config", str(config), "--n", "10", "--mx", "8",
+                        "--trace"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        rows = [line for line in lines if line.startswith("step=")]
+        assert [row.split()[0] for row in rows] == [f"step={i}" for i in range(1, 6)]
+        assert all(re.search(r"resid=\d\.\d{3}e[+-]\d+$", row) for row in rows)
+        assert "division by zero" in lines[-1]
+
     def test_synthetic_data_path(self, tmp_path):
         # contaminant has no exact measurement: data must be generated
         # on a finer grid and restricted

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kernrec import expr
+from kernrec import expr, forward, inverse
 from kernrec.errors import SingularUpdateError, StepThresholdError, ValidationError
-from kernrec.forward import KernelSeries, run_forward
+from kernrec.forward import KernelSeries, TimeStepper, _convolution_values, run_forward
 from kernrec.grid import stiffness_matvec
 from kernrec.inverse import (
     DIAGNOSTICS_BLOCK_VALUES,
@@ -76,6 +76,81 @@ def _running_diagnostics(result, grid, tau):
         "min_denominator_magnitude": float(np.min(np.abs(result.denominators))),
         "max_compat_residual": float(np.max(result.compat_residuals)),
     }
+
+
+def _stepwise_identity(spec, grid, tg, states, kernel):
+    """Reference: M_i and the identity residuals, one state and one step at
+    a time, with the scalar code of a per-step loop."""
+    stepper = TimeStepper(spec, grid, tg)
+    measured = [stepper.mean(u) for u in states]
+    residuals = []
+    for i in range(1, tg.n + 1):
+        conv = _convolution_values(kernel, states, i, tg.tau)
+        terms = (
+            (measured[i] - measured[i - 1]) / tg.tau,
+            stepper.g_pair(i)[1],
+            kernel[i] * stepper.h_pair(i)[1],
+            stepper.mean(conv),
+            -stepper.f_pair(i - 1, states[i - 1])[1],
+        )
+        scale = max(abs(term) for term in terms)
+        residuals.append(abs(sum(terms)) / scale if scale > 0 else 0.0)
+    return measured, residuals
+
+
+def _stepwise_diagnostics(grid, tau, result):
+    """Reference: the functionals of each state and step formed one at a
+    time, then combined as ``Diagnostics`` defines them."""
+    states, kernel, w = result.states, result.kernel.values, grid.weights
+    au = [stiffness_matvec(grid, u) for u in states]
+    state_sq = [np.sum(w * u**2) for u in states]
+    grad_sq = [np.sum(a * u) for a, u in zip(au, states)]
+    lap_sq = [np.sum(w * (a / w) ** 2) for a in au]
+    steps = range(1, len(states))
+    inc_sq = [np.sum(w * (states[i] - states[i - 1]) ** 2) for i in steps]
+    grad_inc_sq = [np.sum((au[i] - au[i - 1]) * (states[i] - states[i - 1])) for i in steps]
+    return {
+        "max_abs_kernel": float(np.max(np.abs(kernel))),
+        "max_state_norm_sq": float(np.max(state_sq)),
+        "grad_energy": float(np.sum(grad_sq[1:])) * tau,
+        "state_increment_sum_sq": float(np.sum(inc_sq)),
+        "max_grad_norm_sq": float(np.max(grad_sq)),
+        "time_derivative_energy": float(np.sum(inc_sq)) / tau,
+        "grad_increment_sum_sq": float(np.sum(grad_inc_sq)),
+        "laplacian_energy": float(np.sum(lap_sq[1:])) * tau,
+        "kernel_derivative_energy": kernel_difference_energy(kernel, tau),
+        "min_denominator_magnitude": float(np.min(np.abs(result.denominators))),
+        "max_compat_residual": float(np.max(result.compat_residuals)),
+    }
+
+
+class TestTrajectoryWalk:
+    """M_i and the residuals are formed after the march, and the
+    diagnostics walk the trajectory in blocks carrying A u across them;
+    whatever the block size, every value is the per-step one, bit for bit."""
+
+    @pytest.mark.parametrize("states_per_block", [1, 3, None], ids=["one", "three", "all"])
+    @pytest.mark.parametrize(
+        "spec, n, cells",
+        [(preset_manufactured_1d(), 40, (30,)), (_manufactured_2d(), 10, (12, 9))],
+        ids=["1d", "2d"],
+    )
+    def test_equals_stepwise_reference(self, monkeypatch, spec, n, cells, states_per_block):
+        tg = TimeGrid(1.0, n)
+        grid = spec.make_grid(*cells)
+        block = (states_per_block or n + 1) * grid.weights.size
+        monkeypatch.setattr(forward, "BLOCK_VALUES", block)
+        monkeypatch.setattr(inverse, "DIAGNOSTICS_BLOCK_VALUES", block)
+
+        run = run_forward(spec, grid, tg, derivative="discrete")
+        measured, residuals = _stepwise_identity(spec, grid, tg, run.states, run.kernel.values)
+        assert run.measurement.values.tolist() == measured
+        assert run.compat_residuals.tolist() == residuals
+
+        result = reconstruct(spec, grid, tg, run.measurement)
+        _, residuals = _stepwise_identity(spec, grid, tg, result.states, result.kernel.values)
+        assert result.compat_residuals.tolist() == residuals
+        assert result.diagnostics.as_dict() == _stepwise_diagnostics(grid, tg.tau, result)
 
 
 class TestStepThreshold:
@@ -183,6 +258,10 @@ class TestReconstruct:
         result = reconstruct(spec, grid, tg, series)
         assert np.all(result.kernel.values == 0.0)
         assert np.all(result.states == 0.0)
+        # every identity term is 0: the residual is 0, with no 0/0 (pytest
+        # turns a RuntimeWarning into an error)
+        assert np.all(result.compat_residuals == 0.0)
+        assert result.diagnostics.max_compat_residual == 0.0
 
     def test_same_grid_roundtrip(self):
         spec = preset_manufactured_1d()

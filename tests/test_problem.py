@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kernrec import expr
+from kernrec import expr, forward
 from kernrec.errors import ConfigError, FloorViolationError, ValidationError
+from kernrec.forward import TimeStepper
 from kernrec.harness import run_cli
 from kernrec.problem import (
     MeasurementSeries,
@@ -19,6 +21,7 @@ from kernrec.problem import (
     preset_zero_1d,
     spec_from_mapping,
     validate_floor,
+    volume_mean_of_h,
 )
 
 
@@ -220,6 +223,40 @@ class TestSpecValidation:
         )
         with pytest.raises(FloorViolationError):
             validate_floor(spec, spec.make_grid(10), TimeGrid(1.0, 10))
+
+    @pytest.mark.parametrize(
+        "h, cells",
+        [("1 + t*x", (12,)), ("2 + x^2", (12,)), ("2 + t*cos(pi*x)*y", (6, 5))],
+        ids=["1d", "1d-static", "2d"],
+    )
+    def test_floor_means_are_the_steppers(self, monkeypatch, h, cells):
+        # the floor check reads exactly the (h_i,1) the kernel update divides by
+        spec = ProblemSpec(
+            name="inline", extents=(1.0,) * len(cells), T=1.0, omega_floor=1.0,
+            f=expr.parse("0"), h=expr.parse(h), g=expr.parse("0"), u0=expr.parse("0"),
+        )
+        grid = spec.make_grid(*cells)
+        tg = TimeGrid(1.0, 10)
+        # blocks of 4 time nodes, the last one partial
+        monkeypatch.setattr(forward, "BLOCK_VALUES", 4 * grid.weights.size)
+        stepper = TimeStepper(spec, grid, tg)
+        means = volume_mean_of_h(spec, grid, tg)
+        assert means.tolist() == [stepper.h_pair(j)[1] for j in range(tg.n + 1)]
+
+    def test_floor_check_memory_is_bounded(self):
+        # all 2001 x 1001 values of h at once would take 32.5 MiB
+        spec = ProblemSpec(
+            name="inline", extents=(1.0,), T=1.0, omega_floor=1.0,
+            f=expr.parse("0"), h=expr.parse("1 + t*x"), g=expr.parse("0"), u0=expr.parse("0"),
+        )
+        grid, tg = spec.make_grid(1000), TimeGrid(1.0, 2000)
+        tracemalloc.start()
+        try:
+            validate_floor(spec, grid, tg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 CONFIG = """

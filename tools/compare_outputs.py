@@ -11,7 +11,8 @@ stepper's blocks of time nodes come out several to a run with a
 partial last one, or one node wide.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report equal once its
-``timings`` are dropped.  Prints one line per command and exits 0 when
+``timings`` are dropped; a ``--trace`` command must also print the same
+trace rows to stderr.  Prints one line per command and exits 0 when
 all agree, 1 on any difference and 2 when a command fails in either
 tree.
 """
@@ -146,6 +147,14 @@ COMMANDS = {
     "noise-sweep-contaminant": [
         "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
     ],
+    # trace rows on stderr; 2001 states of 51 nodes make several blocks of
+    # the post-march means and diagnostics, the last one partial
+    "reconstruct-manufactured1d-trace": [
+        "reconstruct", *M1, "--n", "2000", "--mx", "50", "--trace",
+    ],
+    "reconstruct-2d-trace": [
+        "reconstruct", "--config", CONFIG_2D, "--n", "20", "--mx", "24", "--trace",
+    ],
 }
 
 
@@ -205,6 +214,9 @@ def main(argv: list[str]) -> int:
                 paths["head"].with_suffix(".json")
             ):
                 differs.append("json")
+            stderr = {side: runs[side][name].stderr for side in ("base", "head")}
+            if "--trace" in COMMANDS[name] and stderr["base"] != stderr["head"]:
+                differs.append("trace rows")
             if differs:
                 print(f"DIFFERS  {name}: {' and '.join(differs)}")
                 status = max(status, 1)
