@@ -4,13 +4,12 @@ Subcommands: ``forward``, ``reconstruct``, ``roundtrip``, ``convergence``
 and ``noise-sweep``.  Problems come from ``--preset NAME`` or from a
 ``--config PATH`` file in the flat ``key = value`` format (sections
 ``[problem]``, ``[discretization]``, ``[experiment]``); command line
-flags override config values.  An option that the mode would not use
-is rejected (``_IGNORED_BY_MODE``, ``--fine-factor`` when the problem
-gives its measurement, ``--derivative`` with a ``measurement_file``),
-and so is an explicit ``--derivative analytic`` on a problem without an
-exact m'.  An ``ExperimentConfig`` validates
-every option when it is built, including the exact kernel that all
-modes but ``reconstruct`` need.  Each mode runner builds its grids
+flags override config values.  Each option is one row of ``OPTIONS``,
+which gives its flag, its config key, its cast and the modes and data
+that use it; an option the run would not use is rejected.  An
+``ExperimentConfig`` holds the defaults and validates every option when
+it is built, including the exact kernel that all modes but
+``reconstruct`` need.  Each mode runner builds its grids
 once, writes its CSV when ``--out`` is given and returns its own part
 of the JSON report; ``run_cli`` adds the mode, the configuration echo
 and the timings.  Synthetic data always comes from
@@ -35,7 +34,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -100,6 +100,8 @@ class ExperimentConfig:
     measurement_file: str | None = None
 
     def __post_init__(self) -> None:
+        if self.my is None and self.spec.ndim == 2:
+            self.my = self.mx
         self.validate()
 
     def validate(self) -> None:
@@ -117,10 +119,7 @@ class ExperimentConfig:
             raise UsageError("--my must be a positive cell count")
         if self.fine_factor < 1:
             raise UsageError("--fine-factor must be >= 1")
-        if self.derivative not in ("analytic", "discrete"):
-            raise UsageError(f"unknown derivative source {self.derivative!r}")
-        noise_mode = self.mode == "noise-sweep"
-        if noise_mode:
+        if self.mode == "noise-sweep":
             if not self.noise_sigmas:
                 raise UsageError("noise-sweep requires --noise SIGMA[,SIGMA...]")
             if self.seed is None:
@@ -130,11 +129,6 @@ class ExperimentConfig:
             bad = [s for s in self.noise_sigmas if not 0.0 < s < math.inf]
             if bad:
                 raise UsageError(f"--noise levels must be positive and finite, got {bad[0]}")
-        else:
-            if self.noise_sigmas:
-                raise UsageError("--noise is only valid in noise-sweep mode")
-            if self.seed is not None:
-                raise UsageError("--seed is only valid in noise-sweep mode")
         if self.measurement_file is not None:
             if self.spec.m_exact is not None:
                 raise ConfigError(
@@ -177,6 +171,125 @@ class ExperimentConfig:
         }
 
 
+# -- options -----------------------------------------------------------
+
+
+_MODES = {
+    "forward": "simulate with the exact kernel and dump the measurement",
+    "reconstruct": "recover the kernel from measurement data",
+    "roundtrip": "forward then reconstruct on the identical grid",
+    "convergence": "reconstruct over a list of n and tabulate EOC",
+    "noise-sweep": "observe noise amplification over a list of sigma",
+}
+_ALL_MODES = frozenset(_MODES)
+# forward runs no reconstruction
+_RECONSTRUCTING = _ALL_MODES - {"forward"}
+_NOISE_SWEEP = frozenset({"noise-sweep"})
+
+_BOOL_WORDS = {
+    "true": True, "yes": True, "on": True, "1": True,
+    "false": False, "no": False, "off": False, "0": False,
+}
+_SIGNS = {"plus": 1.0, "minus": -1.0}
+
+
+def _as_bool(text: str) -> bool:
+    try:
+        return _BOOL_WORDS[text.strip().lower()]
+    except KeyError:
+        raise ValueError("expected true/false, yes/no, on/off or 1/0") from None
+
+
+def _list_of(cast: Callable[[str], object]) -> Callable[[str], list]:
+    """Cast of a comma list; blank entries are skipped, so "" is the empty list."""
+    return lambda text: [cast(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("an empty path names no file")
+    return text
+
+
+def _unused_beside_data(spec, measurement_file, value):
+    if spec.m_exact is not None or measurement_file is not None:
+        return (
+            "has no effect: the problem gives its measurement "
+            "(exact m or measurement_file), so no data is generated"
+        )
+
+
+def _derivative_rule(spec, measurement_file, value):
+    if measurement_file is not None:
+        return "has no effect: m' is read from the measurement_file, or differenced from its samples"
+    if value == "analytic" and spec.mprime_exact is None:
+        # without one the run would fall back to the backward difference
+        return f"analytic needs an exact m' (mprime), and problem {spec.name!r} has none"
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One option: flag ``--key`` and config key ``[section] key``.
+
+    ``cast`` reads the text of either alike.  ``modes`` use the option;
+    ``rule(spec, measurement_file, value)`` says why the problem's data
+    leaves the value unused, or returns None.
+    """
+
+    key: str
+    field: str  # of ExperimentConfig
+    cast: Callable[[str], object]
+    help: str
+    section: str = "experiment"
+    choices: tuple[str, ...] = ()
+    modes: frozenset = _ALL_MODES
+    rule: Callable | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    @property
+    def label(self) -> str:
+        return f"{self.flag} ([{self.section}] {self.key})"
+
+
+OPTIONS = (
+    _Option("n", "n_list", _list_of(int), "time steps (comma list for convergence)",
+            section="discretization"),
+    _Option("mx", "mx", int, "cells along x", section="discretization"),
+    _Option("my", "my", int, "cells along y (2D only)", section="discretization",
+            rule=lambda spec, _, value: spec.ndim == 1 and "has no effect: the problem is 1D"),
+    _Option("out", "out", _path, "CSV output path"),
+    _Option("json", "json_path", _path, "JSON report path"),
+    # roundtrip differentiates its own same-grid data; noise-sweep
+    # differences its noisy samples whatever m' the data had
+    _Option("derivative", "derivative", str,
+            "measurement derivative source (default analytic when available)",
+            choices=("analytic", "discrete"),
+            modes=_ALL_MODES - {"roundtrip", "noise-sweep"}, rule=_derivative_rule),
+    _Option("fine_factor", "fine_factor", int,
+            "time refinement of synthetic data (space gets x2 when >1; 1 = same grid)",
+            modes=_NOISE_SWEEP | {"reconstruct", "convergence"}, rule=_unused_beside_data),
+    _Option("noise", "noise_sigmas", _list_of(float), "comma list of noise levels sigma",
+            modes=_NOISE_SWEEP),
+    _Option("seed", "seed", int, "RNG seed (noise-sweep only)", modes=_NOISE_SWEEP),
+    _Option("force", "force", _as_bool, "run past a failed step-threshold check",
+            modes=_RECONSTRUCTING),
+    _Option("trace", "trace", _as_bool, "print per-step trace rows to stderr",
+            modes=_RECONSTRUCTING),
+    _Option("kernel_denominator_sign", "denominator_sign", _SIGNS.__getitem__,
+            "debug: sign of the m0*tau denominator term (default plus)",
+            choices=tuple(_SIGNS), modes=_RECONSTRUCTING),
+)
+
+# the keys [discretization] and [experiment] accept: the table's, and mode
+_SECTION_KEYS = {
+    "discretization": frozenset(o.key for o in OPTIONS if o.section == "discretization"),
+    "experiment": frozenset(o.key for o in OPTIONS if o.section == "experiment") | {"mode"},
+}
+
+
 # -- argument parsing -------------------------------------------------
 
 
@@ -187,76 +300,42 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="kernrec", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="mode")
-    for mode, blurb in (
-        ("forward", "simulate with the exact kernel and dump the measurement"),
-        ("reconstruct", "recover the kernel from measurement data"),
-        ("roundtrip", "forward then reconstruct on the identical grid"),
-        ("convergence", "reconstruct over a list of n and tabulate EOC"),
-        ("noise-sweep", "observe noise amplification over a list of sigma"),
-    ):
+    sub = parser.add_subparsers(dest="mode", required=True)
+    for mode, blurb in _MODES.items():
         p = sub.add_parser(mode, help=blurb)
         p.add_argument("--preset", help="built-in problem name")
         p.add_argument("--config", help="path to a config file")
-        p.add_argument("--n", help="time steps (comma list for convergence)")
-        p.add_argument("--mx", type=int, help="cells along x")
-        p.add_argument("--my", type=int, help="cells along y (2D only)")
         p.add_argument("--T", type=float, help="override the time horizon")
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument("--json", dest="json_path", help="JSON report path")
-        p.add_argument(
-            "--derivative",
-            choices=("analytic", "discrete"),
-            help="measurement derivative source (default analytic when available)",
-        )
-        p.add_argument(
-            "--fine-factor",
-            type=int,
-            dest="fine_factor",
-            help="time refinement of synthetic data (space gets x2 when >1; 1 = same grid)",
-        )
-        p.add_argument("--noise", help="comma list of noise levels sigma")
-        p.add_argument("--seed", type=int, help="RNG seed (noise-sweep only)")
-        p.add_argument("--force", action="store_true", default=None,
-                       help="run past a failed step-threshold check")
-        p.add_argument("--trace", action="store_true", default=None,
-                       help="print per-step trace rows to stderr")
-        p.add_argument(
-            "--kernel-denominator-sign",
-            choices=("plus", "minus"),
-            dest="denominator_sign",
-            help="debug: sign of the m0*tau denominator term (default plus)",
-        )
+        for opt in OPTIONS:
+            if opt.cast is _as_bool:  # a switch: the bare flag reads as "true"
+                p.add_argument(opt.flag, action="store_const", const="true", help=opt.help)
+            else:
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                p.add_argument(opt.flag, metavar=metavar, help=opt.help)
     return parser
 
 
-def _parse_list(text: str, cast, what: str) -> list:
-    try:
-        return [cast(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"cannot parse {what} list from {text!r}") from None
-
-
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config file sections with command line overrides."""
-    problem_section: dict[str, str] = {}
-    disc: dict[str, str] = {}
-    experiment: dict[str, str] = {}
+    """Merge config file sections with command line overrides.
+
+    Row by row of ``OPTIONS``: the flag, else the key, cast, and rejected
+    when the run would not use it.  An option given nowhere keeps its
+    ``ExperimentConfig`` default.
+    """
+    sections: dict[str, dict[str, str]] = {"problem": {}, "discretization": {}, "experiment": {}}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                sections = parse_config(fh.read())
+                sections = parse_config(fh.read(), _SECTION_KEYS)
         except OSError as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        problem_section = sections["problem"]
-        disc = sections["discretization"]
-        experiment = sections["experiment"]
-        if experiment.get("mode") not in (None, args.mode):
+        requested = sections["experiment"].get("mode")
+        if requested not in (None, args.mode):
             raise UsageError(
-                f"config requests mode {experiment['mode']!r}, "
-                f"command line says {args.mode!r}"
+                f"config requests mode {requested!r}, command line says {args.mode!r}"
             )
 
+    problem_section = sections["problem"]
     if args.preset:
         spec = spec_from_mapping({**problem_section, "preset": args.preset})
     elif problem_section:
@@ -266,113 +345,32 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.T is not None:
         spec = replace(spec, T=args.T)
 
-    def pick(cli_value, section, key, cast=str):
-        if cli_value is not None:
-            return cli_value
-        if key in section:
-            try:
-                return cast(section[key])
-            except ValueError as exc:
-                raise UsageError(f"cannot parse {key} = {section[key]!r}: {exc}") from None
-        return None
-
-    n_text = pick(args.n, disc, "n")
-    if n_text is None:
-        raise UsageError("no time resolution given (use --n or [discretization] n)")
-    n_list = _parse_list(str(n_text), int, "--n")
-    mx = pick(args.mx, disc, "mx", int)
-    if mx is None:
-        raise UsageError("no spatial resolution given (use --mx or [discretization] mx)")
-    my = pick(args.my, disc, "my", int)
-    if spec.ndim == 2 and my is None:
-        my = mx
-    if spec.ndim == 1 and my is not None:
-        raise UsageError("--my given for a 1D problem")
-
-    # the options some modes ignore, as given (None when not given)
-    given = {
-        "derivative": pick(args.derivative, experiment, "derivative"),
-        "fine_factor": pick(args.fine_factor, experiment, "fine_factor", int),
-        "force": pick(args.force, experiment, "force", _as_bool),
-        "trace": pick(args.trace, experiment, "trace", _as_bool),
-        "kernel_denominator_sign": pick(
-            args.denominator_sign, experiment, "kernel_denominator_sign"
-        ),
-    }
     measurement_file = problem_section.get("measurement_file")
-    for key in _IGNORED_BY_MODE.get(args.mode, ()):
-        if given[key] is not None:
-            raise UsageError(f"{_option(key)} has no effect in {args.mode} mode")
-    given_data = spec.m_exact is not None or measurement_file is not None
-    if given_data and given["fine_factor"] is not None:
-        raise UsageError(
-            f"{_option('fine_factor')} has no effect: the problem gives its "
-            "measurement (exact m or measurement_file), so no data is generated"
-        )
-    if measurement_file is not None and given["derivative"] is not None:
-        raise UsageError(
-            f"{_option('derivative')} has no effect: m' is read from the "
-            "measurement_file, or differenced from its samples"
-        )
-    if given["derivative"] == "analytic" and spec.mprime_exact is None:
-        # without one the run would fall back to the backward difference
-        raise UsageError(
-            f"{_option('derivative')} analytic needs an exact m' (mprime), "
-            f"and problem {spec.name!r} has none"
-        )
-    noise_text = pick(args.noise, experiment, "noise")
-    sign_text = given["kernel_denominator_sign"]
-    if sign_text is None:
-        sign_text = "plus"
-    if sign_text not in ("plus", "minus"):
-        raise UsageError(
-            f"kernel_denominator_sign must be plus or minus, got {sign_text!r}"
-        )
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    values = {}
+    for opt in OPTIONS:
+        text, where = getattr(args, opt.key), opt.flag
+        if text is None:
+            text, where = sections[opt.section].get(opt.key), f"[{opt.section}] {opt.key} ="
+        if text is None:
+            if opt.field in required:
+                raise UsageError(f"{opt.label} is required")
+            continue
+        try:
+            if opt.choices and text not in opt.choices:
+                raise ValueError(f"expected one of {', '.join(opt.choices)}")
+            value = opt.cast(text)
+        except ValueError as exc:
+            raise UsageError(f"cannot parse {where} {text!r}: {exc}") from None
+        if args.mode not in opt.modes:
+            raise UsageError(f"{opt.label} has no effect in {args.mode} mode")
+        reason = opt.rule and opt.rule(spec, measurement_file, value)
+        if reason:
+            raise UsageError(f"{opt.label} {reason}")
+        values[opt.field] = value
     return ExperimentConfig(
-        mode=args.mode,
-        spec=spec,
-        n_list=n_list,
-        mx=int(mx),
-        my=int(my) if my is not None else None,
-        derivative=given["derivative"] or "analytic",
-        fine_factor=4 if given["fine_factor"] is None else given["fine_factor"],
-        out=pick(args.out, experiment, "out"),
-        json_path=pick(args.json_path, experiment, "json"),
-        noise_sigmas=_parse_list(str(noise_text), float, "--noise") if noise_text else None,
-        seed=pick(args.seed, experiment, "seed", int),
-        force=bool(given["force"]),
-        trace=bool(given["trace"]),
-        denominator_sign=1.0 if sign_text == "plus" else -1.0,
-        measurement_file=measurement_file,
+        mode=args.mode, spec=spec, measurement_file=measurement_file, **values
     )
-
-
-# options a mode would accept and then not use: roundtrip always
-# differentiates its own same-grid data, forward runs no reconstruction,
-# noise-sweep differences its noisy samples whatever m' the data had
-_IGNORED_BY_MODE = {
-    "roundtrip": ("derivative", "fine_factor"),
-    "forward": ("fine_factor", "force", "trace", "kernel_denominator_sign"),
-    "noise-sweep": ("derivative",),
-}
-
-
-def _option(key: str) -> str:
-    """The flag and the [experiment] key that set one option."""
-    return f"--{key.replace('_', '-')} ([experiment] {key})"
-
-
-_BOOL_WORDS = {
-    "true": True, "yes": True, "on": True, "1": True,
-    "false": False, "no": False, "off": False, "0": False,
-}
-
-
-def _as_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.strip().lower()]
-    except KeyError:
-        raise ValueError("expected true/false, yes/no, on/off or 1/0") from None
 
 
 # -- data acquisition --------------------------------------------------
@@ -665,10 +663,7 @@ def run_cli(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.mode is None:
-            raise UsageError("no subcommand given; see kernrec --help")
-        cfg = resolve_config(args)
+        cfg = resolve_config(parser.parse_args(argv))
         started = time.perf_counter()
         report = _MODE_RUNNERS[cfg.mode](cfg)
         if cfg.json_path:

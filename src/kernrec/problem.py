@@ -317,22 +317,19 @@ def validate_floor(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid) -> 
 
 _SECTIONS = ("problem", "discretization", "experiment")
 
-# keys each section accepts; [problem] depends on whether it names a preset
-_DISCRETIZATION_KEYS = frozenset({"n", "mx", "my"})
-_EXPERIMENT_KEYS = frozenset({
-    "mode", "out", "json", "derivative", "fine_factor", "noise", "seed",
-    "force", "trace", "kernel_denominator_sign",
-})
+# keys [problem] accepts, depending on whether it names a preset
 _INLINE_KEYS = frozenset({"name", "lx", "ly", "T", "omega", "measurement_file", *_FIELD_BY_KEY})
 _PRESET_KEYS = frozenset({"preset", "T", "omega", "measurement_file"})
 
 
-def parse_config(text: str) -> dict[str, dict[str, str]]:
+def parse_config(
+    text: str, accepted: Mapping[str, frozenset] | None = None
+) -> dict[str, dict[str, str]]:
     """Parse the flat key = value format into per-section dicts.
 
     Values keep their raw text except that surrounding double quotes
     are stripped.  Unknown sections, malformed lines, repeated keys and
-    keys that [discretization] or [experiment] do not accept raise
+    keys that ``accepted`` does not list for their section raise
     ConfigError; the [problem] keys are checked by spec_from_mapping.
     """
     sections: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
@@ -359,8 +356,8 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
         if key in sections[current]:
             raise ConfigError(f"key '{key}' repeated in [{current}] on line {lineno}")
         sections[current][key] = value
-    _check_keys("discretization", sections["discretization"], _DISCRETIZATION_KEYS)
-    _check_keys("experiment", sections["experiment"], _EXPERIMENT_KEYS)
+    for section, keys in (accepted or {}).items():
+        _check_keys(section, sections[section], keys)
     return sections
 
 
@@ -386,11 +383,9 @@ def _get_expr(section: Mapping[str, str], key: str, required: bool = False):
         raise ConfigError(f"cannot parse expression: {exc}", key=key) from exc
 
 
-def _get_float(section: Mapping[str, str], key: str, default=None):
+def _get_float(section: Mapping[str, str], key: str) -> float:
     if key not in section:
-        if default is None:
-            raise ConfigError("missing mandatory key", key=key)
-        return default
+        raise ConfigError("missing mandatory key", key=key)
     try:
         return float(section[key])
     except ValueError:

@@ -172,12 +172,18 @@ class TestReconstructCommand:
         )
         assert code == 1
 
-    def test_my_rejected_for_1d(self):
-        code = run_cli(
-            ["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "10",
-             "--my", "10"]
+    @pytest.mark.parametrize(
+        "flags,discretization", [(["--my", "10"], ""), ([], "my = 10\n")], ids=["flag", "key"]
+    )
+    def test_my_rejected_for_1d(self, tmp_path, capsys, flags, discretization):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"[problem]\npreset = manufactured1d\n\n[discretization]\n{discretization}",
+            encoding="utf-8",
         )
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
         assert code == 1
+        assert "usage error: --my ([discretization] my) has no effect" in capsys.readouterr().err
 
     def test_zero_fine_factor_is_usage_error(self, capsys):
         code = run_cli(
@@ -593,6 +599,43 @@ class TestConfigHandling:
         assert f"usage error: {flags[0]} ([experiment] {option.split()[0]}) has no effect" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,experiment",
+        [(["--noise", ""], ""), (["--noise", ","], ""), ([], "noise = ,\n")],
+        ids=["flag-empty", "flag-comma", "key-comma"],
+    )
+    def test_empty_noise_list_outside_noise_sweep_is_usage_error(
+        self, tmp_path, capsys, flags, experiment
+    ):
+        # an empty list is still a given option, which reconstruct does not use
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
+            encoding="utf-8",
+        )
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error: --noise ([experiment] noise) has no effect in reconstruct mode" in err
+
+    @pytest.mark.parametrize(
+        "flags,experiment,named",
+        [(["--out", ""], "", "--out ''"),
+         (["--json", ""], "", "--json ''"),
+         ([], 'out = ""\n', "[experiment] out = ''"),
+         ([], "json =\n", "[experiment] json = ''")],
+        ids=["out-flag", "json-flag", "out-key", "json-key"],
+    )
+    def test_empty_output_path_is_usage_error(self, tmp_path, capsys, flags, experiment, named):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
+            encoding="utf-8",
+        )
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
+        assert code == 1
+        assert f"usage error: cannot parse {named}: an empty path" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["cli", "config"])
     @pytest.mark.parametrize(
         "mode,problem",
@@ -724,6 +767,74 @@ class TestConfigHandling:
         with pytest.warns(RuntimeWarning):
             code = run_cli(["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"])
         assert code == 0
+
+
+
+# The expected option x mode matrix, written out here and not read from the
+# harness, so that a wrong row of harness.OPTIONS fails the test below.
+_ALL_MODES = ("forward", "reconstruct", "roundtrip", "convergence", "noise-sweep")
+_RECONSTRUCTING = ("reconstruct", "roundtrip", "convergence", "noise-sweep")
+# key: (section, text, ExperimentConfig field, value it arrives as, modes that use it)
+_OPTION_MATRIX = {
+    "n": ("discretization", "12", "n_list", [12], _ALL_MODES),
+    "mx": ("discretization", "12", "mx", 12, _ALL_MODES),
+    "my": ("discretization", "6", "my", 6, _ALL_MODES),
+    "out": ("experiment", "k.csv", "out", "k.csv", _ALL_MODES),
+    "json": ("experiment", "r.json", "json_path", "r.json", _ALL_MODES),
+    "derivative": ("experiment", "discrete", "derivative", "discrete",
+                   ("forward", "reconstruct", "convergence")),
+    "fine_factor": ("experiment", "3", "fine_factor", 3,
+                    ("reconstruct", "convergence", "noise-sweep")),
+    "noise": ("experiment", "0.01,0.02", "noise_sigmas", [0.01, 0.02], ("noise-sweep",)),
+    "seed": ("experiment", "5", "seed", 5, ("noise-sweep",)),
+    "force": ("experiment", "true", "force", True, _RECONSTRUCTING),
+    "trace": ("experiment", "true", "trace", True, _RECONSTRUCTING),
+    "kernel_denominator_sign": ("experiment", "minus", "denominator_sign", -1.0,
+                                _RECONSTRUCTING),
+}
+
+# 2D, with an exact kernel and no measurement: every mode accepts it and
+# generates its data, so only the mode decides whether an option is used
+_MATRIX_PROBLEM = """[problem]
+f = "0"
+h = "1"
+g = "0"
+u0 = "1"
+lx = 1.0
+ly = 1.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+"""
+
+
+@pytest.mark.parametrize("source", ["flag", "key"])
+@pytest.mark.parametrize("mode", _ALL_MODES)
+@pytest.mark.parametrize("key", list(_OPTION_MATRIX))
+def test_option_mode_matrix(tmp_path, capsys, key, mode, source):
+    section, text, field, value, used_by = _OPTION_MATRIX[key]
+    flag = "--" + key.replace("_", "-")
+    # what the mode needs besides the option under test
+    needed = {"n": "4", "mx": "4"}
+    if mode == "noise-sweep":
+        needed.update(noise="0.001", seed="1")
+    needed.pop(key, None)
+    config = _MATRIX_PROBLEM
+    argv = [mode, "--config", str(tmp_path / "p.cfg")]
+    for name, given in needed.items():
+        argv += [f"--{name}", given]
+    if source == "key":
+        config += f"\n[{section}]\n{key} = {text}\n"
+    else:
+        argv += [flag] if key in ("force", "trace") else [flag, text]
+    (tmp_path / "p.cfg").write_text(config, encoding="utf-8")
+    if mode in used_by:
+        cfg = harness.resolve_config(harness.build_parser().parse_args(argv))
+        assert getattr(cfg, field) == value
+    else:
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {flag} ([{section}] {key}) has no effect in {mode} mode" in err
 
 
 def test_eoc_value_edge_cases():

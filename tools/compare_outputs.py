@@ -6,13 +6,14 @@ Runs a fixed set of ``kernrec`` commands (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone) with each
-tree's ``src/`` on ``PYTHONPATH``.  Some runs are sized so that the
-stepper's blocks of time nodes come out several to a run with a
-partial last one, or one node wide.
+tree's ``src/`` on ``PYTHONPATH``.  One command sets its options
+through ``[discretization]`` and ``[experiment]`` keys instead of flags.
+Some runs are sized so that the stepper's blocks of time nodes come out
+several to a run with a partial last one, or one node wide.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report equal once its
-``timings`` are dropped; a ``--trace`` command must also print the same
-trace rows to stderr.  Prints one line per command and exits 0 when
+``timings`` are dropped; a command that traces, by ``--trace`` or by
+its config, must also print the same stderr.  Prints one line per command and exits 0 when
 all agree, 1 on any difference and 2 when a command fails in either
 tree.
 """
@@ -94,12 +95,31 @@ omega = 1.0
 kernel = "exp(-t)"
 """
 CONFIG_O2D = "timeonly2d.ini"
+
+# options from config keys, not flags: pins the key path's casts and echo
+CONTAMINANT_KEYS = """\
+[problem]
+preset = contaminant
+
+[discretization]
+n = 200
+mx = 50
+
+[experiment]
+mode = reconstruct
+derivative = discrete
+fine_factor = 2
+trace = true
+kernel_denominator_sign = plus
+"""
+CONFIG_KEYS = "contaminantkeys.ini"
 CONFIGS = {
     CONFIG_2D: MANUFACTURED_2D,
     CONFIG_T1D: TIME_DEPENDENT_1D,
     CONFIG_T2D: TIME_DEPENDENT_2D,
     CONFIG_O1D: TIME_ONLY_1D,
     CONFIG_O2D: TIME_ONLY_2D,
+    CONFIG_KEYS: CONTAMINANT_KEYS,
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -155,6 +175,7 @@ COMMANDS = {
     "reconstruct-2d-trace": [
         "reconstruct", "--config", CONFIG_2D, "--n", "20", "--mx", "24", "--trace",
     ],
+    "reconstruct-contaminant-config-keys": ["reconstruct", "--config", CONFIG_KEYS],
 }
 
 
@@ -215,7 +236,8 @@ def main(argv: list[str]) -> int:
             ):
                 differs.append("json")
             stderr = {side: runs[side][name].stderr for side in ("base", "head")}
-            if "--trace" in COMMANDS[name] and stderr["base"] != stderr["head"]:
+            traced = "--trace" in COMMANDS[name] or "step=" in stderr["base"] + stderr["head"]
+            if traced and stderr["base"] != stderr["head"]:
                 differs.append("trace rows")
             if differs:
                 print(f"DIFFERS  {name}: {' and '.join(differs)}")
