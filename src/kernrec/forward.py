@@ -26,32 +26,26 @@ through the run's own ``TimeStepper.initial_means`` (the same means
 ``run_forward`` and ``inverse.reconstruct`` share one stepping loop,
 ``_march``, and each step does only the work that varies with the step.
 Once per run, in ``TimeStepper.__init__``: f, h and g are compiled with
-the node coordinates bound (``expr.compile``).  The stepper serves h
-and g as coefficient pairs per time node, ``h_pair(j) = (h(t_j),
-(h(t_j),1))`` and ``g_pair(j) = (w_Gamma g(t_j), (g(t_j),1)_Gamma)``,
-where w_Gamma g is the boundary load and (g,1)_Gamma the sum of that
-same product, and f as ``f_pair(j, u) = (f_j, (f_j,1))``.  A pair of a
-tree without t is formed once, in ``__init__``.  A tree of t, x and y
-alone (h, g, and an f that reads no u, p or q) is evaluated for a block
-of time nodes at once: t is bound as a column, so one call of the
-compiled tree gives the fields at up to BLOCK_VALUES / N nodes and one
-``np.add.reduce`` over the trailing axes their sums, each bit for bit
-the value a single node would give.  A block is computed when the
-march first reaches one of its nodes, and a block that faults is
-evaluated again node by node, so a ``DomainFaultError`` surfaces at the
-step where it occurs, after the steps before it.  A node behind the
-block held (t_0, read for m'(0) after the march) is evaluated alone.
-Only an f that reads the state is evaluated per step (``f_field``).
-Once per step: the pairs of f_{i-1}, h_i and g_i, K_i (read off those
-means by the reconstruction), conv_i (formed after K_i, which it
-includes), the elliptic solve, the finiteness check of u_i and
-(conv_i,1), the only mean the loop forms.  The step records
-(f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) as it used them.
-Once per run, after the loop: M_i = (u_i,1) for all states, in blocks
-of at most BLOCK_VALUES values, and from them and the recorded sums
-the identity residuals of all steps (``TimeStepper.compat_residual``);
-a traced step gets its residual from the same function, applied to
-that step alone, as soon as the step is done.
+the node coordinates bound (``expr.compile``).  The march visits the
+time nodes in order and pulls, per step, the pairs (f_{i-1},
+(f_{i-1},1)), (h_i, (h_i,1)) and (w_Gamma g_i, (g_i,1)_Gamma), the
+boundary load with the sum of that same product, from one iterator
+(``TimeStepper.coefficients``).  h, g and an f that reads no u, p or q
+come from ``problem.time_blocks``: blocks of time nodes, each computed
+when the march reaches it, and served node by node after a fault, so
+the fault surfaces at its own step, after the steps before it.  An f
+that reads the state is evaluated per step (``f_field``), at the
+u_{i-1} that step i pulls.  t_0, which K_0 and the discrete m'(0)
+read, is evaluated on its own (``TimeStepper.initial_means``).  Once
+per step: the pairs, K_i (read off their means by the reconstruction),
+conv_i (formed after K_i, which it includes), the elliptic solve, the
+finiteness check of u_i and (conv_i,1), the only mean the loop forms.
+The step records (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) as
+it used them.  Once per run, after the loop: M_i = (u_i,1) for all
+states, in the blocks of ``problem.block_slices``, and from them and the
+recorded sums the identity residuals of all steps
+(``TimeStepper.compat_residual``); a traced step gets its residual from
+the same function, applied to that step alone, as soon as it is done.
 
 The states are stored newest-first: the loop allocates its
 (n+1, *grid.shape) buffer and works on the reversed view, so
@@ -68,12 +62,12 @@ and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import expr
-from .errors import DomainFaultError, NonFiniteError, ValidationError
+from . import expr, problem
+from .errors import NonFiniteError, ValidationError
 from .grid import SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
 from .solver import SpectralSolver
@@ -98,9 +92,7 @@ class KernelSeries:
 
     @classmethod
     def from_expression(cls, tree: expr.Expression, timegrid: TimeGrid) -> "KernelSeries":
-        values = np.asarray(expr.evaluate(tree, {"t": timegrid.nodes}), dtype=float)
-        values = np.broadcast_to(values, (timegrid.n + 1,)).copy()
-        return cls(timegrid, values)
+        return cls(timegrid, problem.sample_in_time(tree, timegrid.nodes))
 
 
 def interpolate(tree: expr.Expression, grid: SpatialGrid) -> np.ndarray:
@@ -112,83 +104,11 @@ def interpolate(tree: expr.Expression, grid: SpatialGrid) -> np.ndarray:
 # a coefficient at one time node: (h, (h,1)), (w_Gamma g, (g,1)_Gamma) or (f, (f,1))
 Pair = tuple[np.ndarray, float]
 
-# Values per block of a coefficient of t: one call of the compiled tree
-# for many time nodes saves its per-call cost, but a block that leaves
-# the cache is slower than node by node.  200 values of manufactured1d's
-# f on 8001 nodes took 8-10 ms node by node, 7-9 ms with 2**14 values per
-# block, 7-12 ms with 2**17 and 11-13 ms in one block (best of 60, on
-# 2 vCPU with numpy 2.4).
-BLOCK_VALUES = 1 << 14
 
-
-def _pairs(
-    compiled: expr.Compiled, t: np.ndarray | None, weights: np.ndarray, load: bool
-) -> tuple[np.ndarray, list[float]]:
-    """Fields of ``compiled`` at the times of the column ``t``, and their weighted sums.
-
-    Without ``t`` there is one row.  The fields are served as they are,
-    or as ``weights * field`` (the boundary load of g) when ``load`` is
-    set.  np.add.reduce over the trailing axes is np.sum's pairwise
-    summation without its Python wrapper, row by row; np.dot would sum
-    in a different order.
-    """
-    shape = (1 if t is None else len(t), *weights.shape)
-    out = np.asarray(expr.evaluate(compiled, {} if t is None else {"t": t}), dtype=float)
-    values = out if out.shape == shape else np.broadcast_to(out, shape).copy()
-    weighted = weights * values
-    sums = np.add.reduce(weighted, axis=tuple(range(1, values.ndim)))
-    return (weighted if load else values), sums.tolist()
-
-
-class _Blocks:
-    """Pairs of a coefficient of t at ``nodes[j]``, evaluated in blocks."""
-
-    def __init__(
-        self, compiled: expr.Compiled, weights: np.ndarray, load: bool, nodes: np.ndarray
-    ):
-        self._compiled = compiled
-        self._weights = weights
-        self._load = load
-        self._nodes = nodes
-        self._rows = max(1, BLOCK_VALUES // weights.size)
-        self._column = (-1,) + (1,) * weights.ndim
-        self._start = self._stop = 0  # the block held covers nodes start..stop-1
-        self._stepwise_stop = 0  # nodes before it are evaluated one at a time
-
-    def __call__(self, j: int) -> Pair:
-        if not self._start <= j < self._stop:
-            self._fill(j)
-        k = j - self._start
-        return self._values[k], self._sums[k]
-
-    def _fill(self, j: int) -> None:
-        stop = min(j + self._rows, len(self._nodes))
-        # a node behind the block held is a lone read, not the march moving on
-        if j >= self._start and j >= self._stepwise_stop:
-            try:
-                self._hold(j, stop)
-                return
-            except DomainFaultError:
-                # the fault belongs to one node of the block; going node by
-                # node lets the march reach it, and fail there, in order
-                self._stepwise_stop = stop
-        self._hold(j, j + 1)
-
-    def _hold(self, start: int, stop: int) -> None:
-        t = self._nodes[start:stop].reshape(self._column)
-        self._values, self._sums = _pairs(self._compiled, t, self._weights, self._load)
-        self._start, self._stop = start, stop
-
-
-def _coefficient(
-    compiled: expr.Compiled, weights: np.ndarray, load: bool, nodes: np.ndarray
-) -> Callable[[int], Pair]:
-    """``j -> pair at nodes[j]``; formed here once for a tree without t."""
-    if "t" in compiled.free:
-        return _Blocks(compiled, weights, load, nodes)
-    values, sums = _pairs(compiled, None, weights, load)
-    fixed = values[0], sums[0]
-    return lambda j: fixed
+def _node_pairs(*args) -> Iterator[Pair]:
+    """The pairs of ``problem.time_blocks(*args)``, one time node at a time."""
+    blocks = problem.time_blocks(*args)
+    return (pair for fields, sums in blocks for pair in zip(fields, sums.tolist()))
 
 
 def _convolution_values(
@@ -218,13 +138,10 @@ class TimeStepper:
         coords = grid.coordinate_fields()
         self._f = expr.compile(spec.f, coords)
         self._f_grad = not self._f.free.isdisjoint({"p", "q"})
+        self._f_state = not self._f.free.isdisjoint({"u", "p", "q"})
+        self._h = expr.compile(spec.h, coords)
+        self._g = expr.compile(spec.g, coords)
         self.u0 = interpolate(spec.u0, grid)
-        # f is needed at t_0..t_{n-1}, h and g at t_1..t_n (and t_0 for K_0)
-        self._f_pairs = None
-        if self._f.free.isdisjoint({"u", "p", "q"}):
-            self._f_pairs = _coefficient(self._f, self.weights, False, self.nodes[:-1])
-        self.h_pair = _coefficient(expr.compile(spec.h, coords), self.weights, False, self.nodes)
-        self.g_pair = _coefficient(expr.compile(spec.g, coords), self.bweights, True, self.nodes)
 
     def f_field(self, t: float, u_values: np.ndarray) -> np.ndarray:
         env: dict[str, object] = {"t": t, "u": u_values}
@@ -237,12 +154,21 @@ class TimeStepper:
             return out
         return np.broadcast_to(out, self.grid.shape)
 
-    def f_pair(self, j: int, u_values: np.ndarray) -> Pair:
-        """(f_j, (f_j,1)) at t_j and state u; from blocks when f reads no state."""
-        if self._f_pairs is not None:
-            return self._f_pairs(j)
-        f = self.f_field(self.nodes[j], u_values)
-        return f, self.mean(f)
+    def coefficients(
+        self, f_nodes: np.ndarray, nodes: np.ndarray, states: Iterable[np.ndarray]
+    ) -> Iterator[tuple[Pair, Pair, Pair]]:
+        """The pairs of f at ``f_nodes[k]`` and state ``states[k]``, then of
+        h and g at ``nodes[k]``, for k in order.
+
+        An f that reads the state takes ``states[k]`` when k is pulled; any
+        other f, and h and g, come in blocks of time nodes.
+        """
+        if self._f_state:
+            f = ((f, self.mean(f)) for f in map(self.f_field, f_nodes, states))
+        else:
+            f = _node_pairs(self._f, self.weights, False, f_nodes)
+        h = _node_pairs(self._h, self.weights, False, nodes)
+        return zip(f, h, _node_pairs(self._g, self.bweights, True, nodes))
 
     def mean(self, field: np.ndarray) -> float:
         """(field, 1) with the lumped quadrature."""
@@ -250,7 +176,9 @@ class TimeStepper:
 
     def initial_means(self) -> tuple[float, float, float]:
         """(f_0,1), (g_0,1)_Gamma and (h_0,1) of the identity at t = 0."""
-        return self.f_pair(0, self.u0)[1], self.g_pair(0)[1], self.h_pair(0)[1]
+        t0 = self.nodes[:1]
+        f, h, g = next(self.coefficients(t0, t0, [self.u0]))
+        return f[1], g[1], h[1]
 
     def step(
         self,
@@ -277,16 +205,14 @@ class TimeStepper:
         ``states`` holds u_{i-1}..u_{i+m}, ``kernel_values`` K_{i-1}..K_{i+m},
         and row k of ``sums`` the (f_{j-1},1), (h_j,1), (g_j,1)_Gamma and
         (conv_j,1) that step j = i+k used.  The means are formed in blocks
-        of at most BLOCK_VALUES values, each as ``mean`` forms it, and each
+        of ``problem.block_slices``, each as ``mean`` forms it, and each
         residual |dM_j + (g_j,1)_Gamma + K_j (h_j,1) + (conv_j,1) - (f_{j-1},1)|,
         summed in that order, is divided by the largest of its terms.
         """
         measured = np.empty(states.shape[0])
-        rows = max(1, BLOCK_VALUES // self.weights.size)
         axes = tuple(range(1, states.ndim))
-        for lo in range(0, states.shape[0], rows):
-            block = self.weights * states[lo : lo + rows]
-            measured[lo : lo + rows] = np.add.reduce(block, axis=axes)
+        for rows in problem.block_slices(states.shape[0], self.weights.size):
+            measured[rows] = np.add.reduce(self.weights * states[rows], axis=axes)
         f_mean, h_mean, g_mean, conv_mean = np.asarray(sums, dtype=float).T
         terms = np.stack((
             (measured[1:] - measured[:-1]) / self.tau,
@@ -332,10 +258,11 @@ def _march(
     states[0] = stepper.u0
     u_prev = states[0]
     sums = []  # (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) per step
+    coefficients = stepper.coefficients(stepper.nodes[:-1], stepper.nodes[1:], states)
     for i in range(1, n + 1):
-        f_prev, f_mean = stepper.f_pair(i - 1, u_prev)
-        h_i, h_mean = stepper.h_pair(i)
-        g_load, g_mean = stepper.g_pair(i)
+        # next(), not enumerate(): under enumerate, zip's cached result
+        # tuple keeps every other step's old pairs, and their block, alive
+        (f_prev, f_mean), (h_i, h_mean), (g_load, g_mean) = next(coefficients)
         if kernel_update is not None:
             kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
         # conv_i includes K_i, so it is formed after the update
@@ -383,10 +310,7 @@ def run_forward(
     stepper = TimeStepper(spec, grid, timegrid)
     states, measured, residuals = _march(stepper, kernel.values)
     if derivative == "analytic" and spec.mprime_exact is not None:
-        derivs = expr.evaluate(spec.mprime_exact, {"t": stepper.nodes[1:]})
-        derivs = np.broadcast_to(np.asarray(derivs, dtype=float), (timegrid.n,)).copy()
-        initial = float(expr.evaluate(spec.mprime_exact, {"t": 0.0}))
-        measurement = MeasurementSeries(timegrid, measured, derivs, "analytic", initial)
+        measurement = MeasurementSeries.analytic(timegrid, measured, spec.mprime_exact)
     else:
         f_mean, g_mean, h_mean = stepper.initial_means()
         initial = f_mean - g_mean - kernel.values[0] * h_mean

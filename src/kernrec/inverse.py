@@ -26,12 +26,11 @@ difference otherwise.  K_0 never enters the time stepping; it only
 completes the reported kernel.
 
 The stability functionals of ``Diagnostics`` are computed from the
-finished trajectory after the loop.  The walk takes blocks of
-DIAGNOSTICS_BLOCK_VALUES = 2**15 values (one state of a 161 x 161
-grid), small enough to stay in cache, with one stiffness product per
-block; the last state of a block and its A u are carried into the next
-for the increments, so no state is multiplied by A twice.  Each value
-is formed row by row, so it does not depend on the block size.
+finished trajectory after the loop, in the blocks of states that
+``problem.block_slices`` cuts, with one stiffness product per block;
+the last state of a block and its A u are carried into the next for
+the increments, so no state is multiplied by A twice.  Each value is
+formed row by row, so it does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -52,14 +51,9 @@ from .errors import (
 )
 from .forward import KernelSeries, TimeStepper, _march
 from .grid import SpatialGrid, stiffness_matvec
-from .problem import MeasurementSeries, ProblemSpec, TimeGrid, validate_floor
+from .problem import MeasurementSeries, ProblemSpec, TimeGrid, block_slices, validate_floor
 
 DENOMINATOR_GUARD = 1e-12
-# trajectory values per block of the post-loop diagnostics; bounds their
-# temporaries whatever the step count.  A block of 2**15 values (256 KiB)
-# and the few temporaries formed from it stay in a core's cache; with
-# 2**17 they set the process's peak memory on a 161 x 161 grid.
-DIAGNOSTICS_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -171,10 +165,9 @@ def _diagnostics(
     lap_sq = np.empty(n + 1)  # ||lumped stiffness residual of u_i||^2
     inc_sq = np.empty(n)  # ||u_i - u_{i-1}||^2
     grad_inc_sq = np.empty(n)  # ||grad(u_i - u_{i-1})||^2
-    rows = max(1, DIAGNOSTICS_BLOCK_VALUES // w.size)
-    for lo in range(0, n + 1, rows):
-        hi = min(lo + rows, n + 1)
-        u = states[lo:hi]
+    for rows in block_slices(n + 1, w.size):
+        lo, hi = rows.start, rows.stop
+        u = states[rows]
         au = stiffness_matvec(grid, u)
         state_sq[lo:hi] = np.sum(w * u**2, axis=axes)
         grad_sq[lo:hi] = np.sum(au * u, axis=axes)
@@ -283,8 +276,7 @@ def reconstruct(
             trace(i, nodes[i], kernel_values[i], denominators[i - 1], residual)
 
     states, _, residuals = _march(stepper, kernel_values, update, on_step)
-    # the solver's arrays and the last blocks of f, h and g are not needed
-    # any more; freed here, they do not add to the diagnostics' peak memory
+    # freed here, the solver's arrays do not add to the diagnostics' peak memory
     del stepper
     diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
     return ReconstructionResult(

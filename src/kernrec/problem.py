@@ -19,13 +19,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import expr
-from .errors import ConfigError, ExprError, FloorViolationError, ValidationError
+from .errors import ConfigError, DomainFaultError, ExprError, FloorViolationError, ValidationError
 from .grid import SpatialGrid
 
 _ALLOWED_VARS = {
@@ -60,6 +61,12 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n + 1)
+
+
+def sample_in_time(tree: expr.Expression, t: np.ndarray | float) -> np.ndarray:
+    """A tree of t alone at the times ``t``, one float each, in a new array."""
+    values = np.asarray(expr.evaluate(tree, {"t": t}), dtype=float)
+    return np.broadcast_to(values, np.shape(t)).copy()
 
 
 @dataclass(frozen=True)
@@ -183,15 +190,18 @@ class MeasurementSeries:
         m: expr.Expression,
         mprime: expr.Expression | None = None,
     ) -> "MeasurementSeries":
-        nodes = timegrid.nodes
-        values = np.asarray(expr.evaluate(m, {"t": nodes}), dtype=float)
-        values = np.broadcast_to(values, (timegrid.n + 1,)).copy()
+        values = sample_in_time(m, timegrid.nodes)
         if mprime is not None:
-            derivs = np.asarray(expr.evaluate(mprime, {"t": nodes[1:]}), dtype=float)
-            derivs = np.broadcast_to(derivs, (timegrid.n,)).copy()
-            initial = float(expr.evaluate(mprime, {"t": 0.0}))
-            return cls(timegrid, values, derivs, "analytic", initial)
+            return cls.analytic(timegrid, values, mprime)
         return cls.from_samples(timegrid, values)
+
+    @classmethod
+    def analytic(
+        cls, timegrid: TimeGrid, values: np.ndarray, mprime: expr.Expression
+    ) -> "MeasurementSeries":
+        """Samples m_0..m_n with the exact m' at t_1..t_n and at t = 0."""
+        derivs = sample_in_time(mprime, timegrid.nodes[1:])
+        return cls(timegrid, values, derivs, "analytic", float(sample_in_time(mprime, 0.0)))
 
     def restrict(self, coarse: TimeGrid) -> "MeasurementSeries":
         """Restriction onto a coarser grid by index subsampling.
@@ -277,24 +287,81 @@ def _is_number(token: str) -> bool:
         return False
 
 
+# -- time-node blocks ------------------------------------------------
+
+# Values per block of a walk over the time nodes: one call of a compiled
+# tree for many time nodes saves its per-call cost, but a block that
+# leaves the cache is slower than node by node.  200 values of
+# manufactured1d's f on 8001 nodes took 8-10 ms node by node, 7-9 ms with
+# 2**14 values per block, 7-12 ms with 2**17 and 11-13 ms in one block
+# (best of 60, on 2 vCPU with numpy 2.4).  The post-march walks over the
+# states use the same bound, which keeps their temporaries in cache.
+BLOCK_VALUES = 1 << 14
+
+
+def block_slices(count: int, row_size: int) -> Iterator[slice]:
+    """Consecutive slices of ``count`` rows of ``row_size`` values, each
+    at most BLOCK_VALUES values and at least one row."""
+    rows = max(1, BLOCK_VALUES // row_size)
+    return (slice(lo, min(lo + rows, count)) for lo in range(0, count, rows))
+
+
+def _pairs(
+    compiled: expr.Compiled, t: np.ndarray | None, weights: np.ndarray, load: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fields of ``compiled`` at the times of the column ``t``, and their weighted sums.
+
+    Without ``t`` there is one row.  The fields are served as they are,
+    or as ``weights * field`` (the boundary load of g) when ``load`` is
+    set.  np.add.reduce over the trailing axes is np.sum's pairwise
+    summation without its Python wrapper, row by row; np.dot would sum
+    in a different order.
+    """
+    shape = (1 if t is None else len(t), *weights.shape)
+    out = np.asarray(expr.evaluate(compiled, {} if t is None else {"t": t}), dtype=float)
+    values = out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    weighted = weights * values
+    sums = np.add.reduce(weighted, axis=tuple(range(1, values.ndim)))
+    return (weighted if load else values), sums
+
+
+def time_blocks(
+    compiled: expr.Compiled, weights: np.ndarray, load: bool, nodes: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(fields, sums) of ``compiled`` at ``nodes``, block by block, in order.
+
+    A tree of t is evaluated with t bound as a column, one block of at
+    most BLOCK_VALUES values when the consumer reaches it, each row bit
+    for bit that node's own value.  A block that raises DomainFaultError
+    is served again node by node, so the fault is raised at its own node,
+    after the nodes before it.  A tree without t is one pair, repeated.
+    """
+    if "t" not in compiled.free:
+        one = _pairs(compiled, None, weights, load)
+        yield tuple(np.broadcast_to(a, (len(nodes), *a.shape[1:])) for a in one)
+        return
+    for rows in block_slices(len(nodes), weights.size):
+        t = nodes[rows].reshape(-1, *(1,) * weights.ndim)  # a column
+        try:
+            yield _pairs(compiled, t, weights, load)
+        except DomainFaultError:
+            yield from (_pairs(compiled, t[k : k + 1], weights, load) for k in range(len(t)))
+
+
 # -- floor validation ------------------------------------------------
 
 
 def volume_mean_of_h(
     spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid
 ) -> np.ndarray:
-    """(h(t_i), 1) for every time node, exactly as ``TimeStepper.h_pair`` forms it.
+    """(h(t_i), 1) for every time node, exactly as the stepper forms it.
 
-    A t-dependent h is evaluated in the stepper's blocks of time nodes, so
-    the check holds one block of values at a time, not all (n+1) x N.
+    A t-dependent h is evaluated in blocks of time nodes, so the check
+    holds one block of values at a time, not all (n+1) x N.
     """
-    from .forward import _coefficient  # forward imports this module
-
     compiled = expr.compile(spec.h, grid.coordinate_fields())
-    h_pair = _coefficient(compiled, grid.weights, False, timegrid.nodes)
-    if "t" not in compiled.free:
-        return np.full(timegrid.n + 1, h_pair(0)[1])
-    return np.array([h_pair(j)[1] for j in range(timegrid.n + 1)])
+    blocks = time_blocks(compiled, grid.weights, False, timegrid.nodes)
+    return np.concatenate([sums for _, sums in blocks])
 
 
 def validate_floor(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid) -> None:
@@ -327,15 +394,17 @@ def parse_config(
 ) -> dict[str, dict[str, str]]:
     """Parse the flat key = value format into per-section dicts.
 
-    Values keep their raw text except that surrounding double quotes
-    are stripped.  Unknown sections, malformed lines, repeated keys and
-    keys that ``accepted`` does not list for their section raise
-    ConfigError; the [problem] keys are checked by spec_from_mapping.
+    A ``#`` outside double quotes starts a comment.  Values keep their
+    raw text except that surrounding double quotes are stripped.
+    Unknown sections, malformed lines, repeated keys and keys that
+    ``accepted`` does not list for their section raise ConfigError; the
+    [problem] keys are checked by spec_from_mapping.
     """
     sections: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # the line up to its first # outside double quotes
+        line = re.match(r'(?:[^"#]|"[^"]*"?)*', raw).group().strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

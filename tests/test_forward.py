@@ -1,11 +1,12 @@
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernrec import expr, forward
+from kernrec import expr, forward, problem
 from kernrec.errors import DomainFaultError, ValidationError
 from kernrec.forward import (
     KernelSeries,
@@ -83,7 +84,7 @@ class TestFastPathsAreBitIdentical:
         field = np.random.default_rng(3).standard_normal(grid.shape) * 1e3
         assert stepper.mean(field) == float(np.sum(grid.weights * field))
         g = forward.interpolate(spec.g, grid)
-        assert stepper.g_pair(0)[1] == float(np.sum(grid.boundary_weights * g))
+        assert stepper.initial_means()[1] == float(np.sum(grid.boundary_weights * g))
 
     @pytest.mark.parametrize("shape", [(51,), (8001,), (17, 12)])
     def test_convolution_equals_tensordot(self, shape):
@@ -124,9 +125,9 @@ class TestForwardStep:
         stepper = TimeStepper(spec, grid, tg)
         f0 = stepper.f_field(0.0, states[0])
         conv = _convolution_values(kernel.values, states, 1, tg.tau)
-        u1 = stepper.step(
-            kernel.values[1], states[0], f0, conv, stepper.h_pair(1)[0], stepper.g_pair(1)[0]
-        )
+        nodes = stepper.nodes
+        _, (h1, _), (g1_load, _) = next(stepper.coefficients(nodes[:-1], nodes[1:], states))
+        u1 = stepper.step(kernel.values[1], states[0], f0, conv, h1, g1_load)
         np.testing.assert_array_equal(u1, states[1])
 
     def test_too_small_grid_rejected(self):
@@ -195,10 +196,11 @@ class TestForwardStep:
 class TestOncePerStep:
     """f_{i-1}, h_i, g_i and conv_i are computed once per step and shared.
 
-    A static h or g is evaluated once per run, in ``TimeStepper.__init__``,
-    and never at a time t.  A coefficient of t alone (h, g, and an f that
-    reads no state) is evaluated once per block of time nodes; only an f
-    that reads the state is evaluated at every step.
+    A static h or g is evaluated once per stream of time nodes, and never
+    at a time t.  A coefficient of t alone (h, g, and an f that reads no
+    state) is evaluated once per block of time nodes; only an f that
+    reads the state is evaluated at every step.  A reconstruction reads
+    t_0 of f, h and g for K_0 on its own, one more node of each.
     """
 
     # 6 nodes per block on the 21 nodes of make_grid(20); n = 20 steps make
@@ -208,7 +210,7 @@ class TestOncePerStep:
 
     @classmethod
     def _spy(cls, monkeypatch, spec):
-        monkeypatch.setattr(forward, "BLOCK_VALUES", cls.BLOCK_NODES * 21)
+        monkeypatch.setattr(problem, "BLOCK_VALUES", cls.BLOCK_NODES * 21)
         calls = {"f_field": 0, "f": 0, "h": 0, "g": 0, "conv": 0}
 
         def counted(name, fn):
@@ -259,8 +261,8 @@ class TestOncePerStep:
     def test_reconstruct(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, preset_manufactured_1d(), n)
-        # f_0 for K_0 comes from the first block, which the march then reads
-        assert calls == {"f_field": 0, "f": self.BLOCKS, "h": 0, "g": 0, "conv": n}
+        # f_0 for K_0 is one node on its own
+        assert calls == {"f_field": 0, "f": self.BLOCKS + 1, "h": 0, "g": 0, "conv": n}
 
     def test_run_forward_time_dependent(self, monkeypatch):
         n = 20
@@ -271,10 +273,12 @@ class TestOncePerStep:
     def test_reconstruct_time_dependent(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, _manufactured_time_dependent(), n)
-        # h_0 and g_0 for K_0 open the first blocks of h and g; the floor
-        # check walks the same blocks of h once before the march
+        # f_0, h_0 and g_0 for K_0 are one node each; the floor check walks
+        # the 21 nodes of h in as many blocks as the march walks its 20
         blocks = self.BLOCKS
-        assert calls == {"f_field": 0, "f": blocks, "h": 2 * blocks, "g": blocks, "conv": n}
+        assert calls == {
+            "f_field": 0, "f": blocks + 1, "h": 2 * blocks + 1, "g": blocks + 1, "conv": n,
+        }
 
     def test_run_forward_state_dependent(self, monkeypatch):
         n = 20
@@ -285,22 +289,31 @@ class TestOncePerStep:
     def test_reconstruct_state_dependent(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, _time_dependent_with_state(), n)
-        # one more f for K_0, and the floor check's blocks of h
+        # one more f, h and g for K_0, and the floor check's blocks of h
         blocks = self.BLOCKS
-        assert calls == {"f_field": n + 1, "f": n + 1, "h": 2 * blocks, "g": blocks, "conv": n}
+        assert calls == {
+            "f_field": n + 1, "f": n + 1, "h": 2 * blocks + 1, "g": blocks + 1, "conv": n,
+        }
 
 
 class TestBlockFaults:
     """A block that faults is evaluated node by node, so the fault surfaces
     at its own step, after the steps before it have run."""
 
-    @pytest.mark.parametrize("name, steps", [("f", 5), ("h", 4), ("g", 4)])
-    def test_fault_after_earlier_steps(self, name, steps):
-        # t = 0.5 is node 5; f is read at t_{i-1}, h and g at t_i
+    @pytest.mark.parametrize(
+        "name, steps, cells",
+        [("f", 5, (8,)), ("h", 4, (8,)), ("g", 4, (8,)),
+         ("f", 5, (8, 5)), ("h", 4, (8, 5)), ("g", 4, (8, 5))],
+        ids=["f-5", "h-4", "g-4", "f-5-2d", "h-4-2d", "g-4-2d"],
+    )
+    def test_fault_after_earlier_steps(self, name, steps, cells):
+        # t = 0.5 is node 5; f is read at t_{i-1}, h and g at t_i; in 2D
+        # (a 1 x 2 rectangle) t is bound as a (-1, 1, 1) column
         trees = {"f": "1", "h": "1", "g": "0", name: "2 + 1/(t - 0.5)"}
-        spec = _spec(**trees, u0="0", kernel_exact="0")
+        extents = (1.0, 2.0)[: len(cells)]
+        spec = replace(_spec(**trees, u0="0", kernel_exact="0"), extents=extents)
         tg = TimeGrid(1.0, 10)
-        stepper = TimeStepper(spec, spec.make_grid(8), tg)
+        stepper = TimeStepper(spec, spec.make_grid(*cells), tg)
         seen = []
         with pytest.raises(DomainFaultError, match="division by zero"):
             forward._march(stepper, np.zeros(tg.n + 1), on_step=lambda i, r: seen.append(i))
@@ -347,25 +360,24 @@ class TestBlockPairs:
         )
         grid = spec.make_grid(mx, my if ndim == 2 else None)
         w, bw = grid.weights, grid.boundary_weights
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(forward, "BLOCK_VALUES", rows * w.size)
-            stepper = TimeStepper(spec, grid, TimeGrid(T, n))
+        stepper = TimeStepper(spec, grid, TimeGrid(T, n))
+        nodes = stepper.nodes
         u = np.zeros(grid.shape)
-        for j, t in enumerate(stepper.nodes):
-            env = {**grid.coordinate_fields(), "t": t}
-            if j < n:  # f is read at t_0..t_{n-1}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problem, "BLOCK_VALUES", rows * w.size)
+            pairs = zip(nodes, stepper.coefficients(nodes, nodes, repeat(u)))
+            for j, (t, (f_pair, h_pair, g_pair)) in enumerate(pairs):
+                env = {**grid.coordinate_fields(), "t": t}
                 f = stepper.f_field(t, u)
-                f_block, f_mean = stepper.f_pair(j, u)
-                assert np.array_equal(f_block, f)
-                assert f_mean == stepper.mean(f)
-            h = np.broadcast_to(expr.evaluate(spec.h, env), grid.shape)
-            h_block, h_mean = stepper.h_pair(j)
-            assert np.array_equal(h_block, h)
-            assert h_mean == float(np.sum(w * h))
-            g_load = bw * expr.evaluate(spec.g, env)
-            g_block, g_mean = stepper.g_pair(j)
-            assert np.array_equal(g_block, g_load)
-            assert g_mean == float(np.sum(g_load))
+                assert np.array_equal(f_pair[0], f)
+                assert f_pair[1] == stepper.mean(f)
+                h = np.broadcast_to(expr.evaluate(spec.h, env), grid.shape)
+                assert np.array_equal(h_pair[0], h)
+                assert h_pair[1] == float(np.sum(w * h))
+                g_load = bw * expr.evaluate(spec.g, env)
+                assert np.array_equal(g_pair[0], g_load)
+                assert g_pair[1] == float(np.sum(g_load))
+            assert j == n
 
 
 class TestGenerateMeasurement:
@@ -448,14 +460,14 @@ class TestGenerateMeasurement:
         # fresh block of each
         spec = _manufactured_time_dependent()
         grid, tg = spec.make_grid(50), TimeGrid(spec.T, 4000)
-        pairs = forward._pairs
+        pairs = problem._pairs
         nodes = [0]
 
         def counting(compiled, t, weights, load):
             nodes[0] += len(t)
             return pairs(compiled, t, weights, load)
 
-        monkeypatch.setattr(forward, "_pairs", counting)
+        monkeypatch.setattr(problem, "_pairs", counting)
         runs, evaluated = {}, {}
         for derivative in ("analytic", "discrete"):
             nodes[0] = 0
@@ -547,13 +559,14 @@ class TestCompiledFields:
         stepper = TimeStepper(spec, grid, tg)
         u = np.linspace(-1.0, 2.0, grid.shape[0])
         p = forward.nodal_gradient(grid, u)[0]
-        for j, t in enumerate(tg.nodes):
+        pairs = stepper.coefficients(tg.nodes, tg.nodes, repeat(u))
+        for t, (_, (h_i, h_mean), (g_i, _)) in zip(tg.nodes, pairs, strict=True):
             env = {**grid.coordinate_fields(), "t": t, "u": u, "p": p}
             h = expr.evaluate(spec.h, env)
             g_load = grid.boundary_weights * expr.evaluate(spec.g, env)
-            assert np.array_equal(stepper.h_pair(j)[0], h)
-            assert stepper.h_pair(j)[1] == float(np.sum(grid.weights * h))
-            assert np.array_equal(stepper.g_pair(j)[0], g_load)
+            assert np.array_equal(h_i, h)
+            assert h_mean == float(np.sum(grid.weights * h))
+            assert np.array_equal(g_i, g_load)
             assert np.array_equal(stepper.f_field(t, u), expr.evaluate(spec.f, env))
 
     @pytest.mark.parametrize("g", ["1 + x*y^2 - cos(pi*y)", "t*x + (1 - t)*y^2"],
@@ -567,11 +580,13 @@ class TestCompiledFields:
         )
         grid = spec.make_grid(13, 7)
         stepper = TimeStepper(spec, grid, TimeGrid(1.0, 4))
+        g_pairs = [g for _, _, g in stepper.coefficients(stepper.nodes, stepper.nodes,
+                                                         repeat(stepper.u0))]
         for j in (0, 1, 4):
             env = {**grid.coordinate_fields(), "t": stepper.nodes[j]}
             load = grid.boundary_weights * np.broadcast_to(
                 expr.evaluate(spec.g, env), grid.shape
             )
-            g_load, g_mean = stepper.g_pair(j)
+            g_load, g_mean = g_pairs[j]
             assert np.array_equal(g_load, load)
             assert g_mean == np.add.reduce(load, axis=None)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from kernrec import expr, forward, inverse
+from kernrec import expr, problem
 from kernrec.errors import SingularUpdateError, StepThresholdError, ValidationError
 from kernrec.forward import KernelSeries, TimeStepper, _convolution_values, run_forward
 from kernrec.grid import stiffness_matvec
 from kernrec.inverse import (
-    DIAGNOSTICS_BLOCK_VALUES,
     check_step_threshold,
     initial_kernel_value,
     kernel_difference_energy,
@@ -84,14 +83,15 @@ def _stepwise_identity(spec, grid, tg, states, kernel):
     stepper = TimeStepper(spec, grid, tg)
     measured = [stepper.mean(u) for u in states]
     residuals = []
-    for i in range(1, tg.n + 1):
+    pairs = stepper.coefficients(tg.nodes[:-1], tg.nodes[1:], states)
+    for i, ((_, f_mean), (_, h_mean), (_, g_mean)) in enumerate(pairs, 1):
         conv = _convolution_values(kernel, states, i, tg.tau)
         terms = (
             (measured[i] - measured[i - 1]) / tg.tau,
-            stepper.g_pair(i)[1],
-            kernel[i] * stepper.h_pair(i)[1],
+            g_mean,
+            kernel[i] * h_mean,
             stepper.mean(conv),
-            -stepper.f_pair(i - 1, states[i - 1])[1],
+            -f_mean,
         )
         scale = max(abs(term) for term in terms)
         residuals.append(abs(sum(terms)) / scale if scale > 0 else 0.0)
@@ -139,8 +139,7 @@ class TestTrajectoryWalk:
         tg = TimeGrid(1.0, n)
         grid = spec.make_grid(*cells)
         block = (states_per_block or n + 1) * grid.weights.size
-        monkeypatch.setattr(forward, "BLOCK_VALUES", block)
-        monkeypatch.setattr(inverse, "DIAGNOSTICS_BLOCK_VALUES", block)
+        monkeypatch.setattr(problem, "BLOCK_VALUES", block)
 
         run = run_forward(spec, grid, tg, derivative="discrete")
         measured, residuals = _stepwise_identity(spec, grid, tg, run.states, run.kernel.values)
@@ -427,7 +426,7 @@ class TestReconstruct:
         tg = TimeGrid(1.0, n)
         grid = spec.make_grid(*cells)
         # the post-loop diagnostics walk this trajectory in several blocks
-        assert (n + 1) * grid.weights.size > DIAGNOSTICS_BLOCK_VALUES
+        assert (n + 1) * grid.weights.size > problem.BLOCK_VALUES
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         result = reconstruct(spec, grid, tg, series)
         reference = _running_diagnostics(result, grid, tg.tau)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kernrec import expr, forward
+from kernrec import expr, problem
 from kernrec.errors import ConfigError, FloorViolationError, ValidationError
 from kernrec.forward import TimeStepper
 from kernrec.harness import run_cli
@@ -238,10 +238,13 @@ class TestSpecValidation:
         grid = spec.make_grid(*cells)
         tg = TimeGrid(1.0, 10)
         # blocks of 4 time nodes, the last one partial
-        monkeypatch.setattr(forward, "BLOCK_VALUES", 4 * grid.weights.size)
+        monkeypatch.setattr(problem, "BLOCK_VALUES", 4 * grid.weights.size)
         stepper = TimeStepper(spec, grid, tg)
         means = volume_mean_of_h(spec, grid, tg)
-        assert means.tolist() == [stepper.h_pair(j)[1] for j in range(tg.n + 1)]
+        states = np.zeros((tg.n + 1, *grid.shape))
+        pairs = stepper.coefficients(tg.nodes[:-1], tg.nodes[1:], states)
+        marched = [h_mean for _, (_, h_mean), _ in pairs]
+        assert means.tolist() == [stepper.initial_means()[2], *marched]
 
     def test_floor_check_memory_is_bounded(self):
         # all 2001 x 1001 values of h at once would take 32.5 MiB
@@ -287,6 +290,20 @@ class TestConfig:
         assert sections["problem"]["f"] == "0"
         assert sections["discretization"]["n"] == "20"
         assert sections["experiment"]["mode"] == "reconstruct"
+
+    def test_hash_inside_quotes_is_not_a_comment(self):
+        sections = parse_config(
+            "[problem]\n"
+            'measurement_file = "/data/run#3.csv"\n'
+            'name = "a # b"  # a comment after the value\n'
+            'kernel = "exp(-t)"   # note\n'
+            "# a comment line\n"
+            "lx = 1.0# no space\n"
+        )
+        assert sections["problem"] == {
+            "measurement_file": "/data/run#3.csv", "name": "a # b", "kernel": "exp(-t)",
+            "lx": "1.0",
+        }
 
     def test_spec_from_config(self):
         sections = parse_config(CONFIG)

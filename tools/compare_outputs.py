@@ -9,13 +9,17 @@ t, with an f that reads the state or one of t, x and y alone) with each
 tree's ``src/`` on ``PYTHONPATH``.  One command sets its options
 through ``[discretization]`` and ``[experiment]`` keys instead of flags.
 Some runs are sized so that the stepper's blocks of time nodes come out
-several to a run with a partial last one, or one node wide.
+several to a run with a partial last one, or one node wide.  Three
+commands fail by design (a fault of f met by a traced reconstruction,
+a floor violation, a fault of g at t = 0 met by the discrete m'(0));
+a fourth pins that an analytic forward run never evaluates g at t = 0.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report equal once its
 ``timings`` are dropped; a command that traces, by ``--trace`` or by
-its config, must also print the same stderr.  Prints one line per command and exits 0 when
-all agree, 1 on any difference and 2 when a command fails in either
-tree.
+its config, must also print the same stderr.  A command that fails by
+design must exit with the same code and print the same stderr in both
+trees.  Prints one line per command and exits 0 when all agree, 1 on
+any difference and 2 when any other command fails in either tree.
 """
 
 from __future__ import annotations
@@ -113,6 +117,57 @@ trace = true
 kernel_denominator_sign = plus
 """
 CONFIG_KEYS = "contaminantkeys.ini"
+
+# f faults at t = 0.5, node 5 of n = 10: a traced reconstruction prints
+# rows 1-5 and then fails
+FAULT_F = """\
+[problem]
+name = "faultf1d"
+f = "2 + 1/(t - 0.5)"
+h = "1"
+g = "0"
+u0 = "0"
+lx = 1.0
+T = 1.0
+omega = 1.0
+m = "0"
+mprime = "0"
+"""
+CONFIG_FAULT_F = "faultf1d.ini"
+
+# |(h(t),1)| = 1 - t dips below omega after t = 0.25
+FLOOR_VIOLATION = """\
+[problem]
+name = "floor1d"
+f = "0"
+h = "1 - t"
+g = "0"
+u0 = "0"
+lx = 1.0
+T = 1.0
+omega = 0.75
+m = "0"
+mprime = "0"
+"""
+CONFIG_FLOOR = "floor1d.ini"
+
+# g faults at t = 0 only, where the march never reads it; the discrete
+# m'(0) reads it after the march, the exact m' does not
+FAULT_G0 = """\
+[problem]
+name = "faultg1d"
+f = "0"
+h = "1"
+g = "1/t"
+u0 = "0"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+mprime = "0"
+"""
+CONFIG_FAULT_G0 = "faultg1d.ini"
+
 CONFIGS = {
     CONFIG_2D: MANUFACTURED_2D,
     CONFIG_T1D: TIME_DEPENDENT_1D,
@@ -120,6 +175,9 @@ CONFIGS = {
     CONFIG_O1D: TIME_ONLY_1D,
     CONFIG_O2D: TIME_ONLY_2D,
     CONFIG_KEYS: CONTAMINANT_KEYS,
+    CONFIG_FAULT_F: FAULT_F,
+    CONFIG_FLOOR: FLOOR_VIOLATION,
+    CONFIG_FAULT_G0: FAULT_G0,
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -176,6 +234,23 @@ COMMANDS = {
         "reconstruct", "--config", CONFIG_2D, "--n", "20", "--mx", "24", "--trace",
     ],
     "reconstruct-contaminant-config-keys": ["reconstruct", "--config", CONFIG_KEYS],
+    "forward-g-fault-at-0-analytic": [
+        "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
+    ],
+    # these fail by design: exit code and stderr are compared
+    "reconstruct-f-fault-trace": [
+        "reconstruct", "--config", CONFIG_FAULT_F, "--n", "10", "--mx", "8", "--trace",
+    ],
+    "reconstruct-floor-violation": [
+        "reconstruct", "--config", CONFIG_FLOOR, "--n", "10", "--mx", "8",
+    ],
+    "forward-g-fault-at-0-discrete": [
+        "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
+        "--derivative", "discrete",
+    ],
+}
+FAILING = {
+    "reconstruct-f-fault-trace", "reconstruct-floor-violation", "forward-g-fault-at-0-discrete",
 }
 
 
@@ -219,26 +294,30 @@ def main(argv: list[str]) -> int:
         runs = {side: run_tree(tree, Path(tmp) / side)
                 for side, tree in (("base", base), ("head", head))}
         for name in COMMANDS:
-            failed = [f"{side} exit {runs[side][name].returncode}: "
-                      f"{runs[side][name].stderr.strip()}"
-                      for side in ("base", "head") if runs[side][name].returncode != 0]
-            if failed:
+            done = {side: runs[side][name] for side in ("base", "head")}
+            if name in FAILING:
+                differs = [what for what in ("returncode", "stderr")
+                           if getattr(done["base"], what) != getattr(done["head"], what)]
+            elif any(run.returncode for run in done.values()):
+                failed = [f"{side} exit {run.returncode}: {run.stderr.strip()}"
+                          for side, run in done.items() if run.returncode]
                 print(f"FAILED   {name}: {'; '.join(failed)}")
                 status = 2
                 continue
-            paths = {side: Path(tmp) / side / name for side in ("base", "head")}
-            differs = []
-            if not filecmp.cmp(paths["base"].with_suffix(".csv"),
-                               paths["head"].with_suffix(".csv"), shallow=False):
-                differs.append("csv")
-            if report(paths["base"].with_suffix(".json")) != report(
-                paths["head"].with_suffix(".json")
-            ):
-                differs.append("json")
-            stderr = {side: runs[side][name].stderr for side in ("base", "head")}
-            traced = "--trace" in COMMANDS[name] or "step=" in stderr["base"] + stderr["head"]
-            if traced and stderr["base"] != stderr["head"]:
-                differs.append("trace rows")
+            else:
+                paths = {side: Path(tmp) / side / name for side in ("base", "head")}
+                differs = []
+                if not filecmp.cmp(paths["base"].with_suffix(".csv"),
+                                   paths["head"].with_suffix(".csv"), shallow=False):
+                    differs.append("csv")
+                if report(paths["base"].with_suffix(".json")) != report(
+                    paths["head"].with_suffix(".json")
+                ):
+                    differs.append("json")
+                stderr = {side: run.stderr for side, run in done.items()}
+                traced = "--trace" in COMMANDS[name] or "step=" in stderr["base"] + stderr["head"]
+                if traced and stderr["base"] != stderr["head"]:
+                    differs.append("trace rows")
             if differs:
                 print(f"DIFFERS  {name}: {' and '.join(differs)}")
                 status = max(status, 1)
