@@ -3,8 +3,7 @@
 Three top-level families map onto the CLI exit codes: usage problems
 (bad flags, malformed config) exit 1, numerical failures (singular
 update, non-finite values) exit 2, and validation failures (step-size
-threshold, floor violations) exit 3.  The solver errors are raised only
-by the reference solvers of ``solver``, which runs do not call.
+threshold, floor violations) exit 3.
 """
 
 
@@ -26,19 +25,6 @@ class ConfigError(UsageError):
 
 class NumericalError(KernrecError):
     """Numerical failure during a run (exit code 2)."""
-
-
-class SingularMatrixError(NumericalError):
-    """Zero pivot in a direct solve."""
-
-
-class IterationLimitError(NumericalError):
-    """Iterative solver failed to reach its tolerance."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 class SingularUpdateError(NumericalError):

@@ -141,30 +141,6 @@ def stiffness_matvec(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     return term_x + term_y
 
 
-def stiffness_diagonal(grid: SpatialGrid) -> np.ndarray:
-    """Diagonal of the assembled stiffness matrix (Jacobi preconditioning)."""
-
-    def k_diag(length, m):
-        dx = length / m
-        d = np.full(m + 1, 2.0 / dx)
-        d[0] = d[-1] = 1.0 / dx
-        return d
-
-    def m_diag(length, m):
-        dx = length / m
-        d = np.full(m + 1, 2.0 * dx / 3.0)
-        d[0] = d[-1] = dx / 3.0
-        return d
-
-    if grid.ndim == 1:
-        return k_diag(grid.extents[0], grid.cells[0])
-    kx = k_diag(grid.extents[0], grid.cells[0])
-    ky = k_diag(grid.extents[1], grid.cells[1])
-    mx = m_diag(grid.extents[0], grid.cells[0])
-    my = m_diag(grid.extents[1], grid.cells[1])
-    return np.outer(kx, my) + np.outer(mx, ky)
-
-
 def _gradient_1d(u: np.ndarray, dx: float, axis: int) -> np.ndarray:
     v = np.moveaxis(u, axis, 0)
     out = np.empty_like(v)

@@ -16,7 +16,8 @@ and the timings.  Synthetic data always comes from
 ``forward.run_forward``.
 
 Exit codes: 0 success, 1 usage error (including a config key that its
-section does not accept and an option the mode ignores), 2 numerical
+section does not accept, an option the mode ignores and an output path
+that names an input or the other output), 2 numerical
 failure (singular update, non-finite state, I/O), 3 validation failure
 (step threshold, floor violation, non-finite or non-positive problem
 numbers, a malformed measurement file).  Set ``KERNREC_LOG`` to a
@@ -368,6 +369,13 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if reason:
             raise UsageError(f"{opt.label} {reason}")
         values[opt.field] = value
+    # an output must not overwrite an input or the other output
+    files = [(opt.label, values.get(opt.field)) for opt in OPTIONS if opt.key in ("out", "json")]
+    files += [("--config", args.config), ("[problem] measurement_file", measurement_file)]
+    for i, (label, path) in enumerate(files[:2]):
+        for other, other_path in files[i + 1 :]:
+            if path and other_path and os.path.realpath(path) == os.path.realpath(other_path):
+                raise UsageError(f"{label} and {other} name the same file {path!r}")
     return ExperimentConfig(
         mode=args.mode, spec=spec, measurement_file=measurement_file, **values
     )

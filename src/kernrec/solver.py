@@ -1,4 +1,4 @@
-"""Linear solvers for the backward-Euler elliptic step.
+"""The linear solve of the backward-Euler elliptic step.
 
 The operator is (1/tau) W + A with W the diagonal lumped mass and A the
 stiffness matrix: symmetric and strictly positive definite for tau > 0.
@@ -6,21 +6,12 @@ On the uniform Neumann grids of ``grid`` the scaled operator W^-1 A is
 diagonalised exactly by the DCT-I along each axis, so every step is
 solved directly in O(N log N) by ``SpectralSolver`` (the classical fast
 Poisson solver; Swarztrauber, SIAM Rev. 19, 1977).
-
-``solve_tridiagonal`` (Thomas algorithm) and ``solve_cg``
-(Jacobi-preconditioned conjugate gradients on an ``SpdOperator``) are
-reference implementations that the tests compare the spectral solve
-against; the time steppers do not call them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import IterationLimitError, SingularMatrixError
 from .grid import SpatialGrid
 
 
@@ -72,109 +63,3 @@ class SpectralSolver:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._dct1(self._dct1(rhs * self._inv_weights) * self._inv_divisor)
-
-
-def solve_tridiagonal(
-    diag: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    rhs: np.ndarray,
-) -> np.ndarray:
-    """Thomas algorithm for a tridiagonal system.
-
-    ``lower``/``upper`` have one entry fewer than ``diag``; the system
-    is assumed diagonally dominant or SPD, which makes the elimination
-    stable without pivoting.  A zero pivot raises SingularMatrixError.
-    """
-    diag = np.asarray(diag, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.size
-    if lower.size != n - 1 or upper.size != n - 1 or rhs.size != n:
-        raise ValueError("inconsistent tridiagonal array lengths")
-
-    cp = np.empty(n - 1) if n > 1 else np.empty(0)
-    dp = np.empty(n)
-    pivot = diag[0]
-    if pivot == 0.0:
-        raise SingularMatrixError("zero pivot at row 0")
-    if n > 1:
-        cp[0] = upper[0] / pivot
-    dp[0] = rhs[0] / pivot
-    for i in range(1, n):
-        pivot = diag[i] - lower[i - 1] * cp[i - 1]
-        if pivot == 0.0:
-            raise SingularMatrixError(f"zero pivot at row {i}")
-        if i < n - 1:
-            cp[i] = upper[i] / pivot
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / pivot
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    return dp
-
-
-@dataclass(frozen=True)
-class SpdOperator:
-    """Matrix-free shifted operator v -> shift * mass * v + A v."""
-
-    shift: float  # 1/tau
-    mass_weights: np.ndarray
-    stiffness_matvec: Callable[[np.ndarray], np.ndarray]
-    stiffness_diag: np.ndarray
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.shift * self.mass_weights * v + self.stiffness_matvec(v)
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.shift * self.mass_weights + self.stiffness_diag
-
-
-def solve_cg(
-    op: SpdOperator,
-    rhs: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
-) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients.
-
-    Stops when ||rhs - A x||_2 <= tol * ||rhs||_2 (immediately for a zero
-    right-hand side).  ``callback(k, x, residual_norm)`` is invoked after
-    every iteration.  Raises IterationLimitError carrying the final
-    residual if the budget is exhausted.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rhs = np.asarray(rhs, dtype=float)
-    b_norm = float(np.linalg.norm(rhs.ravel()))
-    x = np.zeros_like(rhs)
-    if b_norm == 0.0:
-        return x
-    inv_diag = 1.0 / op.diagonal
-    r = rhs.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(np.vdot(r.ravel(), z.ravel()))
-    res = float(np.linalg.norm(r.ravel()))
-    for k in range(1, max_iter + 1):
-        ap = op.apply(p)
-        alpha = rz / float(np.vdot(p.ravel(), ap.ravel()))
-        x = x + alpha * p
-        r = r - alpha * ap
-        res = float(np.linalg.norm(r.ravel()))
-        if callback is not None:
-            callback(k, x, res)
-        if res <= tol * b_norm:
-            return x
-        z = inv_diag * r
-        rz_new = float(np.vdot(r.ravel(), z.ravel()))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise IterationLimitError(
-        f"conjugate gradients did not reach tol={tol:g} in {max_iter} iterations "
-        f"(relative residual {res / b_norm:.3e})",
-        residual=res / b_norm,
-        iterations=max_iter,
-    )

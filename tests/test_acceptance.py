@@ -5,6 +5,7 @@ single ``[criterion N] PASS/FAIL`` line (run with ``pytest -s`` to see
 the lines for passing runs too).
 """
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -15,16 +16,18 @@ import pytest
 from kernrec import expr
 from kernrec.errors import ExprError
 from kernrec.forward import KernelSeries, run_forward
-from kernrec.grid import SpatialGrid, stiffness_diagonal, stiffness_matvec
+from kernrec.grid import SpatialGrid, stiffness_matvec
 from kernrec.harness import ExperimentConfig, convergence_study, run_cli
 from kernrec.inverse import reconstruct
 from kernrec.problem import (
     MeasurementSeries,
     TimeGrid,
+    make_preset,
     preset_manufactured_1d,
     preset_zero_1d,
 )
-from kernrec.solver import SpdOperator, SpectralSolver, solve_cg, solve_tridiagonal
+from kernrec.solver import SpectralSolver
+from oracles import SpdOperator, solve_cg, solve_tridiagonal, stiffness_diagonal
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
@@ -293,3 +296,44 @@ def test_criterion_8_unit_properties():
     assert spectral_gap <= 1e-10
     assert exact_zero
     assert crashes == 0
+
+
+# the paper's a priori estimates bound these uniformly in tau ...
+_UNIFORM_IN_TAU = (
+    "grad_energy",
+    "max_state_norm_sq",
+    "max_grad_norm_sq",
+    "time_derivative_energy",
+    "laplacian_energy",
+    "kernel_derivative_energy",
+)
+# ... and bound these sums of squared increments by C tau
+_ORDER_TAU = ("state_increment_sum_sq", "grad_increment_sum_sq")
+
+
+@pytest.mark.parametrize("preset", ["manufactured1d", "contaminant"])
+def test_criterion_9_a_priori_estimates(preset):
+    cfg = ExperimentConfig(
+        mode="convergence", spec=make_preset(preset), n_list=[50, 100, 200, 400, 800], mx=50
+    )
+    rows = convergence_study(cfg)
+    series = {
+        key: np.array([row["diagnostics"][key] for row in rows])
+        for key in _UNIFORM_IN_TAU + _ORDER_TAU
+    }
+    spread = max(float(series[key].max() / series[key].min()) for key in _UNIFORM_IN_TAU)
+    halvings = np.concatenate([series[key][1:] / series[key][:-1] for key in _ORDER_TAU])
+    eocs = [row["eoc"] for row in rows[-3:]]
+    eoc_low = min(math.inf if e is None else e for e in eocs)
+    ok = spread <= 1.25 and np.all((0.45 <= halvings) & (halvings <= 0.55)) and eoc_low >= 0.95
+    _verdict(
+        9,
+        f"a priori estimates ({preset})",
+        ok,
+        f"max/min over 16x tau {spread:.3f} (tol 1.25), increment sums per halving "
+        f"{halvings.min():.3f}..{halvings.max():.3f} (tol 0.45..0.55), last EOCs "
+        f"{eoc_low:.3f} (tol >= 0.95)",
+    )
+    assert spread <= 1.25
+    assert np.all((0.45 <= halvings) & (halvings <= 0.55)), halvings
+    assert all(e is not None and e >= 0.95 for e in eocs), eocs

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kernrec.grid import SpatialGrid, nodal_gradient, stiffness_diagonal, stiffness_matvec
+from kernrec.grid import SpatialGrid, nodal_gradient, stiffness_matvec
+from oracles import stiffness_diagonal
 
 
 @pytest.fixture

@@ -636,6 +636,44 @@ class TestConfigHandling:
         assert code == 1
         assert f"usage error: cannot parse {named}: an empty path" in capsys.readouterr().err
 
+    _OUT, _JSON = "--out ([experiment] out)", "--json ([experiment] json)"
+    _DATA = "[problem] measurement_file"
+
+    @pytest.mark.parametrize(
+        "flags,experiment,labels",
+        [(["--out", "run.ini"], "", (_OUT, "--config")),
+         (["--json", "run.ini"], "", (_JSON, "--config")),
+         ([], 'out = "run.ini"\n', (_OUT, "--config")),
+         (["--out", "link.ini"], "", (_OUT, "--config")),
+         (["--out", "x", "--json", "sub/../x"], "", (_OUT, _JSON)),
+         (["--out", "x"], 'json = "x"\n', (_OUT, _JSON)),
+         (["--out", "data.csv"], "", (_OUT, _DATA)),
+         ([], 'json = "./data.csv"\n', (_JSON, _DATA))],
+        ids=["out-config", "json-config", "out-key-config", "out-symlink-config",
+             "out-json", "out-json-key", "out-measurement-file", "json-key-measurement-file"],
+    )
+    def test_output_naming_an_input_or_the_other_output_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, flags, experiment, labels
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["forward", "--preset", "contaminant", "--n", "10", "--mx", "10",
+                        "--out", "data.csv"]) == 0
+        data = _read(tmp_path / "data.csv")
+        config = (
+            '[problem]\npreset = contaminant\nmeasurement_file = "data.csv"\n\n'
+            f"[experiment]\n{experiment}"
+        )
+        (tmp_path / "run.ini").write_text(config, encoding="utf-8")
+        (tmp_path / "link.ini").symlink_to("run.ini")
+        (tmp_path / "sub").mkdir()
+        code = run_cli(["reconstruct", "--config", "run.ini", "--n", "10", "--mx", "10", *flags])
+        assert code == 1
+        first, second = labels
+        assert f"usage error: {first} and {second} name the same file" in capsys.readouterr().err
+        assert _read(tmp_path / "run.ini") == config
+        assert _read(tmp_path / "data.csv") == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.ini", "run.ini", "sub"]
+
     @pytest.mark.parametrize("source", ["cli", "config"])
     @pytest.mark.parametrize(
         "mode,problem",
@@ -899,8 +937,6 @@ _EXIT_CODES = [
     (errors.UsageError("bad flag"), 1),
     (errors.ConfigError("bad key", key="k"), 1),
     (errors.NumericalError("broke"), 2),
-    (errors.SingularMatrixError("zero pivot"), 2),
-    (errors.IterationLimitError("stalled", residual=1.0, iterations=3), 2),
     (errors.SingularUpdateError("tiny denominator", step=1), 2),
     (errors.NonFiniteError("nan", step=1), 2),
     (errors.ExprError("bad expression"), 2),

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from kernrec.errors import IterationLimitError, SingularMatrixError
-from kernrec.grid import SpatialGrid, stiffness_diagonal, stiffness_matvec
-from kernrec.solver import SpdOperator, SpectralSolver, solve_cg, solve_tridiagonal
+from kernrec.grid import SpatialGrid, stiffness_matvec
+from kernrec.solver import SpectralSolver
+from oracles import (
+    IterationLimitError,
+    SingularMatrixError,
+    SpdOperator,
+    solve_cg,
+    solve_tridiagonal,
+    stiffness_diagonal,
+)
 
 
 def _dense_from_bands(diag, lower, upper):

@@ -13,12 +13,16 @@ several to a run with a partial last one, or one node wide.  Three
 commands fail by design (a fault of f met by a traced reconstruction,
 a floor violation, a fault of g at t = 0 met by the discrete m'(0));
 a fourth pins that an analytic forward run never evaluates g at t = 0.
+Others reconstruct the contaminant with advection (f reads the gradient
+p), read manufactured1d's measurement from a ``t,m,mprime`` file that
+this script writes beside its configs, and trace a noise sweep.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report equal once its
 ``timings`` are dropped; a command that traces, by ``--trace`` or by
 its config, must also print the same stderr.  A command that fails by
 design must exit with the same code and print the same stderr in both
-trees.  Prints one line per command and exits 0 when all agree, 1 on
+trees.  stderr is compared without the ``path:line:`` prefix of a
+warning, which names each tree's own files.  Prints one line per command and exits 0 when all agree, 1 on
 any difference and 2 when any other command fails in either tree.
 """
 
@@ -27,10 +31,13 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -168,6 +175,41 @@ mprime = "0"
 """
 CONFIG_FAULT_G0 = "faultg1d.ini"
 
+# advection v . grad u: the contaminant's f reads the gradient p
+CONTAMINANT_ADVECTION = """\
+[problem]
+preset = contaminant
+v = 0.5
+"""
+CONFIG_ADVECTION = "contaminantv.ini"
+
+# manufactured1d without m and mprime: the measurement is read from
+# MEASUREMENT_FILE, the samples of m = 1 + t and m' = 1 on MEASUREMENT_N steps
+MEASUREMENT_FILE = "manufactured1d_m.csv"
+MEASUREMENT_N = 200
+MANUFACTURED_FROM_FILE = f"""\
+[problem]
+name = "manufactured1d"
+f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"
+h = "1"
+g = "0"
+u0 = "1+cos(pi*x)"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+u_exact = "(1+t)*(1+cos(pi*x))"
+measurement_file = "{MEASUREMENT_FILE}"
+"""
+CONFIG_FROM_FILE = "manufactured1dfile.ini"
+
+
+def _measurement_text(n: int) -> str:
+    nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
+    return "".join(["t,m,mprime\n", *(f"{t:.17g},{1.0 + t:.17g},1\n" for t in nodes)])
+
+
+# the configs, and the measurement file, written beside the outputs
 CONFIGS = {
     CONFIG_2D: MANUFACTURED_2D,
     CONFIG_T1D: TIME_DEPENDENT_1D,
@@ -178,6 +220,9 @@ CONFIGS = {
     CONFIG_FAULT_F: FAULT_F,
     CONFIG_FLOOR: FLOOR_VIOLATION,
     CONFIG_FAULT_G0: FAULT_G0,
+    CONFIG_ADVECTION: CONTAMINANT_ADVECTION,
+    CONFIG_FROM_FILE: MANUFACTURED_FROM_FILE,
+    MEASUREMENT_FILE: _measurement_text(MEASUREMENT_N),
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -234,6 +279,16 @@ COMMANDS = {
         "reconstruct", "--config", CONFIG_2D, "--n", "20", "--mx", "24", "--trace",
     ],
     "reconstruct-contaminant-config-keys": ["reconstruct", "--config", CONFIG_KEYS],
+    "reconstruct-contaminant-advection": [
+        "reconstruct", "--config", CONFIG_ADVECTION, "--n", "200", "--mx", "50",
+    ],
+    "reconstruct-manufactured1d-file": [
+        "reconstruct", "--config", CONFIG_FROM_FILE, "--n", str(MEASUREMENT_N), "--mx", "50",
+    ],
+    "noise-sweep-contaminant-trace": [
+        "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
+        "--trace",
+    ],
     "forward-g-fault-at-0-analytic": [
         "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
     ],
@@ -271,6 +326,11 @@ def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
     return done
 
 
+def stderr_text(run: subprocess.CompletedProcess) -> str:
+    """stderr without the file:line location that a warning names in its tree"""
+    return re.sub(r"^\S+:\d+: (?=\w+Warning: )", "", run.stderr, flags=re.M)
+
+
 def without_timings(value):
     if isinstance(value, dict):
         return {k: without_timings(v) for k, v in value.items() if k != "timings"}
@@ -295,9 +355,13 @@ def main(argv: list[str]) -> int:
                 for side, tree in (("base", base), ("head", head))}
         for name in COMMANDS:
             done = {side: runs[side][name] for side in ("base", "head")}
+            stderr = {side: stderr_text(run) for side, run in done.items()}
             if name in FAILING:
-                differs = [what for what in ("returncode", "stderr")
-                           if getattr(done["base"], what) != getattr(done["head"], what)]
+                differs = []
+                if done["base"].returncode != done["head"].returncode:
+                    differs.append("returncode")
+                if stderr["base"] != stderr["head"]:
+                    differs.append("stderr")
             elif any(run.returncode for run in done.values()):
                 failed = [f"{side} exit {run.returncode}: {run.stderr.strip()}"
                           for side, run in done.items() if run.returncode]
@@ -314,7 +378,6 @@ def main(argv: list[str]) -> int:
                     paths["head"].with_suffix(".json")
                 ):
                     differs.append("json")
-                stderr = {side: run.stderr for side, run in done.items()}
                 traced = "--trace" in COMMANDS[name] or "step=" in stderr["base"] + stderr["head"]
                 if traced and stderr["base"] != stderr["head"]:
                     differs.append("trace rows")
