@@ -259,23 +259,28 @@ def _march(
     u_prev = states[0]
     sums = []  # (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) per step
     coefficients = stepper.coefficients(stepper.nodes[:-1], stepper.nodes[1:], states)
-    for i in range(1, n + 1):
-        # next(), not enumerate(): under enumerate, zip's cached result
-        # tuple keeps every other step's old pairs, and their block, alive
-        (f_prev, f_mean), (h_i, h_mean), (g_load, g_mean) = next(coefficients)
-        if kernel_update is not None:
-            kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
-        # conv_i includes K_i, so it is formed after the update
-        conv = _convolution_values(kernel_values, states, i, tau)
-        states[i] = stepper.step(kernel_values[i], u_prev, f_prev, conv, h_i, g_load)
-        u_prev = states[i]
-        if not np.isfinite(u_prev).all():
-            raise NonFiniteError("state is not finite", step=i)
-        sums.append((f_mean, h_mean, g_mean, stepper.mean(conv)))
-        if on_step is not None:
-            window = slice(i - 1, i + 1)
-            _, residual = stepper.compat_residual(states[window], kernel_values[window], sums[-1:])
-            on_step(i, residual[0])
+    # an overflow or NaN in a step is reported by the finiteness check
+    # below, not by numpy's floating-point warnings
+    with np.errstate(all="ignore"):
+        for i in range(1, n + 1):
+            # next(), not enumerate(): under enumerate, zip's cached result
+            # tuple keeps every other step's old pairs, and their block, alive
+            (f_prev, f_mean), (h_i, h_mean), (g_load, g_mean) = next(coefficients)
+            if kernel_update is not None:
+                kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
+            # conv_i includes K_i, so it is formed after the update
+            conv = _convolution_values(kernel_values, states, i, tau)
+            states[i] = stepper.step(kernel_values[i], u_prev, f_prev, conv, h_i, g_load)
+            u_prev = states[i]
+            if not np.isfinite(u_prev).all():
+                raise NonFiniteError("state is not finite", step=i)
+            sums.append((f_mean, h_mean, g_mean, stepper.mean(conv)))
+            if on_step is not None:
+                window = slice(i - 1, i + 1)
+                _, residual = stepper.compat_residual(
+                    states[window], kernel_values[window], sums[-1:]
+                )
+                on_step(i, residual[0])
     measured, residuals = stepper.compat_residual(states, kernel_values, sums)
     return states, measured, residuals
 

@@ -18,9 +18,11 @@ and the timings.  Synthetic data always comes from
 Exit codes: 0 success, 1 usage error (including a config key that its
 section does not accept, an option the mode ignores and an output path
 that names an input or the other output), 2 numerical
-failure (singular update, non-finite state, I/O), 3 validation failure
+failure (singular update, non-finite state, I/O, an array too large
+to allocate), 3 validation failure
 (step threshold, floor violation, non-finite or non-positive problem
-numbers, a malformed measurement file).  Set ``KERNREC_LOG`` to a
+numbers, a malformed measurement file).  ``main`` prints each warning
+as one ``kernrec: warning: ...`` line.  Set ``KERNREC_LOG`` to a
 logging level name for extra output.  All CSV output uses 17
 significant digits so identical configurations produce
 byte-identical files.
@@ -35,6 +37,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
@@ -694,12 +697,21 @@ def run_cli(argv: list[str]) -> int:
     except KernrecError as exc:  # anything else from this package
         print(f"kernrec: error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"kernrec: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"kernrec: warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     level_name = os.environ.get("KERNREC_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
-    return run_cli(sys.argv[1:] if argv is None else argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning  # one line each, without the source location
+        return run_cli(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

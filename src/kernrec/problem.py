@@ -29,15 +29,17 @@ from . import expr
 from .errors import ConfigError, DomainFaultError, ExprError, FloorViolationError, ValidationError
 from .grid import SpatialGrid
 
-_ALLOWED_VARS = {
-    "f": {"x", "y", "t", "u", "p", "q"},
-    "h": {"x", "y", "t"},
-    "g": {"x", "y", "t"},
-    "u0": {"x", "y"},
-    "kernel": {"t"},
-    "m": {"t"},
-    "mprime": {"t"},
-    "u_exact": {"x", "y", "t"},
+# each [problem] expression key: the ProblemSpec field it fills, the
+# variables it may use (y in 2D only) and whether an inline problem needs it
+_EXPRESSION_KEYS = {
+    "f": ("f", {"x", "y", "t", "u", "p", "q"}, True),
+    "h": ("h", {"x", "y", "t"}, True),
+    "g": ("g", {"x", "y", "t"}, True),
+    "u0": ("u0", {"x", "y"}, True),
+    "kernel": ("kernel_exact", {"t"}, False),
+    "m": ("m_exact", {"t"}, False),
+    "mprime": ("mprime_exact", {"t"}, False),
+    "u_exact": ("u_exact", {"x", "y", "t"}, False),
 }
 
 
@@ -96,13 +98,12 @@ class ProblemSpec:
             )
         if len(self.extents) not in (1, 2) or not all(0.0 < L < math.inf for L in self.extents):
             raise ValidationError(f"bad domain extents {self.extents}")
-        for key in ("f", "h", "g", "u0", "kernel", "m", "mprime", "u_exact"):
-            tree = getattr(self, _FIELD_BY_KEY[key])
+        for key, (field, allowed, _) in _EXPRESSION_KEYS.items():
+            tree = getattr(self, field)
             if tree is None:
                 continue
-            allowed = set(_ALLOWED_VARS[key])
             if self.ndim == 1:
-                allowed.discard("y")
+                allowed = allowed - {"y"}
             used = expr.variables(tree)
             if not used <= allowed:
                 raise ValidationError(
@@ -120,18 +121,6 @@ class ProblemSpec:
         if cells_y is None:
             cells_y = cells_x
         return SpatialGrid.rectangle(self.extents[0], self.extents[1], cells_x, cells_y)
-
-
-_FIELD_BY_KEY = {
-    "f": "f",
-    "h": "h",
-    "g": "g",
-    "u0": "u0",
-    "kernel": "kernel_exact",
-    "m": "m_exact",
-    "mprime": "mprime_exact",
-    "u_exact": "u_exact",
-}
 
 
 @dataclass(frozen=True)
@@ -385,7 +374,7 @@ def validate_floor(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid) -> 
 _SECTIONS = ("problem", "discretization", "experiment")
 
 # keys [problem] accepts, depending on whether it names a preset
-_INLINE_KEYS = frozenset({"name", "lx", "ly", "T", "omega", "measurement_file", *_FIELD_BY_KEY})
+_INLINE_KEYS = frozenset({"name", "lx", "ly", "T", "omega", "measurement_file", *_EXPRESSION_KEYS})
 _PRESET_KEYS = frozenset({"preset", "T", "omega", "measurement_file"})
 
 
@@ -441,7 +430,7 @@ def _check_keys(
             )
 
 
-def _get_expr(section: Mapping[str, str], key: str, required: bool = False):
+def _get_expr(section: Mapping[str, str], key: str, required: bool):
     if key not in section:
         if required:
             raise ConfigError("missing mandatory key", key=key)
@@ -485,19 +474,13 @@ def spec_from_mapping(problem: Mapping[str, str]) -> ProblemSpec:
     extents: tuple[float, ...] = (lx,)
     if "ly" in problem:
         extents = (lx, _get_float(problem, "ly"))
+    T, omega = _get_float(problem, "T"), _get_float(problem, "omega")
+    trees = {
+        field: _get_expr(problem, key, required)
+        for key, (field, _, required) in _EXPRESSION_KEYS.items()
+    }
     return ProblemSpec(
-        name=problem.get("name", "inline"),
-        extents=extents,
-        T=_get_float(problem, "T"),
-        omega_floor=_get_float(problem, "omega"),
-        f=_get_expr(problem, "f", required=True),
-        h=_get_expr(problem, "h", required=True),
-        g=_get_expr(problem, "g", required=True),
-        u0=_get_expr(problem, "u0", required=True),
-        kernel_exact=_get_expr(problem, "kernel"),
-        m_exact=_get_expr(problem, "m"),
-        mprime_exact=_get_expr(problem, "mprime"),
-        u_exact=_get_expr(problem, "u_exact"),
+        name=problem.get("name", "inline"), extents=extents, T=T, omega_floor=omega, **trees
     )
 
 

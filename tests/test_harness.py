@@ -932,7 +932,7 @@ def test_measurement_csv_equals_row_by_row_formatting(initial):
     assert harness.measurement_csv_text(series) == "\n".join(lines) + "\n"
 
 
-# every exception class of kernrec.errors, plus OSError, and its exit code
+# every exception class of kernrec.errors, plus OSError and MemoryError, and its exit code
 _EXIT_CODES = [
     (errors.UsageError("bad flag"), 1),
     (errors.ConfigError("bad key", key="k"), 1),
@@ -946,6 +946,7 @@ _EXIT_CODES = [
     (errors.UnboundVariableError("x"), 2),
     (errors.DomainFaultError("log of non-positive value", "log(0)"), 2),
     (OSError("disk full"), 2),
+    (MemoryError("Unable to allocate 7.28 TiB"), 2),
     (errors.ValidationError("bad data"), 3),
     (errors.FloorViolationError("below floor"), 3),
     (errors.StepThresholdError("tau too large"), 3),
@@ -972,7 +973,7 @@ def test_exit_code_table_covers_every_error_class():
         if isinstance(obj, type) and issubclass(obj, errors.KernrecError)
         and obj.__module__ == errors.__name__
     }
-    assert classes == {type(exc) for exc, _ in _EXIT_CODES} - {OSError}
+    assert classes == {type(exc) for exc, _ in _EXIT_CODES} - {OSError, MemoryError}
 
 
 def test_readme_config_block_runs(tmp_path):
@@ -1020,6 +1021,55 @@ def test_module_entry_point():
     )
     assert proc.returncode == 1
     assert "usage error" in proc.stderr
+
+
+# a run in a child whose address space is capped at 4 GiB, so that an
+# allocation of several TiB is refused even where the host overcommits memory
+_CAPPED_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+    "from kernrec.harness import main; sys.exit(main())"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--preset", "manufactured1d", "--n", "1000000000000", "--mx", "10"],
+        ["--preset", "manufactured1d", "--n", "10", "--mx", "1000000000000"],
+        ["--preset", "contaminant", "--n", "10", "--mx", "10", "--fine-factor", "1000000000000"],
+    ],
+    ids=["n", "mx", "fine-factor"],
+)
+def test_run_too_large_to_allocate_exits_2(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "reconstruct", *argv],
+        capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(r"kernrec: out of memory: Unable to allocate [\d.]+ TiB .*\n", proc.stderr)
+
+
+def test_warning_is_one_kernrec_line(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(THRESHOLD_CONFIG, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernrec.harness", "reconstruct", "--config", str(cfg),
+         "--n", "20", "--mx", "10", "--force"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("kernrec: warning: running with tau = ")
+    assert proc.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_state_overflow_prints_no_numpy_warning(tmp_path, capsys):
+    # tau = 1e-321: u/tau overflows in the first step
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[problem]\npreset = manufactured1d\nT = 1e-320\n", encoding="utf-8")
+    assert run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"]) == 2
+    assert capsys.readouterr().err == "kernrec: numerical failure: state is not finite\n"
 
 
 def test_log_env_variable_respected(tmp_path):

@@ -168,6 +168,20 @@ class TestContaminantPreset:
             preset_contaminant(**params)
 
 
+# the variables each [problem] expression key may use in 2D; y is off limits in 1D
+KEY_VARIABLES = {
+    "f": {"x", "y", "t", "u", "p", "q"},
+    "h": {"x", "y", "t"},
+    "g": {"x", "y", "t"},
+    "u0": {"x", "y"},
+    "kernel": {"t"},
+    "m": {"t"},
+    "mprime": {"t"},
+    "u_exact": {"x", "y", "t"},
+}
+INLINE_2D = {"f": "0", "h": "1", "g": "0", "u0": "0", "lx": "1", "ly": "1", "T": "1", "omega": "1"}
+
+
 class TestSpecValidation:
     def test_bad_horizon(self):
         with pytest.raises(ValidationError):
@@ -206,6 +220,25 @@ class TestSpecValidation:
             ProblemSpec(
                 name="bad", extents=(1.0,), T=1.0, omega_floor=1.0,
                 f=expr.parse("y"), h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("0"),
+            )
+
+    @pytest.mark.parametrize("key", list(KEY_VARIABLES))
+    def test_key_variables(self, key):
+        allowed = KEY_VARIABLES[key]
+        assert spec_from_mapping({**INLINE_2D, key: " + ".join(sorted(allowed))})
+        # every variable the language knows but the key may not use
+        for var in sorted(expr.VARIABLES - allowed):
+            with pytest.raises(ValidationError) as err:
+                spec_from_mapping({**INLINE_2D, key: var})
+            assert str(err.value) == (
+                f"'{key}' uses variables ['{var}']; allowed: {sorted(allowed)}"
+            )
+        one_d = {k: v for k, v in INLINE_2D.items() if k != "ly"}
+        if "y" in allowed:
+            with pytest.raises(ValidationError) as err:
+                spec_from_mapping({**one_d, key: "y"})
+            assert str(err.value) == (
+                f"'{key}' uses variables ['y']; allowed: {sorted(allowed - {'y'})}"
             )
 
     def test_floor_violation(self):
@@ -338,9 +371,27 @@ class TestConfig:
         with pytest.raises(FloorViolationError):
             validate_floor(spec, spec.make_grid(10), TimeGrid(spec.T, 20))
 
-    def test_missing_mandatory_key(self):
-        with pytest.raises(ConfigError):
-            spec_from_mapping(parse_config(CONFIG.replace('f = "0"\n', ""))["problem"])
+    @pytest.mark.parametrize("key", ["f", "h", "g", "u0"])
+    def test_missing_mandatory_key(self, key):
+        text = "".join(
+            line for line in CONFIG.splitlines(keepends=True) if not line.startswith(f"{key} = ")
+        )
+        with pytest.raises(ConfigError) as err:
+            spec_from_mapping(parse_config(text)["problem"])
+        assert str(err.value) == f"[{key}] missing mandatory key"
+
+    def test_inline_errors_come_in_key_order(self):
+        good = {**INLINE_2D, "kernel": "0", "m": "0", "mprime": "0", "u_exact": "0"}
+        section = {key: "+" for key in good}  # neither a number nor an expression
+        with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+            spec_from_mapping({**section, "bogus": "1"})
+        # mending each reported key reports the next
+        for key in ["lx", "ly", "T", "omega", *KEY_VARIABLES]:
+            with pytest.raises(ConfigError) as err:
+                spec_from_mapping(section)
+            assert str(err.value).startswith(f"[{key}] ")
+            section[key] = good[key]
+        assert spec_from_mapping(section).u_exact is not None
 
     def test_bad_line(self):
         with pytest.raises(ConfigError):

@@ -21,8 +21,7 @@ must be byte-identical and every JSON report equal once its
 ``timings`` are dropped; a command that traces, by ``--trace`` or by
 its config, must also print the same stderr.  A command that fails by
 design must exit with the same code and print the same stderr in both
-trees.  stderr is compared without the ``path:line:`` prefix of a
-warning, which names each tree's own files.  Prints one line per command and exits 0 when all agree, 1 on
+trees.  Prints one line per command and exits 0 when all agree, 1 on
 any difference and 2 when any other command fails in either tree.
 """
 
@@ -31,7 +30,6 @@ from __future__ import annotations
 import filecmp
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -326,11 +324,6 @@ def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
     return done
 
 
-def stderr_text(run: subprocess.CompletedProcess) -> str:
-    """stderr without the file:line location that a warning names in its tree"""
-    return re.sub(r"^\S+:\d+: (?=\w+Warning: )", "", run.stderr, flags=re.M)
-
-
 def without_timings(value):
     if isinstance(value, dict):
         return {k: without_timings(v) for k, v in value.items() if k != "timings"}
@@ -355,7 +348,7 @@ def main(argv: list[str]) -> int:
                 for side, tree in (("base", base), ("head", head))}
         for name in COMMANDS:
             done = {side: runs[side][name] for side in ("base", "head")}
-            stderr = {side: stderr_text(run) for side, run in done.items()}
+            stderr = {side: run.stderr for side, run in done.items()}
             if name in FAILING:
                 differs = []
                 if done["base"].returncode != done["head"].returncode:
