@@ -9,11 +9,12 @@ which gives its flag, its config key, its cast and the modes and data
 that use it; an option the run would not use is rejected.  An
 ``ExperimentConfig`` holds the defaults and validates every option when
 it is built, including the exact kernel that all modes but
-``reconstruct`` need.  Each mode runner builds its grids
-once, writes its CSV when ``--out`` is given and returns its own part
-of the JSON report; ``run_cli`` adds the mode, the configuration echo
-and the timings.  Synthetic data always comes from
-``forward.run_forward``.
+``reconstruct`` need.  Each mode runner builds its grids once and
+returns its CSV text (``csv_text`` states the format) and its own part
+of the JSON report; ``run_cli`` writes ``--out``, adds the mode, the
+configuration echo and the timings, and writes ``--json``, and a run
+that exits non-zero leaves no output file.  Synthetic data always
+comes from ``forward.run_forward``.
 
 Exit codes: 0 success, 1 usage error (including a config key that its
 section does not accept, an option the mode ignores and an output path
@@ -23,14 +24,13 @@ to allocate), 3 validation failure
 (step threshold, floor violation, non-finite or non-positive problem
 numbers, a malformed measurement file).  ``main`` prints each warning
 as one ``kernrec: warning: ...`` line.  Set ``KERNREC_LOG`` to a
-logging level name for extra output.  All CSV output uses 17
-significant digits so identical configurations produce
-byte-identical files.
+logging level name for extra output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -77,10 +77,6 @@ MEASUREMENT_CSV_HEADER = "t,m,mprime"
 NOISE_CSV_HEADER = "sigma,err_inf,amplification"
 
 EOC_UNDEFINED = "—"  # em dash, printed when a ratio is not defined
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 @dataclass
@@ -453,11 +449,7 @@ def kernel_reference(spec: ProblemSpec, timegrid: TimeGrid) -> np.ndarray | None
     return KernelSeries.from_expression(spec.kernel_exact, timegrid).values
 
 
-def kernel_errors(
-    rec: np.ndarray, ref: np.ndarray | None, tau: float
-) -> tuple[float | None, float | None]:
-    if ref is None:
-        return None, None
+def kernel_errors(rec: np.ndarray, ref: np.ndarray, tau: float) -> tuple[float, float]:
     diff = np.abs(rec - ref)
     err_inf = float(np.max(diff))
     err_l2 = float(math.sqrt(np.sum(diff[1:] ** 2) * tau))
@@ -467,127 +459,105 @@ def kernel_errors(
 # -- CSV / JSON emission ----------------------------------------------
 
 
-# The per-row writers format .tolist() columns with the same .17g spec as
-# _fmt: np.float64 subclasses float, so the text is the same.
+def csv_text(header: str, *columns) -> str:
+    """CSV text of ``header`` and one row per entry of the equal-length columns.
 
-
-def kernel_csv_text(nodes: np.ndarray, k_rec: np.ndarray, k_ref: np.ndarray | None) -> str:
-    t, k = nodes.tolist(), k_rec.tolist()
-    if k_ref is None:
-        rows = [f"{a:.17g},{b:.17g},," for a, b in zip(t, k)]
-    else:
-        err = np.abs(k_rec - k_ref).tolist()
-        rows = [
-            f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}"
-            for a, b, c, d in zip(t, k, k_ref.tolist(), err)
-        ]
-    return "\n".join([KERNEL_CSV_HEADER, *rows]) + "\n"
-
-
-def measurement_csv_text(series: MeasurementSeries) -> str:
-    t, m = series.timegrid.nodes.tolist(), series.values.tolist()
-    first_deriv = (
-        _fmt(series.initial_derivative) if series.initial_derivative is not None else ""
-    )
-    rows = [f"{t[0]:.17g},{m[0]:.17g},{first_deriv}"]
-    rows += [
-        f"{a:.17g},{b:.17g},{c:.17g}"
-        for a, b, c in zip(t[1:], m[1:], series.derivatives.tolist())
+    The format of every kernrec CSV: a number in 17 significant digits
+    (``.17g``), so that identical runs give byte-identical files; None as
+    an empty field; text, such as ``EOC_UNDEFINED``, as given.
+    """
+    # an array's numbers go to the row template as they are; any other column as text
+    template = ",".join("{:.17g}" if isinstance(c, np.ndarray) else "{}" for c in columns)
+    cells = [
+        c.tolist() if isinstance(c, np.ndarray)
+        else ["" if x is None else x if isinstance(x, str) else f"{x:.17g}" for x in c]
+        for c in columns
     ]
-    return "\n".join([MEASUREMENT_CSV_HEADER, *rows]) + "\n"
+    return "\n".join([header, *map(template.format, *cells)]) + "\n"
 
 
-def table_csv_text(rows: list[dict]) -> str:
-    lines = [TABLE_CSV_HEADER]
-    for row in rows:
-        eoc = EOC_UNDEFINED if row["eoc"] is None else _fmt(row["eoc"])
-        err_u = "" if row["err_u"] is None else _fmt(row["err_u"])
-        lines.append(
-            f"{row['n']},{_fmt(row['tau'])},{_fmt(row['err_inf'])},"
-            f"{_fmt(row['err_l2'])},{err_u},{eoc}"
-        )
-    return "\n".join(lines) + "\n"
+def _discard(path: str) -> None:
+    """Remove an output of a failed run; a device, pipe or link it named stays."""
+    with contextlib.suppress(OSError):
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
 
 
-def noise_csv_text(rows: list[dict]) -> str:
-    lines = [NOISE_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{_fmt(row['sigma'])},{_fmt(row['err_inf'])},{_fmt(row['amplification'])}"
-        )
-    return "\n".join(lines) + "\n"
+def _write(text: str, path: str) -> None:
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+    except BaseException:  # opened, then failed: leave no partial file
+        _discard(path)
+        raise
+    log.info("wrote %s", path)
 
 
 def emit_csv(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    log.info("wrote %s", path)
+    _write(text, path)
 
 
 def emit_json(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    log.info("wrote %s", path)
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", path)
 
 
-def _reconstruction_report(
+def _reconstruction_outputs(
     timegrid: TimeGrid, result: ReconstructionResult, ref: np.ndarray | None
-) -> dict:
-    err_inf, err_l2 = kernel_errors(result.kernel.values, ref, timegrid.tau)
+) -> tuple[str, dict]:
+    k_rec = result.kernel.values
     report = {
         "time": {"T": timegrid.T, "n": timegrid.n, "tau": timegrid.tau},
         "derivative_source": result.derivative_source,
         "threshold": result.threshold.as_dict(),
         "diagnostics": result.diagnostics.as_dict(),
     }
-    if err_inf is not None:
-        report["errors"] = {"kernel_inf": err_inf, "kernel_l2": err_l2}
-    return report
+    if ref is None:  # no exact kernel: empty reference columns, no errors
+        blank = [None] * k_rec.size
+        return csv_text(KERNEL_CSV_HEADER, timegrid.nodes, k_rec, blank, blank), report
+    err_inf, err_l2 = kernel_errors(k_rec, ref, timegrid.tau)
+    report["errors"] = {"kernel_inf": err_inf, "kernel_l2": err_l2}
+    return csv_text(KERNEL_CSV_HEADER, timegrid.nodes, k_rec, ref, np.abs(k_rec - ref)), report
 
 
 # -- modes -------------------------------------------------------------
 
 
-def run_forward_mode(cfg: ExperimentConfig) -> dict:
+def run_forward_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
     grid, timegrid = cfg.grids()
     fwd = run_forward(cfg.spec, grid, timegrid, derivative=cfg.derivative)
-    if cfg.out:
-        emit_csv(measurement_csv_text(fwd.measurement), cfg.out)
-    return {
+    series = fwd.measurement
+    mprime = [series.initial_derivative, *series.derivatives.tolist()]
+    text = csv_text(MEASUREMENT_CSV_HEADER, timegrid.nodes, series.values, mprime)
+    return text, {
         "measurement": {
             "rows": timegrid.n + 1,
             "max_compat_residual": float(np.max(fwd.compat_residuals)),
-            "derivative_source": fwd.measurement.provenance,
+            "derivative_source": series.provenance,
         }
     }
 
 
-def run_reconstruct_mode(cfg: ExperimentConfig) -> dict:
+def run_reconstruct_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
     grid, timegrid = cfg.grids()
     series = acquire_measurement(cfg, timegrid)
     result = _run_reconstruction(cfg, grid, timegrid, series)
-    ref = kernel_reference(cfg.spec, timegrid)
-    if cfg.out:
-        emit_csv(kernel_csv_text(timegrid.nodes, result.kernel.values, ref), cfg.out)
-    return _reconstruction_report(timegrid, result, ref)
+    return _reconstruction_outputs(timegrid, result, kernel_reference(cfg.spec, timegrid))
 
 
-def run_roundtrip_mode(cfg: ExperimentConfig) -> dict:
+def run_roundtrip_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
     """Forward data and reconstruction on the identical grid and step."""
     grid, timegrid = cfg.grids()
     fwd = run_forward(cfg.spec, grid, timegrid, derivative="discrete")
     result = _run_reconstruction(cfg, grid, timegrid, fwd.measurement)
     ref = fwd.kernel.values
-    if cfg.out:
-        emit_csv(kernel_csv_text(timegrid.nodes, result.kernel.values, ref), cfg.out)
-    report = _reconstruction_report(timegrid, result, ref)
+    text, report = _reconstruction_outputs(timegrid, result, ref)
     report["roundtrip"] = {
         "kernel_max_error": float(np.max(np.abs(result.kernel.values - ref))),
         "state_max_error": float(np.max(np.abs(result.states - fwd.states))),
         "forward_max_compat_residual": float(np.max(fwd.compat_residuals)),
     }
-    return report
+    return text, report
 
 
 def eoc_value(e_coarse: float, e_fine: float, tau_coarse: float, tau_fine: float):
@@ -636,14 +606,14 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_convergence_mode(cfg: ExperimentConfig) -> dict:
+def run_convergence_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
     rows = convergence_study(cfg)
-    if cfg.out:
-        emit_csv(table_csv_text(rows), cfg.out)
-    return {"rows": rows}
+    columns = [[row[key] for row in rows] for key in ("n", "tau", "err_inf", "err_l2", "err_u")]
+    eoc = [EOC_UNDEFINED if row["eoc"] is None else row["eoc"] for row in rows]
+    return csv_text(TABLE_CSV_HEADER, *columns, eoc), {"rows": rows}
 
 
-def run_noise_mode(cfg: ExperimentConfig) -> dict:
+def run_noise_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
     """Reconstruct under measurement noise and report the amplification."""
     grid, timegrid = cfg.grids()
     base = acquire_measurement(cfg, timegrid)
@@ -653,12 +623,9 @@ def run_noise_mode(cfg: ExperimentConfig) -> dict:
     for sigma in cfg.noise_sigmas:
         result = _run_reconstruction(cfg, grid, timegrid, base.with_noise(sigma, rng))
         err_inf, _ = kernel_errors(result.kernel.values, ref, timegrid.tau)
-        rows.append(
-            {"sigma": sigma, "err_inf": err_inf, "amplification": err_inf / sigma}
-        )
-    if cfg.out:
-        emit_csv(noise_csv_text(rows), cfg.out)
-    return {"rows": rows, "seed": cfg.seed}
+        rows.append({"sigma": sigma, "err_inf": err_inf, "amplification": err_inf / sigma})
+    columns = [[row[key] for row in rows] for key in ("sigma", "err_inf", "amplification")]
+    return csv_text(NOISE_CSV_HEADER, *columns), {"rows": rows, "seed": cfg.seed}
 
 
 _MODE_RUNNERS = {
@@ -676,14 +643,21 @@ def run_cli(argv: list[str]) -> int:
     try:
         cfg = resolve_config(parser.parse_args(argv))
         started = time.perf_counter()
-        report = _MODE_RUNNERS[cfg.mode](cfg)
+        text, report = _MODE_RUNNERS[cfg.mode](cfg)
+        if cfg.out:
+            emit_csv(text, cfg.out)
         if cfg.json_path:
             report.update(
                 mode=cfg.mode,
                 config=cfg.echo(),
                 timings={"total_seconds": time.perf_counter() - started},
             )
-            emit_json(report, cfg.json_path)
+            try:
+                emit_json(report, cfg.json_path)
+            except BaseException:
+                if cfg.out:
+                    _discard(cfg.out)
+                raise
         return EXIT_OK
     except UsageError as exc:
         print(f"kernrec: usage error: {exc}", file=sys.stderr)

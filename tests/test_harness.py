@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import json
 import os
 import re
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import kernrec
 from kernrec import errors, harness
@@ -17,9 +22,9 @@ from kernrec.harness import (
     MEASUREMENT_CSV_HEADER,
     NOISE_CSV_HEADER,
     TABLE_CSV_HEADER,
+    csv_text,
     eoc_value,
     run_cli,
-    table_csv_text,
 )
 from kernrec.problem import MeasurementSeries, TimeGrid, preset_contaminant
 
@@ -875,6 +880,110 @@ def test_option_mode_matrix(tmp_path, capsys, key, mode, source):
         assert f"usage error: {flag} ([{section}] {key}) has no effect in {mode} mode" in err
 
 
+# Whole command lines through run_cli: a mode, a problem source, and each
+# option unset, valid or invalid, given by its flag or by its config key.
+_CLI_SOURCES = {  # name: [problem] section
+    "manufactured1d": "preset = manufactured1d\n",
+    "contaminant": "preset = contaminant\n",
+    "zero1d": "preset = zero1d\n",
+    "inline-2d": _MATRIX_PROBLEM.removeprefix("[problem]\n"),
+    "inline-no-kernel": MANUFACTURED_CONFIG.removeprefix("\n[problem]\n"),
+}
+# _FRESH is a new file in the run's directory, _MISSING one in a directory
+# that does not exist; no size is large enough to need a capped address space
+_FRESH, _MISSING = "<fresh>", "<missing>"
+_OUTPUT_NAMES = {"out": "k.csv", "json": "r.json"}
+_CLI_VALUES = {  # key: (valid texts, invalid texts)
+    "n": (["4", "20", "5,10"], ["0", "-2", "x", "10,5", ""]),
+    "mx": (["3", "10"], ["0", "-1", "1.5"]),
+    "my": (["4"], ["0", "y"]),
+    "out": ([_FRESH], [_MISSING, ""]),
+    "json": ([_FRESH], [_MISSING, ""]),
+    "derivative": (["analytic", "discrete"], ["both"]),
+    "fine_factor": (["1", "2"], ["0", "two"]),
+    "noise": (["1e-3", "1e-4,1e-3"], ["-1", "nan", ""]),
+    "seed": (["7"], ["-1", "x"]),
+    "force": (["true", "off"], ["maybe"]),
+    "trace": (["true"], ["maybe"]),
+    "kernel_denominator_sign": (["plus", "minus"], ["up"]),
+}
+
+
+def test_cli_values_cover_every_option():
+    assert set(_CLI_VALUES) == {opt.key for opt in harness.OPTIONS}
+
+
+def _cli_option_text(data, opt, mode, broken, unused_too):
+    """The text drawn for one option, or None to leave it unset."""
+    needed = {"n", "mx"} | ({"noise", "seed"} if mode == "noise-sweep" else set())
+    valid, invalid = _CLI_VALUES[opt.key]
+    if opt.key == broken:  # leaving out a value the run needs is invalid too
+        choices = invalid + [None] if opt.key in needed else invalid
+    elif opt.key in needed:
+        choices = valid
+    elif not unused_too and (mode not in opt.modes or opt.rule is not None):
+        choices = [None]  # an option the problem's data may leave unused has a rule
+    else:
+        choices = valid + [None]
+    return data.draw(st.sampled_from(choices), label=opt.key)
+
+
+# noisy or forced runs warn, and pyproject turns a RuntimeWarning into an error
+@pytest.mark.filterwarnings("ignore:initial kernel value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:running with tau:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_whole_command_lines(tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("cli")
+    mode = data.draw(st.sampled_from(_ALL_MODES), label="mode")
+    source = data.draw(st.sampled_from(sorted(_CLI_SOURCES)), label="source")
+    problem = _CLI_SOURCES[source]
+    # at most one invalid value, so that the run can get past the others
+    broken = data.draw(st.sampled_from([None] * 4 + ["T", *_CLI_VALUES]), label="invalid")
+    unused_too = data.draw(st.sampled_from([False] * 3 + [True]), label="options it may not use")
+    argv = [mode]
+    sections = {"problem": "", "discretization": "", "experiment": ""}
+    if problem.startswith("preset") and data.draw(st.booleans(), label="--preset"):
+        argv += ["--preset", source]
+    else:
+        sections["problem"] = problem
+    horizon = data.draw(st.sampled_from(["nan", "-1"] if broken == "T" else [None, "0.5"]))
+    if horizon is not None:
+        argv += ["--T", horizon]
+    outputs, tracing = [], False
+    for opt in harness.OPTIONS:
+        text = _cli_option_text(data, opt, mode, broken, unused_too)
+        if text is None:
+            continue
+        if text in (_FRESH, _MISSING):
+            path = work / ("missing" if text == _MISSING else "") / _OUTPUT_NAMES[opt.key]
+            outputs.append(path)
+            text = str(path)
+        switch = opt.key in ("force", "trace") and opt.key != broken
+        tracing |= opt.key == "trace" and switch
+        if data.draw(st.booleans(), label=f"{opt.flag} by flag"):
+            argv += [opt.flag] if switch else [opt.flag, text]
+        else:
+            sections[opt.section] += f'{opt.key} = "{text}"\n'
+    if any(sections.values()):
+        config = work / "p.cfg"
+        config.write_text(
+            "".join(f"[{name}]\n{body}\n" for name, body in sections.items()), encoding="utf-8"
+        )
+        argv += ["--config", str(config)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    for line in err.getvalue().splitlines():
+        assert line.startswith("kernrec: ") or (tracing and line.startswith("step="))
+    for path in outputs:
+        assert path.exists() == (code == 0)
+    written = {p.name for p in work.iterdir()} - {"p.cfg"}
+    assert written == ({p.name for p in outputs if p.parent == work} if code == 0 else set())
+
+
 def test_eoc_value_edge_cases():
     assert eoc_value(0.0, 0.0, 0.1, 0.05) is None
     assert eoc_value(1.0, 0.0, 0.1, 0.05) is None
@@ -882,19 +991,25 @@ def test_eoc_value_edge_cases():
     assert eoc_value(2.0, 1.0, 0.1, 0.05) == pytest.approx(1.0)
 
 
-def test_table_csv_renders_dash_for_zero_errors():
+def test_table_csv_renders_dash_for_zero_errors(monkeypatch):
     rows = [
         {"n": 10, "tau": 0.1, "err_inf": 0.0, "err_l2": 0.0, "err_u": None, "eoc": None}
     ]
-    text = table_csv_text(rows)
+    monkeypatch.setattr(harness, "convergence_study", lambda cfg: rows)
+    text, report = harness.run_convergence_mode(None)
+    assert report == {"rows": rows}
     line = text.strip().split("\n")[1]
     assert line.endswith(EOC_UNDEFINED)
     assert line.split(",")[4] == ""
 
 
+def _fmt(x):
+    return f"{x:.17g}"
+
+
 def _row_by_row_kernel_csv(nodes, k_rec, k_ref):
-    # the per-element _fmt writer that kernel_csv_text replaced
-    fmt = harness._fmt
+    # the per-element writer that csv_text replaced
+    fmt = _fmt
     lines = [KERNEL_CSV_HEADER]
     for i, t in enumerate(nodes):
         if k_ref is None:
@@ -913,7 +1028,10 @@ def test_kernel_csv_equals_row_by_row_formatting(with_ref):
     k_rec[3] = 0.0
     k_rec[4] = -1e-300
     k_ref = np.exp(-nodes) if with_ref else None
-    assert harness.kernel_csv_text(nodes, k_rec, k_ref) == _row_by_row_kernel_csv(
+    # the columns the reconstruct and roundtrip runners pass
+    blank = [None] * nodes.size
+    refs = (k_ref, np.abs(k_rec - k_ref)) if with_ref else (blank, blank)
+    assert csv_text(KERNEL_CSV_HEADER, nodes, k_rec, *refs) == _row_by_row_kernel_csv(
         nodes, k_rec, k_ref
     )
 
@@ -923,13 +1041,16 @@ def test_measurement_csv_equals_row_by_row_formatting(initial):
     tg = TimeGrid(1.0, 100)
     values = 1.0 + tg.nodes + np.random.default_rng(12).standard_normal(101) * 1e-6
     series = MeasurementSeries.from_samples(tg, values, initial)
-    fmt = harness._fmt
+    fmt = _fmt
     nodes = tg.nodes
     first = fmt(initial) if initial is not None else ""
     lines = [MEASUREMENT_CSV_HEADER, f"{fmt(nodes[0])},{fmt(values[0])},{first}"]
     for i in range(1, 101):
         lines.append(f"{fmt(nodes[i])},{fmt(values[i])},{fmt(series.derivatives[i - 1])}")
-    assert harness.measurement_csv_text(series) == "\n".join(lines) + "\n"
+    # the columns the forward runner passes
+    mprime = [series.initial_derivative, *series.derivatives.tolist()]
+    text = csv_text(MEASUREMENT_CSV_HEADER, nodes, series.values, mprime)
+    assert text == "\n".join(lines) + "\n"
 
 
 # every exception class of kernrec.errors, plus OSError and MemoryError, and its exit code
@@ -993,6 +1114,61 @@ def test_unwritable_output_exits_2(tmp_path):
          "--out", str(tmp_path / "missing" / "k.csv")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("json_path", ["missing/r.json", "."], ids=["missing-dir", "directory"])
+def test_failed_json_write_leaves_no_csv(tmp_path, monkeypatch, capsys, json_path):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "4",
+                    "--out", "k.csv", "--json", json_path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("kernrec: numerical failure: [Errno ")
+    assert list(tmp_path.iterdir()) == []
+
+
+class _FullDisk:
+    """A file that takes the first bytes of a write and then fails, as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("full", ["k.csv", "r.json"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, full):
+    def open_on_full_disk(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _FullDisk(fh) if Path(path).name == full else fh
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "open", open_on_full_disk, raising=False)
+    code = run_cli(["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "4",
+                    "--out", "k.csv", "--json", "r.json"])
+    assert code == 2
+    full_disk = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"kernrec: numerical failure: {full_disk}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_keeps_an_output_link(tmp_path, monkeypatch):
+    # only a regular file the run wrote is removed, never a link it wrote through
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.csv").symlink_to("target.csv")
+    code = run_cli(["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "4",
+                    "--out", "k.csv", "--json", "missing/r.json"])
+    assert code == 2
+    assert (tmp_path / "k.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_text(encoding="utf-8").startswith(KERNEL_CSV_HEADER)
 
 
 def _child_env(**overrides):

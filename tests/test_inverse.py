@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernrec import expr, problem
 from kernrec.errors import SingularUpdateError, StepThresholdError, ValidationError
@@ -454,6 +458,79 @@ class TestReconstruct:
         reconstruct(spec, grid, tg, series, trace=lambda *row: rows.append(row))
         assert len(rows) == 10
         assert rows[0][0] == 1 and rows[-1][0] == 10
+
+
+# Inline 2D problems on [0,1] x [0,ly] from u0 = 1+cos(pi x)cos(pi y). With the
+# first f, (1+t) u0 is the exact state for the kernel exp(-t), so m = ly (1+t);
+# the second f reads q, the y-derivative of u.
+_F_2D = {
+    "manufactured": "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
+                    " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))",
+    "reads-q": "1 + cos(pi*x) + x*q - u",
+}
+_U0_2D = "1+cos(pi*x)*cos(pi*y)"
+
+
+def _spec_2d(ly, f, u0, **extra):
+    return ProblemSpec(
+        name="inline2d", extents=(1.0, ly), T=1.0, omega_floor=1.0,
+        f=expr.parse(f), h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse(u0),
+        **{key: expr.parse(text) for key, text in extra.items()},
+    )
+
+
+def _below_tau0(spec, grid, n, fraction):
+    """spec with T = n tau, tau = fraction * tau0, and its time grid."""
+    m0 = float(np.sum(grid.weights * expr.evaluate(spec.u0, grid.coordinate_fields())))
+    T = n * fraction * check_step_threshold(spec, m0, 1.0).tau0
+    return replace(spec, T=T), TimeGrid(T, n)
+
+
+_small_2d = dict(
+    n=st.integers(1, 20),
+    mx=st.integers(1, 10),
+    my=st.integers(1, 10),
+    ly=st.sampled_from([1.0, 2.0]),
+    fraction=st.floats(0.05, 0.95),
+)
+
+
+class TestReconstruct2DProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(**_small_2d)
+    def test_zero_problem_exact(self, n, mx, my, ly, fraction):
+        spec = _spec_2d(ly, "0", "0", m_exact="0", mprime_exact="0")
+        grid = spec.make_grid(mx, my)
+        spec, tg = _below_tau0(spec, grid, n, fraction)
+        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        result = reconstruct(spec, grid, tg, series)
+        assert np.all(result.kernel.values == 0.0)
+        assert np.all(result.states == 0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(f=st.sampled_from(sorted(_F_2D)), **_small_2d)
+    def test_identity_residual(self, f, n, mx, my, ly, fraction):
+        spec = _spec_2d(ly, _F_2D[f], _U0_2D, kernel_exact="exp(-t)")
+        grid = spec.make_grid(mx, my)
+        spec, tg = _below_tau0(spec, grid, n, fraction)
+        if f == "manufactured":  # exact data
+            series = MeasurementSeries.from_expressions(
+                tg, expr.parse(f"{ly}*(1+t)"), expr.parse(f"{ly}")
+            )
+        else:  # same-grid data
+            series = run_forward(spec, grid, tg, derivative="discrete").measurement
+        result = reconstruct(spec, grid, tg, series)
+        assert result.diagnostics.max_compat_residual <= 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(f=st.sampled_from(sorted(_F_2D)), **_small_2d)
+    def test_same_grid_roundtrip(self, f, n, mx, my, ly, fraction):
+        spec = _spec_2d(ly, _F_2D[f], _U0_2D, kernel_exact="exp(-t)")
+        grid = spec.make_grid(mx, my)
+        spec, tg = _below_tau0(spec, grid, n, fraction)
+        fwd = run_forward(spec, grid, tg, derivative="discrete")
+        result = reconstruct(spec, grid, tg, fwd.measurement)
+        assert np.abs(result.kernel.values - fwd.kernel.values).max() <= 1e-8
 
 
 class TestKernelDifferenceEnergy:

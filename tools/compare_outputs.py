@@ -9,10 +9,11 @@ t, with an f that reads the state or one of t, x and y alone) with each
 tree's ``src/`` on ``PYTHONPATH``.  One command sets its options
 through ``[discretization]`` and ``[experiment]`` keys instead of flags.
 Some runs are sized so that the stepper's blocks of time nodes come out
-several to a run with a partial last one, or one node wide.  Three
+several to a run with a partial last one, or one node wide.  Four
 commands fail by design (a fault of f met by a traced reconstruction,
-a floor violation, a fault of g at t = 0 met by the discrete m'(0));
-a fourth pins that an analytic forward run never evaluates g at t = 0.
+a floor violation, a fault of g at t = 0 met by the discrete m'(0), a
+``--json`` path in a missing directory); another pins that an analytic
+forward run never evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
 p), read manufactured1d's measurement from a ``t,m,mprime`` file that
 this script writes beside its configs, and trace a noise sweep.
@@ -21,8 +22,9 @@ must be byte-identical and every JSON report equal once its
 ``timings`` are dropped; a command that traces, by ``--trace`` or by
 its config, must also print the same stderr.  A command that fails by
 design must exit with the same code and print the same stderr in both
-trees.  Prints one line per command and exits 0 when all agree, 1 on
-any difference and 2 when any other command fails in either tree.
+trees, and leave neither output file in either.  Prints one line per
+command and exits 0 when all agree, 1 on any difference and 2 when any
+other command fails in either tree.
 """
 
 from __future__ import annotations
@@ -301,22 +303,31 @@ COMMANDS = {
         "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
         "--derivative", "discrete",
     ],
+    # the CSV is written, then the JSON cannot be: the run must take the CSV back
+    "reconstruct-json-missing-dir": [
+        "reconstruct", *M1, "--n", "10", "--mx", "4", "--json", "missing/r.json",
+    ],
 }
 FAILING = {
     "reconstruct-f-fault-trace", "reconstruct-floor-violation", "forward-g-fault-at-0-discrete",
+    "reconstruct-json-missing-dir",
 }
 
 
 def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
-    """Run every command with ``tree``'s sources; outputs go to work/NAME.*"""
+    """Run every command with ``tree``'s sources; outputs go to work/NAME.*
+
+    A command's own ``--out`` or ``--json`` comes later on its command
+    line, so it takes the place of the default.
+    """
     work.mkdir(parents=True)
     for name, text in CONFIGS.items():
         (work / name).write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = {}
-    for name, argv in COMMANDS.items():
-        argv = [*argv, "--out", f"{name}.csv", "--json", f"{name}.json"]
+    for name, (mode, *options) in COMMANDS.items():
+        argv = [mode, "--out", f"{name}.csv", "--json", f"{name}.json", *options]
         done[name] = subprocess.run(
             [sys.executable, "-m", "kernrec.harness", *argv],
             cwd=work, env=env, capture_output=True, text=True,
@@ -349,8 +360,14 @@ def main(argv: list[str]) -> int:
         for name in COMMANDS:
             done = {side: runs[side][name] for side in ("base", "head")}
             stderr = {side: run.stderr for side, run in done.items()}
+            paths = {side: Path(tmp) / side / name for side in ("base", "head")}
             if name in FAILING:
-                differs = []
+                differs = [
+                    f"{side} left {output.name}"
+                    for side, path in paths.items()
+                    for output in (path.with_suffix(".csv"), path.with_suffix(".json"))
+                    if output.exists()
+                ]
                 if done["base"].returncode != done["head"].returncode:
                     differs.append("returncode")
                 if stderr["base"] != stderr["head"]:
@@ -362,7 +379,6 @@ def main(argv: list[str]) -> int:
                 status = 2
                 continue
             else:
-                paths = {side: Path(tmp) / side / name for side in ("base", "head")}
                 differs = []
                 if not filecmp.cmp(paths["base"].with_suffix(".csv"),
                                    paths["head"].with_suffix(".csv"), shallow=False):
