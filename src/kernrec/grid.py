@@ -1,12 +1,13 @@
 """Uniform spatial grids on an interval or axis-aligned rectangle.
 
-The discretization is lumped-mass P1 (1D) / Q1 tensor (2D): nodal
-values with trapezoid quadrature weights for the volume inner product,
-edge-trapezoid weights for the boundary functional, and the exact
-piecewise-(bi)linear stiffness form for the gradient term.  Constants
-lie in the discrete test space, so applying the stiffness operator to
-a constant field gives exactly zero; that is what lets the per-step
-measurement identity of the time steppers hold to machine precision.
+Lumped-mass P1 along each axis, in tensor product (Q1 on a rectangle),
+by one code path for any number of axes: the volume weights are the
+outer product of the axis trapezoid weights, each pair of opposite faces
+carries the outer product of the other axes' weights, and the stiffness
+form is sum_a K_a (x) M_others.  Constants lie in the discrete test
+space, so applying the stiffness operator to a constant field gives
+exactly zero; that is what lets the per-step measurement identity of the
+time steppers hold to machine precision.
 
 A nodal field is a numpy array of shape ``grid.shape``; the volume and
 boundary quadratures are ``sum(grid.weights * u)`` and
@@ -15,6 +16,7 @@ boundary quadratures are ``sum(grid.weights * u)`` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,31 +53,18 @@ class SpatialGrid:
         )
         object.__setattr__(self, "axes", axes)
         axis_w = [_axis_weights(length, m) for length, m in zip(self.extents, self.cells)]
-        if self.ndim == 1:
-            weights = axis_w[0]
-            bweights = np.zeros_like(weights)
-            bweights[0] = bweights[-1] = 1.0
-        else:
-            weights = np.outer(axis_w[0], axis_w[1])
-            bweights = np.zeros_like(weights)
-            # vertical edges carry y-trapezoid weights, horizontal edges
-            # x-trapezoid weights; corners accumulate one share per edge
-            bweights[0, :] += axis_w[1]
-            bweights[-1, :] += axis_w[1]
-            bweights[:, 0] += axis_w[0]
-            bweights[:, -1] += axis_w[0]
-        object.__setattr__(self, "weights", weights)
+        bweights = np.zeros(self.shape)
+        for axis in range(self.ndim):
+            # each pair of opposite faces carries the trapezoid weights of the
+            # other axes (1.0 in 1D); corners get one share per face
+            face = functools.reduce(
+                np.multiply.outer, [w for a, w in enumerate(axis_w) if a != axis], 1.0
+            )
+            faces = np.moveaxis(bweights, axis, 0)
+            faces[0] += face
+            faces[-1] += face
+        object.__setattr__(self, "weights", functools.reduce(np.multiply.outer, axis_w))
         object.__setattr__(self, "boundary_weights", bweights)
-
-    # -- factories ---------------------------------------------------
-
-    @classmethod
-    def interval(cls, length: float, cells: int) -> "SpatialGrid":
-        return cls((float(length),), (int(cells),))
-
-    @classmethod
-    def rectangle(cls, lx: float, ly: float, cells_x: int, cells_y: int) -> "SpatialGrid":
-        return cls((float(lx), float(ly)), (int(cells_x), int(cells_y)))
 
     # -- geometry ----------------------------------------------------
 
@@ -93,18 +82,15 @@ class SpatialGrid:
 
     def coordinate_fields(self) -> dict[str, np.ndarray]:
         """Node coordinates as full arrays keyed by variable name (x[, y])."""
-        if self.ndim == 1:
-            return {"x": self.axes[0].copy()}
-        xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return {"x": xx, "y": yy}
+        return dict(zip("xy", np.meshgrid(*self.axes, indexing="ij")))
 
 
 # -- stiffness -------------------------------------------------------
 #
-# 1D: assembled P1 stiffness K with rows (-1, 2, -1)/dx, ends (1, -1)/dx.
-# 2D: Q1 stiffness Kx (x) My + Mx (x) Ky with M the consistent P1 mass
-# (dx/6, 2dx/3, dx/6; halved diagonal at the ends).  Applying the 1D
-# factors along each axis keeps everything matrix-free.
+# The assembled P1 stiffness K along one axis has rows (-1, 2, -1)/dx and
+# ends (1, -1)/dx; the consistent P1 mass M has rows (dx/6, 2dx/3, dx/6)
+# with a halved diagonal at the ends.  Applying these factors along each
+# axis keeps the product sum_a K_a (x) M_others matrix-free.
 
 
 def _stiff_1d(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -133,12 +119,16 @@ def stiffness_matvec(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     The grid's axes are the trailing ``grid.ndim`` axes of ``values``, so
     one call applies A to every state of a stack.
     """
-    if grid.ndim == 1:
-        return _stiff_1d(values, grid.spacing[0], axis=-1)
-    dx, dy = grid.spacing
-    term_x = _mass_1d(_stiff_1d(values, dx, axis=-2), dy, axis=-1)
-    term_y = _mass_1d(_stiff_1d(values, dy, axis=-1), dx, axis=-2)
-    return term_x + term_y
+    axes = tuple(zip(range(-grid.ndim, 0), grid.spacing))
+    terms = []
+    for axis, dx in axes:
+        term = _stiff_1d(values, dx, axis)
+        for other, h in axes:
+            if other != axis:
+                term = _mass_1d(term, h, other)
+        terms.append(term)
+    # summed from the first term, not from 0.0, which would turn -0.0 into +0.0
+    return functools.reduce(np.add, terms)
 
 
 def _gradient_1d(u: np.ndarray, dx: float, axis: int) -> np.ndarray:

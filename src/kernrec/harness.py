@@ -10,11 +10,11 @@ that use it; an option the run would not use is rejected.  An
 ``ExperimentConfig`` holds the defaults and validates every option when
 it is built, including the exact kernel that all modes but
 ``reconstruct`` need.  Each mode runner builds its grids once and
-returns its CSV text (``csv_text`` states the format) and its own part
-of the JSON report; ``run_cli`` writes ``--out``, adds the mode, the
-configuration echo and the timings, and writes ``--json``, and a run
-that exits non-zero leaves no output file.  Synthetic data always
-comes from ``forward.run_forward``.
+returns its CSV header and columns and its own part of the JSON report;
+``run_cli`` formats the CSV (``csv_text`` states the format) and writes
+it only for ``--out``, adds the mode, the configuration echo and the
+timings, and writes ``--json``, and a run that exits non-zero leaves no
+output file.  Synthetic data always comes from ``forward.run_forward``.
 
 Exit codes: 0 success, 1 usage error (including a config key that its
 section does not accept, an option the mode ignores and an output path
@@ -383,8 +383,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 # -- data acquisition --------------------------------------------------
 
 
-def acquire_measurement(cfg: ExperimentConfig, timegrid: TimeGrid) -> MeasurementSeries:
-    """Measurement for a reconstruction at (cfg.mx, timegrid).
+def acquire_measurement(
+    cfg: ExperimentConfig, grid: SpatialGrid, timegrid: TimeGrid
+) -> MeasurementSeries:
+    """Measurement for a reconstruction on (grid, timegrid).
 
     Exact expressions or a sampled file (``validate`` rejects both at
     once), else synthetic generation from the exact kernel on a finer
@@ -408,10 +410,7 @@ def acquire_measurement(cfg: ExperimentConfig, timegrid: TimeGrid) -> Measuremen
     if spec.kernel_exact is not None:
         space_factor = 2 if cfg.fine_factor > 1 else 1
         fine_tg = TimeGrid(timegrid.T, timegrid.n * cfg.fine_factor)
-        fine_grid = spec.make_grid(
-            cfg.mx * space_factor,
-            cfg.my * space_factor if cfg.my is not None else None,
-        )
+        fine_grid = SpatialGrid(grid.extents, tuple(m * space_factor for m in grid.cells))
         fwd = run_forward(spec, fine_grid, fine_tg, derivative=cfg.derivative)
         return fwd.measurement.restrict(timegrid)
     raise UsageError(
@@ -504,7 +503,7 @@ def emit_json(report: dict, path: str) -> None:
 
 def _reconstruction_outputs(
     timegrid: TimeGrid, result: ReconstructionResult, ref: np.ndarray | None
-) -> tuple[str, dict]:
+) -> tuple[str, list, dict]:
     k_rec = result.kernel.values
     report = {
         "time": {"T": timegrid.T, "n": timegrid.n, "tau": timegrid.tau},
@@ -514,22 +513,21 @@ def _reconstruction_outputs(
     }
     if ref is None:  # no exact kernel: empty reference columns, no errors
         blank = [None] * k_rec.size
-        return csv_text(KERNEL_CSV_HEADER, timegrid.nodes, k_rec, blank, blank), report
+        return KERNEL_CSV_HEADER, [timegrid.nodes, k_rec, blank, blank], report
     err_inf, err_l2 = kernel_errors(k_rec, ref, timegrid.tau)
     report["errors"] = {"kernel_inf": err_inf, "kernel_l2": err_l2}
-    return csv_text(KERNEL_CSV_HEADER, timegrid.nodes, k_rec, ref, np.abs(k_rec - ref)), report
+    return KERNEL_CSV_HEADER, [timegrid.nodes, k_rec, ref, np.abs(k_rec - ref)], report
 
 
 # -- modes -------------------------------------------------------------
 
 
-def run_forward_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
+def run_forward_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     grid, timegrid = cfg.grids()
     fwd = run_forward(cfg.spec, grid, timegrid, derivative=cfg.derivative)
     series = fwd.measurement
     mprime = [series.initial_derivative, *series.derivatives.tolist()]
-    text = csv_text(MEASUREMENT_CSV_HEADER, timegrid.nodes, series.values, mprime)
-    return text, {
+    return MEASUREMENT_CSV_HEADER, [timegrid.nodes, series.values, mprime], {
         "measurement": {
             "rows": timegrid.n + 1,
             "max_compat_residual": float(np.max(fwd.compat_residuals)),
@@ -538,26 +536,25 @@ def run_forward_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
     }
 
 
-def run_reconstruct_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
+def run_reconstruct_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     grid, timegrid = cfg.grids()
-    series = acquire_measurement(cfg, timegrid)
+    series = acquire_measurement(cfg, grid, timegrid)
     result = _run_reconstruction(cfg, grid, timegrid, series)
     return _reconstruction_outputs(timegrid, result, kernel_reference(cfg.spec, timegrid))
 
 
-def run_roundtrip_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
+def run_roundtrip_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     """Forward data and reconstruction on the identical grid and step."""
     grid, timegrid = cfg.grids()
     fwd = run_forward(cfg.spec, grid, timegrid, derivative="discrete")
     result = _run_reconstruction(cfg, grid, timegrid, fwd.measurement)
-    ref = fwd.kernel.values
-    text, report = _reconstruction_outputs(timegrid, result, ref)
+    header, columns, report = _reconstruction_outputs(timegrid, result, fwd.kernel.values)
     report["roundtrip"] = {
-        "kernel_max_error": float(np.max(np.abs(result.kernel.values - ref))),
+        "kernel_max_error": report["errors"]["kernel_inf"],
         "state_max_error": float(np.max(np.abs(result.states - fwd.states))),
         "forward_max_compat_residual": float(np.max(fwd.compat_residuals)),
     }
-    return text, report
+    return header, columns, report
 
 
 def eoc_value(e_coarse: float, e_fine: float, tau_coarse: float, tau_fine: float):
@@ -580,7 +577,7 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
     rows: list[dict] = []
     for n in cfg.n_list:
         timegrid = TimeGrid(spec.T, n)
-        series = acquire_measurement(cfg, timegrid)
+        series = acquire_measurement(cfg, grid, timegrid)
         result = _run_reconstruction(cfg, grid, timegrid, series)
         ref = kernel_reference(spec, timegrid)
         err_inf, err_l2 = kernel_errors(result.kernel.values, ref, timegrid.tau)
@@ -606,26 +603,26 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_convergence_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
+def run_convergence_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     rows = convergence_study(cfg)
     columns = [[row[key] for row in rows] for key in ("n", "tau", "err_inf", "err_l2", "err_u")]
     eoc = [EOC_UNDEFINED if row["eoc"] is None else row["eoc"] for row in rows]
-    return csv_text(TABLE_CSV_HEADER, *columns, eoc), {"rows": rows}
+    return TABLE_CSV_HEADER, [*columns, eoc], {"rows": rows}
 
 
-def run_noise_mode(cfg: ExperimentConfig) -> tuple[str, dict]:
+def run_noise_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     """Reconstruct under measurement noise and report the amplification."""
     grid, timegrid = cfg.grids()
-    base = acquire_measurement(cfg, timegrid)
+    base = acquire_measurement(cfg, grid, timegrid)
     ref = kernel_reference(cfg.spec, timegrid)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for sigma in cfg.noise_sigmas:
         result = _run_reconstruction(cfg, grid, timegrid, base.with_noise(sigma, rng))
-        err_inf, _ = kernel_errors(result.kernel.values, ref, timegrid.tau)
+        err_inf = float(np.max(np.abs(result.kernel.values - ref)))
         rows.append({"sigma": sigma, "err_inf": err_inf, "amplification": err_inf / sigma})
     columns = [[row[key] for row in rows] for key in ("sigma", "err_inf", "amplification")]
-    return csv_text(NOISE_CSV_HEADER, *columns), {"rows": rows, "seed": cfg.seed}
+    return NOISE_CSV_HEADER, columns, {"rows": rows, "seed": cfg.seed}
 
 
 _MODE_RUNNERS = {
@@ -643,9 +640,9 @@ def run_cli(argv: list[str]) -> int:
     try:
         cfg = resolve_config(parser.parse_args(argv))
         started = time.perf_counter()
-        text, report = _MODE_RUNNERS[cfg.mode](cfg)
+        header, columns, report = _MODE_RUNNERS[cfg.mode](cfg)
         if cfg.out:
-            emit_csv(text, cfg.out)
+            emit_csv(csv_text(header, *columns), cfg.out)
         if cfg.json_path:
             report.update(
                 mode=cfg.mode,

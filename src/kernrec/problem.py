@@ -116,11 +116,9 @@ class ProblemSpec:
         return len(self.extents)
 
     def make_grid(self, cells_x: int, cells_y: int | None = None) -> SpatialGrid:
-        if self.ndim == 1:
-            return SpatialGrid.interval(self.extents[0], cells_x)
-        if cells_y is None:
-            cells_y = cells_x
-        return SpatialGrid.rectangle(self.extents[0], self.extents[1], cells_x, cells_y)
+        """The grid on this domain; cells_y defaults to cells_x, a 1D domain ignores it."""
+        cells = (cells_x, cells_x if cells_y is None else cells_y)
+        return SpatialGrid(self.extents, cells[: self.ndim])
 
 
 @dataclass(frozen=True)

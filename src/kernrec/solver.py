@@ -10,6 +10,9 @@ Poisson solver; Swarztrauber, SIAM Rev. 19, 1977).
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .grid import SpatialGrid
@@ -32,10 +35,11 @@ class SpectralSolver:
 
     Built once per grid and step size.  ``solve`` scales b by 1/W, takes
     the DCT-I along each axis, divides by the eigenvalues of
-    (1/tau) I + W^-1 A (1/tau + lambda in 1D, 1/tau + lambda_x nu_y +
-    nu_x lambda_y for the Q1 form Kx(x)My + Mx(x)Ky in 2D) and takes the
-    same DCT-I again.  The unnormalised DCT-I is its own inverse up to the
-    factor 2M per axis, which is folded into the divisor.
+    (1/tau) I + W^-1 A and takes the same DCT-I again.  For the stiffness
+    A = sum_a K_a (x) M_others those eigenvalues are
+    1/tau + sum_a lambda_a prod_{b != a} nu_b (1/tau + lambda in 1D).
+    The unnormalised DCT-I is its own inverse up to the factor 2M per
+    axis, which is folded into the divisor.
     """
 
     def __init__(self, grid: SpatialGrid, tau: float):
@@ -44,14 +48,14 @@ class SpectralSolver:
         # FFT is the DCT-I
         self._extension = tuple(np.r_[0 : m + 1, m - 1 : 0 : -1] for m in grid.cells)
         eig = [_axis_eigenvalues(length, m) for length, m in zip(grid.extents, grid.cells)]
-        if grid.ndim == 1:
-            lam, _ = eig[0]
-            divisor = (1.0 / tau + lam) * (2 * grid.cells[0])
-        else:
-            (lam_x, nu_x), (lam_y, nu_y) = eig
-            divisor = (
-                1.0 / tau + np.outer(lam_x, nu_y) + np.outer(nu_x, lam_y)
-            ) * (4 * grid.cells[0] * grid.cells[1])
+        # term a: lambda along axis a, nu along the others; added in axis order
+        terms = [
+            functools.reduce(
+                np.multiply.outer, [lam if b == a else nu for b, (lam, nu) in enumerate(eig)]
+            )
+            for a in range(grid.ndim)
+        ]
+        divisor = functools.reduce(np.add, terms, 1.0 / tau) * math.prod(2 * m for m in grid.cells)
         self._inv_divisor = 1.0 / divisor
 
     def _dct1(self, v: np.ndarray) -> np.ndarray:

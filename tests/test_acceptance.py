@@ -244,7 +244,7 @@ _FUZZ_TOKENS = [
 
 def test_criterion_8_unit_properties():
     # CG agrees with the direct tridiagonal path
-    grid = SpatialGrid.interval(1.0, 80)
+    grid = SpatialGrid((1.0,), (80,))
     tau = 0.02
     rng = np.random.default_rng(123)
     rhs = rng.normal(size=grid.shape)
@@ -267,7 +267,7 @@ def test_criterion_8_unit_properties():
 
     # the stiffness operator annihilates constants without roundoff
     exact_zero = True
-    for g in (grid, SpatialGrid.rectangle(1.0, 2.0, 9, 7)):
+    for g in (grid, SpatialGrid((1.0, 2.0), (9, 7))):
         r = stiffness_matvec(g, np.full(g.shape, 3.7))
         exact_zero = exact_zero and bool(np.all(r == 0.0))
 

@@ -46,7 +46,7 @@ def _history(grid, timegrid, arrays):
 
 class TestConvolutionQuadrature:
     def test_single_term(self):
-        grid = SpatialGrid.interval(1.0, 4)
+        grid = SpatialGrid((1.0,), (4,))
         tg = TimeGrid(1.0, 10)
         kernel = np.full(11, 2.0)
         u0 = np.full(grid.shape, 3.0)
@@ -54,14 +54,14 @@ class TestConvolutionQuadrature:
         np.testing.assert_allclose(out, 2.0 * 3.0 * tg.tau, rtol=1e-15)
 
     def test_three_terms_of_ones(self):
-        grid = SpatialGrid.interval(1.0, 4)
+        grid = SpatialGrid((1.0,), (4,))
         tg = TimeGrid(1.0, 10)  # tau = 0.1
         states = _history(grid, tg, [np.ones(grid.shape)] * 3)
         out = _convolution_values(np.ones(11), states, 3, tg.tau)
         np.testing.assert_allclose(out, 0.3, rtol=1e-14)
 
     def test_alternating_kernel_cancels(self):
-        grid = SpatialGrid.interval(1.0, 2)
+        grid = SpatialGrid((1.0,), (2,))
         tg = TimeGrid(1.0, 2)  # tau = 0.5
         kernel = np.array([1.0, -1.0, 1.0])
         states = _history(grid, tg, [np.ones(grid.shape)] * 2)
@@ -132,7 +132,7 @@ class TestForwardStep:
 
     def test_too_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            SpatialGrid.interval(1.0, 0)  # a single node cannot carry the scheme
+            SpatialGrid((1.0,), (0,))  # a single node cannot carry the scheme
 
     def test_first_order_in_time(self):
         spec = preset_manufactured_1d()

@@ -26,7 +26,13 @@ from kernrec.harness import (
     eoc_value,
     run_cli,
 )
-from kernrec.problem import MeasurementSeries, TimeGrid, preset_contaminant
+from kernrec.problem import (
+    MeasurementSeries,
+    TimeGrid,
+    parse_config,
+    preset_contaminant,
+    spec_from_mapping,
+)
 
 THRESHOLD_CONFIG = """
 [problem]
@@ -984,6 +990,62 @@ def test_whole_command_lines(tmp_path_factory, data):
     assert written == ({p.name for p in outputs if p.parent == work} if code == 0 else set())
 
 
+# valid [problem] sections that the fuzz below starts from
+_CONFIG_BASES = [
+    {"preset": "manufactured1d", "T": "1.0"},
+    {"preset": "contaminant", "kr": "2", "s0": "0.5", "v": "0.25", "omega": "0.1"},
+    {"name": '"inline"', "f": '"u*exp(-t) + cos(pi*x)*cos(pi*y)"', "h": '"1 + t*x"',
+     "g": '"t*y"', "u0": '"1 + cos(pi*x)"', "lx": "1.0", "ly": "2.0", "T": "1.0",
+     "omega": "1.0", "kernel": '"exp(-t)"', "m": '"1 + t"', "mprime": '"1"',
+     "u_exact": '"(1+t)*x"'},
+]
+_CONFIG_KEYS = sorted(
+    kernrec.problem._INLINE_KEYS | kernrec.problem._PRESET_KEYS
+    | set().union(*kernrec.problem._PRESET_OPTIONS.values())
+    | set().union(*harness._SECTION_KEYS.values()) | {"bogus"}
+)
+_CONFIG_FRAGMENTS = [
+    "0", "1", "-1", "2.5", "nan", "inf", "-inf", "1e999", "-0", "1e-320", "x", "y", "t", "u",
+    "p", "q", "exp(-t)", "cos(pi*x)", "1/(t-0.5)", "log(x)", "sqrt(", ")", "+", "*", "^",
+    "manufactured1d", "contaminant", "zero1d", "true", "plus", "reconstruct", '"', "#", "=", " ",
+]
+_CONFIG_VALUE = st.lists(st.sampled_from(_CONFIG_FRAGMENTS), max_size=4).map("".join)
+_CONFIG_LINE = st.one_of(
+    st.sampled_from(["[problem]", "[discretization]", "[experiment]", "[bogus]", "", "# note"]),
+    st.builds(
+        lambda key, sep, value, wrap: f"{key}{sep}{wrap[0]}{value}{wrap[1]}",
+        st.sampled_from(_CONFIG_KEYS),
+        st.sampled_from([" = ", "=", " "]),
+        _CONFIG_VALUE,
+        st.sampled_from([("", ""), ('"', '"'), ("", " # comment")]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_text_fuzz(data):
+    # config text reaches a problem only through these two calls: whatever
+    # the text, they may fail only with a kernrec error, which run_cli maps
+    # to an exit code
+    base = data.draw(st.sampled_from(_CONFIG_BASES), label="base")
+    lines = []
+    for key, value in base.items():  # most keys kept, some dropped or given a drawn value
+        edit = data.draw(st.sampled_from(["keep"] * 8 + ["drop", "draw"]), label=key)
+        if edit == "draw":
+            value = data.draw(_CONFIG_VALUE, label=f"{key} value")
+        if edit != "drop":
+            lines.append(f"{key} = {value}")
+    lines += data.draw(st.lists(_CONFIG_LINE, max_size=2), label="extra lines")
+    text = "\n".join(["[problem]", *data.draw(st.permutations(lines), label="order")])
+    try:
+        spec_from_mapping(parse_config(text, harness._SECTION_KEYS)["problem"])
+    except errors.KernrecError as exc:
+        event(type(exc).__name__)
+    else:
+        event("accepted")
+
+
 def test_eoc_value_edge_cases():
     assert eoc_value(0.0, 0.0, 0.1, 0.05) is None
     assert eoc_value(1.0, 0.0, 0.1, 0.05) is None
@@ -996,11 +1058,28 @@ def test_table_csv_renders_dash_for_zero_errors(monkeypatch):
         {"n": 10, "tau": 0.1, "err_inf": 0.0, "err_l2": 0.0, "err_u": None, "eoc": None}
     ]
     monkeypatch.setattr(harness, "convergence_study", lambda cfg: rows)
-    text, report = harness.run_convergence_mode(None)
+    header, columns, report = harness.run_convergence_mode(None)
     assert report == {"rows": rows}
+    text = csv_text(header, *columns)
     line = text.strip().split("\n")[1]
     assert line.endswith(EOC_UNDEFINED)
     assert line.split(",")[4] == ""
+
+
+@pytest.mark.parametrize("with_out", [False, True])
+def test_csv_formatted_only_for_out(monkeypatch, tmp_path, with_out):
+    calls = []
+
+    def spy(header, *columns):
+        calls.append(header)
+        return csv_text(header, *columns)
+
+    monkeypatch.setattr(harness, "csv_text", spy)
+    out = ["--out", str(tmp_path / "k.csv")] if with_out else []
+    argv = ["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "10",
+            "--json", str(tmp_path / "r.json"), *out]
+    assert run_cli(argv) == 0
+    assert calls == ([KERNEL_CSV_HEADER] if with_out else [])
 
 
 def _fmt(x):

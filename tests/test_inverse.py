@@ -460,23 +460,32 @@ class TestReconstruct:
         assert rows[0][0] == 1 and rows[-1][0] == 10
 
 
-# Inline 2D problems on [0,1] x [0,ly] from u0 = 1+cos(pi x)cos(pi y). With the
-# first f, (1+t) u0 is the exact state for the kernel exp(-t), so m = ly (1+t);
-# the second f reads q, the y-derivative of u.
-_F_2D = {
-    "manufactured": "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
-                    " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))",
-    "reads-q": "1 + cos(pi*x) + x*q - u",
+# Inline problems on [0,1] (ly None) or [0,1] x [0,ly] from u0 = 1+cos(pi x)
+# (times cos(pi y) in 2D). With the first f, (1+t) u0 is the exact state for
+# the kernel exp(-t), so m = |Omega| (1+t); the second f reads the derivative
+# of u along the last axis (p in 1D, q in 2D). Each f is (1D, 2D).
+_F = {
+    "manufactured": (
+        "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))",
+        "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
+        " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))",
+    ),
+    "reads-gradient": ("1 + cos(pi*x) + x*p - u", "1 + cos(pi*x) + x*q - u"),
 }
-_U0_2D = "1+cos(pi*x)*cos(pi*y)"
+_U0 = ("1+cos(pi*x)", "1+cos(pi*x)*cos(pi*y)")
 
 
-def _spec_2d(ly, f, u0, **extra):
+def _inline_spec(ly, f, u0, **extra):
     return ProblemSpec(
-        name="inline2d", extents=(1.0, ly), T=1.0, omega_floor=1.0,
+        name="inline", extents=(1.0,) if ly is None else (1.0, ly), T=1.0, omega_floor=1.0,
         f=expr.parse(f), h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse(u0),
         **{key: expr.parse(text) for key, text in extra.items()},
     )
+
+
+def _manufactured_spec(f, ly):
+    dim = 0 if ly is None else 1
+    return _inline_spec(ly, _F[f][dim], _U0[dim], kernel_exact="exp(-t)")
 
 
 def _below_tau0(spec, grid, n, fraction):
@@ -486,20 +495,20 @@ def _below_tau0(spec, grid, n, fraction):
     return replace(spec, T=T), TimeGrid(T, n)
 
 
-_small_2d = dict(
+_small = dict(
     n=st.integers(1, 20),
     mx=st.integers(1, 10),
     my=st.integers(1, 10),
-    ly=st.sampled_from([1.0, 2.0]),
+    ly=st.sampled_from([None, 1.0, 2.0]),
     fraction=st.floats(0.05, 0.95),
 )
 
 
-class TestReconstruct2DProperties:
+class TestReconstructProperties:
     @settings(max_examples=50, deadline=None)
-    @given(**_small_2d)
+    @given(**_small)
     def test_zero_problem_exact(self, n, mx, my, ly, fraction):
-        spec = _spec_2d(ly, "0", "0", m_exact="0", mprime_exact="0")
+        spec = _inline_spec(ly, "0", "0", m_exact="0", mprime_exact="0")
         grid = spec.make_grid(mx, my)
         spec, tg = _below_tau0(spec, grid, n, fraction)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -508,14 +517,15 @@ class TestReconstruct2DProperties:
         assert np.all(result.states == 0.0)
 
     @settings(max_examples=50, deadline=None)
-    @given(f=st.sampled_from(sorted(_F_2D)), **_small_2d)
+    @given(f=st.sampled_from(sorted(_F)), **_small)
     def test_identity_residual(self, f, n, mx, my, ly, fraction):
-        spec = _spec_2d(ly, _F_2D[f], _U0_2D, kernel_exact="exp(-t)")
+        spec = _manufactured_spec(f, ly)
         grid = spec.make_grid(mx, my)
         spec, tg = _below_tau0(spec, grid, n, fraction)
         if f == "manufactured":  # exact data
+            area = 1.0 if ly is None else ly
             series = MeasurementSeries.from_expressions(
-                tg, expr.parse(f"{ly}*(1+t)"), expr.parse(f"{ly}")
+                tg, expr.parse(f"{area}*(1+t)"), expr.parse(f"{area}")
             )
         else:  # same-grid data
             series = run_forward(spec, grid, tg, derivative="discrete").measurement
@@ -523,9 +533,9 @@ class TestReconstruct2DProperties:
         assert result.diagnostics.max_compat_residual <= 1e-9
 
     @settings(max_examples=50, deadline=None)
-    @given(f=st.sampled_from(sorted(_F_2D)), **_small_2d)
+    @given(f=st.sampled_from(sorted(_F)), **_small)
     def test_same_grid_roundtrip(self, f, n, mx, my, ly, fraction):
-        spec = _spec_2d(ly, _F_2D[f], _U0_2D, kernel_exact="exp(-t)")
+        spec = _manufactured_spec(f, ly)
         grid = spec.make_grid(mx, my)
         spec, tg = _below_tau0(spec, grid, n, fraction)
         fwd = run_forward(spec, grid, tg, derivative="discrete")

@@ -101,7 +101,7 @@ class TestConjugateGradient:
 
     def test_agrees_with_tridiagonal_path(self):
         # the direct 1D solve is the oracle for the iterative path
-        grid = SpatialGrid.interval(1.0, 60)
+        grid = SpatialGrid((1.0,), (60,))
         tau = 0.01
         rng = np.random.default_rng(9)
         b = rng.normal(size=grid.shape)
@@ -114,7 +114,7 @@ class TestConjugateGradient:
         assert np.abs(x_cg - x_direct).max() <= 1e-8
 
     def test_solves_2d_operator(self):
-        grid = SpatialGrid.rectangle(1.0, 1.0, 12, 12)
+        grid = SpatialGrid((1.0, 1.0), (12, 12))
         op = _backward_euler_operator(grid, 0.05)
         rng = np.random.default_rng(2)
         b = rng.normal(size=grid.shape)
@@ -123,7 +123,7 @@ class TestConjugateGradient:
         assert residual <= 1e-10 * np.linalg.norm(b.ravel())
 
     def test_iteration_limit_error_carries_residual(self):
-        grid = SpatialGrid.interval(1.0, 200)
+        grid = SpatialGrid((1.0,), (200,))
         op = _backward_euler_operator(grid, 1e-6)  # poorly scaled on purpose
         b = np.sin(np.linspace(0, 20, 201))
         with pytest.raises(IterationLimitError) as err:
@@ -157,7 +157,7 @@ class TestConjugateGradient:
 class TestSpectralSolver:
     @pytest.mark.parametrize("cells", [1, 2, 80, 2000])
     def test_agrees_with_thomas(self, cells):
-        grid = SpatialGrid.interval(1.0, cells)
+        grid = SpatialGrid((1.0,), (cells,))
         tau = 0.01
         b = np.random.default_rng(cells).normal(size=grid.shape)
         dx = grid.spacing[0]
@@ -169,7 +169,7 @@ class TestSpectralSolver:
 
     @pytest.mark.parametrize("extents,cells", [((1.0, 2.0), (9, 7)), ((1.0, 1.0), (64, 70))])
     def test_agrees_with_cg_on_rectangles(self, extents, cells):
-        grid = SpatialGrid.rectangle(*extents, *cells)
+        grid = SpatialGrid(extents, cells)
         tau = 0.02
         b = np.random.default_rng(cells[0]).normal(size=grid.shape)
         x_cg = solve_cg(_backward_euler_operator(grid, tau), b, tol=1e-12)
@@ -178,8 +178,8 @@ class TestSpectralSolver:
 
     @pytest.mark.parametrize(
         "grid",
-        [SpatialGrid.interval(1.0, 1), SpatialGrid.interval(2.0, 80),
-         SpatialGrid.rectangle(1.0, 2.0, 9, 7), SpatialGrid.rectangle(1.0, 1.0, 64, 70)],
+        [SpatialGrid((1.0,), (1,)), SpatialGrid((2.0,), (80,)),
+         SpatialGrid((1.0, 2.0), (9, 7)), SpatialGrid((1.0, 1.0), (64, 70))],
     )
     def test_residual_against_stencils(self, grid):
         # pins the eigenvalues to the assembled stiffness of grid.py

@@ -2,12 +2,15 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of ``kernrec`` commands (reconstruct, roundtrip,
+Runs a fixed set of 41 ``kernrec`` commands (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone) with each
-tree's ``src/`` on ``PYTHONPATH``.  One command sets its options
-through ``[discretization]`` and ``[experiment]`` keys instead of flags.
+tree's ``src/`` on ``PYTHONPATH``.  Four run on unequal axes or on a
+single cell along an axis, where the order of faces, corners and axes
+in the grid weights, the stiffness product and the spectral divisor
+shows.  One command sets its options through ``[discretization]`` and
+``[experiment]`` keys instead of flags.
 Some runs are sized so that the stepper's blocks of time nodes come out
 several to a run with a partial last one, or one node wide.  Four
 commands fail by design (a fault of f met by a traced reconstruction,
@@ -256,6 +259,17 @@ COMMANDS = {
     "roundtrip-time-dependent-2d": [
         "roundtrip", "--config", CONFIG_T2D, "--n", "20", "--mx", "24",
     ],
+    # unequal axes, or a single cell along one: face, corner and axis order show
+    "roundtrip-time-dependent-2d-12x30": [
+        "roundtrip", "--config", CONFIG_T2D, "--n", "20", "--mx", "12", "--my", "30",
+    ],
+    "reconstruct-time-dependent-2d-1x7": [
+        "reconstruct", "--config", CONFIG_T2D, "--n", "20", "--mx", "1", "--my", "7",
+    ],
+    "forward-time-dependent-2d-9x1": [
+        "forward", "--config", CONFIG_T2D, "--n", "20", "--mx", "9", "--my", "1",
+    ],
+    "roundtrip-contaminant-one-cell": ["roundtrip", *CT, "--n", "50", "--mx", "1"],
     "noise-sweep-manufactured1d": [
         "noise-sweep", *M1, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
     ],
