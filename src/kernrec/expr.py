@@ -11,10 +11,10 @@ and ``^``)::
     atom   := NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
 
 Identifiers are the variables ``x y t u p q`` (``p``/``q`` are the two
-gradient components), the constant ``pi``, the unary functions
-``sin cos exp log sqrt abs tanh`` and the binary ``min max``.  Numbers
-are plain decimals with an optional exponent; one that overflows to
-infinity (``1e999``) is a syntax error.
+gradient components; ``y`` and ``q`` exist on a rectangle only), the
+constant ``pi``, the unary functions ``sin cos exp log sqrt abs tanh``
+and the binary ``min max``.  Numbers are plain decimals with an optional
+exponent; one that overflows to infinity (``1e999``) is a syntax error.
 
 Trees are immutable; :func:`evaluate` is side-effect free and accepts
 scalar or numpy-array bindings (arrays must share a common broadcast

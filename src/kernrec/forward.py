@@ -30,7 +30,7 @@ the node coordinates bound (``expr.compile``).  The march visits the
 time nodes in order and pulls, per step, the pairs (f_{i-1},
 (f_{i-1},1)), (h_i, (h_i,1)) and (w_Gamma g_i, (g_i,1)_Gamma), the
 boundary load with the sum of that same product, from one iterator
-(``TimeStepper.coefficients``).  h, g and an f that reads no u, p or q
+(``TimeStepper.coefficients``).  h, g and an f that reads no state
 come from ``problem.time_blocks``: blocks of time nodes, each computed
 when the march reaches it, and served node by node after a fault, so
 the fault surfaces at its own step, after the steps before it.  An f
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import expr, problem
 from .errors import NonFiniteError, ValidationError
-from .grid import SpatialGrid, nodal_gradient
+from .grid import DERIVATIVES, SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
 from .solver import SpectralSolver
 
@@ -137,8 +137,8 @@ class TimeStepper:
         # over x and y alone are evaluated once per run, not once per step
         coords = grid.coordinate_fields()
         self._f = expr.compile(spec.f, coords)
-        self._f_grad = not self._f.free.isdisjoint({"p", "q"})
-        self._f_state = not self._f.free.isdisjoint({"u", "p", "q"})
+        self._f_grad = not self._f.free.isdisjoint(DERIVATIVES)
+        self._f_state = self._f_grad or "u" in self._f.free
         self._h = expr.compile(spec.h, coords)
         self._g = expr.compile(spec.g, coords)
         self.u0 = interpolate(spec.u0, grid)
@@ -146,13 +146,8 @@ class TimeStepper:
     def f_field(self, t: float, u_values: np.ndarray) -> np.ndarray:
         env: dict[str, object] = {"t": t, "u": u_values}
         if self._f_grad:
-            grads = nodal_gradient(self.grid, u_values)
-            env["p"] = grads[0]
-            env["q"] = grads[1] if self.grid.ndim == 2 else 0.0
-        out = np.asarray(expr.evaluate(self._f, env), dtype=float)
-        if out.shape == self.grid.shape:
-            return out
-        return np.broadcast_to(out, self.grid.shape)
+            env.update(zip(DERIVATIVES, nodal_gradient(self.grid, u_values)))
+        return expr.evaluate(self._f, env)
 
     def coefficients(
         self, f_nodes: np.ndarray, nodes: np.ndarray, states: Iterable[np.ndarray]

@@ -21,6 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# each axis's variables, in axis order: its coordinate and u's derivative along it
+COORDINATES = "xy"
+DERIVATIVES = "pq"
+
 
 def _axis_weights(length: float, cells: int) -> np.ndarray:
     # trapezoid lumping: dx at interior nodes, dx/2 at the two ends
@@ -82,7 +86,7 @@ class SpatialGrid:
 
     def coordinate_fields(self) -> dict[str, np.ndarray]:
         """Node coordinates as full arrays keyed by variable name (x[, y])."""
-        return dict(zip("xy", np.meshgrid(*self.axes, indexing="ij")))
+        return dict(zip(COORDINATES, np.meshgrid(*self.axes, indexing="ij")))
 
 
 # -- stiffness -------------------------------------------------------

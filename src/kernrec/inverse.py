@@ -140,7 +140,10 @@ def initial_kernel_value(
             f"(h(0),1) = {h_mean:.3e} too small to define the initial kernel value",
             step=0,
         )
-    return (f_mean - mprime0 - g_mean) / h_mean
+    k0 = (f_mean - mprime0 - g_mean) / h_mean
+    if not math.isfinite(k0):
+        raise NonFiniteError("kernel value is not finite", step=0)
+    return k0
 
 
 def _diagnostics(

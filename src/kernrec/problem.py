@@ -6,7 +6,8 @@ A :class:`ProblemSpec` bundles the data of the evolution problem
 
 with Neumann data g, initial state u0, horizon T and the asserted floor
 omega <= min_t |(h(t), 1)|.  Expressions are written in the language of
-:mod:`kernrec.expr`; ``p``/``q`` denote the gradient components inside f.
+:mod:`kernrec.expr`; ``p``/``q`` denote the gradient components inside f,
+and ``y`` and ``q`` exist on a rectangle only.
 
 Configs are flat ``key = value`` files with ``#`` comments and the three
 section headers ``[problem]``, ``[discretization]``, ``[experiment]``;
@@ -27,10 +28,10 @@ import numpy as np
 
 from . import expr
 from .errors import ConfigError, DomainFaultError, ExprError, FloorViolationError, ValidationError
-from .grid import SpatialGrid
+from .grid import COORDINATES, DERIVATIVES, SpatialGrid
 
-# each [problem] expression key: the ProblemSpec field it fills, the
-# variables it may use (y in 2D only) and whether an inline problem needs it
+# each [problem] expression key: its ProblemSpec field, the variables it
+# may use (y and q on a rectangle only) and whether an inline problem needs it
 _EXPRESSION_KEYS = {
     "f": ("f", {"x", "y", "t", "u", "p", "q"}, True),
     "h": ("h", {"x", "y", "t"}, True),
@@ -98,12 +99,12 @@ class ProblemSpec:
             )
         if len(self.extents) not in (1, 2) or not all(0.0 < L < math.inf for L in self.extents):
             raise ValidationError(f"bad domain extents {self.extents}")
+        absent = set(COORDINATES[self.ndim :] + DERIVATIVES[self.ndim :])
         for key, (field, allowed, _) in _EXPRESSION_KEYS.items():
             tree = getattr(self, field)
             if tree is None:
                 continue
-            if self.ndim == 1:
-                allowed = allowed - {"y"}
+            allowed = allowed - absent
             used = expr.variables(tree)
             if not used <= allowed:
                 raise ValidationError(
@@ -148,7 +149,8 @@ class MeasurementSeries:
             raise ValidationError(
                 f"expected {self.timegrid.n} derivative samples, got {derivs.shape}"
             )
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
+        initial = [] if self.initial_derivative is None else [self.initial_derivative]
+        if not all(np.isfinite(a).all() for a in (values, derivs, initial)):
             raise ValidationError("measurement contains non-finite values")
         if self.provenance not in ("analytic", "discrete-difference"):
             raise ValidationError(f"unknown derivative provenance {self.provenance!r}")

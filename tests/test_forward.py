@@ -19,9 +19,9 @@ from kernrec.inverse import reconstruct
 from kernrec.problem import MeasurementSeries, ProblemSpec, TimeGrid, preset_manufactured_1d
 
 
-def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, **extra):
+def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, extents=(1.0,), **extra):
     return ProblemSpec(
-        name="inline", extents=(1.0,), T=T, omega_floor=omega,
+        name="inline", extents=extents, T=T, omega_floor=omega,
         f=expr.parse(f), h=expr.parse(h), g=expr.parse(g), u0=expr.parse(u0),
         **{k: (expr.parse(v) if isinstance(v, str) else v) for k, v in extra.items()},
     )
@@ -552,22 +552,25 @@ class TestHistoryLayout:
 class TestCompiledFields:
     def test_fields_match_interpreter(self):
         # h and g depending on t are compiled once; each value is the
-        # interpreter's bit for bit
-        spec = _spec(f="u*exp(-t) + p*cos(pi*x)", h="1 + t*cos(pi*x)", g="t^2 - x")
-        tg = TimeGrid(1.0, 4)
-        grid = spec.make_grid(8)
-        stepper = TimeStepper(spec, grid, tg)
-        u = np.linspace(-1.0, 2.0, grid.shape[0])
-        p = forward.nodal_gradient(grid, u)[0]
-        pairs = stepper.coefficients(tg.nodes, tg.nodes, repeat(u))
-        for t, (_, (h_i, h_mean), (g_i, _)) in zip(tg.nodes, pairs, strict=True):
-            env = {**grid.coordinate_fields(), "t": t, "u": u, "p": p}
-            h = expr.evaluate(spec.h, env)
-            g_load = grid.boundary_weights * expr.evaluate(spec.g, env)
-            assert np.array_equal(h_i, h)
-            assert h_mean == float(np.sum(grid.weights * h))
-            assert np.array_equal(g_i, g_load)
-            assert np.array_equal(stepper.f_field(t, u), expr.evaluate(spec.f, env))
+        # interpreter's bit for bit, and f reads one derivative per axis:
+        # p on an interval, p and q on a rectangle
+        for extents, f in [((1.0,), "u*exp(-t) + p*cos(pi*x)"),
+                           ((1.0, 2.0), "u*exp(-t) - 0.5*p + 0.25*q*x + cos(pi*x)*cos(pi*y)")]:
+            spec = _spec(f=f, h="1 + t*cos(pi*x)", g="t^2 - x", extents=extents)
+            tg = TimeGrid(1.0, 4)
+            grid = spec.make_grid(8, 5)
+            stepper = TimeStepper(spec, grid, tg)
+            u = np.linspace(-1.0, 2.0, grid.weights.size).reshape(grid.shape) ** 2
+            derivatives = dict(zip("pq", forward.nodal_gradient(grid, u)))
+            pairs = stepper.coefficients(tg.nodes, tg.nodes, repeat(u))
+            for t, (_, (h_i, h_mean), (g_i, _)) in zip(tg.nodes, pairs, strict=True):
+                env = {**grid.coordinate_fields(), "t": t, "u": u, **derivatives}
+                h = expr.evaluate(spec.h, env)
+                g_load = grid.boundary_weights * expr.evaluate(spec.g, env)
+                assert np.array_equal(h_i, h)
+                assert h_mean == float(np.sum(grid.weights * h))
+                assert np.array_equal(g_i, g_load)
+                assert np.array_equal(stepper.f_field(t, u), expr.evaluate(spec.f, env))
 
     @pytest.mark.parametrize("g", ["1 + x*y^2 - cos(pi*y)", "t*x + (1 - t)*y^2"],
                              ids=["static", "time-dependent"])

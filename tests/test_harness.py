@@ -716,28 +716,36 @@ class TestConfigHandling:
             assert source_of == "discrete-difference"
 
     @pytest.mark.parametrize(
-        "bad_row,message",
-        [("{t},abc", "data row 2: 'abc' is not a number"),
-         ("{t}", "data row 2 has 1 column(s), expected at least 2"),
-         ("{t},1,7", "data row 3 has no m'")],
-        ids=["not-a-number", "missing-column", "partial-mprime"],
+        "rows,message",
+        [(("t,m", "0,1", "{t},abc", "{T},1"),
+          "measurement file data row 2: 'abc' is not a number"),
+         (("t,m", "0,1", "{t}", "{T},1"),
+          "measurement file data row 2 has 1 column(s), expected at least 2"),
+         (("t,m", "0,1", "{t},1,7", "{T},1"), "measurement file data row 3 has no m' "
+          "although other rows after the first carry one"),
+         (("t,m,mprime", "0,1,nan", "{t},1,0", "{T},1,0"),
+          "measurement contains non-finite values"),
+         (("t,m,mprime", "0,1,inf", "{t},1,0", "{T},1,0"),
+          "measurement contains non-finite values")],
+        ids=["not-a-number", "missing-column", "partial-mprime", "nan-mprime0", "inf-mprime0"],
     )
     def test_malformed_measurement_row_is_validation_failure(
-        self, tmp_path, capsys, bad_row, message
+        self, tmp_path, capsys, rows, message
     ):
+        # rejected as the file is read: no step runs, so no trace row prints
         T = preset_contaminant().T
         data = tmp_path / "m.csv"
-        rows = ["t,m", "0,1", bad_row.format(t=repr(T / 2)), f"{T!r},1"]
-        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        text = "".join(row.format(t=repr(T / 2), T=repr(T)) + "\n" for row in rows)
+        data.write_text(text, encoding="utf-8")
         cfg = tmp_path / "p.cfg"
         cfg.write_text(
             f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n',
             encoding="utf-8",
         )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "2", "--mx", "4",
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "2", "--mx", "4", "--trace",
                         "--out", str(tmp_path / "out.csv")])
         assert code == 3
-        assert f"validation failure: measurement file {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"kernrec: validation failure: {message}\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(

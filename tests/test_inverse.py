@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernrec import expr, problem
-from kernrec.errors import SingularUpdateError, StepThresholdError, ValidationError
+from kernrec.errors import NonFiniteError, SingularUpdateError, StepThresholdError, ValidationError
 from kernrec.forward import KernelSeries, TimeStepper, _convolution_values, run_forward
 from kernrec.grid import stiffness_matvec
 from kernrec.inverse import (
@@ -250,6 +250,17 @@ class TestInitialKernelValue:
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         stepper = TimeStepper(spec, grid, tg)
         assert abs(initial_kernel_value(stepper, series) - 1.0) < 1e-12
+
+    def test_non_finite_value_stops_the_run_before_the_march(self):
+        # m'(0) = 1e300 over (h(0),1) = 1e-11 overflows: K_0 = -inf
+        spec = _spec(h="1e-11", omega=1e-11, m_exact="1", mprime_exact="1e300*exp(-10000*t)")
+        tg = TimeGrid(1.0, 10)
+        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        rows = []
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError) as err:
+            reconstruct(spec, spec.make_grid(10), tg, series, force=True,
+                        trace=lambda *row: rows.append(row))
+        assert (str(err.value), err.value.step, rows) == ("kernel value is not finite", 0, [])
 
 
 class TestReconstruct:

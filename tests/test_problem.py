@@ -233,12 +233,15 @@ class TestSpecValidation:
             assert str(err.value) == (
                 f"'{key}' uses variables ['{var}']; allowed: {sorted(allowed)}"
             )
+        # an interval has no second axis: its coordinate y and derivative q go
         one_d = {k: v for k, v in INLINE_2D.items() if k != "ly"}
-        if "y" in allowed:
+        allowed_1d = allowed - {"y", "q"}
+        assert spec_from_mapping({**one_d, key: " + ".join(sorted(allowed_1d))})
+        for var in sorted(allowed - allowed_1d):
             with pytest.raises(ValidationError) as err:
-                spec_from_mapping({**one_d, key: "y"})
+                spec_from_mapping({**one_d, key: var})
             assert str(err.value) == (
-                f"'{key}' uses variables ['y']; allowed: {sorted(allowed - {'y'})}"
+                f"'{key}' uses variables ['{var}']; allowed: {sorted(allowed_1d)}"
             )
 
     def test_floor_violation(self):

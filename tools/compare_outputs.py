@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 41 ``kernrec`` commands (reconstruct, roundtrip,
+Runs a fixed set of 43 ``kernrec`` commands (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone) with each
@@ -18,16 +18,17 @@ a floor violation, a fault of g at t = 0 met by the discrete m'(0), a
 ``--json`` path in a missing directory); another pins that an analytic
 forward run never evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
-p), read manufactured1d's measurement from a ``t,m,mprime`` file that
-this script writes beside its configs, and trace a noise sweep.
+p), run a 2D config whose f reads both gradient components p and q,
+read manufactured1d's measurement from a ``t,m,mprime`` file that this
+script writes beside its configs, and trace a noise sweep.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
-must be byte-identical and every JSON report equal once its
-``timings`` are dropped; a command that traces, by ``--trace`` or by
-its config, must also print the same stderr.  A command that fails by
-design must exit with the same code and print the same stderr in both
-trees, and leave neither output file in either.  Prints one line per
-command and exits 0 when all agree, 1 on any difference and 2 when any
-other command fails in either tree.
+must be byte-identical and every JSON report the same text once its
+``timings`` are dropped, so that the sign of a zero shows; a command
+that traces, by ``--trace`` or by its config, must also print the same
+stderr.  A command that fails by design must exit with the same code
+and print the same stderr in both trees, and leave neither output file
+in either.  Prints one line per command and exits 0 when all agree, 1
+on any difference and 2 when any other command fails in either tree.
 """
 
 from __future__ import annotations
@@ -186,6 +187,22 @@ v = 0.5
 """
 CONFIG_ADVECTION = "contaminantv.ini"
 
+# f reads both components of the gradient on a rectangle
+GRADIENT_2D = """\
+[problem]
+name = "gradient2d"
+f = "u*exp(-t) - 0.5*p + 0.25*q + cos(pi*x)*cos(pi*y)"
+h = "1 + t"
+g = "t*x"
+u0 = "1 + cos(pi*x)*cos(pi*y)"
+lx = 1.0
+ly = 2.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+"""
+CONFIG_G2D = "gradient2d.ini"
+
 # manufactured1d without m and mprime: the measurement is read from
 # MEASUREMENT_FILE, the samples of m = 1 + t and m' = 1 on MEASUREMENT_N steps
 MEASUREMENT_FILE = "manufactured1d_m.csv"
@@ -224,6 +241,7 @@ CONFIGS = {
     CONFIG_FLOOR: FLOOR_VIOLATION,
     CONFIG_FAULT_G0: FAULT_G0,
     CONFIG_ADVECTION: CONTAMINANT_ADVECTION,
+    CONFIG_G2D: GRADIENT_2D,
     CONFIG_FROM_FILE: MANUFACTURED_FROM_FILE,
     MEASUREMENT_FILE: _measurement_text(MEASUREMENT_N),
 }
@@ -296,6 +314,12 @@ COMMANDS = {
     "reconstruct-contaminant-advection": [
         "reconstruct", "--config", CONFIG_ADVECTION, "--n", "200", "--mx", "50",
     ],
+    "roundtrip-gradient-2d": [
+        "roundtrip", "--config", CONFIG_G2D, "--n", "20", "--mx", "12", "--my", "9",
+    ],
+    "reconstruct-gradient-2d": [
+        "reconstruct", "--config", CONFIG_G2D, "--n", "20", "--mx", "12", "--my", "9",
+    ],
     "reconstruct-manufactured1d-file": [
         "reconstruct", "--config", CONFIG_FROM_FILE, "--n", str(MEASUREMENT_N), "--mx", "50",
     ],
@@ -357,8 +381,11 @@ def without_timings(value):
     return value
 
 
-def report(path: Path):
-    return without_timings(json.loads(path.read_text(encoding="utf-8")))
+def report(path: Path) -> str:
+    """The report without its timings, as text: parsed numbers would
+    hide the sign of a zero (``-0.0 == 0.0``)."""
+    value = without_timings(json.loads(path.read_text(encoding="utf-8")))
+    return json.dumps(value, sort_keys=True)
 
 
 def main(argv: list[str]) -> int:
