@@ -31,10 +31,10 @@ time nodes in order and pulls, per step, the pairs (f_{i-1},
 (f_{i-1},1)), (h_i, (h_i,1)) and (w_Gamma g_i, (g_i,1)_Gamma), the
 boundary load with the sum of that same product, from one iterator
 (``TimeStepper.coefficients``).  h, g and an f that reads no state
-come from ``problem.time_blocks``: blocks of time nodes, each computed
-when the march reaches it, and served node by node after a fault, so
-the fault surfaces at its own step, after the steps before it.  An f
-that reads the state is evaluated per step (``f_field``), at the
+come from ``problem.node_pairs``, which the floor check reads too: in
+blocks of time nodes, each computed when the march reaches it, served
+node by node after a fault, so the fault surfaces at its own step.  An
+f that reads the state is evaluated per step (``f_field``), at the
 u_{i-1} that step i pulls.  t_0, which K_0 and the discrete m'(0)
 read, is evaluated on its own (``TimeStepper.initial_means``).  Once
 per step: the pairs, K_i (read off their means by the reconstruction),
@@ -101,16 +101,6 @@ def interpolate(tree: expr.Expression, grid: SpatialGrid) -> np.ndarray:
     return np.broadcast_to(out, grid.shape).copy()
 
 
-# a coefficient at one time node: (h, (h,1)), (w_Gamma g, (g,1)_Gamma) or (f, (f,1))
-Pair = tuple[np.ndarray, float]
-
-
-def _node_pairs(*args) -> Iterator[Pair]:
-    """The pairs of ``problem.time_blocks(*args)``, one time node at a time."""
-    blocks = problem.time_blocks(*args)
-    return (pair for fields, sums in blocks for pair in zip(fields, sums.tolist()))
-
-
 def _convolution_values(
     kernel_values: np.ndarray, state_values: np.ndarray, i: int, tau: float
 ) -> np.ndarray:
@@ -151,19 +141,19 @@ class TimeStepper:
 
     def coefficients(
         self, f_nodes: np.ndarray, nodes: np.ndarray, states: Iterable[np.ndarray]
-    ) -> Iterator[tuple[Pair, Pair, Pair]]:
+    ) -> Iterator[tuple[tuple[np.ndarray, float], ...]]:
         """The pairs of f at ``f_nodes[k]`` and state ``states[k]``, then of
         h and g at ``nodes[k]``, for k in order.
 
         An f that reads the state takes ``states[k]`` when k is pulled; any
-        other f, and h and g, come in blocks of time nodes.
+        other f, and h and g, come from ``problem.node_pairs``.
         """
         if self._f_state:
             f = ((f, self.mean(f)) for f in map(self.f_field, f_nodes, states))
         else:
-            f = _node_pairs(self._f, self.weights, False, f_nodes)
-        h = _node_pairs(self._h, self.weights, False, nodes)
-        return zip(f, h, _node_pairs(self._g, self.bweights, True, nodes))
+            f = problem.node_pairs(self._f, self.weights, False, f_nodes)
+        h = problem.node_pairs(self._h, self.weights, False, nodes)
+        return zip(f, h, problem.node_pairs(self._g, self.bweights, True, nodes))
 
     def mean(self, field: np.ndarray) -> float:
         """(field, 1) with the lumped quadrature."""

@@ -38,7 +38,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -335,15 +335,15 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 f"config requests mode {requested!r}, command line says {args.mode!r}"
             )
 
+    # --preset and --T are [problem] values that win over the keys
     problem_section = sections["problem"]
     if args.preset:
-        spec = spec_from_mapping({**problem_section, "preset": args.preset})
-    elif problem_section:
-        spec = spec_from_mapping(problem_section)
-    else:
+        problem_section["preset"] = args.preset
+    elif not problem_section:
         raise UsageError("no problem given: pass --preset NAME or --config PATH")
     if args.T is not None:
-        spec = replace(spec, T=args.T)
+        problem_section["T"] = repr(args.T)
+    spec = spec_from_mapping(problem_section)
 
     measurement_file = problem_section.get("measurement_file")
     required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -225,9 +226,12 @@ class MeasurementSeries:
 def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:
     """Parse a ``t,m[,mprime]`` CSV into a series aligned with ``timegrid``."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and row[0].strip()]
+    rows = [row for row in reader if any(field.strip() for field in row)]
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]
+    for k, row in enumerate(rows):
+        if any(field.strip() for field in row[3:]):
+            raise ValidationError(f"measurement file data row {k + 1} has a value after m'")
     if len(rows) != timegrid.n + 1:
         raise ValidationError(
             f"measurement file has {len(rows)} rows, expected {timegrid.n + 1}"
@@ -283,8 +287,9 @@ def _is_number(token: str) -> bool:
 # leaves the cache is slower than node by node.  200 values of
 # manufactured1d's f on 8001 nodes took 8-10 ms node by node, 7-9 ms with
 # 2**14 values per block, 7-12 ms with 2**17 and 11-13 ms in one block
-# (best of 60, on 2 vCPU with numpy 2.4).  The post-march walks over the
-# states use the same bound, which keeps their temporaries in cache.
+# (best of 60, on 2 vCPU with numpy 2.4).  One generator, node_pairs,
+# serves the step loop and the floor check.  The post-march walks over
+# the states use the same bound, which keeps their temporaries in cache.
 BLOCK_VALUES = 1 << 14
 
 
@@ -296,76 +301,71 @@ def block_slices(count: int, row_size: int) -> Iterator[slice]:
 
 
 def _pairs(
-    compiled: expr.Compiled, t: np.ndarray | None, weights: np.ndarray, load: bool
+    compiled: expr.Compiled, t: np.ndarray, weights: np.ndarray, load: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fields of ``compiled`` at the times of the column ``t``, and their weighted sums.
 
-    Without ``t`` there is one row.  The fields are served as they are,
-    or as ``weights * field`` (the boundary load of g) when ``load`` is
-    set.  np.add.reduce over the trailing axes is np.sum's pairwise
-    summation without its Python wrapper, row by row; np.dot would sum
-    in a different order.
+    The fields are served as they are, or as ``weights * field`` (the
+    boundary load of g) when ``load`` is set.  np.add.reduce over the
+    trailing axes is np.sum's pairwise summation without its Python
+    wrapper, row by row; np.dot would sum in a different order.
     """
-    shape = (1 if t is None else len(t), *weights.shape)
-    out = np.asarray(expr.evaluate(compiled, {} if t is None else {"t": t}), dtype=float)
+    shape = (len(t), *weights.shape)
+    out = np.asarray(expr.evaluate(compiled, {"t": t}), dtype=float)
     values = out if out.shape == shape else np.broadcast_to(out, shape).copy()
     weighted = weights * values
     sums = np.add.reduce(weighted, axis=tuple(range(1, values.ndim)))
     return (weighted if load else values), sums
 
 
-def time_blocks(
+def node_pairs(
     compiled: expr.Compiled, weights: np.ndarray, load: bool, nodes: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(fields, sums) of ``compiled`` at ``nodes``, block by block, in order.
+) -> Iterator[tuple[np.ndarray, float]]:
+    """(field, weighted sum) of ``compiled`` at each of ``nodes``, in order.
 
-    A tree of t is evaluated with t bound as a column, one block of at
-    most BLOCK_VALUES values when the consumer reaches it, each row bit
-    for bit that node's own value.  A block that raises DomainFaultError
-    is served again node by node, so the fault is raised at its own node,
-    after the nodes before it.  A tree without t is one pair, repeated.
+    The one stream from a compiled f, h or g to the step loop and the
+    floor check.  A tree of t is evaluated with t bound as a column, one
+    block of at most BLOCK_VALUES values when the consumer reaches it,
+    each row bit for bit that node's own value.  A block that raises
+    DomainFaultError is served again node by node, so the fault is
+    raised at its own node, after the nodes before it.  A tree without t
+    is evaluated once, at the first node, and repeated.
     """
+    column = nodes.reshape(-1, *(1,) * weights.ndim)
     if "t" not in compiled.free:
-        one = _pairs(compiled, None, weights, load)
-        yield tuple(np.broadcast_to(a, (len(nodes), *a.shape[1:])) for a in one)
+        fields, sums = _pairs(compiled, column[:1], weights, load)
+        yield from itertools.repeat((fields[0], sums.item()), len(nodes))
         return
     for rows in block_slices(len(nodes), weights.size):
-        t = nodes[rows].reshape(-1, *(1,) * weights.ndim)  # a column
+        t = column[rows]
         try:
-            yield _pairs(compiled, t, weights, load)
+            blocks = [_pairs(compiled, t, weights, load)]
         except DomainFaultError:
-            yield from (_pairs(compiled, t[k : k + 1], weights, load) for k in range(len(t)))
+            blocks = (_pairs(compiled, t[k : k + 1], weights, load) for k in range(len(t)))
+        for fields, sums in blocks:
+            yield from zip(fields, sums.tolist())
 
 
 # -- floor validation ------------------------------------------------
 
 
-def volume_mean_of_h(
-    spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid
-) -> np.ndarray:
-    """(h(t_i), 1) for every time node, exactly as the stepper forms it.
-
-    A t-dependent h is evaluated in blocks of time nodes, so the check
-    holds one block of values at a time, not all (n+1) x N.
-    """
-    compiled = expr.compile(spec.h, grid.coordinate_fields())
-    blocks = time_blocks(compiled, grid.weights, False, timegrid.nodes)
-    return np.concatenate([sums for _, sums in blocks])
-
-
 def validate_floor(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid) -> None:
     """Discrete check of the standing assumption |(h(t_i), 1)| >= omega.
 
+    The means are the (h_i,1) of ``node_pairs``, exactly those the
+    kernel update divides by, taken one block of time nodes at a time.
     A relative slack of 1e-12 absorbs quadrature roundoff so that
     problems sitting exactly on the floor pass.
     """
-    means = volume_mean_of_h(spec, grid, timegrid)
+    nodes = timegrid.nodes
+    pairs = node_pairs(expr.compile(spec.h, grid.coordinate_fields()), grid.weights, False, nodes)
+    means = np.fromiter((mean for _, mean in pairs), float, count=len(nodes))
     worst = int(np.argmin(np.abs(means)))
     slack = 1e-12 * max(1.0, spec.omega_floor)
     if abs(means[worst]) < spec.omega_floor - slack:
         raise FloorViolationError(
             f"|(h(t),1)| = {abs(means[worst]):.6g} < omega = {spec.omega_floor:g} "
-            f"at t = {timegrid.nodes[worst]:g}"
+            f"at t = {nodes[worst]:g}"
         )
 
 

@@ -196,8 +196,8 @@ class TestForwardStep:
 class TestOncePerStep:
     """f_{i-1}, h_i, g_i and conv_i are computed once per step and shared.
 
-    A static h or g is evaluated once per stream of time nodes, and never
-    at a time t.  A coefficient of t alone (h, g, and an f that reads no
+    A static h or g is evaluated once per stream of time nodes, at its
+    first node.  A coefficient of t alone (h, g, and an f that reads no
     state) is evaluated once per block of time nodes; only an f that
     reads the state is evaluated at every step.  A reconstruction reads
     t_0 of f, h and g for K_0 on its own, one more node of each.
@@ -255,14 +255,15 @@ class TestOncePerStep:
     def test_run_forward(self, monkeypatch):
         n = 20
         calls = self._forward_calls(monkeypatch, preset_manufactured_1d(), n)
-        # f reads t and x only; static h and g are formed in TimeStepper.__init__
-        assert calls == {"f_field": 0, "f": self.BLOCKS, "h": 0, "g": 0, "conv": n}
+        # f reads t and x only; static h and g are formed once, for the march
+        assert calls == {"f_field": 0, "f": self.BLOCKS, "h": 1, "g": 1, "conv": n}
 
     def test_reconstruct(self, monkeypatch):
         n = 20
         calls = self._reconstruct_calls(monkeypatch, preset_manufactured_1d(), n)
-        # f_0 for K_0 is one node on its own
-        assert calls == {"f_field": 0, "f": self.BLOCKS + 1, "h": 0, "g": 0, "conv": n}
+        # f_0 for K_0 is one node on its own; static h is formed once for the
+        # floor check, initial_means and the march, static g for the last two
+        assert calls == {"f_field": 0, "f": self.BLOCKS + 1, "h": 3, "g": 2, "conv": n}
 
     def test_run_forward_time_dependent(self, monkeypatch):
         n = 20
@@ -381,6 +382,19 @@ class TestBlockPairs:
 
 
 class TestGenerateMeasurement:
+    @pytest.mark.parametrize(
+        "n, values, message",
+        [(10, np.zeros(10), r"^expected 11 kernel samples, got \(10,\)$"),
+         (10, np.full(11, np.nan), "^kernel series contains non-finite values$"),
+         (5, np.zeros(6), "^kernel series is not aligned with the time grid$")],
+        ids=["wrong-length", "non-finite", "other-grid"],
+    )
+    def test_bad_kernel_series_rejected(self, n, values, message):
+        spec = preset_manufactured_1d()
+        with pytest.raises(ValidationError, match=message):
+            run_forward(spec, spec.make_grid(8), TimeGrid(1.0, 10),
+                        KernelSeries(TimeGrid(1.0, n), values))
+
     def test_tracks_exact_measurement(self):
         spec = preset_manufactured_1d()
         errs = {}

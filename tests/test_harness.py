@@ -532,6 +532,54 @@ class TestConfigHandling:
         assert code == 3
         assert "validation failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["", "T = 2.0\n", "T = abc\n"], ids=["none", "other", "bad"])
+    def test_T_flag_is_the_problem_T(self, tmp_path, key):
+        # --T stands in for a missing [problem] T, and wins over a given one unparsed
+        cfg, out = tmp_path / "p.cfg", tmp_path / "k.csv"
+        cfg.write_text(MANUFACTURED_CONFIG.replace("T = 1.0\n", key), encoding="utf-8")
+        argv = ["reconstruct", "--config", str(cfg), "--n", "4", "--mx", "8", "--out", str(out)]
+        assert run_cli([*argv, "--T", "1"]) == 0
+        flagged = _read(out)
+        cfg.write_text(MANUFACTURED_CONFIG, encoding="utf-8")
+        assert run_cli(argv) == 0
+        assert flagged == _read(out)
+
+    @pytest.mark.parametrize(
+        "argv, config, code, message",
+        [(["reconstruct", "--preset", "manufactured1d", "--n", ""], "", 1,
+          "usage error: no time resolution given (use --n)"),
+         (["reconstruct", "--preset", "contaminant", "--fine-factor", "0"], "", 1,
+          "usage error: --fine-factor must be >= 1"),
+         (["noise-sweep", "--preset", "manufactured1d", "--seed", "1"], "", 1,
+          "usage error: noise-sweep requires --noise SIGMA[,SIGMA...]"),
+         (["noise-sweep", "--preset", "manufactured1d", "--noise", "1e-3"], "", 1,
+          "usage error: noise-sweep requires --seed"),
+         (["reconstruct"], '[problem]\npreset = contaminant\nmeasurement_file = "{tmp}/m.csv"\n',
+          1, "usage error: cannot read measurement file {tmp}/m.csv: "
+          "[Errno 2] No such file or directory: '{tmp}/m.csv'"),
+         (["reconstruct"], MANUFACTURED_CONFIG.replace('m = "1+t"\nmprime = "1"\n', ""), 1,
+          "usage error: problem has no measurement source "
+          "(exact m, measurement_file, or exact kernel)"),
+         (["reconstruct"], "n = 5\n[problem]\npreset = contaminant\n", 1,
+          "usage error: key outside any section on line 1"),
+         (["reconstruct"], "[problem]\npreset = contaminant\nporosity = 0\n", 3,
+          "validation failure: porosity must be positive, got 0.0"),
+         (["reconstruct"], MANUFACTURED_CONFIG.replace('h = "1"', 'h = "1e-13"')
+          .replace("omega = 1.0", "omega = 1e-13").replace('m = "1+t"', 'm = "0"'), 2,
+          "numerical failure: (h(0),1) = 1.000e-13 too small to define the initial kernel value")],
+        ids=["empty-n", "zero-fine-factor", "sweep-without-noise", "sweep-without-seed",
+             "missing-measurement-file", "no-measurement-source", "key-outside-section",
+             "zero-porosity", "h0-below-threshold"],
+    )
+    def test_error_path_prints_its_line(self, tmp_path, capsys, argv, config, code, message):
+        if config:
+            cfg = tmp_path / "p.cfg"
+            cfg.write_text(config.format(tmp=tmp_path), encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        argv = [*argv, "--mx", "8"] + ([] if "--n" in argv else ["--n", "10"])
+        assert run_cli(argv) == code
+        assert capsys.readouterr().err == f"kernrec: {message.format(tmp=tmp_path)}\n"
+
     def test_deep_nesting_is_usage_error(self, tmp_path):
         deep = "(" * 3000 + "0" + ")" * 3000
         cfg = tmp_path / "p.cfg"
@@ -726,8 +774,14 @@ class TestConfigHandling:
          (("t,m,mprime", "0,1,nan", "{t},1,0", "{T},1,0"),
           "measurement contains non-finite values"),
          (("t,m,mprime", "0,1,inf", "{t},1,0", "{T},1,0"),
-          "measurement contains non-finite values")],
-        ids=["not-a-number", "missing-column", "partial-mprime", "nan-mprime0", "inf-mprime0"],
+          "measurement contains non-finite values"),
+         # a row with a blank t counts, so the file has one row too many
+         (("t,m", "0,1", " ,99,99", "{t},1", "{T},1"),
+          "measurement file has 4 rows, expected 3"),
+         (("t,m,mprime", "0,1.5,1,junk", "{t},1.5,1,junk", "{T},1.5,1,junk"),
+          "measurement file data row 1 has a value after m'")],
+        ids=["not-a-number", "missing-column", "partial-mprime", "nan-mprime0", "inf-mprime0",
+             "blank-t-row", "fourth-value"],
     )
     def test_malformed_measurement_row_is_validation_failure(
         self, tmp_path, capsys, rows, message

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kernrec import expr, problem
-from kernrec.errors import ConfigError, FloorViolationError, ValidationError
+from kernrec.errors import ConfigError, DomainFaultError, FloorViolationError, ValidationError
 from kernrec.forward import TimeStepper
 from kernrec.harness import run_cli
 from kernrec.problem import (
@@ -21,7 +21,6 @@ from kernrec.problem import (
     preset_zero_1d,
     spec_from_mapping,
     validate_floor,
-    volume_mean_of_h,
 )
 
 
@@ -276,11 +275,37 @@ class TestSpecValidation:
         # blocks of 4 time nodes, the last one partial
         monkeypatch.setattr(problem, "BLOCK_VALUES", 4 * grid.weights.size)
         stepper = TimeStepper(spec, grid, tg)
-        means = volume_mean_of_h(spec, grid, tg)
+        means, node_pairs = [], problem.node_pairs
+
+        def spy(*args):
+            # the sums validate_floor takes, passed through as they come
+            for field, mean in node_pairs(*args):
+                means.append(mean)
+                yield field, mean
+
+        with monkeypatch.context() as mp:
+            mp.setattr(problem, "node_pairs", spy)
+            validate_floor(spec, grid, tg)
         states = np.zeros((tg.n + 1, *grid.shape))
         pairs = stepper.coefficients(tg.nodes[:-1], tg.nodes[1:], states)
         marched = [h_mean for _, (_, h_mean), _ in pairs]
-        assert means.tolist() == [stepper.initial_means()[2], *marched]
+        assert means == [stepper.initial_means()[2], *marched]
+
+    @pytest.mark.parametrize(
+        "h, message",
+        [("1 + 1/(t - 0.5)", r"division by zero in '1.0/\(t - 0.5\)'"),
+         ("2 + log(x)", r"log of non-positive value in 'log\(x\)'")],
+        ids=["in-a-block", "static"],
+    )
+    def test_floor_check_meets_a_fault_of_h(self, h, message):
+        # the floor check is the first reader of h; a block that faults is
+        # served node by node, a static h is evaluated once
+        spec = ProblemSpec(
+            name="inline", extents=(1.0,), T=1.0, omega_floor=0.5,
+            f=expr.parse("0"), h=expr.parse(h), g=expr.parse("0"), u0=expr.parse("0"),
+        )
+        with pytest.raises(DomainFaultError, match=message):
+            validate_floor(spec, spec.make_grid(8), TimeGrid(1.0, 10))
 
     def test_floor_check_memory_is_bounded(self):
         # all 2001 x 1001 values of h at once would take 32.5 MiB
@@ -468,6 +493,16 @@ class TestMeasurementSeries:
         with pytest.raises(ValidationError):
             series.restrict(TimeGrid(1.0, 33))
 
+    def test_restrict_other_horizon(self):
+        series = MeasurementSeries.from_samples(TimeGrid(1.0, 4), np.zeros(5))
+        with pytest.raises(ValidationError, match="^restriction requires the same time horizon$"):
+            series.restrict(TimeGrid(2.0, 2))
+
+    def test_negative_noise_rejected(self):
+        series = MeasurementSeries.from_samples(TimeGrid(1.0, 4), np.zeros(5))
+        with pytest.raises(ValidationError, match="^noise level must be nonnegative$"):
+            series.with_noise(-1.0, np.random.default_rng(0))
+
     def test_noise_recomputes_differences(self):
         tg = TimeGrid(1.0, 50)
         base = MeasurementSeries.from_expressions(
@@ -500,6 +535,16 @@ class TestMeasurementCsv:
         series = measurement_from_csv("t,m\n0,1\n0.5,2\n1,3\n", tg)
         assert series.provenance == "discrete-difference"
         np.testing.assert_allclose(series.derivatives, [2.0, 2.0])
+
+    def test_blank_trailing_fields_are_accepted(self):
+        # a spreadsheet writes an empty field after the last one, and blank rows
+        tg = TimeGrid(1.0, 2)
+        plain = measurement_from_csv("t,m,mprime\n0,1,2\n0.5,2,2\n1,3,2\n", tg)
+        padded = measurement_from_csv("t,m,mprime,\n0,1,2,\n,,,\n0.5,2,2, \n1,3,2,,\n", tg)
+        assert padded.provenance == plain.provenance == "analytic"
+        assert padded.initial_derivative == plain.initial_derivative == 2.0
+        np.testing.assert_array_equal(padded.values, plain.values)
+        np.testing.assert_array_equal(padded.derivatives, plain.derivatives)
 
     def test_time_mismatch(self):
         tg = TimeGrid(1.0, 2)

@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 43 ``kernrec`` commands (reconstruct, roundtrip,
+Runs a fixed set of 45 ``kernrec`` commands (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone) with each
@@ -12,11 +12,12 @@ in the grid weights, the stiffness product and the spectral divisor
 shows.  One command sets its options through ``[discretization]`` and
 ``[experiment]`` keys instead of flags.
 Some runs are sized so that the stepper's blocks of time nodes come out
-several to a run with a partial last one, or one node wide.  Four
+several to a run with a partial last one, or one node wide.  Six
 commands fail by design (a fault of f met by a traced reconstruction,
-a floor violation, a fault of g at t = 0 met by the discrete m'(0), a
-``--json`` path in a missing directory); another pins that an analytic
-forward run never evaluates g at t = 0.
+a floor violation, a fault of h met by the floor check, in a block of
+time nodes or in a static h, a fault of g at t = 0 met by the discrete
+m'(0), a ``--json`` path in a missing directory); another pins that an
+analytic forward run never evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
 p), run a 2D config whose f reads both gradient components p and q,
 read manufactured1d's measurement from a ``t,m,mprime`` file that this
@@ -146,6 +147,26 @@ mprime = "0"
 """
 CONFIG_FAULT_F = "faultf1d.ini"
 
+# h faults inside the floor check, its first reader: with an exact m no
+# forward data run comes first.  At t = 0.5, in the middle of the only
+# block of time nodes, which is then served node by node; and in a static
+# h, which is evaluated once
+FAULT_H = """\
+[problem]
+name = "faulth1d"
+f = "0"
+h = "{h}"
+g = "0"
+u0 = "0"
+lx = 1.0
+T = 1.0
+omega = 0.5
+m = "0"
+mprime = "0"
+"""
+CONFIG_FAULT_H = "faulth1d.ini"
+CONFIG_FAULT_H_STATIC = "faulthstatic1d.ini"
+
 # |(h(t),1)| = 1 - t dips below omega after t = 0.25
 FLOOR_VIOLATION = """\
 [problem]
@@ -239,6 +260,8 @@ CONFIGS = {
     CONFIG_KEYS: CONTAMINANT_KEYS,
     CONFIG_FAULT_F: FAULT_F,
     CONFIG_FLOOR: FLOOR_VIOLATION,
+    CONFIG_FAULT_H: FAULT_H.format(h="1 + 1/(t - 0.5)"),
+    CONFIG_FAULT_H_STATIC: FAULT_H.format(h="2 + log(x)"),
     CONFIG_FAULT_G0: FAULT_G0,
     CONFIG_ADVECTION: CONTAMINANT_ADVECTION,
     CONFIG_G2D: GRADIENT_2D,
@@ -337,6 +360,12 @@ COMMANDS = {
     "reconstruct-floor-violation": [
         "reconstruct", "--config", CONFIG_FLOOR, "--n", "10", "--mx", "8",
     ],
+    "reconstruct-h-fault-in-floor": [
+        "reconstruct", "--config", CONFIG_FAULT_H, "--n", "10", "--mx", "8", "--trace",
+    ],
+    "reconstruct-h-static-fault": [
+        "reconstruct", "--config", CONFIG_FAULT_H_STATIC, "--n", "10", "--mx", "8", "--trace",
+    ],
     "forward-g-fault-at-0-discrete": [
         "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
         "--derivative", "discrete",
@@ -347,8 +376,8 @@ COMMANDS = {
     ],
 }
 FAILING = {
-    "reconstruct-f-fault-trace", "reconstruct-floor-violation", "forward-g-fault-at-0-discrete",
-    "reconstruct-json-missing-dir",
+    "reconstruct-f-fault-trace", "reconstruct-floor-violation", "reconstruct-h-fault-in-floor",
+    "reconstruct-h-static-fault", "forward-g-fault-at-0-discrete", "reconstruct-json-missing-dir",
 }
 
 
