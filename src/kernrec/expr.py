@@ -472,6 +472,11 @@ def evaluate(e: Expression | Compiled, env: Mapping[str, object]):
     return np.asarray(out, dtype=float)
 
 
+def sample(e: Expression | Compiled, env: Mapping[str, object], shape: tuple) -> np.ndarray:
+    """``evaluate(e, env)`` broadcast to ``shape``, in a new float array."""
+    return np.broadcast_to(evaluate(e, env), shape).copy()
+
+
 def pretty(e: Expression) -> str:
     """Render the tree with minimal parentheses.
 

@@ -14,8 +14,9 @@ satisfies the measurement identity
 
     dM_i + (g_i,1)_Gamma + K_i (h_i,1) + (conv_i,1) - (f_{i-1},1) = 0
 
-up to solver roundoff, with M_i = (u_i, 1).  The relative size of that
-residual is recorded per step.
+up to solver roundoff, with M_i = (u_i, 1).  Every (.,1) in it is
+``SpatialGrid.integral``, one lumped quadrature summed in one order.
+The relative size of that residual is recorded per step.
 
 ``run_forward`` is the one way to synthetic data: its ``ForwardRun``
 carries M_i as a ``MeasurementSeries``, with the spec's exact m' or the
@@ -92,13 +93,7 @@ class KernelSeries:
 
     @classmethod
     def from_expression(cls, tree: expr.Expression, timegrid: TimeGrid) -> "KernelSeries":
-        return cls(timegrid, problem.sample_in_time(tree, timegrid.nodes))
-
-
-def interpolate(tree: expr.Expression, grid: SpatialGrid) -> np.ndarray:
-    """Evaluate a time-independent expression at the grid nodes."""
-    out = np.asarray(expr.evaluate(tree, grid.coordinate_fields()), dtype=float)
-    return np.broadcast_to(out, grid.shape).copy()
+        return cls(timegrid, expr.sample(tree, {"t": timegrid.nodes}, (timegrid.n + 1,)))
 
 
 def _convolution_values(
@@ -118,10 +113,7 @@ class TimeStepper:
     def __init__(self, spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid):
         self.grid = grid
         self.timegrid = timegrid
-        self.nodes = timegrid.nodes  # TimeGrid.nodes builds a new array per access
         self.tau = timegrid.tau
-        self.weights = grid.weights
-        self.bweights = grid.boundary_weights
         self._solver = SpectralSolver(grid, timegrid.tau)
         # compiled once with the node coordinates bound, so the sub-trees
         # over x and y alone are evaluated once per run, not once per step
@@ -131,7 +123,7 @@ class TimeStepper:
         self._f_state = self._f_grad or "u" in self._f.free
         self._h = expr.compile(spec.h, coords)
         self._g = expr.compile(spec.g, coords)
-        self.u0 = interpolate(spec.u0, grid)
+        self.u0 = expr.sample(spec.u0, coords, grid.shape)
 
     def f_field(self, t: float, u_values: np.ndarray) -> np.ndarray:
         env: dict[str, object] = {"t": t, "u": u_values}
@@ -149,19 +141,15 @@ class TimeStepper:
         other f, and h and g, come from ``problem.node_pairs``.
         """
         if self._f_state:
-            f = ((f, self.mean(f)) for f in map(self.f_field, f_nodes, states))
+            f = ((f, float(self.grid.integral(f))) for f in map(self.f_field, f_nodes, states))
         else:
-            f = problem.node_pairs(self._f, self.weights, False, f_nodes)
-        h = problem.node_pairs(self._h, self.weights, False, nodes)
-        return zip(f, h, problem.node_pairs(self._g, self.bweights, True, nodes))
-
-    def mean(self, field: np.ndarray) -> float:
-        """(field, 1) with the lumped quadrature."""
-        return float(np.add.reduce(self.weights * field, axis=None))
+            f = problem.node_pairs(self._f, self.grid, False, f_nodes)
+        h = problem.node_pairs(self._h, self.grid, False, nodes)
+        return zip(f, h, problem.node_pairs(self._g, self.grid, True, nodes))
 
     def initial_means(self) -> tuple[float, float, float]:
         """(f_0,1), (g_0,1)_Gamma and (h_0,1) of the identity at t = 0."""
-        t0 = self.nodes[:1]
+        t0 = self.timegrid.nodes[:1]
         f, h, g = next(self.coefficients(t0, t0, [self.u0]))
         return f[1], g[1], h[1]
 
@@ -176,7 +164,7 @@ class TimeStepper:
     ) -> np.ndarray:
         """Solve for u_i given K_i, u_{i-1}, f_{i-1}, conv_i, h_i and w_Gamma g_i."""
         load = f_prev + u_prev / self.tau - k_i * h_i - conv
-        return self._solver.solve(self.weights * load - g_load)
+        return self._solver.solve(self.grid.weights * load - g_load)
 
     def compat_residual(
         self,
@@ -190,14 +178,13 @@ class TimeStepper:
         ``states`` holds u_{i-1}..u_{i+m}, ``kernel_values`` K_{i-1}..K_{i+m},
         and row k of ``sums`` the (f_{j-1},1), (h_j,1), (g_j,1)_Gamma and
         (conv_j,1) that step j = i+k used.  The means are formed in blocks
-        of ``problem.block_slices``, each as ``mean`` forms it, and each
+        of ``problem.block_slices``, each as the step's own, and each
         residual |dM_j + (g_j,1)_Gamma + K_j (h_j,1) + (conv_j,1) - (f_{j-1},1)|,
         summed in that order, is divided by the largest of its terms.
         """
         measured = np.empty(states.shape[0])
-        axes = tuple(range(1, states.ndim))
-        for rows in problem.block_slices(states.shape[0], self.weights.size):
-            measured[rows] = np.add.reduce(self.weights * states[rows], axis=axes)
+        for rows in problem.block_slices(states.shape[0], self.grid.weights.size):
+            measured[rows] = self.grid.integral(states[rows])
         f_mean, h_mean, g_mean, conv_mean = np.asarray(sums, dtype=float).T
         terms = np.stack((
             (measured[1:] - measured[:-1]) / self.tau,
@@ -243,7 +230,8 @@ def _march(
     states[0] = stepper.u0
     u_prev = states[0]
     sums = []  # (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) per step
-    coefficients = stepper.coefficients(stepper.nodes[:-1], stepper.nodes[1:], states)
+    nodes = stepper.timegrid.nodes
+    coefficients = stepper.coefficients(nodes[:-1], nodes[1:], states)
     # an overflow or NaN in a step is reported by the finiteness check
     # below, not by numpy's floating-point warnings
     with np.errstate(all="ignore"):
@@ -259,7 +247,7 @@ def _march(
             u_prev = states[i]
             if not np.isfinite(u_prev).all():
                 raise NonFiniteError("state is not finite", step=i)
-            sums.append((f_mean, h_mean, g_mean, stepper.mean(conv)))
+            sums.append((f_mean, h_mean, g_mean, float(stepper.grid.integral(conv))))
             if on_step is not None:
                 window = slice(i - 1, i + 1)
                 _, residual = stepper.compat_residual(

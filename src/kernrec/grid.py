@@ -9,9 +9,10 @@ space, so applying the stiffness operator to a constant field gives
 exactly zero; that is what lets the per-step measurement identity of the
 time steppers hold to machine precision.
 
-A nodal field is a numpy array of shape ``grid.shape``; the volume and
-boundary quadratures are ``sum(grid.weights * u)`` and
-``sum(grid.boundary_weights * u)``.
+A nodal field is a numpy array of shape ``grid.shape``; its volume and
+boundary quadratures (u,1) and (u,1)_Gamma are ``grid.integral(u)`` and
+``grid.integral(u, boundary=True)``, the one place a weighted sum is
+formed.
 """
 
 from __future__ import annotations
@@ -83,6 +84,16 @@ class SpatialGrid:
     @property
     def spacing(self) -> tuple[float, ...]:
         return tuple(length / m for length, m in zip(self.extents, self.cells))
+
+    def integral(self, values: np.ndarray, boundary: bool = False):
+        """(u,1), or (u,1)_Gamma with ``boundary``, of each field of a stack.
+
+        The grid's axes are the trailing axes of ``values``.  np.add.reduce
+        over them is np.sum's pairwise summation, so each field of a stack
+        gets its own sum bit for bit; np.dot would sum in another order.
+        """
+        weights = self.boundary_weights if boundary else self.weights
+        return np.add.reduce(weights * values, axis=tuple(range(-weights.ndim, 0)))
 
     def coordinate_fields(self) -> dict[str, np.ndarray]:
         """Node coordinates as full arrays keyed by variable name (x[, y])."""

@@ -161,20 +161,19 @@ def _diagnostics(
     A u_{i-1} carried from the block before.
     """
     n = states.shape[0] - 1
-    w = grid.weights
     axes = tuple(range(1, grid.ndim + 1))
     state_sq = np.empty(n + 1)  # ||u_i||^2
     grad_sq = np.empty(n + 1)  # ||grad u_i||^2 = (A u_i, u_i)
     lap_sq = np.empty(n + 1)  # ||lumped stiffness residual of u_i||^2
     inc_sq = np.empty(n)  # ||u_i - u_{i-1}||^2
     grad_inc_sq = np.empty(n)  # ||grad(u_i - u_{i-1})||^2
-    for rows in block_slices(n + 1, w.size):
+    for rows in block_slices(n + 1, grid.weights.size):
         lo, hi = rows.start, rows.stop
         u = states[rows]
         au = stiffness_matvec(grid, u)
-        state_sq[lo:hi] = np.sum(w * u**2, axis=axes)
+        state_sq[lo:hi] = grid.integral(u**2)
         grad_sq[lo:hi] = np.sum(au * u, axis=axes)
-        lap_sq[lo:hi] = np.sum(w * (au / w) ** 2, axis=axes)
+        lap_sq[lo:hi] = grid.integral((au / grid.weights) ** 2)
         # increments i = first..hi-1, from the previous block's last state on
         first = max(lo, 1)
         du = u[first - lo :] - states[first - 1 : hi - 1]
@@ -182,7 +181,7 @@ def _diagnostics(
         if lo:
             np.subtract(au[0], au_last, out=dau[0])
         np.subtract(au[1:], au[:-1], out=dau[1 if lo else 0 :])
-        inc_sq[first - 1 : hi - 1] = np.sum(w * du**2, axis=axes)
+        inc_sq[first - 1 : hi - 1] = grid.integral(du**2)
         grad_inc_sq[first - 1 : hi - 1] = np.sum(dau * du, axis=axes)
         au_last = au[-1].copy()
     state_increment = float(np.sum(inc_sq))
@@ -273,10 +272,8 @@ def reconstruct(
 
     on_step = None
     if trace is not None:
-        nodes = stepper.nodes
-
         def on_step(i: int, residual: float) -> None:
-            trace(i, nodes[i], kernel_values[i], denominators[i - 1], residual)
+            trace(i, timegrid.nodes[i], kernel_values[i], denominators[i - 1], residual)
 
     states, _, residuals = _march(stepper, kernel_values, update, on_step)
     # freed here, the solver's arrays do not add to the diagnostics' peak memory

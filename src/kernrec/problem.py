@@ -18,6 +18,7 @@ keys, and any other key is a ConfigError, so no key is silently ignored.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -62,15 +63,12 @@ class TimeGrid:
     def tau(self) -> float:
         return self.T / self.n
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n + 1)
-
-
-def sample_in_time(tree: expr.Expression, t: np.ndarray | float) -> np.ndarray:
-    """A tree of t alone at the times ``t``, one float each, in a new array."""
-    values = np.asarray(expr.evaluate(tree, {"t": t}), dtype=float)
-    return np.broadcast_to(values, np.shape(t)).copy()
+        """t_0..t_n, built once and read-only."""
+        nodes = np.linspace(0.0, self.T, self.n + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ class MeasurementSeries:
         m: expr.Expression,
         mprime: expr.Expression | None = None,
     ) -> "MeasurementSeries":
-        values = sample_in_time(m, timegrid.nodes)
+        values = expr.sample(m, {"t": timegrid.nodes}, (timegrid.n + 1,))
         if mprime is not None:
             return cls.analytic(timegrid, values, mprime)
         return cls.from_samples(timegrid, values)
@@ -190,8 +188,8 @@ class MeasurementSeries:
         cls, timegrid: TimeGrid, values: np.ndarray, mprime: expr.Expression
     ) -> "MeasurementSeries":
         """Samples m_0..m_n with the exact m' at t_1..t_n and at t = 0."""
-        derivs = sample_in_time(mprime, timegrid.nodes[1:])
-        return cls(timegrid, values, derivs, "analytic", float(sample_in_time(mprime, 0.0)))
+        derivs = expr.sample(mprime, {"t": timegrid.nodes[1:]}, (timegrid.n,))
+        return cls(timegrid, values, derivs, "analytic", expr.evaluate(mprime, {"t": 0.0}))
 
     def restrict(self, coarse: TimeGrid) -> "MeasurementSeries":
         """Restriction onto a coarser grid by index subsampling.
@@ -301,27 +299,23 @@ def block_slices(count: int, row_size: int) -> Iterator[slice]:
 
 
 def _pairs(
-    compiled: expr.Compiled, t: np.ndarray, weights: np.ndarray, load: bool
+    compiled: expr.Compiled, t: np.ndarray, grid: SpatialGrid, boundary: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fields of ``compiled`` at the times of the column ``t``, and their weighted sums.
+    """Fields of ``compiled`` at the times of the column ``t``, and their (.,1).
 
-    The fields are served as they are, or as ``weights * field`` (the
-    boundary load of g) when ``load`` is set.  np.add.reduce over the
-    trailing axes is np.sum's pairwise summation without its Python
-    wrapper, row by row; np.dot would sum in a different order.
+    With ``boundary``, the sums are (.,1)_Gamma and the fields are served
+    as the boundary load w_Gamma g.
     """
-    shape = (len(t), *weights.shape)
-    out = np.asarray(expr.evaluate(compiled, {"t": t}), dtype=float)
-    values = out if out.shape == shape else np.broadcast_to(out, shape).copy()
-    weighted = weights * values
-    sums = np.add.reduce(weighted, axis=tuple(range(1, values.ndim)))
-    return (weighted if load else values), sums
+    values = expr.sample(compiled, {"t": t}, (len(t), *grid.shape))
+    sums = grid.integral(values, boundary)
+    return (grid.boundary_weights * values if boundary else values), sums
 
 
 def node_pairs(
-    compiled: expr.Compiled, weights: np.ndarray, load: bool, nodes: np.ndarray
+    compiled: expr.Compiled, grid: SpatialGrid, boundary: bool, nodes: np.ndarray
 ) -> Iterator[tuple[np.ndarray, float]]:
-    """(field, weighted sum) of ``compiled`` at each of ``nodes``, in order.
+    """(field, (field,1)) of ``compiled`` at each of ``nodes``, in order, or
+    with ``boundary`` (w_Gamma field, (field,1)_Gamma).
 
     The one stream from a compiled f, h or g to the step loop and the
     floor check.  A tree of t is evaluated with t bound as a column, one
@@ -331,17 +325,17 @@ def node_pairs(
     raised at its own node, after the nodes before it.  A tree without t
     is evaluated once, at the first node, and repeated.
     """
-    column = nodes.reshape(-1, *(1,) * weights.ndim)
+    column = nodes.reshape(-1, *(1,) * grid.ndim)
     if "t" not in compiled.free:
-        fields, sums = _pairs(compiled, column[:1], weights, load)
+        fields, sums = _pairs(compiled, column[:1], grid, boundary)
         yield from itertools.repeat((fields[0], sums.item()), len(nodes))
         return
-    for rows in block_slices(len(nodes), weights.size):
+    for rows in block_slices(len(nodes), grid.weights.size):
         t = column[rows]
         try:
-            blocks = [_pairs(compiled, t, weights, load)]
+            blocks = [_pairs(compiled, t, grid, boundary)]
         except DomainFaultError:
-            blocks = (_pairs(compiled, t[k : k + 1], weights, load) for k in range(len(t)))
+            blocks = (_pairs(compiled, t[k : k + 1], grid, boundary) for k in range(len(t)))
         for fields, sums in blocks:
             yield from zip(fields, sums.tolist())
 
@@ -358,7 +352,7 @@ def validate_floor(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid) -> 
     problems sitting exactly on the floor pass.
     """
     nodes = timegrid.nodes
-    pairs = node_pairs(expr.compile(spec.h, grid.coordinate_fields()), grid.weights, False, nodes)
+    pairs = node_pairs(expr.compile(spec.h, grid.coordinate_fields()), grid, False, nodes)
     means = np.fromiter((mean for _, mean in pairs), float, count=len(nodes))
     worst = int(np.argmin(np.abs(means)))
     slack = 1e-12 * max(1.0, spec.omega_floor)

@@ -82,8 +82,8 @@ class TestFastPathsAreBitIdentical:
         grid = spec.make_grid(*cells)
         stepper = TimeStepper(spec, grid, TimeGrid(1.0, 4))
         field = np.random.default_rng(3).standard_normal(grid.shape) * 1e3
-        assert stepper.mean(field) == float(np.sum(grid.weights * field))
-        g = forward.interpolate(spec.g, grid)
+        assert grid.integral(field) == float(np.sum(grid.weights * field))
+        g = expr.sample(spec.g, grid.coordinate_fields(), grid.shape)
         assert stepper.initial_means()[1] == float(np.sum(grid.boundary_weights * g))
 
     @pytest.mark.parametrize("shape", [(51,), (8001,), (17, 12)])
@@ -125,7 +125,7 @@ class TestForwardStep:
         stepper = TimeStepper(spec, grid, tg)
         f0 = stepper.f_field(0.0, states[0])
         conv = _convolution_values(kernel.values, states, 1, tg.tau)
-        nodes = stepper.nodes
+        nodes = tg.nodes
         _, (h1, _), (g1_load, _) = next(stepper.coefficients(nodes[:-1], nodes[1:], states))
         u1 = stepper.step(kernel.values[1], states[0], f0, conv, h1, g1_load)
         np.testing.assert_array_equal(u1, states[1])
@@ -362,7 +362,7 @@ class TestBlockPairs:
         grid = spec.make_grid(mx, my if ndim == 2 else None)
         w, bw = grid.weights, grid.boundary_weights
         stepper = TimeStepper(spec, grid, TimeGrid(T, n))
-        nodes = stepper.nodes
+        nodes = stepper.timegrid.nodes
         u = np.zeros(grid.shape)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(problem, "BLOCK_VALUES", rows * w.size)
@@ -371,7 +371,7 @@ class TestBlockPairs:
                 env = {**grid.coordinate_fields(), "t": t}
                 f = stepper.f_field(t, u)
                 assert np.array_equal(f_pair[0], f)
-                assert f_pair[1] == stepper.mean(f)
+                assert f_pair[1] == float(np.sum(w * f))
                 h = np.broadcast_to(expr.evaluate(spec.h, env), grid.shape)
                 assert np.array_equal(h_pair[0], h)
                 assert h_pair[1] == float(np.sum(w * h))
@@ -477,9 +477,9 @@ class TestGenerateMeasurement:
         pairs = problem._pairs
         nodes = [0]
 
-        def counting(compiled, t, weights, load):
+        def counting(compiled, t, grid, boundary):
             nodes[0] += len(t)
-            return pairs(compiled, t, weights, load)
+            return pairs(compiled, t, grid, boundary)
 
         monkeypatch.setattr(problem, "_pairs", counting)
         runs, evaluated = {}, {}
@@ -556,7 +556,8 @@ class TestHistoryLayout:
         assert seen == [(i, True) for i in range(1, n + 1)]
 
         values = result.states
-        assert np.array_equal(values[0], forward.interpolate(spec.u0, grid))
+        u0 = np.broadcast_to(expr.evaluate(spec.u0, grid.coordinate_fields()), grid.shape)
+        assert np.array_equal(values[0], u0)
         coords = grid.coordinate_fields()
         for i, t in enumerate(tg.nodes):
             exact = expr.evaluate(spec.u_exact, {**coords, "t": t})
@@ -596,11 +597,11 @@ class TestCompiledFields:
             f=expr.parse("0"), h=expr.parse("1"), g=expr.parse(g), u0=expr.parse("0"),
         )
         grid = spec.make_grid(13, 7)
-        stepper = TimeStepper(spec, grid, TimeGrid(1.0, 4))
-        g_pairs = [g for _, _, g in stepper.coefficients(stepper.nodes, stepper.nodes,
-                                                         repeat(stepper.u0))]
+        tg = TimeGrid(1.0, 4)
+        stepper = TimeStepper(spec, grid, tg)
+        g_pairs = [g for _, _, g in stepper.coefficients(tg.nodes, tg.nodes, repeat(stepper.u0))]
         for j in (0, 1, 4):
-            env = {**grid.coordinate_fields(), "t": stepper.nodes[j]}
+            env = {**grid.coordinate_fields(), "t": tg.nodes[j]}
             load = grid.boundary_weights * np.broadcast_to(
                 expr.evaluate(spec.g, env), grid.shape
             )

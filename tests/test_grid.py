@@ -51,6 +51,26 @@ class TestConstruction:
             SpatialGrid((-1.0,), (4,))
 
 
+@pytest.mark.parametrize(
+    "extents, cells",
+    [((1.0,), (50,)), ((1.0,), (8000,)), ((1.0,), (1,)),
+     ((1.0, 1.0), (160, 160)), ((1.0, 2.0), (12, 6)), ((1.0, 2.0), (1, 7))],
+)
+@pytest.mark.parametrize("boundary", [False, True], ids=["volume", "boundary"])
+def test_integral_of_a_stack_is_each_fields(extents, cells, boundary):
+    # a stack, and the march's newest-first reversed view of it, gives each
+    # field's own (u,1) bit for bit: the identity compares sums of both kinds
+    g = SpatialGrid(extents, cells)
+    weights = g.boundary_weights if boundary else g.weights
+    stack = np.random.default_rng(8).standard_normal((7, *g.shape)) * 1e3
+    for states in (stack, stack[::-1]):
+        rows = g.integral(states, boundary)
+        assert rows.shape == (7,)
+        for u, row in zip(states, rows.tolist(), strict=True):
+            assert row == g.integral(u, boundary) == np.sum(weights * u)
+            assert row == np.add.reduce(weights * u, axis=None)
+
+
 def _mean(g, u):
     """(u, 1) with the lumped quadrature."""
     return float(np.sum(g.weights * u))

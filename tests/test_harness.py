@@ -384,6 +384,30 @@ class TestNoiseSweep:
         assert run_cli(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_rows_carry_their_own_evidence(self, tmp_path):
+        # each JSON row's evidence is that of a direct reconstruct call on the
+        # same sigma and the same draws of the seeded generator
+        report = tmp_path / "r.json"
+        argv = ["noise-sweep", "--preset", "contaminant", "--n", "40", "--mx", "20",
+                "--noise", "1e-4,1e-3", "--seed", "5", "--json", str(report)]
+        assert run_cli(argv) == 0
+        rows = json.loads(_read(report))["rows"]
+        cfg = harness.resolve_config(harness.build_parser().parse_args(argv))
+        grid, tg = cfg.grids()
+        base = harness.acquire_measurement(cfg, grid, tg)
+        ref = harness.kernel_reference(cfg.spec, tg)
+        rng = np.random.default_rng(5)
+        for sigma, row in zip([1e-4, 1e-3], rows, strict=True):
+            result = kernrec.reconstruct(cfg.spec, grid, tg, base.with_noise(sigma, rng))
+            err = np.abs(result.kernel.values - ref)
+            assert row["sigma"] == sigma
+            assert row["err_inf"] == float(np.max(err))
+            assert row["err_inf_after_0"] == float(np.max(err[1:]))
+            assert row["max_compat_residual"] == float(np.max(result.compat_residuals))
+            assert row["min_denominator_magnitude"] == float(
+                np.min(np.abs(result.denominators))
+            )
+
     def test_seed_required(self):
         code = run_cli(
             ["noise-sweep", "--preset", "manufactured1d", "--n", "40", "--mx", "40",
@@ -956,7 +980,16 @@ _CLI_SOURCES = {  # name: [problem] section
     "zero1d": "preset = zero1d\n",
     "inline-2d": _MATRIX_PROBLEM.removeprefix("[problem]\n"),
     "inline-no-kernel": MANUFACTURED_CONFIG.removeprefix("\n[problem]\n"),
+    # manufactured1d with its measurement read from a file the test writes
+    "measurement-file": _M_WITHOUT_MPRIME.replace('m = "1+t"', 'kernel = "exp(-t)"')
+    + 'measurement_file = "<measurement>"\n',
 }
+_MEASUREMENT_FILE = "m.csv"
+# a valid t,m[,mprime] file, or one with a malformed data row
+_MEASUREMENT_KINDS = ["t,m,mprime", "t,m", "m not a number", "no m", "value after m'",
+                      "one row short"]
+# the report's config echo names these options' fields otherwise
+_ECHO_KEYS = {"n_list": "n", "noise_sigmas": "noise"}
 # _FRESH is a new file in the run's directory, _MISSING one in a directory
 # that does not exist; no size is large enough to need a capped address space
 _FRESH, _MISSING = "<fresh>", "<missing>"
@@ -979,6 +1012,23 @@ _CLI_VALUES = {  # key: (valid texts, invalid texts)
 
 def test_cli_values_cover_every_option():
     assert set(_CLI_VALUES) == {opt.key for opt in harness.OPTIONS}
+
+
+def _measurement_text(kind: str, n: int, T: float, bad_row: int) -> str:
+    """The samples of m = 1 + t and m' = 1 on n steps up to T, as ``kind`` says."""
+    rows = [[repr(t), repr(1.0 + t), "1"] for t in np.linspace(0.0, T, n + 1).tolist()]
+    if kind == "t,m":
+        rows = [row[:2] for row in rows]
+    elif kind == "m not a number":
+        rows[bad_row][1] = "abc"
+    elif kind == "no m":
+        rows[bad_row] = rows[bad_row][:1]
+    elif kind == "value after m'":
+        rows[bad_row].append("2")
+    elif kind == "one row short":
+        del rows[bad_row]
+    header = ["t", "m"] if kind == "t,m" else ["t", "m", "mprime"]
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _cli_option_text(data, opt, mode, broken, unused_too):
@@ -1018,7 +1068,7 @@ def test_whole_command_lines(tmp_path_factory, data):
     horizon = data.draw(st.sampled_from(["nan", "-1"] if broken == "T" else [None, "0.5"]))
     if horizon is not None:
         argv += ["--T", horizon]
-    outputs, tracing = [], False
+    outputs, tracing, given = [], False, {}
     for opt in harness.OPTIONS:
         text = _cli_option_text(data, opt, mode, broken, unused_too)
         if text is None:
@@ -1031,8 +1081,21 @@ def test_whole_command_lines(tmp_path_factory, data):
         tracing |= opt.key == "trace" and switch
         if data.draw(st.booleans(), label=f"{opt.flag} by flag"):
             argv += [opt.flag] if switch else [opt.flag, text]
+            text = "true" if switch else text
         else:
             sections[opt.section] += f'{opt.key} = "{text}"\n'
+        given[opt.key] = text
+    kind = None
+    if source == "measurement-file":
+        kind = data.draw(st.sampled_from(_MEASUREMENT_KINDS), label="measurement file")
+        # rows for the drawn n and T, or for n = 4 when n is not one valid count
+        n = int(given["n"].split(",")[0]) if broken != "n" else 4
+        bad_row = data.draw(st.integers(0, n), label="malformed row")
+        measurement = work / _MEASUREMENT_FILE
+        measurement.write_text(
+            _measurement_text(kind, n, 0.5 if horizon else 1.0, bad_row), encoding="utf-8"
+        )
+        sections["problem"] = problem.replace("<measurement>", str(measurement))
     if any(sections.values()):
         config = work / "p.cfg"
         config.write_text(
@@ -1046,10 +1109,23 @@ def test_whole_command_lines(tmp_path_factory, data):
     assert code in (0, 1, 2, 3)
     for line in err.getvalue().splitlines():
         assert line.startswith("kernrec: ") or (tracing and line.startswith("step="))
+    if kind is not None:
+        event(f"measurement file {kind!r}: exit {code}")
+        assert code != 0 or kind in _MEASUREMENT_KINDS[:2]
     for path in outputs:
         assert path.exists() == (code == 0)
-    written = {p.name for p in work.iterdir()} - {"p.cfg"}
+    written = {p.name for p in work.iterdir()} - {"p.cfg", _MEASUREMENT_FILE}
     assert written == ({p.name for p in outputs if p.parent == work} if code == 0 else set())
+    report = work / _OUTPUT_NAMES["json"]
+    if report.exists():  # the config echo states the values given
+        event("config echo checked")
+        echo = json.loads(report.read_text(encoding="utf-8"))["config"]
+        assert echo["mode"] == mode and echo["T"] == float(horizon or 1.0)  # every source's T
+        for opt in harness.OPTIONS:
+            key = _ECHO_KEYS.get(opt.field, opt.field)
+            if opt.key in given and key in echo:
+                value = opt.cast(given[opt.key])
+                assert echo[key] == (value[0] if key == "n" and mode != "convergence" else value)
 
 
 # valid [problem] sections that the fuzz below starts from

@@ -85,7 +85,7 @@ def _stepwise_identity(spec, grid, tg, states, kernel):
     """Reference: M_i and the identity residuals, one state and one step at
     a time, with the scalar code of a per-step loop."""
     stepper = TimeStepper(spec, grid, tg)
-    measured = [stepper.mean(u) for u in states]
+    measured = [float(np.sum(grid.weights * u)) for u in states]
     residuals = []
     pairs = stepper.coefficients(tg.nodes[:-1], tg.nodes[1:], states)
     for i, ((_, f_mean), (_, h_mean), (_, g_mean)) in enumerate(pairs, 1):
@@ -94,7 +94,7 @@ def _stepwise_identity(spec, grid, tg, states, kernel):
             (measured[i] - measured[i - 1]) / tg.tau,
             g_mean,
             kernel[i] * h_mean,
-            stepper.mean(conv),
+            float(np.sum(grid.weights * conv)),
             -f_mean,
         )
         scale = max(abs(term) for term in terms)

@@ -38,6 +38,13 @@ class TestTimeGrid:
         assert tg.tau == 0.5
         np.testing.assert_allclose(tg.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    def test_nodes_built_once_and_read_only(self):
+        tg = TimeGrid(1.0, 10)
+        assert tg.nodes is tg.nodes
+        with pytest.raises(ValueError):
+            tg.nodes[3] = 0.0
+        assert tg == TimeGrid(1.0, 10) and hash(tg) == hash(TimeGrid(1.0, 10))
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             TimeGrid(-1.0, 10)

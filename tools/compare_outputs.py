@@ -24,7 +24,8 @@ read manufactured1d's measurement from a ``t,m,mprime`` file that this
 script writes beside its configs, and trace a noise sweep.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report the same text once its
-``timings`` are dropped, so that the sign of a zero shows; a command
+``timings`` are dropped, so that the sign of a zero shows; a report
+that differs is named with its first differing key path.  A command
 that traces, by ``--trace`` or by its config, must also print the same
 stderr.  A command that fails by design must exit with the same code
 and print the same stderr in both trees, and leave neither output file
@@ -410,11 +411,33 @@ def without_timings(value):
     return value
 
 
-def report(path: Path) -> str:
-    """The report without its timings, as text: parsed numbers would
-    hide the sign of a zero (``-0.0 == 0.0``)."""
-    value = without_timings(json.loads(path.read_text(encoding="utf-8")))
-    return json.dumps(value, sort_keys=True)
+def report(path: Path):
+    """The report without its timings."""
+    return without_timings(json.loads(path.read_text(encoding="utf-8")))
+
+
+def first_difference(base, head, path: str = "") -> str | None:
+    """Where two reports first differ, such as ``rows[0].err_inf_after_0
+    only in head``; None when they are the same.  Values are compared as
+    text: parsed numbers would hide the sign of a zero (``-0.0 == 0.0``)."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        for key in sorted(base.keys() | head.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in head or key not in base:
+                return f"{where} only in {'base' if key in base else 'head'}"
+            found = first_difference(base[key], head[key], where)
+            if found:
+                return found
+        return None
+    if isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
+        for k, (b, h) in enumerate(zip(base, head)):
+            found = first_difference(b, h, f"{path}[{k}]")
+            if found:
+                return found
+        return None
+    if json.dumps(base) != json.dumps(head):
+        return f"{path or 'the report'} differs"
+    return None
 
 
 def main(argv: list[str]) -> int:
@@ -453,10 +476,9 @@ def main(argv: list[str]) -> int:
                 if not filecmp.cmp(paths["base"].with_suffix(".csv"),
                                    paths["head"].with_suffix(".csv"), shallow=False):
                     differs.append("csv")
-                if report(paths["base"].with_suffix(".json")) != report(
-                    paths["head"].with_suffix(".json")
-                ):
-                    differs.append("json")
+                where = first_difference(*(report(p.with_suffix(".json")) for p in paths.values()))
+                if where:
+                    differs.append(f"json ({where})")
                 traced = "--trace" in COMMANDS[name] or "step=" in stderr["base"] + stderr["head"]
                 if traced and stderr["base"] != stderr["head"]:
                     differs.append("trace rows")
