@@ -292,5 +292,5 @@ def run_forward(
     else:
         f_mean, g_mean, h_mean = stepper.initial_means()
         initial = f_mean - g_mean - kernel.values[0] * h_mean
-        measurement = MeasurementSeries.from_samples(timegrid, measured, initial)
+        measurement = MeasurementSeries(timegrid, measured, None, initial)
     return ForwardRun(states, kernel, measurement, residuals)

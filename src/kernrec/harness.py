@@ -88,7 +88,7 @@ class ExperimentConfig:
     n_list: list[int]
     mx: int
     my: int | None = None
-    derivative: str = "analytic"
+    derivative: str | None = None  # analytic when the problem has an exact m'
     fine_factor: int = 4
     out: str | None = None
     json_path: str | None = None
@@ -102,6 +102,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.my is None and self.spec.ndim == 2:
             self.my = self.mx
+        if self.derivative is None:
+            self.derivative = "discrete" if self.spec.mprime_exact is None else "analytic"
         self.validate()
 
     def validate(self) -> None:
@@ -153,21 +155,26 @@ class ExperimentConfig:
         return grid, timegrid
 
     def echo(self) -> dict:
+        """The run's problem and options; an option the run does not use is None."""
+        values = {opt: getattr(self, opt.field) for opt in OPTIONS}
+        used = {opt.field: value for opt, value in values.items()
+                if not _unused(opt, self.mode, self.spec, self.measurement_file, value)}
         return {
             "mode": self.mode,
             "problem": self.spec.name,
             "extents": list(self.spec.extents),
             "T": self.spec.T,
             "omega": self.spec.omega_floor,
+            "measurement_file": self.measurement_file,
             "n": self.n_list if self.mode == "convergence" else self.n_list[0],
             "mx": self.mx,
-            "my": self.my,
-            "derivative": self.derivative,
-            "fine_factor": self.fine_factor,
-            "noise": self.noise_sigmas,
-            "seed": self.seed,
-            "force": self.force,
-            "denominator_sign": self.denominator_sign,
+            "my": used.get("my"),
+            "derivative": used.get("derivative"),
+            "fine_factor": used.get("fine_factor"),
+            "noise": used.get("noise_sigmas"),
+            "seed": used.get("seed"),
+            "force": used.get("force"),
+            "denominator_sign": used.get("denominator_sign"),
         }
 
 
@@ -252,6 +259,13 @@ class _Option:
     @property
     def label(self) -> str:
         return f"{self.flag} ([{self.section}] {self.key})"
+
+
+def _unused(opt: _Option, mode: str, spec, measurement_file, value) -> str | None:
+    """Why a ``mode`` run on this problem's data would not use ``value``, or None."""
+    if mode not in opt.modes:
+        return f"has no effect in {mode} mode"
+    return opt.rule(spec, measurement_file, value) if opt.rule else None
 
 
 OPTIONS = (
@@ -362,9 +376,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             value = opt.cast(text)
         except ValueError as exc:
             raise UsageError(f"cannot parse {where} {text!r}: {exc}") from None
-        if args.mode not in opt.modes:
-            raise UsageError(f"{opt.label} has no effect in {args.mode} mode")
-        reason = opt.rule and opt.rule(spec, measurement_file, value)
+        reason = _unused(opt, args.mode, spec, measurement_file, value)
         if reason:
             raise UsageError(f"{opt.label} {reason}")
         values[opt.field] = value
@@ -396,9 +408,8 @@ def acquire_measurement(
     """
     spec = cfg.spec
     if spec.m_exact is not None:
-        if cfg.derivative == "analytic" and spec.mprime_exact is not None:
-            return MeasurementSeries.from_expressions(timegrid, spec.m_exact, spec.mprime_exact)
-        return MeasurementSeries.from_expressions(timegrid, spec.m_exact)
+        mprime = spec.mprime_exact if cfg.derivative == "analytic" else None
+        return MeasurementSeries.from_expressions(timegrid, spec.m_exact, mprime)
     if cfg.measurement_file is not None:
         try:
             with open(cfg.measurement_file, "r", encoding="utf-8") as fh:

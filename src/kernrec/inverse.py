@@ -120,8 +120,6 @@ class ReconstructionResult:
 
 def kernel_difference_energy(values: np.ndarray, tau: float) -> float:
     """sum_i ((K_i - K_{i-1}) / tau)^2 tau over the kernel samples K_0..K_n."""
-    if values.size < 2:
-        return 0.0
     return float(np.sum(np.diff(values) ** 2)) / tau
 
 
@@ -132,7 +130,7 @@ def initial_kernel_value(
     if measurement.initial_derivative is not None:
         mprime0 = measurement.initial_derivative
     else:
-        # first forward difference as the stand-in for m'(0)
+        # m'_1, given or the backward difference (m_1 - m_0)/tau, stands in for m'(0)
         mprime0 = float(measurement.derivatives[0])
     f_mean, g_mean, h_mean = stepper.initial_means()
     if abs(h_mean) < DENOMINATOR_GUARD:

@@ -23,7 +23,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -99,8 +99,8 @@ class ProblemSpec:
         if len(self.extents) not in (1, 2) or not all(0.0 < L < math.inf for L in self.extents):
             raise ValidationError(f"bad domain extents {self.extents}")
         absent = set(COORDINATES[self.ndim :] + DERIVATIVES[self.ndim :])
-        for key, (field, allowed, _) in _EXPRESSION_KEYS.items():
-            tree = getattr(self, field)
+        for key, (name, allowed, _) in _EXPRESSION_KEYS.items():
+            tree = getattr(self, name)
             if tree is None:
                 continue
             allowed = allowed - absent
@@ -123,65 +123,56 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Samples m_0..m_n with derivative samples m'_1..m'_n.
+    """Samples m_0..m_n, the m'_1..m'_n given with them or None, and m'(0)
+    or None.
 
-    ``provenance`` records whether the derivatives were supplied
-    ("analytic") or substituted by the backward difference of the
-    samples ("discrete-difference").  ``initial_derivative`` carries
-    m'(0) when known; it is only needed to pin the kernel value at t=0.
+    ``derivatives`` are the given m'_1..m'_n, else the backward
+    differences (m_i - m_{i-1}) / tau of the samples, and ``provenance``
+    says which: "analytic" or "discrete-difference".
+    ``initial_derivative`` carries m'(0) when known; it is only needed
+    to pin the kernel value at t=0.
     """
 
     timegrid: TimeGrid
     values: np.ndarray
-    derivatives: np.ndarray
-    provenance: str
+    mprime: np.ndarray | None = None
     initial_derivative: float | None = None
+    derivatives: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        n = self.timegrid.n
         values = np.asarray(self.values, dtype=float)
-        derivs = np.asarray(self.derivatives, dtype=float)
-        if values.shape != (self.timegrid.n + 1,):
-            raise ValidationError(
-                f"expected {self.timegrid.n + 1} measurement samples, got {values.shape}"
-            )
-        if derivs.shape != (self.timegrid.n,):
-            raise ValidationError(
-                f"expected {self.timegrid.n} derivative samples, got {derivs.shape}"
-            )
+        if values.shape != (n + 1,):
+            raise ValidationError(f"expected {n + 1} measurement samples, got {values.shape}")
+        if self.mprime is None:
+            derivs = np.diff(values) / self.timegrid.tau
+        else:
+            derivs = np.asarray(self.mprime, dtype=float)
+            if derivs.shape != (n,):
+                raise ValidationError(f"expected {n} derivative samples, got {derivs.shape}")
+            object.__setattr__(self, "mprime", derivs)
         initial = [] if self.initial_derivative is None else [self.initial_derivative]
         if not all(np.isfinite(a).all() for a in (values, derivs, initial)):
             raise ValidationError("measurement contains non-finite values")
-        if self.provenance not in ("analytic", "discrete-difference"):
-            raise ValidationError(f"unknown derivative provenance {self.provenance!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivatives", derivs)
+
+    @property
+    def provenance(self) -> str:
+        return "discrete-difference" if self.mprime is None else "analytic"
 
     @property
     def m0(self) -> float:
         return float(self.values[0])
 
     @classmethod
-    def from_samples(
-        cls,
-        timegrid: TimeGrid,
-        values: np.ndarray,
-        initial_derivative: float | None = None,
-    ) -> "MeasurementSeries":
-        values = np.asarray(values, dtype=float)
-        derivs = np.diff(values) / timegrid.tau
-        return cls(timegrid, values, derivs, "discrete-difference", initial_derivative)
-
-    @classmethod
     def from_expressions(
-        cls,
-        timegrid: TimeGrid,
-        m: expr.Expression,
-        mprime: expr.Expression | None = None,
+        cls, timegrid: TimeGrid, m: expr.Expression, mprime: expr.Expression | None = None
     ) -> "MeasurementSeries":
         values = expr.sample(m, {"t": timegrid.nodes}, (timegrid.n + 1,))
         if mprime is not None:
             return cls.analytic(timegrid, values, mprime)
-        return cls.from_samples(timegrid, values)
+        return cls(timegrid, values)
 
     @classmethod
     def analytic(
@@ -189,14 +180,14 @@ class MeasurementSeries:
     ) -> "MeasurementSeries":
         """Samples m_0..m_n with the exact m' at t_1..t_n and at t = 0."""
         derivs = expr.sample(mprime, {"t": timegrid.nodes[1:]}, (timegrid.n,))
-        return cls(timegrid, values, derivs, "analytic", expr.evaluate(mprime, {"t": 0.0}))
+        return cls(timegrid, values, derivs, expr.evaluate(mprime, {"t": 0.0}))
 
     def restrict(self, coarse: TimeGrid) -> "MeasurementSeries":
         """Restriction onto a coarser grid by index subsampling.
 
         The fine step count must be an integer multiple of the coarse
-        one.  Discrete-difference derivatives are recomputed from the
-        subsampled values (the backward difference on the coarse grid).
+        one.  Given derivatives are subsampled; without them, the
+        subsampled values are differenced on the coarse grid.
         """
         if abs(coarse.T - self.timegrid.T) > 1e-12 * max(1.0, self.timegrid.T):
             raise ValidationError("restriction requires the same time horizon")
@@ -205,30 +196,25 @@ class MeasurementSeries:
                 f"fine step count {self.timegrid.n} is not a multiple of {coarse.n}"
             )
         factor = self.timegrid.n // coarse.n
-        values = self.values[::factor]
-        if self.provenance == "analytic":
-            derivs = self.derivatives[factor - 1 :: factor]
-            return MeasurementSeries(
-                coarse, values, derivs, "analytic", self.initial_derivative
-            )
-        return MeasurementSeries.from_samples(coarse, values, self.initial_derivative)
+        mprime = None if self.mprime is None else self.mprime[factor - 1 :: factor]
+        return MeasurementSeries(coarse, self.values[::factor], mprime, self.initial_derivative)
 
     def with_noise(self, sigma: float, rng: np.random.Generator) -> "MeasurementSeries":
         """Additive i.i.d. Gaussian perturbation; derivatives re-differenced."""
         if sigma < 0:
             raise ValidationError("noise level must be nonnegative")
         noisy = self.values + rng.normal(0.0, sigma, size=self.values.shape)
-        return MeasurementSeries.from_samples(self.timegrid, noisy)
+        return MeasurementSeries(self.timegrid, noisy)
 
 
 def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:
     """Parse a ``t,m[,mprime]`` CSV into a series aligned with ``timegrid``."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if any(field.strip() for field in row)]
+    rows = [row for row in reader if any(cell.strip() for cell in row)]
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]
     for k, row in enumerate(rows):
-        if any(field.strip() for field in row[3:]):
+        if any(cell.strip() for cell in row[3:]):
             raise ValidationError(f"measurement file data row {k + 1} has a value after m'")
     if len(rows) != timegrid.n + 1:
         raise ValidationError(
@@ -255,19 +241,14 @@ def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:
         raise ValidationError("measurement file times do not match the time grid")
     values = np.array([number(k, 1) for k in range(len(rows))])
     # m'(0) is optional; m'_1..m'_n are given in every row or in none
-    has_deriv = [len(r) >= 3 and r[2].strip() != "" for r in rows[1:]]
-    if any(has_deriv):
-        if not all(has_deriv):
-            raise ValidationError(
-                f"measurement file data row {has_deriv.index(False) + 2} has no m' "
-                "although other rows after the first carry one"
-            )
-        derivs = np.array([number(k, 2) for k in range(1, len(rows))])
-        initial = None
-        if len(rows[0]) >= 3 and rows[0][2].strip() != "":
-            initial = number(0, 2)
-        return MeasurementSeries(timegrid, values, derivs, "analytic", initial)
-    return MeasurementSeries.from_samples(timegrid, values)
+    given = [len(row) >= 3 and row[2].strip() != "" for row in rows]
+    if any(given[1:]) and not all(given[1:]):
+        raise ValidationError(
+            f"measurement file data row {given.index(False, 1) + 1} has no m' "
+            "although other rows after the first carry one"
+        )
+    mprime = np.array([number(k, 2) for k in range(1, len(rows))]) if given[1] else None
+    return MeasurementSeries(timegrid, values, mprime, number(0, 2) if given[0] else None)
 
 
 def _is_number(token: str) -> bool:
@@ -470,8 +451,8 @@ def spec_from_mapping(problem: Mapping[str, str]) -> ProblemSpec:
         extents = (lx, _get_float(problem, "ly"))
     T, omega = _get_float(problem, "T"), _get_float(problem, "omega")
     trees = {
-        field: _get_expr(problem, key, required)
-        for key, (field, _, required) in _EXPRESSION_KEYS.items()
+        name: _get_expr(problem, key, required)
+        for key, (name, _, required) in _EXPRESSION_KEYS.items()
     }
     return ProblemSpec(
         name=problem.get("name", "inline"), extents=extents, T=T, omega_floor=omega, **trees

@@ -46,6 +46,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SpatialGrid((1.0,), (0,))
 
+    @pytest.mark.parametrize(
+        "extents,cells", [((1.0,), (4, 4)), ((1.0, 1.0), (4,)), ((1.0,) * 3, (4,) * 3)]
+    )
+    def test_one_or_two_axes_with_matching_cells(self, extents, cells):
+        with pytest.raises(ValueError, match="^grid must be 1D or 2D with matching extents/cells$"):
+            SpatialGrid(extents, cells)
+
     def test_bad_extent(self):
         with pytest.raises(ValueError):
             SpatialGrid((-1.0,), (4,))

@@ -782,10 +782,38 @@ class TestConfigHandling:
         cfg.write_text(f"[problem]\n{problem}\n", encoding="utf-8")
         assert run_cli([*argv, "--json", str(tmp_path / "r.json")]) == 0
         report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
-        assert report["config"]["derivative"] == "analytic"
+        assert report["config"]["derivative"] == "discrete"
         if mode != "convergence":
             source_of = report.get("measurement", report).get("derivative_source")
             assert source_of == "discrete-difference"
+
+    def test_config_echo_states_what_the_run_used(self, tmp_path):
+        # a t,m file leaves --derivative and --fine-factor unused; m' = -2
+        # gives the contaminant's K_0 = -1
+        data = tmp_path / "m#1.csv"
+        nodes = np.linspace(0.0, 1.0, 11).tolist()
+        data.write_text("t,m\n" + "".join(f"{t!r},{1 - 2 * t!r}\n" for t in nodes),
+                        encoding="utf-8")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f'[problem]\npreset = contaminant  # comment\nmeasurement_file = "{data}"\n',
+            encoding="utf-8",
+        )
+        report = tmp_path / "r.json"
+        argv = ["--config", str(cfg), "--n", "10", "--mx", "10", "--json", str(report)]
+        assert run_cli(["reconstruct", *argv]) == 0
+        echo = json.loads(report.read_text(encoding="utf-8"))["config"]
+        assert (echo["derivative"], echo["fine_factor"]) == (None, None)
+        assert (echo["force"], echo["denominator_sign"]) == (False, 1.0)
+        assert echo["measurement_file"] == str(data)
+        # a forward run reconstructs nothing and reads no file
+        cfg.write_text("[problem]\npreset = contaminant\n", encoding="utf-8")
+        assert run_cli(["forward", *argv]) == 0
+        echo = json.loads(report.read_text(encoding="utf-8"))["config"]
+        assert (echo["derivative"], echo["fine_factor"]) == ("discrete", None)
+        assert (echo["force"], echo["denominator_sign"], echo["measurement_file"]) == (
+            None, None, None
+        )
 
     @pytest.mark.parametrize(
         "rows,message",
@@ -984,12 +1012,21 @@ _CLI_SOURCES = {  # name: [problem] section
     "measurement-file": _M_WITHOUT_MPRIME.replace('m = "1+t"', 'kernel = "exp(-t)"')
     + 'measurement_file = "<measurement>"\n',
 }
-_MEASUREMENT_FILE = "m.csv"
+_MEASUREMENT_FILE = "m#1.csv"  # a quoted config value may hold a #
 # a valid t,m[,mprime] file, or one with a malformed data row
 _MEASUREMENT_KINDS = ["t,m,mprime", "t,m", "m not a number", "no m", "value after m'",
                       "one row short"]
 # the report's config echo names these options' fields otherwise
 _ECHO_KEYS = {"n_list": "n", "noise_sigmas": "noise"}
+# what each source's problem gives: an exact m, an exact m' and a second axis
+_SOURCE_DATA = {
+    "manufactured1d": (True, True, False),
+    "contaminant": (False, False, False),
+    "zero1d": (True, True, False),
+    "inline-2d": (False, False, True),
+    "inline-no-kernel": (True, True, False),
+    "measurement-file": (False, False, False),
+}
 # _FRESH is a new file in the run's directory, _MISSING one in a directory
 # that does not exist; no size is large enough to need a capped address space
 _FRESH, _MISSING = "<fresh>", "<missing>"
@@ -1031,6 +1068,45 @@ def _measurement_text(kind: str, n: int, T: float, bad_row: int) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
+def _echo_of_unset(key: str, mode: str, source: str, mx: int):
+    """The config echo of an option left unset: its default where the run
+    uses it, else None."""
+    exact_m, exact_mprime, two_axes = _SOURCE_DATA[source]
+    from_file = source == "measurement-file"
+    if key == "my":
+        return mx if two_axes else None
+    if key == "derivative" and mode in ("forward", "reconstruct", "convergence") and not from_file:
+        return "analytic" if exact_mprime else "discrete"
+    if key == "fine_factor" and mode in ("reconstruct", "convergence", "noise-sweep"):
+        return None if exact_m or from_file else 4
+    if mode != "forward":
+        return {"force": False, "kernel_denominator_sign": 1.0}.get(key)
+    return None
+
+
+# lines before a config line, and a comment after it
+_DECORATIONS = st.tuples(
+    st.sampled_from([[], [""], ["# a comment line"]]), st.sampled_from(["", "  # a comment"])
+)
+
+
+def _config_text(data, sections: dict[str, str]) -> tuple[str, str | None]:
+    """``sections`` as config text, with blank and comment lines and
+    trailing comments drawn in, and now and then one key line given twice.
+    Returns the text and, for a repeated key, the error that must name it."""
+    twice = data.draw(st.sampled_from([False] * 5 + [True]), label="a key given twice")
+    lines, repeated = [], None
+    for name, body in sections.items():
+        lines.append(f"[{name}]")
+        for line in body.splitlines():
+            before, comment = data.draw(_DECORATIONS, label="decoration")
+            lines += [*before, line + comment]
+            if twice and repeated is None and data.draw(st.booleans(), label=f"{line} twice"):
+                lines.append(line)
+                repeated = f"key '{line.split('=')[0].strip()}' repeated in [{name}]"
+    return "\n".join(lines) + "\n", repeated
+
+
 def _cli_option_text(data, opt, mode, broken, unused_too):
     """The text drawn for one option, or None to leave it unset."""
     needed = {"n", "mx"} | ({"noise", "seed"} if mode == "noise-sweep" else set())
@@ -1068,7 +1144,7 @@ def test_whole_command_lines(tmp_path_factory, data):
     horizon = data.draw(st.sampled_from(["nan", "-1"] if broken == "T" else [None, "0.5"]))
     if horizon is not None:
         argv += ["--T", horizon]
-    outputs, tracing, given = [], False, {}
+    outputs, tracing, stray, given = [], False, False, {}
     for opt in harness.OPTIONS:
         text = _cli_option_text(data, opt, mode, broken, unused_too)
         if text is None:
@@ -1082,6 +1158,8 @@ def test_whole_command_lines(tmp_path_factory, data):
         if data.draw(st.booleans(), label=f"{opt.flag} by flag"):
             argv += [opt.flag] if switch else [opt.flag, text]
             text = "true" if switch else text
+            # a switch's flag takes no value: the value is a stray argument
+            stray |= opt.key in ("force", "trace") and not switch
         else:
             sections[opt.section] += f'{opt.key} = "{text}"\n'
         given[opt.key] = text
@@ -1096,11 +1174,11 @@ def test_whole_command_lines(tmp_path_factory, data):
             _measurement_text(kind, n, 0.5 if horizon else 1.0, bad_row), encoding="utf-8"
         )
         sections["problem"] = problem.replace("<measurement>", str(measurement))
+    repeated = None
     if any(sections.values()):
         config = work / "p.cfg"
-        config.write_text(
-            "".join(f"[{name}]\n{body}\n" for name, body in sections.items()), encoding="utf-8"
-        )
+        text, repeated = _config_text(data, sections)
+        config.write_text(text, encoding="utf-8")
         argv += ["--config", str(config)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -1109,6 +1187,9 @@ def test_whole_command_lines(tmp_path_factory, data):
     assert code in (0, 1, 2, 3)
     for line in err.getvalue().splitlines():
         assert line.startswith("kernrec: ") or (tracing and line.startswith("step="))
+    if repeated and not stray:  # the config is read after the command line
+        event("a key given twice")
+        assert code == 1 and repeated in err.getvalue()
     if kind is not None:
         event(f"measurement file {kind!r}: exit {code}")
         assert code != 0 or kind in _MEASUREMENT_KINDS[:2]
@@ -1117,15 +1198,20 @@ def test_whole_command_lines(tmp_path_factory, data):
     written = {p.name for p in work.iterdir()} - {"p.cfg", _MEASUREMENT_FILE}
     assert written == ({p.name for p in outputs if p.parent == work} if code == 0 else set())
     report = work / _OUTPUT_NAMES["json"]
-    if report.exists():  # the config echo states the values given
+    if report.exists():  # the config echo states the values the run used
         event("config echo checked")
         echo = json.loads(report.read_text(encoding="utf-8"))["config"]
         assert echo["mode"] == mode and echo["T"] == float(horizon or 1.0)  # every source's T
+        assert echo["measurement_file"] == (None if kind is None else str(measurement))
         for opt in harness.OPTIONS:
             key = _ECHO_KEYS.get(opt.field, opt.field)
-            if opt.key in given and key in echo:
+            if key not in echo:
+                continue
+            if opt.key in given:
                 value = opt.cast(given[opt.key])
                 assert echo[key] == (value[0] if key == "n" and mode != "convergence" else value)
+            else:
+                assert echo[key] == _echo_of_unset(opt.key, mode, source, int(given["mx"])), key
 
 
 # valid [problem] sections that the fuzz below starts from
@@ -1257,7 +1343,7 @@ def test_kernel_csv_equals_row_by_row_formatting(with_ref):
 def test_measurement_csv_equals_row_by_row_formatting(initial):
     tg = TimeGrid(1.0, 100)
     values = 1.0 + tg.nodes + np.random.default_rng(12).standard_normal(101) * 1e-6
-    series = MeasurementSeries.from_samples(tg, values, initial)
+    series = MeasurementSeries(tg, values, None, initial)
     fmt = _fmt
     nodes = tg.nodes
     first = fmt(initial) if initial is not None else ""
@@ -1463,6 +1549,24 @@ def test_state_overflow_prints_no_numpy_warning(tmp_path, capsys):
     cfg.write_text("[problem]\npreset = manufactured1d\nT = 1e-320\n", encoding="utf-8")
     assert run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"]) == 2
     assert capsys.readouterr().err == "kernrec: numerical failure: state is not finite\n"
+
+
+def test_kernel_overflow_after_the_first_step_exits_2(tmp_path, capsys):
+    # m'_2 = -1.7e308 over (h,1) + m_0 tau = 0.5 overflows: K_2 = inf
+    data = tmp_path / "m.csv"
+    data.write_text("t,m,mprime\n0,0,0\n0.25,0,0\n0.5,0,-1.7e308\n0.75,0,0\n1,0,0\n",
+                    encoding="utf-8")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(
+        '[problem]\nf = "0"\nh = "0.5"\ng = "0"\nu0 = "0"\nlx = 1\nT = 1\nomega = 0.5\n'
+        f'measurement_file = "{data}"\n',
+        encoding="utf-8",
+    )
+    argv = ["reconstruct", "--config", str(cfg), "--n", "4", "--mx", "4", "--trace"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split()[0] for line in err[:-1]] == ["step=1"]
+    assert err[-1] == "kernrec: numerical failure: kernel value is not finite"
 
 
 def test_log_env_variable_respected(tmp_path):

@@ -196,9 +196,7 @@ class TestKernelUpdate:
         spec = _spec()
         tg = TimeGrid(1.0, 8)
         grid = spec.make_grid(10)
-        series = MeasurementSeries(
-            tg, np.full(9, 2.0), np.zeros(8), "analytic", initial_derivative=0.0
-        )
+        series = MeasurementSeries(tg, np.full(9, 2.0), np.zeros(8), initial_derivative=0.0)
         kernel = reconstruct(spec, grid, tg, series).kernel.values
         for i in range(1, 9):
             assert kernel[i] == 0.0
@@ -208,9 +206,7 @@ class TestKernelUpdate:
         spec = _spec(f="2")
         tg = TimeGrid(1.0, 4)
         grid = spec.make_grid(10)
-        series = MeasurementSeries(
-            tg, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0]), "analytic"
-        )
+        series = MeasurementSeries(tg, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0]))
         value = reconstruct(spec, grid, tg, series).kernel.values[1]
         assert abs(value - 1.0) < 1e-14
 
@@ -221,7 +217,7 @@ class TestKernelUpdate:
         grid = spec.make_grid(10)
         derivs = np.zeros(8)
         derivs[0] = 1.0
-        series = MeasurementSeries(tg, np.full(9, 2.0), derivs, "analytic")
+        series = MeasurementSeries(tg, np.full(9, 2.0), derivs)
         plus = reconstruct(spec, grid, tg, series).kernel.values[1]
         minus = reconstruct(spec, grid, tg, series, denominator_sign=-1.0).kernel.values[1]
         tau = tg.tau
@@ -234,7 +230,7 @@ class TestKernelUpdate:
         spec = _spec(h="-1", u0="10")
         tg = TimeGrid(1.0, 10)  # tau = 0.1, m0 = 10
         grid = spec.make_grid(10)
-        series = MeasurementSeries.from_samples(tg, np.full(11, 10.0))
+        series = MeasurementSeries(tg, np.full(11, 10.0))
         with pytest.warns(RuntimeWarning), pytest.raises(SingularUpdateError) as err:
             reconstruct(spec, grid, tg, series, force=True)
         assert err.value.step == 1
@@ -261,6 +257,17 @@ class TestInitialKernelValue:
             reconstruct(spec, spec.make_grid(10), tg, series, force=True,
                         trace=lambda *row: rows.append(row))
         assert (str(err.value), err.value.step, rows) == ("kernel value is not finite", 0, [])
+
+    def test_non_finite_value_stops_the_run_at_its_step(self):
+        # m'_2 = -1.7e308 over (h,1) + m_0 tau = 0.5 overflows: K_2 = inf
+        spec = _spec(h="0.5", omega=0.5)
+        tg = TimeGrid(1.0, 4)
+        series = MeasurementSeries(tg, np.zeros(5), [0.0, -1.7e308, 0.0, 0.0], 0.0)
+        rows = []
+        with pytest.raises(NonFiniteError) as err:
+            reconstruct(spec, spec.make_grid(4), tg, series, trace=lambda *row: rows.append(row))
+        assert (str(err.value), err.value.step) == ("kernel value is not finite", 2)
+        assert [row[0] for row in rows] == [1]
 
 
 class TestReconstruct:
@@ -360,7 +367,7 @@ class TestReconstruct:
         derivs = series.derivatives.copy()
         values[i0 + 1 :] += 1.0
         derivs[i0:] -= 3.0  # derivative entries for steps > i0
-        corrupted = MeasurementSeries(tg, values, derivs, "analytic", series.initial_derivative)
+        corrupted = MeasurementSeries(tg, values, derivs, series.initial_derivative)
         a = reconstruct(spec, grid, tg, series)
         b = reconstruct(spec, grid, tg, corrupted)
         np.testing.assert_array_equal(a.kernel.values[: i0 + 1], b.kernel.values[: i0 + 1])
@@ -378,8 +385,8 @@ class TestReconstruct:
         rec0 = reconstruct(spec, grid, tg, base)
         diffs = {}
         for eps in (1e-6, 1e-8):
-            perturbed = MeasurementSeries.from_samples(
-                tg, base.values + eps * np.cos(np.arange(tg.n + 1)), base.initial_derivative
+            perturbed = MeasurementSeries(
+                tg, base.values + eps * np.cos(np.arange(tg.n + 1)), None, base.initial_derivative
             )
             rec1 = reconstruct(spec, grid, tg, perturbed)
             diffs[eps] = np.abs(rec1.kernel.values - rec0.kernel.values).max()
@@ -408,7 +415,6 @@ class TestReconstruct:
             tg,
             1.0 + tg.nodes,
             np.ones(tg.n),
-            "analytic",
             initial_derivative=5.0,  # inconsistent with the exact kernel at t=0
         )
         with pytest.warns(RuntimeWarning):
@@ -428,7 +434,7 @@ class TestReconstruct:
         spec = _spec(f="2")
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(10)
-        series = MeasurementSeries(tg, np.zeros(11), np.zeros(10), "analytic", 0.0)
+        series = MeasurementSeries(tg, np.zeros(11), np.zeros(10), 0.0)
         result = reconstruct(spec, grid, tg, series)
         np.testing.assert_allclose(result.kernel.values, 2.0, rtol=1e-12)
 
@@ -558,6 +564,10 @@ class TestKernelDifferenceEnergy:
     def test_constant_series(self):
         tg = TimeGrid(1.0, 10)
         assert kernel_difference_energy(np.full(11, 3.0), tg.tau) == 0.0
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_fewer_than_two_samples(self, samples):
+        assert kernel_difference_energy(np.full(samples, 3.0), 0.1) == 0.0
 
     def test_linear_series(self):
         # K_i = i tau has unit difference quotient, so the energy is T

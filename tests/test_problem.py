@@ -460,7 +460,7 @@ class TestConfig:
 class TestMeasurementSeries:
     def test_backward_differences(self):
         tg = TimeGrid(1.0, 4)
-        series = MeasurementSeries.from_samples(tg, np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
+        series = MeasurementSeries(tg, np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
         np.testing.assert_allclose(series.derivatives, [4.0, 8.0, 12.0, 16.0])
         assert series.provenance == "discrete-difference"
         assert series.m0 == 0.0
@@ -477,7 +477,7 @@ class TestMeasurementSeries:
 
     def test_restrict_subsamples(self):
         fine = TimeGrid(1.0, 100)
-        series = MeasurementSeries.from_samples(fine, np.sin(fine.nodes))
+        series = MeasurementSeries(fine, np.sin(fine.nodes))
         coarse = series.restrict(TimeGrid(1.0, 25))
         assert coarse.timegrid.n == 25
         np.testing.assert_array_equal(coarse.values, series.values[::4])
@@ -496,17 +496,17 @@ class TestMeasurementSeries:
 
     def test_restrict_non_divisible(self):
         fine = TimeGrid(1.0, 100)
-        series = MeasurementSeries.from_samples(fine, np.zeros(101))
+        series = MeasurementSeries(fine, np.zeros(101))
         with pytest.raises(ValidationError):
             series.restrict(TimeGrid(1.0, 33))
 
     def test_restrict_other_horizon(self):
-        series = MeasurementSeries.from_samples(TimeGrid(1.0, 4), np.zeros(5))
+        series = MeasurementSeries(TimeGrid(1.0, 4), np.zeros(5))
         with pytest.raises(ValidationError, match="^restriction requires the same time horizon$"):
             series.restrict(TimeGrid(2.0, 2))
 
     def test_negative_noise_rejected(self):
-        series = MeasurementSeries.from_samples(TimeGrid(1.0, 4), np.zeros(5))
+        series = MeasurementSeries(TimeGrid(1.0, 4), np.zeros(5))
         with pytest.raises(ValidationError, match="^noise level must be nonnegative$"):
             series.with_noise(-1.0, np.random.default_rng(0))
 
@@ -523,7 +523,46 @@ class TestMeasurementSeries:
     def test_nonfinite_rejected(self):
         tg = TimeGrid(1.0, 2)
         with pytest.raises(ValidationError):
-            MeasurementSeries(tg, np.array([0.0, np.nan, 1.0]), np.zeros(2), "analytic")
+            MeasurementSeries(tg, np.array([0.0, np.nan, 1.0]), np.zeros(2))
+
+    def test_sample_count_checked(self):
+        tg = TimeGrid(1.0, 4)
+        for values in (np.zeros(4), np.zeros((5, 1))):
+            with pytest.raises(ValidationError, match="^expected 5 measurement samples, got"):
+                MeasurementSeries(tg, values)
+
+    def test_derivative_count_checked(self):
+        tg = TimeGrid(1.0, 4)
+        for mprime in (np.zeros(5), np.zeros((4, 1))):
+            with pytest.raises(ValidationError, match="^expected 4 derivative samples, got"):
+                MeasurementSeries(tg, np.zeros(5), mprime)
+
+    def test_provenance_follows_the_given_derivatives(self):
+        tg = TimeGrid(1.0, 2)
+        given = MeasurementSeries(tg, [0.0, 1.0, 2.0], [7.0, -3.0])
+        assert given.provenance == "analytic"
+        np.testing.assert_array_equal(given.derivatives, [7.0, -3.0])
+        # restriction keeps given derivatives; it does not re-difference them
+        coarse = given.restrict(TimeGrid(1.0, 1))
+        assert coarse.provenance == "analytic"
+        np.testing.assert_array_equal(coarse.derivatives, [-3.0])
+
+    def test_differenced_series_stays_differenced(self):
+        # every way to a new series from one without m' differences its own samples
+        tg = TimeGrid(1.0, 12)
+        series = MeasurementSeries(tg, np.sin(3.0 * tg.nodes), None, 0.5)
+        derived = [
+            replace(series, values=np.cos(tg.nodes)),
+            series.restrict(TimeGrid(1.0, 4)),
+            series.with_noise(1e-3, np.random.default_rng(5)),
+        ]
+        for s in [series, *derived]:
+            assert s.provenance == "discrete-difference"
+            assert s.mprime is None
+            expected = np.diff(s.values) / s.timegrid.tau
+            assert s.derivatives.tobytes() == expected.tobytes()
+        assert derived[0].initial_derivative == derived[1].initial_derivative == 0.5
+        assert derived[2].initial_derivative is None
 
 
 class TestMeasurementCsv:
@@ -552,6 +591,21 @@ class TestMeasurementCsv:
         assert padded.initial_derivative == plain.initial_derivative == 2.0
         np.testing.assert_array_equal(padded.values, plain.values)
         np.testing.assert_array_equal(padded.derivatives, plain.derivatives)
+
+    def test_lone_initial_derivative_is_kept(self):
+        # m'(0) in the first row alone: the samples are differenced, m'(0) kept
+        tg = TimeGrid(1.0, 4)
+        series = measurement_from_csv("t,m,mprime\n0,1,7\n0.25,1.25\n0.5,2\n0.75,2\n1,3\n", tg)
+        assert series.initial_derivative == 7.0
+        assert series.provenance == "discrete-difference"
+        np.testing.assert_array_equal(series.derivatives, [1.0, 3.0, 0.0, 4.0])
+
+    def test_headerless_file(self):
+        tg = TimeGrid(1.0, 2)
+        series = measurement_from_csv("0,1,2\n0.5,2,3\n1,3,4\n", tg)
+        np.testing.assert_array_equal(series.values, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(series.derivatives, [3.0, 4.0])
+        assert series.initial_derivative == 2.0
 
     def test_time_mismatch(self):
         tg = TimeGrid(1.0, 2)

@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 45 ``kernrec`` commands (reconstruct, roundtrip,
+Runs a fixed set of 46 ``kernrec`` commands (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone) with each
@@ -21,11 +21,13 @@ analytic forward run never evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
 p), run a 2D config whose f reads both gradient components p and q,
 read manufactured1d's measurement from a ``t,m,mprime`` file that this
-script writes beside its configs, and trace a noise sweep.
+script writes beside its configs, or from a headerless one whose first
+row alone carries m'(0), and trace a noise sweep.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report the same text once its
 ``timings`` are dropped, so that the sign of a zero shows; a report
-that differs is named with its first differing key path.  A command
+that differs is named with its differing key paths, the first five and
+a count of the rest.  A command
 that traces, by ``--trace`` or by its config, must also print the same
 stderr.  A command that fails by design must exit with the same code
 and print the same stderr in both trees, and leave neither output file
@@ -42,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -225,11 +228,13 @@ kernel = "exp(-t)"
 """
 CONFIG_G2D = "gradient2d.ini"
 
-# manufactured1d without m and mprime: the measurement is read from
-# MEASUREMENT_FILE, the samples of m = 1 + t and m' = 1 on MEASUREMENT_N steps
+# manufactured1d without m and mprime: the measurement is read from a file
+# of the samples of m = 1 + t and m' = 1 on MEASUREMENT_N steps; the second
+# has no header and gives m' in its first row alone, as m'(0)
 MEASUREMENT_FILE = "manufactured1d_m.csv"
+MEASUREMENT_FILE_M0 = "manufactured1d_m0.csv"
 MEASUREMENT_N = 200
-MANUFACTURED_FROM_FILE = f"""\
+MANUFACTURED_FROM_FILE = """\
 [problem]
 name = "manufactured1d"
 f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"
@@ -241,13 +246,17 @@ T = 1.0
 omega = 1.0
 kernel = "exp(-t)"
 u_exact = "(1+t)*(1+cos(pi*x))"
-measurement_file = "{MEASUREMENT_FILE}"
+measurement_file = "{file}"
 """
 CONFIG_FROM_FILE = "manufactured1dfile.ini"
+CONFIG_FROM_FILE_M0 = "manufactured1dfilem0.ini"
 
 
-def _measurement_text(n: int) -> str:
+def _measurement_text(n: int, initial_only: bool = False) -> str:
     nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
+    if initial_only:
+        rows = (f"{t:.17g},{1.0 + t:.17g}{',1' if k == 0 else ''}" for k, t in enumerate(nodes))
+        return "".join(f"{row}\n" for row in rows)
     return "".join(["t,m,mprime\n", *(f"{t:.17g},{1.0 + t:.17g},1\n" for t in nodes)])
 
 
@@ -266,8 +275,10 @@ CONFIGS = {
     CONFIG_FAULT_G0: FAULT_G0,
     CONFIG_ADVECTION: CONTAMINANT_ADVECTION,
     CONFIG_G2D: GRADIENT_2D,
-    CONFIG_FROM_FILE: MANUFACTURED_FROM_FILE,
+    CONFIG_FROM_FILE: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE),
+    CONFIG_FROM_FILE_M0: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE_M0),
     MEASUREMENT_FILE: _measurement_text(MEASUREMENT_N),
+    MEASUREMENT_FILE_M0: _measurement_text(MEASUREMENT_N, initial_only=True),
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -347,6 +358,9 @@ COMMANDS = {
     "reconstruct-manufactured1d-file": [
         "reconstruct", "--config", CONFIG_FROM_FILE, "--n", str(MEASUREMENT_N), "--mx", "50",
     ],
+    "reconstruct-manufactured1d-file-m0": [
+        "reconstruct", "--config", CONFIG_FROM_FILE_M0, "--n", str(MEASUREMENT_N), "--mx", "50",
+    ],
     "noise-sweep-contaminant-trace": [
         "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
         "--trace",
@@ -416,28 +430,22 @@ def report(path: Path):
     return without_timings(json.loads(path.read_text(encoding="utf-8")))
 
 
-def first_difference(base, head, path: str = "") -> str | None:
-    """Where two reports first differ, such as ``rows[0].err_inf_after_0
-    only in head``; None when they are the same.  Values are compared as
+def differences(base, head, path: str = "") -> Iterator[str]:
+    """Each key path where two reports differ, in key order, such as
+    ``rows[0].err_inf_after_0 only in head``.  Values are compared as
     text: parsed numbers would hide the sign of a zero (``-0.0 == 0.0``)."""
     if isinstance(base, dict) and isinstance(head, dict):
         for key in sorted(base.keys() | head.keys()):
             where = f"{path}.{key}" if path else key
             if key not in head or key not in base:
-                return f"{where} only in {'base' if key in base else 'head'}"
-            found = first_difference(base[key], head[key], where)
-            if found:
-                return found
-        return None
-    if isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
+                yield f"{where} only in {'base' if key in base else 'head'}"
+            else:
+                yield from differences(base[key], head[key], where)
+    elif isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
         for k, (b, h) in enumerate(zip(base, head)):
-            found = first_difference(b, h, f"{path}[{k}]")
-            if found:
-                return found
-        return None
-    if json.dumps(base) != json.dumps(head):
-        return f"{path or 'the report'} differs"
-    return None
+            yield from differences(b, h, f"{path}[{k}]")
+    elif json.dumps(base) != json.dumps(head):
+        yield f"{path or 'the report'} differs"
 
 
 def main(argv: list[str]) -> int:
@@ -476,9 +484,11 @@ def main(argv: list[str]) -> int:
                 if not filecmp.cmp(paths["base"].with_suffix(".csv"),
                                    paths["head"].with_suffix(".csv"), shallow=False):
                     differs.append("csv")
-                where = first_difference(*(report(p.with_suffix(".json")) for p in paths.values()))
+                reports = (report(p.with_suffix(".json")) for p in paths.values())
+                where = list(differences(*reports))
                 if where:
-                    differs.append(f"json ({where})")
+                    more = f", and {len(where) - 5} more" if len(where) > 5 else ""
+                    differs.append(f"json ({', '.join(where[:5])}{more})")
                 traced = "--trace" in COMMANDS[name] or "step=" in stderr["base"] + stderr["head"]
                 if traced and stderr["base"] != stderr["head"]:
                     differs.append("trace rows")
