@@ -23,8 +23,7 @@ failure (singular update, non-finite state, I/O, an array too large
 to allocate), 3 validation failure
 (step threshold, floor violation, non-finite or non-positive problem
 numbers, a malformed measurement file).  ``main`` prints each warning
-as one ``kernrec: warning: ...`` line.  Set ``KERNREC_LOG`` to a
-logging level name for extra output.
+as one ``kernrec: warning: ...`` line.
 """
 
 from __future__ import annotations
@@ -32,13 +31,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import math
 import os
 import sys
 import time
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -63,8 +61,6 @@ from .problem import (
     parse_config,
     spec_from_mapping,
 )
-
-log = logging.getLogger("kernrec")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -501,7 +497,6 @@ def _write(text: str, path: str) -> None:
     except BaseException:  # opened, then failed: leave no partial file
         _discard(path)
         raise
-    log.info("wrote %s", path)
 
 
 def emit_csv(text: str, path: str) -> None:
@@ -519,8 +514,8 @@ def _reconstruction_outputs(
     report = {
         "time": {"T": timegrid.T, "n": timegrid.n, "tau": timegrid.tau},
         "derivative_source": result.derivative_source,
-        "threshold": result.threshold.as_dict(),
-        "diagnostics": result.diagnostics.as_dict(),
+        "threshold": asdict(result.threshold),
+        "diagnostics": asdict(result.diagnostics),
     }
     if ref is None:  # no exact kernel: empty reference columns, no errors
         blank = [None] * k_rec.size
@@ -606,7 +601,7 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
                 "err_l2": err_l2,
                 "err_u": err_u,
                 "eoc": None,
-                "diagnostics": result.diagnostics.as_dict(),
+                "diagnostics": asdict(result.diagnostics),
             }
         )
     for prev, row in zip(rows, rows[1:]):
@@ -693,8 +688,6 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    level_name = os.environ.get("KERNREC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning  # one line each, without the source location
         return run_cli(sys.argv[1:] if argv is None else argv)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,9 +66,6 @@ class ThresholdReport:
     tau0: float
     margin: float  # omega - |m0| tau
     passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_step_threshold(spec: ProblemSpec, m0: float, tau: float) -> ThresholdReport:
@@ -100,9 +97,6 @@ class Diagnostics:
     kernel_derivative_energy: float  # sum |dK_i|^2 tau
     min_denominator_magnitude: float
     max_compat_residual: float  # relative, worst step
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -1567,16 +1567,3 @@ def test_kernel_overflow_after_the_first_step_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line.split()[0] for line in err[:-1]] == ["step=1"]
     assert err[-1] == "kernrec: numerical failure: kernel value is not finite"
-
-
-def test_log_env_variable_respected(tmp_path):
-    out = tmp_path / "k.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "kernrec.harness", "reconstruct",
-         "--preset", "zero1d", "--n", "10", "--mx", "10", "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=_child_env(KERNREC_LOG="INFO"),
-    )
-    assert proc.returncode == 0
-    assert "wrote" in proc.stderr  # INFO-level logging surfaced
