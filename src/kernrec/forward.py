@@ -233,7 +233,8 @@ def _march(
     nodes = stepper.timegrid.nodes
     coefficients = stepper.coefficients(nodes[:-1], nodes[1:], states)
     # an overflow or NaN in a step is reported by the finiteness check
-    # below, not by numpy's floating-point warnings
+    # below, one in the residuals by the run's check of what it writes,
+    # not by numpy's floating-point warnings
     with np.errstate(all="ignore"):
         for i in range(1, n + 1):
             # next(), not enumerate(): under enumerate, zip's cached result
@@ -254,7 +255,7 @@ def _march(
                     states[window], kernel_values[window], sums[-1:]
                 )
                 on_step(i, residual[0])
-    measured, residuals = stepper.compat_residual(states, kernel_values, sums)
+        measured, residuals = stepper.compat_residual(states, kernel_values, sums)
     return states, measured, residuals
 
 

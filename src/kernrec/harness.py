@@ -11,19 +11,20 @@ that use it; an option the run would not use is rejected.  An
 it is built, including the exact kernel that all modes but
 ``reconstruct`` need.  Each mode runner builds its grids once and
 returns its CSV header and columns and its own part of the JSON report;
-``run_cli`` formats the CSV (``csv_text`` states the format) and writes
-it only for ``--out``, adds the mode, the configuration echo and the
-timings, and writes ``--json``, and a run that exits non-zero leaves no
-output file.  Synthetic data always comes from ``forward.run_forward``.
+``run_cli`` checks that every number in them is finite, formats the CSV
+(``csv_text`` states the format) and writes it only for ``--out``, adds
+the mode, the configuration echo and the timings, and writes ``--json``,
+and a run that exits non-zero leaves no output file.  Synthetic data
+always comes from ``forward.run_forward``.
 
 Exit codes: 0 success, 1 usage error (including a config key that its
 section does not accept, an option the mode ignores and an output path
-that names an input or the other output), 2 numerical
-failure (singular update, non-finite state, I/O, an array too large
-to allocate), 3 validation failure
-(step threshold, floor violation, non-finite or non-positive problem
-numbers, a malformed measurement file).  ``main`` prints each warning
-as one ``kernrec: warning: ...`` line.
+that names an input or the other output), 2 numerical failure (singular
+update, non-finite state, a non-finite number in the CSV or report, I/O,
+an array too large to allocate), 3 validation failure (step threshold,
+floor violation, non-finite or non-positive problem numbers, a malformed
+measurement file).  ``main`` prints each warning as one
+``kernrec: warning: ...`` line.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import (
     ConfigError,
     ExprError,
     KernrecError,
+    NonFiniteError,
     NumericalError,
     UsageError,
     ValidationError,
@@ -482,6 +484,34 @@ def csv_text(header: str, *columns) -> str:
     return "\n".join([header, *map(template.format, *cells)]) + "\n"
 
 
+def _non_finite_at(value, path: str) -> str | None:
+    """Path of the first non-finite number in ``value``, or None.
+
+    Dict keys are visited in sorted order, as the report is written, list
+    entries and array elements in order; None, text and integers are skipped.
+    """
+    if isinstance(value, np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(value))
+        return f"{path}[{bad[0]}]" if bad.size else None
+    if isinstance(value, dict):
+        found = (_non_finite_at(value[k], f"{path}.{k}" if path else k) for k in sorted(value))
+    elif isinstance(value, list):
+        found = (_non_finite_at(v, f"{path}[{i}]") for i, v in enumerate(value))
+    else:
+        return path if isinstance(value, float) and not math.isfinite(value) else None
+    return next(filter(None, found), None)
+
+
+def _check_finite(header: str, columns: list, report: dict) -> None:
+    """Raise NonFiniteError naming the first non-finite number to be written:
+    the report's, by key path, then the CSV's, by column and row."""
+    where = _non_finite_at(report, "") or next(
+        filter(None, map(_non_finite_at, columns, header.split(","))), None
+    )
+    if where:
+        raise NonFiniteError(f"{where} is not finite")
+
+
 def _discard(path: str) -> None:
     """Remove an output of a failed run; a device, pipe or link it named stays."""
     with contextlib.suppress(OSError):
@@ -651,6 +681,7 @@ def run_cli(argv: list[str]) -> int:
         cfg = resolve_config(parser.parse_args(argv))
         started = time.perf_counter()
         header, columns, report = _MODE_RUNNERS[cfg.mode](cfg)
+        _check_finite(header, columns, report)
         if cfg.out:
             emit_csv(csv_text(header, *columns), cfg.out)
         if cfg.json_path:

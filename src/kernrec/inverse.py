@@ -270,7 +270,9 @@ def reconstruct(
     states, _, residuals = _march(stepper, kernel_values, update, on_step)
     # freed here, the solver's arrays do not add to the diagnostics' peak memory
     del stepper
-    diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
+    # a functional that overflows is reported by the run's finiteness check
+    with np.errstate(all="ignore"):
+        diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
     return ReconstructionResult(
         kernel=KernelSeries(timegrid, kernel_values),
         states=states,

@@ -145,7 +145,9 @@ class MeasurementSeries:
         if values.shape != (n + 1,):
             raise ValidationError(f"expected {n + 1} measurement samples, got {values.shape}")
         if self.mprime is None:
-            derivs = np.diff(values) / self.timegrid.tau
+            # an overflow here is reported by the finiteness check below
+            with np.errstate(all="ignore"):
+                derivs = np.diff(values) / self.timegrid.tau
         else:
             derivs = np.asarray(self.mprime, dtype=float)
             if derivs.shape != (n,):
@@ -203,7 +205,8 @@ class MeasurementSeries:
         """Additive i.i.d. Gaussian perturbation; derivatives re-differenced."""
         if sigma < 0:
             raise ValidationError("noise level must be nonnegative")
-        noisy = self.values + rng.normal(0.0, sigma, size=self.values.shape)
+        with np.errstate(all="ignore"):  # the constructor rejects a non-finite sum
+            noisy = self.values + rng.normal(0.0, sigma, size=self.values.shape)
         return MeasurementSeries(self.timegrid, noisy)
 
 

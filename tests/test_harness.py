@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -1013,6 +1014,8 @@ _CLI_SOURCES = {  # name: [problem] section
     + 'measurement_file = "<measurement>"\n',
 }
 _MEASUREMENT_FILE = "m#1.csv"  # a quoted config value may hold a #
+# the modes that read a measurement file
+_FILE_MODES = ["reconstruct", "convergence", "noise-sweep"]
 # a valid t,m[,mprime] file, or one with a malformed data row
 _MEASUREMENT_KINDS = ["t,m,mprime", "t,m", "m not a number", "no m", "value after m'",
                       "one row short"]
@@ -1090,11 +1093,14 @@ _DECORATIONS = st.tuples(
 )
 
 
-def _config_text(data, sections: dict[str, str]) -> tuple[str, str | None]:
+def _config_text(data, sections: dict[str, str], valid: bool) -> tuple[str, str | None]:
     """``sections`` as config text, with blank and comment lines and
-    trailing comments drawn in, and now and then one key line given twice.
-    Returns the text and, for a repeated key, the error that must name it."""
-    twice = data.draw(st.sampled_from([False] * 5 + [True]), label="a key given twice")
+    trailing comments drawn in, and now and then, unless ``valid``, one key
+    line given twice.  Returns the text and, for a repeated key, the error
+    that must name it."""
+    twice = not valid and data.draw(
+        st.sampled_from([False] * 5 + [True]), label="a key given twice"
+    )
     lines, repeated = [], None
     for name, body in sections.items():
         lines.append(f"[{name}]")
@@ -1107,10 +1113,13 @@ def _config_text(data, sections: dict[str, str]) -> tuple[str, str | None]:
     return "\n".join(lines) + "\n", repeated
 
 
-def _cli_option_text(data, opt, mode, broken, unused_too):
-    """The text drawn for one option, or None to leave it unset."""
+def _cli_option_text(data, opt, mode, broken, unused_too, one_n):
+    """The text drawn for one option, or None to leave it unset; ``one_n``
+    keeps n to one step count, as one measurement file serves."""
     needed = {"n", "mx"} | ({"noise", "seed"} if mode == "noise-sweep" else set())
     valid, invalid = _CLI_VALUES[opt.key]
+    if one_n and opt.key == "n":
+        valid = [text for text in valid if "," not in text]
     if opt.key == broken:  # leaving out a value the run needs is invalid too
         choices = invalid + [None] if opt.key in needed else invalid
     elif opt.key in needed:
@@ -1129,12 +1138,21 @@ def _cli_option_text(data, opt, mode, broken, unused_too):
 @given(data=st.data())
 def test_whole_command_lines(tmp_path_factory, data):
     work = tmp_path_factory.mktemp("cli")
-    mode = data.draw(st.sampled_from(_ALL_MODES), label="mode")
     source = data.draw(st.sampled_from(sorted(_CLI_SOURCES)), label="source")
     problem = _CLI_SOURCES[source]
+    # most runs on a measurement file draw a valid file, a mode that reads
+    # it and only valid options the run uses, so that the run can succeed
+    file_run = source == "measurement-file" and data.draw(
+        st.sampled_from([True] * 3 + [False]), label="a valid file run"
+    )
+    mode = data.draw(st.sampled_from(_FILE_MODES if file_run else _ALL_MODES), label="mode")
     # at most one invalid value, so that the run can get past the others
-    broken = data.draw(st.sampled_from([None] * 4 + ["T", *_CLI_VALUES]), label="invalid")
-    unused_too = data.draw(st.sampled_from([False] * 3 + [True]), label="options it may not use")
+    broken, unused_too = None, False
+    if not file_run:
+        broken = data.draw(st.sampled_from([None] * 4 + ["T", *_CLI_VALUES]), label="invalid")
+        unused_too = data.draw(
+            st.sampled_from([False] * 3 + [True]), label="options it may not use"
+        )
     argv = [mode]
     sections = {"problem": "", "discretization": "", "experiment": ""}
     if problem.startswith("preset") and data.draw(st.booleans(), label="--preset"):
@@ -1146,7 +1164,7 @@ def test_whole_command_lines(tmp_path_factory, data):
         argv += ["--T", horizon]
     outputs, tracing, stray, given = [], False, False, {}
     for opt in harness.OPTIONS:
-        text = _cli_option_text(data, opt, mode, broken, unused_too)
+        text = _cli_option_text(data, opt, mode, broken, unused_too, file_run)
         if text is None:
             continue
         if text in (_FRESH, _MISSING):
@@ -1165,7 +1183,8 @@ def test_whole_command_lines(tmp_path_factory, data):
         given[opt.key] = text
     kind = None
     if source == "measurement-file":
-        kind = data.draw(st.sampled_from(_MEASUREMENT_KINDS), label="measurement file")
+        kinds = _MEASUREMENT_KINDS[:2] if file_run else _MEASUREMENT_KINDS
+        kind = data.draw(st.sampled_from(kinds), label="measurement file")
         # rows for the drawn n and T, or for n = 4 when n is not one valid count
         n = int(given["n"].split(",")[0]) if broken != "n" else 4
         bad_row = data.draw(st.integers(0, n), label="malformed row")
@@ -1177,7 +1196,7 @@ def test_whole_command_lines(tmp_path_factory, data):
     repeated = None
     if any(sections.values()):
         config = work / "p.cfg"
-        text, repeated = _config_text(data, sections)
+        text, repeated = _config_text(data, sections, valid=file_run)
         config.write_text(text, encoding="utf-8")
         argv += ["--config", str(config)]
     err = io.StringIO()
@@ -1193,6 +1212,8 @@ def test_whole_command_lines(tmp_path_factory, data):
     if kind is not None:
         event(f"measurement file {kind!r}: exit {code}")
         assert code != 0 or kind in _MEASUREMENT_KINDS[:2]
+    if file_run:
+        assert code == 0, err.getvalue()
     for path in outputs:
         assert path.exists() == (code == 0)
     written = {p.name for p in work.iterdir()} - {"p.cfg", _MEASUREMENT_FILE}
@@ -1549,6 +1570,80 @@ def test_state_overflow_prints_no_numpy_warning(tmp_path, capsys):
     cfg.write_text("[problem]\npreset = manufactured1d\nT = 1e-320\n", encoding="utf-8")
     assert run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"]) == 2
     assert capsys.readouterr().err == "kernrec: numerical failure: state is not finite\n"
+
+
+# u0 = 1e200 keeps every state finite, but the squares in the diagnostics overflow
+OVERFLOWING_DIAGNOSTICS = """\
+[problem]
+f = "0"
+h = "1"
+g = "0"
+u0 = "1e200*(1+cos(pi*x))"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "0"
+"""
+
+
+def test_non_finite_diagnostics_exit_2_and_write_nothing(tmp_path):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(OVERFLOWING_DIAGNOSTICS, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernrec.harness", "roundtrip", "--config", str(cfg),
+         "--n", "4", "--mx", "4", "--force", "--out", "r.csv", "--json", "r.json"],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    warning, failure = proc.stderr.splitlines()  # no numpy warning in between
+    assert warning.startswith("kernrec: warning: running with tau = ")
+    assert failure == "kernrec: numerical failure: diagnostics.grad_energy is not finite"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
+
+
+def test_non_finite_amplification_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # sigma = 5e-324, the least subnormal: err_inf / sigma overflows
+    monkeypatch.chdir(tmp_path)
+    argv = ["noise-sweep", "--preset", "manufactured1d", "--n", "20", "--mx", "10",
+            "--noise", "5e-324", "--seed", "1", "--out", "n.csv", "--json", "n.json"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "kernrec: numerical failure: rows[0].amplification is not finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "columns, report, where",
+    [
+        ([np.array([1.0, np.inf])], {"b": [1.0, None, "text"], "a": {"c": 2, "d": -np.inf}},
+         "a.d"),
+        ([np.array([1.0, 2.0]), [None, "—"], [1.0, np.nan]], {"rows": [{"x": 1.0}]},
+         "c[1]"),
+        ([np.array([np.nan, 1.0])], {"e": math.inf}, "e"),
+    ],
+    ids=["report-sorted", "csv-column", "report-first"],
+)
+def test_first_non_finite_number_is_named(columns, report, where):
+    header = ",".join("abc"[: len(columns)])
+    with pytest.raises(errors.NonFiniteError, match=rf"^{re.escape(where)} is not finite$"):
+        harness._check_finite(header, columns, report)
+    harness._check_finite(header, [np.ones(2)] * len(columns), {"x": [1.0, None, "—", 2]})
+
+
+def test_measurement_overflow_prints_no_numpy_warning(tmp_path):
+    # finite samples whose backward difference overflows
+    data = tmp_path / "m.csv"
+    data.write_text("0,0\n0.5,1.7e308\n1,-1.7e308\n", encoding="utf-8")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n',
+                   encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernrec.harness", "reconstruct", "--config", str(cfg),
+         "--n", "2", "--mx", "4"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "kernrec: validation failure: measurement contains non-finite values\n"
 
 
 def test_kernel_overflow_after_the_first_step_exits_2(tmp_path, capsys):

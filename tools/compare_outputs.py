@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 46 ``kernrec`` commands (reconstruct, roundtrip,
+Runs a fixed set of 49 ``kernrec`` commands (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone) with each
@@ -12,12 +12,14 @@ in the grid weights, the stiffness product and the spectral divisor
 shows.  One command sets its options through ``[discretization]`` and
 ``[experiment]`` keys instead of flags.
 Some runs are sized so that the stepper's blocks of time nodes come out
-several to a run with a partial last one, or one node wide.  Six
+several to a run with a partial last one, or one node wide.  Nine
 commands fail by design (a fault of f met by a traced reconstruction,
 a floor violation, a fault of h met by the floor check, in a block of
 time nodes or in a static h, a fault of g at t = 0 met by the discrete
-m'(0), a ``--json`` path in a missing directory); another pins that an
-analytic forward run never evaluates g at t = 0.
+m'(0), a ``--json`` path in a missing directory, diagnostics and a
+noise amplification that overflow, finite measurement samples whose
+difference overflows); another pins that an analytic forward run never
+evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
 p), run a 2D config whose f reads both gradient components p and q,
 read manufactured1d's measurement from a ``t,m,mprime`` file that this
@@ -251,6 +253,30 @@ measurement_file = "{file}"
 CONFIG_FROM_FILE = "manufactured1dfile.ini"
 CONFIG_FROM_FILE_M0 = "manufactured1dfilem0.ini"
 
+# every state is finite, but the squares in the diagnostics overflow
+OVERFLOWING_DIAGNOSTICS = """\
+[problem]
+name = "big1d"
+f = "0"
+h = "1"
+g = "0"
+u0 = "1e200*(1+cos(pi*x))"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "0"
+"""
+CONFIG_BIG = "big1d.ini"
+
+# finite samples whose backward difference overflows
+OVERFLOWING_FILE = "overflow_m.csv"
+CONTAMINANT_OVERFLOWING_FILE = f"""\
+[problem]
+preset = contaminant
+measurement_file = "{OVERFLOWING_FILE}"
+"""
+CONFIG_OVERFLOWING_FILE = "contaminantoverflow.ini"
+
 
 def _measurement_text(n: int, initial_only: bool = False) -> str:
     nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
@@ -279,6 +305,9 @@ CONFIGS = {
     CONFIG_FROM_FILE_M0: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE_M0),
     MEASUREMENT_FILE: _measurement_text(MEASUREMENT_N),
     MEASUREMENT_FILE_M0: _measurement_text(MEASUREMENT_N, initial_only=True),
+    CONFIG_BIG: OVERFLOWING_DIAGNOSTICS,
+    OVERFLOWING_FILE: "0,0\n0.5,1.7e308\n1,-1.7e308\n",
+    CONFIG_OVERFLOWING_FILE: CONTAMINANT_OVERFLOWING_FILE,
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -389,10 +418,23 @@ COMMANDS = {
     "reconstruct-json-missing-dir": [
         "reconstruct", *M1, "--n", "10", "--mx", "4", "--json", "missing/r.json",
     ],
+    # a run that would write a NaN or an infinity writes nothing
+    "roundtrip-diagnostics-overflow": [
+        "roundtrip", "--config", CONFIG_BIG, "--n", "4", "--mx", "4", "--force",
+    ],
+    # sigma = 5e-324, the least subnormal: err_inf / sigma overflows
+    "noise-sweep-amplification-overflow": [
+        "noise-sweep", *M1, "--n", "20", "--mx", "10", "--noise", "5e-324", "--seed", "1",
+    ],
+    "reconstruct-measurement-difference-overflow": [
+        "reconstruct", "--config", CONFIG_OVERFLOWING_FILE, "--n", "2", "--mx", "4",
+    ],
 }
 FAILING = {
     "reconstruct-f-fault-trace", "reconstruct-floor-violation", "reconstruct-h-fault-in-floor",
     "reconstruct-h-static-fault", "forward-g-fault-at-0-discrete", "reconstruct-json-missing-dir",
+    "roundtrip-diagnostics-overflow", "noise-sweep-amplification-overflow",
+    "reconstruct-measurement-difference-overflow",
 }
 
 
