@@ -1220,7 +1220,7 @@ def test_whole_command_lines(tmp_path_factory, data):
     assert written == ({p.name for p in outputs if p.parent == work} if code == 0 else set())
     report = work / _OUTPUT_NAMES["json"]
     if report.exists():  # the config echo states the values the run used
-        event("config echo checked")
+        event("config echo checked" + (" with a measurement file" if kind else ""))
         echo = json.loads(report.read_text(encoding="utf-8"))["config"]
         assert echo["mode"] == mode and echo["T"] == float(horizon or 1.0)  # every source's T
         assert echo["measurement_file"] == (None if kind is None else str(measurement))
