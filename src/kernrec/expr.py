@@ -16,11 +16,11 @@ constant ``pi``, the unary functions ``sin cos exp log sqrt abs tanh``
 and the binary ``min max``.  Numbers are plain decimals with an optional
 exponent; one that overflows to infinity (``1e999``) is a syntax error.
 
-Trees are immutable; :func:`evaluate` is side-effect free and accepts
-scalar or numpy-array bindings (arrays must share a common broadcast
-shape).  Any NaN or infinity produced during evaluation raises
-:class:`~kernrec.errors.DomainFaultError` naming the offending
-sub-expression instead of propagating silently.
+Trees are immutable NamedTuple nodes; :func:`evaluate` is side-effect
+free and accepts scalar or numpy-array bindings (arrays must share a
+common broadcast shape).  Any NaN or infinity produced during
+evaluation raises :class:`~kernrec.errors.DomainFaultError` naming the
+offending sub-expression instead of propagating silently.
 
 A tree evaluated many times goes through :func:`compile` first: it
 becomes nested numpy closures, with constants and the sub-trees over
@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -69,30 +68,25 @@ CONSTANTS = {"pi": np.pi}
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expression"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     args: tuple["Expression", ...]
 

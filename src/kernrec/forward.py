@@ -63,7 +63,7 @@ and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -200,8 +200,7 @@ class TimeStepper:
         return measured, np.divide(residual, scale, out=out, where=scale != 0)
 
 
-@dataclass(frozen=True)
-class ForwardRun:
+class ForwardRun(NamedTuple):
     """States u_0..u_n plus the discrete measurement they induce."""
 
     states: np.ndarray  # shape (n+1, *grid.shape); u_0 is the interpolated u0

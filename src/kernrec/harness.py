@@ -37,8 +37,8 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Callable
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -232,8 +232,7 @@ def _derivative_rule(spec, measurement_file, value):
         return f"analytic needs an exact m' (mprime), and problem {spec.name!r} has none"
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """One option: flag ``--key`` and config key ``[section] key``.
 
     ``cast`` reads the text of either alike.  ``modes`` use the option;
@@ -311,19 +310,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
+    # every mode takes the same options: argparse checks them once, in
+    # this parent, and copies them into each mode's parser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--preset", help="built-in problem name")
+    common.add_argument("--config", help="path to a config file")
+    common.add_argument("--T", type=float, help="override the time horizon")
+    for opt in OPTIONS:
+        if opt.cast is _as_bool:  # a switch: the bare flag reads as "true"
+            common.add_argument(opt.flag, action="store_const", const="true", help=opt.help)
+        else:
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            common.add_argument(opt.flag, metavar=metavar, help=opt.help)
     parser = _Parser(prog="kernrec", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode, blurb in _MODES.items():
-        p = sub.add_parser(mode, help=blurb)
-        p.add_argument("--preset", help="built-in problem name")
-        p.add_argument("--config", help="path to a config file")
-        p.add_argument("--T", type=float, help="override the time horizon")
-        for opt in OPTIONS:
-            if opt.cast is _as_bool:  # a switch: the bare flag reads as "true"
-                p.add_argument(opt.flag, action="store_const", const="true", help=opt.help)
-            else:
-                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
-                p.add_argument(opt.flag, metavar=metavar, help=opt.help)
+        sub.add_parser(mode, help=blurb, parents=[common])
     return parser
 
 
@@ -544,8 +546,8 @@ def _reconstruction_outputs(
     report = {
         "time": {"T": timegrid.T, "n": timegrid.n, "tau": timegrid.tau},
         "derivative_source": result.derivative_source,
-        "threshold": asdict(result.threshold),
-        "diagnostics": asdict(result.diagnostics),
+        "threshold": result.threshold._asdict(),
+        "diagnostics": result.diagnostics._asdict(),
     }
     if ref is None:  # no exact kernel: empty reference columns, no errors
         blank = [None] * k_rec.size
@@ -631,7 +633,7 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
                 "err_l2": err_l2,
                 "err_u": err_u,
                 "eoc": None,
-                "diagnostics": asdict(result.diagnostics),
+                "diagnostics": result.diagnostics._asdict(),
             }
         )
     for prev, row in zip(rows, rows[1:]):

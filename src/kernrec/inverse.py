@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,8 +55,7 @@ from .problem import MeasurementSeries, ProblemSpec, TimeGrid, block_slices, val
 DENOMINATOR_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Outcome of the step-size admissibility check."""
 
     omega: float
@@ -82,8 +80,7 @@ def check_step_threshold(spec: ProblemSpec, m0: float, tau: float) -> ThresholdR
     )
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """Discrete stability functionals accumulated over a reconstruction."""
 
     max_abs_kernel: float
@@ -99,8 +96,7 @@ class Diagnostics:
     max_compat_residual: float  # relative, worst step
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     """Recovered kernel and states u_0..u_n with run metadata."""
 
     kernel: KernelSeries

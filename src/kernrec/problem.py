@@ -17,7 +17,6 @@ keys, and any other key is a ConfigError, so no key is silently ignored.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import itertools
@@ -212,6 +211,8 @@ class MeasurementSeries:
 
 def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:
     """Parse a ``t,m[,mprime]`` CSV into a series aligned with ``timegrid``."""
+    import csv  # only a run that reads a measurement file pays for the import
+
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if any(cell.strip() for cell in row)]
     if rows and not _is_number(rows[0][0]):

@@ -1421,15 +1421,27 @@ def test_exit_code_table_covers_every_error_class():
     assert classes == {type(exc) for exc, _ in _EXIT_CODES} - {OSError, MemoryError}
 
 
-def test_readme_config_block_runs(tmp_path):
+def _readme_block(language: str) -> str:
+    """The README's one fenced block in ``language``."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    blocks = re.findall(rf"```{language}\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_config_block_runs(tmp_path, monkeypatch):
+    # as the README gives it: its out and json keys name files in the working directory
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "readme.cfg"
-    cfg.write_text(blocks[0], encoding="utf-8")
-    code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10",
-                    "--out", str(tmp_path / "k.csv"), "--json", str(tmp_path / "r.json")])
-    assert code == 0
+    cfg.write_text(_readme_block("ini"), encoding="utf-8")
+    assert run_cli(["reconstruct", "--config", str(cfg)]) == 0
+    assert (tmp_path / "kernel.csv").is_file() and (tmp_path / "report.json").is_file()
+
+
+def test_readme_python_block_runs(capsys):
+    exec(_readme_block("python"), {})
+    # it prints the kernel error, which the acceptance module bounds by 0.05
+    assert 0.0 <= float(capsys.readouterr().out) < 0.05
 
 
 def test_unwritable_output_exits_2(tmp_path):
@@ -1510,6 +1522,22 @@ def _child_env(**overrides):
     )
     env.update(overrides)
     return env
+
+
+def test_start_up_loads_no_module_a_run_may_not_need():
+    # csv (a measurement file), numpy.fft (the first solve) and numpy.random
+    # (a noise sweep) load on use, not with the harness or its parser
+    script = (
+        "import json, sys; import numpy; before = set(sys.modules); "
+        "import kernrec.harness; kernrec.harness.build_parser(); "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "kernrec.harness" in loaded
+    assert {"csv", "numpy.fft", "numpy.random"}.isdisjoint(loaded)
 
 
 def test_module_entry_point():

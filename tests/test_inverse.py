@@ -1,4 +1,4 @@
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,7 +153,7 @@ class TestTrajectoryWalk:
         result = reconstruct(spec, grid, tg, run.measurement)
         _, residuals = _stepwise_identity(spec, grid, tg, result.states, result.kernel.values)
         assert result.compat_residuals.tolist() == residuals
-        assert asdict(result.diagnostics) == _stepwise_diagnostics(grid, tg.tau, result)
+        assert result.diagnostics._asdict() == _stepwise_diagnostics(grid, tg.tau, result)
 
 
 class TestStepThreshold:
@@ -451,7 +451,7 @@ class TestReconstruct:
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         result = reconstruct(spec, grid, tg, series)
         reference = _running_diagnostics(result, grid, tg.tau)
-        got = asdict(result.diagnostics)
+        got = result.diagnostics._asdict()
         assert got.keys() == reference.keys()
         for key, value in reference.items():
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -462,7 +462,7 @@ class TestReconstruct:
         grid = spec.make_grid(30)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         d = reconstruct(spec, grid, tg, series).diagnostics
-        for key, value in asdict(d).items():
+        for key, value in d._asdict().items():
             assert np.isfinite(value), key
             assert value >= 0.0, key
 

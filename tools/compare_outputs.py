@@ -2,14 +2,14 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 49 ``kernrec`` commands (reconstruct, roundtrip,
+Runs a fixed set of 55 ``kernrec`` commands with each tree's ``src/``
+on ``PYTHONPATH``: six help texts and 49 runs (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
-t, with an f that reads the state or one of t, x and y alone) with each
-tree's ``src/`` on ``PYTHONPATH``.  Four run on unequal axes or on a
-single cell along an axis, where the order of faces, corners and axes
-in the grid weights, the stiffness product and the spectral divisor
-shows.  One command sets its options through ``[discretization]`` and
+t, with an f that reads the state or one of t, x and y alone).  Four
+run on unequal axes or on a single cell along an axis, where the order
+of faces, corners and axes in the grid weights, the stiffness product
+and the spectral divisor shows.  One command sets its options through ``[discretization]`` and
 ``[experiment]`` keys instead of flags.
 Some runs are sized so that the stepper's blocks of time nodes come out
 several to a run with a partial last one, or one node wide.  Nine
@@ -33,7 +33,9 @@ a count of the rest.  A command
 that traces, by ``--trace`` or by its config, must also print the same
 stderr.  A command that fails by design must exit with the same code
 and print the same stderr in both trees, and leave neither output file
-in either.  Prints one line per command and exits 0 when all agree, 1
+in either.  ``kernrec --help`` and ``kernrec MODE --help``, for each of
+the five modes, must print the same stdout byte for byte and exit with
+the same code.  Prints one line per command and exits 0 when all agree, 1
 on any difference and 2 when any other command fails in either tree.
 """
 
@@ -430,6 +432,12 @@ COMMANDS = {
         "reconstruct", "--config", CONFIG_OVERFLOWING_FILE, "--n", "2", "--mx", "4",
     ],
 }
+# help texts: stdout and exit code are compared byte for byte
+HELP = {
+    "help": ["--help"],
+    **{f"help-{mode}": [mode, "--help"]
+       for mode in ("forward", "reconstruct", "roundtrip", "convergence", "noise-sweep")},
+}
 FAILING = {
     "reconstruct-f-fault-trace", "reconstruct-floor-violation", "reconstruct-h-fault-in-floor",
     "reconstruct-h-static-fault", "forward-g-fault-at-0-discrete", "reconstruct-json-missing-dir",
@@ -449,14 +457,15 @@ def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
         (work / name).write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = {}
-    for name, (mode, *options) in COMMANDS.items():
-        argv = [mode, "--out", f"{name}.csv", "--json", f"{name}.json", *options]
-        done[name] = subprocess.run(
+    argvs = {name: [mode, "--out", f"{name}.csv", "--json", f"{name}.json", *options]
+             for name, (mode, *options) in COMMANDS.items()}
+    return {
+        name: subprocess.run(
             [sys.executable, "-m", "kernrec.harness", *argv],
             cwd=work, env=env, capture_output=True, text=True,
         )
-    return done
+        for name, argv in {**argvs, **HELP}.items()
+    }
 
 
 def without_timings(value):
@@ -500,11 +509,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = {side: run_tree(tree, Path(tmp) / side)
                 for side, tree in (("base", base), ("head", head))}
-        for name in COMMANDS:
+        for name in [*COMMANDS, *HELP]:
             done = {side: runs[side][name] for side in ("base", "head")}
             stderr = {side: run.stderr for side, run in done.items()}
             paths = {side: Path(tmp) / side / name for side in ("base", "head")}
-            if name in FAILING:
+            if name in HELP:
+                differs = [what for what in ("returncode", "stdout")
+                           if getattr(done["base"], what) != getattr(done["head"], what)]
+            elif name in FAILING:
                 differs = [
                     f"{side} left {output.name}"
                     for side, path in paths.items()
