@@ -95,7 +95,6 @@ class ExperimentConfig:
     force: bool = False
     trace: bool = False
     denominator_sign: float = 1.0
-    measurement_file: str | None = None
 
     def __post_init__(self) -> None:
         if self.my is None and self.spec.ndim == 2:
@@ -129,17 +128,11 @@ class ExperimentConfig:
             bad = [s for s in self.noise_sigmas if not 0.0 < s < math.inf]
             if bad:
                 raise UsageError(f"--noise levels must be positive and finite, got {bad[0]}")
-        if self.measurement_file is not None:
-            if self.spec.m_exact is not None:
-                raise ConfigError(
-                    "conflicts with the problem's exact measurement m; give one source",
-                    key="measurement_file",
-                )
-            if self.mode in ("forward", "roundtrip"):
-                raise ConfigError(
-                    f"{self.mode} mode generates its own measurement and reads no file",
-                    key="measurement_file",
-                )
+        if self.spec.measurement_file is not None and self.mode in ("forward", "roundtrip"):
+            raise ConfigError(
+                f"{self.mode} mode generates its own measurement and reads no file",
+                key="measurement_file",
+            )
         if self.mode != "reconstruct" and self.spec.kernel_exact is None:
             raise UsageError(f"{self.mode} mode needs an exact kernel in the problem")
 
@@ -156,14 +149,14 @@ class ExperimentConfig:
         """The run's problem and options; an option the run does not use is None."""
         values = {opt: getattr(self, opt.field) for opt in OPTIONS}
         used = {opt.field: value for opt, value in values.items()
-                if not _unused(opt, self.mode, self.spec, self.measurement_file, value)}
+                if not _unused(opt, self.mode, self.spec, value)}
         return {
             "mode": self.mode,
             "problem": self.spec.name,
             "extents": list(self.spec.extents),
             "T": self.spec.T,
             "omega": self.spec.omega_floor,
-            "measurement_file": self.measurement_file,
+            "measurement_file": self.spec.measurement_file,
             "n": self.n_list if self.mode == "convergence" else self.n_list[0],
             "mx": self.mx,
             "my": used.get("my"),
@@ -216,16 +209,16 @@ def _path(text: str) -> str:
     return text
 
 
-def _unused_beside_data(spec, measurement_file, value):
-    if spec.m_exact is not None or measurement_file is not None:
+def _unused_beside_data(spec, value):
+    if spec.m_exact is not None or spec.measurement_file is not None:
         return (
             "has no effect: the problem gives its measurement "
             "(exact m or measurement_file), so no data is generated"
         )
 
 
-def _derivative_rule(spec, measurement_file, value):
-    if measurement_file is not None:
+def _derivative_rule(spec, value):
+    if spec.measurement_file is not None:
         return "has no effect: m' is read from the measurement_file, or differenced from its samples"
     if value == "analytic" and spec.mprime_exact is None:
         # without one the run would fall back to the backward difference
@@ -236,7 +229,7 @@ class _Option(NamedTuple):
     """One option: flag ``--key`` and config key ``[section] key``.
 
     ``cast`` reads the text of either alike.  ``modes`` use the option;
-    ``rule(spec, measurement_file, value)`` says why the problem's data
+    ``rule(spec, value)`` says why the problem's data
     leaves the value unused, or returns None.
     """
 
@@ -258,11 +251,11 @@ class _Option(NamedTuple):
         return f"{self.flag} ([{self.section}] {self.key})"
 
 
-def _unused(opt: _Option, mode: str, spec, measurement_file, value) -> str | None:
+def _unused(opt: _Option, mode: str, spec, value) -> str | None:
     """Why a ``mode`` run on this problem's data would not use ``value``, or None."""
     if mode not in opt.modes:
         return f"has no effect in {mode} mode"
-    return opt.rule(spec, measurement_file, value) if opt.rule else None
+    return opt.rule(spec, value) if opt.rule else None
 
 
 OPTIONS = (
@@ -270,7 +263,7 @@ OPTIONS = (
             section="discretization"),
     _Option("mx", "mx", int, "cells along x", section="discretization"),
     _Option("my", "my", int, "cells along y (2D only)", section="discretization",
-            rule=lambda spec, _, value: spec.ndim == 1 and "has no effect: the problem is 1D"),
+            rule=lambda spec, value: spec.ndim == 1 and "has no effect: the problem is 1D"),
     _Option("out", "out", _path, "CSV output path"),
     _Option("json", "json_path", _path, "JSON report path"),
     # roundtrip differentiates its own same-grid data; noise-sweep
@@ -339,9 +332,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     sections: dict[str, dict[str, str]] = {"problem": {}, "discretization": {}, "experiment": {}}
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 sections = parse_config(fh.read(), _SECTION_KEYS)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         requested = sections["experiment"].get("mode")
         if requested not in (None, args.mode):
@@ -359,7 +352,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         problem_section["T"] = repr(args.T)
     spec = spec_from_mapping(problem_section)
 
-    measurement_file = problem_section.get("measurement_file")
     required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
     values = {}
     for opt in OPTIONS:
@@ -376,20 +368,18 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             value = opt.cast(text)
         except ValueError as exc:
             raise UsageError(f"cannot parse {where} {text!r}: {exc}") from None
-        reason = _unused(opt, args.mode, spec, measurement_file, value)
+        reason = _unused(opt, args.mode, spec, value)
         if reason:
             raise UsageError(f"{opt.label} {reason}")
         values[opt.field] = value
     # an output must not overwrite an input or the other output
     files = [(opt.label, values.get(opt.field)) for opt in OPTIONS if opt.key in ("out", "json")]
-    files += [("--config", args.config), ("[problem] measurement_file", measurement_file)]
+    files += [("--config", args.config), ("[problem] measurement_file", spec.measurement_file)]
     for i, (label, path) in enumerate(files[:2]):
         for other, other_path in files[i + 1 :]:
             if path and other_path and os.path.realpath(path) == os.path.realpath(other_path):
                 raise UsageError(f"{label} and {other} name the same file {path!r}")
-    return ExperimentConfig(
-        mode=args.mode, spec=spec, measurement_file=measurement_file, **values
-    )
+    return ExperimentConfig(mode=args.mode, spec=spec, **values)
 
 
 # -- data acquisition --------------------------------------------------
@@ -400,24 +390,25 @@ def acquire_measurement(
 ) -> MeasurementSeries:
     """Measurement for a reconstruction on (grid, timegrid).
 
-    Exact expressions or a sampled file (``validate`` rejects both at
-    once), else synthetic generation from the exact kernel on a finer
-    grid (time factor ``fine_factor``, space factor 2 unless the factor
-    is 1, which keeps the identical grid for deliberate inverse-crime
-    runs).
+    Exact expressions, or a file of the last n's samples restricted to
+    timegrid (a ProblemSpec holds at most one of the two), else synthetic
+    generation from the exact kernel on a finer grid (time factor
+    ``fine_factor``, space factor 2 unless the factor is 1, which keeps
+    the identical grid for deliberate inverse-crime runs).
     """
     spec = cfg.spec
     if spec.m_exact is not None:
         mprime = spec.mprime_exact if cfg.derivative == "analytic" else None
         return MeasurementSeries.from_expressions(timegrid, spec.m_exact, mprime)
-    if cfg.measurement_file is not None:
+    if spec.measurement_file is not None:
         try:
-            with open(cfg.measurement_file, "r", encoding="utf-8") as fh:
-                return measurement_from_csv(fh.read(), timegrid)
-        except OSError as exc:
+            with open(spec.measurement_file, "r", encoding="utf-8-sig") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(
-                f"cannot read measurement file {cfg.measurement_file}: {exc}"
+                f"cannot read measurement file {spec.measurement_file}: {exc}"
             ) from exc
+        return measurement_from_csv(text, TimeGrid(timegrid.T, cfg.n_list[-1])).restrict(timegrid)
     if spec.kernel_exact is not None:
         space_factor = 2 if cfg.fine_factor > 1 else 1
         fine_tg = TimeGrid(timegrid.T, timegrid.n * cfg.fine_factor)
@@ -540,12 +531,13 @@ def emit_json(report: dict, path: str) -> None:
 
 
 def _reconstruction_outputs(
-    timegrid: TimeGrid, result: ReconstructionResult, ref: np.ndarray | None
+    series: MeasurementSeries, result: ReconstructionResult, ref: np.ndarray | None
 ) -> tuple[str, list, dict]:
-    k_rec = result.kernel.values
+    """CSV and report of a reconstruction from ``series``."""
+    timegrid, k_rec = series.timegrid, result.kernel.values
     report = {
         "time": {"T": timegrid.T, "n": timegrid.n, "tau": timegrid.tau},
-        "derivative_source": result.derivative_source,
+        "derivative_source": series.provenance,
         "threshold": result.threshold._asdict(),
         "diagnostics": result.diagnostics._asdict(),
     }
@@ -578,7 +570,7 @@ def run_reconstruct_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     grid, timegrid = cfg.grids()
     series = acquire_measurement(cfg, grid, timegrid)
     result = _run_reconstruction(cfg, grid, timegrid, series)
-    return _reconstruction_outputs(timegrid, result, kernel_reference(cfg.spec, timegrid))
+    return _reconstruction_outputs(series, result, kernel_reference(cfg.spec, timegrid))
 
 
 def run_roundtrip_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
@@ -586,7 +578,7 @@ def run_roundtrip_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     grid, timegrid = cfg.grids()
     fwd = run_forward(cfg.spec, grid, timegrid, derivative="discrete")
     result = _run_reconstruction(cfg, grid, timegrid, fwd.measurement)
-    header, columns, report = _reconstruction_outputs(timegrid, result, fwd.kernel.values)
+    header, columns, report = _reconstruction_outputs(fwd.measurement, result, fwd.kernel.values)
     report["roundtrip"] = {
         "kernel_max_error": report["errors"]["kernel_inf"],
         "state_max_error": float(np.max(np.abs(result.states - fwd.states))),

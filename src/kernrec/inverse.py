@@ -104,7 +104,6 @@ class ReconstructionResult(NamedTuple):
     diagnostics: Diagnostics
     denominators: np.ndarray  # per step i = 1..n
     compat_residuals: np.ndarray  # relative, per step i = 1..n
-    derivative_source: str
     threshold: ThresholdReport
 
 
@@ -275,6 +274,5 @@ def reconstruct(
         diagnostics=diagnostics,
         denominators=denominators,
         compat_residuals=residuals,
-        derivative_source=measurement.provenance,
         threshold=threshold,
     )

@@ -86,6 +86,7 @@ class ProblemSpec:
     m_exact: expr.Expression | None = None
     mprime_exact: expr.Expression | None = None
     u_exact: expr.Expression | None = None
+    measurement_file: str | None = None  # sampled t,m[,mprime] rows, instead of an exact m
 
     def __post_init__(self):
         # the chained comparisons are false for NaN as well
@@ -109,6 +110,11 @@ class ProblemSpec:
                     f"'{key}' uses variables {sorted(used - allowed)}; "
                     f"allowed: {sorted(allowed)}"
                 )
+        if self.measurement_file is not None and self.m_exact is not None:
+            raise ConfigError(
+                "conflicts with the problem's exact measurement m; give one source",
+                key="measurement_file",
+            )
 
     @property
     def ndim(self) -> int:
@@ -447,6 +453,8 @@ def spec_from_mapping(problem: Mapping[str, str]) -> ProblemSpec:
             spec = replace(spec, T=_get_float(problem, "T"))
         if "omega" in problem:
             spec = replace(spec, omega_floor=_get_float(problem, "omega"))
+        if "measurement_file" in problem:
+            spec = replace(spec, measurement_file=problem["measurement_file"])
         return spec
     _check_keys("problem", problem, _INLINE_KEYS)
     lx = _get_float(problem, "lx")
@@ -459,7 +467,8 @@ def spec_from_mapping(problem: Mapping[str, str]) -> ProblemSpec:
         for key, (name, _, required) in _EXPRESSION_KEYS.items()
     }
     return ProblemSpec(
-        name=problem.get("name", "inline"), extents=extents, T=T, omega_floor=omega, **trees
+        name=problem.get("name", "inline"), extents=extents, T=T, omega_floor=omega,
+        measurement_file=problem.get("measurement_file"), **trees
     )
 
 

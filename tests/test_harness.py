@@ -48,6 +48,20 @@ m = "10*exp(-t)"
 mprime = "-10*exp(-t)"
 """
 
+# a manufactured 2D problem: state (1+t)(1+cos(pi x)cos(pi y)), kernel exp(-t)
+_MANUFACTURED_2D = """
+[problem]
+f = "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y) + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))"
+h = "1"
+g = "0"
+u0 = "1+cos(pi*x)*cos(pi*y)"
+lx = 1.0
+ly = 1.0
+T = 1.0
+omega = 1.0
+kernel = "exp(-t)"
+"""
+
 MANUFACTURED_CONFIG = """
 [problem]
 f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"
@@ -60,6 +74,11 @@ omega = 1.0
 m = "1+t"
 mprime = "1"
 """
+# manufactured1d with its kernel, but without m and mprime, so that a
+# measurement file can give its measurement
+_MANUFACTURED_WITHOUT_M = MANUFACTURED_CONFIG.replace(
+    'm = "1+t"\nmprime = "1"\n', 'kernel = "exp(-t)"\n'
+)
 
 
 def _read(path):
@@ -252,35 +271,30 @@ class TestForwardCommand:
         m_last = float(lines[-1].split(",")[1])
         assert abs(m_last - 2.0) < 0.05
 
-    def test_measurement_file_feeds_reconstruct(self, tmp_path):
-        data = tmp_path / "m.csv"
-        assert run_cli(
-            ["forward", "--preset", "manufactured1d", "--n", "40", "--mx", "40",
-             "--out", str(data), "--derivative", "discrete"]
-        ) == 0
-        cfg = tmp_path / "p.cfg"
-        spec_text = (
-            "[problem]\n"
-            'f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"\n'
-            'h = "1"\n'
-            'g = "0"\n'
-            'u0 = "1+cos(pi*x)"\n'
-            "lx = 1.0\n"
-            "T = 1.0\n"
-            "omega = 1.0\n"
-            f'measurement_file = "{data}"\n'
-        )
-        cfg.write_text(spec_text, encoding="utf-8")
-        out = tmp_path / "k.csv"
-        code = run_cli(
-            ["reconstruct", "--config", str(cfg), "--n", "40", "--mx", "40",
-             "--out", str(out)]
-        )
-        assert code == 0
-        rows = _read(out).strip().split("\n")[1:]
-        rec = np.array([float(r.split(",")[1]) for r in rows])
-        # same-grid data: the kernel comes back essentially exactly
-        assert np.abs(rec - np.exp(-np.linspace(0, 1, 41))).max() < 0.05
+    @pytest.mark.parametrize(
+        "problem,n,mx",
+        [(_MANUFACTURED_WITHOUT_M, 40, 40), (_MANUFACTURED_2D, 20, 12)],
+        ids=["1d", "2d"],
+    )
+    def test_measurement_file_feeds_reconstruct(self, tmp_path, problem, n, mx):
+        # the file of a discrete forward run reconstructs, bit for bit, to
+        # the kernel that roundtrip gets from the same data in memory
+        data, plain, from_file = tmp_path / "m.csv", tmp_path / "p.cfg", tmp_path / "f.cfg"
+        plain.write_text(problem, encoding="utf-8")
+        from_file.write_text(problem + f'measurement_file = "{data}"\n', encoding="utf-8")
+        grid = ["--n", str(n), "--mx", str(mx)]
+        assert run_cli(["forward", "--config", str(plain), *grid, "--out", str(data),
+                        "--derivative", "discrete"]) == 0
+        kernels = {}
+        for mode, cfg in (("roundtrip", plain), ("reconstruct", from_file)):
+            out = tmp_path / f"{mode}.csv"
+            assert run_cli([mode, "--config", str(cfg), *grid, "--out", str(out)]) == 0
+            kernels[mode] = [row.split(",")[:2] for row in _read(out).splitlines()]
+        assert kernels["reconstruct"] == kernels["roundtrip"]
+        # the file's n is a convergence list's last, restricted to each level
+        levels = f"{n // 4},{n // 2},{n}"
+        assert run_cli(["convergence", "--config", str(from_file), "--n", levels,
+                        "--mx", str(mx)]) == 0
 
 
 class TestRoundtripCommand:
@@ -357,6 +371,24 @@ class TestConvergenceCommand:
             ["reconstruct", "--preset", "manufactured1d", "--n", "50,100", "--mx", "40"]
         )
         assert code == 1
+
+    def test_convergence_restricts_the_measurement_file(self, tmp_path, capsys):
+        data, cfg = tmp_path / "m.csv", tmp_path / "f.cfg"
+        assert run_cli(["forward", "--preset", "manufactured1d", "--n", "200", "--mx", "20",
+                        "--out", str(data)]) == 0
+        cfg.write_text(_MANUFACTURED_WITHOUT_M + f'measurement_file = "{data}"\n',
+                       encoding="utf-8")
+        table = tmp_path / "t.csv"
+        argv = ["convergence", "--config", str(cfg), "--mx", "20"]
+        assert run_cli([*argv, "--n", "50,100,200", "--out", str(table)]) == 0
+        eoc = [row.split(",")[-1] for row in _read(table).splitlines()[1:]]
+        assert eoc[0] == EOC_UNDEFINED and all(0.9 < float(e) < 1.2 for e in eoc[1:])
+        # every level restricts the file's 200 steps
+        capsys.readouterr()
+        assert run_cli([*argv, "--n", "30,200"]) == 3
+        assert capsys.readouterr().err == (
+            "kernrec: validation failure: fine step count 200 is not a multiple of 30\n"
+        )
 
 
 class TestNoiseSweep:
@@ -619,6 +651,37 @@ class TestConfigHandling:
         assert proc.returncode == 1
         assert "usage error: [g] cannot parse expression" in proc.stderr
         assert "nested deeper" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flaw", ["byte-order mark", "latin-1 byte"])
+    @pytest.mark.parametrize("target", ["config", "measurement file"])
+    def test_text_input_decodes_or_fails_in_one_line(self, tmp_path, capsys, target, flaw):
+        data, cfg = tmp_path / "m.csv", tmp_path / "p.cfg"
+        cfg.write_text(f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n',
+                       encoding="utf-8")
+        # headerless, so that a mark read as text would turn row 1 into a
+        # header; m' = -2 gives the contaminant's K_0 = -1
+        nodes = np.linspace(0.0, 1.0, 11).tolist()
+        data.write_text("".join(f"{t!r},{1 - 2 * t!r}\n" for t in nodes), encoding="utf-8")
+        argv = ["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"]
+        clean, out = tmp_path / "clean.csv", tmp_path / "out.csv"
+        assert run_cli([*argv, "--out", str(clean)]) == 0
+        path = cfg if target == "config" else data
+        raw = path.read_bytes()
+        if flaw == "byte-order mark":
+            path.write_bytes(b"\xef\xbb\xbf" + raw)
+        else:  # a Latin-1 comment line
+            path.write_bytes(raw + b"# caf\xe9\n")
+        capsys.readouterr()
+        code = run_cli([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        if flaw == "byte-order mark":  # read past, as if it were not there
+            assert (code, err) == (0, "")
+            assert _read(out) == _read(clean)
+        else:
+            assert code == 1 and not out.exists()
+            assert err == (f"kernrec: usage error: cannot read {target} {path}: 'utf-8' codec "
+                           f"can't decode byte 0xe9 in position {len(raw) + 5}: "
+                           "invalid continuation byte\n")
 
     @pytest.mark.parametrize(
         "mode,preset",
@@ -1014,8 +1077,9 @@ _CLI_SOURCES = {  # name: [problem] section
     + 'measurement_file = "<measurement>"\n',
 }
 _MEASUREMENT_FILE = "m#1.csv"  # a quoted config value may hold a #
-# the modes that read a measurement file
-_FILE_MODES = ["reconstruct", "convergence", "noise-sweep"]
+# the modes that read a measurement file; convergence, which restricts it
+# to each level, first, as a draw favours the first entry
+_FILE_MODES = ["convergence", "reconstruct", "noise-sweep"]
 # a valid t,m[,mprime] file, or one with a malformed data row
 _MEASUREMENT_KINDS = ["t,m,mprime", "t,m", "m not a number", "no m", "value after m'",
                       "one row short"]
@@ -1113,13 +1177,14 @@ def _config_text(data, sections: dict[str, str], valid: bool) -> tuple[str, str 
     return "\n".join(lines) + "\n", repeated
 
 
-def _cli_option_text(data, opt, mode, broken, unused_too, one_n):
-    """The text drawn for one option, or None to leave it unset; ``one_n``
-    keeps n to one step count, as one measurement file serves."""
+def _cli_option_text(data, opt, mode, broken, unused_too, file_run):
+    """The text drawn for one option, or None to leave it unset.  In a
+    ``file_run``, n is a list in convergence, whose levels restrict the
+    file's rows at its last n, and one step count in the other modes."""
     needed = {"n", "mx"} | ({"noise", "seed"} if mode == "noise-sweep" else set())
     valid, invalid = _CLI_VALUES[opt.key]
-    if one_n and opt.key == "n":
-        valid = [text for text in valid if "," not in text]
+    if file_run and opt.key == "n":
+        valid = [text for text in valid if ("," in text) == (mode == "convergence")]
     if opt.key == broken:  # leaving out a value the run needs is invalid too
         choices = invalid + [None] if opt.key in needed else invalid
     elif opt.key in needed:
@@ -1185,8 +1250,9 @@ def test_whole_command_lines(tmp_path_factory, data):
     if source == "measurement-file":
         kinds = _MEASUREMENT_KINDS[:2] if file_run else _MEASUREMENT_KINDS
         kind = data.draw(st.sampled_from(kinds), label="measurement file")
-        # rows for the drawn n and T, or for n = 4 when n is not one valid count
-        n = int(given["n"].split(",")[0]) if broken != "n" else 4
+        # rows for T and the drawn n, a list's last, which convergence
+        # restricts to each level; for n = 4 when n is not valid
+        n = int(given["n"].split(",")[-1]) if broken != "n" else 4
         bad_row = data.draw(st.integers(0, n), label="malformed row")
         measurement = work / _MEASUREMENT_FILE
         measurement.write_text(

@@ -388,6 +388,20 @@ class TestConfig:
         spec = spec_from_mapping({"preset": "manufactured1d", "T": "0.5"})
         assert spec.T == 0.5
 
+    def test_measurement_file_is_part_of_the_spec(self):
+        assert spec_from_mapping({"preset": "contaminant"}).measurement_file is None
+        spec = spec_from_mapping({"preset": "contaminant", "measurement_file": "m.csv"})
+        assert spec.measurement_file == "m.csv"
+        inline = parse_config(CONFIG.replace('m = "exp(-t)"\nmprime = "-exp(-t)"\n', ""))
+        spec = spec_from_mapping({**inline["problem"], "measurement_file": "m.csv"})
+        assert spec.measurement_file == "m.csv"
+        # no spec holds a file beside an exact m
+        conflict = r"^\[measurement_file\] conflicts with the problem's exact measurement m; "
+        with pytest.raises(ConfigError, match=conflict):
+            spec_from_mapping({"preset": "manufactured1d", "measurement_file": "m.csv"})
+        with pytest.raises(ConfigError, match=conflict):
+            replace(spec, m_exact=expr.parse("1+t"))
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValidationError):
             spec_from_mapping(parse_config(CONFIG.replace("T = 2.0", "T = -1"))["problem"])

@@ -2,8 +2,8 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 55 ``kernrec`` commands with each tree's ``src/``
-on ``PYTHONPATH``: six help texts and 49 runs (reconstruct, roundtrip,
+Runs a fixed set of 57 ``kernrec`` commands with each tree's ``src/``
+on ``PYTHONPATH``: six help texts and 51 runs (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone).  Four
@@ -23,8 +23,9 @@ evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
 p), run a 2D config whose f reads both gradient components p and q,
 read manufactured1d's measurement from a ``t,m,mprime`` file that this
-script writes beside its configs, or from a headerless one whose first
-row alone carries m'(0), and trace a noise sweep.
+script writes beside its configs, also restricted to each level of a
+convergence list, or from a headerless one whose first row alone carries
+m'(0), also behind a UTF-8 byte-order mark, and trace a noise sweep.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report the same text once its
 ``timings`` are dropped, so that the sign of a zero shows; a report
@@ -234,9 +235,11 @@ CONFIG_G2D = "gradient2d.ini"
 
 # manufactured1d without m and mprime: the measurement is read from a file
 # of the samples of m = 1 + t and m' = 1 on MEASUREMENT_N steps; the second
-# has no header and gives m' in its first row alone, as m'(0)
+# has no header and gives m' in its first row alone, as m'(0); the third is
+# the second behind a byte-order mark
 MEASUREMENT_FILE = "manufactured1d_m.csv"
 MEASUREMENT_FILE_M0 = "manufactured1d_m0.csv"
+MEASUREMENT_FILE_BOM = "manufactured1d_mbom.csv"
 MEASUREMENT_N = 200
 MANUFACTURED_FROM_FILE = """\
 [problem]
@@ -254,6 +257,7 @@ measurement_file = "{file}"
 """
 CONFIG_FROM_FILE = "manufactured1dfile.ini"
 CONFIG_FROM_FILE_M0 = "manufactured1dfilem0.ini"
+CONFIG_FROM_FILE_BOM = "manufactured1dfilebom.ini"
 
 # every state is finite, but the squares in the diagnostics overflow
 OVERFLOWING_DIAGNOSTICS = """\
@@ -306,7 +310,9 @@ CONFIGS = {
     CONFIG_FROM_FILE: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE),
     CONFIG_FROM_FILE_M0: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE_M0),
     MEASUREMENT_FILE: _measurement_text(MEASUREMENT_N),
+    CONFIG_FROM_FILE_BOM: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE_BOM),
     MEASUREMENT_FILE_M0: _measurement_text(MEASUREMENT_N, initial_only=True),
+    MEASUREMENT_FILE_BOM: "\ufeff" + _measurement_text(MEASUREMENT_N, initial_only=True),
     CONFIG_BIG: OVERFLOWING_DIAGNOSTICS,
     OVERFLOWING_FILE: "0,0\n0.5,1.7e308\n1,-1.7e308\n",
     CONFIG_OVERFLOWING_FILE: CONTAMINANT_OVERFLOWING_FILE,
@@ -391,6 +397,13 @@ COMMANDS = {
     ],
     "reconstruct-manufactured1d-file-m0": [
         "reconstruct", "--config", CONFIG_FROM_FILE_M0, "--n", str(MEASUREMENT_N), "--mx", "50",
+    ],
+    "reconstruct-manufactured1d-file-bom": [
+        "reconstruct", "--config", CONFIG_FROM_FILE_BOM, "--n", str(MEASUREMENT_N), "--mx", "50",
+    ],
+    # the file's MEASUREMENT_N steps, restricted to each level
+    "convergence-manufactured1d-file": [
+        "convergence", "--config", CONFIG_FROM_FILE, "--n", "50,100,200", "--mx", "50",
     ],
     "noise-sweep-contaminant-trace": [
         "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
