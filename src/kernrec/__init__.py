@@ -21,15 +21,7 @@ from .inverse import (
     kernel_difference_energy,
     reconstruct,
 )
-from .problem import (
-    MeasurementSeries,
-    ProblemSpec,
-    TimeGrid,
-    make_preset,
-    preset_contaminant,
-    preset_manufactured_1d,
-    preset_zero_1d,
-)
+from .problem import MeasurementSeries, ProblemSpec, TimeGrid, make_preset
 
 __version__ = "0.1.0"
 
@@ -47,9 +39,6 @@ __all__ = [
     "kernel_difference_energy",
     "make_preset",
     "nodal_gradient",
-    "preset_contaminant",
-    "preset_manufactured_1d",
-    "preset_zero_1d",
     "reconstruct",
     "run_forward",
 ]

@@ -401,14 +401,7 @@ def acquire_measurement(
         mprime = spec.mprime_exact if cfg.derivative == "analytic" else None
         return MeasurementSeries.from_expressions(timegrid, spec.m_exact, mprime)
     if spec.measurement_file is not None:
-        try:
-            with open(spec.measurement_file, "r", encoding="utf-8-sig") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(
-                f"cannot read measurement file {spec.measurement_file}: {exc}"
-            ) from exc
-        return measurement_from_csv(text, TimeGrid(timegrid.T, cfg.n_list[-1])).restrict(timegrid)
+        return _measurement_file(cfg).restrict(timegrid)
     if spec.kernel_exact is not None:
         space_factor = 2 if cfg.fine_factor > 1 else 1
         fine_tg = TimeGrid(timegrid.T, timegrid.n * cfg.fine_factor)
@@ -418,6 +411,25 @@ def acquire_measurement(
     raise UsageError(
         "problem has no measurement source (exact m, measurement_file, or exact kernel)"
     )
+
+
+def _measurement_file(cfg: ExperimentConfig) -> MeasurementSeries:
+    """The samples of the problem's measurement file on the last n of the
+    list, each n of which must divide the file's step count."""
+    path = cfg.spec.measurement_file
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read measurement file {path}: {exc}") from exc
+    steps = cfg.n_list[-1]
+    series = measurement_from_csv(text, TimeGrid(cfg.spec.T, steps))
+    for n in cfg.n_list:
+        if steps % n:
+            raise ValidationError(
+                f"--n entry {n} does not divide the measurement file's {steps} steps"
+            )
+    return series
 
 
 def _trace_printer(i, t, k, den, resid):
@@ -604,10 +616,15 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
     """
     spec = cfg.spec
     grid, _ = cfg.grids()
+    # a measurement file is read once, before the first level
+    data = None if spec.measurement_file is None else _measurement_file(cfg)
     rows: list[dict] = []
     for n in cfg.n_list:
         timegrid = TimeGrid(spec.T, n)
-        series = acquire_measurement(cfg, grid, timegrid)
+        if data is None:
+            series = acquire_measurement(cfg, grid, timegrid)
+        else:
+            series = data.restrict(timegrid)
         result = _run_reconstruction(cfg, grid, timegrid, series)
         ref = kernel_reference(spec, timegrid)
         err_inf, err_l2 = kernel_errors(result.kernel.values, ref, timegrid.tau)

@@ -22,7 +22,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -227,8 +227,10 @@ def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:
         if any(cell.strip() for cell in row[3:]):
             raise ValidationError(f"measurement file data row {k + 1} has a value after m'")
     if len(rows) != timegrid.n + 1:
+        steps = f" ({len(rows) - 1} steps)" if rows else ""
         raise ValidationError(
-            f"measurement file has {len(rows)} rows, expected {timegrid.n + 1}"
+            f"measurement file has {len(rows)} rows{steps}, "
+            f"expected {timegrid.n + 1} for n = {timegrid.n}"
         )
 
     def number(k: int, column: int) -> float:
@@ -441,21 +443,20 @@ def spec_from_mapping(problem: Mapping[str, str]) -> ProblemSpec:
     A preset accepts T, omega and measurement_file, plus its own
     parameters (contaminant only); an inline problem accepts the
     expression, extent and floor keys.  Any other key is a ConfigError.
+    A preset is the inline section of ``PRESETS`` with the given T, omega
+    and measurement_file laid over it.
     """
     preset = problem.get("preset")
     if preset is not None:
-        spec = make_preset(preset, problem)
-        _check_keys(
-            "problem", problem, _PRESET_KEYS | _PRESET_OPTIONS.get(preset, frozenset()),
-            f" with preset '{preset}'",
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
+        accepted = _PRESET_OPTIONS.get(preset, frozenset())
+        section = PRESETS[preset](
+            **{key: _get_float(problem, key) for key in problem if key in accepted}
         )
-        if "T" in problem:
-            spec = replace(spec, T=_get_float(problem, "T"))
-        if "omega" in problem:
-            spec = replace(spec, omega_floor=_get_float(problem, "omega"))
-        if "measurement_file" in problem:
-            spec = replace(spec, measurement_file=problem["measurement_file"])
-        return spec
+        _check_keys("problem", problem, _PRESET_KEYS | accepted, f" with preset '{preset}'")
+        given = {key: problem[key] for key in ("T", "omega", "measurement_file") if key in problem}
+        problem = {**section, **given}
     _check_keys("problem", problem, _INLINE_KEYS)
     lx = _get_float(problem, "lx")
     extents: tuple[float, ...] = (lx,)
@@ -472,49 +473,46 @@ def spec_from_mapping(problem: Mapping[str, str]) -> ProblemSpec:
     )
 
 
-# -- presets ---------------------------------------------------------
+def make_preset(name: str, options: Mapping[str, str] | None = None) -> ProblemSpec:
+    """The spec of a preset, with its options as [problem] keys."""
+    return spec_from_mapping({**(options or {}), "preset": name})
 
 
-def preset_manufactured_1d() -> ProblemSpec:
-    """Closed-form 1D fixture on (0,1) x (0,1].
+# -- presets: the [problem] sections of the built-in problems ----------
 
-    The state (1+t)(1+cos(pi x)) with kernel exp(-t) satisfies the
-    evolution problem with h = 1, g = 0 and the forcing below; the
-    measurement is m(t) = 1 + t.  The memory term has the closed form
-    t (1 + cos(pi x)), which the test suite re-verifies by quadrature.
-    """
-    return ProblemSpec(
-        name="manufactured1d",
-        extents=(1.0,),
-        T=1.0,
-        omega_floor=1.0,
-        f=expr.parse(
-            "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"
-        ),
-        h=expr.parse("1"),
-        g=expr.parse("0"),
-        u0=expr.parse("1+cos(pi*x)"),
-        kernel_exact=expr.parse("exp(-t)"),
-        m_exact=expr.parse("1+t"),
-        mprime_exact=expr.parse("1"),
-        u_exact=expr.parse("(1+t)*(1+cos(pi*x))"),
-    )
+# Closed-form 1D fixture on (0,1) x (0,1].  The state (1+t)(1+cos(pi x))
+# with kernel exp(-t) satisfies the evolution problem with h = 1, g = 0 and
+# the forcing f; the measurement is m(t) = 1 + t.  The memory term has the
+# closed form t (1 + cos(pi x)), which the test suite re-verifies by quadrature.
+_MANUFACTURED_1D = {
+    "name": "manufactured1d", "lx": "1.0", "T": "1.0", "omega": "1.0",
+    "f": "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))",
+    "h": "1", "g": "0", "u0": "1+cos(pi*x)",
+    "kernel": "exp(-t)", "m": "1+t", "mprime": "1", "u_exact": "(1+t)*(1+cos(pi*x))",
+}
+
+# All-zero data; the reconstruction must return exact zeros.
+_ZERO_1D = {
+    "name": "zero1d", "lx": "1.0", "T": "1.0", "omega": "1.0",
+    "f": "0", "h": "1", "g": "0", "u0": "0",
+    "kernel": "0", "m": "0", "mprime": "0", "u_exact": "0",
+}
 
 
-def preset_contaminant(
+def _contaminant(
     rho_b: float = 1.0,
     porosity: float = 1.0,
     kr: float = 1.0,
     kd: float = 1.0,
     s0: float = 1.0,
     v: float = 0.0,
-) -> ProblemSpec:
+) -> dict[str, str]:
     """Reactive-transport model with first-order sorption kinetics.
 
     Eliminating the sorbed concentration yields a memory kernel
     K(t) = -(rho_b/porosity) kr^2 kd exp(-kr t), the constant source
     factor h = -s0/(kr kd) and the reaction/advection term
-    f = -(rho_b/porosity) kr kd u - v . grad u.
+    f = -(rho_b/porosity) kr kd u - v . grad u.  The floor is |h|.
     """
     for key, value in {"rho_b": rho_b, "porosity": porosity, "kr": kr,
                        "kd": kd, "s0": s0, "v": v}.items():
@@ -541,51 +539,19 @@ def preset_contaminant(
     f_src = f"{(-reaction)!r}*u"
     if v != 0.0:
         f_src += f" + {(-v)!r}*p"
-    return ProblemSpec(
-        name="contaminant",
-        extents=(1.0,),
-        T=1.0,
-        omega_floor=abs(h_value),
-        f=expr.parse(f_src),
-        h=expr.parse(repr(h_value)),
-        g=expr.parse("0"),
-        u0=expr.parse("1+cos(pi*x)"),
-        kernel_exact=expr.parse(f"{(-kernel_coeff)!r}*exp(-{kr!r}*t)"),
-    )
+    return {
+        "name": "contaminant", "lx": "1.0", "T": "1.0", "omega": repr(abs(h_value)),
+        "f": f_src, "h": repr(h_value), "g": "0", "u0": "1+cos(pi*x)",
+        "kernel": f"{(-kernel_coeff)!r}*exp(-{kr!r}*t)",
+    }
 
 
-def preset_zero_1d() -> ProblemSpec:
-    """All-zero data; the reconstruction must return exact zeros."""
-    return ProblemSpec(
-        name="zero1d",
-        extents=(1.0,),
-        T=1.0,
-        omega_floor=1.0,
-        f=expr.parse("0"),
-        h=expr.parse("1"),
-        g=expr.parse("0"),
-        u0=expr.parse("0"),
-        kernel_exact=expr.parse("0"),
-        m_exact=expr.parse("0"),
-        mprime_exact=expr.parse("0"),
-        u_exact=expr.parse("0"),
-    )
-
-
+# each preset's section, from its parameters (contaminant only)
 PRESETS = {
-    "manufactured1d": preset_manufactured_1d,
-    "contaminant": preset_contaminant,
-    "zero1d": preset_zero_1d,
+    "manufactured1d": _MANUFACTURED_1D.copy,
+    "contaminant": _contaminant,
+    "zero1d": _ZERO_1D.copy,
 }
 
 # parameters a preset takes as config keys, beyond _PRESET_KEYS
 _PRESET_OPTIONS = {"contaminant": frozenset({"rho_b", "porosity", "kr", "kd", "s0", "v"})}
-
-
-def make_preset(name: str, options: Mapping[str, str] | None = None) -> ProblemSpec:
-    """Instantiate a preset by name, honoring parameter overrides."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    accepted = _PRESET_OPTIONS.get(name, frozenset())
-    kwargs = {key: _get_float(options, key) for key in options or {} if key in accepted}
-    return PRESETS[name](**kwargs)

@@ -1,11 +1,14 @@
-"""Reference solvers that the tests compare the spectral solve against.
+"""Reference solvers that the tests compare the spectral solve against,
+and the manufactured 2D problem.
 
 ``solve_tridiagonal`` (Thomas algorithm) solves the 1D backward-Euler
 system (1/tau) W + A directly; ``solve_cg`` (Jacobi-preconditioned
 conjugate gradients on an ``SpdOperator``) solves it matrix-free in 1D
 and 2D, with ``stiffness_diagonal`` as the Jacobi preconditioner.  No
 kernrec run calls them: every step is solved by
-``kernrec.solver.SpectralSolver``.
+``kernrec.solver.SpectralSolver``.  ``MANUFACTURED_2D`` is a [problem]
+section with a closed-form solution, read as the presets are read, by
+``kernrec.problem.spec_from_mapping``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,19 @@ from typing import Callable
 import numpy as np
 
 from kernrec.grid import SpatialGrid
+
+
+# The 2D counterpart of manufactured1d on the unit square: the state
+# (1+t)(1+cos(pi x)cos(pi y)) with kernel exp(-t) satisfies the evolution
+# problem with h = 1, g = 0 and this f, and m(t) = 1 + t.
+MANUFACTURED_2D = {
+    "name": "manufactured2d", "lx": "1.0", "ly": "1.0", "T": "1.0", "omega": "1.0",
+    "f": "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
+         " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))",
+    "h": "1", "g": "0", "u0": "1+cos(pi*x)*cos(pi*y)",
+    "kernel": "exp(-t)", "m": "1+t", "mprime": "1",
+    "u_exact": "(1+t)*(1+cos(pi*x)*cos(pi*y))",
+}
 
 
 class SingularMatrixError(Exception):

@@ -23,11 +23,16 @@ from kernrec.problem import (
     MeasurementSeries,
     TimeGrid,
     make_preset,
-    preset_manufactured_1d,
-    preset_zero_1d,
+    spec_from_mapping,
 )
 from kernrec.solver import SpectralSolver
-from oracles import SpdOperator, solve_cg, solve_tridiagonal, stiffness_diagonal
+from oracles import (
+    MANUFACTURED_2D,
+    SpdOperator,
+    solve_cg,
+    solve_tridiagonal,
+    stiffness_diagonal,
+)
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
@@ -42,7 +47,7 @@ class _TimedRun:
 
 @pytest.fixture(scope="module")
 def zero_run():
-    spec = preset_zero_1d()
+    spec = make_preset("zero1d")
     tg = TimeGrid(1.0, 100)
     grid = spec.make_grid(100)
     series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -53,7 +58,7 @@ def zero_run():
 
 @pytest.fixture(scope="module")
 def roundtrip_run():
-    spec = preset_manufactured_1d()
+    spec = make_preset("manufactured1d")
     tg = TimeGrid(1.0, 100)
     grid = spec.make_grid(100)
     start = time.perf_counter()
@@ -67,7 +72,7 @@ def roundtrip_run():
 
 @pytest.fixture(scope="module")
 def manufactured_run():
-    spec = preset_manufactured_1d()
+    spec = make_preset("manufactured1d")
     tg = TimeGrid(1.0, 100)
     grid = spec.make_grid(400)
     series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -78,11 +83,20 @@ def manufactured_run():
 
 @pytest.fixture(scope="module")
 def refinement_study():
-    spec = preset_manufactured_1d()
+    spec = make_preset("manufactured1d")
     cfg = ExperimentConfig(
         mode="convergence", spec=spec, n_list=[50, 100, 200, 400], mx=400
     )
     cfg.validate()
+    start = time.perf_counter()
+    rows = convergence_study(cfg)
+    return _TimedRun(time.perf_counter() - start, rows)
+
+
+@pytest.fixture(scope="module")
+def refinement_study_2d():
+    spec = spec_from_mapping(MANUFACTURED_2D)
+    cfg = ExperimentConfig(mode="convergence", spec=spec, n_list=[10, 20, 40, 80], mx=24)
     start = time.perf_counter()
     rows = convergence_study(cfg)
     return _TimedRun(time.perf_counter() - start, rows)
@@ -138,32 +152,39 @@ def test_criterion_3_manufactured_accuracy(manufactured_run):
     assert manufactured_run.duration < 10.0
 
 
-def test_criterion_4_temporal_convergence(refinement_study):
-    rows = refinement_study.payload
-    eocs = [row["eoc"] for row in rows[1:]]
-    in_range = [e is not None and 0.8 <= e <= 1.2 for e in eocs]
-    ok = sum(in_range) >= 2 and refinement_study.duration < 60.0
+def test_criterion_4_temporal_convergence(refinement_study, refinement_study_2d):
+    eocs = {
+        dim: [row["eoc"] for row in study.payload[1:]]
+        for dim, study in (("1D", refinement_study), ("2D", refinement_study_2d))
+    }
+    in_range = {dim: sum(e is not None and 0.8 <= e <= 1.2 for e in values)
+                for dim, values in eocs.items()}
+    duration = refinement_study.duration + refinement_study_2d.duration
+    ok = min(in_range.values()) >= 2 and duration < 60.0
+    shown = {dim: [None if e is None else round(e, 3) for e in values]
+             for dim, values in eocs.items()}
     _verdict(
         4,
         "temporal convergence",
         ok,
-        f"EOCs={[None if e is None else round(e, 3) for e in eocs]} "
-        f"(need >=2 in [0.8,1.2]), {refinement_study.duration:.1f}s (budget 60s)",
+        f"EOCs 1D={shown['1D']}, 2D={shown['2D']} "
+        f"(need >=2 in [0.8,1.2] each), {duration:.1f}s (budget 60s)",
     )
-    assert sum(in_range) >= 2
-    assert refinement_study.duration < 60.0
+    assert min(in_range.values()) >= 2, eocs
+    assert duration < 60.0
 
 
 def test_criterion_5_compatibility_identity(
-    zero_run, roundtrip_run, manufactured_run, refinement_study
+    zero_run, roundtrip_run, manufactured_run, refinement_study, refinement_study_2d
 ):
     worst = {
         "zero": zero_run.payload.diagnostics.max_compat_residual,
         "roundtrip": roundtrip_run.payload[2].diagnostics.max_compat_residual,
         "manufactured": manufactured_run.payload.diagnostics.max_compat_residual,
     }
-    for row in refinement_study.payload:
-        worst[f"study-n{row['n']}"] = row["diagnostics"]["max_compat_residual"]
+    for label, study in (("study", refinement_study), ("study-2d", refinement_study_2d)):
+        for row in study.payload:
+            worst[f"{label}-n{row['n']}"] = row["diagnostics"]["max_compat_residual"]
     overall = max(worst.values())
     ok = overall <= 1e-9
     _verdict(

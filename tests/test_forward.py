@@ -16,7 +16,7 @@ from kernrec.forward import (
 )
 from kernrec.grid import SpatialGrid
 from kernrec.inverse import reconstruct
-from kernrec.problem import MeasurementSeries, ProblemSpec, TimeGrid, preset_manufactured_1d
+from kernrec.problem import MeasurementSeries, ProblemSpec, TimeGrid, make_preset
 
 
 def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, extents=(1.0,), **extra):
@@ -29,7 +29,7 @@ def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, extents=(1.0,), **extra
 
 def _manufactured_time_dependent():
     """manufactured1d with h and g that depend on t."""
-    return replace(preset_manufactured_1d(), h=expr.parse("1 + t"), g=expr.parse("t*x"))
+    return replace(make_preset("manufactured1d"), h=expr.parse("1 + t"), g=expr.parse("t*x"))
 
 
 def _time_dependent_with_state():
@@ -110,7 +110,7 @@ class TestForwardStep:
         np.testing.assert_allclose(run.states, 5.0, atol=1e-12)
 
     def test_single_step_matches_run(self):
-        self._check_single_step(preset_manufactured_1d())
+        self._check_single_step(make_preset("manufactured1d"))
 
     def test_single_step_matches_run_time_dependent(self):
         self._check_single_step(_manufactured_time_dependent())
@@ -135,7 +135,7 @@ class TestForwardStep:
             SpatialGrid((1.0,), (0,))  # a single node cannot carry the scheme
 
     def test_first_order_in_time(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         grid = spec.make_grid(200)
         errors = {}
         for n in (50, 100):
@@ -148,7 +148,7 @@ class TestForwardStep:
         assert 0.7 <= rate <= 1.3
 
     def test_second_order_in_space(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         errors = {}
         for cells in (8, 16):
             grid = spec.make_grid(cells)
@@ -161,7 +161,7 @@ class TestForwardStep:
         assert 1.6 <= rate <= 2.5
 
     def test_compat_identity_everywhere(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 50)
         grid = spec.make_grid(100)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
@@ -171,7 +171,7 @@ class TestForwardStep:
     def test_stability_under_step_refinement(self):
         # halving tau must not inflate the max state norm: it creeps up
         # toward ||u*(1)|| = 2 sqrt(3/2) from below but stays bounded
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         grid = spec.make_grid(100)
 
         def max_norm(n):
@@ -187,7 +187,7 @@ class TestForwardStep:
         assert max(coarse, fine) <= limit * 1.001
 
     def test_misaligned_kernel_rejected(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         kernel = KernelSeries.from_expression(spec.kernel_exact, TimeGrid(1.0, 10))
         with pytest.raises(ValidationError):
             run_forward(spec, spec.make_grid(8), TimeGrid(1.0, 20), kernel)
@@ -254,13 +254,13 @@ class TestOncePerStep:
 
     def test_run_forward(self, monkeypatch):
         n = 20
-        calls = self._forward_calls(monkeypatch, preset_manufactured_1d(), n)
+        calls = self._forward_calls(monkeypatch, make_preset("manufactured1d"), n)
         # f reads t and x only; static h and g are formed once, for the march
         assert calls == {"f_field": 0, "f": self.BLOCKS, "h": 1, "g": 1, "conv": n}
 
     def test_reconstruct(self, monkeypatch):
         n = 20
-        calls = self._reconstruct_calls(monkeypatch, preset_manufactured_1d(), n)
+        calls = self._reconstruct_calls(monkeypatch, make_preset("manufactured1d"), n)
         # f_0 for K_0 is one node on its own; static h is formed once for the
         # floor check, initial_means and the march, static g for the last two
         assert calls == {"f_field": 0, "f": self.BLOCKS + 1, "h": 3, "g": 2, "conv": n}
@@ -390,13 +390,13 @@ class TestGenerateMeasurement:
         ids=["wrong-length", "non-finite", "other-grid"],
     )
     def test_bad_kernel_series_rejected(self, n, values, message):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         with pytest.raises(ValidationError, match=message):
             run_forward(spec, spec.make_grid(8), TimeGrid(1.0, 10),
                         KernelSeries(TimeGrid(1.0, n), values))
 
     def test_tracks_exact_measurement(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         errs = {}
         for n, cells in ((100, 100), (200, 200)):
             tg = TimeGrid(1.0, n)
@@ -415,7 +415,7 @@ class TestGenerateMeasurement:
         assert np.all(series.values == 0.0)
 
     def test_analytic_derivative_source(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 20)
         series = run_forward(spec, spec.make_grid(20), tg, derivative="analytic").measurement
         assert series.provenance == "analytic"
@@ -424,7 +424,7 @@ class TestGenerateMeasurement:
 
     def test_discrete_initial_derivative_consistent(self):
         # the t=0 identity value lets a same-grid reconstruction pin K_0
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(20)
         kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
@@ -434,14 +434,14 @@ class TestGenerateMeasurement:
         assert abs(series.initial_derivative - 1.0) < 1e-12
 
     def test_restriction_requires_divisible_counts(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 100)
         series = run_forward(spec, spec.make_grid(20), tg, derivative="discrete").measurement
         with pytest.raises(ValidationError):
             series.restrict(TimeGrid(1.0, 33))
 
     def test_unknown_derivative_rejected(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 10)
         with pytest.raises(ValidationError, match="analytc"):
             run_forward(spec, spec.make_grid(10), tg, derivative="analytc")
@@ -462,7 +462,7 @@ class TestGenerateMeasurement:
             init(self, *args)
 
         monkeypatch.setattr(TimeStepper, "__init__", spy)
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         run = run_forward(spec, spec.make_grid(20), TimeGrid(1.0, 20), derivative=derivative)
         assert len(built) == 1
         expected = "analytic" if derivative == "analytic" else "discrete-difference"
@@ -539,7 +539,7 @@ class TestHistoryLayout:
     """States are stored newest-first, so each step's history is one block."""
 
     def test_history_contiguous_and_trajectory_in_forward_order(self, monkeypatch):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         n = 20
         tg = TimeGrid(1.0, n)
         grid = spec.make_grid(20)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,10 +31,12 @@ from kernrec.harness import (
 from kernrec.problem import (
     MeasurementSeries,
     TimeGrid,
+    make_preset,
+    measurement_from_csv,
     parse_config,
-    preset_contaminant,
     spec_from_mapping,
 )
+from oracles import MANUFACTURED_2D
 
 THRESHOLD_CONFIG = """
 [problem]
@@ -48,19 +51,10 @@ m = "10*exp(-t)"
 mprime = "-10*exp(-t)"
 """
 
-# a manufactured 2D problem: state (1+t)(1+cos(pi x)cos(pi y)), kernel exp(-t)
-_MANUFACTURED_2D = """
-[problem]
-f = "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y) + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))"
-h = "1"
-g = "0"
-u0 = "1+cos(pi*x)*cos(pi*y)"
-lx = 1.0
-ly = 1.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-"""
+# the manufactured 2D problem with its kernel, without m and mprime
+_MANUFACTURED_2D = "[problem]\n" + "".join(
+    f'{key} = "{value}"\n' for key, value in MANUFACTURED_2D.items() if key not in ("m", "mprime")
+)
 
 MANUFACTURED_CONFIG = """
 [problem]
@@ -387,8 +381,47 @@ class TestConvergenceCommand:
         capsys.readouterr()
         assert run_cli([*argv, "--n", "30,200"]) == 3
         assert capsys.readouterr().err == (
-            "kernrec: validation failure: fine step count 200 is not a multiple of 30\n"
+            "kernrec: validation failure: "
+            "--n entry 30 does not divide the measurement file's 200 steps\n"
         )
+
+    @pytest.fixture
+    def file_config(self, tmp_path):
+        """A config whose measurement file has 20 steps."""
+        data, cfg = tmp_path / "m.csv", tmp_path / "f.cfg"
+        assert run_cli(["forward", "--preset", "manufactured1d", "--n", "20", "--mx", "10",
+                        "--out", str(data)]) == 0
+        cfg.write_text(_MANUFACTURED_WITHOUT_M + f'measurement_file = "{data}"\n',
+                       encoding="utf-8")
+        return cfg
+
+    def test_convergence_parses_the_measurement_file_once(self, file_config, monkeypatch):
+        parsed = []
+
+        def spy(text, timegrid):
+            parsed.append(timegrid.n)
+            return measurement_from_csv(text, timegrid)
+
+        monkeypatch.setattr(harness, "measurement_from_csv", spy)
+        argv = ["convergence", "--config", str(file_config), "--n", "5,10,20", "--mx", "10"]
+        assert run_cli(argv) == 0
+        assert parsed == [20]
+
+    @pytest.mark.parametrize(
+        "levels,message",
+        [("5,6,20", "--n entry 6 does not divide the measurement file's 20 steps"),
+         ("5,10", "measurement file has 21 rows (20 steps), expected 11 for n = 10")],
+        ids=["not-a-divisor", "last-is-not-the-file"],
+    )
+    def test_list_that_does_not_fit_the_file_fails_before_any_level(
+        self, file_config, capsys, levels, message
+    ):
+        capsys.readouterr()
+        argv = ["convergence", "--config", str(file_config), "--n", levels, "--mx", "10",
+                "--trace"]
+        assert run_cli(argv) == 3
+        # no trace row: no level ran
+        assert capsys.readouterr().err == f"kernrec: validation failure: {message}\n"
 
 
 class TestNoiseSweep:
@@ -893,7 +926,7 @@ class TestConfigHandling:
           "measurement contains non-finite values"),
          # a row with a blank t counts, so the file has one row too many
          (("t,m", "0,1", " ,99,99", "{t},1", "{T},1"),
-          "measurement file has 4 rows, expected 3"),
+          "measurement file has 4 rows (3 steps), expected 3 for n = 2"),
          (("t,m,mprime", "0,1.5,1,junk", "{t},1.5,1,junk", "{T},1.5,1,junk"),
           "measurement file data row 1 has a value after m'")],
         ids=["not-a-number", "missing-column", "partial-mprime", "nan-mprime0", "inf-mprime0",
@@ -903,7 +936,7 @@ class TestConfigHandling:
         self, tmp_path, capsys, rows, message
     ):
         # rejected as the file is read: no step runs, so no trace row prints
-        T = preset_contaminant().T
+        T = make_preset("contaminant").T
         data = tmp_path / "m.csv"
         text = "".join(row.format(t=repr(T / 2), T=repr(T)) + "\n" for row in rows)
         data.write_text(text, encoding="utf-8")
@@ -984,7 +1017,7 @@ class TestConfigHandling:
 
     def test_config_is_validated_on_construction(self):
         # convergence_study and the mode runners rely on a validated config
-        spec = replace(preset_contaminant(), kernel_exact=None)
+        spec = replace(make_preset("contaminant"), kernel_exact=None)
         with pytest.raises(errors.UsageError, match="needs an exact kernel"):
             harness.ExperimentConfig(mode="convergence", spec=spec, n_list=[10, 20], mx=10)
 
@@ -1508,6 +1541,15 @@ def test_readme_python_block_runs(capsys):
     exec(_readme_block("python"), {})
     # it prints the kernel error, which the acceptance module bounds by 0.05
     assert 0.0 <= float(capsys.readouterr().out) < 0.05
+
+
+def test_readme_preset_sections_are_the_presets():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```cfg\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    sections = [parse_config(textwrap.dedent(block))["problem"] for block in blocks]
+    assert sorted(section["name"] for section in sections) == sorted(kernrec.problem.PRESETS)
+    for section in sections:
+        assert spec_from_mapping(section) == make_preset(section["name"])
 
 
 def test_unwritable_output_exits_2(tmp_path):

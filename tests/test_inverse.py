@@ -19,9 +19,10 @@ from kernrec.problem import (
     MeasurementSeries,
     ProblemSpec,
     TimeGrid,
-    preset_manufactured_1d,
-    preset_zero_1d,
+    make_preset,
+    spec_from_mapping,
 )
+from oracles import MANUFACTURED_2D
 
 
 def _spec(f="0", h="1", g="0", u0="0", T=1.0, omega=1.0, **extra):
@@ -29,20 +30,6 @@ def _spec(f="0", h="1", g="0", u0="0", T=1.0, omega=1.0, **extra):
         name="inline", extents=(1.0,), T=T, omega_floor=omega,
         f=expr.parse(f), h=expr.parse(h), g=expr.parse(g), u0=expr.parse(u0),
         **{k: (expr.parse(v) if isinstance(v, str) else v) for k, v in extra.items()},
-    )
-
-
-def _manufactured_2d():
-    # state (1+t)(1+cos(pi x)cos(pi y)), kernel exp(-t), m = 1+t
-    return ProblemSpec(
-        name="manufactured2d", extents=(1.0, 1.0), T=1.0, omega_floor=1.0,
-        f=expr.parse(
-            "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
-            " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))"
-        ),
-        h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("1+cos(pi*x)*cos(pi*y)"),
-        kernel_exact=expr.parse("exp(-t)"),
-        m_exact=expr.parse("1+t"), mprime_exact=expr.parse("1"),
     )
 
 
@@ -136,7 +123,8 @@ class TestTrajectoryWalk:
     @pytest.mark.parametrize("states_per_block", [1, 3, None], ids=["one", "three", "all"])
     @pytest.mark.parametrize(
         "spec, n, cells",
-        [(preset_manufactured_1d(), 40, (30,)), (_manufactured_2d(), 10, (12, 9))],
+        [(make_preset("manufactured1d"), 40, (30,)),
+         (spec_from_mapping(MANUFACTURED_2D), 10, (12, 9))],
         ids=["1d", "2d"],
     )
     def test_equals_stepwise_reference(self, monkeypatch, spec, n, cells, states_per_block):
@@ -240,7 +228,7 @@ class TestInitialKernelValue:
     def test_manufactured_value(self):
         from kernrec.forward import TimeStepper
 
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 50)
         grid = spec.make_grid(100)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -272,7 +260,7 @@ class TestInitialKernelValue:
 
 class TestReconstruct:
     def test_zero_problem_exact(self):
-        spec = preset_zero_1d()
+        spec = make_preset("zero1d")
         tg = TimeGrid(1.0, 100)
         grid = spec.make_grid(100)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -285,7 +273,7 @@ class TestReconstruct:
         assert result.diagnostics.max_compat_residual == 0.0
 
     def test_same_grid_roundtrip(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 60)
         grid = spec.make_grid(60)
         kernel_in = KernelSeries.from_expression(spec.kernel_exact, tg)
@@ -312,7 +300,7 @@ class TestReconstruct:
         assert np.abs(result.states - fwd.states).max() <= 1e-8
 
     def test_analytic_data_accuracy(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 100)
         grid = spec.make_grid(200)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -321,7 +309,7 @@ class TestReconstruct:
         assert np.abs(result.kernel.values - reference).max() <= 0.05
 
     def test_measurement_consistency(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 100)
         grid = spec.make_grid(200)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -330,7 +318,7 @@ class TestReconstruct:
         assert result.diagnostics.max_compat_residual <= 1e-9
 
     def test_measurement_identity_on_fine_mesh(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 5)
         grid = spec.make_grid(8000)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -338,7 +326,7 @@ class TestReconstruct:
         assert result.diagnostics.max_compat_residual <= 1e-9
 
     def test_manufactured_2d_analytic_data(self):
-        spec = _manufactured_2d()
+        spec = spec_from_mapping(MANUFACTURED_2D)
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(16, 16)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -347,7 +335,7 @@ class TestReconstruct:
         assert np.abs(result.kernel.values - np.exp(-tg.nodes)).max() <= 3e-2
 
     def test_determinism(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 40)
         grid = spec.make_grid(40)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -358,7 +346,7 @@ class TestReconstruct:
 
     def test_decoupling_from_later_data(self):
         # corrupting the measurement beyond step i0 must not touch K_1..K_i0
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 40)
         grid = spec.make_grid(40)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -378,7 +366,7 @@ class TestReconstruct:
 
     def test_continuity_in_the_data(self):
         # perturbation of size eps moves the kernel by O(eps)
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 100)
         grid = spec.make_grid(100)
         base = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -396,7 +384,7 @@ class TestReconstruct:
         assert 30 <= ratio <= 300  # linear response
 
     def test_denominator_sign_flag_changes_result(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 50)
         grid = spec.make_grid(50)
         kernel_in = KernelSeries.from_expression(spec.kernel_exact, tg)
@@ -408,7 +396,7 @@ class TestReconstruct:
         assert np.abs(minus.kernel.values - kernel_in.values).max() > 1e-4
 
     def test_initial_value_warning(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(20)
         series = MeasurementSeries(
@@ -421,7 +409,7 @@ class TestReconstruct:
             reconstruct(spec, grid, tg, series)
 
     def test_misaligned_measurement(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         series = MeasurementSeries.from_expressions(
             TimeGrid(1.0, 10), spec.m_exact, spec.mprime_exact
         )
@@ -440,7 +428,8 @@ class TestReconstruct:
 
     @pytest.mark.parametrize(
         "spec, n, cells",
-        [(preset_manufactured_1d(), 200, (2000,)), (_manufactured_2d(), 100, (40, 40))],
+        [(make_preset("manufactured1d"), 200, (2000,)),
+         (spec_from_mapping(MANUFACTURED_2D), 100, (40, 40))],
         ids=["1d", "2d"],
     )
     def test_diagnostics_match_running_sums(self, spec, n, cells):
@@ -457,7 +446,7 @@ class TestReconstruct:
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
     def test_diagnostics_nonnegative(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 30)
         grid = spec.make_grid(30)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -467,7 +456,7 @@ class TestReconstruct:
             assert value >= 0.0, key
 
     def test_trace_callback(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(10)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -484,12 +473,11 @@ class TestReconstruct:
 _F = {
     "manufactured": (
         "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))",
-        "(1+cos(pi*x)*cos(pi*y)) + (1+t)*2*pi^2*cos(pi*x)*cos(pi*y)"
-        " + exp(-t) + t*(1+cos(pi*x)*cos(pi*y))",
+        MANUFACTURED_2D["f"],
     ),
     "reads-gradient": ("1 + cos(pi*x) + x*p - u", "1 + cos(pi*x) + x*q - u"),
 }
-_U0 = ("1+cos(pi*x)", "1+cos(pi*x)*cos(pi*y)")
+_U0 = ("1+cos(pi*x)", MANUFACTURED_2D["u0"])
 
 
 def _inline_spec(ly, f, u0, **extra):

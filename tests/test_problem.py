@@ -16,9 +16,6 @@ from kernrec.problem import (
     make_preset,
     measurement_from_csv,
     parse_config,
-    preset_contaminant,
-    preset_manufactured_1d,
-    preset_zero_1d,
     spec_from_mapping,
     validate_floor,
 )
@@ -59,7 +56,7 @@ class TestTimeGrid:
 
 class TestManufacturedPreset:
     def test_measurement_at_zero(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         assert expr.evaluate(spec.m_exact, {"t": 0.0}) == 1.0
         # quadrature of the initial state agrees: integral of 1+cos(pi x) is 1
         grid = spec.make_grid(64)
@@ -67,12 +64,12 @@ class TestManufacturedPreset:
         assert abs(np.sum(grid.weights * u0) - 1.0) < 1e-12
 
     def test_floor_satisfied(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         validate_floor(spec, spec.make_grid(50), TimeGrid(spec.T, 20))
 
     def test_convolution_closed_form(self):
         # quadrature of exp(-(t-s)) (1+s) ds must equal t at several t
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         for t in (0.2, 0.5, 1.0):
             value = _simpson(lambda s: np.exp(-(t - s)) * (1 + s), 0.0, t)
             assert abs(value - t) < 1e-8
@@ -81,7 +78,7 @@ class TestManufacturedPreset:
     def test_pde_residual_oracle(self, seed):
         # independent check: numeric derivatives of the exact state plus
         # quadrature of the memory term must satisfy the evolution law
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         rng = np.random.default_rng(seed)
 
         def u_at(x, t):
@@ -105,7 +102,7 @@ class TestManufacturedPreset:
 
     def test_neumann_data_consistent(self):
         # the exact state has vanishing x-derivative at both endpoints
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         for t in (0.0, 0.3, 1.0):
             for x in (0.0, 1.0):
                 dx = 1e-6
@@ -118,7 +115,7 @@ class TestManufacturedPreset:
 
 class TestContaminantPreset:
     def test_default_values(self):
-        spec = preset_contaminant()
+        spec = make_preset("contaminant")
         t = np.linspace(0, 1, 7)
         np.testing.assert_allclose(
             expr.evaluate(spec.kernel_exact, {"t": t}), -np.exp(-t), rtol=1e-14
@@ -127,7 +124,7 @@ class TestContaminantPreset:
         assert expr.evaluate(spec.f, {"x": 0.1, "t": 0.5, "u": 3.0, "p": 9.0, "q": 0.0}) == -3.0
 
     def test_floor_with_defaults(self):
-        spec = preset_contaminant()
+        spec = make_preset("contaminant")
         means = abs(np.sum(spec.make_grid(32).weights * expr.evaluate(spec.h, {})))
         assert means >= spec.omega_floor - 1e-12
 
@@ -136,28 +133,31 @@ class TestContaminantPreset:
         [(1.0, 1.0, 1.0, 1.0), (2.5, 0.4, 3.0, 0.7), (0.8, 1.2, 0.5, -1.5)],
     )
     def test_kernel_at_zero(self, rho_b, porosity, kr, kd):
-        spec = preset_contaminant(rho_b=rho_b, porosity=porosity, kr=kr, kd=kd)
+        spec = make_preset(
+            "contaminant",
+            {"rho_b": repr(rho_b), "porosity": repr(porosity), "kr": repr(kr), "kd": repr(kd)},
+        )
         expected = -(rho_b / porosity) * kr**2 * kd
         assert abs(expr.evaluate(spec.kernel_exact, {"t": 0.0}) - expected) < 1e-14 * abs(expected)
 
     def test_advection_term(self):
-        spec = preset_contaminant(v=2.0)
+        spec = make_preset("contaminant", {"v": "2.0"})
         value = expr.evaluate(spec.f, {"x": 0.0, "t": 0.0, "u": 1.0, "p": 3.0, "q": 0.0})
         assert value == -1.0 - 6.0
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValidationError):
-            preset_contaminant(kr=0.0)
+            make_preset("contaminant", {"kr": "0.0"})
         with pytest.raises(ValidationError):
-            preset_contaminant(kr=-2.0)
+            make_preset("contaminant", {"kr": "-2.0"})
         with pytest.raises(ValidationError):
-            preset_contaminant(kd=0.0)
+            make_preset("contaminant", {"kd": "0.0"})
 
     @pytest.mark.parametrize("key", ["rho_b", "porosity", "kr", "kd", "s0", "v"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_parameters(self, key, value):
         with pytest.raises(ValidationError, match=key):
-            preset_contaminant(**{key: value})
+            make_preset("contaminant", {key: repr(value)})
 
     @pytest.mark.parametrize(
         "params,coefficient",
@@ -171,7 +171,7 @@ class TestContaminantPreset:
     )
     def test_rejects_overflowing_coefficients(self, params, coefficient):
         with pytest.raises(ValidationError, match=f"contaminant {coefficient}.* not finite"):
-            preset_contaminant(**params)
+            make_preset("contaminant", {k: repr(v) for k, v in params.items()})
 
 
 # the variables each [problem] expression key may use in 2D; y is off limits in 1D
@@ -210,7 +210,7 @@ class TestSpecValidation:
         ids=["T-nan", "T-inf", "omega-nan", "omega-inf", "lx-nan", "ly-inf"],
     )
     def test_non_finite_numbers_rejected(self, field, value):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         with pytest.raises(ValidationError):
             replace(spec, **{field: value})
 
@@ -466,6 +466,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_preset("nope")
 
+    def test_make_preset_takes_problem_keys(self):
+        spec = make_preset("contaminant", {"kr": "2", "T": "0.5", "omega": "0.25"})
+        assert (spec.T, spec.omega_floor) == (0.5, 0.25)
+        assert spec == spec_from_mapping(
+            {"preset": "contaminant", "kr": "2", "T": "0.5", "omega": "0.25"}
+        )
+        with pytest.raises(ConfigError, match="unknown key 'kr' in \\[problem\\] with preset"):
+            make_preset("zero1d", {"kr": "2"})
+
+    def test_preset_errors_come_in_order(self):
+        # the preset's name, then its parameters, then the keys, then T and omega
+        section = {"preset": "nope", "kr": "abc", "bogus": "1", "T": "nan"}
+        # mending each reported key reports the next
+        for expected, key, good in [("unknown preset 'nope'", "preset", "contaminant"),
+                                    (r"\[kr\] expected a number", "kr", "2"),
+                                    ("unknown key 'bogus'", "bogus", None),
+                                    ("time horizon", "T", "0.5")]:
+            with pytest.raises((ConfigError, ValidationError), match=expected):
+                spec_from_mapping(section)
+            section[key] = good
+            if good is None:
+                del section[key]
+        assert spec_from_mapping(section).T == 0.5
+
     def test_spec_from_mapping_requires_lx(self):
         with pytest.raises(ConfigError):
             spec_from_mapping({"f": "0", "h": "1", "g": "0", "u0": "0", "T": "1", "omega": "1"})
@@ -482,7 +506,7 @@ class TestMeasurementSeries:
 
     def test_from_expressions_analytic(self):
         tg = TimeGrid(1.0, 10)
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         assert series.provenance == "analytic"
         assert series.initial_derivative == 1.0
@@ -501,7 +525,7 @@ class TestMeasurementSeries:
         )
 
     def test_restrict_analytic_keeps_exact_derivatives(self):
-        spec = preset_manufactured_1d()
+        spec = make_preset("manufactured1d")
         fine = TimeGrid(1.0, 40)
         series = MeasurementSeries.from_expressions(fine, spec.m_exact, spec.mprime_exact)
         coarse = series.restrict(TimeGrid(1.0, 10))
@@ -633,7 +657,7 @@ class TestMeasurementCsv:
 
 
 def test_zero_preset_is_all_zero():
-    spec = preset_zero_1d()
+    spec = make_preset("zero1d")
     env = {"x": 0.3, "t": 0.7, "u": 0.0, "p": 0.0, "q": 0.0}
     assert expr.evaluate(spec.f, env) == 0.0
     assert expr.evaluate(spec.u0, {"x": 0.3}) == 0.0

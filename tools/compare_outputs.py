@@ -2,8 +2,8 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 57 ``kernrec`` commands with each tree's ``src/``
-on ``PYTHONPATH``: six help texts and 51 runs (reconstruct, roundtrip,
+Runs a fixed set of 62 ``kernrec`` commands with each tree's ``src/``
+on ``PYTHONPATH``: six help texts and 56 runs (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone).  Four
@@ -12,13 +12,17 @@ of faces, corners and axes in the grid weights, the stiffness product
 and the spectral divisor shows.  One command sets its options through ``[discretization]`` and
 ``[experiment]`` keys instead of flags.
 Some runs are sized so that the stepper's blocks of time nodes come out
-several to a run with a partial last one, or one node wide.  Nine
+several to a run with a partial last one, or one node wide.  Three
+give a preset T, omega or parameters: a contaminant and a manufactured1d
+config, and ``--T`` on the contaminant.  Eleven
 commands fail by design (a fault of f met by a traced reconstruction,
 a floor violation, a fault of h met by the floor check, in a block of
 time nodes or in a static h, a fault of g at t = 0 met by the discrete
 m'(0), a ``--json`` path in a missing directory, diagnostics and a
 noise amplification that overflow, finite measurement samples whose
-difference overflows); another pins that an analytic forward run never
+difference overflows, an f beside a preset, and a contaminant kr = 0
+beside an unknown key, whose exit code shows which is checked first);
+another pins that an analytic forward run never
 evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
 p), run a 2D config whose f reads both gradient components p and q,
@@ -283,6 +287,41 @@ measurement_file = "{OVERFLOWING_FILE}"
 """
 CONFIG_OVERFLOWING_FILE = "contaminantoverflow.ini"
 
+# a preset's section with T, omega and its own parameters laid over it
+CONTAMINANT_OVERRIDES = """\
+[problem]
+preset = contaminant
+kr = 2
+kd = 0.5
+T = 0.5
+omega = 0.25
+"""
+CONFIG_CT_OVERRIDES = "contaminantoverrides.ini"
+MANUFACTURED_OVERRIDES = """\
+[problem]
+preset = manufactured1d
+omega = 0.5
+T = 2
+"""
+CONFIG_M1_OVERRIDES = "manufactured1doverrides.ini"
+
+# these fail by design: an inline key beside a preset (exit 1), and a
+# parameter the contaminant rejects beside an unknown key (exit 3): the
+# preset's parameters are checked before the keys
+PRESET_WITH_F = """\
+[problem]
+preset = manufactured1d
+f = "0"
+"""
+CONFIG_PRESET_F = "presetf.ini"
+CONTAMINANT_KR0_UNKNOWN = """\
+[problem]
+preset = contaminant
+kr = 0
+bogus = 1
+"""
+CONFIG_KR0_UNKNOWN = "contaminantkr0.ini"
+
 
 def _measurement_text(n: int, initial_only: bool = False) -> str:
     nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
@@ -316,6 +355,10 @@ CONFIGS = {
     CONFIG_BIG: OVERFLOWING_DIAGNOSTICS,
     OVERFLOWING_FILE: "0,0\n0.5,1.7e308\n1,-1.7e308\n",
     CONFIG_OVERFLOWING_FILE: CONTAMINANT_OVERFLOWING_FILE,
+    CONFIG_CT_OVERRIDES: CONTAMINANT_OVERRIDES,
+    CONFIG_M1_OVERRIDES: MANUFACTURED_OVERRIDES,
+    CONFIG_PRESET_F: PRESET_WITH_F,
+    CONFIG_KR0_UNKNOWN: CONTAMINANT_KR0_UNKNOWN,
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -409,6 +452,14 @@ COMMANDS = {
         "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
         "--trace",
     ],
+    # presets with T, omega and parameters given
+    "reconstruct-contaminant-overrides": [
+        "reconstruct", "--config", CONFIG_CT_OVERRIDES, "--n", "100", "--mx", "50",
+    ],
+    "reconstruct-manufactured1d-overrides": [
+        "reconstruct", "--config", CONFIG_M1_OVERRIDES, "--n", "200", "--mx", "50",
+    ],
+    "roundtrip-contaminant-horizon": ["roundtrip", *CT, "--T", "0.5", "--n", "100", "--mx", "50"],
     "forward-g-fault-at-0-analytic": [
         "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
     ],
@@ -444,6 +495,12 @@ COMMANDS = {
     "reconstruct-measurement-difference-overflow": [
         "reconstruct", "--config", CONFIG_OVERFLOWING_FILE, "--n", "2", "--mx", "4",
     ],
+    "reconstruct-preset-with-f": [
+        "reconstruct", "--config", CONFIG_PRESET_F, "--n", "10", "--mx", "4",
+    ],
+    "reconstruct-contaminant-kr0-unknown-key": [
+        "reconstruct", "--config", CONFIG_KR0_UNKNOWN, "--n", "10", "--mx", "4",
+    ],
 }
 # help texts: stdout and exit code are compared byte for byte
 HELP = {
@@ -455,7 +512,8 @@ FAILING = {
     "reconstruct-f-fault-trace", "reconstruct-floor-violation", "reconstruct-h-fault-in-floor",
     "reconstruct-h-static-fault", "forward-g-fault-at-0-discrete", "reconstruct-json-missing-dir",
     "roundtrip-diagnostics-overflow", "noise-sweep-amplification-overflow",
-    "reconstruct-measurement-difference-overflow",
+    "reconstruct-measurement-difference-overflow", "reconstruct-preset-with-f",
+    "reconstruct-contaminant-kr0-unknown-key",
 }
 
 
