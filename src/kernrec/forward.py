@@ -48,12 +48,27 @@ recorded sums the identity residuals of all steps
 (``TimeStepper.compat_residual``); a traced step gets its residual from
 the same function, applied to that step alone, as soon as it is done.
 
+The loop advances a stack of series on one grid and step size at once,
+such as the levels of a noise sweep; a forward run or a single
+reconstruction is a stack of one.  The series share the pairs of h, g
+and an f that reads no state, and each call that is elementwise per
+series: one ``TimeStepper.step``, one elliptic solve whose transforms
+run along the grid's trailing axes, one ``f_field`` call for an f that
+reads the state and one ``SpatialGrid.integral`` for the means.  Each
+series keeps its own kernel update, its own convolution product and its
+own finiteness check and residuals, so every number of a series is the
+one a march of that series alone computes.  A fault ends its series and
+every later one, as if the series were marched one after another: in
+the first series it is raised at once, in a later one the series before
+it march on and the march returns the fault (``_Series``).
+
 The states are stored newest-first: the loop allocates its
-(n+1, *grid.shape) buffer and works on the reversed view, so
-``states[i]`` is u_i while step i's history u_{i-1}, ..., u_0 is the
-contiguous slice ``states[i-1::-1]``.  One matrix-vector product takes
-that block as it is instead of copying i x N values every step, and the
-states the loop returns are the same view, in forward order.
+(series, n+1, *grid.shape) buffer and works on the view reversed in
+time, so ``states[r, i]`` is u_i of series r while step i's history
+u_{i-1}, ..., u_0 is the contiguous slice ``states[r, i-1::-1]``.  One
+matrix-vector product per series takes that block as it is instead of
+copying i x N values every step, and the states the loop returns are
+the same view, in forward order.
 
 The elliptic system ((1/tau) W + A) u_i = b is solved directly, in 1D
 and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
@@ -63,12 +78,12 @@ and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import expr, problem
-from .errors import NonFiniteError, ValidationError
+from .errors import DomainFaultError, KernrecError, NonFiniteError, ValidationError
 from .grid import DERIVATIVES, SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
 from .solver import SpectralSolver
@@ -76,14 +91,15 @@ from .solver import SpectralSolver
 
 @dataclass(frozen=True)
 class KernelSeries:
-    """Kernel samples K_0..K_n aligned with a time grid."""
+    """Kernel samples K_0..K_n aligned with a time grid, or a stack of such
+    series along a leading axis."""
 
     timegrid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.timegrid.n + 1,):
+        if values.ndim not in (1, 2) or values.shape[-1] != self.timegrid.n + 1:
             raise ValidationError(
                 f"expected {self.timegrid.n + 1} kernel samples, got {values.shape}"
             )
@@ -132,20 +148,45 @@ class TimeStepper:
         return expr.evaluate(self._f, env)
 
     def coefficients(
-        self, f_nodes: np.ndarray, nodes: np.ndarray, states: Iterable[np.ndarray]
+        self,
+        f_nodes: np.ndarray,
+        nodes: np.ndarray,
+        states: Iterable[np.ndarray],
+        series: _Series | None = None,
     ) -> Iterator[tuple[tuple[np.ndarray, float], ...]]:
         """The pairs of f at ``f_nodes[k]`` and state ``states[k]``, then of
         h and g at ``nodes[k]``, for k in order.
 
         An f that reads the state takes ``states[k]`` when k is pulled; any
-        other f, and h and g, come from ``problem.node_pairs``.
+        other f, and h and g, come from ``problem.node_pairs``.  With a
+        march's ``series``, each of ``states`` is a stack: f reads its first
+        ``series.live`` rows in one call and gives one mean per row, and a
+        row whose own f faults ends its series there.
         """
-        if self._f_state:
+        if not self._f_state:
+            f = problem.node_pairs(self._f, self.grid, False, f_nodes)
+        elif series is None:
             f = ((f, float(self.grid.integral(f))) for f in map(self.f_field, f_nodes, states))
         else:
-            f = problem.node_pairs(self._f, self.grid, False, f_nodes)
+            f = (self._f_stack(t, u[: series.live], series) for t, u in zip(f_nodes, states))
         h = problem.node_pairs(self._h, self.grid, False, nodes)
         return zip(f, h, problem.node_pairs(self._g, self.grid, True, nodes))
+
+    def _f_stack(self, t: float, u: np.ndarray, series: _Series) -> tuple[np.ndarray, list]:
+        try:
+            f = self.f_field(t, u)
+        except DomainFaultError:
+            # row by row, up to the first row whose own f faults, which ends
+            # its series (``series.end``)
+            fields = []
+            for row, state in enumerate(u):
+                try:
+                    fields.append(self.f_field(t, state))
+                except DomainFaultError as error:
+                    series.end(row, error)
+                    break
+            f = np.stack(fields)
+        return f, self.grid.integral(f).tolist()
 
     def initial_means(self) -> tuple[float, float, float]:
         """(f_0,1), (g_0,1)_Gamma and (h_0,1) of the identity at t = 0."""
@@ -155,14 +196,19 @@ class TimeStepper:
 
     def step(
         self,
-        k_i: float,
+        k_i: np.ndarray,
         u_prev: np.ndarray,
         f_prev: np.ndarray,
         conv: np.ndarray,
         h_i: np.ndarray,
         g_load: np.ndarray,
     ) -> np.ndarray:
-        """Solve for u_i given K_i, u_{i-1}, f_{i-1}, conv_i, h_i and w_Gamma g_i."""
+        """Solve for u_i given K_i, u_{i-1}, f_{i-1}, conv_i, h_i and w_Gamma g_i.
+
+        Each row of the stacks ``u_prev`` and ``conv`` is one series, with
+        its K_i in the column ``k_i``; f_{i-1} is one field or one row per
+        series.
+        """
         load = f_prev + u_prev / self.tau - k_i * h_i - conv
         return self._solver.solve(self.grid.weights * load - g_load)
 
@@ -209,28 +255,81 @@ class ForwardRun(NamedTuple):
     compat_residuals: np.ndarray  # relative, one per step i = 1..n
 
 
+class _Series:
+    """The series of a march that still advance: rows 0..live-1 of its stack.
+
+    A fault ends its series and every later one, as marching the series
+    one after another would: the first series' fault is raised at once,
+    a later one's is kept while the series before it march on.
+    """
+
+    def __init__(self, count: int):
+        self.live = count
+        self.fault: tuple[int, KernrecError] | None = None
+
+    def end(self, row: int, error: KernrecError) -> None:
+        if row == 0:
+            raise error
+        self.live, self.fault = row, (row, error)
+
+
+def _sums(steps: list[tuple], batch: int, row: int) -> list[tuple[float, float, float, float]]:
+    """The four means of each step of series ``row`` of a stack of ``batch``."""
+    if batch == 1:
+        return steps
+    return [(f if isinstance(f, float) else f[row], h, g, conv[row]) for f, h, g, conv in steps]
+
+
+def _live(
+    states: np.ndarray, kernel_values: np.ndarray, conv: np.ndarray, live: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u_i by step, K_i by step as a column, and conv_i of the first
+    ``live`` series of a march.  A march of one series takes them without
+    the series axis, so that its calls are those of that series alone."""
+    if len(states) == 1:
+        return states[0], kernel_values[0], conv[0]
+    columns = np.expand_dims(kernel_values[:live].T, tuple(range(2, conv.ndim + 1)))
+    return states[:live].swapaxes(0, 1), columns, conv[:live]
+
+
 def _march(
     stepper: TimeStepper,
     kernel_values: np.ndarray,
-    kernel_update: Callable[[int, float, float, float], float] | None = None,
-    on_step: Callable[[int, float], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance u_0..u_n; return the states, M_i = (u_i,1) and the residuals.
+    kernel_update: Sequence[Callable[[int, float, float, float], float]] | None = None,
+    on_step: Sequence[Callable[[int, float], None]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, KernrecError] | None]:
+    """Advance u_0..u_n of a stack of series; return the states, M_i =
+    (u_i,1), the residuals and the fault.
 
+    Row r of ``kernel_values``, shape (series, n+1), is series r's kernel.
     Without ``kernel_update`` the kernel values K_1..K_n are given.  With
-    it, ``kernel_update(i, (f_{i-1},1), (h_i,1), (g_i,1)_Gamma)`` supplies
-    K_i before step i and the loop stores it in ``kernel_values``.
-    ``on_step(i, residual)`` runs after each step.
+    it, ``kernel_update[r](i, (f_{i-1},1), (h_i,1), (g_i,1)_Gamma)``
+    supplies series r's K_i before step i and the loop stores it in
+    ``kernel_values``.  ``on_step[r](i, residual)`` runs after each step
+    of series r.  A KernrecError of an update, a fault of f or a state
+    that is not finite ends its series and the later ones (``_Series``).
+    The states, shape (S, n+1, *grid.shape), M, (S, n+1), and the
+    residuals, (S, n), are those of the S series before the first that
+    faulted, and the fault is that series' row and error, or None.
     """
-    n = stepper.timegrid.n
-    tau = stepper.tau
-    # newest-first storage (see the module docstring)
-    states = np.empty((n + 1, *stepper.grid.shape))[::-1]
-    states[0] = stepper.u0
-    u_prev = states[0]
-    sums = []  # (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) per step
+    batch, n = kernel_values.shape[0], stepper.timegrid.n
+    grid, tau = stepper.grid, stepper.tau
+    # newest-first storage per series (see the module docstring)
+    states = np.empty((batch, n + 1, *grid.shape))[:, ::-1]
+    states[:, 0] = stepper.u0
+    state_rows, kernel_rows = list(states), list(kernel_values)
+    conv = np.empty((batch, *grid.shape))
+    live = batch
+    u_by_step, k_by_step, conv_live = _live(states, kernel_values, conv, live)
+    # per step: (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1); in a
+    # stack of several series, one (conv_i,1) and, for an f that reads the
+    # state, one (f_{i-1},1) per series (``_sums``)
+    steps = []
+    series = _Series(batch)
     nodes = stepper.timegrid.nodes
-    coefficients = stepper.coefficients(nodes[:-1], nodes[1:], states)
+    coefficients = stepper.coefficients(
+        nodes[:-1], nodes[1:], u_by_step, None if batch == 1 else series
+    )
     # an overflow or NaN in a step is reported by the finiteness check
     # below, one in the residuals by the run's check of what it writes,
     # not by numpy's floating-point warnings
@@ -240,22 +339,45 @@ def _march(
             # tuple keeps every other step's old pairs, and their block, alive
             (f_prev, f_mean), (h_i, h_mean), (g_load, g_mean) = next(coefficients)
             if kernel_update is not None:
-                kernel_values[i] = kernel_update(i, f_mean, h_mean, g_mean)
-            # conv_i includes K_i, so it is formed after the update
-            conv = _convolution_values(kernel_values, states, i, tau)
-            states[i] = stepper.step(kernel_values[i], u_prev, f_prev, conv, h_i, g_load)
-            u_prev = states[i]
-            if not np.isfinite(u_prev).all():
-                raise NonFiniteError("state is not finite", step=i)
-            sums.append((f_mean, h_mean, g_mean, float(stepper.grid.integral(conv))))
+                # an f that reads the state gives a list, one mean per series
+                f_means = f_mean if isinstance(f_mean, list) else [f_mean] * live
+                for row in range(series.live):
+                    try:
+                        kernel_values[row, i] = kernel_update[row](i, f_means[row], h_mean, g_mean)
+                    except KernrecError as error:
+                        series.end(row, error)
+                        break
+            if series.live < live:  # f or an update ended these series
+                live = series.live
+                u_by_step, k_by_step, conv_live = _live(states, kernel_values, conv, live)
+                if isinstance(f_mean, list):
+                    f_prev = f_prev[:live]
+            for row in range(live):
+                # conv_i includes K_i, so it is formed after the update
+                conv[row] = _convolution_values(kernel_rows[row], state_rows[row], i, tau)
+            u = u_by_step[i] = stepper.step(
+                k_by_step[i], u_by_step[i - 1], f_prev, conv_live, h_i, g_load
+            )
+            if not np.isfinite(u).all():
+                row = int(np.argmin(np.isfinite(u.reshape(live, -1)).all(axis=1)))
+                series.end(row, NonFiniteError("state is not finite", step=i))
+                live = row
+                u_by_step, k_by_step, conv_live = _live(states, kernel_values, conv, live)
+            steps.append((f_mean, h_mean, g_mean, grid.integral(conv_live)))
             if on_step is not None:
                 window = slice(i - 1, i + 1)
-                _, residual = stepper.compat_residual(
-                    states[window], kernel_values[window], sums[-1:]
-                )
-                on_step(i, residual[0])
-        measured, residuals = stepper.compat_residual(states, kernel_values, sums)
-    return states, measured, residuals
+                for row in range(live):
+                    _, residual = stepper.compat_residual(
+                        state_rows[row][window], kernel_rows[row][window],
+                        _sums(steps[-1:], batch, row),
+                    )
+                    on_step[row](i, residual[0])
+        measured, residuals = np.empty((live, n + 1)), np.empty((live, n))
+        for row in range(live):
+            measured[row], residuals[row] = stepper.compat_residual(
+                state_rows[row], kernel_rows[row], _sums(steps, batch, row)
+            )
+    return states[:live], measured, residuals, series.fault
 
 
 def run_forward(
@@ -285,8 +407,11 @@ def run_forward(
         kernel = KernelSeries.from_expression(spec.kernel_exact, timegrid)
     if kernel.timegrid != timegrid:
         raise ValidationError("kernel series is not aligned with the time grid")
+    if kernel.values.ndim != 1:
+        raise ValidationError("a forward run takes one kernel series")
     stepper = TimeStepper(spec, grid, timegrid)
-    states, measured, residuals = _march(stepper, kernel.values)
+    # a stack of one series, whose fault the march raises
+    (states,), (measured,), (residuals,), _ = _march(stepper, kernel.values[None])
     if derivative == "analytic" and spec.mprime_exact is not None:
         measurement = MeasurementSeries.analytic(timegrid, measured, spec.mprime_exact)
     else:

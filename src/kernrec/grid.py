@@ -44,6 +44,8 @@ class SpatialGrid:
     axes: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     boundary_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # the grid's axes as the trailing axes of a field or a stack of fields
+    _trailing: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.extents) not in (1, 2) or len(self.extents) != len(self.cells):
@@ -70,6 +72,7 @@ class SpatialGrid:
             faces[-1] += face
         object.__setattr__(self, "weights", functools.reduce(np.multiply.outer, axis_w))
         object.__setattr__(self, "boundary_weights", bweights)
+        object.__setattr__(self, "_trailing", tuple(range(-self.ndim, 0)))
 
     # -- geometry ----------------------------------------------------
 
@@ -93,7 +96,7 @@ class SpatialGrid:
         gets its own sum bit for bit; np.dot would sum in another order.
         """
         weights = self.boundary_weights if boundary else self.weights
-        return np.add.reduce(weights * values, axis=tuple(range(-weights.ndim, 0)))
+        return np.add.reduce(weights * values, axis=self._trailing)
 
     def coordinate_fields(self) -> dict[str, np.ndarray]:
         """Node coordinates as full arrays keyed by variable name (x[, y])."""
@@ -164,8 +167,8 @@ def nodal_gradient(grid: SpatialGrid, values: np.ndarray) -> tuple[np.ndarray, .
 
     Central differences inside, second-order one-sided at the ends.
     With only two nodes along an axis the one-sided first-order formula
-    is used; it is still exact for linears.
+    is used; it is still exact for linears.  The grid's axes are the
+    trailing ``grid.ndim`` axes of ``values``, so one call differentiates
+    every state of a stack.
     """
-    return tuple(
-        _gradient_1d(values, grid.spacing[axis], axis) for axis in range(grid.ndim)
-    )
+    return tuple(_gradient_1d(values, dx, axis) for axis, dx in zip(grid._trailing, grid.spacing))

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import expr
 from .errors import (
+    KernrecError,
     NonFiniteError,
     SingularUpdateError,
     StepThresholdError,
@@ -97,14 +98,19 @@ class Diagnostics(NamedTuple):
 
 
 class ReconstructionResult(NamedTuple):
-    """Recovered kernel and states u_0..u_n with run metadata."""
+    """Recovered kernel and states u_0..u_n with run metadata.
+
+    From a sequence of series, the arrays gain a leading axis, one row
+    per series, ``threshold`` is a tuple of one report per series and
+    ``diagnostics`` the worst over the series.
+    """
 
     kernel: KernelSeries
     states: np.ndarray  # shape (n+1, *grid.shape)
     diagnostics: Diagnostics
     denominators: np.ndarray  # per step i = 1..n
     compat_residuals: np.ndarray  # relative, per step i = 1..n
-    threshold: ThresholdReport
+    threshold: ThresholdReport | tuple[ThresholdReport, ...]
 
 
 def kernel_difference_energy(values: np.ndarray, tau: float) -> float:
@@ -187,59 +193,18 @@ def _diagnostics(
     )
 
 
-def reconstruct(
-    spec: ProblemSpec,
-    grid: SpatialGrid,
-    timegrid: TimeGrid,
+def _kernel_update(
     measurement: MeasurementSeries,
-    force: bool = False,
-    denominator_sign: float = 1.0,
-    trace: Callable[[int, float, float, float, float], None] | None = None,
-) -> ReconstructionResult:
-    """Recover the kernel and state trajectory from measurement data.
-
-    Raises StepThresholdError when tau >= tau0 unless ``force`` is set,
-    FloorViolationError if |(h(t_i),1)| dips below the asserted floor,
-    SingularUpdateError / NonFiniteError on numerical breakdown.
-    """
-    if measurement.timegrid != timegrid:
-        raise ValidationError("measurement is not aligned with the time grid")
-    validate_floor(spec, grid, timegrid)
-    threshold = check_step_threshold(spec, measurement.m0, timegrid.tau)
-    if not threshold.passed:
-        if not force:
-            raise StepThresholdError(
-                f"tau = {timegrid.tau:g} exceeds tau0 = {threshold.tau0:g} "
-                f"(omega = {threshold.omega:g}, |m0| = {abs(threshold.m0):g}); "
-                "pass force to run anyway"
-            )
-        warnings.warn(
-            f"running with tau = {timegrid.tau:g} >= tau0 = {threshold.tau0:g}; "
-            "the kernel update may be ill-conditioned",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    stepper = TimeStepper(spec, grid, timegrid)
-    n = timegrid.n
-    tau = timegrid.tau
-
-    kernel_values = np.empty(n + 1)
-    kernel_values[0] = initial_kernel_value(stepper, measurement)
-    if spec.kernel_exact is not None:
-        k0_ref = float(expr.evaluate(spec.kernel_exact, {"t": 0.0}))
-        if abs(kernel_values[0] - k0_ref) > 1e-3 * (1.0 + abs(k0_ref)):
-            warnings.warn(
-                f"initial kernel value {kernel_values[0]:.6g} disagrees with the "
-                f"exact kernel at t=0 ({k0_ref:.6g})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
+    kernel_values: np.ndarray,
+    denominators: np.ndarray,
+    tau: float,
+    denominator_sign: float,
+) -> Callable[[int, float, float, float], float]:
+    """The update of one series: K_i from (f_{i-1},1), (h_i,1) and
+    (g_i,1)_Gamma, stored with its denominator in that series' rows."""
     m = measurement.values
     mprime = measurement.derivatives.tolist()  # m'_1..m'_n
     m0_term = denominator_sign * measurement.m0 * tau
-    denominators = np.empty(n)
 
     def update(i: int, f_mean: float, h_mean: float, g_mean: float) -> float:
         history = float(np.dot(kernel_values[1:i], m[i - 1 : 0 : -1])) * tau
@@ -257,22 +222,139 @@ def reconstruct(
         denominators[i - 1] = denominator
         return k_i
 
+    return update
+
+
+def _worst(diagnostics: list[Diagnostics]) -> Diagnostics:
+    """Each functional's largest value over the series, and the smallest
+    denominator magnitude."""
+    table = np.array(diagnostics)
+    worst = np.max(table, axis=0)
+    column = Diagnostics._fields.index("min_denominator_magnitude")
+    worst[column] = np.min(table[:, column])
+    return Diagnostics(*worst.tolist())
+
+
+def reconstruct(
+    spec: ProblemSpec,
+    grid: SpatialGrid,
+    timegrid: TimeGrid,
+    measurement: MeasurementSeries | Sequence[MeasurementSeries],
+    force: bool = False,
+    denominator_sign: float = 1.0,
+    trace: Callable[[int, float, float, float, float], None] | None = None,
+) -> ReconstructionResult:
+    """Recover the kernel and state trajectory from measurement data.
+
+    Raises StepThresholdError when tau >= tau0 unless ``force`` is set,
+    FloorViolationError if |(h(t_i),1)| dips below the asserted floor,
+    SingularUpdateError / NonFiniteError on numerical breakdown.
+
+    A sequence of series is marched together, in one stepping loop, each
+    series with its own arithmetic.  The kernel values, states,
+    denominators and residuals of the result then gain a leading axis,
+    ``threshold`` holds one report per series, and ``diagnostics`` is the
+    worst over the series (``_worst``).  Warnings, trace rows and faults
+    come as if the series were reconstructed one after another: the first
+    series' as they happen, each later one's once the series before it
+    are done, and the first series that faults ends the run with its
+    error.
+    """
+    single = isinstance(measurement, MeasurementSeries)
+    series = [measurement] if single else list(measurement)
+    if not series:
+        raise ValidationError("no measurement series to reconstruct")
+    n, tau = timegrid.n, timegrid.tau
+    kernel_values = np.empty((len(series), n + 1))
+    denominators = np.empty((len(series), n))
+    thresholds, updates = [], []
+    # what a later series prints before and during its march, warnings as
+    # text and trace rows as tuples, held until the series before it are done
+    held: list[list] = [[] for _ in series]
+
+    def emit(row: int, entry: str | tuple) -> None:
+        if row:
+            held[row].append(entry)
+        elif isinstance(entry, str):
+            # reconstruct calls emit itself, so the warning is its caller's
+            warnings.warn(entry, RuntimeWarning, stacklevel=3)
+        else:
+            trace(*entry)
+
+    stepper = fault = None
+    for row, data in enumerate(series):
+        try:
+            if data.timegrid != timegrid:
+                raise ValidationError("measurement is not aligned with the time grid")
+            if stepper is None:
+                validate_floor(spec, grid, timegrid)
+            threshold = check_step_threshold(spec, data.m0, tau)
+            if not threshold.passed:
+                if not force:
+                    raise StepThresholdError(
+                        f"tau = {tau:g} exceeds tau0 = {threshold.tau0:g} "
+                        f"(omega = {threshold.omega:g}, |m0| = {abs(threshold.m0):g}); "
+                        "pass force to run anyway"
+                    )
+                emit(row, f"running with tau = {tau:g} >= tau0 = {threshold.tau0:g}; "
+                          "the kernel update may be ill-conditioned")
+            if stepper is None:
+                stepper = TimeStepper(spec, grid, timegrid)
+            kernel_values[row, 0] = k0 = initial_kernel_value(stepper, data)
+            if spec.kernel_exact is not None:
+                k0_ref = float(expr.evaluate(spec.kernel_exact, {"t": 0.0}))
+                if abs(k0 - k0_ref) > 1e-3 * (1.0 + abs(k0_ref)):
+                    emit(row, f"initial kernel value {k0:.6g} disagrees with the exact "
+                              f"kernel at t=0 ({k0_ref:.6g})")
+        except KernrecError as error:
+            if not row:
+                raise
+            fault = (row, error)
+            break
+        thresholds.append(threshold)
+        updates.append(
+            _kernel_update(data, kernel_values[row], denominators[row], tau, denominator_sign)
+        )
+
+    live = len(updates)
     on_step = None
     if trace is not None:
-        def on_step(i: int, residual: float) -> None:
-            trace(i, timegrid.nodes[i], kernel_values[i], denominators[i - 1], residual)
-
-    states, _, residuals = _march(stepper, kernel_values, update, on_step)
+        on_step = [
+            lambda i, residual, row=row: emit(row, (
+                i, timegrid.nodes[i], kernel_values[row, i], denominators[row, i - 1], residual
+            ))
+            for row in range(live)
+        ]
+    states, _, residuals, marched = _march(stepper, kernel_values[:live], updates, on_step)
     # freed here, the solver's arrays do not add to the diagnostics' peak memory
     del stepper
+    # a fault in the march is in a series before one that faulted before it
+    fault = marched or fault
+    for row in range(1, len(series) if fault is None else fault[0] + 1):
+        for entry in held[row]:
+            emit(0, entry)  # the series before it are done
+    if fault is not None:
+        raise fault[1]
     # a functional that overflows is reported by the run's finiteness check
     with np.errstate(all="ignore"):
-        diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
+        diagnostics = [
+            _diagnostics(grid, tau, *rows)
+            for rows in zip(states, kernel_values, denominators, residuals)
+        ]
+    if single:
+        return ReconstructionResult(
+            kernel=KernelSeries(timegrid, kernel_values[0]),
+            states=states[0],
+            diagnostics=diagnostics[0],
+            denominators=denominators[0],
+            compat_residuals=residuals[0],
+            threshold=thresholds[0],
+        )
     return ReconstructionResult(
         kernel=KernelSeries(timegrid, kernel_values),
         states=states,
-        diagnostics=diagnostics,
+        diagnostics=_worst(diagnostics),
         denominators=denominators,
         compat_residuals=residuals,
-        threshold=threshold,
+        threshold=tuple(thresholds),
     )

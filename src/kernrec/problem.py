@@ -536,6 +536,10 @@ def _contaminant(
                         "reaction coefficient (rho_b/porosity) kr kd": reaction}.items():
         if not math.isfinite(value):
             raise ValidationError(f"contaminant {name} is not finite ({value})")
+    if h_value == 0.0:  # s0 = 0, or a quotient that underflows
+        raise ValidationError(
+            f"contaminant h = -s0/(kr kd) is zero ({h_value!r}), which leaves no positive floor"
+        )
     f_src = f"{(-reaction)!r}*u"
     if v != 0.0:
         f_src += f" + {(-v)!r}*p"

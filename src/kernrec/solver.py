@@ -59,11 +59,15 @@ class SpectralSolver:
         self._inv_divisor = 1.0 / divisor
 
     def _dct1(self, v: np.ndarray) -> np.ndarray:
-        # np.fft loads on first use; importing numpy.fft at module level
-        # would add its import time to every start-up
-        for axis, index in enumerate(self._extension):
+        # the grid's axes are the trailing axes of v, so one call transforms
+        # every field of a stack; they are numbered from the front, which
+        # take and rfft handle faster than negative axes.  np.fft loads on
+        # first use; importing numpy.fft at module level would add its
+        # import time to every start-up
+        for axis, index in enumerate(self._extension, v.ndim - len(self._extension)):
             v = np.fft.rfft(v.take(index, axis=axis), axis=axis).real
         return v
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """u of each right-hand side of a stack; the grid's axes trail."""
         return self._dct1(self._dct1(rhs * self._inv_weights) * self._inv_divisor)

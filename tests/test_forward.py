@@ -317,7 +317,8 @@ class TestBlockFaults:
         stepper = TimeStepper(spec, spec.make_grid(*cells), tg)
         seen = []
         with pytest.raises(DomainFaultError, match="division by zero"):
-            forward._march(stepper, np.zeros(tg.n + 1), on_step=lambda i, r: seen.append(i))
+            forward._march(stepper, np.zeros((1, tg.n + 1)),
+                           on_step=[lambda i, r: seen.append(i)])
         assert seen == list(range(1, steps + 1))
 
     def test_fault_in_f_traced_by_reconstruct(self):
@@ -386,8 +387,10 @@ class TestGenerateMeasurement:
         "n, values, message",
         [(10, np.zeros(10), r"^expected 11 kernel samples, got \(10,\)$"),
          (10, np.full(11, np.nan), "^kernel series contains non-finite values$"),
-         (5, np.zeros(6), "^kernel series is not aligned with the time grid$")],
-        ids=["wrong-length", "non-finite", "other-grid"],
+         (5, np.zeros(6), "^kernel series is not aligned with the time grid$"),
+         (10, np.zeros((2, 11)), "^a forward run takes one kernel series$"),
+         (10, np.zeros((2, 2, 11)), r"^expected 11 kernel samples, got \(2, 2, 11\)$")],
+        ids=["wrong-length", "non-finite", "other-grid", "stack", "three-axes"],
     )
     def test_bad_kernel_series_rejected(self, n, values, message):
         spec = make_preset("manufactured1d")

@@ -205,3 +205,21 @@ class TestNodalGradient:
         p, q = nodal_gradient(g, xx + 2.0 * yy)
         np.testing.assert_allclose(p, 1.0, rtol=1e-12)
         np.testing.assert_allclose(q, 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "extents,cells",
+        [((1.0,), (50,)), ((2.0,), (1,)), ((1.0, 2.0), (12, 30)), ((1.0, 2.0), (1, 7))],
+    )
+    def test_stack_is_differentiated_row_by_row(self, extents, cells):
+        # the grid's axes trail: the gradient of a stack of states, contiguous
+        # or a march's strided view of one step, is each state's bit for bit
+        g = SpatialGrid(extents, cells)
+        states = np.random.default_rng(6).normal(size=(3, 5, *g.shape))[:, ::-1]
+        for stack in (np.ascontiguousarray(states[:, 2]), states[:, 2]):
+            components = nodal_gradient(g, stack)
+            assert len(components) == g.ndim
+            for k, u in enumerate(stack):
+                for stacked, alone in zip(components, nodal_gradient(g, u), strict=True):
+                    assert stacked.shape == stack.shape
+                    assert np.array_equal(stacked[k], alone)
+

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,6 +69,22 @@ omega = 1.0
 m = "1+t"
 mprime = "1"
 """
+# the measurement m = 10 of a steady u0 = 10 with K = 0; m0 tau = 1 = (h,1)
+# for n = 10 and the sum of the lumped weights of mx = 4 cells is exactly 1
+_SECOND_LEVEL_FAULT = """
+[problem]
+f = "0"
+h = "1"
+g = "0"
+u0 = "10"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "0"
+m = "10"
+mprime = "0"
+"""
+
 # manufactured1d with its kernel, but without m and mprime, so that a
 # measurement file can give its measurement
 _MANUFACTURED_WITHOUT_M = MANUFACTURED_CONFIG.replace(
@@ -450,11 +467,21 @@ class TestNoiseSweep:
         assert run_cli(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_rows_carry_their_own_evidence(self, tmp_path):
+    @pytest.mark.parametrize(
+        "problem,n,mx",
+        [("[problem]\npreset = manufactured1d\n", 40, 20),
+         ("[problem]\npreset = contaminant\n", 40, 20),
+         ("[problem]\npreset = contaminant\nv = 0.5\n", 40, 20),
+         (_MANUFACTURED_2D, 10, 6)],
+        ids=["manufactured1d", "contaminant", "contaminant-advection", "manufactured2d"],
+    )
+    def test_rows_carry_their_own_evidence(self, tmp_path, problem, n, mx):
         # each JSON row's evidence is that of a direct reconstruct call on the
-        # same sigma and the same draws of the seeded generator
-        report = tmp_path / "r.json"
-        argv = ["noise-sweep", "--preset", "contaminant", "--n", "40", "--mx", "20",
+        # same sigma and the same draws of the seeded generator, whether f
+        # reads no state (manufactured), u (contaminant) or p (advection)
+        cfg_path, report = tmp_path / "p.cfg", tmp_path / "r.json"
+        cfg_path.write_text(problem, encoding="utf-8")
+        argv = ["noise-sweep", "--config", str(cfg_path), "--n", str(n), "--mx", str(mx),
                 "--noise", "1e-4,1e-3", "--seed", "5", "--json", str(report)]
         assert run_cli(argv) == 0
         rows = json.loads(_read(report))["rows"]
@@ -473,6 +500,78 @@ class TestNoiseSweep:
             assert row["min_denominator_magnitude"] == float(
                 np.min(np.abs(result.denominators))
             )
+
+    def test_traced_sweep_prints_level_by_level(self, capsys):
+        # the levels march together, but each one's K_0 warning, then its
+        # trace rows, come after the level before it, as when reconstructed
+        # one after another
+        sigmas = [1e-4, 1e-3, 1e-2]
+        argv = ["noise-sweep", "--preset", "contaminant", "--n", "20", "--mx", "10",
+                "--noise", ",".join(map(repr, sigmas)), "--seed", "5", "--trace"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert harness.main(argv) == 0
+        swept = capsys.readouterr().err
+        cfg = harness.resolve_config(harness.build_parser().parse_args(argv))
+        grid, tg = cfg.grids()
+        base = harness.acquire_measurement(cfg, grid, tg)
+        rng = np.random.default_rng(5)
+        levels = []
+        for sigma in sigmas:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                kernrec.reconstruct(cfg.spec, grid, tg, base.with_noise(sigma, rng),
+                                    trace=harness._trace_printer)
+            warned = "".join(f"kernrec: warning: {w.message}\n" for w in caught)
+            levels.append(warned + capsys.readouterr().err)
+        assert swept == "".join(levels)
+        # a later level warns after the rows of the first
+        assert "kernrec: warning" in swept[swept.index("step=20 "):]
+
+    def test_fault_in_a_later_level_comes_after_the_levels_before_it(self, tmp_path, capsys):
+        # with the minus sign, (h,1) - m0 tau = 1 - 10 * 0.1 is exactly 0: the
+        # second level's noise is too small to move m0, so its first update
+        # divides by 0; the first level's moves m0 and reconstructs
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(_SECOND_LEVEL_FAULT, encoding="utf-8")
+        argv = ["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "4",
+                "--noise", "0.1,1e-300", "--seed", "1", "--force",
+                "--kernel-denominator-sign", "minus", "--trace"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = harness.main(argv)
+        swept = capsys.readouterr().err
+        assert code == harness.EXIT_NUMERICAL
+        config = harness.resolve_config(harness.build_parser().parse_args(argv))
+        grid, tg = config.grids()
+        base = harness.acquire_measurement(config, grid, tg)
+        rng = np.random.default_rng(1)
+        first, second = (base.with_noise(sigma, rng) for sigma in (0.1, 1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = harness._print_warning
+            kernrec.reconstruct(config.spec, grid, tg, first, force=True,
+                                denominator_sign=-1.0, trace=harness._trace_printer)
+            with pytest.raises(errors.SingularUpdateError) as fault:
+                kernrec.reconstruct(config.spec, grid, tg, second, force=True,
+                                    denominator_sign=-1.0, trace=harness._trace_printer)
+        expected = capsys.readouterr().err + f"kernrec: numerical failure: {fault.value}\n"
+        assert swept == expected
+        assert swept.count("step=") == 10  # the first level's rows, and none of the second's
+        assert swept.endswith(
+            "kernrec: numerical failure: kernel-update denominator 0.000e+00 below 1e-12 "
+            "at step 1\n"
+        )
+
+    def test_failed_draw_ends_the_sweep_after_the_levels_before_it(self, capsys):
+        # the second level's samples overflow: the first level's rows, then
+        # the draw's failure, as when the levels run one after another
+        argv = ["noise-sweep", "--preset", "manufactured1d", "--n", "10", "--mx", "8",
+                "--noise", "1e-3,1e308", "--seed", "2", "--trace"]
+        assert run_cli(argv) == harness.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in err[:-1]] == [f"step={i}" for i in range(1, 11)]
+        assert err[-1] == "kernrec: validation failure: measurement contains non-finite values"
 
     def test_seed_required(self):
         code = run_cli(
@@ -621,6 +720,20 @@ class TestConfigHandling:
                         "--out", str(tmp_path / "k.csv"), *flags])
         assert code == 3
         assert "validation failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", ["", "bogus = 1\n", "omega = 1\n"], ids=["alone", "unknown-key", "omega"]
+    )
+    def test_contaminant_zero_h_exits_3(self, tmp_path, capsys, extra):
+        # s0 = 0 gives h = -0.0: one message whatever else the section holds
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"[problem]\npreset = contaminant\ns0 = 0\n{extra}", encoding="utf-8")
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "4"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "kernrec: validation failure: contaminant h = -s0/(kr kd) is zero (-0.0), "
+            "which leaves no positive floor\n"
+        )
 
     @pytest.mark.parametrize("key", ["", "T = 2.0\n", "T = abc\n"], ids=["none", "other", "bad"])
     def test_T_flag_is_the_problem_T(self, tmp_path, key):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernrec import expr, problem
-from kernrec.errors import NonFiniteError, SingularUpdateError, StepThresholdError, ValidationError
+from kernrec.errors import (
+    KernrecError,
+    NonFiniteError,
+    SingularUpdateError,
+    StepThresholdError,
+    ValidationError,
+)
 from kernrec.forward import KernelSeries, TimeStepper, _convolution_values, run_forward
 from kernrec.grid import stiffness_matvec
 from kernrec.inverse import (
+    Diagnostics,
+    ThresholdReport,
     check_step_threshold,
     initial_kernel_value,
     kernel_difference_energy,
@@ -571,3 +580,132 @@ class TestKernelDifferenceEnergy:
             errs[n] = abs(kernel_difference_energy(np.exp(-tg.nodes), tg.tau) - exact)
         assert errs[2000] < 1e-6
         assert errs[2000] < errs[100]
+
+
+def _outcome(run):
+    """Warnings and trace rows in the order they come, and the error, of
+    ``run(trace)``."""
+    events = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *args, **kwargs: events.append(str(message))
+        try:
+            run(lambda *row: events.append(row))
+        except KernrecError as exc:
+            return events, (type(exc), str(exc), getattr(exc, "step", None))
+    return events, None
+
+
+class TestSequence:
+    """A sequence of series marches together, and its rows, warnings,
+    trace rows and faults are those of the series reconstructed one after
+    another."""
+
+    @staticmethod
+    def _noisy(spec, grid, tg, sigmas):
+        base = run_forward(spec, grid, tg, derivative="discrete").measurement
+        rng = np.random.default_rng(3)
+        return [base.with_noise(sigma, rng) for sigma in sigmas]
+
+    @pytest.mark.parametrize("options", [{}, {"v": "0.5"}], ids=["f-reads-u", "f-reads-p"])
+    def test_rows_are_the_single_results(self, options):
+        spec = make_preset("contaminant", options)
+        tg, grid = TimeGrid(1.0, 30), spec.make_grid(12)
+        series = self._noisy(spec, grid, tg, [1e-5, 1e-4, 1e-3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # noisy K_0 disagrees with the exact kernel
+            stacked = reconstruct(spec, grid, tg, series)
+            singles = [reconstruct(spec, grid, tg, s) for s in series]
+        assert stacked.kernel.values.shape == (3, tg.n + 1)
+        assert stacked.states.shape == (3, tg.n + 1, *grid.shape)
+        assert stacked.threshold == tuple(single.threshold for single in singles)
+        for row, single in enumerate(singles):
+            assert np.array_equal(stacked.kernel.values[row], single.kernel.values)
+            assert np.array_equal(stacked.states[row], single.states)
+            assert np.array_equal(stacked.denominators[row], single.denominators)
+            assert np.array_equal(stacked.compat_residuals[row], single.compat_residuals)
+        table = np.array([single.diagnostics for single in singles])
+        worst = stacked.diagnostics._asdict()
+        for k, name in enumerate(Diagnostics._fields):
+            column = table[:, k].tolist()
+            assert worst[name] == (min if name == "min_denominator_magnitude" else max)(column)
+
+    def test_one_series_is_not_stacked(self):
+        spec = make_preset("manufactured1d")
+        tg, grid = TimeGrid(1.0, 10), spec.make_grid(8)
+        series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        single = reconstruct(spec, grid, tg, series)
+        stacked = reconstruct(spec, grid, tg, [series])
+        assert single.states.shape == (tg.n + 1, *grid.shape)
+        assert isinstance(single.threshold, ThresholdReport)
+        assert np.array_equal(stacked.states[0], single.states)
+        assert stacked.threshold == (single.threshold,)
+        assert stacked.diagnostics == single.diagnostics
+
+    def test_empty_sequence_is_rejected(self):
+        spec = make_preset("manufactured1d")
+        tg = TimeGrid(1.0, 10)
+        with pytest.raises(ValidationError, match="no measurement series"):
+            reconstruct(spec, spec.make_grid(8), tg, [])
+
+    @staticmethod
+    def _faulting(kind, tg):
+        """A spec, options and the data of a series that faults for ``kind``."""
+        n, steady = tg.n, np.ones(tg.n + 1)
+        if kind == "f":
+            # u falls with m = 1 - 5t and goes below 0 near t = 0.2: sqrt(u) faults
+            spec = _spec(f="sqrt(u) - 1", u0="1")
+            return spec, {}, MeasurementSeries(tg, 1.0 - 5.0 * tg.nodes)
+        if kind == "update":
+            # with the minus sign, (h,1) - m0 tau = 1 - 10 * 0.1 = 0
+            spec = _spec(u0="10")
+            return spec, {"force": True, "denominator_sign": -1.0}, MeasurementSeries(
+                tg, np.full(n + 1, 10.0))
+        if kind == "state":
+            # a finite K_1 ~ 9e200 makes conv_2 overflow
+            spec = _spec(u0="1")
+            return spec, {}, MeasurementSeries(tg, steady, np.r_[-1e201, np.zeros(n - 1)])
+        if kind == "threshold":
+            # |m0| = 100 puts tau0 = 0.005 below tau = 0.1
+            spec = _spec(u0="1")
+            return spec, {}, MeasurementSeries(tg, np.full(n + 1, 100.0))
+        if kind == "kernel":
+            # K_2 overflows: the history K_1 m_1 tau with m_1 = 1e200
+            spec = _spec(u0="1")
+            values = np.r_[1.0, np.full(n, 1e200)]
+            return spec, {}, MeasurementSeries(tg, values, np.r_[-1e201, np.zeros(n - 1)])
+        raise AssertionError(kind)
+
+    @pytest.mark.parametrize("kind", ["f", "update", "state", "threshold", "kernel"])
+    def test_fault_in_a_later_series_comes_after_the_series_before_it(self, kind):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = self._faulting(kind, tg)
+        grid = spec.make_grid(4)
+        # a series that runs through, one that faults, and one the fault ends
+        fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
+        series = [fine, faulting, fine]
+        for data, faults in ((fine, False), (faulting, True)):
+            alone = _outcome(lambda trace: reconstruct(spec, grid, tg, data, **options))
+            assert (alone[1] is not None) == faults
+
+        def one_after_another(trace):
+            for data in series:
+                reconstruct(spec, grid, tg, data, trace=trace, **options)
+
+        expected = _outcome(one_after_another)
+        assert _outcome(lambda trace: reconstruct(spec, grid, tg, series, trace=trace,
+                                                  **options)) == expected
+
+    def test_the_first_series_that_faults_decides(self):
+        # the second series faults first in time, the first later: the
+        # outcome is the first series' rows and fault, as one after another
+        tg = TimeGrid(1.0, 10)
+        spec, _, early = self._faulting("f", tg)
+        late = MeasurementSeries(tg, 1.0 - 2.0 * tg.nodes)
+        grid = spec.make_grid(4)
+        outcomes = [_outcome(lambda trace: reconstruct(spec, grid, tg, data, trace=trace))
+                    for data in (late, early)]
+        (late_rows, late_fault), (early_rows, _) = outcomes
+        assert late_fault is not None and len(early_rows) < len(late_rows)
+        stacked = _outcome(lambda trace: reconstruct(spec, grid, tg, [late, early], trace=trace))
+        assert stacked == outcomes[0]

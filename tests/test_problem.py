@@ -153,6 +153,14 @@ class TestContaminantPreset:
         with pytest.raises(ValidationError):
             make_preset("contaminant", {"kd": "0.0"})
 
+    @pytest.mark.parametrize(
+        "params", [{"s0": "0"}, {"s0": "-0.0"}, {"s0": "1e-300", "kr": "1e100"}],
+        ids=["s0-zero", "s0-negative-zero", "quotient-underflows"],
+    )
+    def test_rejects_zero_h(self, params):
+        with pytest.raises(ValidationError, match=r"contaminant h = -s0/\(kr kd\) is zero"):
+            make_preset("contaminant", params)
+
     @pytest.mark.parametrize("key", ["rho_b", "porosity", "kr", "kd", "s0", "v"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_parameters(self, key, value):

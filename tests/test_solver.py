@@ -188,3 +188,21 @@ class TestSpectralSolver:
         x = SpectralSolver(grid, tau).solve(b)
         residual = grid.weights / tau * x + stiffness_matvec(grid, x) - b
         assert np.linalg.norm(residual.ravel()) <= 1e-13 * np.linalg.norm(b.ravel())
+
+    @pytest.mark.parametrize(
+        "extents,cells",
+        [((1.0,), (50,)), ((2.0,), (1,)), ((1.0, 2.0), (12, 30)), ((1.0, 2.0), (1, 7))],
+    )
+    def test_stack_is_solved_row_by_row(self, extents, cells):
+        # the grid's axes trail: one solve of a stack of right-hand sides,
+        # contiguous or a march's strided view of one step, gives each row's
+        # own solution bit for bit
+        grid = SpatialGrid(extents, cells)
+        solver = SpectralSolver(grid, 0.05)
+        states = np.random.default_rng(4).normal(size=(3, 5, *grid.shape))[:, ::-1]
+        for stack in (np.ascontiguousarray(states[:, 2]), states[:, 2]):
+            solved = solver.solve(stack)
+            assert solved.shape == stack.shape
+            for row, b in zip(solved, stack, strict=True):
+                assert np.array_equal(row, solver.solve(b))
+

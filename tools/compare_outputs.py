@@ -2,8 +2,8 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 62 ``kernrec`` commands with each tree's ``src/``
-on ``PYTHONPATH``: six help texts and 56 runs (reconstruct, roundtrip,
+Runs a fixed set of 65 ``kernrec`` commands with each tree's ``src/``
+on ``PYTHONPATH``: six help texts and 59 runs (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone).  Four
@@ -14,14 +14,16 @@ and the spectral divisor shows.  One command sets its options through ``[discret
 Some runs are sized so that the stepper's blocks of time nodes come out
 several to a run with a partial last one, or one node wide.  Three
 give a preset T, omega or parameters: a contaminant and a manufactured1d
-config, and ``--T`` on the contaminant.  Eleven
+config, and ``--T`` on the contaminant.  Twelve
 commands fail by design (a fault of f met by a traced reconstruction,
 a floor violation, a fault of h met by the floor check, in a block of
 time nodes or in a static h, a fault of g at t = 0 met by the discrete
 m'(0), a ``--json`` path in a missing directory, diagnostics and a
 noise amplification that overflow, finite measurement samples whose
-difference overflows, an f beside a preset, and a contaminant kr = 0
-beside an unknown key, whose exit code shows which is checked first);
+difference overflows, an f beside a preset, a contaminant kr = 0
+beside an unknown key, whose exit code shows which is checked first,
+and a traced noise sweep whose second level divides by a zero update
+denominator after its first level has run);
 another pins that an analytic forward run never
 evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
@@ -30,6 +32,11 @@ read manufactured1d's measurement from a ``t,m,mprime`` file that this
 script writes beside its configs, also restricted to each level of a
 convergence list, or from a headerless one whose first row alone carries
 m'(0), also behind a UTF-8 byte-order mark, and trace a noise sweep.
+Noise sweeps run on manufactured1d, on the contaminant (plain, traced,
+and traced with advection, whose f reads p) and on the benchmark's 2D
+config: each tree's sweep is checked against the other's, so a tree
+that reconstructs its levels one after another is the oracle of one
+that marches them together.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report the same text once its
 ``timings`` are dropped, so that the sign of a zero shows; a report
@@ -322,6 +329,25 @@ bogus = 1
 """
 CONFIG_KR0_UNKNOWN = "contaminantkr0.ini"
 
+# fails by design in its second level: with the minus sign the update
+# divides by (h,1) - m0 tau = 1 - 10 * 0.1 = 0 unless the noise moves m0,
+# which the second level's 1e-300 does not
+SECOND_LEVEL_FAULT = """\
+[problem]
+name = "secondlevelfault"
+f = "0"
+h = "1"
+g = "0"
+u0 = "10"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "0"
+m = "10"
+mprime = "0"
+"""
+CONFIG_SECOND_LEVEL_FAULT = "secondlevelfault.ini"
+
 
 def _measurement_text(n: int, initial_only: bool = False) -> str:
     nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
@@ -359,6 +385,7 @@ CONFIGS = {
     CONFIG_M1_OVERRIDES: MANUFACTURED_OVERRIDES,
     CONFIG_PRESET_F: PRESET_WITH_F,
     CONFIG_KR0_UNKNOWN: CONTAMINANT_KR0_UNKNOWN,
+    CONFIG_SECOND_LEVEL_FAULT: SECOND_LEVEL_FAULT,
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -463,6 +490,15 @@ COMMANDS = {
     "forward-g-fault-at-0-analytic": [
         "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
     ],
+    # sweeps whose levels march together: in 2D, and with an f that reads p
+    "noise-sweep-2d": [
+        "noise-sweep", "--config", CONFIG_2D, "--n", "10", "--mx", "12",
+        "--noise", "1e-4,1e-3", "--seed", "7",
+    ],
+    "noise-sweep-contaminant-advection-trace": [
+        "noise-sweep", "--config", CONFIG_ADVECTION, "--n", "100", "--mx", "50",
+        "--noise", "1e-4,1e-3", "--seed", "7", "--trace",
+    ],
     # these fail by design: exit code and stderr are compared
     "reconstruct-f-fault-trace": [
         "reconstruct", "--config", CONFIG_FAULT_F, "--n", "10", "--mx", "8", "--trace",
@@ -501,6 +537,11 @@ COMMANDS = {
     "reconstruct-contaminant-kr0-unknown-key": [
         "reconstruct", "--config", CONFIG_KR0_UNKNOWN, "--n", "10", "--mx", "4",
     ],
+    "noise-sweep-second-level-fault-trace": [
+        "noise-sweep", "--config", CONFIG_SECOND_LEVEL_FAULT, "--n", "10", "--mx", "4",
+        "--noise", "0.1,1e-300", "--seed", "1", "--force",
+        "--kernel-denominator-sign", "minus", "--trace",
+    ],
 }
 # help texts: stdout and exit code are compared byte for byte
 HELP = {
@@ -513,7 +554,7 @@ FAILING = {
     "reconstruct-h-static-fault", "forward-g-fault-at-0-discrete", "reconstruct-json-missing-dir",
     "roundtrip-diagnostics-overflow", "noise-sweep-amplification-overflow",
     "reconstruct-measurement-difference-overflow", "reconstruct-preset-with-f",
-    "reconstruct-contaminant-kr0-unknown-key",
+    "reconstruct-contaminant-kr0-unknown-key", "noise-sweep-second-level-fault-trace",
 }
 
 
