@@ -45,22 +45,22 @@ The step records (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) as
 it used them.  Once per run, after the loop: M_i = (u_i,1) for all
 states, in the blocks of ``problem.block_slices``, and from them and the
 recorded sums the identity residuals of all steps
-(``TimeStepper.compat_residual``); a traced step gets its residual from
-the same function, applied to that step alone, as soon as it is done.
+(``TimeStepper.compat_residual``); in a march of one series, a traced
+step gets its residual from the same function, applied to that step
+alone, as soon as it is done.
 
 The loop advances a stack of series on one grid and step size at once,
 such as the levels of a noise sweep; a forward run or a single
-reconstruction is a stack of one.  The series share the pairs of h, g
-and an f that reads no state, and each call that is elementwise per
-series: one ``TimeStepper.step``, one elliptic solve whose transforms
-run along the grid's trailing axes, one ``f_field`` call for an f that
-reads the state and one ``SpatialGrid.integral`` for the means.  Each
-series keeps its own kernel update, its own convolution product and its
-own finiteness check and residuals, so every number of a series is the
-one a march of that series alone computes.  A fault ends its series and
-every later one, as if the series were marched one after another: in
-the first series it is raised at once, in a later one the series before
-it march on and the march returns the fault (``_Series``).
+reconstruction is a stack of one, marched on arrays without the series
+axis.  The series share the pairs of h, g and an f that reads no state,
+and each call that is elementwise per series: one ``TimeStepper.step``,
+one elliptic solve whose transforms run along the grid's trailing axes,
+one ``f_field`` call for an f that reads the state and one
+``SpatialGrid.integral`` for the means.  Each series keeps its own
+kernel update, its own convolution product and its own residuals, so
+every number of a series is the one a march of that series alone
+computes.  A fault in any series ends the march at once;
+``inverse.reconstruct`` then replays the series one at a time.
 
 The states are stored newest-first: the loop allocates its
 (series, n+1, *grid.shape) buffer and works on the view reversed in
@@ -83,7 +83,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import expr, problem
-from .errors import DomainFaultError, KernrecError, NonFiniteError, ValidationError
+from .errors import NonFiniteError, ValidationError
 from .grid import DERIVATIVES, SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
 from .solver import SpectralSolver
@@ -148,45 +148,21 @@ class TimeStepper:
         return expr.evaluate(self._f, env)
 
     def coefficients(
-        self,
-        f_nodes: np.ndarray,
-        nodes: np.ndarray,
-        states: Iterable[np.ndarray],
-        series: _Series | None = None,
-    ) -> Iterator[tuple[tuple[np.ndarray, float], ...]]:
+        self, f_nodes: np.ndarray, nodes: np.ndarray, states: Iterable[np.ndarray]
+    ) -> Iterator[tuple[tuple[np.ndarray, float | list[float]], ...]]:
         """The pairs of f at ``f_nodes[k]`` and state ``states[k]``, then of
         h and g at ``nodes[k]``, for k in order.
 
-        An f that reads the state takes ``states[k]`` when k is pulled; any
-        other f, and h and g, come from ``problem.node_pairs``.  With a
-        march's ``series``, each of ``states`` is a stack: f reads its first
-        ``series.live`` rows in one call and gives one mean per row, and a
-        row whose own f faults ends its series there.
+        An f that reads the state takes ``states[k]``, a field or a stack,
+        when k is pulled, and gives one mean per field of a stack; any other
+        f, and h and g, come from ``problem.node_pairs``.
         """
-        if not self._f_state:
-            f = problem.node_pairs(self._f, self.grid, False, f_nodes)
-        elif series is None:
-            f = ((f, float(self.grid.integral(f))) for f in map(self.f_field, f_nodes, states))
+        if self._f_state:
+            f = ((f, self.grid.integral(f).tolist()) for f in map(self.f_field, f_nodes, states))
         else:
-            f = (self._f_stack(t, u[: series.live], series) for t, u in zip(f_nodes, states))
+            f = problem.node_pairs(self._f, self.grid, False, f_nodes)
         h = problem.node_pairs(self._h, self.grid, False, nodes)
         return zip(f, h, problem.node_pairs(self._g, self.grid, True, nodes))
-
-    def _f_stack(self, t: float, u: np.ndarray, series: _Series) -> tuple[np.ndarray, list]:
-        try:
-            f = self.f_field(t, u)
-        except DomainFaultError:
-            # row by row, up to the first row whose own f faults, which ends
-            # its series (``series.end``)
-            fields = []
-            for row, state in enumerate(u):
-                try:
-                    fields.append(self.f_field(t, state))
-                except DomainFaultError as error:
-                    series.end(row, error)
-                    break
-            f = np.stack(fields)
-        return f, self.grid.integral(f).tolist()
 
     def initial_means(self) -> tuple[float, float, float]:
         """(f_0,1), (g_0,1)_Gamma and (h_0,1) of the identity at t = 0."""
@@ -255,24 +231,6 @@ class ForwardRun(NamedTuple):
     compat_residuals: np.ndarray  # relative, one per step i = 1..n
 
 
-class _Series:
-    """The series of a march that still advance: rows 0..live-1 of its stack.
-
-    A fault ends its series and every later one, as marching the series
-    one after another would: the first series' fault is raised at once,
-    a later one's is kept while the series before it march on.
-    """
-
-    def __init__(self, count: int):
-        self.live = count
-        self.fault: tuple[int, KernrecError] | None = None
-
-    def end(self, row: int, error: KernrecError) -> None:
-        if row == 0:
-            raise error
-        self.live, self.fault = row, (row, error)
-
-
 def _sums(steps: list[tuple], batch: int, row: int) -> list[tuple[float, float, float, float]]:
     """The four means of each step of series ``row`` of a stack of ``batch``."""
     if batch == 1:
@@ -280,37 +238,24 @@ def _sums(steps: list[tuple], batch: int, row: int) -> list[tuple[float, float, 
     return [(f if isinstance(f, float) else f[row], h, g, conv[row]) for f, h, g, conv in steps]
 
 
-def _live(
-    states: np.ndarray, kernel_values: np.ndarray, conv: np.ndarray, live: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u_i by step, K_i by step as a column, and conv_i of the first
-    ``live`` series of a march.  A march of one series takes them without
-    the series axis, so that its calls are those of that series alone."""
-    if len(states) == 1:
-        return states[0], kernel_values[0], conv[0]
-    columns = np.expand_dims(kernel_values[:live].T, tuple(range(2, conv.ndim + 1)))
-    return states[:live].swapaxes(0, 1), columns, conv[:live]
-
-
 def _march(
     stepper: TimeStepper,
     kernel_values: np.ndarray,
     kernel_update: Sequence[Callable[[int, float, float, float], float]] | None = None,
-    on_step: Sequence[Callable[[int, float], None]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, KernrecError] | None]:
+    on_step: Callable[[int, float], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance u_0..u_n of a stack of series; return the states, M_i =
-    (u_i,1), the residuals and the fault.
+    (u_i,1) and the residuals.
 
     Row r of ``kernel_values``, shape (series, n+1), is series r's kernel.
     Without ``kernel_update`` the kernel values K_1..K_n are given.  With
     it, ``kernel_update[r](i, (f_{i-1},1), (h_i,1), (g_i,1)_Gamma)``
     supplies series r's K_i before step i and the loop stores it in
-    ``kernel_values``.  ``on_step[r](i, residual)`` runs after each step
-    of series r.  A KernrecError of an update, a fault of f or a state
-    that is not finite ends its series and the later ones (``_Series``).
-    The states, shape (S, n+1, *grid.shape), M, (S, n+1), and the
-    residuals, (S, n), are those of the S series before the first that
-    faulted, and the fault is that series' row and error, or None.
+    ``kernel_values``.  In a march of one series, ``on_step(i, residual)``
+    runs after each step.  A KernrecError of an update or of f, or a
+    state that is not finite, is raised at once, whatever its series.
+    The states have shape (series, n+1, *grid.shape), M (series, n+1)
+    and the residuals (series, n).
     """
     batch, n = kernel_values.shape[0], stepper.timegrid.n
     grid, tau = stepper.grid, stepper.tau
@@ -319,17 +264,19 @@ def _march(
     states[:, 0] = stepper.u0
     state_rows, kernel_rows = list(states), list(kernel_values)
     conv = np.empty((batch, *grid.shape))
-    live = batch
-    u_by_step, k_by_step, conv_live = _live(states, kernel_values, conv, live)
+    if batch == 1:
+        # without the series axis, so that the calls are those of the series alone
+        u_by_step, k_by_step, conv_all = states[0], kernel_values[0], conv[0]
+    else:
+        # u_i of every series by step, and K_i as a column
+        u_by_step, conv_all = states.swapaxes(0, 1), conv
+        k_by_step = np.expand_dims(kernel_values.T, tuple(range(2, conv.ndim + 1)))
     # per step: (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1); in a
     # stack of several series, one (conv_i,1) and, for an f that reads the
     # state, one (f_{i-1},1) per series (``_sums``)
     steps = []
-    series = _Series(batch)
     nodes = stepper.timegrid.nodes
-    coefficients = stepper.coefficients(
-        nodes[:-1], nodes[1:], u_by_step, None if batch == 1 else series
-    )
+    coefficients = stepper.coefficients(nodes[:-1], nodes[1:], u_by_step)
     # an overflow or NaN in a step is reported by the finiteness check
     # below, one in the residuals by the run's check of what it writes,
     # not by numpy's floating-point warnings
@@ -339,45 +286,31 @@ def _march(
             # tuple keeps every other step's old pairs, and their block, alive
             (f_prev, f_mean), (h_i, h_mean), (g_load, g_mean) = next(coefficients)
             if kernel_update is not None:
-                # an f that reads the state gives a list, one mean per series
-                f_means = f_mean if isinstance(f_mean, list) else [f_mean] * live
-                for row in range(series.live):
-                    try:
-                        kernel_values[row, i] = kernel_update[row](i, f_means[row], h_mean, g_mean)
-                    except KernrecError as error:
-                        series.end(row, error)
-                        break
-            if series.live < live:  # f or an update ended these series
-                live = series.live
-                u_by_step, k_by_step, conv_live = _live(states, kernel_values, conv, live)
-                if isinstance(f_mean, list):
-                    f_prev = f_prev[:live]
-            for row in range(live):
+                # an f that reads the state of several series gives a list
+                f_means = f_mean if isinstance(f_mean, list) else [f_mean] * batch
+                for row, update in enumerate(kernel_update):
+                    kernel_values[row, i] = update(i, f_means[row], h_mean, g_mean)
+            for row in range(batch):
                 # conv_i includes K_i, so it is formed after the update
                 conv[row] = _convolution_values(kernel_rows[row], state_rows[row], i, tau)
             u = u_by_step[i] = stepper.step(
-                k_by_step[i], u_by_step[i - 1], f_prev, conv_live, h_i, g_load
+                k_by_step[i], u_by_step[i - 1], f_prev, conv_all, h_i, g_load
             )
             if not np.isfinite(u).all():
-                row = int(np.argmin(np.isfinite(u.reshape(live, -1)).all(axis=1)))
-                series.end(row, NonFiniteError("state is not finite", step=i))
-                live = row
-                u_by_step, k_by_step, conv_live = _live(states, kernel_values, conv, live)
-            steps.append((f_mean, h_mean, g_mean, grid.integral(conv_live)))
+                raise NonFiniteError("state is not finite", step=i)
+            steps.append((f_mean, h_mean, g_mean, grid.integral(conv_all)))
             if on_step is not None:
                 window = slice(i - 1, i + 1)
-                for row in range(live):
-                    _, residual = stepper.compat_residual(
-                        state_rows[row][window], kernel_rows[row][window],
-                        _sums(steps[-1:], batch, row),
-                    )
-                    on_step[row](i, residual[0])
-        measured, residuals = np.empty((live, n + 1)), np.empty((live, n))
-        for row in range(live):
+                _, residual = stepper.compat_residual(
+                    u_by_step[window], k_by_step[window], steps[-1:]
+                )
+                on_step(i, residual[0])
+        measured, residuals = np.empty((batch, n + 1)), np.empty((batch, n))
+        for row in range(batch):
             measured[row], residuals[row] = stepper.compat_residual(
                 state_rows[row], kernel_rows[row], _sums(steps, batch, row)
             )
-    return states[:live], measured, residuals, series.fault
+    return states, measured, residuals
 
 
 def run_forward(
@@ -410,8 +343,7 @@ def run_forward(
     if kernel.values.ndim != 1:
         raise ValidationError("a forward run takes one kernel series")
     stepper = TimeStepper(spec, grid, timegrid)
-    # a stack of one series, whose fault the march raises
-    (states,), (measured,), (residuals,), _ = _march(stepper, kernel.values[None])
+    (states,), (measured,), (residuals,) = _march(stepper, kernel.values[None])
     if derivative == "analytic" and spec.mprime_exact is not None:
         measurement = MeasurementSeries.analytic(timegrid, measured, spec.mprime_exact)
     else:

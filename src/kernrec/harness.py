@@ -749,6 +749,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning  # one line each, without the source location
+        # every time: a noise sweep's levels may repeat one warning word for word
+        warnings.simplefilter("always", RuntimeWarning)
         return run_cli(sys.argv[1:] if argv is None else argv)
 
 

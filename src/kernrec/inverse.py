@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -254,12 +255,25 @@ def reconstruct(
     series with its own arithmetic.  The kernel values, states,
     denominators and residuals of the result then gain a leading axis,
     ``threshold`` holds one report per series, and ``diagnostics`` is the
-    worst over the series (``_worst``).  Warnings, trace rows and faults
-    come as if the series were reconstructed one after another: the first
-    series' as they happen, each later one's once the series before it
-    are done, and the first series that faults ends the run with its
-    error.
+    worst over the series (``_worst``).  Once the march is done, each
+    series' warnings and then its trace rows come, series by series.  If
+    anything faults, the series are replayed one at a time: the first that
+    faults ends the run with its error, after the series before it.
     """
+    try:
+        return _reconstruct(spec, grid, timegrid, measurement, force, denominator_sign, trace)
+    except KernrecError:
+        if isinstance(measurement, MeasurementSeries):
+            raise
+        for data in measurement:
+            _reconstruct(spec, grid, timegrid, data, force, denominator_sign, trace)
+        raise  # the march faults where no series alone does
+
+
+def _reconstruct(spec, grid, timegrid, measurement, force, denominator_sign, trace):
+    """``reconstruct`` without the replay: one series warns and traces as
+    it goes, a sequence once its march is done, and a fault is raised at
+    once."""
     single = isinstance(measurement, MeasurementSeries)
     series = [measurement] if single else list(measurement)
     if not series:
@@ -267,74 +281,60 @@ def reconstruct(
     n, tau = timegrid.n, timegrid.tau
     kernel_values = np.empty((len(series), n + 1))
     denominators = np.empty((len(series), n))
-    thresholds, updates = [], []
-    # what a later series prints before and during its march, warnings as
-    # text and trace rows as tuples, held until the series before it are done
-    held: list[list] = [[] for _ in series]
+    # a sequence's warnings, held until its march is done
+    held: list[list[str]] = [[] for _ in series]
 
-    def emit(row: int, entry: str | tuple) -> None:
-        if row:
-            held[row].append(entry)
-        elif isinstance(entry, str):
-            # reconstruct calls emit itself, so the warning is its caller's
-            warnings.warn(entry, RuntimeWarning, stacklevel=3)
+    def warn(row: int, text: str) -> None:
+        if single:
+            # past warn, _reconstruct and reconstruct: their caller
+            warnings.warn(text, RuntimeWarning, stacklevel=4)
         else:
-            trace(*entry)
+            held[row].append(text)
 
-    stepper = fault = None
+    def trace_row(row: int, i: int, residual: float) -> None:
+        trace(i, timegrid.nodes[i], kernel_values[row, i], denominators[row, i - 1], residual)
+
+    stepper = None
+    thresholds, updates = [], []
     for row, data in enumerate(series):
-        try:
-            if data.timegrid != timegrid:
-                raise ValidationError("measurement is not aligned with the time grid")
-            if stepper is None:
-                validate_floor(spec, grid, timegrid)
-            threshold = check_step_threshold(spec, data.m0, tau)
-            if not threshold.passed:
-                if not force:
-                    raise StepThresholdError(
-                        f"tau = {tau:g} exceeds tau0 = {threshold.tau0:g} "
-                        f"(omega = {threshold.omega:g}, |m0| = {abs(threshold.m0):g}); "
-                        "pass force to run anyway"
-                    )
-                emit(row, f"running with tau = {tau:g} >= tau0 = {threshold.tau0:g}; "
-                          "the kernel update may be ill-conditioned")
-            if stepper is None:
-                stepper = TimeStepper(spec, grid, timegrid)
-            kernel_values[row, 0] = k0 = initial_kernel_value(stepper, data)
-            if spec.kernel_exact is not None:
-                k0_ref = float(expr.evaluate(spec.kernel_exact, {"t": 0.0}))
-                if abs(k0 - k0_ref) > 1e-3 * (1.0 + abs(k0_ref)):
-                    emit(row, f"initial kernel value {k0:.6g} disagrees with the exact "
-                              f"kernel at t=0 ({k0_ref:.6g})")
-        except KernrecError as error:
-            if not row:
-                raise
-            fault = (row, error)
-            break
+        if data.timegrid != timegrid:
+            raise ValidationError("measurement is not aligned with the time grid")
+        if stepper is None:
+            validate_floor(spec, grid, timegrid)
+        threshold = check_step_threshold(spec, data.m0, tau)
+        if not threshold.passed:
+            if not force:
+                raise StepThresholdError(
+                    f"tau = {tau:g} exceeds tau0 = {threshold.tau0:g} "
+                    f"(omega = {threshold.omega:g}, |m0| = {abs(threshold.m0):g}); "
+                    "pass force to run anyway"
+                )
+            warn(row, f"running with tau = {tau:g} >= tau0 = {threshold.tau0:g}; "
+                      "the kernel update may be ill-conditioned")
+        if stepper is None:
+            stepper = TimeStepper(spec, grid, timegrid)
+        kernel_values[row, 0] = k0 = initial_kernel_value(stepper, data)
+        if spec.kernel_exact is not None:
+            k0_ref = float(expr.evaluate(spec.kernel_exact, {"t": 0.0}))
+            if abs(k0 - k0_ref) > 1e-3 * (1.0 + abs(k0_ref)):
+                warn(row, f"initial kernel value {k0:.6g} disagrees with the exact "
+                          f"kernel at t=0 ({k0_ref:.6g})")
         thresholds.append(threshold)
         updates.append(
             _kernel_update(data, kernel_values[row], denominators[row], tau, denominator_sign)
         )
 
-    live = len(updates)
-    on_step = None
-    if trace is not None:
-        on_step = [
-            lambda i, residual, row=row: emit(row, (
-                i, timegrid.nodes[i], kernel_values[row, i], denominators[row, i - 1], residual
-            ))
-            for row in range(live)
-        ]
-    states, _, residuals, marched = _march(stepper, kernel_values[:live], updates, on_step)
+    on_step = partial(trace_row, 0) if single and trace is not None else None
+    states, _, residuals = _march(stepper, kernel_values, updates, on_step)
     # freed here, the solver's arrays do not add to the diagnostics' peak memory
     del stepper
-    # a fault in the march is in a series before one that faulted before it
-    fault = marched or fault
-    for row in range(1, len(series) if fault is None else fault[0] + 1):
-        for entry in held[row]:
-            emit(0, entry)  # the series before it are done
-    if fault is not None:
-        raise fault[1]
+    for row, texts in enumerate([] if single else held):
+        # each series' warnings, then its trace rows: the floats that
+        # on_step would have passed
+        for text in texts:
+            warnings.warn(text, RuntimeWarning, stacklevel=3)
+        for i in range(1, n + 1) if trace is not None else ():
+            trace_row(row, i, residuals[row, i - 1])
     # a functional that overflows is reported by the run's finiteness check
     with np.errstate(all="ignore"):
         diagnostics = [

@@ -212,7 +212,12 @@ class MeasurementSeries:
             raise ValidationError("noise level must be nonnegative")
         with np.errstate(all="ignore"):  # the constructor rejects a non-finite sum
             noisy = self.values + rng.normal(0.0, sigma, size=self.values.shape)
-        return MeasurementSeries(self.timegrid, noisy)
+        try:
+            return MeasurementSeries(self.timegrid, noisy)
+        except ValidationError:  # the samples, or their differences, overflow
+            raise ValidationError(
+                f"noise of sigma = {sigma:g} made the measurement samples overflow"
+            ) from None
 
 
 def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:

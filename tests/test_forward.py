@@ -318,7 +318,7 @@ class TestBlockFaults:
         seen = []
         with pytest.raises(DomainFaultError, match="division by zero"):
             forward._march(stepper, np.zeros((1, tg.n + 1)),
-                           on_step=[lambda i, r: seen.append(i)])
+                           on_step=lambda i, r: seen.append(i))
         assert seen == list(range(1, steps + 1))
 
     def test_fault_in_f_traced_by_reconstruct(self):

@@ -571,7 +571,8 @@ class TestNoiseSweep:
         assert run_cli(argv) == harness.EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert [line.split()[0] for line in err[:-1]] == [f"step={i}" for i in range(1, 11)]
-        assert err[-1] == "kernrec: validation failure: measurement contains non-finite values"
+        assert err[-1] == ("kernrec: validation failure: noise of sigma = 1e+308 made the "
+                           "measurement samples overflow")
 
     def test_seed_required(self):
         code = run_cli(
@@ -1811,6 +1812,23 @@ def test_warning_is_one_kernrec_line(tmp_path):
     assert proc.stderr.startswith("kernrec: warning: running with tau = ")
     assert proc.stderr.count("\n") == 1
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_every_level_of_a_sweep_prints_its_warning(tmp_path):
+    # m0 = 10 puts tau0 = 0.05 below tau = 0.1: each of the three levels
+    # warns in the same words, and each warning is printed
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_SECOND_LEVEL_FAULT, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernrec.harness", "noise-sweep", "--config", str(cfg),
+         "--n", "10", "--mx", "4", "--noise", "1e-12,1e-11,1e-10", "--seed", "1", "--force",
+         "--out", str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0
+    warning = ("kernrec: warning: running with tau = 0.1 >= tau0 = 0.05; "
+               "the kernel update may be ill-conditioned\n")
+    assert proc.stderr == 3 * warning
 
 
 def test_state_overflow_prints_no_numpy_warning(tmp_path, capsys):

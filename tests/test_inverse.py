@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernrec import expr, problem
+from kernrec import expr, inverse, problem
 from kernrec.errors import (
     KernrecError,
     NonFiniteError,
@@ -709,3 +709,55 @@ class TestSequence:
         assert late_fault is not None and len(early_rows) < len(late_rows)
         stacked = _outcome(lambda trace: reconstruct(spec, grid, tg, [late, early], trace=trace))
         assert stacked == outcomes[0]
+
+    @staticmethod
+    def _count_marches(monkeypatch):
+        calls, march = [], inverse._march
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape[0])  # the series the march takes
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "_march", spy)
+        return calls
+
+    def test_a_sweep_without_fault_marches_once(self, monkeypatch):
+        tg = TimeGrid(1.0, 10)
+        spec = _spec(u0="1")
+        series = [MeasurementSeries(tg, np.linspace(1.0, b, tg.n + 1)) for b in (1.5, 2, 3)]
+        calls = self._count_marches(monkeypatch)
+        reconstruct(spec, spec.make_grid(4), tg, series)
+        assert calls == [3]
+
+    def test_a_fault_replays_the_series_up_to_it(self, monkeypatch):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = self._faulting("update", tg)
+        fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
+        calls = self._count_marches(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # forced past tau0
+            with pytest.raises(SingularUpdateError):
+                reconstruct(spec, spec.make_grid(4), tg, [fine, faulting, fine], **options)
+        # the batch, then each series alone up to the one that faults
+        assert calls == [3, 1, 1]
+
+    @pytest.mark.parametrize("count", [None, 1, 2], ids=["single", "one", "two"])
+    def test_warnings_name_the_caller(self, count):
+        tg = TimeGrid(1.0, 10)
+        spec, _, data = self._faulting("threshold", tg)
+        measurement = data if count is None else [data] * count
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reconstruct(spec, spec.make_grid(4), tg, measurement, force=True)
+        assert len(caught) == (count or 1)
+        assert all(w.filename == __file__ for w in caught)
+
+    def test_replayed_warnings_name_the_caller(self):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = self._faulting("update", tg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularUpdateError):
+                reconstruct(spec, spec.make_grid(4), tg, [faulting], **options)
+        # the replay's warning alone: the march held its own
+        assert [w.filename for w in caught] == [__file__]

@@ -2,8 +2,8 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 65 ``kernrec`` commands with each tree's ``src/``
-on ``PYTHONPATH``: six help texts and 59 runs (reconstruct, roundtrip,
+Runs a fixed set of 67 ``kernrec`` commands with each tree's ``src/``
+on ``PYTHONPATH``: six help texts and 61 runs (reconstruct, roundtrip,
 convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
 t, with an f that reads the state or one of t, x and y alone).  Four
@@ -14,7 +14,7 @@ and the spectral divisor shows.  One command sets its options through ``[discret
 Some runs are sized so that the stepper's blocks of time nodes come out
 several to a run with a partial last one, or one node wide.  Three
 give a preset T, omega or parameters: a contaminant and a manufactured1d
-config, and ``--T`` on the contaminant.  Twelve
+config, and ``--T`` on the contaminant.  Thirteen
 commands fail by design (a fault of f met by a traced reconstruction,
 a floor violation, a fault of h met by the floor check, in a block of
 time nodes or in a static h, a fault of g at t = 0 met by the discrete
@@ -22,8 +22,9 @@ m'(0), a ``--json`` path in a missing directory, diagnostics and a
 noise amplification that overflow, finite measurement samples whose
 difference overflows, an f beside a preset, a contaminant kr = 0
 beside an unknown key, whose exit code shows which is checked first,
-and a traced noise sweep whose second level divides by a zero update
-denominator after its first level has run);
+a traced noise sweep whose second level divides by a zero update
+denominator after its first level has run, and a traced noise sweep
+whose second level faults at an earlier step than its first);
 another pins that an analytic forward run never
 evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
@@ -36,14 +37,15 @@ Noise sweeps run on manufactured1d, on the contaminant (plain, traced,
 and traced with advection, whose f reads p) and on the benchmark's 2D
 config: each tree's sweep is checked against the other's, so a tree
 that reconstructs its levels one after another is the oracle of one
-that marches them together.
+that marches them together.  In one sweep every level warns in the
+same words, and each warning must be printed.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report the same text once its
 ``timings`` are dropped, so that the sign of a zero shows; a report
 that differs is named with its differing key paths, the first five and
 a count of the rest.  A command
-that traces, by ``--trace`` or by its config, must also print the same
-stderr.  A command that fails by design must exit with the same code
+that traces, by ``--trace`` or by its config, or warns must also print
+the same stderr.  A command that fails by design must exit with the same code
 and print the same stderr in both trees, and leave neither output file
 in either.  ``kernrec --help`` and ``kernrec MODE --help``, for each of
 the five modes, must print the same stdout byte for byte and exit with
@@ -348,6 +350,24 @@ mprime = "0"
 """
 CONFIG_SECOND_LEVEL_FAULT = "secondlevelfault.ini"
 
+# fails by design in both levels: u follows m below 0, where sqrt(u)
+# faults, after 7 steps of the first level and, with seed 4, after 3 of
+# the second; the first level's rows and fault decide
+LATER_FAULT = """\
+[problem]
+name = "laterfault"
+f = "sqrt(u) - 1"
+h = "1"
+g = "0"
+u0 = "1"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "0"
+m = "1 - 1.6*t"
+"""
+CONFIG_LATER_FAULT = "laterfault.ini"
+
 
 def _measurement_text(n: int, initial_only: bool = False) -> str:
     nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
@@ -386,6 +406,7 @@ CONFIGS = {
     CONFIG_PRESET_F: PRESET_WITH_F,
     CONFIG_KR0_UNKNOWN: CONTAMINANT_KR0_UNKNOWN,
     CONFIG_SECOND_LEVEL_FAULT: SECOND_LEVEL_FAULT,
+    CONFIG_LATER_FAULT: LATER_FAULT,
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -499,6 +520,11 @@ COMMANDS = {
         "noise-sweep", "--config", CONFIG_ADVECTION, "--n", "100", "--mx", "50",
         "--noise", "1e-4,1e-3", "--seed", "7", "--trace",
     ],
+    # m0 = 10 puts tau0 below tau: each level warns in the same words
+    "noise-sweep-repeated-warning": [
+        "noise-sweep", "--config", CONFIG_SECOND_LEVEL_FAULT, "--n", "10", "--mx", "4",
+        "--noise", "1e-12,1e-11,1e-10", "--seed", "1", "--force",
+    ],
     # these fail by design: exit code and stderr are compared
     "reconstruct-f-fault-trace": [
         "reconstruct", "--config", CONFIG_FAULT_F, "--n", "10", "--mx", "8", "--trace",
@@ -542,6 +568,10 @@ COMMANDS = {
         "--noise", "0.1,1e-300", "--seed", "1", "--force",
         "--kernel-denominator-sign", "minus", "--trace",
     ],
+    "noise-sweep-first-level-fault-decides-trace": [
+        "noise-sweep", "--config", CONFIG_LATER_FAULT, "--n", "10", "--mx", "4",
+        "--noise", "1e-6,0.3", "--seed", "4", "--trace",
+    ],
 }
 # help texts: stdout and exit code are compared byte for byte
 HELP = {
@@ -555,6 +585,7 @@ FAILING = {
     "roundtrip-diagnostics-overflow", "noise-sweep-amplification-overflow",
     "reconstruct-measurement-difference-overflow", "reconstruct-preset-with-f",
     "reconstruct-contaminant-kr0-unknown-key", "noise-sweep-second-level-fault-trace",
+    "noise-sweep-first-level-fault-decides-trace",
 }
 
 
@@ -655,9 +686,10 @@ def main(argv: list[str]) -> int:
                 if where:
                     more = f", and {len(where) - 5} more" if len(where) > 5 else ""
                     differs.append(f"json ({', '.join(where[:5])}{more})")
-                traced = "--trace" in COMMANDS[name] or "step=" in stderr["base"] + stderr["head"]
-                if traced and stderr["base"] != stderr["head"]:
-                    differs.append("trace rows")
+                printed = stderr["base"] + stderr["head"]
+                shown = "--trace" in COMMANDS[name] or "step=" in printed or "warning:" in printed
+                if shown and stderr["base"] != stderr["head"]:
+                    differs.append("stderr")
             if differs:
                 print(f"DIFFERS  {name}: {' and '.join(differs)}")
                 status = max(status, 1)
