@@ -21,9 +21,9 @@ which is checked up front (overridable with ``force``).
 
 The value K_0 is pinned by the identity at t = 0,
 K_0 = [ (f_0,1) - m'(0) - (g_0,1)_Gamma ] / (h_0,1), using the supplied
-initial derivative when the series carries one and the first forward
-difference otherwise.  K_0 never enters the time stepping; it only
-completes the reported kernel.
+initial derivative when the series carries one and m'_1 otherwise; the
+means and the exact K(0) are formed once per call, for all its series.
+K_0 never enters the time stepping; it only completes the reported kernel.
 
 The stability functionals of ``Diagnostics`` are computed from the
 finished trajectory after the loop, in the blocks of states that
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -117,27 +117,6 @@ class ReconstructionResult(NamedTuple):
 def kernel_difference_energy(values: np.ndarray, tau: float) -> float:
     """sum_i ((K_i - K_{i-1}) / tau)^2 tau over the kernel samples K_0..K_n."""
     return float(np.sum(np.diff(values) ** 2)) / tau
-
-
-def initial_kernel_value(
-    stepper: TimeStepper, measurement: MeasurementSeries
-) -> float:
-    """K_0 from the measurement identity at t = 0."""
-    if measurement.initial_derivative is not None:
-        mprime0 = measurement.initial_derivative
-    else:
-        # m'_1, given or the backward difference (m_1 - m_0)/tau, stands in for m'(0)
-        mprime0 = float(measurement.derivatives[0])
-    f_mean, g_mean, h_mean = stepper.initial_means()
-    if abs(h_mean) < DENOMINATOR_GUARD:
-        raise SingularUpdateError(
-            f"(h(0),1) = {h_mean:.3e} too small to define the initial kernel value",
-            step=0,
-        )
-    k0 = (f_mean - mprime0 - g_mean) / h_mean
-    if not math.isfinite(k0):
-        raise NonFiniteError("kernel value is not finite", step=0)
-    return k0
 
 
 def _diagnostics(
@@ -240,7 +219,7 @@ def reconstruct(
     spec: ProblemSpec,
     grid: SpatialGrid,
     timegrid: TimeGrid,
-    measurement: MeasurementSeries | Sequence[MeasurementSeries],
+    measurement: MeasurementSeries | Iterable[MeasurementSeries],
     force: bool = False,
     denominator_sign: float = 1.0,
     trace: Callable[[int, float, float, float, float], None] | None = None,
@@ -251,33 +230,41 @@ def reconstruct(
     FloorViolationError if |(h(t_i),1)| dips below the asserted floor,
     SingularUpdateError / NonFiniteError on numerical breakdown.
 
-    A sequence of series is marched together, in one stepping loop, each
-    series with its own arithmetic.  The kernel values, states,
-    denominators and residuals of the result then gain a leading axis,
-    ``threshold`` holds one report per series, and ``diagnostics`` is the
-    worst over the series (``_worst``).  Once the march is done, each
-    series' warnings and then its trace rows come, series by series.  If
-    anything faults, the series are replayed one at a time: the first that
-    faults ends the run with its error, after the series before it.
+    Any other iterable is read once, into a list of series marched
+    together, in one stepping loop, each with its own arithmetic.  The
+    kernel values, states, denominators and residuals of the result then
+    gain a leading axis, ``threshold`` holds one report per series, and
+    ``diagnostics`` is the worst over the series (``_worst``).  Once the
+    march is done, each series' warnings and then its trace rows come,
+    series by series.  If anything faults, the list's series are replayed
+    one at a time, without the batch: the first that faults ends the run
+    with its error, after the series before it.
     """
+    live = isinstance(measurement, MeasurementSeries)
+    series = [measurement] if live else list(measurement)
     try:
-        return _reconstruct(spec, grid, timegrid, measurement, force, denominator_sign, trace)
-    except KernrecError:
-        if isinstance(measurement, MeasurementSeries):
+        return _reconstruct(spec, grid, timegrid, series, live, force, denominator_sign, trace)
+    except KernrecError as exc:
+        if live:
             raise
-        for data in measurement:
-            _reconstruct(spec, grid, timegrid, data, force, denominator_sign, trace)
-        raise  # the march faults where no series alone does
+        # without its traceback, the error does not hold the batch's states
+        error = exc.with_traceback(None)
+    for data in series:
+        _reconstruct(spec, grid, timegrid, [data], True, force, denominator_sign, trace)
+    raise error  # the march faults where no series alone does
 
 
-def _reconstruct(spec, grid, timegrid, measurement, force, denominator_sign, trace):
-    """``reconstruct`` without the replay: one series warns and traces as
-    it goes, a sequence once its march is done, and a fault is raised at
-    once."""
-    single = isinstance(measurement, MeasurementSeries)
-    series = [measurement] if single else list(measurement)
+def _reconstruct(spec, grid, timegrid, series, live, force, denominator_sign, trace):
+    """``reconstruct`` of the list ``series`` without the replay: a fault
+    is raised at once.  The alignment, the floor and threshold checks, the
+    stepper, its t = 0 means and the exact K(0) serve all series; each has
+    its own K_0, warnings and update.  With ``live`` (one series) warnings
+    and trace rows come as they happen, otherwise after the march."""
     if not series:
         raise ValidationError("no measurement series to reconstruct")
+    if any(data.timegrid != timegrid for data in series):
+        raise ValidationError("measurement is not aligned with the time grid")
+    validate_floor(spec, grid, timegrid)
     n, tau = timegrid.n, timegrid.tau
     kernel_values = np.empty((len(series), n + 1))
     denominators = np.empty((len(series), n))
@@ -285,7 +272,7 @@ def _reconstruct(spec, grid, timegrid, measurement, force, denominator_sign, tra
     held: list[list[str]] = [[] for _ in series]
 
     def warn(row: int, text: str) -> None:
-        if single:
+        if live:
             # past warn, _reconstruct and reconstruct: their caller
             warnings.warn(text, RuntimeWarning, stacklevel=4)
         else:
@@ -294,14 +281,8 @@ def _reconstruct(spec, grid, timegrid, measurement, force, denominator_sign, tra
     def trace_row(row: int, i: int, residual: float) -> None:
         trace(i, timegrid.nodes[i], kernel_values[row, i], denominators[row, i - 1], residual)
 
-    stepper = None
-    thresholds, updates = [], []
-    for row, data in enumerate(series):
-        if data.timegrid != timegrid:
-            raise ValidationError("measurement is not aligned with the time grid")
-        if stepper is None:
-            validate_floor(spec, grid, timegrid)
-        threshold = check_step_threshold(spec, data.m0, tau)
+    thresholds = [check_step_threshold(spec, data.m0, tau) for data in series]
+    for row, threshold in enumerate(thresholds):
         if not threshold.passed:
             if not force:
                 raise StepThresholdError(
@@ -311,24 +292,34 @@ def _reconstruct(spec, grid, timegrid, measurement, force, denominator_sign, tra
                 )
             warn(row, f"running with tau = {tau:g} >= tau0 = {threshold.tau0:g}; "
                       "the kernel update may be ill-conditioned")
-        if stepper is None:
-            stepper = TimeStepper(spec, grid, timegrid)
-        kernel_values[row, 0] = k0 = initial_kernel_value(stepper, data)
-        if spec.kernel_exact is not None:
-            k0_ref = float(expr.evaluate(spec.kernel_exact, {"t": 0.0}))
+    stepper = TimeStepper(spec, grid, timegrid)
+    f_mean, g_mean, h_mean = stepper.initial_means()
+    if abs(h_mean) < DENOMINATOR_GUARD:
+        raise SingularUpdateError(
+            f"(h(0),1) = {h_mean:.3e} too small to define the initial kernel value",
+            step=0,
+        )
+    for row, data in enumerate(series):
+        # K_0 from the identity at t = 0; m'_1, given or the backward
+        # difference (m_1 - m_0)/tau, stands in for an m'(0) not given
+        given = data.initial_derivative
+        mprime0 = float(data.derivatives[0]) if given is None else given
+        kernel_values[row, 0] = k0 = (f_mean - mprime0 - g_mean) / h_mean
+        if not math.isfinite(k0):
+            raise NonFiniteError("kernel value is not finite", step=0)
+    if spec.kernel_exact is not None:
+        k0_ref = float(expr.evaluate(spec.kernel_exact, {"t": 0.0}))
+        for row, k0 in enumerate(kernel_values[:, 0].tolist()):
             if abs(k0 - k0_ref) > 1e-3 * (1.0 + abs(k0_ref)):
                 warn(row, f"initial kernel value {k0:.6g} disagrees with the exact "
                           f"kernel at t=0 ({k0_ref:.6g})")
-        thresholds.append(threshold)
-        updates.append(
-            _kernel_update(data, kernel_values[row], denominators[row], tau, denominator_sign)
-        )
-
-    on_step = partial(trace_row, 0) if single and trace is not None else None
+    updates = [_kernel_update(data, kernel_values[row], denominators[row], tau, denominator_sign)
+               for row, data in enumerate(series)]
+    on_step = partial(trace_row, 0) if live and trace is not None else None
     states, _, residuals = _march(stepper, kernel_values, updates, on_step)
     # freed here, the solver's arrays do not add to the diagnostics' peak memory
     del stepper
-    for row, texts in enumerate([] if single else held):
+    for row, texts in enumerate([] if live else held):
         # each series' warnings, then its trace rows: the floats that
         # on_step would have passed
         for text in texts:
@@ -341,20 +332,8 @@ def _reconstruct(spec, grid, timegrid, measurement, force, denominator_sign, tra
             _diagnostics(grid, tau, *rows)
             for rows in zip(states, kernel_values, denominators, residuals)
         ]
-    if single:
-        return ReconstructionResult(
-            kernel=KernelSeries(timegrid, kernel_values[0]),
-            states=states[0],
-            diagnostics=diagnostics[0],
-            denominators=denominators[0],
-            compat_residuals=residuals[0],
-            threshold=thresholds[0],
-        )
-    return ReconstructionResult(
-        kernel=KernelSeries(timegrid, kernel_values),
-        states=states,
-        diagnostics=_worst(diagnostics),
-        denominators=denominators,
-        compat_residuals=residuals,
-        threshold=tuple(thresholds),
-    )
+    if live:
+        return ReconstructionResult(KernelSeries(timegrid, kernel_values[0]), states[0],
+                                    diagnostics[0], denominators[0], residuals[0], thresholds[0])
+    return ReconstructionResult(KernelSeries(timegrid, kernel_values), states, _worst(diagnostics),
+                                denominators, residuals, tuple(thresholds))

@@ -226,7 +226,8 @@ def measurement_from_csv(text: str, timegrid: TimeGrid) -> MeasurementSeries:
 
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if any(cell.strip() for cell in row)]
-    if rows and not _is_number(rows[0][0]):
+    # a header's t is text that is not a number; a blank t is a data row's
+    if rows and rows[0][0].strip() and not _is_number(rows[0][0]):
         rows = rows[1:]
     for k, row in enumerate(rows):
         if any(cell.strip() for cell in row[3:]):

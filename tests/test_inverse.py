@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,6 @@ from kernrec.inverse import (
     Diagnostics,
     ThresholdReport,
     check_step_threshold,
-    initial_kernel_value,
     kernel_difference_energy,
     reconstruct,
 )
@@ -235,14 +235,11 @@ class TestKernelUpdate:
 
 class TestInitialKernelValue:
     def test_manufactured_value(self):
-        from kernrec.forward import TimeStepper
-
         spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 50)
         grid = spec.make_grid(100)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
-        stepper = TimeStepper(spec, grid, tg)
-        assert abs(initial_kernel_value(stepper, series) - 1.0) < 1e-12
+        assert abs(reconstruct(spec, grid, tg, series).kernel.values[0] - 1.0) < 1e-12
 
     def test_non_finite_value_stops_the_run_before_the_march(self):
         # m'(0) = 1e300 over (h(0),1) = 1e-11 overflows: K_0 = -inf
@@ -596,6 +593,14 @@ def _outcome(run):
     return events, None
 
 
+# f reads u, p and q on a rectangle
+_GRADIENT_2D = {
+    "name": "gradient2d", "lx": "1", "ly": "2", "T": "1", "omega": "1",
+    "f": "u*exp(-t) - 0.5*p + 0.25*q + cos(pi*x)*cos(pi*y)", "h": "1 + t", "g": "t*x",
+    "u0": "1 + cos(pi*x)*cos(pi*y)", "kernel": "exp(-t)",
+}
+
+
 class TestSequence:
     """A sequence of series marches together, and its rows, warnings,
     trace rows and faults are those of the series reconstructed one after
@@ -607,10 +612,14 @@ class TestSequence:
         rng = np.random.default_rng(3)
         return [base.with_noise(sigma, rng) for sigma in sigmas]
 
-    @pytest.mark.parametrize("options", [{}, {"v": "0.5"}], ids=["f-reads-u", "f-reads-p"])
-    def test_rows_are_the_single_results(self, options):
-        spec = make_preset("contaminant", options)
-        tg, grid = TimeGrid(1.0, 30), spec.make_grid(12)
+    @pytest.mark.parametrize("section, cells", [
+        ({"preset": "contaminant"}, (12,)),
+        ({"preset": "contaminant", "v": "0.5"}, (12,)),
+        (_GRADIENT_2D, (5, 7)),
+    ], ids=["f-reads-u", "f-reads-p", "2d-f-reads-u-p-q"])
+    def test_rows_are_the_single_results(self, section, cells):
+        spec = spec_from_mapping(section)
+        tg, grid = TimeGrid(1.0, 30), spec.make_grid(*cells)
         series = self._noisy(spec, grid, tg, [1e-5, 1e-4, 1e-3])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # noisy K_0 disagrees with the exact kernel
@@ -728,6 +737,58 @@ class TestSequence:
         calls = self._count_marches(monkeypatch)
         reconstruct(spec, spec.make_grid(4), tg, series)
         assert calls == [3]
+
+    def test_a_sweep_sets_the_problem_up_once(self, monkeypatch):
+        tg = TimeGrid(1.0, 10)
+        spec = _spec(u0="1")
+        series = [MeasurementSeries(tg, np.linspace(1.0, b, tg.n + 1)) for b in (1.5, 2, 3)]
+        calls, means = [], TimeStepper.initial_means
+        monkeypatch.setattr(TimeStepper, "initial_means",
+                            lambda stepper: calls.append(stepper) or means(stepper))
+        reconstruct(spec, spec.make_grid(4), tg, series)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["f", "update"])
+    def test_a_generator_is_read_once(self, kind):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = self._faulting(kind, tg)
+        grid = spec.make_grid(4)
+        fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
+
+        def run(series):
+            return _outcome(lambda trace: reconstruct(spec, grid, tg, series, trace=trace,
+                                                      **options))
+
+        listed = run([fine, faulting])
+        assert listed[1] is not None and len(listed[0]) > tg.n
+        assert run(data for data in [fine, faulting]) == listed
+
+    def test_a_replay_does_not_hold_the_batch(self):
+        spec = make_preset("manufactured1d")
+        tg, grid = TimeGrid(1.0, 400), spec.make_grid(400)
+        fine = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
+        # m0 = -40 takes the denominator (h,1) + m0 tau to 0.9, over which
+        # m'_n = -1.7e308 makes K_n overflow at the last step
+        faulting = MeasurementSeries(
+            tg, np.r_[-40.0, fine.values[1:]], np.r_[fine.derivatives[:-1], -1.7e308])
+
+        def peak(series):
+            tracemalloc.start()
+            try:
+                reconstruct(spec, grid, tg, series)
+                step = None
+            except NonFiniteError as exc:
+                step = exc.step
+            finally:
+                top = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            return top, step
+
+        through, _ = peak([fine] * 4)
+        faulted, step = peak([fine] * 3 + [faulting])
+        trajectory = (tg.n + 1) * grid.weights.size * 8  # the states of one series
+        assert step == tg.n
+        assert faulted < through + trajectory / 2
 
     def test_a_fault_replays_the_series_up_to_it(self, monkeypatch):
         tg = TimeGrid(1.0, 10)

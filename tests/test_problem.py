@@ -653,6 +653,14 @@ class TestMeasurementCsv:
         np.testing.assert_array_equal(series.derivatives, [3.0, 4.0])
         assert series.initial_derivative == 2.0
 
+    def test_blank_first_time_is_a_data_row(self):
+        # named by its data row, as a blank t in a later row is; not a header
+        tg = TimeGrid(1.0, 2)
+        with pytest.raises(ValidationError, match="data row 1: '' is not a number"):
+            measurement_from_csv(",1,2\n0.5,2,3\n1,3,4\n", tg)
+        with pytest.raises(ValidationError, match="data row 2: ' ' is not a number"):
+            measurement_from_csv("0,1,2\n ,2,3\n1,3,4\n", tg)
+
     def test_time_mismatch(self):
         tg = TimeGrid(1.0, 2)
         with pytest.raises(ValidationError):

@@ -2,20 +2,20 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs a fixed set of 67 ``kernrec`` commands with each tree's ``src/``
-on ``PYTHONPATH``: six help texts and 61 runs (reconstruct, roundtrip,
-convergence, forward and noise-sweep on the presets, on the
+Runs the fixed ``kernrec`` commands of ``COMMANDS`` and the help texts
+of ``HELP`` with each tree's ``src/`` on ``PYTHONPATH``: reconstruct,
+roundtrip, convergence, forward and noise-sweep on the presets, on the
 benchmark's 2D config and on 1D and 2D configs whose h and g depend on
-t, with an f that reads the state or one of t, x and y alone).  Four
-run on unequal axes or on a single cell along an axis, where the order
-of faces, corners and axes in the grid weights, the stiffness product
-and the spectral divisor shows.  One command sets its options through ``[discretization]`` and
-``[experiment]`` keys instead of flags.
+t, with an f that reads the state or one of t, x and y alone.  Some run
+on unequal axes or on a single cell along an axis, where the order of
+faces, corners and axes in the grid weights, the stiffness product and
+the spectral divisor shows.  One command sets its options through
+``[discretization]`` and ``[experiment]`` keys instead of flags.
 Some runs are sized so that the stepper's blocks of time nodes come out
-several to a run with a partial last one, or one node wide.  Three
-give a preset T, omega or parameters: a contaminant and a manufactured1d
-config, and ``--T`` on the contaminant.  Thirteen
-commands fail by design (a fault of f met by a traced reconstruction,
+several to a run with a partial last one, or one node wide.  Some give
+a preset T, omega or parameters: a contaminant and a manufactured1d
+config, and ``--T`` on the contaminant.  The commands of ``FAILING``
+fail by design (a fault of f met by a traced reconstruction,
 a floor violation, a fault of h met by the floor check, in a block of
 time nodes or in a static h, a fault of g at t = 0 met by the discrete
 m'(0), a ``--json`` path in a missing directory, diagnostics and a
@@ -23,8 +23,10 @@ noise amplification that overflow, finite measurement samples whose
 difference overflows, an f beside a preset, a contaminant kr = 0
 beside an unknown key, whose exit code shows which is checked first,
 a traced noise sweep whose second level divides by a zero update
-denominator after its first level has run, and a traced noise sweep
-whose second level faults at an earlier step than its first);
+denominator after its first level has run, a traced noise sweep whose
+second level faults at an earlier step than its first, and a noise
+sweep, plain and traced, whose second level fails its step threshold
+before the march, after its first level has run);
 another pins that an analytic forward run never
 evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
@@ -368,6 +370,25 @@ m = "1 - 1.6*t"
 """
 CONFIG_LATER_FAULT = "laterfault.ini"
 
+# fails by design in its second level: m0 = 9.9 keeps tau = 0.05 below
+# tau0 = 1/19.8, and the second level's noise moves m0 past it, so that
+# level fails its step threshold before the march
+LATER_THRESHOLD = """\
+[problem]
+name = "laterthreshold"
+f = "0"
+h = "1"
+g = "0"
+u0 = "9.9"
+lx = 1.0
+T = 1.0
+omega = 1.0
+kernel = "0"
+m = "9.9"
+mprime = "0"
+"""
+CONFIG_LATER_THRESHOLD = "laterthreshold.ini"
+
 
 def _measurement_text(n: int, initial_only: bool = False) -> str:
     nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
@@ -407,6 +428,7 @@ CONFIGS = {
     CONFIG_KR0_UNKNOWN: CONTAMINANT_KR0_UNKNOWN,
     CONFIG_SECOND_LEVEL_FAULT: SECOND_LEVEL_FAULT,
     CONFIG_LATER_FAULT: LATER_FAULT,
+    CONFIG_LATER_THRESHOLD: LATER_THRESHOLD,
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -572,6 +594,14 @@ COMMANDS = {
         "noise-sweep", "--config", CONFIG_LATER_FAULT, "--n", "10", "--mx", "4",
         "--noise", "1e-6,0.3", "--seed", "4", "--trace",
     ],
+    "noise-sweep-later-threshold": [
+        "noise-sweep", "--config", CONFIG_LATER_THRESHOLD, "--n", "20", "--mx", "4",
+        "--noise", "1e-6,0.5", "--seed", "3",
+    ],
+    "noise-sweep-later-threshold-trace": [
+        "noise-sweep", "--config", CONFIG_LATER_THRESHOLD, "--n", "20", "--mx", "4",
+        "--noise", "1e-6,0.5", "--seed", "3", "--trace",
+    ],
 }
 # help texts: stdout and exit code are compared byte for byte
 HELP = {
@@ -585,7 +615,8 @@ FAILING = {
     "roundtrip-diagnostics-overflow", "noise-sweep-amplification-overflow",
     "reconstruct-measurement-difference-overflow", "reconstruct-preset-with-f",
     "reconstruct-contaminant-kr0-unknown-key", "noise-sweep-second-level-fault-trace",
-    "noise-sweep-first-level-fault-decides-trace",
+    "noise-sweep-first-level-fault-decides-trace", "noise-sweep-later-threshold",
+    "noise-sweep-later-threshold-trace",
 }
 
 
