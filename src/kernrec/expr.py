@@ -374,20 +374,28 @@ class Compiled:
         self.tree = tree
         self.fixed = dict(fixed)
         self.free = variables(tree) - self.fixed.keys()
-        self._closure = _closure(tree, self.fixed)
+        closure = _closure(tree, self.fixed)
+        # each call runs with numpy's overflow, divide-by-zero and
+        # invalid-value flags raising
+        self._closure = None if closure is None else np.errstate(
+            over="raise", divide="raise", invalid="raise", under="ignore"
+        )(closure)
 
-    def value(self, env: Mapping[str, object]):
-        for name in self.free:
-            if name not in env:
-                raise UnboundVariableError(name)
+    def value(self, env: Mapping[str, object], finite: frozenset[str] = frozenset()):
         # From finite inputs every operation either yields a finite value
         # or raises an IEEE flag, so a run without flags and with a finite
         # result is exactly what the interpreter returns.  Anything else is
         # left to the interpreter, which names the faulting sub-expression.
-        if self._closure is not None and all(_finite(env[name]) for name in self.free):
+        # The bindings named in ``finite`` the caller has checked already.
+        closure_ok = self._closure is not None
+        for name in self.free:
+            if name not in env:
+                raise UnboundVariableError(name)
+            if closure_ok and name not in finite:
+                closure_ok = _finite(env[name])
+        if closure_ok:
             try:
-                with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-                    out = self._closure(env)
+                out = self._closure(env)
             except FloatingPointError:
                 pass
             else:
@@ -446,16 +454,21 @@ def compile(tree: Expression, fixed: Mapping[str, object] | None = None) -> Comp
     return Compiled(tree, fixed or {})
 
 
-def evaluate(e: Expression | Compiled, env: Mapping[str, object]):
+def evaluate(
+    e: Expression | Compiled, env: Mapping[str, object], finite: frozenset[str] = frozenset()
+):
     """Evaluate the tree in IEEE double precision.
 
     ``env`` must bind every variable occurring in ``e``, or for a
     :class:`Compiled` expression every variable it left free; values may
     be floats or numpy arrays.  Returns a float for scalar bindings, else
     an array.  Domain faults raise instead of returning NaN/inf.
+
+    ``finite`` names bindings that the caller has already checked to be
+    finite; a :class:`Compiled` expression does not check them again.
     """
     if isinstance(e, Compiled):
-        out = e.value(env)
+        out = e.value(env, finite)
     else:
         for name in variables(e):
             if name not in env:

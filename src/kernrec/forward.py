@@ -56,19 +56,20 @@ axis.  The series share the pairs of h, g and an f that reads no state,
 and each call that is elementwise per series: one ``TimeStepper.step``,
 one elliptic solve whose transforms run along the grid's trailing axes,
 one ``f_field`` call for an f that reads the state and one
-``SpatialGrid.integral`` for the means.  Each series keeps its own
-kernel update, its own convolution product and its own residuals, so
-every number of a series is the one a march of that series alone
-computes.  A fault in any series ends the march at once;
-``inverse.reconstruct`` then replays the series one at a time.
+``SpatialGrid.integral`` for the means, and one convolution: one
+stacked product, whose rows are each series' own gemv.  Each series
+keeps its own kernel update and its own residuals, so every number of a
+series is the one a march of that series alone computes.  A fault in
+any series ends the march at once; ``inverse.reconstruct`` then replays
+the series one at a time.
 
 The states are stored newest-first: the loop allocates its
 (series, n+1, *grid.shape) buffer and works on the view reversed in
 time, so ``states[r, i]`` is u_i of series r while step i's history
-u_{i-1}, ..., u_0 is the contiguous slice ``states[r, i-1::-1]``.  One
-matrix-vector product per series takes that block as it is instead of
-copying i x N values every step, and the states the loop returns are
-the same view, in forward order.
+u_{i-1}, ..., u_0 is the contiguous slice ``states[r, i-1::-1]``.  The
+stacked product takes each series' block as it is instead of copying
+i x N values every step, and the states the loop returns are the same
+view, in forward order.
 
 The elliptic system ((1/tau) W + A) u_i = b is solved directly, in 1D
 and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
@@ -78,6 +79,8 @@ and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -113,14 +116,29 @@ class KernelSeries:
 
 
 def _convolution_values(
-    kernel_values: np.ndarray, state_values: np.ndarray, i: int, tau: float
+    kernel_values: np.ndarray, state_values: np.ndarray, i: int, tau: float, out: np.ndarray
 ) -> np.ndarray:
-    """Rectangle-rule memory term sum_{k=1..i} K_k u_{i-k} tau at step i."""
-    # pairs (K_1, u_{i-1}) ... (K_i, u_0); contiguous for newest-first storage
-    history = state_values[i - 1 :: -1]
-    # the gemv that np.tensordot makes, without its per-call shape handling
-    conv = kernel_values[1 : i + 1] @ history.reshape(i, -1) * tau
-    return conv.reshape(history.shape[1:])
+    """Rectangle-rule memory term sum_{k=1..i} K_k u_{i-k} tau at step i,
+    written into ``out`` and returned.
+
+    The leading axes ``...`` number the series of a stack, and are absent
+    for one series: ``kernel_values`` (..., 1, n+1) holds each series' K
+    as a row, ``state_values`` (n+1, ..., N) each step's nodes, and
+    ``out`` is (..., 1, N).  Row r of the product is the gemv of series r's
+    K_1..K_i with its own history, the one a series alone computes.
+    """
+    # pairs (K_1, u_{i-1}) ... (K_i, u_0); each series' (i, N) block is
+    # contiguous for newest-first storage
+    history = state_values[i - 1 :: -1].swapaxes(0, -2)
+    np.matmul(kernel_values[..., 1 : i + 1], history, out=out)
+    out *= tau
+    return out
+
+
+# the bindings of f that are finite when f_field runs: t is a time node,
+# and u is u_0, finite by expr.sample, or a state the march has checked.
+# A gradient of a finite u can overflow, so p and q are checked.
+_CHECKED = frozenset({"t", "u"})
 
 
 class TimeStepper:
@@ -145,7 +163,7 @@ class TimeStepper:
         env: dict[str, object] = {"t": t, "u": u_values}
         if self._f_grad:
             env.update(zip(DERIVATIVES, nodal_gradient(self.grid, u_values)))
-        return expr.evaluate(self._f, env)
+        return expr.evaluate(self._f, env, _CHECKED)
 
     def coefficients(
         self, f_nodes: np.ndarray, nodes: np.ndarray, states: Iterable[np.ndarray]
@@ -231,6 +249,17 @@ class ForwardRun(NamedTuple):
     compat_residuals: np.ndarray  # relative, one per step i = 1..n
 
 
+def _update_each(
+    updates: Sequence[Callable[[int, float, float, float], None]],
+    i: int, f_mean: float | list[float], h_mean: float, g_mean: float,
+) -> None:
+    """Each series' kernel update of a stack, in order of the series."""
+    # an f that reads the state of several series gives one mean per series
+    f_means = f_mean if isinstance(f_mean, list) else repeat(f_mean)
+    for update, f in zip(updates, f_means):
+        update(i, f, h_mean, g_mean)
+
+
 def _sums(steps: list[tuple], batch: int, row: int) -> list[tuple[float, float, float, float]]:
     """The four means of each step of series ``row`` of a stack of ``batch``."""
     if batch == 1:
@@ -241,7 +270,7 @@ def _sums(steps: list[tuple], batch: int, row: int) -> list[tuple[float, float, 
 def _march(
     stepper: TimeStepper,
     kernel_values: np.ndarray,
-    kernel_update: Sequence[Callable[[int, float, float, float], float]] | None = None,
+    kernel_update: Sequence[Callable[[int, float, float, float], None]] | None = None,
     on_step: Callable[[int, float], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance u_0..u_n of a stack of series; return the states, M_i =
@@ -250,10 +279,10 @@ def _march(
     Row r of ``kernel_values``, shape (series, n+1), is series r's kernel.
     Without ``kernel_update`` the kernel values K_1..K_n are given.  With
     it, ``kernel_update[r](i, (f_{i-1},1), (h_i,1), (g_i,1)_Gamma)``
-    supplies series r's K_i before step i and the loop stores it in
-    ``kernel_values``.  In a march of one series, ``on_step(i, residual)``
-    runs after each step.  A KernrecError of an update or of f, or a
-    state that is not finite, is raised at once, whatever its series.
+    stores series r's K_i in row r of ``kernel_values`` before step i.
+    In a march of one series, ``on_step(i, residual)`` runs after each
+    step.  A KernrecError of an update or of f, or a state that is not
+    finite, is raised at once, whatever its series.
     The states have shape (series, n+1, *grid.shape), M (series, n+1)
     and the residuals (series, n).
     """
@@ -262,21 +291,33 @@ def _march(
     # newest-first storage per series (see the module docstring)
     states = np.empty((batch, n + 1, *grid.shape))[:, ::-1]
     states[:, 0] = stepper.u0
-    state_rows, kernel_rows = list(states), list(kernel_values)
     conv = np.empty((batch, *grid.shape))
+    update = None
+    # u_rows, k_rows and conv_rows are the operands of _convolution_values,
+    # views of states, kernel_values and conv
     if batch == 1:
         # without the series axis, so that the calls are those of the series alone
         u_by_step, k_by_step, conv_all = states[0], kernel_values[0], conv[0]
+        u_rows = u_by_step.reshape(n + 1, -1)
+        k_rows, conv_rows = kernel_values, conv.reshape(1, -1)
+        if kernel_update is not None:
+            (update,) = kernel_update
     else:
         # u_i of every series by step, and K_i as a column
         u_by_step, conv_all = states.swapaxes(0, 1), conv
         k_by_step = np.expand_dims(kernel_values.T, tuple(range(2, conv.ndim + 1)))
+        u_rows = u_by_step.reshape(n + 1, batch, -1)
+        k_rows, conv_rows = kernel_values[:, None], conv.reshape(batch, 1, -1)
+        if kernel_update is not None:
+            update = partial(_update_each, kernel_update)
     # per step: (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1); in a
     # stack of several series, one (conv_i,1) and, for an f that reads the
     # state, one (f_{i-1},1) per series (``_sums``)
     steps = []
     nodes = stepper.timegrid.nodes
     coefficients = stepper.coefficients(nodes[:-1], nodes[1:], u_by_step)
+    step, integral, isfinite = stepper.step, grid.integral, np.isfinite
+    convolution = _convolution_values
     # an overflow or NaN in a step is reported by the finiteness check
     # below, one in the residuals by the run's check of what it writes,
     # not by numpy's floating-point warnings
@@ -285,20 +326,14 @@ def _march(
             # next(), not enumerate(): under enumerate, zip's cached result
             # tuple keeps every other step's old pairs, and their block, alive
             (f_prev, f_mean), (h_i, h_mean), (g_load, g_mean) = next(coefficients)
-            if kernel_update is not None:
-                # an f that reads the state of several series gives a list
-                f_means = f_mean if isinstance(f_mean, list) else [f_mean] * batch
-                for row, update in enumerate(kernel_update):
-                    kernel_values[row, i] = update(i, f_means[row], h_mean, g_mean)
-            for row in range(batch):
-                # conv_i includes K_i, so it is formed after the update
-                conv[row] = _convolution_values(kernel_rows[row], state_rows[row], i, tau)
-            u = u_by_step[i] = stepper.step(
-                k_by_step[i], u_by_step[i - 1], f_prev, conv_all, h_i, g_load
-            )
-            if not np.isfinite(u).all():
+            if update is not None:
+                update(i, f_mean, h_mean, g_mean)
+            # conv_i includes K_i, so it is formed after the update
+            convolution(k_rows, u_rows, i, tau, conv_rows)
+            u = u_by_step[i] = step(k_by_step[i], u_by_step[i - 1], f_prev, conv_all, h_i, g_load)
+            if not isfinite(u).all():
                 raise NonFiniteError("state is not finite", step=i)
-            steps.append((f_mean, h_mean, g_mean, grid.integral(conv_all)))
+            steps.append((f_mean, h_mean, g_mean, integral(conv_all)))
             if on_step is not None:
                 window = slice(i - 1, i + 1)
                 _, residual = stepper.compat_residual(
@@ -308,7 +343,7 @@ def _march(
         measured, residuals = np.empty((batch, n + 1)), np.empty((batch, n))
         for row in range(batch):
             measured[row], residuals[row] = stepper.compat_residual(
-                state_rows[row], kernel_rows[row], _sums(steps, batch, row)
+                states[row], kernel_values[row], _sums(steps, batch, row)
             )
     return states, measured, residuals
 

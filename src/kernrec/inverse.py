@@ -179,14 +179,14 @@ def _kernel_update(
     denominators: np.ndarray,
     tau: float,
     denominator_sign: float,
-) -> Callable[[int, float, float, float], float]:
+) -> Callable[[int, float, float, float], None]:
     """The update of one series: K_i from (f_{i-1},1), (h_i,1) and
     (g_i,1)_Gamma, stored with its denominator in that series' rows."""
     m = measurement.values
     mprime = measurement.derivatives.tolist()  # m'_1..m'_n
     m0_term = denominator_sign * measurement.m0 * tau
 
-    def update(i: int, f_mean: float, h_mean: float, g_mean: float) -> float:
+    def update(i: int, f_mean: float, h_mean: float, g_mean: float) -> None:
         history = float(np.dot(kernel_values[1:i], m[i - 1 : 0 : -1])) * tau
         numerator = f_mean - mprime[i - 1] - g_mean - history
         denominator = h_mean + m0_term
@@ -199,8 +199,8 @@ def _kernel_update(
         k_i = numerator / denominator
         if not math.isfinite(k_i):
             raise NonFiniteError("kernel value is not finite", step=i)
+        kernel_values[i] = k_i
         denominators[i - 1] = denominator
-        return k_i
 
     return update
 

@@ -44,9 +44,13 @@ class SpectralSolver:
 
     def __init__(self, grid: SpatialGrid, tau: float):
         self._inv_weights = 1.0 / grid.weights
-        # even extension v_0..v_M, v_{M-1}..v_1 of each axis, whose real
-        # FFT is the DCT-I
-        self._extension = tuple(np.r_[0 : m + 1, m - 1 : 0 : -1] for m in grid.cells)
+        # each grid axis, numbered from the back so that it is the same
+        # trailing axis of every stack, with the even extension v_0..v_M,
+        # v_{M-1}..v_1 whose real FFT is the DCT-I
+        self._extension = tuple(
+            (axis, np.r_[0 : m + 1, m - 1 : 0 : -1])
+            for axis, m in enumerate(grid.cells, -grid.ndim)
+        )
         eig = [_axis_eigenvalues(length, m) for length, m in zip(grid.extents, grid.cells)]
         # term a: lambda along axis a, nu along the others; added in axis order
         terms = [
@@ -60,11 +64,10 @@ class SpectralSolver:
 
     def _dct1(self, v: np.ndarray) -> np.ndarray:
         # the grid's axes are the trailing axes of v, so one call transforms
-        # every field of a stack; they are numbered from the front, which
-        # take and rfft handle faster than negative axes.  np.fft loads on
-        # first use; importing numpy.fft at module level would add its
-        # import time to every start-up
-        for axis, index in enumerate(self._extension, v.ndim - len(self._extension)):
+        # every field of a stack.  np.fft loads on first use; importing
+        # numpy.fft at module level would add its import time to every
+        # start-up
+        for axis, index in self._extension:
             v = np.fft.rfft(v.take(index, axis=axis), axis=axis).real
         return v
 

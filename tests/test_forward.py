@@ -44,20 +44,28 @@ def _history(grid, timegrid, arrays):
     return values
 
 
+def _conv(kernel, states, i, tau):
+    """``_convolution_values`` of one series, from its kernel and its states
+    by step, as one field."""
+    out = np.empty((1, states[0].size))
+    _convolution_values(kernel[None], states.reshape(len(states), -1), i, tau, out)
+    return out.reshape(states.shape[1:])
+
+
 class TestConvolutionQuadrature:
     def test_single_term(self):
         grid = SpatialGrid((1.0,), (4,))
         tg = TimeGrid(1.0, 10)
         kernel = np.full(11, 2.0)
         u0 = np.full(grid.shape, 3.0)
-        out = _convolution_values(kernel, _history(grid, tg, [u0]), 1, tg.tau)
+        out = _conv(kernel, _history(grid, tg, [u0]), 1, tg.tau)
         np.testing.assert_allclose(out, 2.0 * 3.0 * tg.tau, rtol=1e-15)
 
     def test_three_terms_of_ones(self):
         grid = SpatialGrid((1.0,), (4,))
         tg = TimeGrid(1.0, 10)  # tau = 0.1
         states = _history(grid, tg, [np.ones(grid.shape)] * 3)
-        out = _convolution_values(np.ones(11), states, 3, tg.tau)
+        out = _conv(np.ones(11), states, 3, tg.tau)
         np.testing.assert_allclose(out, 0.3, rtol=1e-14)
 
     def test_alternating_kernel_cancels(self):
@@ -65,7 +73,7 @@ class TestConvolutionQuadrature:
         tg = TimeGrid(1.0, 2)  # tau = 0.5
         kernel = np.array([1.0, -1.0, 1.0])
         states = _history(grid, tg, [np.ones(grid.shape)] * 2)
-        out = _convolution_values(kernel, states, 2, tg.tau)
+        out = _conv(kernel, states, 2, tg.tau)
         np.testing.assert_allclose(out, 0.0, atol=1e-16)
 
 
@@ -95,9 +103,34 @@ class TestFastPathsAreBitIdentical:
         for i in (1, 2, 9, n):
             history = states[i - 1 :: -1]
             expected = np.tensordot(kernel[1 : i + 1], history, axes=([0], [0])) * tau
-            out = _convolution_values(kernel, states, i, tau)
+            out = _conv(kernel, states, i, tau)
             assert out.shape == shape
             np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize(
+        "shape", [(51,), (2,), (17, 12), (9, 2)], ids=["1d", "1d-one-cell", "2d", "2d-one-cell"]
+    )
+    @pytest.mark.parametrize("series", [None, 1, 3], ids=["one", "stack-1", "stack-3"])
+    def test_stacked_product_equals_each_series_gemv(self, shape, series):
+        # the operands as _march lays them out: one series without the
+        # series axis, or a stack of them
+        rng = np.random.default_rng(11)
+        n, tau, rows = 30, 0.01, series or 1
+        kernel = rng.standard_normal((rows, n + 1))
+        states = np.empty((rows, n + 1, *shape))[:, ::-1]  # newest-first
+        states[...] = rng.standard_normal(states.shape)
+        out = np.empty((rows, 1, states[0, 0].size))
+        if series is None:
+            operands = kernel, states[0].reshape(n + 1, -1), out[0]
+        else:
+            operands = kernel[:, None], states.swapaxes(0, 1).reshape(n + 1, rows, -1), out
+        k_rows, u_rows, conv_rows = operands
+        for i in (1, 2, n):
+            assert _convolution_values(k_rows, u_rows, i, tau, conv_rows) is conv_rows
+            for r in range(rows):
+                history = states[r, i - 1 :: -1]
+                expected = kernel[r, 1 : i + 1] @ history.reshape(i, -1) * tau
+                assert np.array_equal(out[r, 0], expected)
 
 
 class TestForwardStep:
@@ -124,7 +157,7 @@ class TestForwardStep:
         states = run.states
         stepper = TimeStepper(spec, grid, tg)
         f0 = stepper.f_field(0.0, states[0])
-        conv = _convolution_values(kernel.values, states, 1, tg.tau)
+        conv = _conv(kernel.values, states, 1, tg.tau)
         nodes = tg.nodes
         _, (h1, _), (g1_load, _) = next(stepper.coefficients(nodes[:-1], nodes[1:], states))
         u1 = stepper.step(kernel.values[1], states[0], f0, conv, h1, g1_load)
@@ -226,13 +259,13 @@ class TestOncePerStep:
         )
         evaluate = expr.evaluate
 
-        def evaluate_at_t(tree, env):
+        def evaluate_at_t(tree, env, *finite):
             # a compiled f, h or g evaluated at one t or a block of them
             if isinstance(tree, expr.Compiled) and "t" in env:
                 for name in ("f", "h", "g"):
                     if tree.tree is getattr(spec, name):
                         calls[name] += 1
-            return evaluate(tree, env)
+            return evaluate(tree, env, *finite)
 
         monkeypatch.setattr(expr, "evaluate", evaluate_at_t)
         return calls
@@ -244,12 +277,13 @@ class TestOncePerStep:
         run_forward(spec, spec.make_grid(20), tg, kernel)
         return calls
 
-    def _reconstruct_calls(self, monkeypatch, spec, n):
+    def _reconstruct_calls(self, monkeypatch, spec, n, count=None):
+        """The calls of one reconstruction, or of a sequence of ``count``."""
         tg = TimeGrid(1.0, n)
         grid = spec.make_grid(20)
         series = run_forward(spec, grid, tg, derivative="discrete").measurement
         calls = self._spy(monkeypatch, spec)
-        reconstruct(spec, grid, tg, series)
+        reconstruct(spec, grid, tg, series if count is None else [series] * count)
         return calls
 
     def test_run_forward(self, monkeypatch):
@@ -296,6 +330,16 @@ class TestOncePerStep:
             "f_field": n + 1, "f": n + 1, "h": 2 * blocks + 1, "g": blocks + 1, "conv": n,
         }
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_sequence_state_dependent(self, monkeypatch, count):
+        n = 20
+        calls = self._reconstruct_calls(monkeypatch, _time_dependent_with_state(), n, count)
+        # a sequence shares the set-up and each step's calls, conv included
+        blocks = self.BLOCKS
+        assert calls == {
+            "f_field": n + 1, "f": n + 1, "h": 2 * blocks + 1, "g": blocks + 1, "conv": n,
+        }
+
 
 class TestBlockFaults:
     """A block that faults is evaluated node by node, so the fault surfaces
@@ -330,6 +374,28 @@ class TestBlockFaults:
             reconstruct(spec, spec.make_grid(8), tg, series,
                         trace=lambda i, *rest: traced.append(i))
         assert traced == [1, 2, 3, 4, 5]
+
+    def test_state_fault_in_f_is_the_interpreters(self, monkeypatch):
+        # M follows m = t, and u, uniform in x, with it: f reads u_9 = 0.9
+        # at step 10, where exp(800*u) overflows.  f_field does not check
+        # the u it passes again; the fault is the one the interpreter
+        # alone raises, at its step, in a march of one and in a sweep.
+        spec = _spec(f="0*exp(800*u)", h="1", u0="0")
+        tg = TimeGrid(1.0, 10)
+        grid = spec.make_grid(8)
+        series = MeasurementSeries.from_expressions(tg, expr.parse("t"), expr.parse("1"))
+
+        def outcome(measurement):
+            traced = []
+            with pytest.raises(DomainFaultError) as fault:
+                reconstruct(spec, grid, tg, measurement,
+                            trace=lambda i, *rest: traced.append(i))
+            return traced, str(fault.value)
+
+        one, sweep = outcome(series), outcome([series, series])
+        monkeypatch.setattr(expr, "_closure", lambda tree, fixed: None)
+        assert one == sweep == outcome(series)
+        assert one == (list(range(1, 10)), "domain fault in 'exp(800.0*u)'")
 
 
 _BLOCK_TREES = {
@@ -549,9 +615,9 @@ class TestHistoryLayout:
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         seen = []
 
-        def spy(kernel_values, state_values, i, tau):
+        def spy(kernel_values, state_values, i, tau, out):
             seen.append((i, state_values[i - 1 :: -1].flags.c_contiguous))
-            return convolution(kernel_values, state_values, i, tau)
+            return convolution(kernel_values, state_values, i, tau, out)
 
         convolution = forward._convolution_values
         monkeypatch.setattr(forward, "_convolution_values", spy)

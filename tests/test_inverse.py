@@ -15,7 +15,7 @@ from kernrec.errors import (
     StepThresholdError,
     ValidationError,
 )
-from kernrec.forward import KernelSeries, TimeStepper, _convolution_values, run_forward
+from kernrec.forward import KernelSeries, TimeStepper, run_forward
 from kernrec.grid import stiffness_matvec
 from kernrec.inverse import (
     Diagnostics,
@@ -85,12 +85,13 @@ def _stepwise_identity(spec, grid, tg, states, kernel):
     residuals = []
     pairs = stepper.coefficients(tg.nodes[:-1], tg.nodes[1:], states)
     for i, ((_, f_mean), (_, h_mean), (_, g_mean)) in enumerate(pairs, 1):
-        conv = _convolution_values(kernel, states, i, tg.tau)
+        # each series' own gemv, which the march's stacked product equals
+        conv = kernel[1 : i + 1] @ states[i - 1 :: -1].reshape(i, -1) * tg.tau
         terms = (
             (measured[i] - measured[i - 1]) / tg.tau,
             g_mean,
             kernel[i] * h_mean,
-            float(np.sum(grid.weights * conv)),
+            float(np.sum(grid.weights * conv.reshape(grid.shape))),
             -f_mean,
         )
         scale = max(abs(term) for term in terms)

@@ -36,10 +36,11 @@ script writes beside its configs, also restricted to each level of a
 convergence list, or from a headerless one whose first row alone carries
 m'(0), also behind a UTF-8 byte-order mark, and trace a noise sweep.
 Noise sweeps run on manufactured1d, on the contaminant (plain, traced,
-and traced with advection, whose f reads p) and on the benchmark's 2D
-config: each tree's sweep is checked against the other's, so a tree
-that reconstructs its levels one after another is the oracle of one
-that marches them together.  In one sweep every level warns in the
+traced with advection, whose f reads p, and with a single sigma, a
+sequence of one series) and on the benchmark's 2D config, also with a
+single cell along y: each tree's sweep is checked against the other's,
+so a tree that reconstructs its levels one after another is the oracle
+of one that marches them together.  In one sweep every level warns in the
 same words, and each warning must be printed.
 HEAD_DIR defaults to the checkout that holds this script.  Every CSV
 must be byte-identical and every JSON report the same text once its
@@ -541,6 +542,15 @@ COMMANDS = {
     "noise-sweep-contaminant-advection-trace": [
         "noise-sweep", "--config", CONFIG_ADVECTION, "--n", "100", "--mx", "50",
         "--noise", "1e-4,1e-3", "--seed", "7", "--trace",
+    ],
+    # one sigma: a sequence of one series, marched without the series axis
+    "noise-sweep-contaminant-one-level": [
+        "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4", "--seed", "7",
+    ],
+    # a single cell along y: each level's history rows hold 13 x 2 nodes
+    "noise-sweep-2d-my1": [
+        "noise-sweep", "--config", CONFIG_2D, "--n", "10", "--mx", "12", "--my", "1",
+        "--noise", "1e-4,1e-3", "--seed", "7",
     ],
     # m0 = 10 puts tau0 below tau: each level warns in the same words
     "noise-sweep-repeated-warning": [
