@@ -60,8 +60,7 @@ one ``f_field`` call for an f that reads the state and one
 stacked product, whose rows are each series' own gemv.  Each series
 keeps its own kernel update and its own residuals, so every number of a
 series is the one a march of that series alone computes.  A fault in
-any series ends the march at once; ``inverse.reconstruct`` then replays
-the series one at a time.
+any series ends the march at once.
 
 The states are stored newest-first: the loop allocates its
 (series, n+1, *grid.shape) buffer and works on the view reversed in

@@ -18,9 +18,12 @@ formed.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ValidationError
 
 # each axis's variables, in axis order: its coordinate and u's derivative along it
 COORDINATES = "xy"
@@ -50,11 +53,18 @@ class SpatialGrid:
     def __post_init__(self):
         if len(self.extents) not in (1, 2) or len(self.extents) != len(self.cells):
             raise ValueError("grid must be 1D or 2D with matching extents/cells")
-        for length, m in zip(self.extents, self.cells):
+        for c, length, m in zip(COORDINATES, self.extents, self.cells):
             if length <= 0:
                 raise ValueError(f"extent must be positive, got {length}")
             if m < 1:
                 raise ValueError("need at least 2 nodes (1 cell) per dimension")
+            # the stiffness holds 1/dx^2: dx^2 must be finite, and so its reciprocal
+            dx_sq = (length / m) * (length / m)
+            if not (0.0 < dx_sq < math.inf and 1.0 / dx_sq < math.inf):
+                raise ValidationError(
+                    f"cell size d{c} = l{c}/m{c} = {length:g}/{m}: its square "
+                    f"{'overflows' if dx_sq == math.inf else 'underflows'}"
+                )
         axes = tuple(
             np.linspace(0.0, length, m + 1) for length, m in zip(self.extents, self.cells)
         )

@@ -661,24 +661,28 @@ def run_noise_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     """Reconstruct under measurement noise and report the amplification.
 
     The levels' series are drawn in sigma order and reconstructed in one
-    march; the outcome is that of reconstructing them one after another,
-    so a draw that fails ends the sweep after the levels before it.
+    march.  If a draw or the march fails, the levels are drawn again from
+    the seed and run one after another, so the first level that fails
+    ends the sweep after the levels before it, as when they run alone.
     """
     grid, timegrid = cfg.grids()
     base = acquire_measurement(cfg, grid, timegrid)
     ref = kernel_reference(cfg.spec, timegrid)
-    rng = np.random.default_rng(cfg.seed)
-    noisy, fault = [], None
-    for sigma in cfg.noise_sigmas:
-        try:
-            noisy.append(base.with_noise(sigma, rng))
-        except KernrecError as error:
-            fault = error
-            break
-    if noisy:
-        result = _run_reconstruction(cfg, grid, timegrid, noisy)
-    if fault is not None:
-        raise fault
+
+    def draws():  # the same draws at each call: reconstruct uses no random generator
+        rng = np.random.default_rng(cfg.seed)
+        return (base.with_noise(sigma, rng) for sigma in cfg.noise_sigmas)
+
+    error = None
+    try:
+        result = _run_reconstruction(cfg, grid, timegrid, list(draws()))
+    except KernrecError as exc:
+        # without its traceback, the error does not hold the batch's states
+        error = exc.with_traceback(None)
+    if error is not None:
+        for series in draws():
+            _run_reconstruction(cfg, grid, timegrid, series)
+        raise error  # the march faults where no level alone does
     rows = []
     levels = zip(cfg.noise_sigmas, result.kernel.values, result.compat_residuals,
                  result.denominators)

@@ -43,13 +43,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import expr
-from .errors import (
-    KernrecError,
-    NonFiniteError,
-    SingularUpdateError,
-    StepThresholdError,
-    ValidationError,
-)
+from .errors import NonFiniteError, SingularUpdateError, StepThresholdError, ValidationError
 from .forward import KernelSeries, TimeStepper, _march
 from .grid import SpatialGrid, stiffness_matvec
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid, block_slices, validate_floor
@@ -232,34 +226,18 @@ def reconstruct(
 
     Any other iterable is read once, into a list of series marched
     together, in one stepping loop, each with its own arithmetic.  The
-    kernel values, states, denominators and residuals of the result then
-    gain a leading axis, ``threshold`` holds one report per series, and
-    ``diagnostics`` is the worst over the series (``_worst``).  Once the
-    march is done, each series' warnings and then its trace rows come,
-    series by series.  If anything faults, the list's series are replayed
-    one at a time, without the batch: the first that faults ends the run
-    with its error, after the series before it.
+    alignment, the floor and threshold checks, the stepper, its t = 0
+    means and the exact K(0) serve all series; each has its own K_0,
+    warnings and update.  The kernel values, states, denominators and
+    residuals of the result then gain a leading axis, ``threshold`` holds
+    one report per series, and ``diagnostics`` is the worst over the
+    series (``_worst``).  A single series' warnings and trace rows come as
+    they happen; a sequence's come once the march is done, each series'
+    warnings and then its trace rows, series by series.  A fault raises
+    at once, before any of them.
     """
     live = isinstance(measurement, MeasurementSeries)
     series = [measurement] if live else list(measurement)
-    try:
-        return _reconstruct(spec, grid, timegrid, series, live, force, denominator_sign, trace)
-    except KernrecError as exc:
-        if live:
-            raise
-        # without its traceback, the error does not hold the batch's states
-        error = exc.with_traceback(None)
-    for data in series:
-        _reconstruct(spec, grid, timegrid, [data], True, force, denominator_sign, trace)
-    raise error  # the march faults where no series alone does
-
-
-def _reconstruct(spec, grid, timegrid, series, live, force, denominator_sign, trace):
-    """``reconstruct`` of the list ``series`` without the replay: a fault
-    is raised at once.  The alignment, the floor and threshold checks, the
-    stepper, its t = 0 means and the exact K(0) serve all series; each has
-    its own K_0, warnings and update.  With ``live`` (one series) warnings
-    and trace rows come as they happen, otherwise after the march."""
     if not series:
         raise ValidationError("no measurement series to reconstruct")
     if any(data.timegrid != timegrid for data in series):
@@ -273,8 +251,8 @@ def _reconstruct(spec, grid, timegrid, series, live, force, denominator_sign, tr
 
     def warn(row: int, text: str) -> None:
         if live:
-            # past warn, _reconstruct and reconstruct: their caller
-            warnings.warn(text, RuntimeWarning, stacklevel=4)
+            # past warn and reconstruct: their caller
+            warnings.warn(text, RuntimeWarning, stacklevel=3)
         else:
             held[row].append(text)
 
@@ -323,7 +301,7 @@ def _reconstruct(spec, grid, timegrid, series, live, force, denominator_sign, tr
         # each series' warnings, then its trace rows: the floats that
         # on_step would have passed
         for text in texts:
-            warnings.warn(text, RuntimeWarning, stacklevel=3)
+            warnings.warn(text, RuntimeWarning, stacklevel=2)
         for i in range(1, n + 1) if trace is not None else ():
             trace_row(row, i, residuals[row, i - 1])
     # a functional that overflows is reported by the run's finiteness check

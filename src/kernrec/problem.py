@@ -57,6 +57,11 @@ class TimeGrid:
             raise ValidationError(f"time horizon must be positive and finite, got {self.T}")
         if self.n < 1:
             raise ValidationError(f"need at least one time step, got n={self.n}")
+        # the step's operator holds 1/tau: a tau that underflows has none
+        if not (self.tau > 0.0 and 1.0 / self.tau < math.inf):
+            raise ValidationError(
+                f"time step tau = T/n = {self.T:g}/{self.n} = {self.tau:g} has no finite 1/tau"
+            )
 
     @property
     def tau(self) -> float:

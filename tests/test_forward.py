@@ -379,7 +379,8 @@ class TestBlockFaults:
         # M follows m = t, and u, uniform in x, with it: f reads u_9 = 0.9
         # at step 10, where exp(800*u) overflows.  f_field does not check
         # the u it passes again; the fault is the one the interpreter
-        # alone raises, at its step, in a march of one and in a sweep.
+        # alone raises: at its step in a march of one, and at once, before
+        # any row, in a sequence.
         spec = _spec(f="0*exp(800*u)", h="1", u0="0")
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(8)
@@ -394,8 +395,8 @@ class TestBlockFaults:
 
         one, sweep = outcome(series), outcome([series, series])
         monkeypatch.setattr(expr, "_closure", lambda tree, fixed: None)
-        assert one == sweep == outcome(series)
-        assert one == (list(range(1, 10)), "domain fault in 'exp(800.0*u)'")
+        assert one == outcome(series) == (list(range(1, 10)), "domain fault in 'exp(800.0*u)'")
+        assert sweep == outcome([series, series]) == ([], one[1])
 
 
 _BLOCK_TREES = {

@@ -784,6 +784,32 @@ class TestConfigHandling:
         assert run_cli(argv) == code
         assert capsys.readouterr().err == f"kernrec: {message.format(tmp=tmp_path)}\n"
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [(["forward", "--preset", "contaminant", "--n", "2", "--T", "5e-324"], "",
+          "time step tau = T/n = 4.94066e-324/2 = 0 has no finite 1/tau"),
+         (["forward", "--preset", "contaminant", "--n", "3", "--T", "1e-323"], "",
+          "time step tau = T/n = 9.88131e-324/3 = 4.94066e-324 has no finite 1/tau"),
+         (["roundtrip", "--n", "4"], _MANUFACTURED_WITHOUT_M.replace("lx = 1.0", "lx = 1e300"),
+          "cell size dx = lx/mx = 1e+300/2: its square overflows"),
+         (["roundtrip", "--n", "4"], _MANUFACTURED_WITHOUT_M.replace("lx = 1.0", "lx = 1e-200"),
+          "cell size dx = lx/mx = 1e-200/2: its square underflows"),
+         (["roundtrip", "--n", "4"], _MANUFACTURED_2D.replace('ly = "1.0"', 'ly = "1e-200"'),
+          "cell size dy = ly/my = 1e-200/2: its square underflows")],
+        ids=["tau-zero", "tau-reciprocal-overflows", "dx-square-overflows",
+             "dx-square-underflows", "dy-square-underflows"],
+    )
+    def test_step_or_cell_out_of_range_is_validation_failure(
+        self, tmp_path, capsys, argv, config, message
+    ):
+        # 1/tau and 1/dx^2 enter the step's operator: each must be finite
+        if config:
+            cfg = tmp_path / "p.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        assert harness.main([*argv, "--mx", "2"]) == harness.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"kernrec: validation failure: {message}\n"
+
     def test_deep_nesting_is_usage_error(self, tmp_path):
         deep = "(" * 3000 + "0" + ")" * 3000
         cfg = tmp_path / "p.cfg"
@@ -1832,9 +1858,10 @@ def test_every_level_of_a_sweep_prints_its_warning(tmp_path):
 
 
 def test_state_overflow_prints_no_numpy_warning(tmp_path, capsys):
-    # tau = 1e-321: u/tau overflows in the first step
+    # the load f = 1e308 overflows in the first step's solve
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("[problem]\npreset = manufactured1d\nT = 1e-320\n", encoding="utf-8")
+    cfg.write_text('[problem]\nf = "1e308"\nh = "1"\ng = "0"\nu0 = "0"\nlx = 1.0\nT = 1.0\n'
+                   'omega = 1.0\nkernel = "0"\n', encoding="utf-8")
     assert run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"]) == 2
     assert capsys.readouterr().err == "kernrec: numerical failure: state is not finite\n"
 

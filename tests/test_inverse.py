@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernrec import expr, inverse, problem
+from kernrec import expr, harness, inverse, problem
 from kernrec.errors import (
     KernrecError,
     NonFiniteError,
@@ -603,9 +603,9 @@ _GRADIENT_2D = {
 
 
 class TestSequence:
-    """A sequence of series marches together, and its rows, warnings,
-    trace rows and faults are those of the series reconstructed one after
-    another."""
+    """A sequence of series marches together, and its rows, warnings and
+    trace rows are those of the series reconstructed one after another; a
+    fault raises at once, before any of its warnings or rows."""
 
     @staticmethod
     def _noisy(spec, grid, tg, sigmas):
@@ -658,85 +658,51 @@ class TestSequence:
         with pytest.raises(ValidationError, match="no measurement series"):
             reconstruct(spec, spec.make_grid(8), tg, [])
 
-    @staticmethod
-    def _faulting(kind, tg):
-        """A spec, options and the data of a series that faults for ``kind``."""
-        n, steady = tg.n, np.ones(tg.n + 1)
-        if kind == "f":
-            # u falls with m = 1 - 5t and goes below 0 near t = 0.2: sqrt(u) faults
-            spec = _spec(f="sqrt(u) - 1", u0="1")
-            return spec, {}, MeasurementSeries(tg, 1.0 - 5.0 * tg.nodes)
-        if kind == "update":
-            # with the minus sign, (h,1) - m0 tau = 1 - 10 * 0.1 = 0
-            spec = _spec(u0="10")
-            return spec, {"force": True, "denominator_sign": -1.0}, MeasurementSeries(
-                tg, np.full(n + 1, 10.0))
-        if kind == "state":
-            # a finite K_1 ~ 9e200 makes conv_2 overflow
-            spec = _spec(u0="1")
-            return spec, {}, MeasurementSeries(tg, steady, np.r_[-1e201, np.zeros(n - 1)])
-        if kind == "threshold":
-            # |m0| = 100 puts tau0 = 0.005 below tau = 0.1
-            spec = _spec(u0="1")
-            return spec, {}, MeasurementSeries(tg, np.full(n + 1, 100.0))
-        if kind == "kernel":
-            # K_2 overflows: the history K_1 m_1 tau with m_1 = 1e200
-            spec = _spec(u0="1")
-            values = np.r_[1.0, np.full(n, 1e200)]
-            return spec, {}, MeasurementSeries(tg, values, np.r_[-1e201, np.zeros(n - 1)])
-        raise AssertionError(kind)
-
     @pytest.mark.parametrize("kind", ["f", "update", "state", "threshold", "kernel"])
-    def test_fault_in_a_later_series_comes_after_the_series_before_it(self, kind):
+    def test_a_fault_raises_at_once(self, kind):
+        # a series that runs through, one that faults, and one after it: the
+        # batch raises the faulting series' error, before any warning or row
         tg = TimeGrid(1.0, 10)
-        spec, options, faulting = self._faulting(kind, tg)
+        spec, options, faulting = _faulting(kind, tg)
         grid = spec.make_grid(4)
-        # a series that runs through, one that faults, and one the fault ends
         fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
-        series = [fine, faulting, fine]
-        for data, faults in ((fine, False), (faulting, True)):
-            alone = _outcome(lambda trace: reconstruct(spec, grid, tg, data, **options))
-            assert (alone[1] is not None) == faults
+        alone = _outcome(lambda trace: reconstruct(spec, grid, tg, faulting, **options))
+        assert alone[1] is not None
+        assert _outcome(lambda trace: reconstruct(spec, grid, tg, [fine, faulting, fine],
+                                                  trace=trace, **options)) == ([], alone[1])
 
-        def one_after_another(trace):
-            for data in series:
-                reconstruct(spec, grid, tg, data, trace=trace, **options)
-
-        expected = _outcome(one_after_another)
-        assert _outcome(lambda trace: reconstruct(spec, grid, tg, series, trace=trace,
-                                                  **options)) == expected
-
-    def test_the_first_series_that_faults_decides(self):
-        # the second series faults first in time, the first later: the
-        # outcome is the first series' rows and fault, as one after another
+    def test_the_series_that_faults_first_in_time_decides(self):
+        # the second series faults first in time, the first later: the batch
+        # ends at the second's fault
         tg = TimeGrid(1.0, 10)
-        spec, _, early = self._faulting("f", tg)
+        spec, _, early = _faulting("f", tg)
         late = MeasurementSeries(tg, 1.0 - 2.0 * tg.nodes)
         grid = spec.make_grid(4)
-        outcomes = [_outcome(lambda trace: reconstruct(spec, grid, tg, data, trace=trace))
-                    for data in (late, early)]
-        (late_rows, late_fault), (early_rows, _) = outcomes
+        late_rows, late_fault = _outcome(
+            lambda trace: reconstruct(spec, grid, tg, late, trace=trace))
+        early_rows, early_fault = _outcome(
+            lambda trace: reconstruct(spec, grid, tg, early, trace=trace))
         assert late_fault is not None and len(early_rows) < len(late_rows)
         stacked = _outcome(lambda trace: reconstruct(spec, grid, tg, [late, early], trace=trace))
-        assert stacked == outcomes[0]
-
-    @staticmethod
-    def _count_marches(monkeypatch):
-        calls, march = [], inverse._march
-
-        def spy(*args, **kwargs):
-            calls.append(args[1].shape[0])  # the series the march takes
-            return march(*args, **kwargs)
-
-        monkeypatch.setattr(inverse, "_march", spy)
-        return calls
+        assert stacked == ([], early_fault)
 
     def test_a_sweep_without_fault_marches_once(self, monkeypatch):
         tg = TimeGrid(1.0, 10)
         spec = _spec(u0="1")
         series = [MeasurementSeries(tg, np.linspace(1.0, b, tg.n + 1)) for b in (1.5, 2, 3)]
-        calls = self._count_marches(monkeypatch)
+        calls = _count_marches(monkeypatch)
         reconstruct(spec, spec.make_grid(4), tg, series)
+        assert calls == [3]
+
+    def test_a_fault_marches_once(self, monkeypatch):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = _faulting("update", tg)
+        fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
+        calls = _count_marches(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # forced past tau0
+            with pytest.raises(SingularUpdateError):
+                reconstruct(spec, spec.make_grid(4), tg, [fine, faulting, fine], **options)
         assert calls == [3]
 
     def test_a_sweep_sets_the_problem_up_once(self, monkeypatch):
@@ -749,34 +715,194 @@ class TestSequence:
         reconstruct(spec, spec.make_grid(4), tg, series)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("kind", ["f", "update"])
+    @pytest.mark.parametrize("kind", [None, "f", "update"], ids=["through", "f", "update"])
     def test_a_generator_is_read_once(self, kind):
         tg = TimeGrid(1.0, 10)
-        spec, options, faulting = self._faulting(kind, tg)
+        spec, options, faulting = _faulting(kind or "update", tg)
         grid = spec.make_grid(4)
         fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
+        listed = [fine, fine] if kind is None else [fine, faulting]
+        read = []
+
+        def generator():
+            for data in listed:
+                read.append(data)
+                yield data
 
         def run(series):
             return _outcome(lambda trace: reconstruct(spec, grid, tg, series, trace=trace,
                                                       **options))
 
-        listed = run([fine, faulting])
-        assert listed[1] is not None and len(listed[0]) > tg.n
-        assert run(data for data in [fine, faulting]) == listed
+        assert run(generator()) == run(listed)
+        assert read == listed
 
-    def test_a_replay_does_not_hold_the_batch(self):
+    @pytest.mark.parametrize("count", [None, 1, 2], ids=["single", "one", "two"])
+    def test_warnings_name_the_caller(self, count):
+        tg = TimeGrid(1.0, 10)
+        spec, _, data = _faulting("threshold", tg)
+        measurement = data if count is None else [data] * count
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reconstruct(spec, spec.make_grid(4), tg, measurement, force=True)
+        assert len(caught) == (count or 1)
+        assert all(w.filename == __file__ for w in caught)
+
+    def test_a_fault_prints_nothing_of_the_batch(self):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = _faulting("update", tg)
+        rows = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularUpdateError):
+                reconstruct(spec, spec.make_grid(4), tg, [faulting], trace=rows.append,
+                            **options)
+        # the series warns alone, forced past tau0; the batch held it
+        assert caught == [] and rows == []
+
+
+def _faulting(kind, tg):
+    """A spec, options and the data of a series that faults for ``kind``.
+
+    Each spec has the exact kernel K = 0, which a noise sweep needs."""
+    n, steady = tg.n, np.ones(tg.n + 1)
+    if kind == "f":
+        # u falls with m = 1 - 5t and goes below 0 near t = 0.2: sqrt(u) faults
+        spec = _spec(f="sqrt(u) - 1", u0="1", kernel_exact="0")
+        return spec, {}, MeasurementSeries(tg, 1.0 - 5.0 * tg.nodes)
+    if kind == "update":
+        # with the minus sign, (h,1) - m0 tau = 1 - 10 * 0.1 = 0
+        spec = _spec(u0="10", kernel_exact="0")
+        return spec, {"force": True, "denominator_sign": -1.0}, MeasurementSeries(
+            tg, np.full(n + 1, 10.0))
+    spec = _spec(u0="1", kernel_exact="0")
+    if kind == "state":
+        # a finite K_1 ~ 9e200 makes conv_2 overflow
+        return spec, {}, MeasurementSeries(tg, steady, np.r_[-1e201, np.zeros(n - 1)])
+    if kind == "threshold":
+        # |m0| = 100 puts tau0 = 0.005 below tau = 0.1
+        return spec, {}, MeasurementSeries(tg, np.full(n + 1, 100.0))
+    if kind == "kernel":
+        # K_2 overflows: the history K_1 m_1 tau with m_1 = 1e200
+        values = np.r_[1.0, np.full(n, 1e200)]
+        return spec, {}, MeasurementSeries(tg, values, np.r_[-1e201, np.zeros(n - 1)])
+    raise AssertionError(kind)
+
+
+def _count_marches(monkeypatch):
+    """The number of series of each march that ``reconstruct`` starts."""
+    calls, march = [], inverse._march
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape[0])  # the series the march takes
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "_march", spy)
+    return calls
+
+
+class _Drawn:
+    """A base measurement whose draw at sigma = k is the k-th of ``levels``."""
+
+    def __init__(self, levels):
+        self.levels = levels
+
+    def with_noise(self, sigma, rng):
+        return self.levels[int(sigma) - 1]
+
+
+def _noise_sweep(monkeypatch, spec, levels, n=10, cells=4, **options):
+    """``run(trace)`` of a traced noise sweep on ``spec`` whose level k draws
+    the k-th of ``levels``, with ``trace`` as the trace printer."""
+    sigmas = [float(k) for k in range(1, len(levels) + 1)]
+    cfg = harness.ExperimentConfig("noise-sweep", spec, [n], cells, noise_sigmas=sigmas,
+                                   seed=0, trace=True, **options)
+    monkeypatch.setattr(harness, "acquire_measurement", lambda *args: _Drawn(levels))
+
+    def run(trace):
+        monkeypatch.setattr(harness, "_trace_printer", trace)
+        return harness.run_noise_mode(cfg)
+
+    return run
+
+
+class TestSweepFallback:
+    """A noise sweep whose batch fails runs its levels again one after
+    another: its warnings, trace rows and error are those of the levels
+    reconstructed alone, up to the first that faults."""
+
+    @staticmethod
+    def _one_after_another(spec, levels, **options):
+        tg = TimeGrid(spec.T, 10)
+        grid = spec.make_grid(4)
+
+        def run(trace):
+            for data in levels:
+                reconstruct(spec, grid, tg, data, trace=trace, **options)
+
+        return _outcome(run)
+
+    @pytest.mark.parametrize("kind", ["f", "update", "state", "threshold", "kernel"])
+    def test_fault_in_a_later_level_comes_after_the_levels_before_it(self, monkeypatch, kind):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = _faulting(kind, tg)
+        # a level that runs through, one that faults, and one the fault ends
+        fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
+        levels = [fine, faulting, fine]
+        expected = self._one_after_another(spec, levels, **options)
+        assert expected[1] is not None and len(expected[0]) > tg.n
+        assert _outcome(_noise_sweep(monkeypatch, spec, levels, **options)) == expected
+
+    def test_the_first_level_that_faults_decides(self, monkeypatch):
+        # the second level faults first in time, the first later: the
+        # outcome is the first level's rows and fault, as one after another
+        tg = TimeGrid(1.0, 10)
+        spec, _, early = _faulting("f", tg)
+        late = MeasurementSeries(tg, 1.0 - 2.0 * tg.nodes)
+        expected = self._one_after_another(spec, [late])
+        assert expected[1] is not None
+        assert _outcome(_noise_sweep(monkeypatch, spec, [late, early])) == expected
+
+    def test_a_fault_reruns_the_levels_up_to_it(self, monkeypatch):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = _faulting("update", tg)
+        fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
+        calls = _count_marches(monkeypatch)
+        sweep = _noise_sweep(monkeypatch, spec, [fine, faulting, fine], **options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # forced past tau0
+            with pytest.raises(SingularUpdateError):
+                sweep(lambda *row: None)
+        # the batch, then each level alone up to the one that faults
+        assert calls == [3, 1, 1]
+
+    def test_rerun_warnings_name_the_caller(self, monkeypatch):
+        tg = TimeGrid(1.0, 10)
+        spec, options, faulting = _faulting("update", tg)
+        sweep = _noise_sweep(monkeypatch, spec, [faulting], **options)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularUpdateError):
+                sweep(lambda *row: None)
+        # the rerun's warning alone, from the harness's reconstruct call:
+        # the batch held its own
+        assert [w.filename for w in caught] == [harness.__file__]
+
+    def test_a_rerun_does_not_hold_the_batch(self, monkeypatch):
         spec = make_preset("manufactured1d")
-        tg, grid = TimeGrid(1.0, 400), spec.make_grid(400)
+        tg = TimeGrid(1.0, 400)
         fine = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         # m0 = -40 takes the denominator (h,1) + m0 tau to 0.9, over which
         # m'_n = -1.7e308 makes K_n overflow at the last step
         faulting = MeasurementSeries(
             tg, np.r_[-40.0, fine.values[1:]], np.r_[fine.derivatives[:-1], -1.7e308])
 
-        def peak(series):
+        def peak(levels):
+            sweep = _noise_sweep(monkeypatch, spec, levels, n=tg.n, cells=400)
             tracemalloc.start()
             try:
-                reconstruct(spec, grid, tg, series)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # K_0 of the faulting level
+                    sweep(lambda *row: None)
                 step = None
             except NonFiniteError as exc:
                 step = exc.step
@@ -787,39 +913,6 @@ class TestSequence:
 
         through, _ = peak([fine] * 4)
         faulted, step = peak([fine] * 3 + [faulting])
-        trajectory = (tg.n + 1) * grid.weights.size * 8  # the states of one series
+        trajectory = (tg.n + 1) * 401 * 8  # the states of one level
         assert step == tg.n
         assert faulted < through + trajectory / 2
-
-    def test_a_fault_replays_the_series_up_to_it(self, monkeypatch):
-        tg = TimeGrid(1.0, 10)
-        spec, options, faulting = self._faulting("update", tg)
-        fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
-        calls = self._count_marches(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # forced past tau0
-            with pytest.raises(SingularUpdateError):
-                reconstruct(spec, spec.make_grid(4), tg, [fine, faulting, fine], **options)
-        # the batch, then each series alone up to the one that faults
-        assert calls == [3, 1, 1]
-
-    @pytest.mark.parametrize("count", [None, 1, 2], ids=["single", "one", "two"])
-    def test_warnings_name_the_caller(self, count):
-        tg = TimeGrid(1.0, 10)
-        spec, _, data = self._faulting("threshold", tg)
-        measurement = data if count is None else [data] * count
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reconstruct(spec, spec.make_grid(4), tg, measurement, force=True)
-        assert len(caught) == (count or 1)
-        assert all(w.filename == __file__ for w in caught)
-
-    def test_replayed_warnings_name_the_caller(self):
-        tg = TimeGrid(1.0, 10)
-        spec, options, faulting = self._faulting("update", tg)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(SingularUpdateError):
-                reconstruct(spec, spec.make_grid(4), tg, [faulting], **options)
-        # the replay's warning alone: the march held its own
-        assert [w.filename for w in caught] == [__file__]

@@ -26,7 +26,8 @@ a traced noise sweep whose second level divides by a zero update
 denominator after its first level has run, a traced noise sweep whose
 second level faults at an earlier step than its first, and a noise
 sweep, plain and traced, whose second level fails its step threshold
-before the march, after its first level has run);
+before the march, after its first level has run, and a traced noise
+sweep whose second level's noise draw overflows);
 another pins that an analytic forward run never
 evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
@@ -612,6 +613,11 @@ COMMANDS = {
         "noise-sweep", "--config", CONFIG_LATER_THRESHOLD, "--n", "20", "--mx", "4",
         "--noise", "1e-6,0.5", "--seed", "3", "--trace",
     ],
+    # the second level's samples overflow: the first level's rows, then the draw's failure
+    "noise-sweep-draw-overflow-trace": [
+        "noise-sweep", *M1, "--n", "10", "--mx", "8", "--noise", "1e-3,1e308", "--seed", "2",
+        "--trace",
+    ],
 }
 # help texts: stdout and exit code are compared byte for byte
 HELP = {
@@ -626,7 +632,7 @@ FAILING = {
     "reconstruct-measurement-difference-overflow", "reconstruct-preset-with-f",
     "reconstruct-contaminant-kr0-unknown-key", "noise-sweep-second-level-fault-trace",
     "noise-sweep-first-level-fault-decides-trace", "noise-sweep-later-threshold",
-    "noise-sweep-later-threshold-trace",
+    "noise-sweep-later-threshold-trace", "noise-sweep-draw-overflow-trace",
 }
 
 
