@@ -12,7 +12,7 @@ problem for u_i.
 """
 
 from .errors import KernrecError
-from .forward import ForwardRun, KernelSeries, run_forward
+from .forward import ForwardRun, run_forward
 from .grid import SpatialGrid, nodal_gradient
 from .inverse import (
     Diagnostics,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Diagnostics",
     "ForwardRun",
-    "KernelSeries",
     "KernrecError",
     "MeasurementSeries",
     "ProblemSpec",

@@ -18,8 +18,10 @@ up to solver roundoff, with M_i = (u_i, 1).  Every (.,1) in it is
 ``SpatialGrid.integral``, one lumped quadrature summed in one order.
 The relative size of that residual is recorded per step.
 
-``run_forward`` is the one way to synthetic data: its ``ForwardRun``
-carries M_i as a ``MeasurementSeries``, with the spec's exact m' or the
+``run_forward`` is the one way to synthetic data: it marches with the
+spec's exact kernel, sampled at the time nodes (``TimeGrid.sample``),
+and its ``ForwardRun`` carries that array and M_i as a
+``MeasurementSeries``, with the spec's exact m' or the
 backward difference, whose m'(0) comes from the identity at t = 0
 through the run's own ``TimeStepper.initial_means`` (the same means
 ``inverse.reconstruct`` uses for K_0).
@@ -77,7 +79,6 @@ and 2D alike, by the DCT-I solver of ``solver.SpectralSolver``, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -89,29 +90,6 @@ from .errors import NonFiniteError, ValidationError
 from .grid import DERIVATIVES, SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
 from .solver import SpectralSolver
-
-
-@dataclass(frozen=True)
-class KernelSeries:
-    """Kernel samples K_0..K_n aligned with a time grid, or a stack of such
-    series along a leading axis."""
-
-    timegrid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[-1] != self.timegrid.n + 1:
-            raise ValidationError(
-                f"expected {self.timegrid.n + 1} kernel samples, got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("kernel series contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_expression(cls, tree: expr.Expression, timegrid: TimeGrid) -> "KernelSeries":
-        return cls(timegrid, expr.sample(tree, {"t": timegrid.nodes}, (timegrid.n + 1,)))
 
 
 def _convolution_values(
@@ -243,7 +221,7 @@ class ForwardRun(NamedTuple):
     """States u_0..u_n plus the discrete measurement they induce."""
 
     states: np.ndarray  # shape (n+1, *grid.shape); u_0 is the interpolated u0
-    kernel: KernelSeries
+    kernel: np.ndarray  # K_0..K_n, the spec's exact kernel at the time nodes
     measurement: MeasurementSeries  # M_i = (u_i, 1)
     compat_residuals: np.ndarray  # relative, one per step i = 1..n
 
@@ -351,37 +329,29 @@ def run_forward(
     spec: ProblemSpec,
     grid: SpatialGrid,
     timegrid: TimeGrid,
-    kernel: KernelSeries | None = None,
     derivative: str = "analytic",
 ) -> ForwardRun:
-    """Advance u_0..u_n with a prescribed kernel.
+    """Advance u_0..u_n with the spec's exact kernel sampled on ``timegrid``.
 
-    ``kernel`` defaults to the spec's exact kernel sampled on
-    ``timegrid``.  The run's measurement M_i = (u_i, 1) carries the
-    spec's exact m' when ``derivative="analytic"`` and the spec has one;
-    otherwise the backward difference of M, with m'(0) pinned by the
-    identity at t = 0, m'(0) = (f_0,1) - (g_0,1)_Gamma - K_0 (h_0,1).
-    Restriction onto a coarser time grid is the measurement's
-    ``restrict``.
+    The run's measurement M_i = (u_i, 1) carries the spec's exact m'
+    when ``derivative="analytic"`` and the spec has one; otherwise the
+    backward difference of M, with m'(0) pinned by the identity at
+    t = 0, m'(0) = (f_0,1) - (g_0,1)_Gamma - K_0 (h_0,1).  Restriction
+    onto a coarser time grid is the measurement's ``restrict``.
     """
     if derivative not in ("analytic", "discrete"):
         raise ValidationError(
             f"derivative must be 'analytic' or 'discrete', got {derivative!r}"
         )
-    if kernel is None:
-        if spec.kernel_exact is None:
-            raise ValidationError("no kernel available to generate data")
-        kernel = KernelSeries.from_expression(spec.kernel_exact, timegrid)
-    if kernel.timegrid != timegrid:
-        raise ValidationError("kernel series is not aligned with the time grid")
-    if kernel.values.ndim != 1:
-        raise ValidationError("a forward run takes one kernel series")
+    if spec.kernel_exact is None:
+        raise ValidationError("no kernel available to generate data")
+    kernel = timegrid.sample(spec.kernel_exact)
     stepper = TimeStepper(spec, grid, timegrid)
-    (states,), (measured,), (residuals,) = _march(stepper, kernel.values[None])
+    (states,), (measured,), (residuals,) = _march(stepper, kernel[None])
     if derivative == "analytic" and spec.mprime_exact is not None:
         measurement = MeasurementSeries.analytic(timegrid, measured, spec.mprime_exact)
     else:
         f_mean, g_mean, h_mean = stepper.initial_means()
-        initial = f_mean - g_mean - kernel.values[0] * h_mean
+        initial = f_mean - g_mean - kernel[0] * h_mean
         measurement = MeasurementSeries(timegrid, measured, None, initial)
     return ForwardRun(states, kernel, measurement, residuals)

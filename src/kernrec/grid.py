@@ -54,7 +54,7 @@ class SpatialGrid:
         if len(self.extents) not in (1, 2) or len(self.extents) != len(self.cells):
             raise ValueError("grid must be 1D or 2D with matching extents/cells")
         for c, length, m in zip(COORDINATES, self.extents, self.cells):
-            if length <= 0:
+            if not length > 0:  # NaN included
                 raise ValueError(f"extent must be positive, got {length}")
             if m < 1:
                 raise ValueError("need at least 2 nodes (1 cell) per dimension")

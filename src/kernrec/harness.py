@@ -52,7 +52,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .forward import KernelSeries, run_forward
+from .forward import run_forward
 from .grid import SpatialGrid
 from .inverse import ReconstructionResult, reconstruct
 from .problem import (
@@ -459,7 +459,7 @@ def _run_reconstruction(
 def kernel_reference(spec: ProblemSpec, timegrid: TimeGrid) -> np.ndarray | None:
     if spec.kernel_exact is None:
         return None
-    return KernelSeries.from_expression(spec.kernel_exact, timegrid).values
+    return timegrid.sample(spec.kernel_exact)
 
 
 def kernel_errors(rec: np.ndarray, ref: np.ndarray, tau: float) -> tuple[float, float]:
@@ -546,7 +546,7 @@ def _reconstruction_outputs(
     series: MeasurementSeries, result: ReconstructionResult, ref: np.ndarray | None
 ) -> tuple[str, list, dict]:
     """CSV and report of a reconstruction from ``series``."""
-    timegrid, k_rec = series.timegrid, result.kernel.values
+    timegrid, k_rec = series.timegrid, result.kernel
     report = {
         "time": {"T": timegrid.T, "n": timegrid.n, "tau": timegrid.tau},
         "derivative_source": series.provenance,
@@ -590,7 +590,7 @@ def run_roundtrip_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
     grid, timegrid = cfg.grids()
     fwd = run_forward(cfg.spec, grid, timegrid, derivative="discrete")
     result = _run_reconstruction(cfg, grid, timegrid, fwd.measurement)
-    header, columns, report = _reconstruction_outputs(fwd.measurement, result, fwd.kernel.values)
+    header, columns, report = _reconstruction_outputs(fwd.measurement, result, fwd.kernel)
     report["roundtrip"] = {
         "kernel_max_error": report["errors"]["kernel_inf"],
         "state_max_error": float(np.max(np.abs(result.states - fwd.states))),
@@ -627,7 +627,7 @@ def convergence_study(cfg: ExperimentConfig) -> list[dict]:
             series = data.restrict(timegrid)
         result = _run_reconstruction(cfg, grid, timegrid, series)
         ref = kernel_reference(spec, timegrid)
-        err_inf, err_l2 = kernel_errors(result.kernel.values, ref, timegrid.tau)
+        err_inf, err_l2 = kernel_errors(result.kernel, ref, timegrid.tau)
         err_u = None
         if spec.u_exact is not None:
             exact_T = expr.evaluate(
@@ -684,8 +684,7 @@ def run_noise_mode(cfg: ExperimentConfig) -> tuple[str, list, dict]:
             _run_reconstruction(cfg, grid, timegrid, series)
         raise error  # the march faults where no level alone does
     rows = []
-    levels = zip(cfg.noise_sigmas, result.kernel.values, result.compat_residuals,
-                 result.denominators)
+    levels = zip(cfg.noise_sigmas, result.kernel, result.compat_residuals, result.denominators)
     for sigma, k_rec, residuals, denominators in levels:
         err = np.abs(k_rec - ref)
         err_inf = float(np.max(err))

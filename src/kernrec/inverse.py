@@ -44,7 +44,7 @@ import numpy as np
 
 from . import expr
 from .errors import NonFiniteError, SingularUpdateError, StepThresholdError, ValidationError
-from .forward import KernelSeries, TimeStepper, _march
+from .forward import TimeStepper, _march
 from .grid import SpatialGrid, stiffness_matvec
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid, block_slices, validate_floor
 
@@ -100,7 +100,7 @@ class ReconstructionResult(NamedTuple):
     ``diagnostics`` the worst over the series.
     """
 
-    kernel: KernelSeries
+    kernel: np.ndarray  # K_0..K_n
     states: np.ndarray  # shape (n+1, *grid.shape)
     diagnostics: Diagnostics
     denominators: np.ndarray  # per step i = 1..n
@@ -218,7 +218,8 @@ def reconstruct(
     denominator_sign: float = 1.0,
     trace: Callable[[int, float, float, float, float], None] | None = None,
 ) -> ReconstructionResult:
-    """Recover the kernel and state trajectory from measurement data.
+    """Recover the kernel, as the array K_0..K_n, and the state trajectory
+    from measurement data.
 
     Raises StepThresholdError when tau >= tau0 unless ``force`` is set,
     FloorViolationError if |(h(t_i),1)| dips below the asserted floor,
@@ -311,7 +312,7 @@ def reconstruct(
             for rows in zip(states, kernel_values, denominators, residuals)
         ]
     if live:
-        return ReconstructionResult(KernelSeries(timegrid, kernel_values[0]), states[0],
-                                    diagnostics[0], denominators[0], residuals[0], thresholds[0])
-    return ReconstructionResult(KernelSeries(timegrid, kernel_values), states, _worst(diagnostics),
-                                denominators, residuals, tuple(thresholds))
+        return ReconstructionResult(kernel_values[0], states[0], diagnostics[0],
+                                    denominators[0], residuals[0], thresholds[0])
+    return ReconstructionResult(kernel_values, states, _worst(diagnostics), denominators,
+                                residuals, tuple(thresholds))

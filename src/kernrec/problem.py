@@ -74,6 +74,10 @@ class TimeGrid:
         nodes.flags.writeable = False
         return nodes
 
+    def sample(self, tree: expr.Expression) -> np.ndarray:
+        """An expression of t at t_0..t_n, in a new array."""
+        return expr.sample(tree, {"t": self.nodes}, (self.n + 1,))
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -181,7 +185,7 @@ class MeasurementSeries:
     def from_expressions(
         cls, timegrid: TimeGrid, m: expr.Expression, mprime: expr.Expression | None = None
     ) -> "MeasurementSeries":
-        values = expr.sample(m, {"t": timegrid.nodes}, (timegrid.n + 1,))
+        values = timegrid.sample(m)
         if mprime is not None:
             return cls.analytic(timegrid, values, mprime)
         return cls(timegrid, values)

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .grid import SpatialGrid
+from .errors import ValidationError
+from .grid import COORDINATES, SpatialGrid
 
 
 def _axis_eigenvalues(length: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -39,11 +40,11 @@ class SpectralSolver:
     A = sum_a K_a (x) M_others those eigenvalues are
     1/tau + sum_a lambda_a prod_{b != a} nu_b (1/tau + lambda in 1D).
     The unnormalised DCT-I is its own inverse up to the factor 2M per
-    axis, which is folded into the divisor.
+    axis, which is folded into the divisor.  A tau or cell size for
+    which 1/W or the divisor overflows is a ValidationError.
     """
 
     def __init__(self, grid: SpatialGrid, tau: float):
-        self._inv_weights = 1.0 / grid.weights
         # each grid axis, numbered from the back so that it is the same
         # trailing axis of every stack, with the even extension v_0..v_M,
         # v_{M-1}..v_1 whose real FFT is the DCT-I
@@ -51,16 +52,27 @@ class SpectralSolver:
             (axis, np.r_[0 : m + 1, m - 1 : 0 : -1])
             for axis, m in enumerate(grid.cells, -grid.ndim)
         )
-        eig = [_axis_eigenvalues(length, m) for length, m in zip(grid.extents, grid.cells)]
-        # term a: lambda along axis a, nu along the others; added in axis order
-        terms = [
-            functools.reduce(
-                np.multiply.outer, [lam if b == a else nu for b, (lam, nu) in enumerate(eig)]
+        # an overflow here is reported by the finiteness check below
+        with np.errstate(all="ignore"):
+            self._inv_weights = 1.0 / grid.weights
+            eig = [_axis_eigenvalues(length, m) for length, m in zip(grid.extents, grid.cells)]
+            # term a: lambda along axis a, nu along the others; added in axis order
+            terms = [
+                functools.reduce(
+                    np.multiply.outer, [lam if b == a else nu for b, (lam, nu) in enumerate(eig)]
+                )
+                for a in range(grid.ndim)
+            ]
+            divisor = functools.reduce(np.add, terms, 1.0 / tau) * math.prod(
+                2 * m for m in grid.cells
             )
-            for a in range(grid.ndim)
-        ]
-        divisor = functools.reduce(np.add, terms, 1.0 / tau) * math.prod(2 * m for m in grid.cells)
-        self._inv_divisor = 1.0 / divisor
+            self._inv_divisor = 1.0 / divisor
+        # a divisor that overflows would solve its mode as 0
+        if not (np.isfinite(self._inv_weights).all() and np.isfinite(divisor).all()):
+            cells = ", ".join(f"d{c} = {h:g}" for c, h in zip(COORDINATES, grid.spacing))
+            raise ValidationError(
+                f"the step's operator overflows for tau = {tau:g}, {cells}"
+            )
 
     def _dct1(self, v: np.ndarray) -> np.ndarray:
         # the grid's axes are the trailing axes of v, so one call transforms

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from kernrec import expr, forward, problem
 from kernrec.errors import DomainFaultError, ValidationError
-from kernrec.forward import (
-    KernelSeries,
-    TimeStepper,
-    _convolution_values,
-    run_forward,
-)
+from kernrec.forward import TimeStepper, _convolution_values, run_forward
 from kernrec.grid import SpatialGrid
 from kernrec.inverse import reconstruct
 from kernrec.problem import MeasurementSeries, ProblemSpec, TimeGrid, make_preset
@@ -110,7 +105,9 @@ class TestFastPathsAreBitIdentical:
     @pytest.mark.parametrize(
         "shape", [(51,), (2,), (17, 12), (9, 2)], ids=["1d", "1d-one-cell", "2d", "2d-one-cell"]
     )
-    @pytest.mark.parametrize("series", [None, 1, 3], ids=["one", "stack-1", "stack-3"])
+    @pytest.mark.parametrize(
+        "series", [None, 1, 3, 8], ids=["one", "stack-1", "stack-3", "stack-8"]
+    )
     def test_stacked_product_equals_each_series_gemv(self, shape, series):
         # the operands as _march lays them out: one series without the
         # series axis, or a stack of them
@@ -135,11 +132,10 @@ class TestFastPathsAreBitIdentical:
 
 class TestForwardStep:
     def test_constants_are_steady_states(self):
-        spec = _spec(u0="5")
+        spec = _spec(u0="5", kernel_exact="0")
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(16)
-        kernel = KernelSeries(tg, np.zeros(21))
-        run = run_forward(spec, grid, tg, kernel)
+        run = run_forward(spec, grid, tg)
         np.testing.assert_allclose(run.states, 5.0, atol=1e-12)
 
     def test_single_step_matches_run(self):
@@ -152,15 +148,16 @@ class TestForwardStep:
     def _check_single_step(spec):
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(20)
-        kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-        run = run_forward(spec, grid, tg, kernel)
+        kernel = tg.sample(spec.kernel_exact)
+        run = run_forward(spec, grid, tg)
+        assert np.array_equal(run.kernel, kernel)
         states = run.states
         stepper = TimeStepper(spec, grid, tg)
         f0 = stepper.f_field(0.0, states[0])
-        conv = _conv(kernel.values, states, 1, tg.tau)
+        conv = _conv(kernel, states, 1, tg.tau)
         nodes = tg.nodes
         _, (h1, _), (g1_load, _) = next(stepper.coefficients(nodes[:-1], nodes[1:], states))
-        u1 = stepper.step(kernel.values[1], states[0], f0, conv, h1, g1_load)
+        u1 = stepper.step(kernel[1], states[0], f0, conv, h1, g1_load)
         np.testing.assert_array_equal(u1, states[1])
 
     def test_too_small_grid_rejected(self):
@@ -173,8 +170,7 @@ class TestForwardStep:
         errors = {}
         for n in (50, 100):
             tg = TimeGrid(1.0, n)
-            kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-            run = run_forward(spec, grid, tg, kernel)
+            run = run_forward(spec, grid, tg)
             exact = expr.evaluate(spec.u_exact, {**grid.coordinate_fields(), "t": 1.0})
             errors[n] = np.abs(run.states[-1] - exact).max()
         rate = np.log(errors[50] / errors[100]) / np.log(2.0)
@@ -186,8 +182,7 @@ class TestForwardStep:
         for cells in (8, 16):
             grid = spec.make_grid(cells)
             tg = TimeGrid(1.0, 3200)  # time error pushed below the spatial one
-            kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-            run = run_forward(spec, grid, tg, kernel)
+            run = run_forward(spec, grid, tg)
             exact = expr.evaluate(spec.u_exact, {**grid.coordinate_fields(), "t": 1.0})
             errors[cells] = np.abs(run.states[-1] - exact).max()
         rate = np.log(errors[8] / errors[16]) / np.log(2.0)
@@ -197,8 +192,7 @@ class TestForwardStep:
         spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 50)
         grid = spec.make_grid(100)
-        kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-        run = run_forward(spec, grid, tg, kernel)
+        run = run_forward(spec, grid, tg)
         assert run.compat_residuals.max() <= 1e-9
 
     def test_stability_under_step_refinement(self):
@@ -209,8 +203,7 @@ class TestForwardStep:
 
         def max_norm(n):
             tg = TimeGrid(1.0, n)
-            kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-            run = run_forward(spec, grid, tg, kernel)
+            run = run_forward(spec, grid, tg)
             w = grid.weights
             return max(float(np.sum(w * u * u)) for u in run.states) ** 0.5
 
@@ -218,12 +211,6 @@ class TestForwardStep:
         coarse, fine = max_norm(50), max_norm(100)
         assert fine <= coarse * 1.01
         assert max(coarse, fine) <= limit * 1.001
-
-    def test_misaligned_kernel_rejected(self):
-        spec = make_preset("manufactured1d")
-        kernel = KernelSeries.from_expression(spec.kernel_exact, TimeGrid(1.0, 10))
-        with pytest.raises(ValidationError):
-            run_forward(spec, spec.make_grid(8), TimeGrid(1.0, 20), kernel)
 
 
 class TestOncePerStep:
@@ -272,9 +259,8 @@ class TestOncePerStep:
 
     def _forward_calls(self, monkeypatch, spec, n):
         tg = TimeGrid(1.0, n)
-        kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
         calls = self._spy(monkeypatch, spec)
-        run_forward(spec, spec.make_grid(20), tg, kernel)
+        run_forward(spec, spec.make_grid(20), tg)
         return calls
 
     def _reconstruct_calls(self, monkeypatch, spec, n, count=None):
@@ -450,21 +436,6 @@ class TestBlockPairs:
 
 
 class TestGenerateMeasurement:
-    @pytest.mark.parametrize(
-        "n, values, message",
-        [(10, np.zeros(10), r"^expected 11 kernel samples, got \(10,\)$"),
-         (10, np.full(11, np.nan), "^kernel series contains non-finite values$"),
-         (5, np.zeros(6), "^kernel series is not aligned with the time grid$"),
-         (10, np.zeros((2, 11)), "^a forward run takes one kernel series$"),
-         (10, np.zeros((2, 2, 11)), r"^expected 11 kernel samples, got \(2, 2, 11\)$")],
-        ids=["wrong-length", "non-finite", "other-grid", "stack", "three-axes"],
-    )
-    def test_bad_kernel_series_rejected(self, n, values, message):
-        spec = make_preset("manufactured1d")
-        with pytest.raises(ValidationError, match=message):
-            run_forward(spec, spec.make_grid(8), TimeGrid(1.0, 10),
-                        KernelSeries(TimeGrid(1.0, n), values))
-
     def test_tracks_exact_measurement(self):
         spec = make_preset("manufactured1d")
         errs = {}
@@ -477,10 +448,9 @@ class TestGenerateMeasurement:
         assert errs[100] / errs[200] > 1.5  # first-order decay
 
     def test_zero_data_gives_zero_exactly(self):
-        spec = _spec()
+        spec = _spec(kernel_exact="0")
         tg = TimeGrid(1.0, 30)
-        kernel = KernelSeries.from_expression(expr.parse("0"), tg)
-        run = run_forward(spec, spec.make_grid(10), tg, kernel, derivative="discrete")
+        run = run_forward(spec, spec.make_grid(10), tg, derivative="discrete")
         series = run.measurement
         assert np.all(series.values == 0.0)
 
@@ -497,8 +467,7 @@ class TestGenerateMeasurement:
         spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(20)
-        kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-        series = run_forward(spec, grid, tg, kernel, derivative="discrete").measurement
+        series = run_forward(spec, grid, tg, derivative="discrete").measurement
         assert series.provenance == "discrete-difference"
         # (f_0,1) - (g_0,1) - K_0 (h_0,1) with f three equals 2 - 0 - 1 here
         assert abs(series.initial_derivative - 1.0) < 1e-12
@@ -561,7 +530,7 @@ class TestGenerateMeasurement:
         # the lone nodes give the values the first blocks would
         f_mean, g_mean, h_mean = TimeStepper(spec, grid, tg).initial_means()
         run = runs["discrete"]
-        expected = f_mean - g_mean - run.kernel.values[0] * h_mean
+        expected = f_mean - g_mean - run.kernel[0] * h_mean
         assert run.measurement.initial_derivative == expected
         assert np.array_equal(run.measurement.values, runs["analytic"].measurement.values)
 
@@ -572,7 +541,7 @@ class TestGenerateMeasurement:
         grid = spec.make_grid(12)
         run = run_forward(spec, grid, tg, derivative="discrete")
         f_mean, g_mean, h_mean = TimeStepper(spec, grid, tg).initial_means()
-        expected = f_mean - g_mean - run.kernel.values[0] * h_mean
+        expected = f_mean - g_mean - run.kernel[0] * h_mean
         assert run.measurement.initial_derivative == expected
 
 
@@ -581,10 +550,11 @@ class TestTwoDimensional:
         spec = ProblemSpec(
             name="flat2d", extents=(1.0, 1.0), T=1.0, omega_floor=1.0,
             f=expr.parse("0"), h=expr.parse("0"), g=expr.parse("0"), u0=expr.parse("2"),
+            kernel_exact=expr.parse("0"),
         )
         tg = TimeGrid(1.0, 5)
         grid = spec.make_grid(8, 8)
-        run = run_forward(spec, grid, tg, KernelSeries(tg, np.zeros(6)))
+        run = run_forward(spec, grid, tg)
         np.testing.assert_allclose(run.states, 2.0, atol=1e-10)
 
     def test_manufactured_2d_compat(self):
@@ -598,8 +568,7 @@ class TestTwoDimensional:
         )
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(24, 24)
-        kernel = KernelSeries.from_expression(spec.kernel_exact, tg)
-        run = run_forward(spec, grid, tg, kernel)
+        run = run_forward(spec, grid, tg)
         assert run.compat_residuals.max() <= 1e-9
         exact = expr.evaluate(spec.u_exact, {**grid.coordinate_fields(), "t": 1.0})
         assert np.abs(run.states[-1] - exact).max() < 0.1

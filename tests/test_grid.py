@@ -53,9 +53,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^grid must be 1D or 2D with matching extents/cells$"):
             SpatialGrid(extents, cells)
 
-    def test_bad_extent(self):
-        with pytest.raises(ValueError):
-            SpatialGrid((-1.0,), (4,))
+    @pytest.mark.parametrize(
+        "extents, shown",
+        [((-1.0,), "-1.0"), ((float("nan"),), "nan"), ((1.0, float("nan")), "nan")],
+        ids=["negative", "nan-x", "nan-y"],
+    )
+    def test_bad_extent(self, extents, shown):
+        with pytest.raises(ValueError, match=f"^extent must be positive, got {shown}$"):
+            SpatialGrid(extents, (4,) * len(extents))
 
 
 @pytest.mark.parametrize(

@@ -492,7 +492,7 @@ class TestNoiseSweep:
         rng = np.random.default_rng(5)
         for sigma, row in zip([1e-4, 1e-3], rows, strict=True):
             result = kernrec.reconstruct(cfg.spec, grid, tg, base.with_noise(sigma, rng))
-            err = np.abs(result.kernel.values - ref)
+            err = np.abs(result.kernel - ref)
             assert row["sigma"] == sigma
             assert row["err_inf"] == float(np.max(err))
             assert row["err_inf_after_0"] == float(np.max(err[1:]))
@@ -795,14 +795,24 @@ class TestConfigHandling:
          (["roundtrip", "--n", "4"], _MANUFACTURED_WITHOUT_M.replace("lx = 1.0", "lx = 1e-200"),
           "cell size dx = lx/mx = 1e-200/2: its square underflows"),
          (["roundtrip", "--n", "4"], _MANUFACTURED_2D.replace('ly = "1.0"', 'ly = "1e-200"'),
-          "cell size dy = ly/my = 1e-200/2: its square underflows")],
+          "cell size dy = ly/my = 1e-200/2: its square underflows"),
+         (["forward", "--preset", "manufactured1d", "--n", "10", "--T", "1e-307"], "",
+          "the step's operator overflows for tau = 1e-308, dx = 0.5"),
+         (["reconstruct", "--preset", "manufactured1d", "--n", "10", "--T", "1e-307"], "",
+          "the step's operator overflows for tau = 1e-308, dx = 0.5"),
+         (["roundtrip", "--n", "4"],
+          _MANUFACTURED_2D.replace('lx = "1.0"', 'lx = "2e-154"')
+          .replace('ly = "1.0"', 'ly = "2e-154"'),
+          "the step's operator overflows for tau = 0.25, dx = 1e-154, dy = 1e-154")],
         ids=["tau-zero", "tau-reciprocal-overflows", "dx-square-overflows",
-             "dx-square-underflows", "dy-square-underflows"],
+             "dx-square-underflows", "dy-square-underflows", "forward-step-operator-overflows",
+             "reconstruct-step-operator-overflows", "stencil-overflows"],
     )
     def test_step_or_cell_out_of_range_is_validation_failure(
         self, tmp_path, capsys, argv, config, message
     ):
-        # 1/tau and 1/dx^2 enter the step's operator: each must be finite
+        # 1/tau and 1/dx^2 enter the step's operator: each must be finite,
+        # and so must the operator's eigenvalues
         if config:
             cfg = tmp_path / "p.cfg"
             cfg.write_text(config, encoding="utf-8")

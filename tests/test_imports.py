@@ -1,11 +1,15 @@
-"""Every name that a module of ``src/kernrec`` imports is used in it."""
+"""Every name that a module of ``src/kernrec``, ``tests`` or ``tools`` imports
+is used in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "kernrec"
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path for folder in ("src/kernrec", "tests", "tools") for path in (ROOT / folder).glob("*.py")
+)
 
 
 def unused_imports(text: str) -> list[str]:
@@ -41,6 +45,6 @@ def test_an_unused_import_is_found():
     assert unused_imports(text) == ["KernrecError (line 3)"]
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

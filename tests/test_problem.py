@@ -35,6 +35,14 @@ class TestTimeGrid:
         assert tg.tau == 0.5
         np.testing.assert_allclose(tg.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    def test_sample_is_an_expression_at_the_nodes(self):
+        tg = TimeGrid(2.0, 4)
+        assert np.array_equal(tg.sample(expr.parse("exp(-t)")), np.exp(-tg.nodes))
+        # a constant is broadcast into a new array that the caller may write
+        constant = tg.sample(expr.parse("3"))
+        assert constant.shape == (5,) and constant.flags.writeable
+        assert np.all(constant == 3.0)
+
     def test_nodes_built_once_and_read_only(self):
         tg = TimeGrid(1.0, 10)
         assert tg.nodes is tg.nodes

@@ -1,6 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from kernrec.errors import ValidationError
 from kernrec.grid import SpatialGrid, stiffness_matvec
 from kernrec.solver import SpectralSolver
 from oracles import (
@@ -189,20 +193,37 @@ class TestSpectralSolver:
         residual = grid.weights / tau * x + stiffness_matvec(grid, x) - b
         assert np.linalg.norm(residual.ravel()) <= 1e-13 * np.linalg.norm(b.ravel())
 
+    @pytest.mark.parametrize("rows", [1, 3, 8, 9])
     @pytest.mark.parametrize(
         "extents,cells",
         [((1.0,), (50,)), ((2.0,), (1,)), ((1.0, 2.0), (12, 30)), ((1.0, 2.0), (1, 7))],
     )
-    def test_stack_is_solved_row_by_row(self, extents, cells):
+    def test_stack_is_solved_row_by_row(self, extents, cells, rows):
         # the grid's axes trail: one solve of a stack of right-hand sides,
         # contiguous or a march's strided view of one step, gives each row's
-        # own solution bit for bit
+        # own solution bit for bit, for stacks as large as a sweep's levels
         grid = SpatialGrid(extents, cells)
         solver = SpectralSolver(grid, 0.05)
-        states = np.random.default_rng(4).normal(size=(3, 5, *grid.shape))[:, ::-1]
+        states = np.random.default_rng(4).normal(size=(rows, 5, *grid.shape))[:, ::-1]
         for stack in (np.ascontiguousarray(states[:, 2]), states[:, 2]):
             solved = solver.solve(stack)
             assert solved.shape == stack.shape
             for row, b in zip(solved, stack, strict=True):
                 assert np.array_equal(row, solver.solve(b))
 
+
+    @pytest.mark.parametrize(
+        "grid, tau, message",
+        [(SpatialGrid((1.0,), (2,)), 1e-308,
+          "the step's operator overflows for tau = 1e-308, dx = 0.5"),
+         (SpatialGrid((2e-154, 2e-154), (2, 2)), 0.1,
+          "the step's operator overflows for tau = 0.1, dx = 1e-154, dy = 1e-154")],
+        ids=["reciprocal-step", "stencil"],
+    )
+    def test_operator_that_overflows_is_validation_failure(self, grid, tau, message):
+        # 1/tau and 1/dx^2 are finite, but (1/tau) times the DCT's 2M, or the
+        # stencil's 4/dx^2, is not: such a mode would be solved as 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                SpectralSolver(grid, tau)
