@@ -44,12 +44,12 @@ per step: the pairs, K_i (read off their means by the reconstruction),
 conv_i (formed after K_i, which it includes), the elliptic solve, the
 finiteness check of u_i and (conv_i,1), the only mean the loop forms.
 The step records (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) as
-it used them.  Once per run, after the loop: M_i = (u_i,1) for all
-states, in the blocks of ``problem.block_slices``, and from them and the
-recorded sums the identity residuals of all steps
-(``TimeStepper.compat_residual``); in a march of one series, a traced
-step gets its residual from the same function, applied to that step
-alone, as soon as it is done.
+it used them.  Once per run, after the loop, in one call for all
+series (``TimeStepper.compat_residual``): M_i = (u_i,1) for all states,
+in the blocks of ``problem.block_slices``, and from them and the
+recorded sums the identity residuals of all steps; in a march of one
+series, a traced step gets its residual from the same function, applied
+to that step alone, as soon as it is done.
 
 The loop advances a stack of series on one grid and step size at once,
 such as the levels of a noise sweep; a forward run or a single
@@ -60,9 +60,9 @@ one elliptic solve whose transforms run along the grid's trailing axes,
 one ``f_field`` call for an f that reads the state and one
 ``SpatialGrid.integral`` for the means, and one convolution: one
 stacked product, whose rows are each series' own gemv.  Each series
-keeps its own kernel update and its own residuals, so every number of a
-series is the one a march of that series alone computes.  A fault in
-any series ends the march at once.
+keeps its own kernel update, so every number of a series is the one a
+march of that series alone computes.  A fault in any series ends the
+march at once.
 
 The states are stored newest-first: the loop allocates its
 (series, n+1, *grid.shape) buffer and works on the view reversed in
@@ -116,6 +116,12 @@ def _convolution_values(
 # and u is u_0, finite by expr.sample, or a state the march has checked.
 # A gradient of a finite u can overflow, so p and q are checked.
 _CHECKED = frozenset({"t", "u"})
+
+
+def _check_domain(spec: ProblemSpec, grid: SpatialGrid) -> None:
+    """A grid on other extents would pose another problem than ``spec``."""
+    if grid.extents != spec.extents:
+        raise ValidationError(f"grid extents {grid.extents} are not the domain {spec.extents}")
 
 
 class TimeStepper:
@@ -184,29 +190,33 @@ class TimeStepper:
         return self._solver.solve(self.grid.weights * load - g_load)
 
     def compat_residual(
-        self,
-        states: np.ndarray,
-        kernel_values: np.ndarray,
-        sums: list[tuple[float, float, float, float]],
+        self, states: np.ndarray, kernel_values: np.ndarray, sums: list[tuple]
     ) -> tuple[np.ndarray, np.ndarray]:
         """M = (u,1) of consecutive states, and the relative measurement
-        identity residual of each step between them.
+        identity residual of each step between them, for one series or a
+        stack.
 
         ``states`` holds u_{i-1}..u_{i+m}, ``kernel_values`` K_{i-1}..K_{i+m},
         and row k of ``sums`` the (f_{j-1},1), (h_j,1), (g_j,1)_Gamma and
-        (conv_j,1) that step j = i+k used.  The means are formed in blocks
-        of ``problem.block_slices``, each as the step's own, and each
+        (conv_j,1) that step j = i+k used.  Leading axes of ``states`` and
+        ``kernel_values`` number the series of a stack; a step's
+        (f_{j-1},1) and (conv_j,1) are then one per series, or (f_{j-1},1)
+        one for all.  The means are formed step-major in blocks of
+        ``problem.block_slices``, each as the step's own, and each
         residual |dM_j + (g_j,1)_Gamma + K_j (h_j,1) + (conv_j,1) - (f_{j-1},1)|,
         summed in that order, is divided by the largest of its terms.
         """
-        measured = np.empty(states.shape[0])
-        for rows in problem.block_slices(states.shape[0], self.grid.weights.size):
-            measured[rows] = self.grid.integral(states[rows])
-        f_mean, h_mean, g_mean, conv_mean = np.asarray(sums, dtype=float).T
-        terms = np.stack((
-            (measured[1:] - measured[:-1]) / self.tau,
+        by_step = np.moveaxis(states, -1 - self.grid.ndim, 0)
+        measured = np.empty(by_step.shape[: -self.grid.ndim])
+        for rows in problem.block_slices(by_step.shape[0], by_step[0].size):
+            measured[rows] = self.grid.integral(by_step[rows])
+        measured = np.moveaxis(measured, 0, -1)
+        # each mean of all steps: (steps,), or (series, steps) if one per series
+        f_mean, h_mean, g_mean, conv_mean = (np.array(c, dtype=float).T for c in zip(*sums))
+        terms = np.stack(np.broadcast_arrays(
+            (measured[..., 1:] - measured[..., :-1]) / self.tau,
             g_mean,
-            kernel_values[1:] * h_mean,
+            kernel_values[..., 1:] * h_mean,
             conv_mean,
             -f_mean,
         ))
@@ -235,13 +245,6 @@ def _update_each(
     f_means = f_mean if isinstance(f_mean, list) else repeat(f_mean)
     for update, f in zip(updates, f_means):
         update(i, f, h_mean, g_mean)
-
-
-def _sums(steps: list[tuple], batch: int, row: int) -> list[tuple[float, float, float, float]]:
-    """The four means of each step of series ``row`` of a stack of ``batch``."""
-    if batch == 1:
-        return steps
-    return [(f if isinstance(f, float) else f[row], h, g, conv[row]) for f, h, g, conv in steps]
 
 
 def _march(
@@ -289,7 +292,7 @@ def _march(
             update = partial(_update_each, kernel_update)
     # per step: (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1); in a
     # stack of several series, one (conv_i,1) and, for an f that reads the
-    # state, one (f_{i-1},1) per series (``_sums``)
+    # state, one (f_{i-1},1) per series
     steps = []
     nodes = stepper.timegrid.nodes
     coefficients = stepper.coefficients(nodes[:-1], nodes[1:], u_by_step)
@@ -317,11 +320,7 @@ def _march(
                     u_by_step[window], k_by_step[window], steps[-1:]
                 )
                 on_step(i, residual[0])
-        measured, residuals = np.empty((batch, n + 1)), np.empty((batch, n))
-        for row in range(batch):
-            measured[row], residuals[row] = stepper.compat_residual(
-                states[row], kernel_values[row], _sums(steps, batch, row)
-            )
+        measured, residuals = stepper.compat_residual(states, kernel_values, steps)
     return states, measured, residuals
 
 
@@ -345,6 +344,7 @@ def run_forward(
         )
     if spec.kernel_exact is None:
         raise ValidationError("no kernel available to generate data")
+    _check_domain(spec, grid)
     kernel = timegrid.sample(spec.kernel_exact)
     stepper = TimeStepper(spec, grid, timegrid)
     (states,), (measured,), (residuals,) = _march(stepper, kernel[None])

@@ -26,11 +26,13 @@ means and the exact K(0) are formed once per call, for all its series.
 K_0 never enters the time stepping; it only completes the reported kernel.
 
 The stability functionals of ``Diagnostics`` are computed from the
-finished trajectory after the loop, in the blocks of states that
-``problem.block_slices`` cuts, with one stiffness product per block;
-the last state of a block and its A u are carried into the next for
-the increments, so no state is multiplied by A twice.  Each value is
-formed row by row, so it does not depend on the block size.
+finished trajectories of all series after the loop, in one walk over
+the blocks of steps that ``problem.block_slices`` cuts, with one
+stiffness product per block; the last states of a block and their A u
+are carried into the next for the increments, so no state is
+multiplied by A twice.  Each value is formed state by state, and each
+series' sums run along its own row, so no value depends on the block
+size or on the other series; a stack reports the worst over its series.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import expr
 from .errors import NonFiniteError, SingularUpdateError, StepThresholdError, ValidationError
-from .forward import TimeStepper, _march
+from .forward import TimeStepper, _check_domain, _march
 from .grid import SpatialGrid, stiffness_matvec
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid, block_slices, validate_floor
 
@@ -108,9 +110,10 @@ class ReconstructionResult(NamedTuple):
     threshold: ThresholdReport | tuple[ThresholdReport, ...]
 
 
-def kernel_difference_energy(values: np.ndarray, tau: float) -> float:
-    """sum_i ((K_i - K_{i-1}) / tau)^2 tau over the kernel samples K_0..K_n."""
-    return float(np.sum(np.diff(values) ** 2)) / tau
+def kernel_difference_energy(values: np.ndarray, tau: float) -> float | np.ndarray:
+    """sum_i ((K_i - K_{i-1}) / tau)^2 tau over the kernel samples K_0..K_n,
+    the last axis, of one series or of each series of a stack."""
+    return np.sum(np.diff(values) ** 2, axis=-1) / tau
 
 
 def _diagnostics(
@@ -121,29 +124,33 @@ def _diagnostics(
     denominators: np.ndarray,
     residuals: np.ndarray,
 ) -> Diagnostics:
-    """Stability functionals of a finished reconstruction.
+    """Stability functionals of a finished reconstruction, the worst over
+    the series of a stack.
 
-    One stiffness product per block gives A u_i, and A (u_i - u_{i-1}) =
-    A u_i - A u_{i-1}; the increment into a block's first state takes
-    A u_{i-1} carried from the block before.
+    Leading axes of the arrays number the series.  The states are walked
+    step-major, one stiffness product per block for all series: A u_i, and
+    A (u_i - u_{i-1}) = A u_i - A u_{i-1}, the increment into a block's
+    first state taking A u_{i-1} carried from the block before.  Each
+    series' values per state then become one contiguous row, summed along
+    it, as a series alone sums them.
     """
-    n = states.shape[0] - 1
-    axes = tuple(range(1, grid.ndim + 1))
-    state_sq = np.empty(n + 1)  # ||u_i||^2
-    grad_sq = np.empty(n + 1)  # ||grad u_i||^2 = (A u_i, u_i)
-    lap_sq = np.empty(n + 1)  # ||lumped stiffness residual of u_i||^2
-    inc_sq = np.empty(n)  # ||u_i - u_{i-1}||^2
-    grad_inc_sq = np.empty(n)  # ||grad(u_i - u_{i-1})||^2
-    for rows in block_slices(n + 1, grid.weights.size):
+    by_step = np.moveaxis(states, -1 - grid.ndim, 0)
+    n, lead = by_step.shape[0] - 1, by_step.shape[1 : -grid.ndim]
+    axes = tuple(range(-grid.ndim, 0))
+    # ||u_i||^2, ||grad u_i||^2 = (A u_i, u_i), ||lumped stiffness residual of u_i||^2
+    state_sq, grad_sq, lap_sq = per_state = np.empty((3, n + 1, *lead))
+    # ||u_i - u_{i-1}||^2, ||grad(u_i - u_{i-1})||^2
+    inc_sq, grad_inc_sq = per_step = np.empty((2, n, *lead))
+    for rows in block_slices(n + 1, by_step[0].size):
         lo, hi = rows.start, rows.stop
-        u = states[rows]
+        u = by_step[rows]
         au = stiffness_matvec(grid, u)
         state_sq[lo:hi] = grid.integral(u**2)
         grad_sq[lo:hi] = np.sum(au * u, axis=axes)
         lap_sq[lo:hi] = grid.integral((au / grid.weights) ** 2)
         # increments i = first..hi-1, from the previous block's last state on
         first = max(lo, 1)
-        du = u[first - lo :] - states[first - 1 : hi - 1]
+        du = u[first - lo :] - by_step[first - 1 : hi - 1]
         dau = np.empty_like(du)
         if lo:
             np.subtract(au[0], au_last, out=dau[0])
@@ -151,17 +158,20 @@ def _diagnostics(
         inc_sq[first - 1 : hi - 1] = grid.integral(du**2)
         grad_inc_sq[first - 1 : hi - 1] = np.sum(dau * du, axis=axes)
         au_last = au[-1].copy()
-    state_increment = float(np.sum(inc_sq))
+    # each series' values as one contiguous row: numpy sums a strided axis in another order
+    state_sq, grad_sq, lap_sq = np.moveaxis(per_state, 1, -1).copy()
+    inc_sq, grad_inc_sq = np.moveaxis(per_step, 1, -1).copy()
+    state_increment = np.sum(inc_sq, axis=-1)
     return Diagnostics(
         max_abs_kernel=float(np.max(np.abs(kernel_values))),
         max_state_norm_sq=float(np.max(state_sq)),
-        grad_energy=float(np.sum(grad_sq[1:])) * tau,
-        state_increment_sum_sq=state_increment,
+        grad_energy=float(np.max(np.sum(grad_sq[..., 1:], axis=-1) * tau)),
+        state_increment_sum_sq=float(np.max(state_increment)),
         max_grad_norm_sq=float(np.max(grad_sq)),
-        time_derivative_energy=state_increment / tau,
-        grad_increment_sum_sq=float(np.sum(grad_inc_sq)),
-        laplacian_energy=float(np.sum(lap_sq[1:])) * tau,
-        kernel_derivative_energy=kernel_difference_energy(kernel_values, tau),
+        time_derivative_energy=float(np.max(state_increment / tau)),
+        grad_increment_sum_sq=float(np.max(np.sum(grad_inc_sq, axis=-1))),
+        laplacian_energy=float(np.max(np.sum(lap_sq[..., 1:], axis=-1) * tau)),
+        kernel_derivative_energy=float(np.max(kernel_difference_energy(kernel_values, tau))),
         min_denominator_magnitude=float(np.min(np.abs(denominators))),
         max_compat_residual=float(np.max(residuals)),
     )
@@ -199,16 +209,6 @@ def _kernel_update(
     return update
 
 
-def _worst(diagnostics: list[Diagnostics]) -> Diagnostics:
-    """Each functional's largest value over the series, and the smallest
-    denominator magnitude."""
-    table = np.array(diagnostics)
-    worst = np.max(table, axis=0)
-    column = Diagnostics._fields.index("min_denominator_magnitude")
-    worst[column] = np.min(table[:, column])
-    return Diagnostics(*worst.tolist())
-
-
 def reconstruct(
     spec: ProblemSpec,
     grid: SpatialGrid,
@@ -232,7 +232,7 @@ def reconstruct(
     warnings and update.  The kernel values, states, denominators and
     residuals of the result then gain a leading axis, ``threshold`` holds
     one report per series, and ``diagnostics`` is the worst over the
-    series (``_worst``).  A single series' warnings and trace rows come as
+    series.  A single series' warnings and trace rows come as
     they happen; a sequence's come once the march is done, each series'
     warnings and then its trace rows, series by series.  A fault raises
     at once, before any of them.
@@ -243,6 +243,7 @@ def reconstruct(
         raise ValidationError("no measurement series to reconstruct")
     if any(data.timegrid != timegrid for data in series):
         raise ValidationError("measurement is not aligned with the time grid")
+    _check_domain(spec, grid)
     validate_floor(spec, grid, timegrid)
     n, tau = timegrid.n, timegrid.tau
     kernel_values = np.empty((len(series), n + 1))
@@ -307,12 +308,9 @@ def reconstruct(
             trace_row(row, i, residuals[row, i - 1])
     # a functional that overflows is reported by the run's finiteness check
     with np.errstate(all="ignore"):
-        diagnostics = [
-            _diagnostics(grid, tau, *rows)
-            for rows in zip(states, kernel_values, denominators, residuals)
-        ]
+        diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
     if live:
-        return ReconstructionResult(kernel_values[0], states[0], diagnostics[0],
+        return ReconstructionResult(kernel_values[0], states[0], diagnostics,
                                     denominators[0], residuals[0], thresholds[0])
-    return ReconstructionResult(kernel_values, states, _worst(diagnostics), denominators,
+    return ReconstructionResult(kernel_values, states, diagnostics, denominators,
                                 residuals, tuple(thresholds))

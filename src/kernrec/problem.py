@@ -135,7 +135,7 @@ class ProblemSpec:
         return SpatialGrid(self.extents, cells[: self.ndim])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSeries:
     """Samples m_0..m_n, the m'_1..m'_n given with them or None, and m'(0)
     or None.
@@ -144,7 +144,7 @@ class MeasurementSeries:
     differences (m_i - m_{i-1}) / tau of the samples, and ``provenance``
     says which: "analytic" or "discrete-difference".
     ``initial_derivative`` carries m'(0) when known; it is only needed
-    to pin the kernel value at t=0.
+    to pin the kernel value at t=0.  A series compares and hashes by identity.
     """
 
     timegrid: TimeGrid

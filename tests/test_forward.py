@@ -435,6 +435,35 @@ class TestBlockPairs:
             assert j == n
 
 
+class TestDomain:
+    """A grid that is not the problem's domain is rejected, naming both
+    extents, before the floor check or any evaluation."""
+
+    @pytest.mark.parametrize(
+        "grid", [SpatialGrid((2.0,), (40,)), SpatialGrid((1.0, 1.0), (40, 40))],
+        ids=["longer", "square"],
+    )
+    def test_reconstruct(self, grid):
+        # h = 0 fails the floor check, and f faults at t = 0.5
+        spec = _spec(f="1/(t - 0.5)", h="0")
+        tg = TimeGrid(1.0, 20)
+        with pytest.raises(ValidationError) as error:
+            reconstruct(spec, grid, tg, MeasurementSeries(tg, np.zeros(tg.n + 1)))
+        assert error.type is ValidationError
+        assert str(error.value) == f"grid extents {grid.extents} are not the domain (1.0,)"
+
+    def test_run_forward(self):
+        # the kernel faults at t = 0.5 and u0 at x = 0.5, as on the spec's own grid
+        spec = _spec(u0="1/(x - 0.5)", kernel_exact="1/(t - 0.5)")
+        tg = TimeGrid(1.0, 20)
+        with pytest.raises(DomainFaultError):
+            run_forward(spec, spec.make_grid(8), tg)
+        with pytest.raises(ValidationError) as error:
+            run_forward(spec, SpatialGrid((1.0, 3.0), (8, 8)), tg)
+        assert error.type is ValidationError
+        assert str(error.value) == "grid extents (1.0, 3.0) are not the domain (1.0,)"
+
+
 class TestGenerateMeasurement:
     def test_tracks_exact_measurement(self):
         spec = make_preset("manufactured1d")

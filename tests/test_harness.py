@@ -1966,3 +1966,41 @@ def test_kernel_overflow_after_the_first_step_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line.split()[0] for line in err[:-1]] == ["step=1"]
     assert err[-1] == "kernrec: numerical failure: kernel value is not finite"
+
+
+# the four benchmark workloads at their small sizes: the benchmark reads
+# its identity residual off each reconstruct() the command makes
+_WORKLOADS = {
+    "fine1d": ["reconstruct", "--preset", "manufactured1d", "--n", "20", "--mx", "200"],
+    "long1d": ["reconstruct", "--preset", "manufactured1d", "--n", "200", "--mx", "10"],
+    "grid2d": ["reconstruct", "--config", "{config}", "--n", "10", "--mx", "16"],
+    "sweep1d": ["noise-sweep", "--preset", "contaminant", "--n", "30", "--mx", "20",
+                "--noise", "1e-06,1e-05,0.0001,0.001", "--seed", "0"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:initial kernel value:RuntimeWarning")  # noisy K_0
+@pytest.mark.parametrize("name", list(_WORKLOADS))
+def test_benchmark_residual_is_the_reports(tmp_path, monkeypatch, name):
+    config = tmp_path / "manufactured2d.ini"
+    config.write_text(
+        "[problem]\n" + "".join(f'{key} = "{value}"\n' for key, value in MANUFACTURED_2D.items()),
+        encoding="utf-8",
+    )
+    sampled, reconstruct = [], harness.reconstruct
+
+    def wrapper(*args, **kwargs):
+        result = reconstruct(*args, **kwargs)
+        sampled.append(result.diagnostics.max_compat_residual)
+        return result
+
+    monkeypatch.setattr(harness, "reconstruct", wrapper)
+    argv = [arg.format(config=config) for arg in _WORKLOADS[name]]
+    report_path = tmp_path / "report.json"
+    assert run_cli([*argv, "--out", str(tmp_path / "out.csv"), "--json", str(report_path)]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    if "rows" in report:
+        reported = max(row["max_compat_residual"] for row in report["rows"])
+    else:
+        reported = report["diagnostics"]["max_compat_residual"]
+    assert sampled and max(sampled) == reported

@@ -153,6 +153,71 @@ class TestTrajectoryWalk:
         assert result.compat_residuals.tolist() == residuals
         assert result.diagnostics._asdict() == _stepwise_diagnostics(grid, tg.tau, result)
 
+    # three noisy series marched together, with one, three or all steps of
+    # the stack in each block of the walks after the march
+    _problems = pytest.mark.parametrize(
+        "spec, n, cells",
+        [(make_preset("manufactured1d"), 40, (30,)),
+         (spec_from_mapping(MANUFACTURED_2D), 10, (12, 9))],
+        ids=["1d", "2d"],
+    )
+    _blocks = pytest.mark.parametrize("steps_per_block", [1, 3, None], ids=["one", "three", "all"])
+
+    @staticmethod
+    def _stack(monkeypatch, spec, n, cells, steps_per_block):
+        tg, grid = TimeGrid(1.0, n), spec.make_grid(*cells)
+        block = (steps_per_block or n + 1) * 3 * grid.weights.size
+        monkeypatch.setattr(problem, "BLOCK_VALUES", block)
+        base = run_forward(spec, grid, tg, derivative="discrete").measurement
+        rng = np.random.default_rng(5)
+        series = [base.with_noise(sigma, rng) for sigma in (1e-5, 1e-4, 1e-3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # noisy K_0 disagrees with the exact kernel
+            return tg, grid, reconstruct(spec, grid, tg, series)
+
+    @_blocks
+    @_problems
+    def test_a_stack_reports_its_worst_series(self, monkeypatch, spec, n, cells, steps_per_block):
+        tg, grid, stacked = self._stack(monkeypatch, spec, n, cells, steps_per_block)
+        arrays = ("kernel", "states", "denominators", "compat_residuals")
+        rows = [
+            _stepwise_diagnostics(grid, tg.tau, stacked._replace(
+                **{name: getattr(stacked, name)[row] for name in arrays}))
+            for row in range(3)
+        ]
+        for name, value in stacked.diagnostics._asdict().items():
+            worst = min if name == "min_denominator_magnitude" else max
+            assert value == worst(reference[name] for reference in rows), name
+
+    @pytest.mark.parametrize("f", [None, "exp(-t)*u + 1"], ids=["f-without-u", "f-reads-u"])
+    @_blocks
+    @_problems
+    def test_a_stack_residual_is_its_rows(self, monkeypatch, spec, n, cells, steps_per_block, f):
+        if f is not None:
+            spec = replace(spec, f=expr.parse(f))
+        tg, grid, stacked = self._stack(monkeypatch, spec, n, cells, steps_per_block)
+        states, kernel = stacked.states, stacked.kernel
+        stepper = TimeStepper(spec, grid, tg)
+        # the sums of each step as the march records them, for the stack
+        # and for each series alone
+        stack_sums, row_sums = [], [[], [], []]
+        pairs = stepper.coefficients(tg.nodes[:-1], tg.nodes[1:], states.swapaxes(0, 1))
+        for i, ((_, f_mean), (_, h_mean), (_, g_mean)) in enumerate(pairs, 1):
+            conv = [grid.integral((k[1 : i + 1] @ u[i - 1 :: -1].reshape(i, -1)
+                                   * tg.tau).reshape(grid.shape))
+                    for k, u in zip(kernel, states)]
+            stack_sums.append((f_mean, h_mean, g_mean, np.array(conv)))
+            for row, sums in enumerate(row_sums):
+                f_row = f_mean[row] if isinstance(f_mean, list) else f_mean
+                sums.append((f_row, h_mean, g_mean, conv[row]))
+        assert isinstance(f_mean, list) == (f is not None)  # one (f,1) per series
+        measured, residuals = stepper.compat_residual(states, kernel, stack_sums)
+        assert np.array_equal(residuals, stacked.compat_residuals)
+        for row, sums in enumerate(row_sums):
+            alone = stepper.compat_residual(states[row], kernel[row], sums)
+            assert np.array_equal(measured[row], alone[0])
+            assert np.array_equal(residuals[row], alone[1])
+
 
 class TestStepThreshold:
     def test_passes_with_margin(self):

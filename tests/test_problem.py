@@ -529,6 +529,14 @@ class TestMeasurementSeries:
         np.testing.assert_allclose(series.values, 1.0 + tg.nodes)
         np.testing.assert_allclose(series.derivatives, 1.0)
 
+    def test_compares_and_hashes_by_identity(self):
+        series = MeasurementSeries(TimeGrid(1.0, 4), np.arange(5.0))
+        copy = replace(series)
+        assert np.array_equal(copy.values, series.values)
+        assert series == series and copy != series
+        assert series in [copy, series] and copy not in [series]
+        assert len({series, copy, series}) == 2
+
     def test_restrict_subsamples(self):
         fine = TimeGrid(1.0, 100)
         series = MeasurementSeries(fine, np.sin(fine.nodes))
