@@ -217,8 +217,11 @@ class MeasurementSeries:
 
     def with_noise(self, sigma: float, rng: np.random.Generator) -> "MeasurementSeries":
         """Additive i.i.d. Gaussian perturbation; derivatives re-differenced."""
+        if not math.isfinite(sigma):
+            raise ValidationError(f"noise level must be finite, got sigma = {sigma:g}")
         if sigma < 0:
             raise ValidationError("noise level must be nonnegative")
+        sigma = abs(sigma)  # -0.0 is 0; numpy's normal rejects it as a negative scale
         with np.errstate(all="ignore"):  # the constructor rejects a non-finite sum
             noisy = self.values + rng.normal(0.0, sigma, size=self.values.shape)
         try:

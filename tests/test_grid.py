@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernrec.grid import SpatialGrid, nodal_gradient, stiffness_matvec
-from oracles import stiffness_diagonal
+from oracles import dense_stiffness
 
 
 @pytest.fixture
@@ -171,12 +171,18 @@ class TestStiffness:
             scale = np.abs(stiffness_matvec(g, u)).max()
             assert abs(_energy(g, u, one)) <= 1e-12 * max(1.0, scale)
 
-    def test_diagonal_matches_matvec(self, unit_square):
-        d = stiffness_diagonal(unit_square)
-        for flat in (0, 7, 12):
-            e = np.zeros(unit_square.shape)
-            e.ravel()[flat] = 1.0
-            assert abs(stiffness_matvec(unit_square, e).ravel()[flat] - d.ravel()[flat]) < 1e-12
+    @pytest.mark.parametrize(
+        "extents,cells",
+        [((1.0,), (10,)), ((1.0,), (1,)), ((1.0, 2.0), (4, 3)), ((1.0, 2.0), (1, 3))],
+        ids=["10", "1", "4x3", "1x3"],
+    )
+    def test_matvec_is_the_assembled_matrix(self, extents, cells):
+        # A applied to each unit field, as one stack, is A column by column
+        g = SpatialGrid(extents, cells)
+        dense = dense_stiffness(g)
+        units = np.eye(len(dense)).reshape(-1, *g.shape)
+        columns = stiffness_matvec(g, units).reshape(len(dense), -1).T
+        assert np.abs(columns - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_grad_seminorm_of_constant(self, unit_interval):
         u = np.full(unit_interval.shape, 5.0)

@@ -567,20 +567,28 @@ class TestMeasurementSeries:
         with pytest.raises(ValidationError, match="^restriction requires the same time horizon$"):
             series.restrict(TimeGrid(2.0, 2))
 
-    def test_negative_noise_rejected(self):
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [(-1.0, "nonnegative"), (-5e-324, "nonnegative"), (math.nan, "finite, got sigma = nan"),
+         (math.inf, "finite, got sigma = inf"), (-math.inf, "finite, got sigma = -inf")],
+        ids=["negative", "minus-subnormal", "nan", "inf", "minus-inf"],
+    )
+    def test_bad_noise_rejected(self, sigma, message):
         series = MeasurementSeries(TimeGrid(1.0, 4), np.zeros(5))
-        with pytest.raises(ValidationError, match="^noise level must be nonnegative$"):
-            series.with_noise(-1.0, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=f"^noise level must be {message}$"):
+            series.with_noise(sigma, np.random.default_rng(0))
 
-    def test_noise_recomputes_differences(self):
+    @pytest.mark.parametrize("sigma", [0.01, 5e-324, 1e300, 0.0, -0.0],
+                             ids=["small", "subnormal", "large", "zero", "minus-zero"])
+    def test_noise_recomputes_differences(self, sigma):
         tg = TimeGrid(1.0, 50)
-        base = MeasurementSeries.from_expressions(
-            tg, expr.parse("1+t"), expr.parse("1")
-        )
-        noisy = base.with_noise(0.01, np.random.default_rng(0))
+        base = MeasurementSeries.from_expressions(tg, expr.parse("1+t"), expr.parse("1"))
+        noisy = base.with_noise(sigma, np.random.default_rng(0))
         assert noisy.provenance == "discrete-difference"
         np.testing.assert_allclose(noisy.derivatives, np.diff(noisy.values) / tg.tau)
-        assert np.abs(noisy.values - base.values).max() < 0.1
+        # numpy's normal draws, bit for bit, for any finite sigma; -0.0 is no noise
+        draws = np.random.default_rng(0).normal(0.0, abs(sigma), size=51)
+        assert noisy.values.tobytes() == (base.values + draws).tobytes()
 
     def test_nonfinite_rejected(self):
         tg = TimeGrid(1.0, 2)
