@@ -1,14 +1,14 @@
 """Restricted arithmetic expression language for problem-definition files.
 
-Grammar (binding from loosest to tightest; ``^`` is right-associative,
-everything else left-associative, unary minus sits between ``*``/``/``
-and ``^``)::
+Grammar; the table ``_LEVELS`` holds the operator levels, which both the
+parser and :func:`pretty` read.  ``^`` is right-associative, the other
+binary operators are left-associative::
 
-    expr   := term (("+" | "-") term)*
-    term   := factor (("*" | "/") factor)*
-    factor := ("-")? power
-    power  := atom ("^" factor)?
-    atom   := NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
+    sum     := product (("+" | "-") product)*
+    product := factor (("*" | "/") factor)*
+    factor  := ("-")? power
+    power   := atom ("^" factor)?
+    atom    := NUMBER | IDENT | IDENT "(" sum ("," sum)* ")" | "(" sum ")"
 
 Identifiers are the variables ``x y t u p q`` (``p``/``q`` are the two
 gradient components; ``y`` and ``q`` exist on a rectangle only), the
@@ -93,10 +93,17 @@ class Call(NamedTuple):
 
 Expression = Union[Num, Var, Neg, BinOp, Call]
 
+# Operator levels, loosest first: ``+ -``, ``* /``, unary minus, ``^``, atoms.
+# The parser's chains and `pretty` both read them.
+_SUM, _PRODUCT, _NEG, _POWER, _ATOM = range(5)
+_LEVELS = {"+": _SUM, "-": _SUM, "*": _PRODUCT, "/": _PRODUCT, "^": _POWER}
+
+# one token per match; finditer skips the whitespace between them
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[+\-*/^(),]))"
+    r"|(?P<op>[+\-*/^(),])"
+    r"|(?P<bad>\S)"
 )
 
 
@@ -104,40 +111,22 @@ def _byte_offset(source: str, pos: int) -> int:
     return len(source[:pos].encode("utf-8"))
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+class _Token(NamedTuple):
+    kind: str  # "num", "ident", "eof" or the operator itself
+    text: str
+    pos: int  # character index into the source
 
 
 def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            # skip leading whitespace before reporting
-            stripped = pos
-            while stripped < n and source[stripped].isspace():
-                stripped += 1
-            if stripped == n:
-                break
+    tokens = []
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
             raise ExprSyntaxError(
-                f"unexpected character {source[stripped]!r}",
-                _byte_offset(source, stripped),
+                f"unexpected character {text!r}", _byte_offset(source, m.start())
             )
-        if m.lastgroup == "num":
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(_Token(m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(_Token("eof", "", n))
+        tokens.append(_Token(text if kind == "op" else kind, text, m.start()))
+    tokens.append(_Token("eof", "", len(source)))
     return tokens
 
 
@@ -153,12 +142,12 @@ class _Parser:
         self.depth = 0  # factors open on the call stack
         self.heights: dict[int, int] = {}  # id(node) -> height, for inner nodes
 
+    def error(self, message: str, tok: _Token) -> ExprSyntaxError:
+        return ExprSyntaxError(message, _byte_offset(self.source, tok.pos))
+
     def bounded(self, level: int, tok: _Token) -> int:
         if level > MAX_DEPTH:
-            raise ExprSyntaxError(
-                f"expression nested deeper than {MAX_DEPTH} levels",
-                _byte_offset(self.source, tok.pos),
-            )
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", tok)
         return level
 
     def node(self, tok: _Token, node: Expression, *children: Expression) -> Expression:
@@ -178,35 +167,24 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {what}, found {_describe(tok)}",
-                _byte_offset(self.source, tok.pos),
-            )
+            raise self.error(f"expected {what}, found {_describe(tok)}", tok)
         return self.advance()
 
     def parse(self) -> Expression:
-        tree = self.expr()
+        tree = self.chain()
         tok = self.peek()
         if tok.kind != "eof":
-            raise ExprSyntaxError(
-                f"unexpected trailing input {tok.text!r}",
-                _byte_offset(self.source, tok.pos),
-            )
+            raise self.error(f"unexpected trailing input {tok.text!r}", tok)
         return tree
 
-    def expr(self) -> Expression:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
+    def chain(self, level: int = _SUM) -> Expression:
+        """A left-associative chain of the binary operators at ``level``."""
+        if level == _NEG:
+            return self.factor()
+        node = self.chain(level + 1)
+        while _LEVELS.get(self.peek().kind) == level:
             op = self.advance()
-            right = self.term()
-            node = self.node(op, BinOp(op.kind, node, right), node, right)
-        return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            right = self.factor()
+            right = self.chain(level + 1)
             node = self.node(op, BinOp(op.kind, node, right), node, right)
         return node
 
@@ -236,10 +214,7 @@ class _Parser:
             self.advance()
             value = float(tok.text)
             if not np.isfinite(value):
-                raise ExprSyntaxError(
-                    f"number {tok.text!r} is out of range",
-                    _byte_offset(self.source, tok.pos),
-                )
+                raise self.error(f"number {tok.text!r} is out of range", tok)
             return Num(value)
         if tok.kind == "ident":
             self.advance()
@@ -253,22 +228,19 @@ class _Parser:
             raise UnknownIdentifierError(name, _byte_offset(self.source, tok.pos))
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            node = self.chain()
             self.expect(")", "')'")
             return node
-        raise ExprSyntaxError(
-            f"expected expression, found {_describe(tok)}",
-            _byte_offset(self.source, tok.pos),
-        )
+        raise self.error(f"expected expression, found {_describe(tok)}", tok)
 
     def call(self, name: str, tok: _Token) -> Expression:
         if name not in FUNCTIONS:
             raise UnknownIdentifierError(name, _byte_offset(self.source, tok.pos))
         self.expect("(", "'('")
-        args = [self.expr()]
+        args = [self.chain()]
         while self.peek().kind == ",":
             self.advance()
-            args.append(self.expr())
+            args.append(self.chain())
         close = self.expect(")", "')' or ','")
         arity = FUNCTIONS[name]
         if len(args) != arity:
@@ -286,20 +258,20 @@ def parse(source: str) -> Expression:
     return _Parser(source).parse()
 
 
+def _children(e: Expression) -> tuple[Expression, ...]:
+    """The operands of a node, left to right; none for a leaf."""
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    return e.args if isinstance(e, Call) else ()
+
+
 def variables(e: Expression) -> frozenset[str]:
     """Set of variable names occurring in the tree."""
     if isinstance(e, Var):
         return frozenset({e.name})
-    if isinstance(e, Neg):
-        return variables(e.operand)
-    if isinstance(e, BinOp):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Call):
-        out: frozenset[str] = frozenset()
-        for a in e.args:
-            out |= variables(a)
-        return out
-    return frozenset()
+    return frozenset().union(*map(variables, _children(e)))
 
 
 # numpy ufuncs backing each function name and binary operator
@@ -334,18 +306,16 @@ def _eval(e: Expression, env: Mapping[str, object]):
         return e.value
     if isinstance(e, Var):
         return env[e.name]
+    args = [_eval(c, env) for c in _children(e)]
     if isinstance(e, Neg):
-        return -_eval(e.operand, env)
+        return -args[0]
     if isinstance(e, BinOp):
-        left = _eval(e.left, env)
-        right = _eval(e.right, env)
-        if e.op == "/" and np.any(right == 0):
+        if e.op == "/" and np.any(args[1] == 0):
             raise DomainFaultError("division by zero", pretty(e))
         what = "invalid power" if e.op == "^" else "overflow"
         with np.errstate(all="ignore"):
-            return _check_finite(_BINARY[e.op](left, right), e, what)
+            return _check_finite(_BINARY[e.op](*args), e, what)
     if isinstance(e, Call):
-        args = [_eval(a, env) for a in e.args]
         if e.func == "log" and np.any(np.asarray(args[0]) <= 0):
             raise DomainFaultError("log of non-positive value", pretty(e))
         if e.func == "sqrt" and np.any(np.asarray(args[0]) < 0):
@@ -429,11 +399,8 @@ def _closure(e: Expression, fixed: Mapping[str, object]):
     if isinstance(e, Neg):
         operand = _closure(e.operand, fixed)
         return None if operand is None else lambda env: -operand(env)
-    if isinstance(e, BinOp):
-        fn, children = _BINARY[e.op], (e.left, e.right)
-    else:
-        fn, children = _UFUNCS[e.func], e.args
-    args = [_closure(c, fixed) for c in children]
+    fn = _BINARY[e.op] if isinstance(e, BinOp) else _UFUNCS[e.func]
+    args = [_closure(c, fixed) for c in _children(e)]
     if any(a is None for a in args):
         return None
     if len(args) == 1:
@@ -489,38 +456,23 @@ def pretty(e: Expression) -> str:
 
     Re-parsing the result yields a structurally identical tree.
     """
-    return _print_expr(e)
+    return _show(e, _SUM)
 
 
-def _print_expr(e: Expression) -> str:
-    if isinstance(e, BinOp) and e.op in ("+", "-"):
-        return f"{_print_expr(e.left)} {e.op} {_print_term(e.right)}"
-    return _print_term(e)
-
-
-def _print_term(e: Expression) -> str:
-    if isinstance(e, BinOp) and e.op in ("*", "/"):
-        return f"{_print_term(e.left)}{e.op}{_print_factor(e.right)}"
-    return _print_factor(e)
-
-
-def _print_factor(e: Expression) -> str:
-    if isinstance(e, Neg):
-        return f"-{_print_power(e.operand)}"
-    return _print_power(e)
-
-
-def _print_power(e: Expression) -> str:
-    if isinstance(e, BinOp) and e.op == "^":
-        return f"{_print_atom(e.left)}^{_print_factor(e.right)}"
-    return _print_atom(e)
-
-
-def _print_atom(e: Expression) -> str:
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(_print_expr(a) for a in e.args)})"
-    return f"({_print_expr(e)})"
+def _show(e: Expression, need: int) -> str:
+    """``e`` as text in a context that binds at level ``need``; a node of
+    a looser level goes in parentheses."""
+    if isinstance(e, BinOp):
+        level = _LEVELS[e.op]
+        if level == _POWER:  # right-associative; the exponent is a factor
+            text = f"{_show(e.left, _ATOM)}^{_show(e.right, _NEG)}"
+        else:
+            op = f" {e.op} " if level == _SUM else e.op
+            text = f"{_show(e.left, level)}{op}{_show(e.right, level + 1)}"
+    elif isinstance(e, Neg):
+        level, text = _NEG, f"-{_show(e.operand, _POWER)}"
+    elif isinstance(e, Call):
+        return f"{e.func}({', '.join(_show(a, _SUM) for a in e.args)})"
+    else:
+        return e.name if isinstance(e, Var) else repr(e.value)
+    return text if level >= need else f"({text})"

@@ -78,6 +78,24 @@ class TestParse:
         assert err.value.offset == 4
 
     @pytest.mark.parametrize(
+        "source,error,message,offset",
+        [
+            ("x\u00a0+ $", ExprSyntaxError, "unexpected character '$'", 5),
+            ("x\u3000+ \u00e9", ExprSyntaxError, "unexpected character '\u00e9'", 6),
+            ("sin(x\u00a0, y)", ArityError, "'sin' takes 1 argument(s), got 2", 10),
+            ("x\u00a0+", ExprSyntaxError, "expected expression, found end of input", 4),
+        ],
+        ids=["nbsp", "ideographic-space", "arity", "end-of-input"],
+    )
+    def test_offsets_count_utf8_bytes(self, source, error, message, offset):
+        # a character before the fault that takes two or three bytes in UTF-8
+        # moves the offset by as many: it is not the character index
+        with pytest.raises(error) as err:
+            parse(source)
+        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (byte offset {offset})"
+
+    @pytest.mark.parametrize(
         "source,offset", [("1e999", 0), ("2*1e309", 2), ("x + 1.8e308*t", 4)]
     )
     def test_out_of_range_literal(self, source, offset):
@@ -114,6 +132,33 @@ class TestParse:
 
     def test_variables(self):
         assert variables(parse("x*t + min(p, q)")) == {"x", "t", "p", "q"}
+
+
+# the exact text of ``pretty``, which fault messages print on the CLI:
+# parentheses only where the re-parsed tree needs them
+_PRETTY = [
+    ("x - (y - t)", "x - (y - t)"),
+    ("(x - y) - t", "x - y - t"),
+    ("(x/y)*t", "x/y*t"),
+    ("x/(y*t)", "x/(y*t)"),
+    ("-x^2", "-x^2.0"),
+    ("(-x)^2", "(-x)^2.0"),
+    ("x^-y", "x^-y"),
+    ("(x^y)^t", "(x^y)^t"),
+    ("x^y^t", "x^y^t"),
+    ("-(x*y)", "-(x*y)"),
+    ("(-x)*y", "-x*y"),
+    ("-(-x)", "-(-x)"),
+    ("-(x^y)", "-x^y"),
+    ("x*-y", "x*-y"),
+    ("min(x - y, -t)", "min(x - y, -t)"),
+    ("(x+y)^2", "(x + y)^2.0"),
+]
+
+
+@pytest.mark.parametrize("source,text", _PRETTY, ids=[s.replace(" ", "") for s, _ in _PRETTY])
+def test_pretty_text(source, text):
+    assert pretty(parse(source)) == text
 
 
 class TestEvaluate:
@@ -198,7 +243,7 @@ _FUZZ_TOKENS = [
     "sin", "cos", "exp", "log", "sqrt", "abs", "tanh", "min", "max",
     "x", "y", "t", "u", "p", "q", "pi", "zz",
     "(", ")", ",", "+", "-", "*", "/", "^",
-    "1", "2.5", ".5", "1e3", "1e", ".", "$", "#", " ",
+    "1", "2.5", ".5", "1e3", "1e", ".", "$", "#", " ", "\u00a0", "\u00e9",
 ]
 
 
@@ -208,8 +253,11 @@ def test_fuzz_never_crashes():
         source = "".join(rng.choices(_FUZZ_TOKENS, k=rng.randint(0, 20)))
         try:
             parse(source)
-        except ExprError:
-            pass  # located errors are the contract; anything else is a bug
+        except ExprError as err:
+            # located errors are the contract; anything else is a bug
+            offset = getattr(err, "offset", None)
+            if offset is not None:
+                assert 0 <= offset <= len(source.encode("utf-8")), (source, offset)
 
 
 # -- compiled evaluation ------------------------------------------------

@@ -26,8 +26,11 @@ a traced noise sweep whose second level divides by a zero update
 denominator after its first level has run, a traced noise sweep whose
 second level faults at an earlier step than its first, and a noise
 sweep, plain and traced, whose second level fails its step threshold
-before the march, after its first level has run, and a traced noise
-sweep whose second level's noise draw overflows);
+before the march, after its first level has run, a traced noise
+sweep whose second level's noise draw overflows, and four configs whose
+expressions do not parse: an unexpected character behind a U+00A0, whose
+byte offset shows, an unknown function, a wrong arity and an h nested
+past the parser's depth bound);
 another pins that an analytic forward run never
 evaluates g at t = 0.
 Others reconstruct the contaminant with advection (f reads the gradient
@@ -391,6 +394,28 @@ mprime = "0"
 """
 CONFIG_LATER_THRESHOLD = "laterthreshold.ini"
 
+# these fail by design in the expression parser, each in one expression:
+# a U+00A0, two bytes in UTF-8, before an unexpected character, so that the
+# offset counts bytes; an unknown function; a wrong arity; and an h nested
+# one level deeper than the parser accepts
+BAD_EXPRESSION = """\
+[problem]
+name = "badexpression"
+f = "{f}"
+h = "{h}"
+g = "0"
+u0 = "0"
+lx = 1.0
+T = 1.0
+omega = 1.0
+m = "0"
+mprime = "0"
+"""
+CONFIG_BAD_CHARACTER = "badcharacter.ini"
+CONFIG_UNKNOWN_FUNCTION = "unknownfunction.ini"
+CONFIG_ARITY = "arity.ini"
+CONFIG_DEEP_H = "deeph.ini"
+
 
 def _measurement_text(n: int, initial_only: bool = False) -> str:
     nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
@@ -431,6 +456,10 @@ CONFIGS = {
     CONFIG_SECOND_LEVEL_FAULT: SECOND_LEVEL_FAULT,
     CONFIG_LATER_FAULT: LATER_FAULT,
     CONFIG_LATER_THRESHOLD: LATER_THRESHOLD,
+    CONFIG_BAD_CHARACTER: BAD_EXPRESSION.format(f="x\u00a0+ $", h="1"),
+    CONFIG_UNKNOWN_FUNCTION: BAD_EXPRESSION.format(f="foo(x)", h="1"),
+    CONFIG_ARITY: BAD_EXPRESSION.format(f="min(x)", h="1"),
+    CONFIG_DEEP_H: BAD_EXPRESSION.format(f="0", h="(" * 101 + "1" + ")" * 101),
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -618,6 +647,15 @@ COMMANDS = {
         "noise-sweep", *M1, "--n", "10", "--mx", "8", "--noise", "1e-3,1e308", "--seed", "2",
         "--trace",
     ],
+    # the parser's located errors, printed as usage errors
+    "reconstruct-bad-character": [
+        "reconstruct", "--config", CONFIG_BAD_CHARACTER, "--n", "10", "--mx", "4",
+    ],
+    "reconstruct-unknown-function": [
+        "reconstruct", "--config", CONFIG_UNKNOWN_FUNCTION, "--n", "10", "--mx", "4",
+    ],
+    "reconstruct-arity": ["reconstruct", "--config", CONFIG_ARITY, "--n", "10", "--mx", "4"],
+    "reconstruct-deep-h": ["reconstruct", "--config", CONFIG_DEEP_H, "--n", "10", "--mx", "4"],
 }
 # help texts: stdout and exit code are compared byte for byte
 HELP = {
@@ -633,6 +671,8 @@ FAILING = {
     "reconstruct-contaminant-kr0-unknown-key", "noise-sweep-second-level-fault-trace",
     "noise-sweep-first-level-fault-decides-trace", "noise-sweep-later-threshold",
     "noise-sweep-later-threshold-trace", "noise-sweep-draw-overflow-trace",
+    "reconstruct-bad-character", "reconstruct-unknown-function", "reconstruct-arity",
+    "reconstruct-deep-h",
 }
 
 
