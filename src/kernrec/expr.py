@@ -13,8 +13,9 @@ binary operators are left-associative::
 Identifiers are the variables ``x y t u p q`` (``p``/``q`` are the two
 gradient components; ``y`` and ``q`` exist on a rectangle only), the
 constant ``pi``, the unary functions ``sin cos exp log sqrt abs tanh``
-and the binary ``min max``.  Numbers are plain decimals with an optional
-exponent; one that overflows to infinity (``1e999``) is a syntax error.
+and the binary ``min max``.  Numbers are plain decimals of the ASCII
+digits 0-9 with an optional exponent; one that overflows to infinity
+(``1e999``) is a syntax error.
 
 Trees are immutable NamedTuple nodes; :func:`evaluate` is side-effect
 free and accepts scalar or numpy-array bindings (arrays must share a
@@ -100,7 +101,7 @@ _LEVELS = {"+": _SUM, "-": _SUM, "*": _PRODUCT, "/": _PRODUCT, "^": _POWER}
 
 # one token per match; finditer skips the whitespace between them
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[+\-*/^(),])"
     r"|(?P<bad>\S)"

@@ -18,8 +18,9 @@ and a run that exits non-zero leaves no output file.  Synthetic data
 always comes from ``forward.run_forward``.
 
 Exit codes: 0 success, 1 usage error (including a config key that its
-section does not accept, an option the mode ignores and an output path
-that names an input or the other output), 2 numerical failure (singular
+section does not accept, a flag given twice, an empty ``--preset`` or
+``--config``, an option the mode ignores and an output path that names
+an input or the other output), 2 numerical failure (singular
 update, non-finite state, a non-finite number in the CSV or report, I/O,
 an array too large to allocate), 3 validation failure (step threshold,
 floor violation, non-finite or non-positive problem numbers, a malformed
@@ -302,19 +303,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value, or a switch's const; a second use is an error,
+    as a repeated config key is, so that no value is silently replaced."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given twice")
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 def build_parser() -> _Parser:
     # every mode takes the same options: argparse checks them once, in
     # this parent, and copies them into each mode's parser
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--preset", help="built-in problem name")
-    common.add_argument("--config", help="path to a config file")
-    common.add_argument("--T", type=float, help="override the time horizon")
+    common.add_argument("--preset", action=_Once, help="built-in problem name")
+    common.add_argument("--config", action=_Once, help="path to a config file")
+    common.add_argument("--T", action=_Once, type=float, help="override the time horizon")
     for opt in OPTIONS:
         if opt.cast is _as_bool:  # a switch: the bare flag reads as "true"
-            common.add_argument(opt.flag, action="store_const", const="true", help=opt.help)
+            common.add_argument(opt.flag, action=_Once, nargs=0, const="true", help=opt.help)
         else:
             metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
-            common.add_argument(opt.flag, metavar=metavar, help=opt.help)
+            common.add_argument(opt.flag, action=_Once, metavar=metavar, help=opt.help)
     parser = _Parser(prog="kernrec", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode, blurb in _MODES.items():
@@ -330,7 +341,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     ``ExperimentConfig`` default.
     """
     sections: dict[str, dict[str, str]] = {"problem": {}, "discretization": {}, "experiment": {}}
-    if args.config:
+    if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8-sig") as fh:
                 sections = parse_config(fh.read(), _SECTION_KEYS)
@@ -344,7 +355,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
     # --preset and --T are [problem] values that win over the keys
     problem_section = sections["problem"]
-    if args.preset:
+    if args.preset is not None:
         problem_section["preset"] = args.preset
     elif not problem_section:
         raise UsageError("no problem given: pass --preset NAME or --config PATH")

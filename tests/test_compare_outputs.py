@@ -1,4 +1,5 @@
-"""The command table of ``tools/compare_outputs.py`` names only what it defines."""
+"""The case tables of ``tools/compare_outputs.py`` state each case once and
+name only the files they define."""
 
 import importlib.util
 import re
@@ -24,12 +25,16 @@ def table():
     return module
 
 
-def test_every_failing_command_is_a_command(table):
-    assert table.FAILING <= table.COMMANDS.keys()
+def test_each_case_is_stated_once(table):
+    tables = [table.COMMANDS.keys(), table.FAILING.keys(), table.HELP.keys()]
+    assert sum(map(len, tables)) == len(set().union(*tables))
+    for argv in table.command_lines().values():
+        flags = [arg for arg in argv if arg.startswith("--")]
+        assert len(flags) == len(set(flags)), argv
 
 
 def test_every_file_a_command_reads_is_written(table):
-    configs = [argv[k + 1] for argv in table.COMMANDS.values()
+    configs = [argv[k + 1] for argv in table.command_lines().values()
                for k, option in enumerate(argv) if option == "--config"]
     files = [name for text in table.CONFIGS.values()
              for name in re.findall(r'^measurement_file = "(.*)"$', text, re.MULTILINE)]

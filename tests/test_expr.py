@@ -95,6 +95,16 @@ class TestParse:
         assert err.value.offset == offset
         assert str(err.value) == f"{message} (byte offset {offset})"
 
+    # a digit outside 0-9 is no part of a number, in its mantissa or exponent
+    @pytest.mark.parametrize(
+        "source,offset", [("x*\u0663", 2), ("\uff11", 0), ("1e\u0663", 2)],
+        ids=["arabic-indic-three", "fullwidth-one", "arabic-indic-exponent"],
+    )
+    def test_numbers_take_ascii_digits_only(self, source, offset):
+        with pytest.raises(ExprSyntaxError, match="^unexpected character") as err:
+            parse(source)
+        assert err.value.offset == offset
+
     @pytest.mark.parametrize(
         "source,offset", [("1e999", 0), ("2*1e309", 2), ("x + 1.8e308*t", 4)]
     )

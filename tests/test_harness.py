@@ -693,6 +693,36 @@ class TestConfigHandling:
         assert "'T' repeated" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags,flag",
+        [(["--n", "20"], "--n"), (["--trace", "--trace"], "--trace"),
+         (["--preset", "contaminant"], "--preset"), (["--T", "1", "--T", "2"], "--T"),
+         (["--out", "a.csv", "--out", "b.csv"], "--out")],
+        ids=["valued", "switch", "preset", "T", "out"],
+    )
+    def test_repeated_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, flags, flag):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "8",
+                        *flags])
+        assert code == 1
+        assert f"usage error: argument {flag}: given twice" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "given,empty,message",
+        [(["--preset", "manufactured1d"], "--config", "cannot read config :"),
+         (["--config", "c.ini"], "--preset", "unknown preset ''")],
+        ids=["config", "preset"],
+    )
+    def test_empty_preset_or_config_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, given, empty, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.ini").write_text("[problem]\npreset = contaminant\n", encoding="utf-8")
+        code = run_cli(["reconstruct", *given, empty, "", "--n", "10", "--mx", "8"])
+        assert code == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "text,flags",
         [
             (MANUFACTURED_CONFIG.replace("omega = 1.0", "omega = nan"), []),

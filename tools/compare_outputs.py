@@ -2,62 +2,25 @@
 
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
-Runs the fixed ``kernrec`` commands of ``COMMANDS`` and the help texts
-of ``HELP`` with each tree's ``src/`` on ``PYTHONPATH``: reconstruct,
-roundtrip, convergence, forward and noise-sweep on the presets, on the
-benchmark's 2D config and on 1D and 2D configs whose h and g depend on
-t, with an f that reads the state or one of t, x and y alone.  Some run
-on unequal axes or on a single cell along an axis, where the order of
-faces, corners and axes in the grid weights, the stiffness product and
-the spectral divisor shows.  One command sets its options through
-``[discretization]`` and ``[experiment]`` keys instead of flags.
-Some runs are sized so that the stepper's blocks of time nodes come out
-several to a run with a partial last one, or one node wide.  Some give
-a preset T, omega or parameters: a contaminant and a manufactured1d
-config, and ``--T`` on the contaminant.  The commands of ``FAILING``
-fail by design (a fault of f met by a traced reconstruction,
-a floor violation, a fault of h met by the floor check, in a block of
-time nodes or in a static h, a fault of g at t = 0 met by the discrete
-m'(0), a ``--json`` path in a missing directory, diagnostics and a
-noise amplification that overflow, finite measurement samples whose
-difference overflows, an f beside a preset, a contaminant kr = 0
-beside an unknown key, whose exit code shows which is checked first,
-a traced noise sweep whose second level divides by a zero update
-denominator after its first level has run, a traced noise sweep whose
-second level faults at an earlier step than its first, and a noise
-sweep, plain and traced, whose second level fails its step threshold
-before the march, after its first level has run, a traced noise
-sweep whose second level's noise draw overflows, and four configs whose
-expressions do not parse: an unexpected character behind a U+00A0, whose
-byte offset shows, an unknown function, a wrong arity and an h nested
-past the parser's depth bound);
-another pins that an analytic forward run never
-evaluates g at t = 0.
-Others reconstruct the contaminant with advection (f reads the gradient
-p), run a 2D config whose f reads both gradient components p and q,
-read manufactured1d's measurement from a ``t,m,mprime`` file that this
-script writes beside its configs, also restricted to each level of a
-convergence list, or from a headerless one whose first row alone carries
-m'(0), also behind a UTF-8 byte-order mark, and trace a noise sweep.
-Noise sweeps run on manufactured1d, on the contaminant (plain, traced,
-traced with advection, whose f reads p, and with a single sigma, a
-sequence of one series) and on the benchmark's 2D config, also with a
-single cell along y: each tree's sweep is checked against the other's,
-so a tree that reconstructs its levels one after another is the oracle
-of one that marches them together.  In one sweep every level warns in the
-same words, and each warning must be printed.
-HEAD_DIR defaults to the checkout that holds this script.  Every CSV
-must be byte-identical and every JSON report the same text once its
-``timings`` are dropped, so that the sign of a zero shows; a report
-that differs is named with its differing key paths, the first five and
-a count of the rest.  A command
-that traces, by ``--trace`` or by its config, or warns must also print
-the same stderr.  A command that fails by design must exit with the same code
-and print the same stderr in both trees, and leave neither output file
-in either.  ``kernrec --help`` and ``kernrec MODE --help``, for each of
-the five modes, must print the same stdout byte for byte and exit with
-the same code.  Prints one line per command and exits 0 when all agree, 1
-on any difference and 2 when any other command fails in either tree.
+Runs every case of ``COMMANDS``, ``FAILING`` and ``HELP`` with each
+tree's ``src/`` on ``PYTHONPATH``, beside the files of ``CONFIGS``; the
+comment on an entry or a group of entries says what it pins.  HEAD_DIR
+defaults to the checkout that holds this script.
+
+- ``HELP``: the stdout and the exit code must be the same byte for byte.
+- ``COMMANDS`` succeed in both trees.  A run writes NAME.csv and
+  NAME.json, unless it names its own ``--out`` or ``--json``.  Every CSV
+  must be byte-identical and every JSON report the same text once its
+  ``timings`` are dropped, so that the sign of a zero shows; a report
+  that differs is named with its differing key paths, the first five and
+  a count of the rest.  A command that traces, by ``--trace`` or by its
+  config, or warns must also print the same stderr.
+- ``FAILING`` fail by design: each must exit with the same code and
+  print the same stderr in both trees, and leave neither of its outputs
+  in either.
+
+Prints one line per case and exits 0 when all agree, 1 on any difference
+and 2 when a command of ``COMMANDS`` fails in either tree.
 """
 
 from __future__ import annotations
@@ -465,6 +428,7 @@ CONFIGS = {
 M1 = ["--preset", "manufactured1d"]
 CT = ["--preset", "contaminant"]
 COMMANDS = {
+    # each mode on the presets and on the benchmark's 2D config
     "reconstruct-manufactured1d": ["reconstruct", *M1, "--n", "200", "--mx", "50"],
     "reconstruct-manufactured1d-discrete": [
         "reconstruct", *M1, "--n", "200", "--mx", "50", "--derivative", "discrete",
@@ -485,6 +449,7 @@ COMMANDS = {
         "forward", *M1, "--n", "200", "--mx", "50", "--derivative", "discrete",
     ],
     "forward-2d": ["forward", "--config", CONFIG_2D, "--n", "20", "--mx", "24"],
+    # h and g of t and an f of the state u, in 1D and on a rectangle
     "forward-time-dependent-1d": ["forward", "--config", CONFIG_T1D, "--n", "100", "--mx", "50"],
     "roundtrip-time-dependent-1d": [
         "roundtrip", "--config", CONFIG_T1D, "--n", "100", "--mx", "50",
@@ -511,6 +476,7 @@ COMMANDS = {
     "reconstruct-manufactured1d-blocks": ["reconstruct", *M1, "--n", "2000", "--mx", "50"],
     # 20001 nodes: each block is one time node
     "reconstruct-manufactured1d-wide": ["reconstruct", *M1, "--n", "10", "--mx", "20000"],
+    # f, h and g of t, x and y alone
     "reconstruct-time-only-1d": ["reconstruct", "--config", CONFIG_O1D, "--n", "200", "--mx", "50"],
     "roundtrip-time-only-1d": ["roundtrip", "--config", CONFIG_O1D, "--n", "1000", "--mx", "50"],
     "reconstruct-time-only-2d": ["reconstruct", "--config", CONFIG_O2D, "--n", "20", "--mx", "24"],
@@ -526,7 +492,9 @@ COMMANDS = {
     "reconstruct-2d-trace": [
         "reconstruct", "--config", CONFIG_2D, "--n", "20", "--mx", "24", "--trace",
     ],
+    # every option from a config key
     "reconstruct-contaminant-config-keys": ["reconstruct", "--config", CONFIG_KEYS],
+    # f reads the gradient: p in 1D, p and q on a rectangle
     "reconstruct-contaminant-advection": [
         "reconstruct", "--config", CONFIG_ADVECTION, "--n", "200", "--mx", "50",
     ],
@@ -536,6 +504,8 @@ COMMANDS = {
     "reconstruct-gradient-2d": [
         "reconstruct", "--config", CONFIG_G2D, "--n", "20", "--mx", "12", "--my", "9",
     ],
+    # the measurement from a file: with a header, headerless with m'(0) in
+    # its first row alone, and that behind a byte-order mark
     "reconstruct-manufactured1d-file": [
         "reconstruct", "--config", CONFIG_FROM_FILE, "--n", str(MEASUREMENT_N), "--mx", "50",
     ],
@@ -561,10 +531,12 @@ COMMANDS = {
         "reconstruct", "--config", CONFIG_M1_OVERRIDES, "--n", "200", "--mx", "50",
     ],
     "roundtrip-contaminant-horizon": ["roundtrip", *CT, "--T", "0.5", "--n", "100", "--mx", "50"],
+    # g faults at t = 0, where an analytic forward run never evaluates it
     "forward-g-fault-at-0-analytic": [
         "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
     ],
-    # sweeps whose levels march together: in 2D, and with an f that reads p
+    # sweeps whose levels march together, against a tree that may run them one
+    # at a time: in 2D, and with an f that reads p
     "noise-sweep-2d": [
         "noise-sweep", "--config", CONFIG_2D, "--n", "10", "--mx", "12",
         "--noise", "1e-4,1e-3", "--seed", "7",
@@ -587,7 +559,9 @@ COMMANDS = {
         "noise-sweep", "--config", CONFIG_SECOND_LEVEL_FAULT, "--n", "10", "--mx", "4",
         "--noise", "1e-12,1e-11,1e-10", "--seed", "1", "--force",
     ],
-    # these fail by design: exit code and stderr are compared
+}
+# these fail by design: the exit code and the stderr are compared
+FAILING = {
     "reconstruct-f-fault-trace": [
         "reconstruct", "--config", CONFIG_FAULT_F, "--n", "10", "--mx", "8", "--trace",
     ],
@@ -600,6 +574,7 @@ COMMANDS = {
     "reconstruct-h-static-fault": [
         "reconstruct", "--config", CONFIG_FAULT_H_STATIC, "--n", "10", "--mx", "8", "--trace",
     ],
+    # the discrete m'(0) evaluates g at t = 0
     "forward-g-fault-at-0-discrete": [
         "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
         "--derivative", "discrete",
@@ -625,6 +600,7 @@ COMMANDS = {
     "reconstruct-contaminant-kr0-unknown-key": [
         "reconstruct", "--config", CONFIG_KR0_UNKNOWN, "--n", "10", "--mx", "4",
     ],
+    # a later level fails after the levels before it have printed their rows
     "noise-sweep-second-level-fault-trace": [
         "noise-sweep", "--config", CONFIG_SECOND_LEVEL_FAULT, "--n", "10", "--mx", "4",
         "--noise", "0.1,1e-300", "--seed", "1", "--force",
@@ -663,52 +639,47 @@ HELP = {
     **{f"help-{mode}": [mode, "--help"]
        for mode in ("forward", "reconstruct", "roundtrip", "convergence", "noise-sweep")},
 }
-FAILING = {
-    "reconstruct-f-fault-trace", "reconstruct-floor-violation", "reconstruct-h-fault-in-floor",
-    "reconstruct-h-static-fault", "forward-g-fault-at-0-discrete", "reconstruct-json-missing-dir",
-    "roundtrip-diagnostics-overflow", "noise-sweep-amplification-overflow",
-    "reconstruct-measurement-difference-overflow", "reconstruct-preset-with-f",
-    "reconstruct-contaminant-kr0-unknown-key", "noise-sweep-second-level-fault-trace",
-    "noise-sweep-first-level-fault-decides-trace", "noise-sweep-later-threshold",
-    "noise-sweep-later-threshold-trace", "noise-sweep-draw-overflow-trace",
-    "reconstruct-bad-character", "reconstruct-unknown-function", "reconstruct-arity",
-    "reconstruct-deep-h",
-}
+
+
+# the outputs a run writes, as NAME.csv and NAME.json, unless it names its own
+OUTPUTS = {"--out": ".csv", "--json": ".json"}
+
+
+def command_lines() -> dict[str, list[str]]:
+    """Every case's argv, in the order of the tables."""
+    lines = {}
+    for name, (mode, *options) in {**COMMANDS, **FAILING}.items():
+        outputs = [arg for flag, suffix in OUTPUTS.items() if flag not in options
+                   for arg in (flag, name + suffix)]
+        lines[name] = [mode, *outputs, *options]
+    return {**lines, **HELP}
 
 
 def run_tree(tree: Path, work: Path) -> dict[str, subprocess.CompletedProcess]:
-    """Run every command with ``tree``'s sources; outputs go to work/NAME.*
-
-    A command's own ``--out`` or ``--json`` comes later on its command
-    line, so it takes the place of the default.
-    """
+    """Run every case with ``tree``'s sources in ``work``."""
     work.mkdir(parents=True)
     for name, text in CONFIGS.items():
         (work / name).write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argvs = {name: [mode, "--out", f"{name}.csv", "--json", f"{name}.json", *options]
-             for name, (mode, *options) in COMMANDS.items()}
     return {
         name: subprocess.run(
             [sys.executable, "-m", "kernrec.harness", *argv],
             cwd=work, env=env, capture_output=True, text=True,
         )
-        for name, argv in {**argvs, **HELP}.items()
+        for name, argv in command_lines().items()
     }
 
 
-def without_timings(value):
-    if isinstance(value, dict):
-        return {k: without_timings(v) for k, v in value.items() if k != "timings"}
-    if isinstance(value, list):
-        return [without_timings(v) for v in value]
-    return value
-
-
 def report(path: Path):
-    """The report without its timings."""
-    return without_timings(json.loads(path.read_text(encoding="utf-8")))
+    """The report without its timings, at any depth."""
+    return json.loads(path.read_text(encoding="utf-8"),
+                      object_hook=lambda obj: {k: v for k, v in obj.items() if k != "timings"})
+
+
+def unequal(base, head, *fields: str) -> list[str]:
+    """The fields in which two finished runs differ."""
+    return [field for field in fields if getattr(base, field) != getattr(head, field)]
 
 
 def differences(base, head, path: str = "") -> Iterator[str]:
@@ -739,24 +710,16 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = {side: run_tree(tree, Path(tmp) / side)
                 for side, tree in (("base", base), ("head", head))}
-        for name in [*COMMANDS, *HELP]:
+        for name in [*COMMANDS, *FAILING, *HELP]:
             done = {side: runs[side][name] for side in ("base", "head")}
-            stderr = {side: run.stderr for side, run in done.items()}
             paths = {side: Path(tmp) / side / name for side in ("base", "head")}
             if name in HELP:
-                differs = [what for what in ("returncode", "stdout")
-                           if getattr(done["base"], what) != getattr(done["head"], what)]
+                differs = unequal(*done.values(), "returncode", "stdout")
             elif name in FAILING:
-                differs = [
-                    f"{side} left {output.name}"
-                    for side, path in paths.items()
-                    for output in (path.with_suffix(".csv"), path.with_suffix(".json"))
-                    if output.exists()
-                ]
-                if done["base"].returncode != done["head"].returncode:
-                    differs.append("returncode")
-                if stderr["base"] != stderr["head"]:
-                    differs.append("stderr")
+                differs = [f"{side} left {path.with_suffix(suffix).name}"
+                           for side, path in paths.items() for suffix in OUTPUTS.values()
+                           if path.with_suffix(suffix).exists()]
+                differs += unequal(*done.values(), "returncode", "stderr")
             elif any(run.returncode for run in done.values()):
                 failed = [f"{side} exit {run.returncode}: {run.stderr.strip()}"
                           for side, run in done.items() if run.returncode]
@@ -773,10 +736,9 @@ def main(argv: list[str]) -> int:
                 if where:
                     more = f", and {len(where) - 5} more" if len(where) > 5 else ""
                     differs.append(f"json ({', '.join(where[:5])}{more})")
-                printed = stderr["base"] + stderr["head"]
-                shown = "--trace" in COMMANDS[name] or "step=" in printed or "warning:" in printed
-                if shown and stderr["base"] != stderr["head"]:
-                    differs.append("stderr")
+                printed = done["base"].stderr + done["head"].stderr
+                if "--trace" in COMMANDS[name] or "step=" in printed or "warning:" in printed:
+                    differs += unequal(*done.values(), "stderr")
             if differs:
                 print(f"DIFFERS  {name}: {' and '.join(differs)}")
                 status = max(status, 1)
