@@ -1,5 +1,5 @@
-"""The dense step operator that the tests check the fast paths against, and
-the manufactured 2D problem.
+"""The dense step operator that the tests check the fast paths against, the
+manufactured 2D problem and the threshold problem.
 
 ``dense_stiffness`` assembles A = sum_a K_a (x) M_others from the band
 matrices of each axis, the P1 stiffness K and the consistent P1 mass M,
@@ -7,6 +7,8 @@ without calling ``kernrec``; ``dense_step_operator`` adds (1/tau) W, with W the 
 sums of M (the trapezoid weights).  Both have (nodes)^2 entries.
 ``MANUFACTURED_2D`` is a [problem] section with a closed-form solution,
 read as the presets are read, by ``kernrec.problem.spec_from_mapping``.
+``THRESHOLD_CONFIG`` is the one text of the threshold problem that the
+acceptance and harness tests write as a config file.
 """
 
 import functools
@@ -24,6 +26,22 @@ MANUFACTURED_2D = {
     "kernel": "exp(-t)", "m": "1+t", "mprime": "1",
     "u_exact": "(1+t)*(1+cos(pi*x)*cos(pi*y))",
 }
+
+
+# A problem whose step threshold tau0 = omega / (2 |m0|) = 0.2 / 20 = 0.01
+# refuses every step tau >= 0.01 (exit 3) unless the run is forced.
+THRESHOLD_CONFIG = """
+[problem]
+f = "0"
+h = "1"
+g = "0"
+u0 = "10"
+lx = 1.0
+T = 1.0
+omega = 0.2
+m = "10*exp(-t)"
+mprime = "-10*exp(-t)"
+"""
 
 
 def _axis_matrices(grid):

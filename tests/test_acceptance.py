@@ -26,7 +26,7 @@ from kernrec.problem import (
     spec_from_mapping,
 )
 from kernrec.solver import SpectralSolver
-from oracles import MANUFACTURED_2D, dense_step_operator
+from oracles import MANUFACTURED_2D, THRESHOLD_CONFIG, dense_step_operator
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
@@ -214,20 +214,6 @@ def test_criterion_6_diagnostics_boundedness(refinement_study):
         f"worst successive change {worst_change:.2%} ({worst_key}), tol 10%",
     )
     assert worst_change <= 0.10
-
-
-THRESHOLD_CONFIG = """
-[problem]
-f = "0"
-h = "1"
-g = "0"
-u0 = "10"
-lx = 1.0
-T = 1.0
-omega = 0.2
-m = "10*exp(-t)"
-mprime = "-10*exp(-t)"
-"""
 
 
 def test_criterion_7_step_threshold_guard(tmp_path):

@@ -1,5 +1,6 @@
 """The case tables of ``tools/compare_outputs.py`` state each case once and
-name only the files they define."""
+name only the files they define, and every config they define parses:
+a misspelt key would fail a case in both trees alike."""
 
 import importlib.util
 import re
@@ -7,6 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from kernrec import harness
+from kernrec.problem import _INLINE_KEYS, parse_config
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
@@ -40,3 +44,22 @@ def test_every_file_a_command_reads_is_written(table):
              for name in re.findall(r'^measurement_file = "(.*)"$', text, re.MULTILINE)]
     assert configs and files
     assert set(configs + files) <= table.CONFIGS.keys()
+
+
+def _configs(table):
+    """Each .ini of ``CONFIGS``, parsed with the harness's section keys."""
+    return {name: parse_config(text, harness._SECTION_KEYS)
+            for name, text in table.CONFIGS.items() if name.endswith(".ini")}
+
+
+def test_every_config_parses(table):
+    assert _configs(table)
+
+
+def test_every_inline_problem_names_known_keys(table):
+    # a preset's [problem] is checked against the preset; two carry a foreign key by design
+    inline = {name: sections["problem"] for name, sections in _configs(table).items()
+              if "preset" not in sections["problem"]}
+    assert inline
+    for name, problem in inline.items():
+        assert problem.keys() <= _INLINE_KEYS, name

@@ -176,6 +176,10 @@ class TestEvaluate:
         tree = parse("(1+cos(pi*x))*(1+t)")
         assert evaluate(tree, {"x": 0.0, "t": 0.0}) == 2.0
 
+    def test_text_is_not_a_node(self):
+        with pytest.raises(TypeError, match="^not an expression node: 'x'$"):
+            evaluate("x", {"x": 1.0})
+
     def test_division_by_zero(self):
         with pytest.raises(DomainFaultError) as err:
             evaluate(parse("x/q"), {"x": 1.0, "q": 0.0})

@@ -37,20 +37,7 @@ from kernrec.problem import (
     parse_config,
     spec_from_mapping,
 )
-from oracles import MANUFACTURED_2D
-
-THRESHOLD_CONFIG = """
-[problem]
-f = "0"
-h = "1"
-g = "0"
-u0 = "10"
-lx = 1.0
-T = 1.0
-omega = 0.2
-m = "10*exp(-t)"
-mprime = "-10*exp(-t)"
-"""
+from oracles import MANUFACTURED_2D, THRESHOLD_CONFIG
 
 # the manufactured 2D problem with its kernel, without m and mprime
 _MANUFACTURED_2D = "[problem]\n" + "".join(
@@ -573,6 +560,26 @@ class TestNoiseSweep:
         assert [line.split()[0] for line in err[:-1]] == [f"step={i}" for i in range(1, 11)]
         assert err[-1] == ("kernrec: validation failure: noise of sigma = 1e+308 made the "
                            "measurement samples overflow")
+
+    def test_batch_fault_is_raised_when_every_level_alone_succeeds(self, monkeypatch, capsys):
+        # the march of the batch faults, but no level does when rerun alone:
+        # the batch's error ends the sweep, after each level's warnings
+        calls, reconstruct = [], harness.reconstruct
+
+        def batch_faults(spec, grid, timegrid, measurement, **kwargs):
+            calls.append(type(measurement))
+            if isinstance(measurement, list):
+                raise errors.NumericalError("the batch faults")
+            return reconstruct(spec, grid, timegrid, measurement, **kwargs)
+
+        monkeypatch.setattr(harness, "reconstruct", batch_faults)
+        argv = ["noise-sweep", "--preset", "contaminant", "--n", "10", "--mx", "8",
+                "--noise", "1e-6,1e-5", "--seed", "1"]
+        assert harness.main(argv) == harness.EXIT_NUMERICAL
+        assert calls == [list, MeasurementSeries, MeasurementSeries]
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "kernrec: numerical failure: the batch faults"
+        assert len(err) == 3 and all(line.startswith("kernrec: warning: ") for line in err[:-1])
 
     def test_seed_required(self):
         code = run_cli(

@@ -4,23 +4,23 @@
 
 Runs every case of ``COMMANDS``, ``FAILING`` and ``HELP`` with each
 tree's ``src/`` on ``PYTHONPATH``, beside the files of ``CONFIGS``; the
-comment on an entry or a group of entries says what it pins.  HEAD_DIR
-defaults to the checkout that holds this script.
+comment on an entry or a group of entries says what it pins.  Each
+inline ``[problem]`` there is ``BASE``, the zero problem on (0, 1)
+(f = 0, h = 1, g = 0, u0 = 0, lx = 1, T = 1, omega = 1), with the keys
+its entry names laid over it.  HEAD_DIR defaults to the checkout that
+holds this script.
 
-- ``HELP``: the stdout and the exit code must be the same byte for byte.
-- ``COMMANDS`` succeed in both trees.  A run writes NAME.csv and
-  NAME.json, unless it names its own ``--out`` or ``--json``.  Every CSV
-  must be byte-identical and every JSON report the same text once its
-  ``timings`` are dropped, so that the sign of a zero shows; a report
-  that differs is named with its differing key paths, the first five and
-  a count of the rest.  A command that traces, by ``--trace`` or by its
-  config, or warns must also print the same stderr.
-- ``FAILING`` fail by design: each must exit with the same code and
-  print the same stderr in both trees, and leave neither of its outputs
-  in either.
+Every case is compared on one record: its exit code, stdout and stderr,
+then its outputs.  A run of ``COMMANDS`` writes NAME.csv and NAME.json,
+unless it names its own ``--out`` or ``--json``, and must exit 0 in both
+trees.  Its CSV must be byte-identical and its JSON report the same text
+once its ``timings`` are dropped, so that the sign of a zero shows; a
+report that differs is named with its differing key paths, the first
+five and a count of the rest.  Any other case must leave neither output
+behind in either tree.
 
 Prints one line per case and exits 0 when all agree, 1 on any difference
-and 2 when a command of ``COMMANDS`` fails in either tree.
+and 2 when a run of ``COMMANDS`` fails in either tree.
 """
 
 from __future__ import annotations
@@ -40,72 +40,52 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import CONFIG_2D, MANUFACTURED_2D  # noqa: E402  the benchmark's 2D config
 
-# every preset and the 2D config have a static h and g, formed once per
-# run; in this one h and g depend on t, and f reads the state u
-TIME_DEPENDENT_1D = """\
-[problem]
-name = "timedependent1d"
-f = "u*exp(-t) + cos(pi*x)"
-h = "1 + t"
-g = "t*x"
-u0 = "1 + cos(pi*x)"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-"""
-CONFIG_T1D = "timedependent1d.ini"
+# the zero problem on (0, 1), under every inline [problem] of CONFIGS
+BASE = {"f": "0", "h": "1", "g": "0", "u0": "0", "lx": "1.0", "T": "1.0", "omega": "1.0"}
 
-# the same in 2D, on a rectangle: the boundary load and (g,1)_Gamma use
-# the edge-trapezoid weights, corners included, not two point weights
-TIME_DEPENDENT_2D = """\
-[problem]
-name = "timedependent2d"
-f = "u*exp(-t) + cos(pi*x)*cos(pi*y)"
-h = "1 + t + x*y"
-g = "t*x - (1 - t)*y^2"
-u0 = "1 + cos(pi*x)*cos(pi*y)"
-lx = 1.0
-ly = 2.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-"""
-CONFIG_T2D = "timedependent2d.ini"
 
-# f of t and x (y) alone, with h and g of t: all three are evaluated in
-# blocks of time nodes, not per step
-TIME_ONLY_1D = """\
-[problem]
-name = "timeonly1d"
-f = "exp(-t)*(1 + cos(pi*x)) + sin(2*t)*x"
-h = "1 + t"
-g = "t*x"
-u0 = "1 + cos(pi*x)"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-"""
-CONFIG_O1D = "timeonly1d.ini"
+def problem(name: str, **keys: str) -> str:
+    """The inline [problem] ``name``: ``BASE`` with ``keys`` laid over it."""
+    assert all(BASE.get(key) != value for key, value in keys.items()), keys  # only what differs
+    lines = [f'{key} = "{value}"' for key, value in {"name": name, **BASE, **keys}.items()]
+    return "".join(f"{line}\n" for line in ["[problem]", *lines])
 
-TIME_ONLY_2D = """\
-[problem]
-name = "timeonly2d"
-f = "exp(-t)*cos(pi*x)*cos(pi*y) + t*y"
-h = "1 + t + x*y"
-g = "t*x - (1 - t)*y^2"
-u0 = "1 + cos(pi*x)*cos(pi*y)"
-lx = 1.0
-ly = 2.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-"""
-CONFIG_O2D = "timeonly2d.ini"
 
-# options from config keys, not flags: pins the key path's casts and echo
-CONTAMINANT_KEYS = """\
+def _measurement_text(n: int, initial_only: bool = False) -> str:
+    nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
+    if initial_only:
+        rows = (f"{t:.17g},{1.0 + t:.17g}{',1' if k == 0 else ''}" for k, t in enumerate(nodes))
+        return "".join(f"{row}\n" for row in rows)
+    return "".join(["t,m,mprime\n", *(f"{t:.17g},{1.0 + t:.17g},1\n" for t in nodes)])
+
+
+# the configs, and the measurement files, written beside the outputs
+CONFIGS = {
+    CONFIG_2D: MANUFACTURED_2D,
+    # every preset and the 2D config have a static h and g, formed once per
+    # run; in this one h and g depend on t, and f reads the state u
+    "timedependent1d.ini": problem(
+        "timedependent1d", f="u*exp(-t) + cos(pi*x)", h="1 + t", g="t*x",
+        u0="1 + cos(pi*x)", kernel="exp(-t)",
+    ),
+    # the same in 2D, on a rectangle: the boundary load and (g,1)_Gamma use
+    # the edge-trapezoid weights, corners included, not two point weights
+    "timedependent2d.ini": problem(
+        "timedependent2d", f="u*exp(-t) + cos(pi*x)*cos(pi*y)", h="1 + t + x*y",
+        g="t*x - (1 - t)*y^2", u0="1 + cos(pi*x)*cos(pi*y)", ly="2.0", kernel="exp(-t)",
+    ),
+    # f of t and x (y) alone, with h and g of t: all three are evaluated in
+    # blocks of time nodes, not per step
+    "timeonly1d.ini": problem(
+        "timeonly1d", f="exp(-t)*(1 + cos(pi*x)) + sin(2*t)*x", h="1 + t", g="t*x",
+        u0="1 + cos(pi*x)", kernel="exp(-t)",
+    ),
+    "timeonly2d.ini": problem(
+        "timeonly2d", f="exp(-t)*cos(pi*x)*cos(pi*y) + t*y", h="1 + t + x*y",
+        g="t*x - (1 - t)*y^2", u0="1 + cos(pi*x)*cos(pi*y)", ly="2.0", kernel="exp(-t)",
+    ),
+    # options from config keys, not flags: pins the key path's casts and echo
+    "contaminantkeys.ini": """\
 [problem]
 preset = contaminant
 
@@ -119,310 +99,76 @@ derivative = discrete
 fine_factor = 2
 trace = true
 kernel_denominator_sign = plus
-"""
-CONFIG_KEYS = "contaminantkeys.ini"
-
-# f faults at t = 0.5, node 5 of n = 10: a traced reconstruction prints
-# rows 1-5 and then fails
-FAULT_F = """\
-[problem]
-name = "faultf1d"
-f = "2 + 1/(t - 0.5)"
-h = "1"
-g = "0"
-u0 = "0"
-lx = 1.0
-T = 1.0
-omega = 1.0
-m = "0"
-mprime = "0"
-"""
-CONFIG_FAULT_F = "faultf1d.ini"
-
-# h faults inside the floor check, its first reader: with an exact m no
-# forward data run comes first.  At t = 0.5, in the middle of the only
-# block of time nodes, which is then served node by node; and in a static
-# h, which is evaluated once
-FAULT_H = """\
-[problem]
-name = "faulth1d"
-f = "0"
-h = "{h}"
-g = "0"
-u0 = "0"
-lx = 1.0
-T = 1.0
-omega = 0.5
-m = "0"
-mprime = "0"
-"""
-CONFIG_FAULT_H = "faulth1d.ini"
-CONFIG_FAULT_H_STATIC = "faulthstatic1d.ini"
-
-# |(h(t),1)| = 1 - t dips below omega after t = 0.25
-FLOOR_VIOLATION = """\
-[problem]
-name = "floor1d"
-f = "0"
-h = "1 - t"
-g = "0"
-u0 = "0"
-lx = 1.0
-T = 1.0
-omega = 0.75
-m = "0"
-mprime = "0"
-"""
-CONFIG_FLOOR = "floor1d.ini"
-
-# g faults at t = 0 only, where the march never reads it; the discrete
-# m'(0) reads it after the march, the exact m' does not
-FAULT_G0 = """\
-[problem]
-name = "faultg1d"
-f = "0"
-h = "1"
-g = "1/t"
-u0 = "0"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-mprime = "0"
-"""
-CONFIG_FAULT_G0 = "faultg1d.ini"
-
-# advection v . grad u: the contaminant's f reads the gradient p
-CONTAMINANT_ADVECTION = """\
-[problem]
-preset = contaminant
-v = 0.5
-"""
-CONFIG_ADVECTION = "contaminantv.ini"
-
-# f reads both components of the gradient on a rectangle
-GRADIENT_2D = """\
-[problem]
-name = "gradient2d"
-f = "u*exp(-t) - 0.5*p + 0.25*q + cos(pi*x)*cos(pi*y)"
-h = "1 + t"
-g = "t*x"
-u0 = "1 + cos(pi*x)*cos(pi*y)"
-lx = 1.0
-ly = 2.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-"""
-CONFIG_G2D = "gradient2d.ini"
-
-# manufactured1d without m and mprime: the measurement is read from a file
-# of the samples of m = 1 + t and m' = 1 on MEASUREMENT_N steps; the second
-# has no header and gives m' in its first row alone, as m'(0); the third is
-# the second behind a byte-order mark
-MEASUREMENT_FILE = "manufactured1d_m.csv"
-MEASUREMENT_FILE_M0 = "manufactured1d_m0.csv"
-MEASUREMENT_FILE_BOM = "manufactured1d_mbom.csv"
-MEASUREMENT_N = 200
-MANUFACTURED_FROM_FILE = """\
-[problem]
-name = "manufactured1d"
-f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"
-h = "1"
-g = "0"
-u0 = "1+cos(pi*x)"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-u_exact = "(1+t)*(1+cos(pi*x))"
-measurement_file = "{file}"
-"""
-CONFIG_FROM_FILE = "manufactured1dfile.ini"
-CONFIG_FROM_FILE_M0 = "manufactured1dfilem0.ini"
-CONFIG_FROM_FILE_BOM = "manufactured1dfilebom.ini"
-
-# every state is finite, but the squares in the diagnostics overflow
-OVERFLOWING_DIAGNOSTICS = """\
-[problem]
-name = "big1d"
-f = "0"
-h = "1"
-g = "0"
-u0 = "1e200*(1+cos(pi*x))"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "0"
-"""
-CONFIG_BIG = "big1d.ini"
-
-# finite samples whose backward difference overflows
-OVERFLOWING_FILE = "overflow_m.csv"
-CONTAMINANT_OVERFLOWING_FILE = f"""\
-[problem]
-preset = contaminant
-measurement_file = "{OVERFLOWING_FILE}"
-"""
-CONFIG_OVERFLOWING_FILE = "contaminantoverflow.ini"
-
-# a preset's section with T, omega and its own parameters laid over it
-CONTAMINANT_OVERRIDES = """\
-[problem]
-preset = contaminant
-kr = 2
-kd = 0.5
-T = 0.5
-omega = 0.25
-"""
-CONFIG_CT_OVERRIDES = "contaminantoverrides.ini"
-MANUFACTURED_OVERRIDES = """\
-[problem]
-preset = manufactured1d
-omega = 0.5
-T = 2
-"""
-CONFIG_M1_OVERRIDES = "manufactured1doverrides.ini"
-
-# these fail by design: an inline key beside a preset (exit 1), and a
-# parameter the contaminant rejects beside an unknown key (exit 3): the
-# preset's parameters are checked before the keys
-PRESET_WITH_F = """\
-[problem]
-preset = manufactured1d
-f = "0"
-"""
-CONFIG_PRESET_F = "presetf.ini"
-CONTAMINANT_KR0_UNKNOWN = """\
-[problem]
-preset = contaminant
-kr = 0
-bogus = 1
-"""
-CONFIG_KR0_UNKNOWN = "contaminantkr0.ini"
-
-# fails by design in its second level: with the minus sign the update
-# divides by (h,1) - m0 tau = 1 - 10 * 0.1 = 0 unless the noise moves m0,
-# which the second level's 1e-300 does not
-SECOND_LEVEL_FAULT = """\
-[problem]
-name = "secondlevelfault"
-f = "0"
-h = "1"
-g = "0"
-u0 = "10"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "0"
-m = "10"
-mprime = "0"
-"""
-CONFIG_SECOND_LEVEL_FAULT = "secondlevelfault.ini"
-
-# fails by design in both levels: u follows m below 0, where sqrt(u)
-# faults, after 7 steps of the first level and, with seed 4, after 3 of
-# the second; the first level's rows and fault decide
-LATER_FAULT = """\
-[problem]
-name = "laterfault"
-f = "sqrt(u) - 1"
-h = "1"
-g = "0"
-u0 = "1"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "0"
-m = "1 - 1.6*t"
-"""
-CONFIG_LATER_FAULT = "laterfault.ini"
-
-# fails by design in its second level: m0 = 9.9 keeps tau = 0.05 below
-# tau0 = 1/19.8, and the second level's noise moves m0 past it, so that
-# level fails its step threshold before the march
-LATER_THRESHOLD = """\
-[problem]
-name = "laterthreshold"
-f = "0"
-h = "1"
-g = "0"
-u0 = "9.9"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "0"
-m = "9.9"
-mprime = "0"
-"""
-CONFIG_LATER_THRESHOLD = "laterthreshold.ini"
-
-# these fail by design in the expression parser, each in one expression:
-# a U+00A0, two bytes in UTF-8, before an unexpected character, so that the
-# offset counts bytes; an unknown function; a wrong arity; and an h nested
-# one level deeper than the parser accepts
-BAD_EXPRESSION = """\
-[problem]
-name = "badexpression"
-f = "{f}"
-h = "{h}"
-g = "0"
-u0 = "0"
-lx = 1.0
-T = 1.0
-omega = 1.0
-m = "0"
-mprime = "0"
-"""
-CONFIG_BAD_CHARACTER = "badcharacter.ini"
-CONFIG_UNKNOWN_FUNCTION = "unknownfunction.ini"
-CONFIG_ARITY = "arity.ini"
-CONFIG_DEEP_H = "deeph.ini"
-
-
-def _measurement_text(n: int, initial_only: bool = False) -> str:
-    nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
-    if initial_only:
-        rows = (f"{t:.17g},{1.0 + t:.17g}{',1' if k == 0 else ''}" for k, t in enumerate(nodes))
-        return "".join(f"{row}\n" for row in rows)
-    return "".join(["t,m,mprime\n", *(f"{t:.17g},{1.0 + t:.17g},1\n" for t in nodes)])
-
-
-# the configs, and the measurement file, written beside the outputs
-CONFIGS = {
-    CONFIG_2D: MANUFACTURED_2D,
-    CONFIG_T1D: TIME_DEPENDENT_1D,
-    CONFIG_T2D: TIME_DEPENDENT_2D,
-    CONFIG_O1D: TIME_ONLY_1D,
-    CONFIG_O2D: TIME_ONLY_2D,
-    CONFIG_KEYS: CONTAMINANT_KEYS,
-    CONFIG_FAULT_F: FAULT_F,
-    CONFIG_FLOOR: FLOOR_VIOLATION,
-    CONFIG_FAULT_H: FAULT_H.format(h="1 + 1/(t - 0.5)"),
-    CONFIG_FAULT_H_STATIC: FAULT_H.format(h="2 + log(x)"),
-    CONFIG_FAULT_G0: FAULT_G0,
-    CONFIG_ADVECTION: CONTAMINANT_ADVECTION,
-    CONFIG_G2D: GRADIENT_2D,
-    CONFIG_FROM_FILE: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE),
-    CONFIG_FROM_FILE_M0: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE_M0),
-    MEASUREMENT_FILE: _measurement_text(MEASUREMENT_N),
-    CONFIG_FROM_FILE_BOM: MANUFACTURED_FROM_FILE.format(file=MEASUREMENT_FILE_BOM),
-    MEASUREMENT_FILE_M0: _measurement_text(MEASUREMENT_N, initial_only=True),
-    MEASUREMENT_FILE_BOM: "\ufeff" + _measurement_text(MEASUREMENT_N, initial_only=True),
-    CONFIG_BIG: OVERFLOWING_DIAGNOSTICS,
-    OVERFLOWING_FILE: "0,0\n0.5,1.7e308\n1,-1.7e308\n",
-    CONFIG_OVERFLOWING_FILE: CONTAMINANT_OVERFLOWING_FILE,
-    CONFIG_CT_OVERRIDES: CONTAMINANT_OVERRIDES,
-    CONFIG_M1_OVERRIDES: MANUFACTURED_OVERRIDES,
-    CONFIG_PRESET_F: PRESET_WITH_F,
-    CONFIG_KR0_UNKNOWN: CONTAMINANT_KR0_UNKNOWN,
-    CONFIG_SECOND_LEVEL_FAULT: SECOND_LEVEL_FAULT,
-    CONFIG_LATER_FAULT: LATER_FAULT,
-    CONFIG_LATER_THRESHOLD: LATER_THRESHOLD,
-    CONFIG_BAD_CHARACTER: BAD_EXPRESSION.format(f="x\u00a0+ $", h="1"),
-    CONFIG_UNKNOWN_FUNCTION: BAD_EXPRESSION.format(f="foo(x)", h="1"),
-    CONFIG_ARITY: BAD_EXPRESSION.format(f="min(x)", h="1"),
-    CONFIG_DEEP_H: BAD_EXPRESSION.format(f="0", h="(" * 101 + "1" + ")" * 101),
+""",
+    # f faults at t = 0.5, node 5 of n = 10: a traced reconstruction prints
+    # rows 1-5 and then fails
+    "faultf1d.ini": problem("faultf1d", f="2 + 1/(t - 0.5)", m="0", mprime="0"),
+    # h faults inside the floor check, its first reader: with an exact m no
+    # forward data run comes first.  At t = 0.5, in the middle of the only
+    # block of time nodes, which is then served node by node; and in a static
+    # h, which is evaluated once
+    "faulth1d.ini": problem("faulth1d", h="1 + 1/(t - 0.5)", omega="0.5", m="0", mprime="0"),
+    "faulthstatic1d.ini": problem("faulth1d", h="2 + log(x)", omega="0.5", m="0", mprime="0"),
+    # |(h(t),1)| = 1 - t dips below omega after t = 0.25
+    "floor1d.ini": problem("floor1d", h="1 - t", omega="0.75", m="0", mprime="0"),
+    # g faults at t = 0 only, where the march never reads it; the discrete
+    # m'(0) reads it after the march, the exact m' does not
+    "faultg1d.ini": problem("faultg1d", g="1/t", kernel="exp(-t)", mprime="0"),
+    # advection v . grad u: the contaminant's f reads the gradient p
+    "contaminantv.ini": "[problem]\npreset = contaminant\nv = 0.5\n",
+    # f reads both components of the gradient on a rectangle
+    "gradient2d.ini": problem(
+        "gradient2d", f="u*exp(-t) - 0.5*p + 0.25*q + cos(pi*x)*cos(pi*y)", h="1 + t",
+        g="t*x", u0="1 + cos(pi*x)*cos(pi*y)", ly="2.0", kernel="exp(-t)",
+    ),
+    # manufactured1d without m and mprime: the measurement is read from a file
+    # of the samples of m = 1 + t and m' = 1 on 200 steps; the second has no
+    # header and gives m' in its first row alone, as m'(0); the third is the
+    # second behind a byte-order mark
+    **{config: problem(
+        "manufactured1d", f="(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))",
+        u0="1+cos(pi*x)", kernel="exp(-t)", u_exact="(1+t)*(1+cos(pi*x))", measurement_file=file,
+    ) for config, file in [("manufactured1dfile.ini", "manufactured1d_m.csv"),
+                           ("manufactured1dfilem0.ini", "manufactured1d_m0.csv"),
+                           ("manufactured1dfilebom.ini", "manufactured1d_mbom.csv")]},
+    "manufactured1d_m.csv": _measurement_text(200),
+    "manufactured1d_m0.csv": _measurement_text(200, initial_only=True),
+    "manufactured1d_mbom.csv": "\ufeff" + _measurement_text(200, initial_only=True),
+    # every state is finite, but the squares in the diagnostics overflow
+    "big1d.ini": problem("big1d", u0="1e200*(1+cos(pi*x))", kernel="0"),
+    # finite samples whose backward difference overflows
+    "overflow_m.csv": "0,0\n0.5,1.7e308\n1,-1.7e308\n",
+    "contaminantoverflow.ini":
+        '[problem]\npreset = contaminant\nmeasurement_file = "overflow_m.csv"\n',
+    # a preset's section with T, omega and its own parameters laid over it
+    "contaminantoverrides.ini":
+        "[problem]\npreset = contaminant\nkr = 2\nkd = 0.5\nT = 0.5\nomega = 0.25\n",
+    "manufactured1doverrides.ini": "[problem]\npreset = manufactured1d\nomega = 0.5\nT = 2\n",
+    # these fail by design: an inline key beside a preset (exit 1), and a
+    # parameter the contaminant rejects beside an unknown key (exit 3): the
+    # preset's parameters are checked before the keys
+    "presetf.ini": '[problem]\npreset = manufactured1d\nf = "0"\n',
+    "contaminantkr0.ini": "[problem]\npreset = contaminant\nkr = 0\nbogus = 1\n",
+    # fails by design in its second level: with the minus sign the update
+    # divides by (h,1) - m0 tau = 1 - 10 * 0.1 = 0 unless the noise moves m0,
+    # which the second level's 1e-300 does not
+    "secondlevelfault.ini": problem("secondlevelfault", u0="10", kernel="0", m="10", mprime="0"),
+    # fails by design in both levels: u follows m below 0, where sqrt(u)
+    # faults, after 7 steps of the first level and, with seed 4, after 3 of
+    # the second; the first level's rows and fault decide
+    "laterfault.ini": problem("laterfault", f="sqrt(u) - 1", u0="1", kernel="0", m="1 - 1.6*t"),
+    # fails by design in its second level: m0 = 9.9 keeps tau = 0.05 below
+    # tau0 = 1/19.8, and the second level's noise moves m0 past it, so that
+    # level fails its step threshold before the march
+    "laterthreshold.ini": problem("laterthreshold", u0="9.9", kernel="0", m="9.9", mprime="0"),
+    # these fail by design in the expression parser, each in one expression:
+    # a U+00A0, two bytes in UTF-8, before an unexpected character, so that the
+    # offset counts bytes; an unknown function; a wrong arity; and an h nested
+    # one level deeper than the parser accepts
+    "badcharacter.ini": problem("badexpression", f="x\u00a0+ $", m="0", mprime="0"),
+    "unknownfunction.ini": problem("badexpression", f="foo(x)", m="0", mprime="0"),
+    "arity.ini": problem("badexpression", f="min(x)", m="0", mprime="0"),
+    "deeph.ini": problem("badexpression", h="(" * 101 + "1" + ")" * 101, m="0", mprime="0"),
 }
 
 M1 = ["--preset", "manufactured1d"]
@@ -435,7 +181,7 @@ COMMANDS = {
     ],
     "reconstruct-contaminant": ["reconstruct", *CT, "--n", "200", "--mx", "50"],
     "reconstruct-zero1d": ["reconstruct", "--preset", "zero1d", "--n", "50", "--mx", "20"],
-    "reconstruct-2d": ["reconstruct", "--config", CONFIG_2D, "--n", "20", "--mx", "24"],
+    "reconstruct-2d": ["reconstruct", "--config", "manufactured2d.ini", "--n", "20", "--mx", "24"],
     "roundtrip-manufactured1d": ["roundtrip", *M1, "--n", "100", "--mx", "50"],
     "roundtrip-contaminant": ["roundtrip", *CT, "--n", "100", "--mx", "50"],
     "convergence-manufactured1d": ["convergence", *M1, "--n", "50,100,200", "--mx", "50"],
@@ -448,25 +194,29 @@ COMMANDS = {
     "forward-manufactured1d-discrete": [
         "forward", *M1, "--n", "200", "--mx", "50", "--derivative", "discrete",
     ],
-    "forward-2d": ["forward", "--config", CONFIG_2D, "--n", "20", "--mx", "24"],
+    "forward-2d": ["forward", "--config", "manufactured2d.ini", "--n", "20", "--mx", "24"],
     # h and g of t and an f of the state u, in 1D and on a rectangle
-    "forward-time-dependent-1d": ["forward", "--config", CONFIG_T1D, "--n", "100", "--mx", "50"],
-    "roundtrip-time-dependent-1d": [
-        "roundtrip", "--config", CONFIG_T1D, "--n", "100", "--mx", "50",
+    "forward-time-dependent-1d": [
+        "forward", "--config", "timedependent1d.ini", "--n", "100", "--mx", "50",
     ],
-    "forward-time-dependent-2d": ["forward", "--config", CONFIG_T2D, "--n", "20", "--mx", "24"],
+    "roundtrip-time-dependent-1d": [
+        "roundtrip", "--config", "timedependent1d.ini", "--n", "100", "--mx", "50",
+    ],
+    "forward-time-dependent-2d": [
+        "forward", "--config", "timedependent2d.ini", "--n", "20", "--mx", "24",
+    ],
     "roundtrip-time-dependent-2d": [
-        "roundtrip", "--config", CONFIG_T2D, "--n", "20", "--mx", "24",
+        "roundtrip", "--config", "timedependent2d.ini", "--n", "20", "--mx", "24",
     ],
     # unequal axes, or a single cell along one: face, corner and axis order show
     "roundtrip-time-dependent-2d-12x30": [
-        "roundtrip", "--config", CONFIG_T2D, "--n", "20", "--mx", "12", "--my", "30",
+        "roundtrip", "--config", "timedependent2d.ini", "--n", "20", "--mx", "12", "--my", "30",
     ],
     "reconstruct-time-dependent-2d-1x7": [
-        "reconstruct", "--config", CONFIG_T2D, "--n", "20", "--mx", "1", "--my", "7",
+        "reconstruct", "--config", "timedependent2d.ini", "--n", "20", "--mx", "1", "--my", "7",
     ],
     "forward-time-dependent-2d-9x1": [
-        "forward", "--config", CONFIG_T2D, "--n", "20", "--mx", "9", "--my", "1",
+        "forward", "--config", "timedependent2d.ini", "--n", "20", "--mx", "9", "--my", "1",
     ],
     "roundtrip-contaminant-one-cell": ["roundtrip", *CT, "--n", "50", "--mx", "1"],
     "noise-sweep-manufactured1d": [
@@ -477,10 +227,18 @@ COMMANDS = {
     # 20001 nodes: each block is one time node
     "reconstruct-manufactured1d-wide": ["reconstruct", *M1, "--n", "10", "--mx", "20000"],
     # f, h and g of t, x and y alone
-    "reconstruct-time-only-1d": ["reconstruct", "--config", CONFIG_O1D, "--n", "200", "--mx", "50"],
-    "roundtrip-time-only-1d": ["roundtrip", "--config", CONFIG_O1D, "--n", "1000", "--mx", "50"],
-    "reconstruct-time-only-2d": ["reconstruct", "--config", CONFIG_O2D, "--n", "20", "--mx", "24"],
-    "roundtrip-time-only-2d": ["roundtrip", "--config", CONFIG_O2D, "--n", "100", "--mx", "24"],
+    "reconstruct-time-only-1d": [
+        "reconstruct", "--config", "timeonly1d.ini", "--n", "200", "--mx", "50",
+    ],
+    "roundtrip-time-only-1d": [
+        "roundtrip", "--config", "timeonly1d.ini", "--n", "1000", "--mx", "50",
+    ],
+    "reconstruct-time-only-2d": [
+        "reconstruct", "--config", "timeonly2d.ini", "--n", "20", "--mx", "24",
+    ],
+    "roundtrip-time-only-2d": [
+        "roundtrip", "--config", "timeonly2d.ini", "--n", "100", "--mx", "24",
+    ],
     "noise-sweep-contaminant": [
         "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
     ],
@@ -490,34 +248,34 @@ COMMANDS = {
         "reconstruct", *M1, "--n", "2000", "--mx", "50", "--trace",
     ],
     "reconstruct-2d-trace": [
-        "reconstruct", "--config", CONFIG_2D, "--n", "20", "--mx", "24", "--trace",
+        "reconstruct", "--config", "manufactured2d.ini", "--n", "20", "--mx", "24", "--trace",
     ],
     # every option from a config key
-    "reconstruct-contaminant-config-keys": ["reconstruct", "--config", CONFIG_KEYS],
+    "reconstruct-contaminant-config-keys": ["reconstruct", "--config", "contaminantkeys.ini"],
     # f reads the gradient: p in 1D, p and q on a rectangle
     "reconstruct-contaminant-advection": [
-        "reconstruct", "--config", CONFIG_ADVECTION, "--n", "200", "--mx", "50",
+        "reconstruct", "--config", "contaminantv.ini", "--n", "200", "--mx", "50",
     ],
     "roundtrip-gradient-2d": [
-        "roundtrip", "--config", CONFIG_G2D, "--n", "20", "--mx", "12", "--my", "9",
+        "roundtrip", "--config", "gradient2d.ini", "--n", "20", "--mx", "12", "--my", "9",
     ],
     "reconstruct-gradient-2d": [
-        "reconstruct", "--config", CONFIG_G2D, "--n", "20", "--mx", "12", "--my", "9",
+        "reconstruct", "--config", "gradient2d.ini", "--n", "20", "--mx", "12", "--my", "9",
     ],
     # the measurement from a file: with a header, headerless with m'(0) in
     # its first row alone, and that behind a byte-order mark
     "reconstruct-manufactured1d-file": [
-        "reconstruct", "--config", CONFIG_FROM_FILE, "--n", str(MEASUREMENT_N), "--mx", "50",
+        "reconstruct", "--config", "manufactured1dfile.ini", "--n", "200", "--mx", "50",
     ],
     "reconstruct-manufactured1d-file-m0": [
-        "reconstruct", "--config", CONFIG_FROM_FILE_M0, "--n", str(MEASUREMENT_N), "--mx", "50",
+        "reconstruct", "--config", "manufactured1dfilem0.ini", "--n", "200", "--mx", "50",
     ],
     "reconstruct-manufactured1d-file-bom": [
-        "reconstruct", "--config", CONFIG_FROM_FILE_BOM, "--n", str(MEASUREMENT_N), "--mx", "50",
+        "reconstruct", "--config", "manufactured1dfilebom.ini", "--n", "200", "--mx", "50",
     ],
-    # the file's MEASUREMENT_N steps, restricted to each level
+    # the file's 200 steps, restricted to each level
     "convergence-manufactured1d-file": [
-        "convergence", "--config", CONFIG_FROM_FILE, "--n", "50,100,200", "--mx", "50",
+        "convergence", "--config", "manufactured1dfile.ini", "--n", "50,100,200", "--mx", "50",
     ],
     "noise-sweep-contaminant-trace": [
         "noise-sweep", *CT, "--n", "100", "--mx", "50", "--noise", "1e-4,1e-3", "--seed", "7",
@@ -525,24 +283,24 @@ COMMANDS = {
     ],
     # presets with T, omega and parameters given
     "reconstruct-contaminant-overrides": [
-        "reconstruct", "--config", CONFIG_CT_OVERRIDES, "--n", "100", "--mx", "50",
+        "reconstruct", "--config", "contaminantoverrides.ini", "--n", "100", "--mx", "50",
     ],
     "reconstruct-manufactured1d-overrides": [
-        "reconstruct", "--config", CONFIG_M1_OVERRIDES, "--n", "200", "--mx", "50",
+        "reconstruct", "--config", "manufactured1doverrides.ini", "--n", "200", "--mx", "50",
     ],
     "roundtrip-contaminant-horizon": ["roundtrip", *CT, "--T", "0.5", "--n", "100", "--mx", "50"],
     # g faults at t = 0, where an analytic forward run never evaluates it
     "forward-g-fault-at-0-analytic": [
-        "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
+        "forward", "--config", "faultg1d.ini", "--n", "10", "--mx", "8",
     ],
     # sweeps whose levels march together, against a tree that may run them one
     # at a time: in 2D, and with an f that reads p
     "noise-sweep-2d": [
-        "noise-sweep", "--config", CONFIG_2D, "--n", "10", "--mx", "12",
+        "noise-sweep", "--config", "manufactured2d.ini", "--n", "10", "--mx", "12",
         "--noise", "1e-4,1e-3", "--seed", "7",
     ],
     "noise-sweep-contaminant-advection-trace": [
-        "noise-sweep", "--config", CONFIG_ADVECTION, "--n", "100", "--mx", "50",
+        "noise-sweep", "--config", "contaminantv.ini", "--n", "100", "--mx", "50",
         "--noise", "1e-4,1e-3", "--seed", "7", "--trace",
     ],
     # one sigma: a sequence of one series, marched without the series axis
@@ -551,32 +309,32 @@ COMMANDS = {
     ],
     # a single cell along y: each level's history rows hold 13 x 2 nodes
     "noise-sweep-2d-my1": [
-        "noise-sweep", "--config", CONFIG_2D, "--n", "10", "--mx", "12", "--my", "1",
+        "noise-sweep", "--config", "manufactured2d.ini", "--n", "10", "--mx", "12", "--my", "1",
         "--noise", "1e-4,1e-3", "--seed", "7",
     ],
     # m0 = 10 puts tau0 below tau: each level warns in the same words
     "noise-sweep-repeated-warning": [
-        "noise-sweep", "--config", CONFIG_SECOND_LEVEL_FAULT, "--n", "10", "--mx", "4",
+        "noise-sweep", "--config", "secondlevelfault.ini", "--n", "10", "--mx", "4",
         "--noise", "1e-12,1e-11,1e-10", "--seed", "1", "--force",
     ],
 }
 # these fail by design: the exit code and the stderr are compared
 FAILING = {
     "reconstruct-f-fault-trace": [
-        "reconstruct", "--config", CONFIG_FAULT_F, "--n", "10", "--mx", "8", "--trace",
+        "reconstruct", "--config", "faultf1d.ini", "--n", "10", "--mx", "8", "--trace",
     ],
     "reconstruct-floor-violation": [
-        "reconstruct", "--config", CONFIG_FLOOR, "--n", "10", "--mx", "8",
+        "reconstruct", "--config", "floor1d.ini", "--n", "10", "--mx", "8",
     ],
     "reconstruct-h-fault-in-floor": [
-        "reconstruct", "--config", CONFIG_FAULT_H, "--n", "10", "--mx", "8", "--trace",
+        "reconstruct", "--config", "faulth1d.ini", "--n", "10", "--mx", "8", "--trace",
     ],
     "reconstruct-h-static-fault": [
-        "reconstruct", "--config", CONFIG_FAULT_H_STATIC, "--n", "10", "--mx", "8", "--trace",
+        "reconstruct", "--config", "faulthstatic1d.ini", "--n", "10", "--mx", "8", "--trace",
     ],
     # the discrete m'(0) evaluates g at t = 0
     "forward-g-fault-at-0-discrete": [
-        "forward", "--config", CONFIG_FAULT_G0, "--n", "10", "--mx", "8",
+        "forward", "--config", "faultg1d.ini", "--n", "10", "--mx", "8",
         "--derivative", "discrete",
     ],
     # the CSV is written, then the JSON cannot be: the run must take the CSV back
@@ -585,37 +343,37 @@ FAILING = {
     ],
     # a run that would write a NaN or an infinity writes nothing
     "roundtrip-diagnostics-overflow": [
-        "roundtrip", "--config", CONFIG_BIG, "--n", "4", "--mx", "4", "--force",
+        "roundtrip", "--config", "big1d.ini", "--n", "4", "--mx", "4", "--force",
     ],
     # sigma = 5e-324, the least subnormal: err_inf / sigma overflows
     "noise-sweep-amplification-overflow": [
         "noise-sweep", *M1, "--n", "20", "--mx", "10", "--noise", "5e-324", "--seed", "1",
     ],
     "reconstruct-measurement-difference-overflow": [
-        "reconstruct", "--config", CONFIG_OVERFLOWING_FILE, "--n", "2", "--mx", "4",
+        "reconstruct", "--config", "contaminantoverflow.ini", "--n", "2", "--mx", "4",
     ],
     "reconstruct-preset-with-f": [
-        "reconstruct", "--config", CONFIG_PRESET_F, "--n", "10", "--mx", "4",
+        "reconstruct", "--config", "presetf.ini", "--n", "10", "--mx", "4",
     ],
     "reconstruct-contaminant-kr0-unknown-key": [
-        "reconstruct", "--config", CONFIG_KR0_UNKNOWN, "--n", "10", "--mx", "4",
+        "reconstruct", "--config", "contaminantkr0.ini", "--n", "10", "--mx", "4",
     ],
     # a later level fails after the levels before it have printed their rows
     "noise-sweep-second-level-fault-trace": [
-        "noise-sweep", "--config", CONFIG_SECOND_LEVEL_FAULT, "--n", "10", "--mx", "4",
+        "noise-sweep", "--config", "secondlevelfault.ini", "--n", "10", "--mx", "4",
         "--noise", "0.1,1e-300", "--seed", "1", "--force",
         "--kernel-denominator-sign", "minus", "--trace",
     ],
     "noise-sweep-first-level-fault-decides-trace": [
-        "noise-sweep", "--config", CONFIG_LATER_FAULT, "--n", "10", "--mx", "4",
+        "noise-sweep", "--config", "laterfault.ini", "--n", "10", "--mx", "4",
         "--noise", "1e-6,0.3", "--seed", "4", "--trace",
     ],
     "noise-sweep-later-threshold": [
-        "noise-sweep", "--config", CONFIG_LATER_THRESHOLD, "--n", "20", "--mx", "4",
+        "noise-sweep", "--config", "laterthreshold.ini", "--n", "20", "--mx", "4",
         "--noise", "1e-6,0.5", "--seed", "3",
     ],
     "noise-sweep-later-threshold-trace": [
-        "noise-sweep", "--config", CONFIG_LATER_THRESHOLD, "--n", "20", "--mx", "4",
+        "noise-sweep", "--config", "laterthreshold.ini", "--n", "20", "--mx", "4",
         "--noise", "1e-6,0.5", "--seed", "3", "--trace",
     ],
     # the second level's samples overflow: the first level's rows, then the draw's failure
@@ -625,13 +383,13 @@ FAILING = {
     ],
     # the parser's located errors, printed as usage errors
     "reconstruct-bad-character": [
-        "reconstruct", "--config", CONFIG_BAD_CHARACTER, "--n", "10", "--mx", "4",
+        "reconstruct", "--config", "badcharacter.ini", "--n", "10", "--mx", "4",
     ],
     "reconstruct-unknown-function": [
-        "reconstruct", "--config", CONFIG_UNKNOWN_FUNCTION, "--n", "10", "--mx", "4",
+        "reconstruct", "--config", "unknownfunction.ini", "--n", "10", "--mx", "4",
     ],
-    "reconstruct-arity": ["reconstruct", "--config", CONFIG_ARITY, "--n", "10", "--mx", "4"],
-    "reconstruct-deep-h": ["reconstruct", "--config", CONFIG_DEEP_H, "--n", "10", "--mx", "4"],
+    "reconstruct-arity": ["reconstruct", "--config", "arity.ini", "--n", "10", "--mx", "4"],
+    "reconstruct-deep-h": ["reconstruct", "--config", "deeph.ini", "--n", "10", "--mx", "4"],
 }
 # help texts: stdout and exit code are compared byte for byte
 HELP = {
@@ -677,11 +435,6 @@ def report(path: Path):
                       object_hook=lambda obj: {k: v for k, v in obj.items() if k != "timings"})
 
 
-def unequal(base, head, *fields: str) -> list[str]:
-    """The fields in which two finished runs differ."""
-    return [field for field in fields if getattr(base, field) != getattr(head, field)]
-
-
 def differences(base, head, path: str = "") -> Iterator[str]:
     """Each key path where two reports differ, in key order, such as
     ``rows[0].err_inf_after_0 only in head``.  Values are compared as
@@ -704,41 +457,34 @@ def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print("usage: python tools/compare_outputs.py BASE_DIR [HEAD_DIR]", file=sys.stderr)
         return 2
-    base = Path(argv[0]).resolve()
-    head = Path(argv[1]).resolve() if len(argv) == 2 else ROOT
+    trees = {"base": Path(argv[0]).resolve(),
+             "head": Path(argv[1]).resolve() if len(argv) == 2 else ROOT}
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {side: run_tree(tree, Path(tmp) / side)
-                for side, tree in (("base", base), ("head", head))}
-        for name in [*COMMANDS, *FAILING, *HELP]:
-            done = {side: runs[side][name] for side in ("base", "head")}
-            paths = {side: Path(tmp) / side / name for side in ("base", "head")}
-            if name in HELP:
-                differs = unequal(*done.values(), "returncode", "stdout")
-            elif name in FAILING:
-                differs = [f"{side} left {path.with_suffix(suffix).name}"
-                           for side, path in paths.items() for suffix in OUTPUTS.values()
-                           if path.with_suffix(suffix).exists()]
-                differs += unequal(*done.values(), "returncode", "stderr")
-            elif any(run.returncode for run in done.values()):
+        runs = {side: run_tree(tree, Path(tmp) / side) for side, tree in trees.items()}
+        for name in command_lines():
+            done = {side: runs[side][name] for side in trees}
+            paths = {side: Path(tmp) / side / name for side in trees}
+            if name in COMMANDS and any(run.returncode for run in done.values()):
                 failed = [f"{side} exit {run.returncode}: {run.stderr.strip()}"
                           for side, run in done.items() if run.returncode]
                 print(f"FAILED   {name}: {'; '.join(failed)}")
                 status = 2
                 continue
-            else:
-                differs = []
+            differs = [field for field in ("returncode", "stdout", "stderr")
+                       if getattr(done["base"], field) != getattr(done["head"], field)]
+            if name in COMMANDS:
                 if not filecmp.cmp(paths["base"].with_suffix(".csv"),
                                    paths["head"].with_suffix(".csv"), shallow=False):
                     differs.append("csv")
-                reports = (report(p.with_suffix(".json")) for p in paths.values())
-                where = list(differences(*reports))
+                where = list(differences(*(report(p.with_suffix(".json")) for p in paths.values())))
                 if where:
                     more = f", and {len(where) - 5} more" if len(where) > 5 else ""
                     differs.append(f"json ({', '.join(where[:5])}{more})")
-                printed = done["base"].stderr + done["head"].stderr
-                if "--trace" in COMMANDS[name] or "step=" in printed or "warning:" in printed:
-                    differs += unequal(*done.values(), "stderr")
+            else:
+                differs += [f"{side} left {path.with_suffix(suffix).name}"
+                            for side, path in paths.items() for suffix in OUTPUTS.values()
+                            if path.with_suffix(suffix).exists()]
             if differs:
                 print(f"DIFFERS  {name}: {' and '.join(differs)}")
                 status = max(status, 1)
