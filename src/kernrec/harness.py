@@ -361,6 +361,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError("no problem given: pass --preset NAME or --config PATH")
     if args.T is not None:
         problem_section["T"] = repr(args.T)
+    # a relative measurement file is read from the config's directory
+    if problem_section.get("measurement_file"):
+        problem_section["measurement_file"] = os.path.join(
+            os.path.dirname(args.config), problem_section["measurement_file"]
+        )
     spec = spec_from_mapping(problem_section)
 
     required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}

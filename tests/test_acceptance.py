@@ -26,7 +26,7 @@ from kernrec.problem import (
     spec_from_mapping,
 )
 from kernrec.solver import SpectralSolver
-from oracles import MANUFACTURED_2D, THRESHOLD_CONFIG, dense_step_operator
+from oracles import MANUFACTURED_2D, THRESHOLD_CONFIG, dense_step_operator, write_config
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
@@ -217,8 +217,7 @@ def test_criterion_6_diagnostics_boundedness(refinement_study):
 
 
 def test_criterion_7_step_threshold_guard(tmp_path):
-    cfg = tmp_path / "threshold.cfg"
-    cfg.write_text(THRESHOLD_CONFIG, encoding="utf-8")
+    cfg = write_config(tmp_path, THRESHOLD_CONFIG, "threshold.cfg")
     argv = ["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"]
     code_plain = run_cli(argv)
     with pytest.warns(RuntimeWarning):

@@ -1,6 +1,7 @@
 """The case tables of ``tools/compare_outputs.py`` state each case once and
-name only the files they define, and every config they define parses:
-a misspelt key would fail a case in both trees alike."""
+name only the files of ``CONFIGS``, and every config there parses: a
+misspelt key would fail a case in both trees alike.  The benchmark's 2D
+problem, which the tool no longer reads, is the one of ``tests/oracles.py``."""
 
 import importlib.util
 import re
@@ -11,22 +12,34 @@ import pytest
 
 from kernrec import harness
 from kernrec.problem import _INLINE_KEYS, parse_config
+from oracles import CONFIGS, MANUFACTURED_2D
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(path):
+    """The script at ``path`` as a module, loaded without leaving the
+    ``sys.path`` entries it makes, or itself in ``sys.modules``, behind."""
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    # a dataclass looks up the module that defines it
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture(scope="module")
 def table():
-    """The script as a module, loaded without leaving its ``sys.path``
-    entry for the benchmark's directory behind."""
-    path = list(sys.path)
-    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = path
-    return module
+    return _load(ROOT / "tools" / "compare_outputs.py")
+
+
+def test_the_benchmark_runs_the_2d_problem_of_the_oracles():
+    workloads = _load(ROOT / "bench" / "workloads.py")
+    assert parse_config(workloads.MANUFACTURED_2D)["problem"] == MANUFACTURED_2D
 
 
 def test_each_case_is_stated_once(table):
@@ -40,25 +53,25 @@ def test_each_case_is_stated_once(table):
 def test_every_file_a_command_reads_is_written(table):
     configs = [argv[k + 1] for argv in table.command_lines().values()
                for k, option in enumerate(argv) if option == "--config"]
-    files = [name for text in table.CONFIGS.values()
+    files = [name for text in CONFIGS.values()
              for name in re.findall(r'^measurement_file = "(.*)"$', text, re.MULTILINE)]
     assert configs and files
-    assert set(configs + files) <= table.CONFIGS.keys()
+    assert set(configs + files) <= CONFIGS.keys()
 
 
-def _configs(table):
+def _configs():
     """Each .ini of ``CONFIGS``, parsed with the harness's section keys."""
     return {name: parse_config(text, harness._SECTION_KEYS)
-            for name, text in table.CONFIGS.items() if name.endswith(".ini")}
+            for name, text in CONFIGS.items() if name.endswith(".ini")}
 
 
-def test_every_config_parses(table):
-    assert _configs(table)
+def test_every_config_parses():
+    assert _configs()
 
 
-def test_every_inline_problem_names_known_keys(table):
+def test_every_inline_problem_names_known_keys():
     # a preset's [problem] is checked against the preset; two carry a foreign key by design
-    inline = {name: sections["problem"] for name, sections in _configs(table).items()
+    inline = {name: sections["problem"] for name, sections in _configs().items()
               if "preset" not in sections["problem"]}
     assert inline
     for name, problem in inline.items():

@@ -11,15 +11,8 @@ from kernrec.errors import DomainFaultError, ValidationError
 from kernrec.forward import TimeStepper, _convolution_values, run_forward
 from kernrec.grid import SpatialGrid
 from kernrec.inverse import reconstruct
-from kernrec.problem import MeasurementSeries, ProblemSpec, TimeGrid, make_preset
-
-
-def _spec(f="0", h="0", g="0", u0="0", T=1.0, omega=1.0, extents=(1.0,), **extra):
-    return ProblemSpec(
-        name="inline", extents=extents, T=T, omega_floor=omega,
-        f=expr.parse(f), h=expr.parse(h), g=expr.parse(g), u0=expr.parse(u0),
-        **{k: (expr.parse(v) if isinstance(v, str) else v) for k, v in extra.items()},
-    )
+from kernrec.problem import MeasurementSeries, TimeGrid, make_preset
+from oracles import MANUFACTURED_1D, build_spec, variant
 
 
 def _manufactured_time_dependent():
@@ -77,11 +70,7 @@ class TestFastPathsAreBitIdentical:
 
     @pytest.mark.parametrize("extents, cells", [((1.0,), (50,)), ((1.0, 2.0), (37, 23))])
     def test_means_equal_np_sum(self, extents, cells):
-        spec = ProblemSpec(
-            name="inline", extents=extents, T=1.0, omega_floor=1.0,
-            f=expr.parse("0"), h=expr.parse("1"), g=expr.parse("1e3*sin(37*x) + x^3"),
-            u0=expr.parse("0"),
-        )
+        spec = build_spec(g="1e3*sin(37*x) + x^3", **({"ly": "2.0"} if len(extents) == 2 else {}))
         grid = spec.make_grid(*cells)
         stepper = TimeStepper(spec, grid, TimeGrid(1.0, 4))
         field = np.random.default_rng(3).standard_normal(grid.shape) * 1e3
@@ -132,7 +121,7 @@ class TestFastPathsAreBitIdentical:
 
 class TestForwardStep:
     def test_constants_are_steady_states(self):
-        spec = _spec(u0="5", kernel_exact="0")
+        spec = build_spec(h="0", u0="5", kernel="0")
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(16)
         run = run_forward(spec, grid, tg)
@@ -340,9 +329,8 @@ class TestBlockFaults:
     def test_fault_after_earlier_steps(self, name, steps, cells):
         # t = 0.5 is node 5; f is read at t_{i-1}, h and g at t_i; in 2D
         # (a 1 x 2 rectangle) t is bound as a (-1, 1, 1) column
-        trees = {"f": "1", "h": "1", "g": "0", name: "2 + 1/(t - 0.5)"}
-        extents = (1.0, 2.0)[: len(cells)]
-        spec = replace(_spec(**trees, u0="0", kernel_exact="0"), extents=extents)
+        spec = build_spec(**{"f": "1", name: "2 + 1/(t - 0.5)"}, kernel="0",
+                          **({"ly": "2.0"} if len(cells) == 2 else {}))
         tg = TimeGrid(1.0, 10)
         stepper = TimeStepper(spec, spec.make_grid(*cells), tg)
         seen = []
@@ -352,7 +340,7 @@ class TestBlockFaults:
         assert seen == list(range(1, steps + 1))
 
     def test_fault_in_f_traced_by_reconstruct(self):
-        spec = _spec(f="1/(t - 0.5)", h="1", u0="0")
+        spec = build_spec(f="1/(t - 0.5)")
         tg = TimeGrid(1.0, 10)
         series = MeasurementSeries.from_expressions(tg, expr.parse("0"), expr.parse("0"))
         traced = []
@@ -367,7 +355,7 @@ class TestBlockFaults:
         # the u it passes again; the fault is the one the interpreter
         # alone raises: at its step in a march of one, and at once, before
         # any row, in a sequence.
-        spec = _spec(f="0*exp(800*u)", h="1", u0="0")
+        spec = build_spec(f="0*exp(800*u)")
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(8)
         series = MeasurementSeries.from_expressions(tg, expr.parse("t"), expr.parse("1"))
@@ -408,11 +396,7 @@ class TestBlockPairs:
         # each pair equals the per-step f_field/mean and the interpreter's
         # h and w_Gamma g at that node, with np.sum's means, bit for bit
         trees = _BLOCK_TREES[ndim]
-        spec = ProblemSpec(
-            name="inline", extents=(1.0, 2.0)[:ndim], T=T, omega_floor=1.0,
-            f=expr.parse(trees["f"]), h=expr.parse(trees["h"]), g=expr.parse(trees["g"]),
-            u0=expr.parse("0"),
-        )
+        spec = build_spec(**trees, T=repr(T), **({"ly": "2.0"} if ndim == 2 else {}))
         grid = spec.make_grid(mx, my if ndim == 2 else None)
         w, bw = grid.weights, grid.boundary_weights
         stepper = TimeStepper(spec, grid, TimeGrid(T, n))
@@ -445,7 +429,7 @@ class TestDomain:
     )
     def test_reconstruct(self, grid):
         # h = 0 fails the floor check, and f faults at t = 0.5
-        spec = _spec(f="1/(t - 0.5)", h="0")
+        spec = build_spec(f="1/(t - 0.5)", h="0")
         tg = TimeGrid(1.0, 20)
         with pytest.raises(ValidationError) as error:
             reconstruct(spec, grid, tg, MeasurementSeries(tg, np.zeros(tg.n + 1)))
@@ -454,7 +438,7 @@ class TestDomain:
 
     def test_run_forward(self):
         # the kernel faults at t = 0.5 and u0 at x = 0.5, as on the spec's own grid
-        spec = _spec(u0="1/(x - 0.5)", kernel_exact="1/(t - 0.5)")
+        spec = build_spec(h="0", u0="1/(x - 0.5)", kernel="1/(t - 0.5)")
         tg = TimeGrid(1.0, 20)
         with pytest.raises(DomainFaultError):
             run_forward(spec, spec.make_grid(8), tg)
@@ -477,7 +461,7 @@ class TestGenerateMeasurement:
         assert errs[100] / errs[200] > 1.5  # first-order decay
 
     def test_zero_data_gives_zero_exactly(self):
-        spec = _spec(kernel_exact="0")
+        spec = build_spec(h="0", kernel="0")
         tg = TimeGrid(1.0, 30)
         run = run_forward(spec, spec.make_grid(10), tg, derivative="discrete")
         series = run.measurement
@@ -515,7 +499,7 @@ class TestGenerateMeasurement:
             run_forward(spec, spec.make_grid(10), tg, derivative="analytc")
 
     def test_requires_a_kernel(self):
-        spec = _spec()
+        spec = build_spec(h="0")
         with pytest.raises(ValidationError):
             run_forward(spec, spec.make_grid(4), TimeGrid(1.0, 4))
 
@@ -564,8 +548,7 @@ class TestGenerateMeasurement:
         assert np.array_equal(run.measurement.values, runs["analytic"].measurement.values)
 
     def test_discrete_initial_derivative_is_the_identity(self):
-        spec = _spec(f="1 + x*u", h="2 + cos(pi*x)", g="x", u0="1 + x^2",
-                     kernel_exact="exp(-t)")
+        spec = build_spec(f="1 + x*u", h="2 + cos(pi*x)", g="x", u0="1 + x^2", kernel="exp(-t)")
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(12)
         run = run_forward(spec, grid, tg, derivative="discrete")
@@ -576,11 +559,7 @@ class TestGenerateMeasurement:
 
 class TestTwoDimensional:
     def test_constant_steady_state_2d(self):
-        spec = ProblemSpec(
-            name="flat2d", extents=(1.0, 1.0), T=1.0, omega_floor=1.0,
-            f=expr.parse("0"), h=expr.parse("0"), g=expr.parse("0"), u0=expr.parse("2"),
-            kernel_exact=expr.parse("0"),
-        )
+        spec = build_spec(name="flat2d", h="0", u0="2", ly="1.0", kernel="0")
         tg = TimeGrid(1.0, 5)
         grid = spec.make_grid(8, 8)
         run = run_forward(spec, grid, tg)
@@ -588,13 +567,8 @@ class TestTwoDimensional:
 
     def test_manufactured_2d_compat(self):
         # x-only exact state carried over to the unit square
-        spec = ProblemSpec(
-            name="manufactured2d", extents=(1.0, 1.0), T=1.0, omega_floor=1.0,
-            f=expr.parse("(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"),
-            h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("1+cos(pi*x)"),
-            kernel_exact=expr.parse("exp(-t)"),
-            u_exact=expr.parse("(1+t)*(1+cos(pi*x))"),
-        )
+        spec = build_spec(name="manufactured2d",
+                          **variant(MANUFACTURED_1D, ly="1.0", m=None, mprime=None))
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(24, 24)
         run = run_forward(spec, grid, tg)
@@ -637,9 +611,9 @@ class TestCompiledFields:
         # h and g depending on t are compiled once; each value is the
         # interpreter's bit for bit, and f reads one derivative per axis:
         # p on an interval, p and q on a rectangle
-        for extents, f in [((1.0,), "u*exp(-t) + p*cos(pi*x)"),
-                           ((1.0, 2.0), "u*exp(-t) - 0.5*p + 0.25*q*x + cos(pi*x)*cos(pi*y)")]:
-            spec = _spec(f=f, h="1 + t*cos(pi*x)", g="t^2 - x", extents=extents)
+        for axes in [{"f": "u*exp(-t) + p*cos(pi*x)"},
+                     {"f": "u*exp(-t) - 0.5*p + 0.25*q*x + cos(pi*x)*cos(pi*y)", "ly": "2.0"}]:
+            spec = build_spec(**axes, h="1 + t*cos(pi*x)", g="t^2 - x")
             tg = TimeGrid(1.0, 4)
             grid = spec.make_grid(8, 5)
             stepper = TimeStepper(spec, grid, tg)
@@ -660,10 +634,7 @@ class TestCompiledFields:
     def test_boundary_pair_2d(self, g):
         # the load and (g,1)_Gamma are one product w_Gamma g and its sum,
         # with the edge-trapezoid corner weights of a rectangle
-        spec = ProblemSpec(
-            name="inline", extents=(1.0, 2.0), T=1.0, omega_floor=1.0,
-            f=expr.parse("0"), h=expr.parse("1"), g=expr.parse(g), u0=expr.parse("0"),
-        )
+        spec = build_spec(g=g, ly="2.0")
         grid = spec.make_grid(13, 7)
         tg = TimeGrid(1.0, 4)
         stepper = TimeStepper(spec, grid, tg)

@@ -37,47 +37,17 @@ from kernrec.problem import (
     parse_config,
     spec_from_mapping,
 )
-from oracles import MANUFACTURED_2D, THRESHOLD_CONFIG
-
-# the manufactured 2D problem with its kernel, without m and mprime
-_MANUFACTURED_2D = "[problem]\n" + "".join(
-    f'{key} = "{value}"\n' for key, value in MANUFACTURED_2D.items() if key not in ("m", "mprime")
+from oracles import (
+    CONFIGS,
+    MANUFACTURED_2D,
+    THRESHOLD,
+    THRESHOLD_CONFIG,
+    WITH_KERNEL,
+    WITH_M,
+    problem,
+    variant,
+    write_config,
 )
-
-MANUFACTURED_CONFIG = """
-[problem]
-f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"
-h = "1"
-g = "0"
-u0 = "1+cos(pi*x)"
-lx = 1.0
-T = 1.0
-omega = 1.0
-m = "1+t"
-mprime = "1"
-"""
-# the measurement m = 10 of a steady u0 = 10 with K = 0; m0 tau = 1 = (h,1)
-# for n = 10 and the sum of the lumped weights of mx = 4 cells is exactly 1
-_SECOND_LEVEL_FAULT = """
-[problem]
-f = "0"
-h = "1"
-g = "0"
-u0 = "10"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "0"
-m = "10"
-mprime = "0"
-"""
-
-# manufactured1d with its kernel, but without m and mprime, so that a
-# measurement file can give its measurement
-_MANUFACTURED_WITHOUT_M = MANUFACTURED_CONFIG.replace(
-    'm = "1+t"\nmprime = "1"\n', 'kernel = "exp(-t)"\n'
-)
-
 
 def _read(path):
     return path.read_text(encoding="utf-8")
@@ -165,11 +135,8 @@ class TestReconstructCommand:
     def test_trace_rows_before_a_fault(self, tmp_path, capsys):
         # f is read at t_{i-1}: step 6 meets t = 0.5 and fails; steps 1..5
         # have printed their rows, residual included, by then
-        config = tmp_path / "fault.ini"
-        config.write_text(
-            '[problem]\nf = "1/(t - 0.5)"\nh = "1"\ng = "0"\nu0 = "0"\n'
-            'm = "0"\nmprime = "0"\nlx = 1.0\nT = 1.0\nomega = 1.0\n',
-            encoding="utf-8",
+        config = write_config(
+            tmp_path, problem("fault", f="1/(t - 0.5)", m="0", mprime="0"), "fault.ini"
         )
         code = run_cli(["reconstruct", "--config", str(config), "--n", "10", "--mx", "8",
                         "--trace"])
@@ -205,10 +172,9 @@ class TestReconstructCommand:
         "flags,discretization", [(["--my", "10"], ""), ([], "my = 10\n")], ids=["flag", "key"]
     )
     def test_my_rejected_for_1d(self, tmp_path, capsys, flags, discretization):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f"[problem]\npreset = manufactured1d\n\n[discretization]\n{discretization}",
-            encoding="utf-8",
         )
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
         assert code == 1
@@ -223,11 +189,9 @@ class TestReconstructCommand:
         assert "--fine-factor" in capsys.readouterr().err
 
     def test_zero_my_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "square.cfg"
-        cfg.write_text(
-            THRESHOLD_CONFIG.replace("lx = 1.0", "lx = 1.0\nly = 1.0")
-            + "\n[discretization]\nn = 10\nmx = 4\nmy = 0\n",
-            encoding="utf-8",
+        square = problem("threshold", **THRESHOLD, ly="1.0")
+        cfg = write_config(
+            tmp_path, square + "\n[discretization]\nn = 10\nmx = 4\nmy = 0\n", "square.cfg"
         )
         code = run_cli(["reconstruct", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
         assert code == 1
@@ -236,8 +200,7 @@ class TestReconstructCommand:
 
 class TestThresholdGuard:
     def test_violation_exits_3(self, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(THRESHOLD_CONFIG, encoding="utf-8")
+        cfg = write_config(tmp_path, THRESHOLD_CONFIG)
         code = run_cli(
             ["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"]
         )
@@ -245,8 +208,7 @@ class TestThresholdGuard:
         assert "validation failure" in capsys.readouterr().err
 
     def test_force_overrides(self, tmp_path):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(THRESHOLD_CONFIG, encoding="utf-8")
+        cfg = write_config(tmp_path, THRESHOLD_CONFIG)
         with pytest.warns(RuntimeWarning):
             code = run_cli(
                 ["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10",
@@ -271,15 +233,15 @@ class TestForwardCommand:
 
     @pytest.mark.parametrize(
         "problem,n,mx",
-        [(_MANUFACTURED_WITHOUT_M, 40, 40), (_MANUFACTURED_2D, 20, 12)],
+        [(problem("manufactured1d", **WITH_KERNEL), 40, 40),
+         (problem("manufactured2d", **variant(MANUFACTURED_2D, m=None, mprime=None)), 20, 12)],
         ids=["1d", "2d"],
     )
     def test_measurement_file_feeds_reconstruct(self, tmp_path, problem, n, mx):
         # the file of a discrete forward run reconstructs, bit for bit, to
         # the kernel that roundtrip gets from the same data in memory
-        data, plain, from_file = tmp_path / "m.csv", tmp_path / "p.cfg", tmp_path / "f.cfg"
-        plain.write_text(problem, encoding="utf-8")
-        from_file.write_text(problem + f'measurement_file = "{data}"\n', encoding="utf-8")
+        data, plain = tmp_path / "m.csv", write_config(tmp_path, problem)
+        from_file = write_config(tmp_path, problem + f'measurement_file = "{data}"\n', "f.cfg")
         grid = ["--n", str(n), "--mx", str(mx)]
         assert run_cli(["forward", "--config", str(plain), *grid, "--out", str(data),
                         "--derivative", "discrete"]) == 0
@@ -371,11 +333,12 @@ class TestConvergenceCommand:
         assert code == 1
 
     def test_convergence_restricts_the_measurement_file(self, tmp_path, capsys):
-        data, cfg = tmp_path / "m.csv", tmp_path / "f.cfg"
+        data = tmp_path / "m.csv"
         assert run_cli(["forward", "--preset", "manufactured1d", "--n", "200", "--mx", "20",
                         "--out", str(data)]) == 0
-        cfg.write_text(_MANUFACTURED_WITHOUT_M + f'measurement_file = "{data}"\n',
-                       encoding="utf-8")
+        cfg = write_config(
+            tmp_path, problem("manufactured1d", **WITH_KERNEL, measurement_file=str(data)), "f.cfg"
+        )
         table = tmp_path / "t.csv"
         argv = ["convergence", "--config", str(cfg), "--mx", "20"]
         assert run_cli([*argv, "--n", "50,100,200", "--out", str(table)]) == 0
@@ -392,12 +355,12 @@ class TestConvergenceCommand:
     @pytest.fixture
     def file_config(self, tmp_path):
         """A config whose measurement file has 20 steps."""
-        data, cfg = tmp_path / "m.csv", tmp_path / "f.cfg"
+        data = tmp_path / "m.csv"
         assert run_cli(["forward", "--preset", "manufactured1d", "--n", "20", "--mx", "10",
                         "--out", str(data)]) == 0
-        cfg.write_text(_MANUFACTURED_WITHOUT_M + f'measurement_file = "{data}"\n',
-                       encoding="utf-8")
-        return cfg
+        return write_config(
+            tmp_path, problem("manufactured1d", **WITH_KERNEL, measurement_file=str(data)), "f.cfg"
+        )
 
     def test_convergence_parses_the_measurement_file_once(self, file_config, monkeypatch):
         parsed = []
@@ -426,6 +389,23 @@ class TestConvergenceCommand:
         assert run_cli(argv) == 3
         # no trace row: no level ran
         assert capsys.readouterr().err == f"kernrec: validation failure: {message}\n"
+
+    def test_relative_measurement_file_is_read_beside_its_config(self, tmp_path, monkeypatch):
+        # sub/c.ini names m.csv beside it: run from sub's parent, the kernel
+        # is the one of a run from inside sub
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        assert run_cli(["forward", "--preset", "manufactured1d", "--n", "20", "--mx", "10",
+                        "--out", str(sub / "m.csv")]) == 0
+        config = problem("manufactured1d", **WITH_KERNEL, measurement_file="m.csv")
+        write_config(sub, config, "c.ini")
+        kernels = []
+        for cwd, path in ((tmp_path, "sub/c.ini"), (sub, "c.ini")):
+            monkeypatch.chdir(cwd)
+            argv = ["reconstruct", "--config", path, "--n", "20", "--mx", "10", "--out", "k.csv"]
+            assert run_cli(argv) == 0
+            kernels.append(_read(cwd / "k.csv"))
+        assert kernels[0] == kernels[1]
 
 
 class TestNoiseSweep:
@@ -459,15 +439,14 @@ class TestNoiseSweep:
         [("[problem]\npreset = manufactured1d\n", 40, 20),
          ("[problem]\npreset = contaminant\n", 40, 20),
          ("[problem]\npreset = contaminant\nv = 0.5\n", 40, 20),
-         (_MANUFACTURED_2D, 10, 6)],
+         (problem("manufactured2d", **variant(MANUFACTURED_2D, m=None, mprime=None)), 10, 6)],
         ids=["manufactured1d", "contaminant", "contaminant-advection", "manufactured2d"],
     )
     def test_rows_carry_their_own_evidence(self, tmp_path, problem, n, mx):
         # each JSON row's evidence is that of a direct reconstruct call on the
         # same sigma and the same draws of the seeded generator, whether f
         # reads no state (manufactured), u (contaminant) or p (advection)
-        cfg_path, report = tmp_path / "p.cfg", tmp_path / "r.json"
-        cfg_path.write_text(problem, encoding="utf-8")
+        cfg_path, report = write_config(tmp_path, problem), tmp_path / "r.json"
         argv = ["noise-sweep", "--config", str(cfg_path), "--n", str(n), "--mx", str(mx),
                 "--noise", "1e-4,1e-3", "--seed", "5", "--json", str(report)]
         assert run_cli(argv) == 0
@@ -519,8 +498,7 @@ class TestNoiseSweep:
         # with the minus sign, (h,1) - m0 tau = 1 - 10 * 0.1 is exactly 0: the
         # second level's noise is too small to move m0, so its first update
         # divides by 0; the first level's moves m0 and reconstructs
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(_SECOND_LEVEL_FAULT, encoding="utf-8")
+        cfg = write_config(tmp_path, CONFIGS["secondlevelfault.ini"])
         argv = ["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "4",
                 "--noise", "0.1,1e-300", "--seed", "1", "--force",
                 "--kernel-denominator-sign", "minus", "--trace"]
@@ -592,10 +570,9 @@ class TestNoiseSweep:
         "flags,experiment", [(["--seed", "-1"], ""), ([], "seed = -3\n")], ids=["cli", "config"]
     )
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, flags, experiment):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
-            encoding="utf-8",
         )
         code = run_cli(["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "10",
                         "--noise", "1e-3", *flags])
@@ -603,29 +580,20 @@ class TestNoiseSweep:
         assert "usage error: --seed" in capsys.readouterr().err
 
 
-# manufactured1d's exact m without its m'
-_M_WITHOUT_MPRIME = (
-    'f = "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"\n'
-    'h = "1"\ng = "0"\nu0 = "1+cos(pi*x)"\nlx = 1.0\nT = 1.0\nomega = 1.0\nm = "1+t"\n'
-)
-
-
 class TestConfigHandling:
     def test_mode_mismatch(self, tmp_path):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             "[problem]\npreset = manufactured1d\n\n[experiment]\nmode = forward\n",
-            encoding="utf-8",
         )
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
         assert code == 1
 
     def test_discretization_from_config(self, tmp_path):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             "[problem]\npreset = manufactured1d\n\n"
             "[discretization]\nn = 20\nmx = 20\n",
-            encoding="utf-8",
         )
         assert run_cli(["reconstruct", "--config", str(cfg)]) == 0
 
@@ -638,11 +606,10 @@ class TestConfigHandling:
         assert "usage error" in capsys.readouterr().err
 
     def test_bad_denominator_sign_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             "[problem]\npreset = manufactured1d\n\n"
             "[experiment]\nkernel_denominator_sign = plsu\n",
-            encoding="utf-8",
         )
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
         assert code == 1
@@ -650,20 +617,18 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("key", ["force", "trace"])
     def test_bad_boolean_is_usage_error(self, tmp_path, capsys, key):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f"[problem]\npreset = manufactured1d\n\n[experiment]\n{key} = ture\n",
-            encoding="utf-8",
         )
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
         assert code == 1
         assert "ture" in capsys.readouterr().err
 
     def test_unparsable_number_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             "[problem]\npreset = manufactured1d\n\n[discretization]\nn = 10\nmx = abc\n",
-            encoding="utf-8",
         )
         assert run_cli(["reconstruct", "--config", str(cfg)]) == 1
         assert "mx = 'abc'" in capsys.readouterr().err
@@ -671,8 +636,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "text,section,key",
         [
-            (MANUFACTURED_CONFIG + "assume_f_bounded = true\n", "problem", "assume_f_bounded"),
-            (MANUFACTURED_CONFIG + "lxx = 2\n", "problem", "lxx"),
+            (problem("manufactured1d", **WITH_M, assume_f_bounded="true"), "problem",
+             "assume_f_bounded"),
+            (problem("manufactured1d", **WITH_M, lxx="2"), "problem", "lxx"),
             ("[problem]\npreset = manufactured1d\nh = \"2\"\n", "problem", "h"),
             ("[problem]\npreset = manufactured1d\nkr = 2\n", "problem", "kr"),
             ("[problem]\npreset = zero1d\n\n[discretization]\nnn = 10\n",
@@ -684,8 +650,7 @@ class TestConfigHandling:
              "discretization", "experiment"],
     )
     def test_unknown_key_is_usage_error(self, tmp_path, capsys, text, section, key):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(text, encoding="utf-8")
+        cfg = write_config(tmp_path, text)
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10",
                         "--out", str(tmp_path / "k.csv")])
         assert code == 1
@@ -693,8 +658,7 @@ class TestConfigHandling:
         assert f"'{key}'" in err and f"[{section}]" in err
 
     def test_repeated_key_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("[problem]\npreset = manufactured1d\nT = 1\nT = 2\n", encoding="utf-8")
+        cfg = write_config(tmp_path, "[problem]\npreset = manufactured1d\nT = 1\nT = 2\n")
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
         assert code == 1
         assert "'T' repeated" in capsys.readouterr().err
@@ -724,7 +688,7 @@ class TestConfigHandling:
         self, tmp_path, monkeypatch, capsys, given, empty, message
     ):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "c.ini").write_text("[problem]\npreset = contaminant\n", encoding="utf-8")
+        write_config(tmp_path, "[problem]\npreset = contaminant\n", "c.ini")
         code = run_cli(["reconstruct", *given, empty, "", "--n", "10", "--mx", "8"])
         assert code == 1
         assert f"usage error: {message}" in capsys.readouterr().err
@@ -732,16 +696,16 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "text,flags",
         [
-            (MANUFACTURED_CONFIG.replace("omega = 1.0", "omega = nan"), []),
-            (MANUFACTURED_CONFIG.replace("omega = 1.0", "omega = inf"), []),
-            (MANUFACTURED_CONFIG.replace("T = 1.0", "T = inf"), []),
-            (MANUFACTURED_CONFIG.replace("lx = 1.0", "lx = nan"), []),
-            (MANUFACTURED_CONFIG.replace("lx = 1.0", "lx = 1.0\nly = inf"), []),
+            (problem("manufactured1d", **WITH_M, omega="nan"), []),
+            (problem("manufactured1d", **WITH_M, omega="inf"), []),
+            (problem("manufactured1d", **WITH_M, T="inf"), []),
+            (problem("manufactured1d", **WITH_M, lx="nan"), []),
+            (problem("manufactured1d", **WITH_M, ly="inf"), []),
             ("[problem]\npreset = manufactured1d\nomega = nan\n", []),
             ("[problem]\npreset = contaminant\nkr = nan\n", []),
             ("[problem]\npreset = contaminant\ns0 = inf\n", []),
-            (MANUFACTURED_CONFIG, ["--T", "nan"]),
-            (MANUFACTURED_CONFIG, ["--T", "inf"]),
+            (problem("manufactured1d", **WITH_M), ["--T", "nan"]),
+            (problem("manufactured1d", **WITH_M), ["--T", "inf"]),
             # finite parameters whose derived coefficients overflow
             ("[problem]\npreset = contaminant\ns0 = 1e308\nkr = 1e-10\n", []),
             ("[problem]\npreset = contaminant\nrho_b = 1e300\nporosity = 1e-300\n", []),
@@ -752,8 +716,7 @@ class TestConfigHandling:
              "contaminant-rho_b-over-porosity-overflow", "contaminant-kr-squared-overflow"],
     )
     def test_non_finite_problem_number_exits_3(self, tmp_path, capsys, text, flags):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(text, encoding="utf-8")
+        cfg = write_config(tmp_path, text)
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10",
                         "--out", str(tmp_path / "k.csv"), *flags])
         assert code == 3
@@ -764,8 +727,7 @@ class TestConfigHandling:
     )
     def test_contaminant_zero_h_exits_3(self, tmp_path, capsys, extra):
         # s0 = 0 gives h = -0.0: one message whatever else the section holds
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(f"[problem]\npreset = contaminant\ns0 = 0\n{extra}", encoding="utf-8")
+        cfg = write_config(tmp_path, f"[problem]\npreset = contaminant\ns0 = 0\n{extra}")
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "4"])
         assert code == 3
         assert capsys.readouterr().err == (
@@ -776,12 +738,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize("key", ["", "T = 2.0\n", "T = abc\n"], ids=["none", "other", "bad"])
     def test_T_flag_is_the_problem_T(self, tmp_path, key):
         # --T stands in for a missing [problem] T, and wins over a given one unparsed
-        cfg, out = tmp_path / "p.cfg", tmp_path / "k.csv"
-        cfg.write_text(MANUFACTURED_CONFIG.replace("T = 1.0\n", key), encoding="utf-8")
+        out = tmp_path / "k.csv"
+        cfg = write_config(tmp_path, problem("manufactured1d", **WITH_M, T=None) + key)
         argv = ["reconstruct", "--config", str(cfg), "--n", "4", "--mx", "8", "--out", str(out)]
         assert run_cli([*argv, "--T", "1"]) == 0
         flagged = _read(out)
-        cfg.write_text(MANUFACTURED_CONFIG, encoding="utf-8")
+        write_config(tmp_path, problem("manufactured1d", **WITH_M))
         assert run_cli(argv) == 0
         assert flagged == _read(out)
 
@@ -798,15 +760,15 @@ class TestConfigHandling:
          (["reconstruct"], '[problem]\npreset = contaminant\nmeasurement_file = "{tmp}/m.csv"\n',
           1, "usage error: cannot read measurement file {tmp}/m.csv: "
           "[Errno 2] No such file or directory: '{tmp}/m.csv'"),
-         (["reconstruct"], MANUFACTURED_CONFIG.replace('m = "1+t"\nmprime = "1"\n', ""), 1,
+         (["reconstruct"], problem("manufactured1d", **variant(WITH_M, m=None, mprime=None)), 1,
           "usage error: problem has no measurement source "
           "(exact m, measurement_file, or exact kernel)"),
          (["reconstruct"], "n = 5\n[problem]\npreset = contaminant\n", 1,
           "usage error: key outside any section on line 1"),
          (["reconstruct"], "[problem]\npreset = contaminant\nporosity = 0\n", 3,
           "validation failure: porosity must be positive, got 0.0"),
-         (["reconstruct"], MANUFACTURED_CONFIG.replace('h = "1"', 'h = "1e-13"')
-          .replace("omega = 1.0", "omega = 1e-13").replace('m = "1+t"', 'm = "0"'), 2,
+         (["reconstruct"],
+          problem("manufactured1d", **variant(WITH_M, h="1e-13", omega="1e-13", m="0")), 2,
           "numerical failure: (h(0),1) = 1.000e-13 too small to define the initial kernel value")],
         ids=["empty-n", "zero-fine-factor", "sweep-without-noise", "sweep-without-seed",
              "missing-measurement-file", "no-measurement-source", "key-outside-section",
@@ -814,8 +776,7 @@ class TestConfigHandling:
     )
     def test_error_path_prints_its_line(self, tmp_path, capsys, argv, config, code, message):
         if config:
-            cfg = tmp_path / "p.cfg"
-            cfg.write_text(config.format(tmp=tmp_path), encoding="utf-8")
+            cfg = write_config(tmp_path, config.format(tmp=tmp_path))
             argv = [*argv, "--config", str(cfg)]
         argv = [*argv, "--mx", "8"] + ([] if "--n" in argv else ["--n", "10"])
         assert run_cli(argv) == code
@@ -827,19 +788,20 @@ class TestConfigHandling:
           "time step tau = T/n = 4.94066e-324/2 = 0 has no finite 1/tau"),
          (["forward", "--preset", "contaminant", "--n", "3", "--T", "1e-323"], "",
           "time step tau = T/n = 9.88131e-324/3 = 4.94066e-324 has no finite 1/tau"),
-         (["roundtrip", "--n", "4"], _MANUFACTURED_WITHOUT_M.replace("lx = 1.0", "lx = 1e300"),
+         (["roundtrip", "--n", "4"], problem("manufactured1d", **WITH_KERNEL, lx="1e300"),
           "cell size dx = lx/mx = 1e+300/2: its square overflows"),
-         (["roundtrip", "--n", "4"], _MANUFACTURED_WITHOUT_M.replace("lx = 1.0", "lx = 1e-200"),
+         (["roundtrip", "--n", "4"], problem("manufactured1d", **WITH_KERNEL, lx="1e-200"),
           "cell size dx = lx/mx = 1e-200/2: its square underflows"),
-         (["roundtrip", "--n", "4"], _MANUFACTURED_2D.replace('ly = "1.0"', 'ly = "1e-200"'),
+         (["roundtrip", "--n", "4"],
+          problem("manufactured2d", **variant(MANUFACTURED_2D, m=None, mprime=None, ly="1e-200")),
           "cell size dy = ly/my = 1e-200/2: its square underflows"),
          (["forward", "--preset", "manufactured1d", "--n", "10", "--T", "1e-307"], "",
           "the step's operator overflows for tau = 1e-308, dx = 0.5"),
          (["reconstruct", "--preset", "manufactured1d", "--n", "10", "--T", "1e-307"], "",
           "the step's operator overflows for tau = 1e-308, dx = 0.5"),
          (["roundtrip", "--n", "4"],
-          _MANUFACTURED_2D.replace('lx = "1.0"', 'lx = "2e-154"')
-          .replace('ly = "1.0"', 'ly = "2e-154"'),
+          problem("manufactured2d",
+                  **variant(MANUFACTURED_2D, m=None, mprime=None, lx="2e-154", ly="2e-154")),
           "the step's operator overflows for tau = 0.25, dx = 1e-154, dy = 1e-154")],
         ids=["tau-zero", "tau-reciprocal-overflows", "dx-square-overflows",
              "dx-square-underflows", "dy-square-underflows", "forward-step-operator-overflows",
@@ -851,16 +813,14 @@ class TestConfigHandling:
         # 1/tau and 1/dx^2 enter the step's operator: each must be finite,
         # and so must the operator's eigenvalues
         if config:
-            cfg = tmp_path / "p.cfg"
-            cfg.write_text(config, encoding="utf-8")
+            cfg = write_config(tmp_path, config)
             argv = [*argv, "--config", str(cfg)]
         assert harness.main([*argv, "--mx", "2"]) == harness.EXIT_VALIDATION
         assert capsys.readouterr().err == f"kernrec: validation failure: {message}\n"
 
     def test_deep_nesting_is_usage_error(self, tmp_path):
         deep = "(" * 3000 + "0" + ")" * 3000
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(MANUFACTURED_CONFIG.replace('g = "0"', f'g = "{deep}"'), encoding="utf-8")
+        cfg = write_config(tmp_path, problem("manufactured1d", **WITH_M, g=deep))
         proc = subprocess.run(
             [sys.executable, "-m", "kernrec.harness", "reconstruct", "--config", str(cfg),
              "--n", "10", "--mx", "10"],
@@ -875,9 +835,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("flaw", ["byte-order mark", "latin-1 byte"])
     @pytest.mark.parametrize("target", ["config", "measurement file"])
     def test_text_input_decodes_or_fails_in_one_line(self, tmp_path, capsys, target, flaw):
-        data, cfg = tmp_path / "m.csv", tmp_path / "p.cfg"
-        cfg.write_text(f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n',
-                       encoding="utf-8")
+        data = tmp_path / "m.csv"
+        cfg = write_config(
+            tmp_path, f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n'
+        )
         # headerless, so that a mark read as text would turn row 1 into a
         # header; m' = -2 gives the contaminant's K_0 = -1
         nodes = np.linspace(0.0, 1.0, 11).tolist()
@@ -911,10 +872,9 @@ class TestConfigHandling:
     )
     def test_unread_measurement_file_is_usage_error(self, tmp_path, capsys, mode, preset):
         # the file would be ignored: exact m wins, and these modes make their own data
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f'[problem]\npreset = {preset}\nmeasurement_file = "{tmp_path / "none.csv"}"\n',
-            encoding="utf-8",
         )
         code = run_cli([mode, "--config", str(cfg), "--n", "10", "--mx", "10",
                         "--out", str(tmp_path / "out.csv")])
@@ -956,8 +916,7 @@ class TestConfigHandling:
                             "--out", str(data)]) == 0
             problem = f'preset = contaminant\nmeasurement_file = "{data}"\n'
         experiment = option + "\n" if source == "config" else ""
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(f"[problem]\n{problem}\n[experiment]\n{experiment}", encoding="utf-8")
+        cfg = write_config(tmp_path, f"[problem]\n{problem}\n[experiment]\n{experiment}")
         out = tmp_path / "out.csv"
         argv = [mode, "--config", str(cfg), "--n", "10", "--mx", "10", "--out", str(out)]
         code = run_cli(argv + (flags if source == "cli" else []))
@@ -975,10 +934,9 @@ class TestConfigHandling:
         self, tmp_path, capsys, flags, experiment
     ):
         # an empty list is still a given option, which reconstruct does not use
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
-            encoding="utf-8",
         )
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
         assert code == 1
@@ -994,10 +952,9 @@ class TestConfigHandling:
         ids=["out-flag", "json-flag", "out-key", "json-key"],
     )
     def test_empty_output_path_is_usage_error(self, tmp_path, capsys, flags, experiment, named):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
-            encoding="utf-8",
         )
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
         assert code == 1
@@ -1030,7 +987,7 @@ class TestConfigHandling:
             '[problem]\npreset = contaminant\nmeasurement_file = "data.csv"\n\n'
             f"[experiment]\n{experiment}"
         )
-        (tmp_path / "run.ini").write_text(config, encoding="utf-8")
+        write_config(tmp_path, config, "run.ini")
         (tmp_path / "link.ini").symlink_to("run.ini")
         (tmp_path / "sub").mkdir()
         code = run_cli(["reconstruct", "--config", "run.ini", "--n", "10", "--mx", "10", *flags])
@@ -1045,7 +1002,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "mode,problem",
         [("reconstruct", "preset = contaminant"), ("forward", "preset = contaminant"),
-         ("convergence", "preset = contaminant"), ("reconstruct", _M_WITHOUT_MPRIME)],
+         ("convergence", "preset = contaminant"),
+         ("reconstruct", problem("manufactured1d", **variant(WITH_M, mprime=None))
+          .removeprefix("[problem]\n"))],
         ids=["generated-data", "forward", "convergence", "exact-m"],
     )
     def test_analytic_derivative_without_exact_mprime_is_usage_error(
@@ -1053,8 +1012,7 @@ class TestConfigHandling:
     ):
         # the run would difference M instead, while the echo said analytic
         experiment = "derivative = analytic\n" if source == "config" else ""
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(f"[problem]\n{problem}\n[experiment]\n{experiment}", encoding="utf-8")
+        cfg = write_config(tmp_path, f"[problem]\n{problem}\n[experiment]\n{experiment}")
         out = tmp_path / "out.csv"
         argv = [mode, "--config", str(cfg), "--n", "10", "--mx", "10", "--out", str(out)]
         code = run_cli(argv + (["--derivative", "analytic"] if source == "cli" else []))
@@ -1063,7 +1021,7 @@ class TestConfigHandling:
         assert "--derivative ([experiment] derivative) analytic needs an exact m'" in err
         assert not out.exists()
         # left to its default, the same run differences M and says so
-        cfg.write_text(f"[problem]\n{problem}\n", encoding="utf-8")
+        write_config(tmp_path, f"[problem]\n{problem}\n")
         assert run_cli([*argv, "--json", str(tmp_path / "r.json")]) == 0
         report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert report["config"]["derivative"] == "discrete"
@@ -1078,10 +1036,9 @@ class TestConfigHandling:
         nodes = np.linspace(0.0, 1.0, 11).tolist()
         data.write_text("t,m\n" + "".join(f"{t!r},{1 - 2 * t!r}\n" for t in nodes),
                         encoding="utf-8")
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f'[problem]\npreset = contaminant  # comment\nmeasurement_file = "{data}"\n',
-            encoding="utf-8",
         )
         report = tmp_path / "r.json"
         argv = ["--config", str(cfg), "--n", "10", "--mx", "10", "--json", str(report)]
@@ -1091,7 +1048,7 @@ class TestConfigHandling:
         assert (echo["force"], echo["denominator_sign"]) == (False, 1.0)
         assert echo["measurement_file"] == str(data)
         # a forward run reconstructs nothing and reads no file
-        cfg.write_text("[problem]\npreset = contaminant\n", encoding="utf-8")
+        write_config(tmp_path, "[problem]\npreset = contaminant\n")
         assert run_cli(["forward", *argv]) == 0
         echo = json.loads(report.read_text(encoding="utf-8"))["config"]
         assert (echo["derivative"], echo["fine_factor"]) == ("discrete", None)
@@ -1127,10 +1084,9 @@ class TestConfigHandling:
         data = tmp_path / "m.csv"
         text = "".join(row.format(t=repr(T / 2), T=repr(T)) + "\n" for row in rows)
         data.write_text(text, encoding="utf-8")
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n',
-            encoding="utf-8",
         )
         code = run_cli(["reconstruct", "--config", str(cfg), "--n", "2", "--mx", "4", "--trace",
                         "--out", str(tmp_path / "out.csv")])
@@ -1144,10 +1100,9 @@ class TestConfigHandling:
         ids=["cli-nan", "cli-inf", "config-inf"],
     )
     def test_non_finite_noise_is_usage_error(self, tmp_path, capsys, flags, experiment):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f"[problem]\npreset = manufactured1d\n\n[experiment]\nseed = 1\n{experiment}",
-            encoding="utf-8",
         )
         code = run_cli(["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "10",
                         *flags])
@@ -1155,8 +1110,7 @@ class TestConfigHandling:
         assert "usage error: --noise" in capsys.readouterr().err
 
     def test_out_of_range_literal_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(MANUFACTURED_CONFIG + 'kernel = "2e308*t"\n', encoding="utf-8")
+        cfg = write_config(tmp_path, problem("manufactured1d", **WITH_M, kernel="2e308*t"))
         proc = subprocess.run(
             [sys.executable, "-m", "kernrec.harness", "reconstruct", "--config", str(cfg),
              "--n", "10", "--mx", "10"],
@@ -1178,10 +1132,9 @@ class TestConfigHandling:
         ids=["cli-zero", "cli-negative", "convergence-list", "config-zero"],
     )
     def test_non_positive_n_is_usage_error(self, tmp_path, capsys, mode, flags, discretization):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(
+        cfg = write_config(
+            tmp_path,
             f"[problem]\npreset = manufactured1d\n\n[discretization]\n{discretization}",
-            encoding="utf-8",
         )
         code = run_cli([mode, "--config", str(cfg), "--mx", "10", *flags])
         assert code == 1
@@ -1193,8 +1146,7 @@ class TestConfigHandling:
          ("noise-sweep", ["--noise", "1e-3", "--seed", "1"])],
     )
     def test_mode_without_exact_kernel_is_usage_error(self, tmp_path, capsys, mode, flags):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(MANUFACTURED_CONFIG, encoding="utf-8")
+        cfg = write_config(tmp_path, problem("manufactured1d", **WITH_M))
         out = tmp_path / "out.csv"
         code = run_cli([mode, "--config", str(cfg), "--n", "10", "--mx", "10",
                         "--out", str(out), *flags])
@@ -1209,8 +1161,7 @@ class TestConfigHandling:
             harness.ExperimentConfig(mode="convergence", spec=spec, n_list=[10, 20], mx=10)
 
     def test_force_from_config(self, tmp_path):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(THRESHOLD_CONFIG + "\n[experiment]\nforce = On\n", encoding="utf-8")
+        cfg = write_config(tmp_path, THRESHOLD_CONFIG + "\n[experiment]\nforce = On\n")
         with pytest.warns(RuntimeWarning):
             code = run_cli(["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"])
         assert code == 0
@@ -1242,17 +1193,7 @@ _OPTION_MATRIX = {
 
 # 2D, with an exact kernel and no measurement: every mode accepts it and
 # generates its data, so only the mode decides whether an option is used
-_MATRIX_PROBLEM = """[problem]
-f = "0"
-h = "1"
-g = "0"
-u0 = "1"
-lx = 1.0
-ly = 1.0
-T = 1.0
-omega = 1.0
-kernel = "exp(-t)"
-"""
+_MATRIX_PROBLEM = problem("matrix", u0="1", ly="1.0", kernel="exp(-t)")
 
 
 @pytest.mark.parametrize("source", ["flag", "key"])
@@ -1267,14 +1208,14 @@ def test_option_mode_matrix(tmp_path, capsys, key, mode, source):
         needed.update(noise="0.001", seed="1")
     needed.pop(key, None)
     config = _MATRIX_PROBLEM
-    argv = [mode, "--config", str(tmp_path / "p.cfg")]
+    argv = [mode]
     for name, given in needed.items():
         argv += [f"--{name}", given]
     if source == "key":
         config += f"\n[{section}]\n{key} = {text}\n"
     else:
         argv += [flag] if key in ("force", "trace") else [flag, text]
-    (tmp_path / "p.cfg").write_text(config, encoding="utf-8")
+    argv += ["--config", str(write_config(tmp_path, config))]
     if mode in used_by:
         cfg = harness.resolve_config(harness.build_parser().parse_args(argv))
         assert getattr(cfg, field) == value
@@ -1291,10 +1232,11 @@ _CLI_SOURCES = {  # name: [problem] section
     "contaminant": "preset = contaminant\n",
     "zero1d": "preset = zero1d\n",
     "inline-2d": _MATRIX_PROBLEM.removeprefix("[problem]\n"),
-    "inline-no-kernel": MANUFACTURED_CONFIG.removeprefix("\n[problem]\n"),
+    "inline-no-kernel": problem("manufactured1d", **WITH_M).removeprefix("[problem]\n"),
     # manufactured1d with its measurement read from a file the test writes
-    "measurement-file": _M_WITHOUT_MPRIME.replace('m = "1+t"', 'kernel = "exp(-t)"')
-    + 'measurement_file = "<measurement>"\n',
+    "measurement-file": problem(
+        "manufactured1d", **WITH_KERNEL, measurement_file="<measurement>"
+    ).removeprefix("[problem]\n"),
 }
 _MEASUREMENT_FILE = "m#1.csv"  # a quoted config value may hold a #
 # the modes that read a measurement file; convergence, which restricts it
@@ -1481,10 +1423,8 @@ def test_whole_command_lines(tmp_path_factory, data):
         sections["problem"] = problem.replace("<measurement>", str(measurement))
     repeated = None
     if any(sections.values()):
-        config = work / "p.cfg"
         text, repeated = _config_text(data, sections, valid=file_run)
-        config.write_text(text, encoding="utf-8")
-        argv += ["--config", str(config)]
+        argv += ["--config", str(write_config(work, text))]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run_cli(argv)
@@ -1718,8 +1658,7 @@ def _readme_block(language: str) -> str:
 def test_readme_config_block_runs(tmp_path, monkeypatch):
     # as the README gives it: its out and json keys name files in the working directory
     monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "readme.cfg"
-    cfg.write_text(_readme_block("ini"), encoding="utf-8")
+    cfg = write_config(tmp_path, _readme_block("ini"), "readme.cfg")
     assert run_cli(["reconstruct", "--config", str(cfg)]) == 0
     assert (tmp_path / "kernel.csv").is_file() and (tmp_path / "report.json").is_file()
 
@@ -1874,8 +1813,7 @@ def test_run_too_large_to_allocate_exits_2(argv):
 
 
 def test_warning_is_one_kernrec_line(tmp_path):
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text(THRESHOLD_CONFIG, encoding="utf-8")
+    cfg = write_config(tmp_path, THRESHOLD_CONFIG)
     proc = subprocess.run(
         [sys.executable, "-m", "kernrec.harness", "reconstruct", "--config", str(cfg),
          "--n", "20", "--mx", "10", "--force"],
@@ -1890,8 +1828,7 @@ def test_warning_is_one_kernrec_line(tmp_path):
 def test_every_level_of_a_sweep_prints_its_warning(tmp_path):
     # m0 = 10 puts tau0 = 0.05 below tau = 0.1: each of the three levels
     # warns in the same words, and each warning is printed
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text(_SECOND_LEVEL_FAULT, encoding="utf-8")
+    cfg = write_config(tmp_path, CONFIGS["secondlevelfault.ini"])
     proc = subprocess.run(
         [sys.executable, "-m", "kernrec.harness", "noise-sweep", "--config", str(cfg),
          "--n", "10", "--mx", "4", "--noise", "1e-12,1e-11,1e-10", "--seed", "1", "--force",
@@ -1906,30 +1843,14 @@ def test_every_level_of_a_sweep_prints_its_warning(tmp_path):
 
 def test_state_overflow_prints_no_numpy_warning(tmp_path, capsys):
     # the load f = 1e308 overflows in the first step's solve
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text('[problem]\nf = "1e308"\nh = "1"\ng = "0"\nu0 = "0"\nlx = 1.0\nT = 1.0\n'
-                   'omega = 1.0\nkernel = "0"\n', encoding="utf-8")
+    cfg = write_config(tmp_path, problem("overflow", f="1e308", kernel="0"))
     assert run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"]) == 2
     assert capsys.readouterr().err == "kernrec: numerical failure: state is not finite\n"
 
 
-# u0 = 1e200 keeps every state finite, but the squares in the diagnostics overflow
-OVERFLOWING_DIAGNOSTICS = """\
-[problem]
-f = "0"
-h = "1"
-g = "0"
-u0 = "1e200*(1+cos(pi*x))"
-lx = 1.0
-T = 1.0
-omega = 1.0
-kernel = "0"
-"""
-
-
 def test_non_finite_diagnostics_exit_2_and_write_nothing(tmp_path):
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(OVERFLOWING_DIAGNOSTICS, encoding="utf-8")
+    # u0 = 1e200 keeps every state finite, but the squares in the diagnostics overflow
+    cfg = write_config(tmp_path, CONFIGS["big1d.ini"], "big.cfg")
     proc = subprocess.run(
         [sys.executable, "-m", "kernrec.harness", "roundtrip", "--config", str(cfg),
          "--n", "4", "--mx", "4", "--force", "--out", "r.csv", "--json", "r.json"],
@@ -1975,9 +1896,7 @@ def test_measurement_overflow_prints_no_numpy_warning(tmp_path):
     # finite samples whose backward difference overflows
     data = tmp_path / "m.csv"
     data.write_text("0,0\n0.5,1.7e308\n1,-1.7e308\n", encoding="utf-8")
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text(f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n',
-                   encoding="utf-8")
+    cfg = write_config(tmp_path, f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n')
     proc = subprocess.run(
         [sys.executable, "-m", "kernrec.harness", "reconstruct", "--config", str(cfg),
          "--n", "2", "--mx", "4"],
@@ -1992,11 +1911,8 @@ def test_kernel_overflow_after_the_first_step_exits_2(tmp_path, capsys):
     data = tmp_path / "m.csv"
     data.write_text("t,m,mprime\n0,0,0\n0.25,0,0\n0.5,0,-1.7e308\n0.75,0,0\n1,0,0\n",
                     encoding="utf-8")
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text(
-        '[problem]\nf = "0"\nh = "0.5"\ng = "0"\nu0 = "0"\nlx = 1\nT = 1\nomega = 0.5\n'
-        f'measurement_file = "{data}"\n',
-        encoding="utf-8",
+    cfg = write_config(
+        tmp_path, problem("kerneloverflow", h="0.5", omega="0.5", measurement_file=str(data))
     )
     argv = ["reconstruct", "--config", str(cfg), "--n", "4", "--mx", "4", "--trace"]
     assert run_cli(argv) == 2
@@ -2019,11 +1935,7 @@ _WORKLOADS = {
 @pytest.mark.filterwarnings("ignore:initial kernel value:RuntimeWarning")  # noisy K_0
 @pytest.mark.parametrize("name", list(_WORKLOADS))
 def test_benchmark_residual_is_the_reports(tmp_path, monkeypatch, name):
-    config = tmp_path / "manufactured2d.ini"
-    config.write_text(
-        "[problem]\n" + "".join(f'{key} = "{value}"\n' for key, value in MANUFACTURED_2D.items()),
-        encoding="utf-8",
-    )
+    config = write_config(tmp_path, CONFIGS["manufactured2d.ini"], "manufactured2d.ini")
     sampled, reconstruct = [], harness.reconstruct
 
     def wrapper(*args, **kwargs):

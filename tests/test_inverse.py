@@ -26,20 +26,11 @@ from kernrec.inverse import (
 )
 from kernrec.problem import (
     MeasurementSeries,
-    ProblemSpec,
     TimeGrid,
     make_preset,
     spec_from_mapping,
 )
-from oracles import MANUFACTURED_2D
-
-
-def _spec(f="0", h="1", g="0", u0="0", T=1.0, omega=1.0, **extra):
-    return ProblemSpec(
-        name="inline", extents=(1.0,), T=T, omega_floor=omega,
-        f=expr.parse(f), h=expr.parse(h), g=expr.parse(g), u0=expr.parse(u0),
-        **{k: (expr.parse(v) if isinstance(v, str) else v) for k, v in extra.items()},
-    )
+from oracles import MANUFACTURED_1D, MANUFACTURED_2D, build_spec, variant
 
 
 def _running_diagnostics(result, grid, tau):
@@ -221,24 +212,24 @@ class TestTrajectoryWalk:
 
 class TestStepThreshold:
     def test_passes_with_margin(self):
-        report = check_step_threshold(_spec(omega=1.0), m0=1.0, tau=0.1)
+        report = check_step_threshold(build_spec(), m0=1.0, tau=0.1)
         assert report.tau0 == 0.5
         assert report.passed
         assert abs(report.margin - 0.9) < 1e-15
 
     def test_zero_m0_caps_at_one(self):
-        report = check_step_threshold(_spec(omega=1.0), m0=0.0, tau=0.99)
+        report = check_step_threshold(build_spec(), m0=0.0, tau=0.99)
         assert report.tau0 == 1.0
         assert report.passed
-        assert not check_step_threshold(_spec(omega=1.0), m0=0.0, tau=1.0).passed
+        assert not check_step_threshold(build_spec(), m0=0.0, tau=1.0).passed
 
     def test_violation(self):
-        report = check_step_threshold(_spec(omega=0.2), m0=10.0, tau=0.05)
+        report = check_step_threshold(build_spec(omega="0.2"), m0=10.0, tau=0.05)
         assert report.tau0 == 0.01
         assert not report.passed
 
     def test_reconstruct_refuses_then_forced(self):
-        spec = _spec(f="0", h="1", g="0", u0="10", omega=0.2)
+        spec = build_spec(u0="10", omega="0.2")
         tg = TimeGrid(1.0, 20)  # tau = 0.05 > tau0 = 0.01
         grid = spec.make_grid(10)
         series = MeasurementSeries.from_expressions(
@@ -256,7 +247,7 @@ class TestKernelUpdate:
 
     def test_zero_numerator_by_induction(self):
         # f = 0, g = 0, m' = 0 forces every K_i to vanish
-        spec = _spec()
+        spec = build_spec()
         tg = TimeGrid(1.0, 8)
         grid = spec.make_grid(10)
         series = MeasurementSeries(tg, np.full(9, 2.0), np.zeros(8), initial_derivative=0.0)
@@ -266,7 +257,7 @@ class TestKernelUpdate:
 
     def test_direct_substitution(self):
         # (f_0,1)=2, m'_1=1, (h_1,1)=1, m_0=0 gives K_1 = 1
-        spec = _spec(f="2")
+        spec = build_spec(f="2")
         tg = TimeGrid(1.0, 4)
         grid = spec.make_grid(10)
         series = MeasurementSeries(tg, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0]))
@@ -275,7 +266,7 @@ class TestKernelUpdate:
 
     def test_denominator_sign_flag(self):
         # m_0 = 2 with tau = 0.125 stays below tau0 = 0.25
-        spec = _spec(f="2")
+        spec = build_spec(f="2")
         tg = TimeGrid(1.0, 8)
         grid = spec.make_grid(10)
         derivs = np.zeros(8)
@@ -290,7 +281,7 @@ class TestKernelUpdate:
     def test_singular_denominator(self):
         # h = -1 while m0 tau = 1 cancels the denominator exactly; tau = 0.1
         # exceeds tau0 = 0.05, so the run is forced past the threshold
-        spec = _spec(h="-1", u0="10")
+        spec = build_spec(h="-1", u0="10")
         tg = TimeGrid(1.0, 10)  # tau = 0.1, m0 = 10
         grid = spec.make_grid(10)
         series = MeasurementSeries(tg, np.full(11, 10.0))
@@ -309,7 +300,7 @@ class TestInitialKernelValue:
 
     def test_non_finite_value_stops_the_run_before_the_march(self):
         # m'(0) = 1e300 over (h(0),1) = 1e-11 overflows: K_0 = -inf
-        spec = _spec(h="1e-11", omega=1e-11, m_exact="1", mprime_exact="1e300*exp(-10000*t)")
+        spec = build_spec(h="1e-11", omega="1e-11", m="1", mprime="1e300*exp(-10000*t)")
         tg = TimeGrid(1.0, 10)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         rows = []
@@ -320,7 +311,7 @@ class TestInitialKernelValue:
 
     def test_non_finite_value_stops_the_run_at_its_step(self):
         # m'_2 = -1.7e308 over (h,1) + m_0 tau = 0.5 overflows: K_2 = inf
-        spec = _spec(h="0.5", omega=0.5)
+        spec = build_spec(h="0.5", omega="0.5")
         tg = TimeGrid(1.0, 4)
         series = MeasurementSeries(tg, np.zeros(5), [0.0, -1.7e308, 0.0, 0.0], 0.0)
         rows = []
@@ -356,11 +347,8 @@ class TestReconstruct:
         assert np.abs(result.states - fwd.states).max() <= 1e-8
 
     def test_same_grid_roundtrip_2d(self):
-        spec = ProblemSpec(
-            name="m2d", extents=(1.0, 1.0), T=1.0, omega_floor=1.0,
-            f=expr.parse("(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))"),
-            h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse("1+cos(pi*x)"),
-            kernel_exact=expr.parse("exp(-t)"),
+        spec = build_spec(
+            name="m2d", **variant(MANUFACTURED_1D, ly="1.0", m=None, mprime=None, u_exact=None)
         )
         tg = TimeGrid(1.0, 20)
         grid = spec.make_grid(10, 10)
@@ -491,7 +479,7 @@ class TestReconstruct:
     def test_degenerate_zero_measurement_allowed(self):
         # m == 0 with nonzero forcing: update degenerates to
         # K_i = [(f,1) - (g,1)] / (h,1)
-        spec = _spec(f="2")
+        spec = build_spec(f="2")
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(10)
         series = MeasurementSeries(tg, np.zeros(11), np.zeros(10), 0.0)
@@ -543,26 +531,16 @@ class TestReconstruct:
 # the kernel exp(-t), so m = |Omega| (1+t); the second f reads the derivative
 # of u along the last axis (p in 1D, q in 2D). Each f is (1D, 2D).
 _F = {
-    "manufactured": (
-        "(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))",
-        MANUFACTURED_2D["f"],
-    ),
+    "manufactured": (MANUFACTURED_1D["f"], MANUFACTURED_2D["f"]),
     "reads-gradient": ("1 + cos(pi*x) + x*p - u", "1 + cos(pi*x) + x*q - u"),
 }
-_U0 = ("1+cos(pi*x)", MANUFACTURED_2D["u0"])
-
-
-def _inline_spec(ly, f, u0, **extra):
-    return ProblemSpec(
-        name="inline", extents=(1.0,) if ly is None else (1.0, ly), T=1.0, omega_floor=1.0,
-        f=expr.parse(f), h=expr.parse("1"), g=expr.parse("0"), u0=expr.parse(u0),
-        **{key: expr.parse(text) for key, text in extra.items()},
-    )
+_U0 = (MANUFACTURED_1D["u0"], MANUFACTURED_2D["u0"])
 
 
 def _manufactured_spec(f, ly):
     dim = 0 if ly is None else 1
-    return _inline_spec(ly, _F[f][dim], _U0[dim], kernel_exact="exp(-t)")
+    return build_spec(f=_F[f][dim], u0=_U0[dim], kernel="exp(-t)",
+                      **({} if ly is None else {"ly": repr(ly)}))
 
 
 def _below_tau0(spec, grid, n, fraction):
@@ -585,7 +563,7 @@ class TestReconstructProperties:
     @settings(max_examples=50, deadline=None)
     @given(**_small)
     def test_zero_problem_exact(self, n, mx, my, ly, fraction):
-        spec = _inline_spec(ly, "0", "0", m_exact="0", mprime_exact="0")
+        spec = build_spec(m="0", mprime="0", **({} if ly is None else {"ly": repr(ly)}))
         grid = spec.make_grid(mx, my)
         spec, tg = _below_tau0(spec, grid, n, fraction)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
@@ -753,7 +731,7 @@ class TestSequence:
 
     def test_a_sweep_without_fault_marches_once(self, monkeypatch):
         tg = TimeGrid(1.0, 10)
-        spec = _spec(u0="1")
+        spec = build_spec(u0="1")
         series = [MeasurementSeries(tg, np.linspace(1.0, b, tg.n + 1)) for b in (1.5, 2, 3)]
         calls = _count_marches(monkeypatch)
         reconstruct(spec, spec.make_grid(4), tg, series)
@@ -772,7 +750,7 @@ class TestSequence:
 
     def test_a_sweep_sets_the_problem_up_once(self, monkeypatch):
         tg = TimeGrid(1.0, 10)
-        spec = _spec(u0="1")
+        spec = build_spec(u0="1")
         series = [MeasurementSeries(tg, np.linspace(1.0, b, tg.n + 1)) for b in (1.5, 2, 3)]
         calls, means = [], TimeStepper.initial_means
         monkeypatch.setattr(TimeStepper, "initial_means",
@@ -832,14 +810,14 @@ def _faulting(kind, tg):
     n, steady = tg.n, np.ones(tg.n + 1)
     if kind == "f":
         # u falls with m = 1 - 5t and goes below 0 near t = 0.2: sqrt(u) faults
-        spec = _spec(f="sqrt(u) - 1", u0="1", kernel_exact="0")
+        spec = build_spec(f="sqrt(u) - 1", u0="1", kernel="0")
         return spec, {}, MeasurementSeries(tg, 1.0 - 5.0 * tg.nodes)
     if kind == "update":
         # with the minus sign, (h,1) - m0 tau = 1 - 10 * 0.1 = 0
-        spec = _spec(u0="10", kernel_exact="0")
+        spec = build_spec(u0="10", kernel="0")
         return spec, {"force": True, "denominator_sign": -1.0}, MeasurementSeries(
             tg, np.full(n + 1, 10.0))
-    spec = _spec(u0="1", kernel_exact="0")
+    spec = build_spec(u0="1", kernel="0")
     if kind == "state":
         # a finite K_1 ~ 9e200 makes conv_2 overflow
         return spec, {}, MeasurementSeries(tg, steady, np.r_[-1e201, np.zeros(n - 1)])

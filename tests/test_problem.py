@@ -19,6 +19,7 @@ from kernrec.problem import (
     spec_from_mapping,
     validate_floor,
 )
+from oracles import BASE, build_spec
 
 
 def _simpson(fn, a, b, n=2000):
@@ -201,7 +202,7 @@ KEY_VARIABLES = {
     "mprime": {"t"},
     "u_exact": {"x", "y", "t"},
 }
-INLINE_2D = {"f": "0", "h": "1", "g": "0", "u0": "0", "lx": "1", "ly": "1", "T": "1", "omega": "1"}
+INLINE_2D = {**BASE, "ly": "1.0"}
 
 
 class TestSpecValidation:
@@ -267,18 +268,12 @@ class TestSpecValidation:
             )
 
     def test_floor_violation(self):
-        spec = ProblemSpec(
-            name="flat", extents=(1.0,), T=1.0, omega_floor=1.0,
-            f=expr.parse("0"), h=expr.parse("0"), g=expr.parse("0"), u0=expr.parse("0"),
-        )
+        spec = build_spec(name="flat", h="0")
         with pytest.raises(FloorViolationError):
             validate_floor(spec, spec.make_grid(10), TimeGrid(1.0, 10))
 
     def test_time_varying_floor_violation(self):
-        spec = ProblemSpec(
-            name="sinker", extents=(1.0,), T=1.0, omega_floor=0.5,
-            f=expr.parse("0"), h=expr.parse("1-2*t"), g=expr.parse("0"), u0=expr.parse("0"),
-        )
+        spec = build_spec(name="sinker", h="1-2*t", omega="0.5")
         with pytest.raises(FloorViolationError):
             validate_floor(spec, spec.make_grid(10), TimeGrid(1.0, 10))
 
@@ -289,10 +284,7 @@ class TestSpecValidation:
     )
     def test_floor_means_are_the_steppers(self, monkeypatch, h, cells):
         # the floor check reads exactly the (h_i,1) the kernel update divides by
-        spec = ProblemSpec(
-            name="inline", extents=(1.0,) * len(cells), T=1.0, omega_floor=1.0,
-            f=expr.parse("0"), h=expr.parse(h), g=expr.parse("0"), u0=expr.parse("0"),
-        )
+        spec = build_spec(h=h, **({"ly": "1.0"} if len(cells) == 2 else {}))
         grid = spec.make_grid(*cells)
         tg = TimeGrid(1.0, 10)
         # blocks of 4 time nodes, the last one partial
@@ -323,19 +315,13 @@ class TestSpecValidation:
     def test_floor_check_meets_a_fault_of_h(self, h, message):
         # the floor check is the first reader of h; a block that faults is
         # served node by node, a static h is evaluated once
-        spec = ProblemSpec(
-            name="inline", extents=(1.0,), T=1.0, omega_floor=0.5,
-            f=expr.parse("0"), h=expr.parse(h), g=expr.parse("0"), u0=expr.parse("0"),
-        )
+        spec = build_spec(h=h, omega="0.5")
         with pytest.raises(DomainFaultError, match=message):
             validate_floor(spec, spec.make_grid(8), TimeGrid(1.0, 10))
 
     def test_floor_check_memory_is_bounded(self):
         # all 2001 x 1001 values of h at once would take 32.5 MiB
-        spec = ProblemSpec(
-            name="inline", extents=(1.0,), T=1.0, omega_floor=1.0,
-            f=expr.parse("0"), h=expr.parse("1 + t*x"), g=expr.parse("0"), u0=expr.parse("0"),
-        )
+        spec = build_spec(h="1 + t*x")
         grid, tg = spec.make_grid(1000), TimeGrid(1.0, 2000)
         tracemalloc.start()
         try:

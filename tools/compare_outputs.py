@@ -3,12 +3,11 @@
     python tools/compare_outputs.py BASE_DIR [HEAD_DIR]
 
 Runs every case of ``COMMANDS``, ``FAILING`` and ``HELP`` with each
-tree's ``src/`` on ``PYTHONPATH``, beside the files of ``CONFIGS``; the
-comment on an entry or a group of entries says what it pins.  Each
-inline ``[problem]`` there is ``BASE``, the zero problem on (0, 1)
-(f = 0, h = 1, g = 0, u0 = 0, lx = 1, T = 1, omega = 1), with the keys
-its entry names laid over it.  HEAD_DIR defaults to the checkout that
-holds this script.
+tree's ``src/`` on ``PYTHONPATH``, beside the files of ``CONFIGS``,
+which ``tests/oracles.py`` states with the problems of the test suite; the
+comment on an entry or a group of entries says what it pins.  HEAD_DIR
+defaults to the checkout that holds this script; for a parent commit,
+unpack it first, for example ``git archive HEAD~1 | tar -x -C /tmp/base``.
 
 Every case is compared on one record: its exit code, stdout and stderr,
 then its outputs.  A run of ``COMMANDS`` writes NAME.csv and NAME.json,
@@ -34,142 +33,9 @@ import tempfile
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-from workloads import CONFIG_2D, MANUFACTURED_2D  # noqa: E402  the benchmark's 2D config
-
-# the zero problem on (0, 1), under every inline [problem] of CONFIGS
-BASE = {"f": "0", "h": "1", "g": "0", "u0": "0", "lx": "1.0", "T": "1.0", "omega": "1.0"}
-
-
-def problem(name: str, **keys: str) -> str:
-    """The inline [problem] ``name``: ``BASE`` with ``keys`` laid over it."""
-    assert all(BASE.get(key) != value for key, value in keys.items()), keys  # only what differs
-    lines = [f'{key} = "{value}"' for key, value in {"name": name, **BASE, **keys}.items()]
-    return "".join(f"{line}\n" for line in ["[problem]", *lines])
-
-
-def _measurement_text(n: int, initial_only: bool = False) -> str:
-    nodes = np.linspace(0.0, 1.0, n + 1).tolist()  # the time grid's nodes
-    if initial_only:
-        rows = (f"{t:.17g},{1.0 + t:.17g}{',1' if k == 0 else ''}" for k, t in enumerate(nodes))
-        return "".join(f"{row}\n" for row in rows)
-    return "".join(["t,m,mprime\n", *(f"{t:.17g},{1.0 + t:.17g},1\n" for t in nodes)])
-
-
-# the configs, and the measurement files, written beside the outputs
-CONFIGS = {
-    CONFIG_2D: MANUFACTURED_2D,
-    # every preset and the 2D config have a static h and g, formed once per
-    # run; in this one h and g depend on t, and f reads the state u
-    "timedependent1d.ini": problem(
-        "timedependent1d", f="u*exp(-t) + cos(pi*x)", h="1 + t", g="t*x",
-        u0="1 + cos(pi*x)", kernel="exp(-t)",
-    ),
-    # the same in 2D, on a rectangle: the boundary load and (g,1)_Gamma use
-    # the edge-trapezoid weights, corners included, not two point weights
-    "timedependent2d.ini": problem(
-        "timedependent2d", f="u*exp(-t) + cos(pi*x)*cos(pi*y)", h="1 + t + x*y",
-        g="t*x - (1 - t)*y^2", u0="1 + cos(pi*x)*cos(pi*y)", ly="2.0", kernel="exp(-t)",
-    ),
-    # f of t and x (y) alone, with h and g of t: all three are evaluated in
-    # blocks of time nodes, not per step
-    "timeonly1d.ini": problem(
-        "timeonly1d", f="exp(-t)*(1 + cos(pi*x)) + sin(2*t)*x", h="1 + t", g="t*x",
-        u0="1 + cos(pi*x)", kernel="exp(-t)",
-    ),
-    "timeonly2d.ini": problem(
-        "timeonly2d", f="exp(-t)*cos(pi*x)*cos(pi*y) + t*y", h="1 + t + x*y",
-        g="t*x - (1 - t)*y^2", u0="1 + cos(pi*x)*cos(pi*y)", ly="2.0", kernel="exp(-t)",
-    ),
-    # options from config keys, not flags: pins the key path's casts and echo
-    "contaminantkeys.ini": """\
-[problem]
-preset = contaminant
-
-[discretization]
-n = 200
-mx = 50
-
-[experiment]
-mode = reconstruct
-derivative = discrete
-fine_factor = 2
-trace = true
-kernel_denominator_sign = plus
-""",
-    # f faults at t = 0.5, node 5 of n = 10: a traced reconstruction prints
-    # rows 1-5 and then fails
-    "faultf1d.ini": problem("faultf1d", f="2 + 1/(t - 0.5)", m="0", mprime="0"),
-    # h faults inside the floor check, its first reader: with an exact m no
-    # forward data run comes first.  At t = 0.5, in the middle of the only
-    # block of time nodes, which is then served node by node; and in a static
-    # h, which is evaluated once
-    "faulth1d.ini": problem("faulth1d", h="1 + 1/(t - 0.5)", omega="0.5", m="0", mprime="0"),
-    "faulthstatic1d.ini": problem("faulth1d", h="2 + log(x)", omega="0.5", m="0", mprime="0"),
-    # |(h(t),1)| = 1 - t dips below omega after t = 0.25
-    "floor1d.ini": problem("floor1d", h="1 - t", omega="0.75", m="0", mprime="0"),
-    # g faults at t = 0 only, where the march never reads it; the discrete
-    # m'(0) reads it after the march, the exact m' does not
-    "faultg1d.ini": problem("faultg1d", g="1/t", kernel="exp(-t)", mprime="0"),
-    # advection v . grad u: the contaminant's f reads the gradient p
-    "contaminantv.ini": "[problem]\npreset = contaminant\nv = 0.5\n",
-    # f reads both components of the gradient on a rectangle
-    "gradient2d.ini": problem(
-        "gradient2d", f="u*exp(-t) - 0.5*p + 0.25*q + cos(pi*x)*cos(pi*y)", h="1 + t",
-        g="t*x", u0="1 + cos(pi*x)*cos(pi*y)", ly="2.0", kernel="exp(-t)",
-    ),
-    # manufactured1d without m and mprime: the measurement is read from a file
-    # of the samples of m = 1 + t and m' = 1 on 200 steps; the second has no
-    # header and gives m' in its first row alone, as m'(0); the third is the
-    # second behind a byte-order mark
-    **{config: problem(
-        "manufactured1d", f="(1+cos(pi*x)) + (1+t)*pi^2*cos(pi*x) + exp(-t) + t*(1+cos(pi*x))",
-        u0="1+cos(pi*x)", kernel="exp(-t)", u_exact="(1+t)*(1+cos(pi*x))", measurement_file=file,
-    ) for config, file in [("manufactured1dfile.ini", "manufactured1d_m.csv"),
-                           ("manufactured1dfilem0.ini", "manufactured1d_m0.csv"),
-                           ("manufactured1dfilebom.ini", "manufactured1d_mbom.csv")]},
-    "manufactured1d_m.csv": _measurement_text(200),
-    "manufactured1d_m0.csv": _measurement_text(200, initial_only=True),
-    "manufactured1d_mbom.csv": "\ufeff" + _measurement_text(200, initial_only=True),
-    # every state is finite, but the squares in the diagnostics overflow
-    "big1d.ini": problem("big1d", u0="1e200*(1+cos(pi*x))", kernel="0"),
-    # finite samples whose backward difference overflows
-    "overflow_m.csv": "0,0\n0.5,1.7e308\n1,-1.7e308\n",
-    "contaminantoverflow.ini":
-        '[problem]\npreset = contaminant\nmeasurement_file = "overflow_m.csv"\n',
-    # a preset's section with T, omega and its own parameters laid over it
-    "contaminantoverrides.ini":
-        "[problem]\npreset = contaminant\nkr = 2\nkd = 0.5\nT = 0.5\nomega = 0.25\n",
-    "manufactured1doverrides.ini": "[problem]\npreset = manufactured1d\nomega = 0.5\nT = 2\n",
-    # these fail by design: an inline key beside a preset (exit 1), and a
-    # parameter the contaminant rejects beside an unknown key (exit 3): the
-    # preset's parameters are checked before the keys
-    "presetf.ini": '[problem]\npreset = manufactured1d\nf = "0"\n',
-    "contaminantkr0.ini": "[problem]\npreset = contaminant\nkr = 0\nbogus = 1\n",
-    # fails by design in its second level: with the minus sign the update
-    # divides by (h,1) - m0 tau = 1 - 10 * 0.1 = 0 unless the noise moves m0,
-    # which the second level's 1e-300 does not
-    "secondlevelfault.ini": problem("secondlevelfault", u0="10", kernel="0", m="10", mprime="0"),
-    # fails by design in both levels: u follows m below 0, where sqrt(u)
-    # faults, after 7 steps of the first level and, with seed 4, after 3 of
-    # the second; the first level's rows and fault decide
-    "laterfault.ini": problem("laterfault", f="sqrt(u) - 1", u0="1", kernel="0", m="1 - 1.6*t"),
-    # fails by design in its second level: m0 = 9.9 keeps tau = 0.05 below
-    # tau0 = 1/19.8, and the second level's noise moves m0 past it, so that
-    # level fails its step threshold before the march
-    "laterthreshold.ini": problem("laterthreshold", u0="9.9", kernel="0", m="9.9", mprime="0"),
-    # these fail by design in the expression parser, each in one expression:
-    # a U+00A0, two bytes in UTF-8, before an unexpected character, so that the
-    # offset counts bytes; an unknown function; a wrong arity; and an h nested
-    # one level deeper than the parser accepts
-    "badcharacter.ini": problem("badexpression", f="x\u00a0+ $", m="0", mprime="0"),
-    "unknownfunction.ini": problem("badexpression", f="foo(x)", m="0", mprime="0"),
-    "arity.ini": problem("badexpression", f="min(x)", m="0", mprime="0"),
-    "deeph.ini": problem("badexpression", h="(" * 101 + "1" + ")" * 101, m="0", mprime="0"),
-}
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+from oracles import CONFIGS  # noqa: E402  the problems the cases read
 
 M1 = ["--preset", "manufactured1d"]
 CT = ["--preset", "contaminant"]
