@@ -8,7 +8,11 @@ threshold, floor violations) exit 3.
 
 
 class KernrecError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; a fault of a single
+    series' reconstruction carries its ``warnings`` and ``trace`` rows."""
+
+    warnings: tuple[str, ...] = ()
+    trace: tuple[tuple[int, float, float, float, float], ...] = ()
 
 
 class UsageError(KernrecError):

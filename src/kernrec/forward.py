@@ -45,11 +45,10 @@ conv_i (formed after K_i, which it includes), the elliptic solve, the
 finiteness check of u_i and (conv_i,1), the only mean the loop forms.
 The step records (f_{i-1},1), (h_i,1), (g_i,1)_Gamma and (conv_i,1) as
 it used them.  Once per run, after the loop, in one call for all
-series (``TimeStepper.compat_residual``): M_i = (u_i,1) for all states,
-in the blocks of ``problem.block_slices``, and from them and the
-recorded sums the identity residuals of all steps; in a march of one
-series, a traced step gets its residual from the same function, applied
-to that step alone, as soon as it is done.
+series (``TimeStepper.compat_residual``): M_i = (u_i,1) for the states
+of the steps done, all of them or those before a fault, in the blocks of
+``problem.block_slices``, and from them and the recorded sums the
+identity residuals of those steps.
 
 The loop advances a stack of series on one grid and step size at once,
 such as the levels of a noise sweep; a forward run or a single
@@ -62,7 +61,8 @@ one ``f_field`` call for an f that reads the state and one
 stacked product, whose rows are each series' own gemv.  Each series
 keeps its own kernel update, so every number of a series is the one a
 march of that series alone computes.  A fault in any series ends the
-march at once.
+march at once, and the march returns it with what the steps before it
+computed.
 
 The states are stored newest-first: the loop allocates its
 (series, n+1, *grid.shape) buffer and works on the view reversed in
@@ -86,7 +86,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import expr, problem
-from .errors import NonFiniteError, ValidationError
+from .errors import KernrecError, NonFiniteError, ValidationError
 from .grid import DERIVATIVES, SpatialGrid, nodal_gradient
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid
 from .solver import SpectralSolver
@@ -192,13 +192,12 @@ class TimeStepper:
     def compat_residual(
         self, states: np.ndarray, kernel_values: np.ndarray, sums: list[tuple]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """M = (u,1) of consecutive states, and the relative measurement
-        identity residual of each step between them, for one series or a
-        stack.
+        """M = (u,1) of the states u_0..u_s, and the relative measurement
+        identity residual of each step 1..s, for one series or a stack.
 
-        ``states`` holds u_{i-1}..u_{i+m}, ``kernel_values`` K_{i-1}..K_{i+m},
-        and row k of ``sums`` the (f_{j-1},1), (h_j,1), (g_j,1)_Gamma and
-        (conv_j,1) that step j = i+k used.  Leading axes of ``states`` and
+        ``kernel_values`` holds K_0..K_s, and row j-1 of ``sums`` the
+        (f_{j-1},1), (h_j,1), (g_j,1)_Gamma and (conv_j,1) that step j
+        used; s may be 0.  Leading axes of ``states`` and
         ``kernel_values`` number the series of a stack; a step's
         (f_{j-1},1) and (conv_j,1) are then one per series, or (f_{j-1},1)
         one for all.  The means are formed step-major in blocks of
@@ -212,7 +211,8 @@ class TimeStepper:
             measured[rows] = self.grid.integral(by_step[rows])
         measured = np.moveaxis(measured, 0, -1)
         # each mean of all steps: (steps,), or (series, steps) if one per series
-        f_mean, h_mean, g_mean, conv_mean = (np.array(c, dtype=float).T for c in zip(*sums))
+        columns = zip(*sums) if sums else [()] * 4  # no step done: empty columns
+        f_mean, h_mean, g_mean, conv_mean = (np.array(c, dtype=float).T for c in columns)
         terms = np.stack(np.broadcast_arrays(
             (measured[..., 1:] - measured[..., :-1]) / self.tau,
             g_mean,
@@ -251,20 +251,19 @@ def _march(
     stepper: TimeStepper,
     kernel_values: np.ndarray,
     kernel_update: Sequence[Callable[[int, float, float, float], None]] | None = None,
-    on_step: Callable[[int, float], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, KernrecError | MemoryError | None]:
     """Advance u_0..u_n of a stack of series; return the states, M_i =
-    (u_i,1) and the residuals.
+    (u_i,1), the residuals and the fault that ended the march, or None.
 
     Row r of ``kernel_values``, shape (series, n+1), is series r's kernel.
     Without ``kernel_update`` the kernel values K_1..K_n are given.  With
     it, ``kernel_update[r](i, (f_{i-1},1), (h_i,1), (g_i,1)_Gamma)``
     stores series r's K_i in row r of ``kernel_values`` before step i.
-    In a march of one series, ``on_step(i, residual)`` runs after each
-    step.  A KernrecError of an update or of f, or a state that is not
-    finite, is raised at once, whatever its series.
-    The states have shape (series, n+1, *grid.shape), M (series, n+1)
-    and the residuals (series, n).
+    A KernrecError of an update or of f, a state that is not finite, or
+    a MemoryError ends the march at once, whatever its series.
+    The states have shape (series, n+1, *grid.shape); M, (series, s+1),
+    and the residuals, (series, s), cover the s steps done: all n, or
+    those before the fault.
     """
     batch, n = kernel_values.shape[0], stepper.timegrid.n
     grid, tau = stepper.grid, stepper.tau
@@ -298,30 +297,29 @@ def _march(
     coefficients = stepper.coefficients(nodes[:-1], nodes[1:], u_by_step)
     step, integral, isfinite = stepper.step, grid.integral, np.isfinite
     convolution = _convolution_values
+    fault = None
     # an overflow or NaN in a step is reported by the finiteness check
     # below, one in the residuals by the run's check of what it writes,
     # not by numpy's floating-point warnings
     with np.errstate(all="ignore"):
-        for i in range(1, n + 1):
-            # next(), not enumerate(): under enumerate, zip's cached result
-            # tuple keeps every other step's old pairs, and their block, alive
-            (f_prev, f_mean), (h_i, h_mean), (g_load, g_mean) = next(coefficients)
-            if update is not None:
-                update(i, f_mean, h_mean, g_mean)
-            # conv_i includes K_i, so it is formed after the update
-            convolution(k_rows, u_rows, i, tau, conv_rows)
-            u = u_by_step[i] = step(k_by_step[i], u_by_step[i - 1], f_prev, conv_all, h_i, g_load)
-            if not isfinite(u).all():
-                raise NonFiniteError("state is not finite", step=i)
-            steps.append((f_mean, h_mean, g_mean, integral(conv_all)))
-            if on_step is not None:
-                window = slice(i - 1, i + 1)
-                _, residual = stepper.compat_residual(
-                    u_by_step[window], k_by_step[window], steps[-1:]
-                )
-                on_step(i, residual[0])
-        measured, residuals = stepper.compat_residual(states, kernel_values, steps)
-    return states, measured, residuals
+        try:
+            for i in range(1, n + 1):
+                # next(), not enumerate(): under enumerate, zip's cached result
+                # tuple keeps every other step's old pairs, and their block, alive
+                (f_prev, f_mean), (h_i, h_mean), (g_load, g_mean) = next(coefficients)
+                if update is not None:
+                    update(i, f_mean, h_mean, g_mean)
+                # conv_i includes K_i, so it is formed after the update
+                convolution(k_rows, u_rows, i, tau, conv_rows)
+                u_by_step[i] = step(k_by_step[i], u_by_step[i - 1], f_prev, conv_all, h_i, g_load)
+                if not isfinite(u_by_step[i]).all():
+                    raise NonFiniteError("state is not finite", step=i)
+                steps.append((f_mean, h_mean, g_mean, integral(conv_all)))
+        except (KernrecError, MemoryError) as exc:
+            fault = exc
+        done = slice(len(steps) + 1)  # u_0 and the states of the steps done
+        measured, residuals = stepper.compat_residual(states[:, done], kernel_values[:, done], steps)
+    return states, measured, residuals, fault
 
 
 def run_forward(
@@ -347,7 +345,9 @@ def run_forward(
     _check_domain(spec, grid)
     kernel = timegrid.sample(spec.kernel_exact)
     stepper = TimeStepper(spec, grid, timegrid)
-    (states,), (measured,), (residuals,) = _march(stepper, kernel[None])
+    (states,), (measured,), (residuals,), fault = _march(stepper, kernel[None])
+    if fault is not None:
+        raise fault
     if derivative == "analytic" and spec.mprime_exact is not None:
         measurement = MeasurementSeries.analytic(timegrid, measured, spec.mprime_exact)
     else:

@@ -24,8 +24,9 @@ an input or the other output), 2 numerical failure (singular
 update, non-finite state, a non-finite number in the CSV or report, I/O,
 an array too large to allocate), 3 validation failure (step threshold,
 floor violation, non-finite or non-positive problem numbers, a malformed
-measurement file).  ``main`` prints each warning as one
-``kernrec: warning: ...`` line.
+measurement file).  A reconstruction's warnings and, with ``--trace``,
+its per-step rows go to stderr once it returns or faults, series by
+series (``_run_reconstruction``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .forward import run_forward
 from .grid import SpatialGrid
-from .inverse import ReconstructionResult, reconstruct
+from .inverse import ReconstructionResult, reconstruct, trace_rows
 from .problem import (
     MeasurementSeries,
     ProblemSpec,
@@ -448,11 +448,12 @@ def _measurement_file(cfg: ExperimentConfig) -> MeasurementSeries:
     return series
 
 
-def _trace_printer(i, t, k, den, resid):
-    print(
-        f"step={i} t={t:.6g} K={k:.9g} den={den:.9g} resid={resid:.3e}",
-        file=sys.stderr,
-    )
+def _print_series(cfg: ExperimentConfig, texts, rows) -> None:
+    """A series' warnings, then, with --trace, its rows, on stderr."""
+    for text in texts:
+        print(f"kernrec: warning: {text}", file=sys.stderr)
+    for i, t, k, den, resid in rows if cfg.trace else ():
+        print(f"step={i} t={t:.6g} K={k:.9g} den={den:.9g} resid={resid:.3e}", file=sys.stderr)
 
 
 def _run_reconstruction(
@@ -461,15 +462,18 @@ def _run_reconstruction(
     timegrid: TimeGrid,
     measurement: MeasurementSeries | list[MeasurementSeries],
 ) -> ReconstructionResult:
-    return reconstruct(
-        cfg.spec,
-        grid,
-        timegrid,
-        measurement,
-        force=cfg.force,
-        denominator_sign=cfg.denominator_sign,
-        trace=_trace_printer if cfg.trace else None,
-    )
+    """Reconstruct, then print each series' warnings and trace rows, series
+    by series: from the result, or from the error of a single series."""
+    try:
+        result = reconstruct(cfg.spec, grid, timegrid, measurement, force=cfg.force,
+                             denominator_sign=cfg.denominator_sign)
+    except (KernrecError, MemoryError) as exc:  # a MemoryError may carry neither
+        _print_series(cfg, getattr(exc, "warnings", ()), getattr(exc, "trace", ()))
+        raise
+    each = (result.warnings, result.kernel, result.denominators, result.compat_residuals)
+    for texts, *arrays in [each] if isinstance(measurement, MeasurementSeries) else zip(*each):
+        _print_series(cfg, texts, trace_rows(timegrid, *arrays))
+    return result
 
 
 def kernel_reference(spec: ProblemSpec, timegrid: TimeGrid) -> np.ndarray | None:
@@ -761,16 +765,8 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_NUMERICAL
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"kernrec: warning: {message}", file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
-    with warnings.catch_warnings():
-        warnings.showwarning = _print_warning  # one line each, without the source location
-        # every time: a noise sweep's levels may repeat one warning word for word
-        warnings.simplefilter("always", RuntimeWarning)
-        return run_cli(sys.argv[1:] if argv is None else argv)
+    return run_cli(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

@@ -33,19 +33,21 @@ are carried into the next for the increments, so no state is
 multiplied by A twice.  Each value is formed state by state, and each
 series' sums run along its own row, so no value depends on the block
 size or on the other series; a stack reports the worst over its series.
+Beside them stands the misfit of the march's M_i = (u_i,1) to the data
+m_i, which the identity residual, holding for any data, does not see.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import expr
-from .errors import NonFiniteError, SingularUpdateError, StepThresholdError, ValidationError
+from .errors import (
+    KernrecError, NonFiniteError, SingularUpdateError, StepThresholdError, ValidationError,
+)
 from .forward import TimeStepper, _check_domain, _march
 from .grid import SpatialGrid, stiffness_matvec
 from .problem import MeasurementSeries, ProblemSpec, TimeGrid, block_slices, validate_floor
@@ -92,14 +94,16 @@ class Diagnostics(NamedTuple):
     kernel_derivative_energy: float  # sum |dK_i|^2 tau
     min_denominator_magnitude: float
     max_compat_residual: float  # relative, worst step
+    max_data_misfit: float  # max_i |M_i - m_i|, M_i = (u_i,1)
+    initial_mismatch: float  # m_0 - (u_0,1); of a stack, the largest in magnitude
 
 
 class ReconstructionResult(NamedTuple):
     """Recovered kernel and states u_0..u_n with run metadata.
 
     From a sequence of series, the arrays gain a leading axis, one row
-    per series, ``threshold`` is a tuple of one report per series and
-    ``diagnostics`` the worst over the series.
+    per series, ``threshold`` and ``warnings`` are tuples of one entry
+    per series and ``diagnostics`` the worst over the series.
     """
 
     kernel: np.ndarray  # K_0..K_n
@@ -108,6 +112,7 @@ class ReconstructionResult(NamedTuple):
     denominators: np.ndarray  # per step i = 1..n
     compat_residuals: np.ndarray  # relative, per step i = 1..n
     threshold: ThresholdReport | tuple[ThresholdReport, ...]
+    warnings: tuple[str, ...] | tuple[tuple[str, ...], ...]  # the texts, in order
 
 
 def kernel_difference_energy(values: np.ndarray, tau: float) -> float | np.ndarray:
@@ -123,9 +128,12 @@ def _diagnostics(
     kernel_values: np.ndarray,
     denominators: np.ndarray,
     residuals: np.ndarray,
+    measured: np.ndarray,
+    data: np.ndarray,
 ) -> Diagnostics:
-    """Stability functionals of a finished reconstruction, the worst over
-    the series of a stack.
+    """Stability functionals of a finished reconstruction, and the misfit
+    of M_i = (u_i,1), ``measured``, to the data m_i, the worst over the
+    series of a stack.
 
     Leading axes of the arrays number the series.  The states are walked
     step-major, one stiffness product per block for all series: A u_i, and
@@ -162,6 +170,7 @@ def _diagnostics(
     state_sq, grad_sq, lap_sq = np.moveaxis(per_state, 1, -1).copy()
     inc_sq, grad_inc_sq = np.moveaxis(per_step, 1, -1).copy()
     state_increment = np.sum(inc_sq, axis=-1)
+    mismatch = data[..., 0] - measured[..., 0]
     return Diagnostics(
         max_abs_kernel=float(np.max(np.abs(kernel_values))),
         max_state_norm_sq=float(np.max(state_sq)),
@@ -174,6 +183,8 @@ def _diagnostics(
         kernel_derivative_energy=float(np.max(kernel_difference_energy(kernel_values, tau))),
         min_denominator_magnitude=float(np.min(np.abs(denominators))),
         max_compat_residual=float(np.max(residuals)),
+        max_data_misfit=float(np.max(np.abs(measured - data))),
+        initial_mismatch=float(mismatch[np.argmax(np.abs(mismatch))]),
     )
 
 
@@ -209,6 +220,13 @@ def _kernel_update(
     return update
 
 
+def trace_rows(
+    timegrid: TimeGrid, kernel: np.ndarray, denominators: np.ndarray, residuals: np.ndarray
+) -> Iterator[tuple[int, float, float, float, float]]:
+    """(i, t_i, K_i, den_i, resid_i) of one series' steps 1.. that ``residuals`` covers."""
+    return zip(range(1, len(residuals) + 1), timegrid.nodes[1:], kernel[1:], denominators, residuals)
+
+
 def reconstruct(
     spec: ProblemSpec,
     grid: SpatialGrid,
@@ -216,29 +234,28 @@ def reconstruct(
     measurement: MeasurementSeries | Iterable[MeasurementSeries],
     force: bool = False,
     denominator_sign: float = 1.0,
-    trace: Callable[[int, float, float, float, float], None] | None = None,
 ) -> ReconstructionResult:
     """Recover the kernel, as the array K_0..K_n, and the state trajectory
     from measurement data.
 
     Raises StepThresholdError when tau >= tau0 unless ``force`` is set,
     FloorViolationError if |(h(t_i),1)| dips below the asserted floor,
-    SingularUpdateError / NonFiniteError on numerical breakdown.
+    SingularUpdateError / NonFiniteError on numerical breakdown.  A forced
+    run, or a K_0 off the exact kernel, warns in the result's ``warnings``;
+    a single series' error, or MemoryError, carries them and its trace rows.
 
     Any other iterable is read once, into a list of series marched
     together, in one stepping loop, each with its own arithmetic.  The
     alignment, the floor and threshold checks, the stepper, its t = 0
     means and the exact K(0) serve all series; each has its own K_0,
     warnings and update.  The kernel values, states, denominators and
-    residuals of the result then gain a leading axis, ``threshold`` holds
-    one report per series, and ``diagnostics`` is the worst over the
-    series.  A single series' warnings and trace rows come as
-    they happen; a sequence's come once the march is done, each series'
-    warnings and then its trace rows, series by series.  A fault raises
-    at once, before any of them.
+    residuals of the result then gain a leading axis, ``threshold`` and
+    ``warnings`` hold one entry per series, and ``diagnostics`` is the
+    worst over the series.  A fault in any series raises at once, and
+    its error carries no warning and no row.
     """
-    live = isinstance(measurement, MeasurementSeries)
-    series = [measurement] if live else list(measurement)
+    single = isinstance(measurement, MeasurementSeries)
+    series = [measurement] if single else list(measurement)
     if not series:
         raise ValidationError("no measurement series to reconstruct")
     if any(data.timegrid != timegrid for data in series):
@@ -248,19 +265,8 @@ def reconstruct(
     n, tau = timegrid.n, timegrid.tau
     kernel_values = np.empty((len(series), n + 1))
     denominators = np.empty((len(series), n))
-    # a sequence's warnings, held until its march is done
-    held: list[list[str]] = [[] for _ in series]
-
-    def warn(row: int, text: str) -> None:
-        if live:
-            # past warn and reconstruct: their caller
-            warnings.warn(text, RuntimeWarning, stacklevel=3)
-        else:
-            held[row].append(text)
-
-    def trace_row(row: int, i: int, residual: float) -> None:
-        trace(i, timegrid.nodes[i], kernel_values[row, i], denominators[row, i - 1], residual)
-
+    # each series' warnings, in the order they arise
+    texts: list[list[str]] = [[] for _ in series]
     thresholds = [check_step_threshold(spec, data.m0, tau) for data in series]
     for row, threshold in enumerate(thresholds):
         if not threshold.passed:
@@ -270,47 +276,51 @@ def reconstruct(
                     f"(omega = {threshold.omega:g}, |m0| = {abs(threshold.m0):g}); "
                     "pass force to run anyway"
                 )
-            warn(row, f"running with tau = {tau:g} >= tau0 = {threshold.tau0:g}; "
-                      "the kernel update may be ill-conditioned")
-    stepper = TimeStepper(spec, grid, timegrid)
-    f_mean, g_mean, h_mean = stepper.initial_means()
-    if abs(h_mean) < DENOMINATOR_GUARD:
-        raise SingularUpdateError(
-            f"(h(0),1) = {h_mean:.3e} too small to define the initial kernel value",
-            step=0,
-        )
-    for row, data in enumerate(series):
-        # K_0 from the identity at t = 0; m'_1, given or the backward
-        # difference (m_1 - m_0)/tau, stands in for an m'(0) not given
-        given = data.initial_derivative
-        mprime0 = float(data.derivatives[0]) if given is None else given
-        kernel_values[row, 0] = k0 = (f_mean - mprime0 - g_mean) / h_mean
-        if not math.isfinite(k0):
-            raise NonFiniteError("kernel value is not finite", step=0)
-    if spec.kernel_exact is not None:
-        k0_ref = float(expr.evaluate(spec.kernel_exact, {"t": 0.0}))
-        for row, k0 in enumerate(kernel_values[:, 0].tolist()):
-            if abs(k0 - k0_ref) > 1e-3 * (1.0 + abs(k0_ref)):
-                warn(row, f"initial kernel value {k0:.6g} disagrees with the exact "
-                          f"kernel at t=0 ({k0_ref:.6g})")
-    updates = [_kernel_update(data, kernel_values[row], denominators[row], tau, denominator_sign)
-               for row, data in enumerate(series)]
-    on_step = partial(trace_row, 0) if live and trace is not None else None
-    states, _, residuals = _march(stepper, kernel_values, updates, on_step)
+            texts[row].append(f"running with tau = {tau:g} >= tau0 = {threshold.tau0:g}; "
+                              "the kernel update may be ill-conditioned")
+    residuals = np.empty((len(series), 0))  # of the steps done, until the march returns
+    try:
+        stepper = TimeStepper(spec, grid, timegrid)
+        f_mean, g_mean, h_mean = stepper.initial_means()
+        if abs(h_mean) < DENOMINATOR_GUARD:
+            raise SingularUpdateError(
+                f"(h(0),1) = {h_mean:.3e} too small to define the initial kernel value",
+                step=0,
+            )
+        for row, data in enumerate(series):
+            # K_0 from the identity at t = 0; m'_1, given or the backward
+            # difference (m_1 - m_0)/tau, stands in for an m'(0) not given
+            given = data.initial_derivative
+            mprime0 = float(data.derivatives[0]) if given is None else given
+            kernel_values[row, 0] = k0 = (f_mean - mprime0 - g_mean) / h_mean
+            if not math.isfinite(k0):
+                raise NonFiniteError("kernel value is not finite", step=0)
+        if spec.kernel_exact is not None:
+            k0_ref = float(expr.evaluate(spec.kernel_exact, {"t": 0.0}))
+            for row, k0 in enumerate(kernel_values[:, 0].tolist()):
+                if abs(k0 - k0_ref) > 1e-3 * (1.0 + abs(k0_ref)):
+                    texts[row].append(f"initial kernel value {k0:.6g} disagrees with the "
+                                      f"exact kernel at t=0 ({k0_ref:.6g})")
+        updates = [_kernel_update(data, kernel_values[row], denominators[row], tau, denominator_sign)
+                   for row, data in enumerate(series)]
+        states, measured, residuals, fault = _march(stepper, kernel_values, updates)
+        if fault is not None:
+            raise fault
+    except (KernrecError, MemoryError) as exc:
+        if single:
+            exc.warnings = tuple(texts[0])
+            exc.trace = tuple(trace_rows(timegrid, kernel_values[0], denominators[0],
+                                         residuals[0]))
+        raise
     # freed here, the solver's arrays do not add to the diagnostics' peak memory
     del stepper
-    for row, texts in enumerate([] if live else held):
-        # each series' warnings, then its trace rows: the floats that
-        # on_step would have passed
-        for text in texts:
-            warnings.warn(text, RuntimeWarning, stacklevel=2)
-        for i in range(1, n + 1) if trace is not None else ():
-            trace_row(row, i, residuals[row, i - 1])
     # a functional that overflows is reported by the run's finiteness check
     with np.errstate(all="ignore"):
-        diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals)
-    if live:
+        diagnostics = _diagnostics(grid, tau, states, kernel_values, denominators, residuals,
+                                   measured, np.array([data.values for data in series]))
+    warned = tuple(map(tuple, texts))
+    if single:
         return ReconstructionResult(kernel_values[0], states[0], diagnostics,
-                                    denominators[0], residuals[0], thresholds[0])
+                                    denominators[0], residuals[0], thresholds[0], warned[0])
     return ReconstructionResult(kernel_values, states, diagnostics, denominators,
-                                residuals, tuple(thresholds))
+                                residuals, tuple(thresholds), warned)

@@ -216,12 +216,13 @@ def test_criterion_6_diagnostics_boundedness(refinement_study):
     assert worst_change <= 0.10
 
 
-def test_criterion_7_step_threshold_guard(tmp_path):
+def test_criterion_7_step_threshold_guard(tmp_path, capsys):
     cfg = write_config(tmp_path, THRESHOLD_CONFIG, "threshold.cfg")
     argv = ["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"]
     code_plain = run_cli(argv)
-    with pytest.warns(RuntimeWarning):
-        code_forced = run_cli(argv + ["--force"])
+    capsys.readouterr()
+    code_forced = run_cli(argv + ["--force"])
+    assert capsys.readouterr().err.startswith("kernrec: warning: running with tau = 0.05 ")
     ok = code_plain == 3 and code_forced == 0
     _verdict(
         7,

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import textwrap
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -117,6 +116,8 @@ class TestReconstructCommand:
             "kernel_derivative_energy",
             "min_denominator_magnitude",
             "max_compat_residual",
+            "max_data_misfit",
+            "initial_mismatch",
         }
         assert report["threshold"]["passed"] is True
         assert "kernel_inf" in report["errors"]
@@ -198,6 +199,40 @@ class TestReconstructCommand:
         assert "--my" in capsys.readouterr().err
 
 
+# what a run of THRESHOLD_CONFIG forced past its step threshold prints
+THRESHOLD_WARNING = ("kernrec: warning: running with tau = 0.05 >= tau0 = 0.01; "
+                     "the kernel update may be ill-conditioned\n")
+
+
+class TestDataMisfit:
+    """A measurement file that contradicts the problem reconstructs with an
+    identity residual at roundoff; the report's misfit of M_i = (u_i,1) to
+    the data m_i shows the contradiction."""
+
+    @pytest.mark.parametrize("column, factor, misfit, mismatch", [
+        (None, 1.0, 2.220446049250313e-16, 0.0),
+        ("m", 1.5, 0.5, 0.5),  # m_0 = 1.5 against (u_0,1) = 1
+        ("mprime", 2.0, 1.5816032632556543, 0.0),
+    ], ids=["consistent", "m-times-1.5", "mprime-times-2"])
+    def test_report_shows_the_misfit(self, tmp_path, column, factor, misfit, mismatch):
+        data = tmp_path / "m.csv"
+        grid = ["--n", "40", "--mx", "20"]
+        assert run_cli(["forward", "--preset", "contaminant", *grid, "--out", str(data)]) == 0
+        header, *rows = _read(data).splitlines()
+        if column is not None:
+            k = header.split(",").index(column)
+            cells = [row.split(",") for row in rows]
+            rows = [",".join([*c[:k], repr(float(c[k]) * factor), *c[k + 1 :]]) for c in cells]
+        data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, "[problem]\npreset = contaminant\nmeasurement_file = m.csv\n")
+        report = tmp_path / "r.json"
+        assert run_cli(["reconstruct", "--config", str(cfg), *grid, "--json", str(report)]) == 0
+        diagnostics = json.loads(_read(report))["diagnostics"]
+        assert diagnostics["max_compat_residual"] < 1e-13
+        assert diagnostics["max_data_misfit"] == pytest.approx(misfit, rel=1e-9, abs=1e-15)
+        assert diagnostics["initial_mismatch"] == pytest.approx(mismatch, rel=1e-9, abs=1e-15)
+
+
 class TestThresholdGuard:
     def test_violation_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, THRESHOLD_CONFIG)
@@ -207,14 +242,14 @@ class TestThresholdGuard:
         assert code == 3
         assert "validation failure" in capsys.readouterr().err
 
-    def test_force_overrides(self, tmp_path):
+    def test_force_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path, THRESHOLD_CONFIG)
-        with pytest.warns(RuntimeWarning):
-            code = run_cli(
-                ["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10",
-                 "--force"]
-            )
+        code = run_cli(
+            ["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10",
+             "--force"]
+        )
         assert code == 0
+        assert capsys.readouterr().err == THRESHOLD_WARNING
 
 
 class TestForwardCommand:
@@ -409,9 +444,6 @@ class TestConvergenceCommand:
 
 
 class TestNoiseSweep:
-    # noisy data legitimately trips the K_0 consistency warning
-    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
     def test_reports_amplification(self, tmp_path):
         out = tmp_path / "noise.csv"
         code = run_cli(
@@ -474,23 +506,15 @@ class TestNoiseSweep:
         sigmas = [1e-4, 1e-3, 1e-2]
         argv = ["noise-sweep", "--preset", "contaminant", "--n", "20", "--mx", "10",
                 "--noise", ",".join(map(repr, sigmas)), "--seed", "5", "--trace"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            assert harness.main(argv) == 0
+        assert harness.main(argv) == 0
         swept = capsys.readouterr().err
         cfg = harness.resolve_config(harness.build_parser().parse_args(argv))
         grid, tg = cfg.grids()
         base = harness.acquire_measurement(cfg, grid, tg)
         rng = np.random.default_rng(5)
-        levels = []
         for sigma in sigmas:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                kernrec.reconstruct(cfg.spec, grid, tg, base.with_noise(sigma, rng),
-                                    trace=harness._trace_printer)
-            warned = "".join(f"kernrec: warning: {w.message}\n" for w in caught)
-            levels.append(warned + capsys.readouterr().err)
-        assert swept == "".join(levels)
+            harness._run_reconstruction(cfg, grid, tg, base.with_noise(sigma, rng))
+        assert swept == capsys.readouterr().err
         # a later level warns after the rows of the first
         assert "kernrec: warning" in swept[swept.index("step=20 "):]
 
@@ -502,9 +526,7 @@ class TestNoiseSweep:
         argv = ["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "4",
                 "--noise", "0.1,1e-300", "--seed", "1", "--force",
                 "--kernel-denominator-sign", "minus", "--trace"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            code = harness.main(argv)
+        code = harness.main(argv)
         swept = capsys.readouterr().err
         assert code == harness.EXIT_NUMERICAL
         config = harness.resolve_config(harness.build_parser().parse_args(argv))
@@ -512,14 +534,9 @@ class TestNoiseSweep:
         base = harness.acquire_measurement(config, grid, tg)
         rng = np.random.default_rng(1)
         first, second = (base.with_noise(sigma, rng) for sigma in (0.1, 1e-300))
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            warnings.showwarning = harness._print_warning
-            kernrec.reconstruct(config.spec, grid, tg, first, force=True,
-                                denominator_sign=-1.0, trace=harness._trace_printer)
-            with pytest.raises(errors.SingularUpdateError) as fault:
-                kernrec.reconstruct(config.spec, grid, tg, second, force=True,
-                                    denominator_sign=-1.0, trace=harness._trace_printer)
+        harness._run_reconstruction(config, grid, tg, first)
+        with pytest.raises(errors.SingularUpdateError) as fault:
+            harness._run_reconstruction(config, grid, tg, second)
         expected = capsys.readouterr().err + f"kernrec: numerical failure: {fault.value}\n"
         assert swept == expected
         assert swept.count("step=") == 10  # the first level's rows, and none of the second's
@@ -535,7 +552,9 @@ class TestNoiseSweep:
                 "--noise", "1e-3,1e308", "--seed", "2", "--trace"]
         assert run_cli(argv) == harness.EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
-        assert [line.split()[0] for line in err[:-1]] == [f"step={i}" for i in range(1, 11)]
+        # the first level's noisy K_0 disagrees with the exact kernel
+        assert err[0].startswith("kernrec: warning: initial kernel value ")
+        assert [line.split()[0] for line in err[1:-1]] == [f"step={i}" for i in range(1, 11)]
         assert err[-1] == ("kernrec: validation failure: noise of sigma = 1e+308 made the "
                            "measurement samples overflow")
 
@@ -1160,11 +1179,11 @@ class TestConfigHandling:
         with pytest.raises(errors.UsageError, match="needs an exact kernel"):
             harness.ExperimentConfig(mode="convergence", spec=spec, n_list=[10, 20], mx=10)
 
-    def test_force_from_config(self, tmp_path):
+    def test_force_from_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, THRESHOLD_CONFIG + "\n[experiment]\nforce = On\n")
-        with pytest.warns(RuntimeWarning):
-            code = run_cli(["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"])
+        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"])
         assert code == 0
+        assert capsys.readouterr().err == THRESHOLD_WARNING
 
 
 
@@ -1358,9 +1377,6 @@ def _cli_option_text(data, opt, mode, broken, unused_too, file_run):
     return data.draw(st.sampled_from(choices), label=opt.key)
 
 
-# noisy or forced runs warn, and pyproject turns a RuntimeWarning into an error
-@pytest.mark.filterwarnings("ignore:initial kernel value:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:running with tau:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_whole_command_lines(tmp_path_factory, data):
@@ -1787,10 +1803,10 @@ def test_module_entry_point():
 
 # a run in a child whose address space is capped at 4 GiB, so that an
 # allocation of several TiB is refused even where the host overcommits memory
-_CAPPED_MAIN = (
-    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
-    "from kernrec.harness import main; sys.exit(main())"
-)
+def _capped_main(limit: int) -> str:
+    """``python -c`` code that runs ``main`` with its address space capped at ``limit`` bytes."""
+    return (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from kernrec.harness import main; sys.exit(main())")
 
 
 @pytest.mark.parametrize(
@@ -1804,12 +1820,27 @@ _CAPPED_MAIN = (
 )
 def test_run_too_large_to_allocate_exits_2(argv):
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, "reconstruct", *argv],
+        [sys.executable, "-c", _capped_main(4 << 30), "reconstruct", *argv],
         capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert re.fullmatch(r"kernrec: out of memory: Unable to allocate [\d.]+ TiB .*\n", proc.stderr)
+
+
+def test_forced_run_out_of_memory_prints_its_warning_first(tmp_path):
+    # under a 512 MiB cap the 21 states of 4000001 nodes (641 MiB) do not
+    # fit: an allocation fails after the forced run has warned
+    cfg = write_config(tmp_path, THRESHOLD_CONFIG)
+    proc = subprocess.run(
+        [sys.executable, "-c", _capped_main(1 << 29), "reconstruct", "--config", str(cfg),
+         "--n", "20", "--mx", "4000000", "--force", "--trace"],
+        capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 2
+    warning, failure = proc.stderr.splitlines(keepends=True)
+    assert warning == THRESHOLD_WARNING
+    assert failure.startswith("kernrec: out of memory: Unable to allocate ")
 
 
 def test_warning_is_one_kernrec_line(tmp_path):
@@ -1823,6 +1854,29 @@ def test_warning_is_one_kernrec_line(tmp_path):
     assert proc.stderr.startswith("kernrec: warning: running with tau = ")
     assert proc.stderr.count("\n") == 1
     assert "RuntimeWarning" not in proc.stderr
+
+
+# run_cli called in process, as the benchmark calls it: no warning filter or hook
+_RUN_CLI = "import sys; from kernrec.harness import run_cli; sys.exit(run_cli(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["reconstruct", "--config", "{config}", "--n", "20", "--mx", "10", "--force"],
+     THRESHOLD_WARNING),
+    (["noise-sweep", "--preset", "contaminant", "--n", "20", "--mx", "10",
+      "--noise", "1e-4,1e-3,1e-2", "--seed", "5"],
+     "".join(f"kernrec: warning: initial kernel value {k0} disagrees with the exact "
+             "kernel at t=0 (-1)\n" for k0 in ("-0.904211", "-0.915495", "-0.449177"))),
+], ids=["forced", "noisy-k0"])
+def test_in_process_run_cli_prints_each_warning_as_one_kernrec_line(tmp_path, argv, printed):
+    config = write_config(tmp_path, THRESHOLD_CONFIG)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, *(arg.format(config=config) for arg in argv)],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0
+    # one line per warning: no RuntimeWarning, and no source line
+    assert proc.stderr == printed
 
 
 def test_every_level_of_a_sweep_prints_its_warning(tmp_path):
@@ -1932,7 +1986,6 @@ _WORKLOADS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:initial kernel value:RuntimeWarning")  # noisy K_0
 @pytest.mark.parametrize("name", list(_WORKLOADS))
 def test_benchmark_residual_is_the_reports(tmp_path, monkeypatch, name):
     config = write_config(tmp_path, CONFIGS["manufactured2d.ini"], "manufactured2d.ini")

@@ -23,6 +23,7 @@ from kernrec.inverse import (
     check_step_threshold,
     kernel_difference_energy,
     reconstruct,
+    trace_rows,
 )
 from kernrec.problem import (
     MeasurementSeries,
@@ -33,10 +34,12 @@ from kernrec.problem import (
 from oracles import MANUFACTURED_1D, MANUFACTURED_2D, build_spec, variant
 
 
-def _running_diagnostics(result, grid, tau):
-    """Reference: the functionals accumulated state by state, in step order."""
+def _running_diagnostics(result, grid, tau, data):
+    """Reference: the functionals accumulated state by state, in step order,
+    and the misfit of M_i = (u_i,1) to the data m_i."""
     states = result.states
     w = grid.weights
+    measured = [float(np.sum(w * u)) for u in states]
     max_state_norm_sq = float(np.sum(w * states[0] ** 2))
     max_grad_norm_sq = float(np.sum(stiffness_matvec(grid, states[0]) * states[0]))
     grad_energy = state_increment = dudt_energy = grad_increment = laplacian_energy = 0.0
@@ -65,6 +68,8 @@ def _running_diagnostics(result, grid, tau):
         "kernel_derivative_energy": kernel_difference_energy(result.kernel, tau),
         "min_denominator_magnitude": float(np.min(np.abs(result.denominators))),
         "max_compat_residual": float(np.max(result.compat_residuals)),
+        "max_data_misfit": max(abs(big_m - m) for big_m, m in zip(measured, data)),
+        "initial_mismatch": data[0] - measured[0],
     }
 
 
@@ -90,10 +95,11 @@ def _stepwise_identity(spec, grid, tg, states, kernel):
     return measured, residuals
 
 
-def _stepwise_diagnostics(grid, tau, result):
+def _stepwise_diagnostics(grid, tau, result, data):
     """Reference: the functionals of each state and step formed one at a
-    time, then combined as ``Diagnostics`` defines them."""
+    time, then combined as ``Diagnostics`` defines them, with the data m_i."""
     states, kernel, w = result.states, result.kernel, grid.weights
+    misfit = [abs(np.sum(w * u) - m) for u, m in zip(states, data)]
     au = [stiffness_matvec(grid, u) for u in states]
     state_sq = [np.sum(w * u**2) for u in states]
     grad_sq = [np.sum(a * u) for a, u in zip(au, states)]
@@ -113,7 +119,13 @@ def _stepwise_diagnostics(grid, tau, result):
         "kernel_derivative_energy": kernel_difference_energy(kernel, tau),
         "min_denominator_magnitude": float(np.min(np.abs(result.denominators))),
         "max_compat_residual": float(np.max(result.compat_residuals)),
+        "max_data_misfit": float(np.max(misfit)),
+        "initial_mismatch": float(data[0] - np.sum(w * states[0])),
     }
+
+
+# the worst over the series of a stack: the largest, or as named here
+_WORST = {"min_denominator_magnitude": min, "initial_mismatch": lambda v: max(v, key=abs)}
 
 
 class TestTrajectoryWalk:
@@ -142,7 +154,8 @@ class TestTrajectoryWalk:
         result = reconstruct(spec, grid, tg, run.measurement)
         _, residuals = _stepwise_identity(spec, grid, tg, result.states, result.kernel)
         assert result.compat_residuals.tolist() == residuals
-        assert result.diagnostics._asdict() == _stepwise_diagnostics(grid, tg.tau, result)
+        assert result.diagnostics._asdict() == _stepwise_diagnostics(
+            grid, tg.tau, result, run.measurement.values)
 
     # three noisy series marched together, with one, three or all steps of
     # the stack in each block of the walks after the march
@@ -162,22 +175,20 @@ class TestTrajectoryWalk:
         base = run_forward(spec, grid, tg, derivative="discrete").measurement
         rng = np.random.default_rng(5)
         series = [base.with_noise(sigma, rng) for sigma in (1e-5, 1e-4, 1e-3)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # noisy K_0 disagrees with the exact kernel
-            return tg, grid, reconstruct(spec, grid, tg, series)
+        return tg, grid, series, reconstruct(spec, grid, tg, series)
 
     @_blocks
     @_problems
     def test_a_stack_reports_its_worst_series(self, monkeypatch, spec, n, cells, steps_per_block):
-        tg, grid, stacked = self._stack(monkeypatch, spec, n, cells, steps_per_block)
+        tg, grid, series, stacked = self._stack(monkeypatch, spec, n, cells, steps_per_block)
         arrays = ("kernel", "states", "denominators", "compat_residuals")
         rows = [
             _stepwise_diagnostics(grid, tg.tau, stacked._replace(
-                **{name: getattr(stacked, name)[row] for name in arrays}))
+                **{name: getattr(stacked, name)[row] for name in arrays}), series[row].values)
             for row in range(3)
         ]
         for name, value in stacked.diagnostics._asdict().items():
-            worst = min if name == "min_denominator_magnitude" else max
+            worst = _WORST.get(name, max)
             assert value == worst(reference[name] for reference in rows), name
 
     @pytest.mark.parametrize("f", [None, "exp(-t)*u + 1"], ids=["f-without-u", "f-reads-u"])
@@ -186,7 +197,7 @@ class TestTrajectoryWalk:
     def test_a_stack_residual_is_its_rows(self, monkeypatch, spec, n, cells, steps_per_block, f):
         if f is not None:
             spec = replace(spec, f=expr.parse(f))
-        tg, grid, stacked = self._stack(monkeypatch, spec, n, cells, steps_per_block)
+        tg, grid, _, stacked = self._stack(monkeypatch, spec, n, cells, steps_per_block)
         states, kernel = stacked.states, stacked.kernel
         stepper = TimeStepper(spec, grid, tg)
         # the sums of each step as the march records them, for the stack
@@ -237,9 +248,10 @@ class TestStepThreshold:
         )
         with pytest.raises(StepThresholdError):
             reconstruct(spec, grid, tg, series)
-        with pytest.warns(RuntimeWarning):
-            result = reconstruct(spec, grid, tg, series, force=True)
+        result = reconstruct(spec, grid, tg, series, force=True)
         assert not result.threshold.passed
+        assert result.warnings == ("running with tau = 0.05 >= tau0 = 0.01; "
+                                   "the kernel update may be ill-conditioned",)
 
 
 class TestKernelUpdate:
@@ -285,9 +297,13 @@ class TestKernelUpdate:
         tg = TimeGrid(1.0, 10)  # tau = 0.1, m0 = 10
         grid = spec.make_grid(10)
         series = MeasurementSeries(tg, np.full(11, 10.0))
-        with pytest.warns(RuntimeWarning), pytest.raises(SingularUpdateError) as err:
+        with pytest.raises(SingularUpdateError) as err:
             reconstruct(spec, grid, tg, series, force=True)
         assert err.value.step == 1
+        # the forced run's warning, and no step done
+        assert err.value.warnings == ("running with tau = 0.1 >= tau0 = 0.05; "
+                                      "the kernel update may be ill-conditioned",)
+        assert err.value.trace == ()
 
 
 class TestInitialKernelValue:
@@ -303,22 +319,22 @@ class TestInitialKernelValue:
         spec = build_spec(h="1e-11", omega="1e-11", m="1", mprime="1e300*exp(-10000*t)")
         tg = TimeGrid(1.0, 10)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
-        rows = []
-        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError) as err:
-            reconstruct(spec, spec.make_grid(10), tg, series, force=True,
-                        trace=lambda *row: rows.append(row))
-        assert (str(err.value), err.value.step, rows) == ("kernel value is not finite", 0, [])
+        with pytest.raises(NonFiniteError) as err:
+            reconstruct(spec, spec.make_grid(10), tg, series, force=True)
+        assert (str(err.value), err.value.step, err.value.trace) == (
+            "kernel value is not finite", 0, ())
+        assert err.value.warnings == ("running with tau = 0.1 >= tau0 = 5e-12; "
+                                      "the kernel update may be ill-conditioned",)
 
     def test_non_finite_value_stops_the_run_at_its_step(self):
         # m'_2 = -1.7e308 over (h,1) + m_0 tau = 0.5 overflows: K_2 = inf
         spec = build_spec(h="0.5", omega="0.5")
         tg = TimeGrid(1.0, 4)
         series = MeasurementSeries(tg, np.zeros(5), [0.0, -1.7e308, 0.0, 0.0], 0.0)
-        rows = []
         with pytest.raises(NonFiniteError) as err:
-            reconstruct(spec, spec.make_grid(4), tg, series, trace=lambda *row: rows.append(row))
+            reconstruct(spec, spec.make_grid(4), tg, series)
         assert (str(err.value), err.value.step) == ("kernel value is not finite", 2)
-        assert [row[0] for row in rows] == [1]
+        assert [row[0] for row in err.value.trace] == [1]
 
 
 class TestReconstruct:
@@ -465,8 +481,8 @@ class TestReconstruct:
             np.ones(tg.n),
             initial_derivative=5.0,  # inconsistent with the exact kernel at t=0
         )
-        with pytest.warns(RuntimeWarning):
-            reconstruct(spec, grid, tg, series)
+        assert reconstruct(spec, grid, tg, series).warnings == (
+            "initial kernel value -3 disagrees with the exact kernel at t=0 (1)",)
 
     def test_misaligned_measurement(self):
         spec = make_preset("manufactured1d")
@@ -499,7 +515,7 @@ class TestReconstruct:
         assert (n + 1) * grid.weights.size > problem.BLOCK_VALUES
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
         result = reconstruct(spec, grid, tg, series)
-        reference = _running_diagnostics(result, grid, tg.tau)
+        reference = _running_diagnostics(result, grid, tg.tau, series.values)
         got = result.diagnostics._asdict()
         assert got.keys() == reference.keys()
         for key, value in reference.items():
@@ -513,17 +529,19 @@ class TestReconstruct:
         d = reconstruct(spec, grid, tg, series).diagnostics
         for key, value in d._asdict().items():
             assert np.isfinite(value), key
-            assert value >= 0.0, key
+            assert value >= 0.0 or key == "initial_mismatch", key  # m_0 - (u_0,1) has a sign
 
-    def test_trace_callback(self):
+    def test_trace_rows(self):
         spec = make_preset("manufactured1d")
         tg = TimeGrid(1.0, 10)
         grid = spec.make_grid(10)
         series = MeasurementSeries.from_expressions(tg, spec.m_exact, spec.mprime_exact)
-        rows = []
-        reconstruct(spec, grid, tg, series, trace=lambda *row: rows.append(row))
+        result = reconstruct(spec, grid, tg, series)
+        rows = list(trace_rows(tg, result.kernel, result.denominators, result.compat_residuals))
         assert len(rows) == 10
         assert rows[0][0] == 1 and rows[-1][0] == 10
+        assert rows[-1][1:] == (tg.T, result.kernel[-1], result.denominators[-1],
+                                result.compat_residuals[-1])
 
 
 # Inline problems on [0,1] (ly None) or [0,1] x [0,ly] from u0 = 1+cos(pi x)
@@ -623,18 +641,28 @@ class TestKernelDifferenceEnergy:
         assert errs[2000] < errs[100]
 
 
-def _outcome(run):
-    """Warnings and trace rows in the order they come, and the error, of
-    ``run(trace)``."""
+def _outcome(tg, run):
+    """The warnings and trace rows that ``run()``'s reconstruction on ``tg``
+    reports, each series' warnings and then its rows, and its error."""
+    try:
+        result = run()
+    except KernrecError as exc:
+        return [*exc.warnings, *exc.trace], (type(exc), str(exc), getattr(exc, "step", None))
+    each = (result.warnings, result.kernel, result.denominators, result.compat_residuals)
     events = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = lambda message, *args, **kwargs: events.append(str(message))
-        try:
-            run(lambda *row: events.append(row))
-        except KernrecError as exc:
-            return events, (type(exc), str(exc), getattr(exc, "step", None))
+    for texts, *arrays in zip(*each) if result.kernel.ndim == 2 else [each]:
+        events += [*texts, *trace_rows(tg, *arrays)]
     return events, None
+
+
+def _printed(capsys, run):
+    """What ``run()`` prints on stderr, and its error."""
+    capsys.readouterr()
+    try:
+        run()
+    except KernrecError as exc:
+        return capsys.readouterr().err, (type(exc), str(exc), getattr(exc, "step", None))
+    return capsys.readouterr().err, None
 
 
 # f reads u, p and q on a rectangle
@@ -648,7 +676,7 @@ _GRADIENT_2D = {
 class TestSequence:
     """A sequence of series marches together, and its rows, warnings and
     trace rows are those of the series reconstructed one after another; a
-    fault raises at once, before any of its warnings or rows."""
+    fault raises at once, and its error carries none of its warnings or rows."""
 
     @staticmethod
     def _noisy(spec, grid, tg, sigmas):
@@ -665,13 +693,14 @@ class TestSequence:
         spec = spec_from_mapping(section)
         tg, grid = TimeGrid(1.0, 30), spec.make_grid(*cells)
         series = self._noisy(spec, grid, tg, [1e-5, 1e-4, 1e-3])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # noisy K_0 disagrees with the exact kernel
-            stacked = reconstruct(spec, grid, tg, series)
-            singles = [reconstruct(spec, grid, tg, s) for s in series]
+        stacked = reconstruct(spec, grid, tg, series)
+        singles = [reconstruct(spec, grid, tg, s) for s in series]
         assert stacked.kernel.shape == (3, tg.n + 1)
         assert stacked.states.shape == (3, tg.n + 1, *grid.shape)
         assert stacked.threshold == tuple(single.threshold for single in singles)
+        # noisy K_0 disagrees with the exact kernel
+        assert stacked.warnings == tuple(single.warnings for single in singles)
+        assert any(stacked.warnings)
         for row, single in enumerate(singles):
             assert np.array_equal(stacked.kernel[row], single.kernel)
             assert np.array_equal(stacked.states[row], single.states)
@@ -680,8 +709,7 @@ class TestSequence:
         table = np.array([single.diagnostics for single in singles])
         worst = stacked.diagnostics._asdict()
         for k, name in enumerate(Diagnostics._fields):
-            column = table[:, k].tolist()
-            assert worst[name] == (min if name == "min_denominator_magnitude" else max)(column)
+            assert worst[name] == _WORST.get(name, max)(table[:, k].tolist()), name
 
     def test_one_series_is_not_stacked(self):
         spec = make_preset("manufactured1d")
@@ -693,6 +721,7 @@ class TestSequence:
         assert isinstance(single.threshold, ThresholdReport)
         assert np.array_equal(stacked.states[0], single.states)
         assert stacked.threshold == (single.threshold,)
+        assert stacked.warnings == (single.warnings,) == ((),)
         assert stacked.diagnostics == single.diagnostics
 
     def test_empty_sequence_is_rejected(self):
@@ -704,15 +733,15 @@ class TestSequence:
     @pytest.mark.parametrize("kind", ["f", "update", "state", "threshold", "kernel"])
     def test_a_fault_raises_at_once(self, kind):
         # a series that runs through, one that faults, and one after it: the
-        # batch raises the faulting series' error, before any warning or row
+        # batch raises the faulting series' error, without any warning or row
         tg = TimeGrid(1.0, 10)
         spec, options, faulting = _faulting(kind, tg)
         grid = spec.make_grid(4)
         fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
-        alone = _outcome(lambda trace: reconstruct(spec, grid, tg, faulting, **options))
+        alone = _outcome(tg, lambda: reconstruct(spec, grid, tg, faulting, **options))
         assert alone[1] is not None
-        assert _outcome(lambda trace: reconstruct(spec, grid, tg, [fine, faulting, fine],
-                                                  trace=trace, **options)) == ([], alone[1])
+        assert _outcome(tg, lambda: reconstruct(spec, grid, tg, [fine, faulting, fine],
+                                                **options)) == ([], alone[1])
 
     def test_the_series_that_faults_first_in_time_decides(self):
         # the second series faults first in time, the first later: the batch
@@ -721,12 +750,10 @@ class TestSequence:
         spec, _, early = _faulting("f", tg)
         late = MeasurementSeries(tg, 1.0 - 2.0 * tg.nodes)
         grid = spec.make_grid(4)
-        late_rows, late_fault = _outcome(
-            lambda trace: reconstruct(spec, grid, tg, late, trace=trace))
-        early_rows, early_fault = _outcome(
-            lambda trace: reconstruct(spec, grid, tg, early, trace=trace))
+        late_rows, late_fault = _outcome(tg, lambda: reconstruct(spec, grid, tg, late))
+        early_rows, early_fault = _outcome(tg, lambda: reconstruct(spec, grid, tg, early))
         assert late_fault is not None and len(early_rows) < len(late_rows)
-        stacked = _outcome(lambda trace: reconstruct(spec, grid, tg, [late, early], trace=trace))
+        stacked = _outcome(tg, lambda: reconstruct(spec, grid, tg, [late, early]))
         assert stacked == ([], early_fault)
 
     def test_a_sweep_without_fault_marches_once(self, monkeypatch):
@@ -742,10 +769,8 @@ class TestSequence:
         spec, options, faulting = _faulting("update", tg)
         fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
         calls = _count_marches(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # forced past tau0
-            with pytest.raises(SingularUpdateError):
-                reconstruct(spec, spec.make_grid(4), tg, [fine, faulting, fine], **options)
+        with pytest.raises(SingularUpdateError):
+            reconstruct(spec, spec.make_grid(4), tg, [fine, faulting, fine], **options)
         assert calls == [3]
 
     def test_a_sweep_sets_the_problem_up_once(self, monkeypatch):
@@ -773,34 +798,37 @@ class TestSequence:
                 yield data
 
         def run(series):
-            return _outcome(lambda trace: reconstruct(spec, grid, tg, series, trace=trace,
-                                                      **options))
+            return _outcome(tg, lambda: reconstruct(spec, grid, tg, series, **options))
 
         assert run(generator()) == run(listed)
         assert read == listed
 
     @pytest.mark.parametrize("count", [None, 1, 2], ids=["single", "one", "two"])
-    def test_warnings_name_the_caller(self, count):
+    def test_warnings_are_returned_not_issued(self, count):
         tg = TimeGrid(1.0, 10)
         spec, _, data = _faulting("threshold", tg)
         measurement = data if count is None else [data] * count
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            reconstruct(spec, spec.make_grid(4), tg, measurement, force=True)
-        assert len(caught) == (count or 1)
-        assert all(w.filename == __file__ for w in caught)
+            result = reconstruct(spec, spec.make_grid(4), tg, measurement, force=True)
+        assert caught == []
+        texts = ("running with tau = 0.1 >= tau0 = 0.005; "
+                 "the kernel update may be ill-conditioned",)
+        assert result.warnings == (texts if count is None else (texts,) * count)
 
-    def test_a_fault_prints_nothing_of_the_batch(self):
+    def test_a_fault_carries_nothing_of_the_batch(self):
         tg = TimeGrid(1.0, 10)
         spec, options, faulting = _faulting("update", tg)
-        rows = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(SingularUpdateError):
-                reconstruct(spec, spec.make_grid(4), tg, [faulting], trace=rows.append,
-                            **options)
-        # the series warns alone, forced past tau0; the batch held it
-        assert caught == [] and rows == []
+            with pytest.raises(SingularUpdateError) as fault:
+                reconstruct(spec, spec.make_grid(4), tg, [faulting], **options)
+        # the series alone carries its warning, forced past tau0; the batch's
+        # error carries no warning and no row
+        assert caught == [] and fault.value.warnings == fault.value.trace == ()
+        with pytest.raises(SingularUpdateError) as alone:
+            reconstruct(spec, spec.make_grid(4), tg, faulting, **options)
+        assert len(alone.value.warnings) == 1
 
 
 def _faulting(kind, tg):
@@ -854,56 +882,54 @@ class _Drawn:
 
 
 def _noise_sweep(monkeypatch, spec, levels, n=10, cells=4, **options):
-    """``run(trace)`` of a traced noise sweep on ``spec`` whose level k draws
-    the k-th of ``levels``, with ``trace`` as the trace printer."""
+    """``run()`` of a traced noise sweep on ``spec`` whose level k draws
+    the k-th of ``levels``."""
     sigmas = [float(k) for k in range(1, len(levels) + 1)]
     cfg = harness.ExperimentConfig("noise-sweep", spec, [n], cells, noise_sigmas=sigmas,
                                    seed=0, trace=True, **options)
     monkeypatch.setattr(harness, "acquire_measurement", lambda *args: _Drawn(levels))
-
-    def run(trace):
-        monkeypatch.setattr(harness, "_trace_printer", trace)
-        return harness.run_noise_mode(cfg)
-
-    return run
+    return lambda: harness.run_noise_mode(cfg)
 
 
 class TestSweepFallback:
     """A noise sweep whose batch fails runs its levels again one after
-    another: its warnings, trace rows and error are those of the levels
-    reconstructed alone, up to the first that faults."""
+    another: the warnings, trace rows and error it prints are those of the
+    levels reconstructed alone, up to the first that faults."""
 
     @staticmethod
     def _one_after_another(spec, levels, **options):
-        tg = TimeGrid(spec.T, 10)
-        grid = spec.make_grid(4)
+        """``run()`` of the traced reconstructions of ``levels``, one after another."""
+        cfg = harness.ExperimentConfig("reconstruct", spec, [10], 4, trace=True, **options)
+        grid, tg = cfg.grids()
 
-        def run(trace):
+        def run():
             for data in levels:
-                reconstruct(spec, grid, tg, data, trace=trace, **options)
+                harness._run_reconstruction(cfg, grid, tg, data)
 
-        return _outcome(run)
+        return run
 
     @pytest.mark.parametrize("kind", ["f", "update", "state", "threshold", "kernel"])
-    def test_fault_in_a_later_level_comes_after_the_levels_before_it(self, monkeypatch, kind):
+    def test_fault_in_a_later_level_comes_after_the_levels_before_it(
+        self, monkeypatch, capsys, kind
+    ):
         tg = TimeGrid(1.0, 10)
         spec, options, faulting = _faulting(kind, tg)
         # a level that runs through, one that faults, and one the fault ends
         fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
         levels = [fine, faulting, fine]
-        expected = self._one_after_another(spec, levels, **options)
-        assert expected[1] is not None and len(expected[0]) > tg.n
-        assert _outcome(_noise_sweep(monkeypatch, spec, levels, **options)) == expected
+        expected = _printed(capsys, self._one_after_another(spec, levels, **options))
+        assert expected[1] is not None and expected[0].count("\n") > tg.n
+        assert _printed(capsys, _noise_sweep(monkeypatch, spec, levels, **options)) == expected
 
-    def test_the_first_level_that_faults_decides(self, monkeypatch):
+    def test_the_first_level_that_faults_decides(self, monkeypatch, capsys):
         # the second level faults first in time, the first later: the
         # outcome is the first level's rows and fault, as one after another
         tg = TimeGrid(1.0, 10)
         spec, _, early = _faulting("f", tg)
         late = MeasurementSeries(tg, 1.0 - 2.0 * tg.nodes)
-        expected = self._one_after_another(spec, [late])
+        expected = _printed(capsys, self._one_after_another(spec, [late]))
         assert expected[1] is not None
-        assert _outcome(_noise_sweep(monkeypatch, spec, [late, early])) == expected
+        assert _printed(capsys, _noise_sweep(monkeypatch, spec, [late, early])) == expected
 
     def test_a_fault_reruns_the_levels_up_to_it(self, monkeypatch):
         tg = TimeGrid(1.0, 10)
@@ -911,24 +937,19 @@ class TestSweepFallback:
         fine = MeasurementSeries(tg, np.linspace(1.0, 1.5, tg.n + 1))
         calls = _count_marches(monkeypatch)
         sweep = _noise_sweep(monkeypatch, spec, [fine, faulting, fine], **options)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # forced past tau0
-            with pytest.raises(SingularUpdateError):
-                sweep(lambda *row: None)
+        with pytest.raises(SingularUpdateError):
+            sweep()
         # the batch, then each level alone up to the one that faults
         assert calls == [3, 1, 1]
 
-    def test_rerun_warnings_name_the_caller(self, monkeypatch):
+    def test_only_the_rerun_prints_its_warning(self, monkeypatch, capsys):
         tg = TimeGrid(1.0, 10)
         spec, options, faulting = _faulting("update", tg)
-        sweep = _noise_sweep(monkeypatch, spec, [faulting], **options)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(SingularUpdateError):
-                sweep(lambda *row: None)
-        # the rerun's warning alone, from the harness's reconstruct call:
-        # the batch held its own
-        assert [w.filename for w in caught] == [harness.__file__]
+        printed, fault = _printed(capsys, _noise_sweep(monkeypatch, spec, [faulting], **options))
+        assert fault[0] is SingularUpdateError
+        # the rerun's warning alone: the batch's error carries none
+        assert printed == ("kernrec: warning: running with tau = 0.1 >= tau0 = 0.05; "
+                           "the kernel update may be ill-conditioned\n")
 
     def test_a_rerun_does_not_hold_the_batch(self, monkeypatch):
         spec = make_preset("manufactured1d")
@@ -943,9 +964,7 @@ class TestSweepFallback:
             sweep = _noise_sweep(monkeypatch, spec, levels, n=tg.n, cells=400)
             tracemalloc.start()
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # K_0 of the faulting level
-                    sweep(lambda *row: None)
+                sweep()
                 step = None
             except NonFiniteError as exc:
                 step = exc.step

@@ -189,6 +189,10 @@ FAILING = {
     "reconstruct-f-fault-trace": [
         "reconstruct", "--config", "faultf1d.ini", "--n", "10", "--mx", "8", "--trace",
     ],
+    # a single series' K_0 warning, then its rows 1-7, then its fault in f
+    "reconstruct-warning-trace-fault": [
+        "reconstruct", "--config", "laterfault.ini", "--n", "10", "--mx", "4", "--trace",
+    ],
     "reconstruct-floor-violation": [
         "reconstruct", "--config", "floor1d.ini", "--n", "10", "--mx", "8",
     ],
