@@ -1,3 +1,16 @@
+"""Tests of the command line and of the harness behind it.
+
+A command line that is checked only by its exit code and what it prints is
+a row of ``CLI_CASES``: its id, its argv in full, its input files (name ->
+text, or a ``_Link`` for a symbolic link), its exit code and its whole
+stderr.  ``test_cli_case`` runs each row through ``run_cli`` in an empty
+directory and asserts the exit code, the stderr, an empty stdout, and that
+the directory then holds the inputs as they were and nothing else, save, in
+a row that exits 0, the files its --out and --json name.  A test that reads
+an output or an array, monkeypatches a call, starts a subprocess or draws
+with Hypothesis is a function.
+"""
+
 import contextlib
 import errno
 import io
@@ -5,6 +18,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -48,8 +62,435 @@ from oracles import (
     write_config,
 )
 
+
 def _read(path):
     return path.read_text(encoding="utf-8")
+
+
+# what a run of THRESHOLD_CONFIG forced past its step threshold prints
+THRESHOLD_WARNING = ("kernrec: warning: running with tau = 0.05 >= tau0 = 0.01; "
+                     "the kernel update may be ill-conditioned\n")
+
+
+class _Link(str):
+    """An input that is a symbolic link to the file it names."""
+
+
+def _measurement_text(kind: str, n: int, T: float, bad_row: int) -> str:
+    """The samples of m = 1 + t and m' = 1 on n steps up to T, as ``kind`` says."""
+    rows = [[repr(t), repr(1.0 + t), "1"] for t in np.linspace(0.0, T, n + 1).tolist()]
+    if kind == "t,m":
+        rows = [row[:2] for row in rows]
+    elif kind == "m not a number":
+        rows[bad_row][1] = "abc"
+    elif kind == "no m":
+        rows[bad_row] = rows[bad_row][:1]
+    elif kind == "value after m'":
+        rows[bad_row].append("2")
+    elif kind == "one row short":
+        del rows[bad_row]
+    header = ["t", "m"] if kind == "t,m" else ["t", "m", "mprime"]
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+_M1D, _CONTAMINANT = "[problem]\npreset = manufactured1d\n", "[problem]\npreset = contaminant\n"
+# contaminant with its measurement read from m.csv, and manufactured1d with its kernel alone
+_FROM_FILE = _CONTAMINANT + 'measurement_file = "m.csv"\n'
+_KERNEL_FROM_FILE = problem("manufactured1d", **WITH_KERNEL, measurement_file="m.csv")
+_FILE_INPUTS = {"c.ini": _FROM_FILE, "m.csv": _measurement_text("t,m", 10, 1.0, 0)}
+# why an option of data generation has no effect beside the problem's own data, and
+# why --derivative has none beside a measurement file
+_BESIDE_DATA = (": the problem gives its measurement (exact m or measurement_file), "
+                "so no data is generated")
+_FILE_DERIVATIVE = ": m' is read from the measurement_file, or differenced from its samples"
+
+# the first words of a failure's line, for exit codes 1, 3 and 2
+_USAGE, _INVALID, _FAILED = ("kernrec: usage error: ", "kernrec: validation failure: ",
+                             "kernrec: numerical failure: ")
+CLI_CASES = [
+    # the mode, the problem and its resolution
+    ("no-mode", "", {}, 1, _USAGE + "the following arguments are required: mode\n"),
+    ("no-problem", "reconstruct --n 100", {}, 1,
+     _USAGE + "no problem given: pass --preset NAME or --config PATH\n"),
+    ("no-resolution", "reconstruct --preset manufactured1d --mx 10", {}, 1,
+     _USAGE + "--n ([discretization] n) is required\n"),
+    ("empty-n", "reconstruct --preset manufactured1d --n '' --mx 8", {}, 1,
+     _USAGE + "no time resolution given (use --n)\n"),
+    ("unknown-preset", "reconstruct --preset nope --n 10 --mx 10", {}, 1,
+     _USAGE + "unknown preset 'nope'; available: ['contaminant', 'manufactured1d', 'zero1d']\n"),
+    ("empty-preset", "reconstruct --config c.ini --preset '' --n 10 --mx 8",
+     {"c.ini": _CONTAMINANT}, 1,
+     _USAGE + "unknown preset ''; available: ['contaminant', 'manufactured1d', 'zero1d']\n"),
+    ("empty-config", "reconstruct --preset manufactured1d --config '' --n 10 --mx 8",
+     {"c.ini": _CONTAMINANT}, 1,
+     _USAGE + "cannot read config : [Errno 2] No such file or directory: ''\n"),
+    ("missing-config", "reconstruct --config /does/not/exist.cfg --n 10 --mx 10", {}, 1,
+     _USAGE + "cannot read config /does/not/exist.cfg: [Errno 2] No such file or directory: "
+     "'/does/not/exist.cfg'\n"),
+    ("mode-mismatch", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "[experiment]\nmode = forward\n"}, 1,
+     _USAGE + "config requests mode 'forward', command line says 'reconstruct'\n"),
+    ("key-outside-section", "reconstruct --config c.ini --n 10 --mx 8",
+     {"c.ini": "n = 5\n" + _CONTAMINANT}, 1, _USAGE + "key outside any section on line 1\n"),
+    ("no-measurement-source", "reconstruct --config c.ini --n 10 --mx 8",
+     {"c.ini": problem("manufactured1d", **variant(WITH_M, m=None, mprime=None))}, 1,
+     _USAGE + "problem has no measurement source (exact m, measurement_file, or exact kernel)\n"),
+    ("missing-measurement-file", "reconstruct --config c.ini --n 10 --mx 8",
+     {"c.ini": _FROM_FILE}, 1,
+     _USAGE + "cannot read measurement file m.csv: [Errno 2] No such file or directory: "
+     "'m.csv'\n"),
+    # a flag or a key given twice
+    ("repeated-n", "reconstruct --preset manufactured1d --n 10 --mx 8 --n 20", {}, 1,
+     _USAGE + "argument --n: given twice\n"),
+    ("repeated-trace", "reconstruct --preset manufactured1d --n 10 --mx 8 --trace --trace", {}, 1,
+     _USAGE + "argument --trace: given twice\n"),
+    ("repeated-preset", "reconstruct --preset manufactured1d --n 10 --mx 8 --preset contaminant",
+     {}, 1, _USAGE + "argument --preset: given twice\n"),
+    ("repeated-T", "reconstruct --preset manufactured1d --n 10 --mx 8 --T 1 --T 2", {}, 1,
+     _USAGE + "argument --T: given twice\n"),
+    ("repeated-out", "reconstruct --preset manufactured1d --n 10 --mx 8 --out a.csv --out b.csv",
+     {}, 1, _USAGE + "argument --out: given twice\n"),
+    ("repeated-key", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "T = 1\nT = 2\n"}, 1, _USAGE + "key 'T' repeated in [problem] on line 4\n"),
+    # a key the section does not take, or a value its option does not
+    ("unknown-key-inline-removed", "reconstruct --config c.ini --n 10 --mx 10 --out k.csv",
+     {"c.ini": problem("manufactured1d", **WITH_M, assume_f_bounded="true")}, 1,
+     _USAGE + "unknown key 'assume_f_bounded' in [problem]; accepted: T, f, g, h, kernel, lx, "
+     "ly, m, measurement_file, mprime, name, omega, u0, u_exact\n"),
+    ("unknown-key-inline-typo", "reconstruct --config c.ini --n 10 --mx 10 --out k.csv",
+     {"c.ini": problem("manufactured1d", **WITH_M, lxx="2")}, 1,
+     _USAGE + "unknown key 'lxx' in [problem]; accepted: T, f, g, h, kernel, lx, ly, m, "
+     "measurement_file, mprime, name, omega, u0, u_exact\n"),
+    ("unknown-key-preset-inline-key", "reconstruct --config c.ini --n 10 --mx 10 --out k.csv",
+     {"c.ini": _M1D + 'h = "2"\n'}, 1,
+     _USAGE + "unknown key 'h' in [problem] with preset 'manufactured1d'; accepted: T, "
+     "measurement_file, omega, preset\n"),
+    ("unknown-key-preset-other-param", "reconstruct --config c.ini --n 10 --mx 10 --out k.csv",
+     {"c.ini": _M1D + "kr = 2\n"}, 1,
+     _USAGE + "unknown key 'kr' in [problem] with preset 'manufactured1d'; accepted: T, "
+     "measurement_file, omega, preset\n"),
+    ("unknown-key-discretization", "reconstruct --config c.ini --n 10 --mx 10 --out k.csv",
+     {"c.ini": "[problem]\npreset = zero1d\n\n[discretization]\nnn = 10\n"}, 1,
+     _USAGE + "unknown key 'nn' in [discretization]; accepted: mx, my, n\n"),
+    ("unknown-key-experiment", "reconstruct --config c.ini --n 10 --mx 10 --out k.csv",
+     {"c.ini": _CONTAMINANT + "\n[experiment]\nfine_facter = 1\n"}, 1,
+     _USAGE + "unknown key 'fine_facter' in [experiment]; accepted: derivative, fine_factor, "
+     "force, json, kernel_denominator_sign, mode, noise, out, seed, trace\n"),
+    ("bad-denominator-sign", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "\n[experiment]\nkernel_denominator_sign = plsu\n"}, 1,
+     _USAGE + "cannot parse [experiment] kernel_denominator_sign = 'plsu': expected one of "
+     "plus, minus\n"),
+    ("bad-boolean-force", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "\n[experiment]\nforce = ture\n"}, 1,
+     _USAGE + "cannot parse [experiment] force = 'ture': expected true/false, yes/no, on/off or "
+     "1/0\n"),
+    ("bad-boolean-trace", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "\n[experiment]\ntrace = ture\n"}, 1,
+     _USAGE + "cannot parse [experiment] trace = 'ture': expected true/false, yes/no, on/off or "
+     "1/0\n"),
+    ("unparsable-mx", "reconstruct --config c.ini",
+     {"c.ini": _M1D + "\n[discretization]\nn = 10\nmx = abc\n"}, 1,
+     _USAGE + "cannot parse [discretization] mx = 'abc': invalid literal for int() with base "
+     "10: 'abc'\n"),
+    ("n-zero-flag", "reconstruct --config c.ini --mx 10 --n 0", {"c.ini": _M1D}, 1,
+     _USAGE + "--n must be a positive step count\n"),
+    ("n-negative-flag", "reconstruct --config c.ini --mx 10 --n -5", {"c.ini": _M1D}, 1,
+     _USAGE + "--n must be a positive step count\n"),
+    ("n-zero-in-list", "convergence --config c.ini --mx 10 --n 0,10", {"c.ini": _M1D}, 1,
+     _USAGE + "--n must be a positive step count\n"),
+    ("n-zero-key", "reconstruct --config c.ini --mx 10",
+     {"c.ini": _M1D + "\n[discretization]\nn = 0\n"}, 1,
+     _USAGE + "--n must be a positive step count\n"),
+    ("list-decreasing", "convergence --preset manufactured1d --n 100,50 --mx 40", {}, 1,
+     _USAGE + "resolution list must be strictly increasing\n"),
+    ("list-outside-convergence", "reconstruct --preset manufactured1d --n 50,100 --mx 40", {}, 1,
+     _USAGE + "mode 'reconstruct' takes a single --n value\n"),
+    ("zero-fine-factor-exact-m",
+     "reconstruct --preset manufactured1d --n 10 --mx 10 --fine-factor 0", {}, 1,
+     _USAGE + "--fine-factor ([experiment] fine_factor) has no effect: the problem gives its "
+     "measurement (exact m or measurement_file), so no data is generated\n"),
+    ("zero-fine-factor", "reconstruct --preset contaminant --fine-factor 0 --n 10 --mx 8", {}, 1,
+     _USAGE + "--fine-factor must be >= 1\n"),
+    ("zero-my", "reconstruct --config square.cfg --out k.csv",
+     {"square.cfg": problem("threshold", **THRESHOLD, ly="1.0")
+      + "\n[discretization]\nn = 10\nmx = 4\nmy = 0\n"}, 1,
+     _USAGE + "--my must be a positive cell count\n"),
+    ("my-1d-flag", "reconstruct --config c.ini --n 10 --mx 10 --my 10", {"c.ini": _M1D}, 1,
+     _USAGE + "--my ([discretization] my) has no effect: the problem is 1D\n"),
+    ("my-1d-key", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "\n[discretization]\nmy = 10\n"}, 1,
+     _USAGE + "--my ([discretization] my) has no effect: the problem is 1D\n"),
+    ("seed-outside-noise-sweep", "reconstruct --preset manufactured1d --n 10 --mx 10 --seed 1",
+     {}, 1, _USAGE + "--seed ([experiment] seed) has no effect in reconstruct mode\n"),
+    ("sweep-without-noise", "noise-sweep --preset manufactured1d --seed 1 --n 10 --mx 8", {}, 1,
+     _USAGE + "noise-sweep requires --noise SIGMA[,SIGMA...]\n"),
+    ("sweep-without-seed", "noise-sweep --preset manufactured1d --noise 1e-3 --n 10 --mx 8", {},
+     1, _USAGE + "noise-sweep requires --seed\n"),
+    ("negative-seed-flag", "noise-sweep --config c.ini --n 10 --mx 10 --noise 1e-3 --seed -1",
+     {"c.ini": _M1D}, 1, _USAGE + "--seed must be a non-negative integer, got -1\n"),
+    ("negative-seed-key", "noise-sweep --config c.ini --n 10 --mx 10 --noise 1e-3",
+     {"c.ini": _M1D + "\n[experiment]\nseed = -3\n"}, 1,
+     _USAGE + "--seed must be a non-negative integer, got -3\n"),
+    ("nan-noise-flag", "noise-sweep --config c.ini --n 10 --mx 10 --noise nan",
+     {"c.ini": _M1D + "\n[experiment]\nseed = 1\n"}, 1,
+     _USAGE + "--noise levels must be positive and finite, got nan\n"),
+    ("inf-noise-flag", "noise-sweep --config c.ini --n 10 --mx 10 --noise 1e-3,inf",
+     {"c.ini": _M1D + "\n[experiment]\nseed = 1\n"}, 1,
+     _USAGE + "--noise levels must be positive and finite, got inf\n"),
+    ("inf-noise-key", "noise-sweep --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "\n[experiment]\nseed = 1\nnoise = inf\n"}, 1,
+     _USAGE + "--noise levels must be positive and finite, got inf\n"),
+    ("empty-noise-flag", "reconstruct --config c.ini --n 10 --mx 10 --noise ''",
+     {"c.ini": _M1D}, 1,
+     _USAGE + "--noise ([experiment] noise) has no effect in reconstruct mode\n"),
+    ("comma-noise-flag", "reconstruct --config c.ini --n 10 --mx 10 --noise ,",
+     {"c.ini": _M1D}, 1,
+     _USAGE + "--noise ([experiment] noise) has no effect in reconstruct mode\n"),
+    ("comma-noise-key", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "\n[experiment]\nnoise = ,\n"}, 1,
+     _USAGE + "--noise ([experiment] noise) has no effect in reconstruct mode\n"),
+    ("empty-out-flag", "reconstruct --config c.ini --n 10 --mx 10 --out ''",
+     {"c.ini": _M1D}, 1, _USAGE + "cannot parse --out '': an empty path names no file\n"),
+    ("empty-json-flag", "reconstruct --config c.ini --n 10 --mx 10 --json ''",
+     {"c.ini": _M1D}, 1, _USAGE + "cannot parse --json '': an empty path names no file\n"),
+    ("empty-out-key", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + '\n[experiment]\nout = ""\n'}, 1,
+     _USAGE + "cannot parse [experiment] out = '': an empty path names no file\n"),
+    ("empty-json-key", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": _M1D + "\n[experiment]\njson =\n"}, 1,
+     _USAGE + "cannot parse [experiment] json = '': an empty path names no file\n"),
+    # an option the run would not use
+    *[(f"no-exact-kernel-{mode}", f"{mode} --config c.ini --n 10 --mx 10 --out out.csv{more}",
+       {"c.ini": problem("manufactured1d", **WITH_M)}, 1,
+       f"{_USAGE}{mode} mode needs an exact kernel in the problem\n")
+      for mode, more in [("forward", ""), ("roundtrip", ""), ("convergence", ""),
+                         ("noise-sweep", " --noise 1e-3 --seed 1")]],
+    ("unread-file-exact-m", "reconstruct --config c.ini --n 10 --mx 10 --out out.csv",
+     {"c.ini": _M1D + 'measurement_file = "none.csv"\n'}, 1,
+     _USAGE + "[measurement_file] conflicts with the problem's exact measurement m; give one "
+     "source\n"),
+    *[(f"unread-file-{mode}", f"{mode} --config c.ini --n 10 --mx 10 --out out.csv",
+       {"c.ini": _CONTAMINANT + 'measurement_file = "none.csv"\n'}, 1,
+       f"{_USAGE}[measurement_file] {mode} mode generates its own measurement and reads no file\n")
+      for mode in ("forward", "roundtrip")],
+    # an option the run would not use, by its flag and by its [experiment] key
+    *[(f"{name}-{how}", f"{mode} --config c.ini --n 10 --mx 10 --out out.csv{flagged}",
+       {**inputs, "c.ini": inputs["c.ini"] + keyed}, 1,
+       f"{_USAGE}{flag.split()[0]} ([experiment] {key.split()[0]}) has no effect{why}\n")
+      for name, mode, inputs, flag, key, why in [
+          ("roundtrip-derivative", "roundtrip", {"c.ini": _M1D}, "--derivative analytic",
+           "derivative = analytic", " in roundtrip mode"),
+          ("roundtrip-fine-factor", "roundtrip", {"c.ini": _CONTAMINANT}, "--fine-factor 3",
+           "fine_factor = 3", " in roundtrip mode"),
+          ("forward-fine-factor", "forward", {"c.ini": _CONTAMINANT}, "--fine-factor 7",
+           "fine_factor = 7", " in forward mode"),
+          ("forward-force", "forward", {"c.ini": _CONTAMINANT}, "--force", "force = true",
+           " in forward mode"),
+          ("forward-trace", "forward", {"c.ini": _CONTAMINANT}, "--trace", "trace = true",
+           " in forward mode"),
+          ("forward-denominator-sign", "forward", {"c.ini": _CONTAMINANT},
+           "--kernel-denominator-sign minus", "kernel_denominator_sign = minus",
+           " in forward mode"),
+          ("exact-m-fine-factor", "reconstruct", {"c.ini": _M1D}, "--fine-factor 3",
+           "fine_factor = 3", _BESIDE_DATA),
+          ("measurement-file-fine-factor", "reconstruct", _FILE_INPUTS, "--fine-factor 3",
+           "fine_factor = 3", _BESIDE_DATA),
+          ("noise-sweep-derivative", "noise-sweep", {"c.ini": _M1D}, "--derivative analytic",
+           "derivative = analytic", " in noise-sweep mode"),
+          ("noise-sweep-derivative-discrete", "noise-sweep", {"c.ini": _CONTAMINANT},
+           "--derivative discrete", "derivative = discrete", " in noise-sweep mode"),
+          ("measurement-file-derivative", "reconstruct", _FILE_INPUTS, "--derivative discrete",
+           "derivative = discrete", _FILE_DERIVATIVE),
+          ("measurement-file-derivative-convergence", "convergence", _FILE_INPUTS,
+           "--derivative discrete", "derivative = discrete", _FILE_DERIVATIVE),
+      ] for how, flagged, keyed in [("flag", f" {flag}", ""),
+                                    ("key", "", f"\n[experiment]\n{key}\n")]],
+    # an output that names an input or the other output
+    ("out-config", "reconstruct --config c.ini --n 10 --mx 10 --out c.ini", _FILE_INPUTS, 1,
+     _USAGE + "--out ([experiment] out) and --config name the same file 'c.ini'\n"),
+    ("json-config", "reconstruct --config c.ini --n 10 --mx 10 --json c.ini", _FILE_INPUTS, 1,
+     _USAGE + "--json ([experiment] json) and --config name the same file 'c.ini'\n"),
+    ("out-key-config", "reconstruct --config c.ini --n 10 --mx 10",
+     {**_FILE_INPUTS, "c.ini": _FROM_FILE + '\n[experiment]\nout = "c.ini"\n'}, 1,
+     _USAGE + "--out ([experiment] out) and --config name the same file 'c.ini'\n"),
+    ("out-symlink-config", "reconstruct --config c.ini --n 10 --mx 10 --out link.ini",
+     {**_FILE_INPUTS, "link.ini": _Link("c.ini")}, 1,
+     _USAGE + "--out ([experiment] out) and --config name the same file 'link.ini'\n"),
+    # sub/../x names x through a directory that exists
+    ("out-json", "reconstruct --config c.ini --n 10 --mx 10 --out x --json sub/../x",
+     {**_FILE_INPUTS, "sub/.keep": ""}, 1,
+     _USAGE + "--out ([experiment] out) and --json ([experiment] json) name the same file 'x'\n"),
+    ("out-json-key", "reconstruct --config c.ini --n 10 --mx 10 --out x",
+     {**_FILE_INPUTS, "c.ini": _FROM_FILE + '\n[experiment]\njson = "x"\n'}, 1,
+     _USAGE + "--out ([experiment] out) and --json ([experiment] json) name the same file 'x'\n"),
+    ("out-measurement-file", "reconstruct --config c.ini --n 10 --mx 10 --out m.csv",
+     _FILE_INPUTS, 1, _USAGE + "--out ([experiment] out) and [problem] measurement_file name "
+     "the same file 'm.csv'\n"),
+    ("json-key-measurement-file", "reconstruct --config c.ini --n 10 --mx 10",
+     {**_FILE_INPUTS, "c.ini": _FROM_FILE + '\n[experiment]\njson = "./m.csv"\n'}, 1,
+     _USAGE + "--json ([experiment] json) and [problem] measurement_file name the same file "
+     "'./m.csv'\n"),
+    # a problem number that is not finite, or a coefficient formed from one
+    *[(name, f"reconstruct --config c.ini --n 10 --mx 10 --out k.csv{flags}", {"c.ini": config},
+       3, _INVALID + message) for name, config, flags, message in [
+          ("omega-nan", problem("manufactured1d", **WITH_M, omega="nan"), "",
+           "floor must be positive and finite, got omega=nan\n"),
+          ("omega-inf", problem("manufactured1d", **WITH_M, omega="inf"), "",
+           "floor must be positive and finite, got omega=inf\n"),
+          ("T-inf", problem("manufactured1d", **WITH_M, T="inf"), "",
+           "time horizon must be positive and finite, got T=inf\n"),
+          ("lx-nan", problem("manufactured1d", **WITH_M, lx="nan"), "",
+           "bad domain extents (nan,)\n"),
+          ("ly-inf", problem("manufactured1d", **WITH_M, ly="inf"), "",
+           "bad domain extents (1.0, inf)\n"),
+          ("preset-omega-nan", _M1D + "omega = nan\n", "",
+           "floor must be positive and finite, got omega=nan\n"),
+          ("kr-nan", _CONTAMINANT + "kr = nan\n", "",
+           "contaminant parameter kr must be finite, got nan\n"),
+          ("s0-inf", _CONTAMINANT + "s0 = inf\n", "",
+           "contaminant parameter s0 must be finite, got inf\n"),
+          ("cli-T-nan", problem("manufactured1d", **WITH_M), " --T nan",
+           "time horizon must be positive and finite, got T=nan\n"),
+          ("cli-T-inf", problem("manufactured1d", **WITH_M), " --T inf",
+           "time horizon must be positive and finite, got T=inf\n"),
+          ("contaminant-h-overflow", _CONTAMINANT + "s0 = 1e308\nkr = 1e-10\n", "",
+           "contaminant h = -s0/(kr kd) is not finite (-inf)\n"),
+          ("contaminant-rho_b-over-porosity-overflow",
+           _CONTAMINANT + "rho_b = 1e300\nporosity = 1e-300\n", "",
+           "contaminant kernel coefficient (rho_b/porosity) kr^2 kd is not finite (inf)\n"),
+          ("contaminant-kr-squared-overflow", _CONTAMINANT + "kr = 1e200\n", "",
+           "contaminant kernel coefficient (rho_b/porosity) kr^2 kd is not finite (inf)\n"),
+      ]],
+    # s0 = 0 gives h = -0.0: one message whatever else the section holds
+    *[(f"contaminant-zero-h{name}", "reconstruct --config c.ini --n 10 --mx 4",
+       {"c.ini": _CONTAMINANT + "s0 = 0\n" + extra}, 3,
+       _INVALID + "contaminant h = -s0/(kr kd) is zero (-0.0), which leaves no positive floor\n")
+      for name, extra in [("", ""), ("-unknown-key", "bogus = 1\n"), ("-omega", "omega = 1\n")]],
+    ("zero-porosity", "reconstruct --config c.ini --n 10 --mx 8",
+     {"c.ini": _CONTAMINANT + "porosity = 0\n"}, 3,
+     _INVALID + "porosity must be positive, got 0.0\n"),
+    ("threshold-violated", "reconstruct --config c.ini --n 20 --mx 10",
+     {"c.ini": THRESHOLD_CONFIG}, 3,
+     _INVALID + "tau = 0.05 exceeds tau0 = 0.01 (omega = 0.2, |m0| = 10); pass force to run "
+     "anyway\n"),
+    # 1/tau and 1/dx^2 enter the step's operator: each must be finite, and
+    # so must the operator's eigenvalues
+    ("tau-zero", "forward --preset contaminant --n 2 --T 5e-324 --mx 2", {}, 3,
+     _INVALID + "time step tau = T/n = 4.94066e-324/2 = 0 has no finite 1/tau\n"),
+    ("tau-reciprocal-overflows", "forward --preset contaminant --n 3 --T 1e-323 --mx 2", {}, 3,
+     _INVALID + "time step tau = T/n = 9.88131e-324/3 = 4.94066e-324 has no finite 1/tau\n"),
+    ("dx-square-overflows", "roundtrip --config c.ini --n 4 --mx 2",
+     {"c.ini": problem("manufactured1d", **WITH_KERNEL, lx="1e300")}, 3,
+     _INVALID + "cell size dx = lx/mx = 1e+300/2: its square overflows\n"),
+    ("dx-square-underflows", "roundtrip --config c.ini --n 4 --mx 2",
+     {"c.ini": problem("manufactured1d", **WITH_KERNEL, lx="1e-200")}, 3,
+     _INVALID + "cell size dx = lx/mx = 1e-200/2: its square underflows\n"),
+    ("dy-square-underflows", "roundtrip --config c.ini --n 4 --mx 2",
+     {"c.ini": problem("manufactured2d", **variant(MANUFACTURED_2D, m=None, mprime=None,
+                                                   ly="1e-200"))}, 3,
+     _INVALID + "cell size dy = ly/my = 1e-200/2: its square underflows\n"),
+    ("forward-step-operator-overflows",
+     "forward --preset manufactured1d --n 10 --T 1e-307 --mx 2", {}, 3,
+     _INVALID + "the step's operator overflows for tau = 1e-308, dx = 0.5\n"),
+    ("reconstruct-step-operator-overflows",
+     "reconstruct --preset manufactured1d --n 10 --T 1e-307 --mx 2", {}, 3,
+     _INVALID + "the step's operator overflows for tau = 1e-308, dx = 0.5\n"),
+    ("stencil-overflows", "roundtrip --config c.ini --n 4 --mx 2",
+     {"c.ini": problem("manufactured2d", **variant(MANUFACTURED_2D, m=None, mprime=None,
+                                                   lx="2e-154", ly="2e-154"))}, 3,
+     _INVALID + "the step's operator overflows for tau = 0.25, dx = 1e-154, dy = 1e-154\n"),
+    # a malformed measurement file is rejected as it is read: no step runs,
+    # so no trace row prints
+    *[(name, "reconstruct --config c.ini --n 2 --mx 4 --trace --out out.csv",
+       {"c.ini": _FROM_FILE, "m.csv": data}, 3, _INVALID + message) for name, data, message in [
+          ("row-not-a-number", "t,m\n0,1\n0.5,abc\n1.0,1\n",
+           "measurement file data row 2: 'abc' is not a number\n"),
+          ("row-missing-column", "t,m\n0,1\n0.5\n1.0,1\n",
+           "measurement file data row 2 has 1 column(s), expected at least 2\n"),
+          ("row-partial-mprime", "t,m\n0,1\n0.5,1,7\n1.0,1\n",
+           "measurement file data row 3 has no m' although other rows after the first "
+           "carry one\n"),
+          ("row-nan-mprime0", "t,m,mprime\n0,1,nan\n0.5,1,0\n1.0,1,0\n",
+           "measurement contains non-finite values\n"),
+          ("row-inf-mprime0", "t,m,mprime\n0,1,inf\n0.5,1,0\n1.0,1,0\n",
+           "measurement contains non-finite values\n"),
+          # a row with a blank t counts, so the file has one row too many
+          ("row-blank-t", "t,m\n0,1\n ,99,99\n0.5,1\n1.0,1\n",
+           "measurement file has 4 rows (3 steps), expected 3 for n = 2\n"),
+          ("row-fourth-value", "t,m,mprime\n0,1.5,1,junk\n0.5,1.5,1,junk\n1.0,1.5,1,junk\n",
+           "measurement file data row 1 has a value after m'\n"),
+      ]],
+    # a convergence list must fit the file before any level runs: no trace row
+    ("list-not-a-divisor", "convergence --config c.ini --n 5,6,20 --mx 10 --trace",
+     {"c.ini": _KERNEL_FROM_FILE, "m.csv": _measurement_text("t,m", 20, 1.0, 0)}, 3,
+     _INVALID + "--n entry 6 does not divide the measurement file's 20 steps\n"),
+    ("list-last-is-not-the-file", "convergence --config c.ini --n 5,10 --mx 10 --trace",
+     {"c.ini": _KERNEL_FROM_FILE, "m.csv": _measurement_text("t,m", 20, 1.0, 0)}, 3,
+     _INVALID + "measurement file has 21 rows (20 steps), expected 11 for n = 10\n"),
+    # numerical failures, with no numpy warning among the lines
+    ("h0-below-threshold", "reconstruct --config c.ini --n 10 --mx 8",
+     {"c.ini": problem("manufactured1d", **variant(WITH_M, h="1e-13", omega="1e-13", m="0"))},
+     2, _FAILED + "(h(0),1) = 1.000e-13 too small to define the initial kernel value\n"),
+    # the load f = 1e308 overflows in the first step's solve
+    ("state-overflows", "reconstruct --config c.ini --n 10 --mx 10",
+     {"c.ini": problem("overflow", f="1e308", kernel="0")}, 2, _FAILED + "state is not finite\n"),
+    ("kernel-error-overflows", "reconstruct --config c.ini --n 4 --mx 4",
+     {"c.ini": problem("kernelerror", kernel="1e200", m="0", mprime="0")}, 2,
+     "kernrec: warning: initial kernel value 0 disagrees with the exact kernel at t=0 (1e+200)\n"
+     + _FAILED + "errors.kernel_l2 is not finite\n"),
+    ("state-error-overflows", "convergence --config c.ini --n 4,8 --mx 4 --force",
+     {"c.ini": problem("stateerror", T="100", u0="1e307", kernel="0", m="1e307", mprime="0",
+                       u_exact="-1.75e308")}, 2,
+     "kernrec: warning: running with tau = 25 >= tau0 = 5e-308; the kernel update may be "
+     "ill-conditioned\n"
+     "kernrec: warning: running with tau = 12.5 >= tau0 = 5e-308; the kernel update may be "
+     "ill-conditioned\n" + _FAILED + "rows[0].diagnostics.max_state_norm_sq is not finite\n"),
+    # sigma = 5e-324, the least subnormal: err_inf / sigma overflows
+    ("amplification-overflows", "noise-sweep --preset manufactured1d --n 20 --mx 10 "
+     "--noise 5e-324 --seed 1 --out n.csv --json n.json", {}, 2,
+     _FAILED + "rows[0].amplification is not finite\n"),
+    # an output that cannot be written: a failed JSON write takes the CSV with it
+    ("out-missing-directory",
+     "reconstruct --preset manufactured1d --n 10 --mx 10 --out missing/k.csv", {}, 2,
+     _FAILED + "[Errno 2] No such file or directory: 'missing/k.csv'\n"),
+    ("json-missing-directory",
+     "reconstruct --preset manufactured1d --n 10 --mx 4 --out k.csv --json missing/r.json", {},
+     2, _FAILED + "[Errno 2] No such file or directory: 'missing/r.json'\n"),
+    ("json-directory", "reconstruct --preset manufactured1d --n 10 --mx 4 --out k.csv --json .",
+     {}, 2, _FAILED + "[Errno 21] Is a directory: '.'\n"),
+    # runs that succeed
+    ("discretization-from-config", "reconstruct --config c.ini --out k.csv",
+     {"c.ini": _M1D + "\n[discretization]\nn = 20\nmx = 20\n"}, 0, ""),
+    ("threshold-forced", "reconstruct --config c.ini --n 20 --mx 10 --force",
+     {"c.ini": THRESHOLD_CONFIG}, 0, THRESHOLD_WARNING),
+    ("threshold-forced-key", "reconstruct --config c.ini --n 20 --mx 10",
+     {"c.ini": THRESHOLD_CONFIG + "\n[experiment]\nforce = On\n"}, 0, THRESHOLD_WARNING),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, code, stderr", [pytest.param(*row, id=name) for name, *row in CLI_CASES]
+)
+def test_cli_case(tmp_path, monkeypatch, capsys, argv, inputs, code, stderr):
+    monkeypatch.chdir(tmp_path)
+    for name, text in inputs.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        if isinstance(text, _Link):
+            path.symlink_to(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+    args = shlex.split(argv)
+    assert run_cli(args) == code
+    assert capsys.readouterr() == ("", stderr)
+    left = {  # each file's text, and each link's target
+        path.relative_to(tmp_path).as_posix():
+            _Link(os.readlink(path)) if path.is_symlink() else path.read_text(encoding="utf-8")
+        for path in tmp_path.rglob("*") if path.is_symlink() or path.is_file()
+    }
+    outputs = {name for flag, name in zip(args, args[1:]) if flag in ("--out", "--json")}
+    assert set(left) == set(inputs) | (outputs if code == 0 else set())
+    assert {name: left[name] for name in inputs} == inputs
 
 
 class TestReconstructCommand:
@@ -66,17 +507,6 @@ class TestReconstructCommand:
         last = lines[-1].split(",")
         assert abs(float(last[0]) - 1.0) < 1e-12
         assert float(last[3]) < 0.05  # abs_err column against exp(-t)
-
-    def test_missing_problem_is_usage_error(self, capsys):
-        code = run_cli(["reconstruct", "--n", "100"])
-        assert code == 1
-        assert "usage error" in capsys.readouterr().err
-
-    def test_missing_resolution_is_usage_error(self):
-        assert run_cli(["reconstruct", "--preset", "manufactured1d", "--mx", "10"]) == 1
-
-    def test_unknown_preset(self):
-        assert run_cli(["reconstruct", "--preset", "nope", "--n", "10", "--mx", "10"]) == 1
 
     def test_zero_problem_outputs_zero_column(self, tmp_path):
         out = tmp_path / "k.csv"
@@ -162,47 +592,6 @@ class TestReconstructCommand:
         ref = np.array([float(r.split(",")[2]) for r in rows])
         assert np.abs(rec - ref).max() < 0.1
 
-    def test_seed_rejected_outside_noise_mode(self):
-        code = run_cli(
-            ["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "10",
-             "--seed", "1"]
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize(
-        "flags,discretization", [(["--my", "10"], ""), ([], "my = 10\n")], ids=["flag", "key"]
-    )
-    def test_my_rejected_for_1d(self, tmp_path, capsys, flags, discretization):
-        cfg = write_config(
-            tmp_path,
-            f"[problem]\npreset = manufactured1d\n\n[discretization]\n{discretization}",
-        )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
-        assert code == 1
-        assert "usage error: --my ([discretization] my) has no effect" in capsys.readouterr().err
-
-    def test_zero_fine_factor_is_usage_error(self, capsys):
-        code = run_cli(
-            ["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "10",
-             "--fine-factor", "0"]
-        )
-        assert code == 1
-        assert "--fine-factor" in capsys.readouterr().err
-
-    def test_zero_my_is_usage_error(self, tmp_path, capsys):
-        square = problem("threshold", **THRESHOLD, ly="1.0")
-        cfg = write_config(
-            tmp_path, square + "\n[discretization]\nn = 10\nmx = 4\nmy = 0\n", "square.cfg"
-        )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
-        assert code == 1
-        assert "--my" in capsys.readouterr().err
-
-
-# what a run of THRESHOLD_CONFIG forced past its step threshold prints
-THRESHOLD_WARNING = ("kernrec: warning: running with tau = 0.05 >= tau0 = 0.01; "
-                     "the kernel update may be ill-conditioned\n")
-
 
 class TestDataMisfit:
     """A measurement file that contradicts the problem reconstructs with an
@@ -231,25 +620,6 @@ class TestDataMisfit:
         assert diagnostics["max_compat_residual"] < 1e-13
         assert diagnostics["max_data_misfit"] == pytest.approx(misfit, rel=1e-9, abs=1e-15)
         assert diagnostics["initial_mismatch"] == pytest.approx(mismatch, rel=1e-9, abs=1e-15)
-
-
-class TestThresholdGuard:
-    def test_violation_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, THRESHOLD_CONFIG)
-        code = run_cli(
-            ["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"]
-        )
-        assert code == 3
-        assert "validation failure" in capsys.readouterr().err
-
-    def test_force_overrides(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, THRESHOLD_CONFIG)
-        code = run_cli(
-            ["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10",
-             "--force"]
-        )
-        assert code == 0
-        assert capsys.readouterr().err == THRESHOLD_WARNING
 
 
 class TestForwardCommand:
@@ -354,19 +724,6 @@ class TestConvergenceCommand:
             assert float(fields[2]) == 0.0
             assert fields[5] == EOC_UNDEFINED
 
-    def test_list_must_increase(self):
-        code = run_cli(
-            ["convergence", "--preset", "manufactured1d", "--n", "100,50",
-             "--mx", "40"]
-        )
-        assert code == 1
-
-    def test_list_rejected_outside_convergence(self):
-        code = run_cli(
-            ["reconstruct", "--preset", "manufactured1d", "--n", "50,100", "--mx", "40"]
-        )
-        assert code == 1
-
     def test_convergence_restricts_the_measurement_file(self, tmp_path, capsys):
         data = tmp_path / "m.csv"
         assert run_cli(["forward", "--preset", "manufactured1d", "--n", "200", "--mx", "20",
@@ -387,17 +744,12 @@ class TestConvergenceCommand:
             "--n entry 30 does not divide the measurement file's 200 steps\n"
         )
 
-    @pytest.fixture
-    def file_config(self, tmp_path):
-        """A config whose measurement file has 20 steps."""
+    def test_convergence_parses_the_measurement_file_once(self, tmp_path, monkeypatch):
         data = tmp_path / "m.csv"
         assert run_cli(["forward", "--preset", "manufactured1d", "--n", "20", "--mx", "10",
                         "--out", str(data)]) == 0
-        return write_config(
-            tmp_path, problem("manufactured1d", **WITH_KERNEL, measurement_file=str(data)), "f.cfg"
-        )
-
-    def test_convergence_parses_the_measurement_file_once(self, file_config, monkeypatch):
+        config = problem("manufactured1d", **WITH_KERNEL, measurement_file=str(data))
+        file_config = write_config(tmp_path, config, "f.cfg")
         parsed = []
 
         def spy(text, timegrid):
@@ -408,22 +760,6 @@ class TestConvergenceCommand:
         argv = ["convergence", "--config", str(file_config), "--n", "5,10,20", "--mx", "10"]
         assert run_cli(argv) == 0
         assert parsed == [20]
-
-    @pytest.mark.parametrize(
-        "levels,message",
-        [("5,6,20", "--n entry 6 does not divide the measurement file's 20 steps"),
-         ("5,10", "measurement file has 21 rows (20 steps), expected 11 for n = 10")],
-        ids=["not-a-divisor", "last-is-not-the-file"],
-    )
-    def test_list_that_does_not_fit_the_file_fails_before_any_level(
-        self, file_config, capsys, levels, message
-    ):
-        capsys.readouterr()
-        argv = ["convergence", "--config", str(file_config), "--n", levels, "--mx", "10",
-                "--trace"]
-        assert run_cli(argv) == 3
-        # no trace row: no level ran
-        assert capsys.readouterr().err == f"kernrec: validation failure: {message}\n"
 
     def test_relative_measurement_file_is_read_beside_its_config(self, tmp_path, monkeypatch):
         # sub/c.ini names m.csv beside it: run from sub's parent, the kernel
@@ -578,181 +914,8 @@ class TestNoiseSweep:
         assert err[-1] == "kernrec: numerical failure: the batch faults"
         assert len(err) == 3 and all(line.startswith("kernrec: warning: ") for line in err[:-1])
 
-    def test_seed_required(self):
-        code = run_cli(
-            ["noise-sweep", "--preset", "manufactured1d", "--n", "40", "--mx", "40",
-             "--noise", "0.001"]
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize(
-        "flags,experiment", [(["--seed", "-1"], ""), ([], "seed = -3\n")], ids=["cli", "config"]
-    )
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys, flags, experiment):
-        cfg = write_config(
-            tmp_path,
-            f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
-        )
-        code = run_cli(["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "10",
-                        "--noise", "1e-3", *flags])
-        assert code == 1
-        assert "usage error: --seed" in capsys.readouterr().err
-
 
 class TestConfigHandling:
-    def test_mode_mismatch(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            "[problem]\npreset = manufactured1d\n\n[experiment]\nmode = forward\n",
-        )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
-        assert code == 1
-
-    def test_discretization_from_config(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            "[problem]\npreset = manufactured1d\n\n"
-            "[discretization]\nn = 20\nmx = 20\n",
-        )
-        assert run_cli(["reconstruct", "--config", str(cfg)]) == 0
-
-    def test_missing_config_file(self):
-        assert run_cli(["reconstruct", "--config", "/does/not/exist.cfg",
-                        "--n", "10", "--mx", "10"]) == 1
-
-    def test_no_subcommand(self, capsys):
-        assert run_cli([]) == 1
-        assert "usage error" in capsys.readouterr().err
-
-    def test_bad_denominator_sign_is_usage_error(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "[problem]\npreset = manufactured1d\n\n"
-            "[experiment]\nkernel_denominator_sign = plsu\n",
-        )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
-        assert code == 1
-        assert "plsu" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["force", "trace"])
-    def test_bad_boolean_is_usage_error(self, tmp_path, capsys, key):
-        cfg = write_config(
-            tmp_path,
-            f"[problem]\npreset = manufactured1d\n\n[experiment]\n{key} = ture\n",
-        )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
-        assert code == 1
-        assert "ture" in capsys.readouterr().err
-
-    def test_unparsable_number_is_usage_error(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "[problem]\npreset = manufactured1d\n\n[discretization]\nn = 10\nmx = abc\n",
-        )
-        assert run_cli(["reconstruct", "--config", str(cfg)]) == 1
-        assert "mx = 'abc'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "text,section,key",
-        [
-            (problem("manufactured1d", **WITH_M, assume_f_bounded="true"), "problem",
-             "assume_f_bounded"),
-            (problem("manufactured1d", **WITH_M, lxx="2"), "problem", "lxx"),
-            ("[problem]\npreset = manufactured1d\nh = \"2\"\n", "problem", "h"),
-            ("[problem]\npreset = manufactured1d\nkr = 2\n", "problem", "kr"),
-            ("[problem]\npreset = zero1d\n\n[discretization]\nnn = 10\n",
-             "discretization", "nn"),
-            ("[problem]\npreset = contaminant\n\n[experiment]\nfine_facter = 1\n",
-             "experiment", "fine_facter"),
-        ],
-        ids=["inline-removed", "inline-typo", "preset-inline-key", "preset-other-param",
-             "discretization", "experiment"],
-    )
-    def test_unknown_key_is_usage_error(self, tmp_path, capsys, text, section, key):
-        cfg = write_config(tmp_path, text)
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10",
-                        "--out", str(tmp_path / "k.csv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"'{key}'" in err and f"[{section}]" in err
-
-    def test_repeated_key_is_usage_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[problem]\npreset = manufactured1d\nT = 1\nT = 2\n")
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"])
-        assert code == 1
-        assert "'T' repeated" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flags,flag",
-        [(["--n", "20"], "--n"), (["--trace", "--trace"], "--trace"),
-         (["--preset", "contaminant"], "--preset"), (["--T", "1", "--T", "2"], "--T"),
-         (["--out", "a.csv", "--out", "b.csv"], "--out")],
-        ids=["valued", "switch", "preset", "T", "out"],
-    )
-    def test_repeated_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, flags, flag):
-        monkeypatch.chdir(tmp_path)
-        code = run_cli(["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "8",
-                        *flags])
-        assert code == 1
-        assert f"usage error: argument {flag}: given twice" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize(
-        "given,empty,message",
-        [(["--preset", "manufactured1d"], "--config", "cannot read config :"),
-         (["--config", "c.ini"], "--preset", "unknown preset ''")],
-        ids=["config", "preset"],
-    )
-    def test_empty_preset_or_config_is_usage_error(
-        self, tmp_path, monkeypatch, capsys, given, empty, message
-    ):
-        monkeypatch.chdir(tmp_path)
-        write_config(tmp_path, "[problem]\npreset = contaminant\n", "c.ini")
-        code = run_cli(["reconstruct", *given, empty, "", "--n", "10", "--mx", "8"])
-        assert code == 1
-        assert f"usage error: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "text,flags",
-        [
-            (problem("manufactured1d", **WITH_M, omega="nan"), []),
-            (problem("manufactured1d", **WITH_M, omega="inf"), []),
-            (problem("manufactured1d", **WITH_M, T="inf"), []),
-            (problem("manufactured1d", **WITH_M, lx="nan"), []),
-            (problem("manufactured1d", **WITH_M, ly="inf"), []),
-            ("[problem]\npreset = manufactured1d\nomega = nan\n", []),
-            ("[problem]\npreset = contaminant\nkr = nan\n", []),
-            ("[problem]\npreset = contaminant\ns0 = inf\n", []),
-            (problem("manufactured1d", **WITH_M), ["--T", "nan"]),
-            (problem("manufactured1d", **WITH_M), ["--T", "inf"]),
-            # finite parameters whose derived coefficients overflow
-            ("[problem]\npreset = contaminant\ns0 = 1e308\nkr = 1e-10\n", []),
-            ("[problem]\npreset = contaminant\nrho_b = 1e300\nporosity = 1e-300\n", []),
-            ("[problem]\npreset = contaminant\nkr = 1e200\n", []),
-        ],
-        ids=["omega-nan", "omega-inf", "T-inf", "lx-nan", "ly-inf", "preset-omega-nan",
-             "kr-nan", "s0-inf", "cli-T-nan", "cli-T-inf", "contaminant-h-overflow",
-             "contaminant-rho_b-over-porosity-overflow", "contaminant-kr-squared-overflow"],
-    )
-    def test_non_finite_problem_number_exits_3(self, tmp_path, capsys, text, flags):
-        cfg = write_config(tmp_path, text)
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10",
-                        "--out", str(tmp_path / "k.csv"), *flags])
-        assert code == 3
-        assert "validation failure" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "extra", ["", "bogus = 1\n", "omega = 1\n"], ids=["alone", "unknown-key", "omega"]
-    )
-    def test_contaminant_zero_h_exits_3(self, tmp_path, capsys, extra):
-        # s0 = 0 gives h = -0.0: one message whatever else the section holds
-        cfg = write_config(tmp_path, f"[problem]\npreset = contaminant\ns0 = 0\n{extra}")
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "4"])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "kernrec: validation failure: contaminant h = -s0/(kr kd) is zero (-0.0), "
-            "which leaves no positive floor\n"
-        )
 
     @pytest.mark.parametrize("key", ["", "T = 2.0\n", "T = abc\n"], ids=["none", "other", "bad"])
     def test_T_flag_is_the_problem_T(self, tmp_path, key):
@@ -765,77 +928,6 @@ class TestConfigHandling:
         write_config(tmp_path, problem("manufactured1d", **WITH_M))
         assert run_cli(argv) == 0
         assert flagged == _read(out)
-
-    @pytest.mark.parametrize(
-        "argv, config, code, message",
-        [(["reconstruct", "--preset", "manufactured1d", "--n", ""], "", 1,
-          "usage error: no time resolution given (use --n)"),
-         (["reconstruct", "--preset", "contaminant", "--fine-factor", "0"], "", 1,
-          "usage error: --fine-factor must be >= 1"),
-         (["noise-sweep", "--preset", "manufactured1d", "--seed", "1"], "", 1,
-          "usage error: noise-sweep requires --noise SIGMA[,SIGMA...]"),
-         (["noise-sweep", "--preset", "manufactured1d", "--noise", "1e-3"], "", 1,
-          "usage error: noise-sweep requires --seed"),
-         (["reconstruct"], '[problem]\npreset = contaminant\nmeasurement_file = "{tmp}/m.csv"\n',
-          1, "usage error: cannot read measurement file {tmp}/m.csv: "
-          "[Errno 2] No such file or directory: '{tmp}/m.csv'"),
-         (["reconstruct"], problem("manufactured1d", **variant(WITH_M, m=None, mprime=None)), 1,
-          "usage error: problem has no measurement source "
-          "(exact m, measurement_file, or exact kernel)"),
-         (["reconstruct"], "n = 5\n[problem]\npreset = contaminant\n", 1,
-          "usage error: key outside any section on line 1"),
-         (["reconstruct"], "[problem]\npreset = contaminant\nporosity = 0\n", 3,
-          "validation failure: porosity must be positive, got 0.0"),
-         (["reconstruct"],
-          problem("manufactured1d", **variant(WITH_M, h="1e-13", omega="1e-13", m="0")), 2,
-          "numerical failure: (h(0),1) = 1.000e-13 too small to define the initial kernel value")],
-        ids=["empty-n", "zero-fine-factor", "sweep-without-noise", "sweep-without-seed",
-             "missing-measurement-file", "no-measurement-source", "key-outside-section",
-             "zero-porosity", "h0-below-threshold"],
-    )
-    def test_error_path_prints_its_line(self, tmp_path, capsys, argv, config, code, message):
-        if config:
-            cfg = write_config(tmp_path, config.format(tmp=tmp_path))
-            argv = [*argv, "--config", str(cfg)]
-        argv = [*argv, "--mx", "8"] + ([] if "--n" in argv else ["--n", "10"])
-        assert run_cli(argv) == code
-        assert capsys.readouterr().err == f"kernrec: {message.format(tmp=tmp_path)}\n"
-
-    @pytest.mark.parametrize(
-        "argv, config, message",
-        [(["forward", "--preset", "contaminant", "--n", "2", "--T", "5e-324"], "",
-          "time step tau = T/n = 4.94066e-324/2 = 0 has no finite 1/tau"),
-         (["forward", "--preset", "contaminant", "--n", "3", "--T", "1e-323"], "",
-          "time step tau = T/n = 9.88131e-324/3 = 4.94066e-324 has no finite 1/tau"),
-         (["roundtrip", "--n", "4"], problem("manufactured1d", **WITH_KERNEL, lx="1e300"),
-          "cell size dx = lx/mx = 1e+300/2: its square overflows"),
-         (["roundtrip", "--n", "4"], problem("manufactured1d", **WITH_KERNEL, lx="1e-200"),
-          "cell size dx = lx/mx = 1e-200/2: its square underflows"),
-         (["roundtrip", "--n", "4"],
-          problem("manufactured2d", **variant(MANUFACTURED_2D, m=None, mprime=None, ly="1e-200")),
-          "cell size dy = ly/my = 1e-200/2: its square underflows"),
-         (["forward", "--preset", "manufactured1d", "--n", "10", "--T", "1e-307"], "",
-          "the step's operator overflows for tau = 1e-308, dx = 0.5"),
-         (["reconstruct", "--preset", "manufactured1d", "--n", "10", "--T", "1e-307"], "",
-          "the step's operator overflows for tau = 1e-308, dx = 0.5"),
-         (["roundtrip", "--n", "4"],
-          problem("manufactured2d",
-                  **variant(MANUFACTURED_2D, m=None, mprime=None, lx="2e-154", ly="2e-154")),
-          "the step's operator overflows for tau = 0.25, dx = 1e-154, dy = 1e-154")],
-        ids=["tau-zero", "tau-reciprocal-overflows", "dx-square-overflows",
-             "dx-square-underflows", "dy-square-underflows", "forward-step-operator-overflows",
-             "reconstruct-step-operator-overflows", "stencil-overflows"],
-    )
-    def test_step_or_cell_out_of_range_is_validation_failure(
-        self, tmp_path, capsys, argv, config, message
-    ):
-        # 1/tau and 1/dx^2 enter the step's operator: each must be finite,
-        # and so must the operator's eigenvalues
-        if config:
-            cfg = write_config(tmp_path, config)
-            argv = [*argv, "--config", str(cfg)]
-        assert harness.main([*argv, "--mx", "2"]) == harness.EXIT_VALIDATION
-        assert capsys.readouterr().err == f"kernrec: validation failure: {message}\n"
 
     def test_deep_nesting_is_usage_error(self, tmp_path):
         deep = "(" * 3000 + "0" + ")" * 3000
@@ -882,140 +974,6 @@ class TestConfigHandling:
             assert err == (f"kernrec: usage error: cannot read {target} {path}: 'utf-8' codec "
                            f"can't decode byte 0xe9 in position {len(raw) + 5}: "
                            "invalid continuation byte\n")
-
-    @pytest.mark.parametrize(
-        "mode,preset",
-        [("reconstruct", "manufactured1d"), ("forward", "contaminant"),
-         ("roundtrip", "contaminant")],
-        ids=["exact-m", "forward", "roundtrip"],
-    )
-    def test_unread_measurement_file_is_usage_error(self, tmp_path, capsys, mode, preset):
-        # the file would be ignored: exact m wins, and these modes make their own data
-        cfg = write_config(
-            tmp_path,
-            f'[problem]\npreset = {preset}\nmeasurement_file = "{tmp_path / "none.csv"}"\n',
-        )
-        code = run_cli([mode, "--config", str(cfg), "--n", "10", "--mx", "10",
-                        "--out", str(tmp_path / "out.csv")])
-        assert code == 1
-        assert "usage error: [measurement_file]" in capsys.readouterr().err
-        assert not (tmp_path / "out.csv").exists()
-
-    @pytest.mark.parametrize("source", ["cli", "config"])
-    @pytest.mark.parametrize(
-        "mode,preset,flags,option",
-        [("roundtrip", "manufactured1d", ["--derivative", "analytic"], "derivative = analytic"),
-         ("roundtrip", "contaminant", ["--fine-factor", "3"], "fine_factor = 3"),
-         ("forward", "contaminant", ["--fine-factor", "7"], "fine_factor = 7"),
-         ("forward", "contaminant", ["--force"], "force = true"),
-         ("forward", "contaminant", ["--trace"], "trace = true"),
-         ("forward", "contaminant", ["--kernel-denominator-sign", "minus"],
-          "kernel_denominator_sign = minus"),
-         ("reconstruct", "manufactured1d", ["--fine-factor", "3"], "fine_factor = 3"),
-         ("reconstruct", "file", ["--fine-factor", "3"], "fine_factor = 3"),
-         ("noise-sweep", "manufactured1d", ["--derivative", "analytic"],
-          "derivative = analytic"),
-         ("noise-sweep", "contaminant", ["--derivative", "discrete"], "derivative = discrete"),
-         ("reconstruct", "file", ["--derivative", "discrete"], "derivative = discrete"),
-         ("convergence", "file", ["--derivative", "discrete"], "derivative = discrete")],
-        ids=["roundtrip-derivative", "roundtrip-fine-factor", "forward-fine-factor",
-             "forward-force", "forward-trace", "forward-denominator-sign",
-             "exact-m-fine-factor", "measurement-file-fine-factor", "noise-sweep-derivative",
-             "noise-sweep-derivative-discrete", "measurement-file-derivative",
-             "measurement-file-derivative-convergence"],
-    )
-    def test_option_the_mode_ignores_is_usage_error(
-        self, tmp_path, capsys, mode, preset, flags, option, source
-    ):
-        # the run would not use the option, so it must not be echoed as applied
-        problem = f"preset = {preset}\n"
-        if preset == "file":
-            data = tmp_path / "m.csv"
-            assert run_cli(["forward", "--preset", "contaminant", "--n", "10", "--mx", "10",
-                            "--out", str(data)]) == 0
-            problem = f'preset = contaminant\nmeasurement_file = "{data}"\n'
-        experiment = option + "\n" if source == "config" else ""
-        cfg = write_config(tmp_path, f"[problem]\n{problem}\n[experiment]\n{experiment}")
-        out = tmp_path / "out.csv"
-        argv = [mode, "--config", str(cfg), "--n", "10", "--mx", "10", "--out", str(out)]
-        code = run_cli(argv + (flags if source == "cli" else []))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"usage error: {flags[0]} ([experiment] {option.split()[0]}) has no effect" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flags,experiment",
-        [(["--noise", ""], ""), (["--noise", ","], ""), ([], "noise = ,\n")],
-        ids=["flag-empty", "flag-comma", "key-comma"],
-    )
-    def test_empty_noise_list_outside_noise_sweep_is_usage_error(
-        self, tmp_path, capsys, flags, experiment
-    ):
-        # an empty list is still a given option, which reconstruct does not use
-        cfg = write_config(
-            tmp_path,
-            f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
-        )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "usage error: --noise ([experiment] noise) has no effect in reconstruct mode" in err
-
-    @pytest.mark.parametrize(
-        "flags,experiment,named",
-        [(["--out", ""], "", "--out ''"),
-         (["--json", ""], "", "--json ''"),
-         ([], 'out = ""\n', "[experiment] out = ''"),
-         ([], "json =\n", "[experiment] json = ''")],
-        ids=["out-flag", "json-flag", "out-key", "json-key"],
-    )
-    def test_empty_output_path_is_usage_error(self, tmp_path, capsys, flags, experiment, named):
-        cfg = write_config(
-            tmp_path,
-            f"[problem]\npreset = manufactured1d\n\n[experiment]\n{experiment}",
-        )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10", *flags])
-        assert code == 1
-        assert f"usage error: cannot parse {named}: an empty path" in capsys.readouterr().err
-
-    _OUT, _JSON = "--out ([experiment] out)", "--json ([experiment] json)"
-    _DATA = "[problem] measurement_file"
-
-    @pytest.mark.parametrize(
-        "flags,experiment,labels",
-        [(["--out", "run.ini"], "", (_OUT, "--config")),
-         (["--json", "run.ini"], "", (_JSON, "--config")),
-         ([], 'out = "run.ini"\n', (_OUT, "--config")),
-         (["--out", "link.ini"], "", (_OUT, "--config")),
-         (["--out", "x", "--json", "sub/../x"], "", (_OUT, _JSON)),
-         (["--out", "x"], 'json = "x"\n', (_OUT, _JSON)),
-         (["--out", "data.csv"], "", (_OUT, _DATA)),
-         ([], 'json = "./data.csv"\n', (_JSON, _DATA))],
-        ids=["out-config", "json-config", "out-key-config", "out-symlink-config",
-             "out-json", "out-json-key", "out-measurement-file", "json-key-measurement-file"],
-    )
-    def test_output_naming_an_input_or_the_other_output_is_usage_error(
-        self, tmp_path, monkeypatch, capsys, flags, experiment, labels
-    ):
-        monkeypatch.chdir(tmp_path)
-        assert run_cli(["forward", "--preset", "contaminant", "--n", "10", "--mx", "10",
-                        "--out", "data.csv"]) == 0
-        data = _read(tmp_path / "data.csv")
-        config = (
-            '[problem]\npreset = contaminant\nmeasurement_file = "data.csv"\n\n'
-            f"[experiment]\n{experiment}"
-        )
-        write_config(tmp_path, config, "run.ini")
-        (tmp_path / "link.ini").symlink_to("run.ini")
-        (tmp_path / "sub").mkdir()
-        code = run_cli(["reconstruct", "--config", "run.ini", "--n", "10", "--mx", "10", *flags])
-        assert code == 1
-        first, second = labels
-        assert f"usage error: {first} and {second} name the same file" in capsys.readouterr().err
-        assert _read(tmp_path / "run.ini") == config
-        assert _read(tmp_path / "data.csv") == data
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.ini", "run.ini", "sub"]
 
     @pytest.mark.parametrize("source", ["cli", "config"])
     @pytest.mark.parametrize(
@@ -1075,59 +1033,6 @@ class TestConfigHandling:
             None, None, None
         )
 
-    @pytest.mark.parametrize(
-        "rows,message",
-        [(("t,m", "0,1", "{t},abc", "{T},1"),
-          "measurement file data row 2: 'abc' is not a number"),
-         (("t,m", "0,1", "{t}", "{T},1"),
-          "measurement file data row 2 has 1 column(s), expected at least 2"),
-         (("t,m", "0,1", "{t},1,7", "{T},1"), "measurement file data row 3 has no m' "
-          "although other rows after the first carry one"),
-         (("t,m,mprime", "0,1,nan", "{t},1,0", "{T},1,0"),
-          "measurement contains non-finite values"),
-         (("t,m,mprime", "0,1,inf", "{t},1,0", "{T},1,0"),
-          "measurement contains non-finite values"),
-         # a row with a blank t counts, so the file has one row too many
-         (("t,m", "0,1", " ,99,99", "{t},1", "{T},1"),
-          "measurement file has 4 rows (3 steps), expected 3 for n = 2"),
-         (("t,m,mprime", "0,1.5,1,junk", "{t},1.5,1,junk", "{T},1.5,1,junk"),
-          "measurement file data row 1 has a value after m'")],
-        ids=["not-a-number", "missing-column", "partial-mprime", "nan-mprime0", "inf-mprime0",
-             "blank-t-row", "fourth-value"],
-    )
-    def test_malformed_measurement_row_is_validation_failure(
-        self, tmp_path, capsys, rows, message
-    ):
-        # rejected as the file is read: no step runs, so no trace row prints
-        T = make_preset("contaminant").T
-        data = tmp_path / "m.csv"
-        text = "".join(row.format(t=repr(T / 2), T=repr(T)) + "\n" for row in rows)
-        data.write_text(text, encoding="utf-8")
-        cfg = write_config(
-            tmp_path,
-            f'[problem]\npreset = contaminant\nmeasurement_file = "{data}"\n',
-        )
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "2", "--mx", "4", "--trace",
-                        "--out", str(tmp_path / "out.csv")])
-        assert code == 3
-        assert capsys.readouterr().err == f"kernrec: validation failure: {message}\n"
-        assert not (tmp_path / "out.csv").exists()
-
-    @pytest.mark.parametrize(
-        "flags,experiment",
-        [(["--noise", "nan"], ""), (["--noise", "1e-3,inf"], ""), ([], "noise = inf\n")],
-        ids=["cli-nan", "cli-inf", "config-inf"],
-    )
-    def test_non_finite_noise_is_usage_error(self, tmp_path, capsys, flags, experiment):
-        cfg = write_config(
-            tmp_path,
-            f"[problem]\npreset = manufactured1d\n\n[experiment]\nseed = 1\n{experiment}",
-        )
-        code = run_cli(["noise-sweep", "--config", str(cfg), "--n", "10", "--mx", "10",
-                        *flags])
-        assert code == 1
-        assert "usage error: --noise" in capsys.readouterr().err
-
     def test_out_of_range_literal_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, problem("manufactured1d", **WITH_M, kernel="2e308*t"))
         proc = subprocess.run(
@@ -1142,49 +1047,11 @@ class TestConfigHandling:
         assert "'2e308' is out of range (byte offset 0)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize(
-        "mode,flags,discretization",
-        [("reconstruct", ["--n", "0"], ""),
-         ("reconstruct", ["--n", "-5"], ""),
-         ("convergence", ["--n", "0,10"], ""),
-         ("reconstruct", [], "n = 0\n")],
-        ids=["cli-zero", "cli-negative", "convergence-list", "config-zero"],
-    )
-    def test_non_positive_n_is_usage_error(self, tmp_path, capsys, mode, flags, discretization):
-        cfg = write_config(
-            tmp_path,
-            f"[problem]\npreset = manufactured1d\n\n[discretization]\n{discretization}",
-        )
-        code = run_cli([mode, "--config", str(cfg), "--mx", "10", *flags])
-        assert code == 1
-        assert "usage error: --n" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "mode,flags",
-        [("forward", []), ("roundtrip", []), ("convergence", []),
-         ("noise-sweep", ["--noise", "1e-3", "--seed", "1"])],
-    )
-    def test_mode_without_exact_kernel_is_usage_error(self, tmp_path, capsys, mode, flags):
-        cfg = write_config(tmp_path, problem("manufactured1d", **WITH_M))
-        out = tmp_path / "out.csv"
-        code = run_cli([mode, "--config", str(cfg), "--n", "10", "--mx", "10",
-                        "--out", str(out), *flags])
-        assert code == 1
-        assert f"usage error: {mode} mode needs an exact kernel" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_config_is_validated_on_construction(self):
         # convergence_study and the mode runners rely on a validated config
         spec = replace(make_preset("contaminant"), kernel_exact=None)
         with pytest.raises(errors.UsageError, match="needs an exact kernel"):
             harness.ExperimentConfig(mode="convergence", spec=spec, n_list=[10, 20], mx=10)
-
-    def test_force_from_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, THRESHOLD_CONFIG + "\n[experiment]\nforce = On\n")
-        code = run_cli(["reconstruct", "--config", str(cfg), "--n", "20", "--mx", "10"])
-        assert code == 0
-        assert capsys.readouterr().err == THRESHOLD_WARNING
-
 
 
 # The expected option x mode matrix, written out here and not read from the
@@ -1297,23 +1164,6 @@ _CLI_VALUES = {  # key: (valid texts, invalid texts)
 
 def test_cli_values_cover_every_option():
     assert set(_CLI_VALUES) == {opt.key for opt in harness.OPTIONS}
-
-
-def _measurement_text(kind: str, n: int, T: float, bad_row: int) -> str:
-    """The samples of m = 1 + t and m' = 1 on n steps up to T, as ``kind`` says."""
-    rows = [[repr(t), repr(1.0 + t), "1"] for t in np.linspace(0.0, T, n + 1).tolist()]
-    if kind == "t,m":
-        rows = [row[:2] for row in rows]
-    elif kind == "m not a number":
-        rows[bad_row][1] = "abc"
-    elif kind == "no m":
-        rows[bad_row] = rows[bad_row][:1]
-    elif kind == "value after m'":
-        rows[bad_row].append("2")
-    elif kind == "one row short":
-        del rows[bad_row]
-    header = ["t", "m"] if kind == "t,m" else ["t", "m", "mprime"]
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _echo_of_unset(key: str, mode: str, source: str, mx: int):
@@ -1694,24 +1544,6 @@ def test_readme_preset_sections_are_the_presets():
         assert spec_from_mapping(section) == make_preset(section["name"])
 
 
-def test_unwritable_output_exits_2(tmp_path):
-    code = run_cli(
-        ["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "10",
-         "--out", str(tmp_path / "missing" / "k.csv")]
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("json_path", ["missing/r.json", "."], ids=["missing-dir", "directory"])
-def test_failed_json_write_leaves_no_csv(tmp_path, monkeypatch, capsys, json_path):
-    monkeypatch.chdir(tmp_path)
-    code = run_cli(["reconstruct", "--preset", "manufactured1d", "--n", "10", "--mx", "4",
-                    "--out", "k.csv", "--json", json_path])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("kernrec: numerical failure: [Errno ")
-    assert list(tmp_path.iterdir()) == []
-
-
 class _FullDisk:
     """A file that takes the first bytes of a write and then fails, as a full disk does."""
 
@@ -1895,13 +1727,6 @@ def test_every_level_of_a_sweep_prints_its_warning(tmp_path):
     assert proc.stderr == 3 * warning
 
 
-def test_state_overflow_prints_no_numpy_warning(tmp_path, capsys):
-    # the load f = 1e308 overflows in the first step's solve
-    cfg = write_config(tmp_path, problem("overflow", f="1e308", kernel="0"))
-    assert run_cli(["reconstruct", "--config", str(cfg), "--n", "10", "--mx", "10"]) == 2
-    assert capsys.readouterr().err == "kernrec: numerical failure: state is not finite\n"
-
-
 def test_non_finite_diagnostics_exit_2_and_write_nothing(tmp_path):
     # u0 = 1e200 keeps every state finite, but the squares in the diagnostics overflow
     cfg = write_config(tmp_path, CONFIGS["big1d.ini"], "big.cfg")
@@ -1915,17 +1740,6 @@ def test_non_finite_diagnostics_exit_2_and_write_nothing(tmp_path):
     assert warning.startswith("kernrec: warning: running with tau = ")
     assert failure == "kernrec: numerical failure: diagnostics.grad_energy is not finite"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
-
-
-def test_non_finite_amplification_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    # sigma = 5e-324, the least subnormal: err_inf / sigma overflows
-    monkeypatch.chdir(tmp_path)
-    argv = ["noise-sweep", "--preset", "manufactured1d", "--n", "20", "--mx", "10",
-            "--noise", "5e-324", "--seed", "1", "--out", "n.csv", "--json", "n.json"]
-    assert run_cli(argv) == 2
-    err = capsys.readouterr().err
-    assert err == "kernrec: numerical failure: rows[0].amplification is not finite\n"
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
